@@ -149,8 +149,8 @@ def _example_entries() -> list[AuditEntry]:
         )
     )
 
-    std5 = bundle.sym_power_twists(b, 5, bundle.STANDARD)
-    printed5 = bundle.sym_power_twists(b, 5, bundle.PAPER)
+    std5 = bundle.sym_power_twists(b, 5, bundle.STANDARD)[5]
+    printed5 = bundle.sym_power_twists(b, 5, bundle.PAPER)[5]
     entries.append(
         AuditEntry(
             location="Example 1: symmetric power rank",
@@ -165,8 +165,10 @@ def _example_entries() -> list[AuditEntry]:
         )
     )
 
+    printed = bundle.h0_anti(b, 50, bundle.PAPER)
+    standard = bundle.h0_anti(b, 5, bundle.STANDARD)
     bad = [
-        m for m in range(1, 51) if bundle.h0_anti(b, m, bundle.PAPER) != bundle.paper_closed_form(m)
+        m for m, value in enumerate(printed, start=1) if value != bundle.paper_closed_form(m)
     ]
     entries.append(
         AuditEntry(
@@ -182,8 +184,8 @@ def _example_entries() -> list[AuditEntry]:
     )
 
     for m, printed_value in ((1, 91), (4, 62909), (5, 186030)):
-        got = bundle.h0_anti(b, m, bundle.PAPER)
-        std = bundle.h0_anti(b, m, bundle.STANDARD)
+        got = printed[m - 1]
+        std = standard[m - 1]
         entries.append(
             AuditEntry(
                 location=f"Example 1: h0(-{m}K)" if m > 1 else "Example 1: h0(-K)",
@@ -195,7 +197,7 @@ def _example_entries() -> list[AuditEntry]:
             )
         )
 
-    h4 = bundle.h0_anti(b, 4, bundle.PAPER)
+    h4 = printed[3]
     t41 = bounds.lemma2_threshold(4, 1, k5)
     entries.append(
         AuditEntry(
@@ -210,7 +212,7 @@ def _example_entries() -> list[AuditEntry]:
         )
     )
 
-    h5 = bundle.h0_anti(b, 5, bundle.PAPER)
+    h5 = printed[4]
     t52 = bounds.lemma2_threshold(5, 2, k5)
     entries.append(
         AuditEntry(
@@ -226,7 +228,7 @@ def _example_entries() -> list[AuditEntry]:
     )
 
     ex = bundle.example1_bound()
-    h1 = bundle.h0_anti(b, 1, bundle.PAPER)
+    h1 = printed[0]
     entries.append(
         AuditEntry(
             location="Example 1: multiple selection",

@@ -626,7 +626,8 @@ def solve_oracle(
     """
     w = _StepWriter()
     table_max = max(m_cert + 2, m_max)
-    values = [source.h0(m) for m in range(1, table_max + 1)]
+    # largest multiple first: a table-filling oracle then counts once
+    values = [source.h0(m) for m in range(table_max, 0, -1)][::-1]
     w.add(
         "axioms",
         [{"a5": False, "horizon": 0}],

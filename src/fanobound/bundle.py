@@ -89,65 +89,79 @@ def rank_printed(k: int) -> int:
     return max(0, (k - 1) * k * (k + 1) // 6)
 
 
-def sym_power_twists(b: SplitBundle, k: int, conv: str = STANDARD) -> dict[int, int]:
-    """Twist multiset of S^k(E): degree -> multiplicity.
+def _standard_powers(twists: tuple[int, ...], k: int) -> list[dict[int, int]]:
+    """Twist multisets of S^j(E) for j = 0..k (empty for k < 0).
 
-    standard: multiplicity of d is the number of multi-indices alpha with
-    |alpha| = k and sum(alpha_j e_j) = d, accumulated by one dynamic
-    programming pass per summand.  paper: only for bundles of shape
-    (0,0,0,0,e); degree j*e gets the printed rank of S^(k-j)(O^4).
+    One dynamic-programming pass per summand: after the summands seen so
+    far, rows[j] counts the multi-indices of total j by degree.  Adding a
+    summand of twist e turns row j into row j plus row j - 1 (already
+    updated) moved up by e.
+    """
+    if k < 0:
+        return []
+    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
+    for e in twists:
+        for j in range(1, k + 1):
+            row = rows[j]
+            for d, c in rows[j - 1].items():
+                row[d + e] = row.get(d + e, 0) + c
+    return rows
+
+
+def sym_power_twists(
+    b: SplitBundle, k: int, conv: str = STANDARD
+) -> list[dict[int, int]]:
+    """Twist multisets of S^j(E) for j = 0..k: entry j maps degree ->
+    multiplicity, keeping only positive multiplicities.
+
+    standard: multiplicity of d in S^j is the number of multi-indices
+    alpha with |alpha| = j and sum(alpha_i e_i) = d.  paper: only for
+    bundles of shape (0,0,0,0,e); degree i*e of S^j gets the printed rank
+    C(j-i+1, 3) of S^(j-i)(O^4).  Since C(j+1, 3) is the standard rank of
+    S^(j-2)(O^4), the printed S^j is the standard S^(j-2) of the same
+    bundle, and the paper list is the standard one shifted by two.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if conv == STANDARD:
-        # dp[j] maps degree -> count using the first summands with total j
-        dp: list[dict[int, int]] = [{} for _ in range(k + 1)]
-        dp[0][0] = 1
-        for e in b.twists:
-            new: list[dict[int, int]] = [{} for _ in range(k + 1)]
-            new[0] = dict(dp[0])
-            for j in range(1, k + 1):
-                acc = dict(dp[j])
-                for d, c in new[j - 1].items():
-                    acc[d + e] = acc.get(d + e, 0) + c
-                new[j] = acc
-            dp = new
-        return dp[k]
+        return _standard_powers(b.twists, k)
     if conv == PAPER:
-        nonzero = [e for e in b.twists if e != 0]
-        if len(nonzero) > 1:
+        if sum(1 for e in b.twists if e != 0) > 1:
             raise UnsupportedConventionError(
                 "printed-rank convention needs a bundle of shape (0,0,0,0,e)"
             )
-        e = nonzero[0] if nonzero else 0
-        out: dict[int, int] = {}
-        for j in range(k + 1):
-            out[j * e] = out.get(j * e, 0) + rank_printed(k - j)
-        return out
+        return [{} for _ in range(min(k + 1, 2))] + _standard_powers(b.twists, k - 2)
     raise ValueError(f"unknown convention {conv!r}")
 
 
-def h0_anti(b: SplitBundle, m: int, conv: str = STANDARD) -> int:
-    """h0(X, -mK) by pushing down to the line and summing line-bundle
-    sections.
+def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
+    """[h0(X, -mK) for m = 1..m_max], by pushing down to the line and
+    summing line-bundle sections; one symmetric-power pass up to 5*m_max
+    serves every multiple.
 
     When every pushed-down degree is >= -1 the first cohomology of each
     summand vanishes and the count equals the Euler characteristic; for
     lower degrees the count is still the honest h0 but chi may differ,
     which is flagged with ChiApproximationWarning.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     _, h_coeff = anticanonical_data(b)
-    shift = m * h_coeff
-    mults = sym_power_twists(b, 5 * m, conv)
-    if any(d + shift < -1 for d in mults):
+    powers = sym_power_twists(b, 5 * m_max, conv)
+    values = []
+    below_chi = False
+    for m in range(1, m_max + 1):
+        shift = m * h_coeff
+        mults = powers[5 * m]
+        below_chi = below_chi or any(d + shift < -1 for d in mults)
+        values.append(sum(c * h0_p1(d + shift) for d, c in mults.items()))
+    if below_chi:
         warnings.warn(
             "a summand has degree < -1 after twisting; h0 may differ from chi",
             ChiApproximationWarning,
             stacklevel=2,
         )
-    return sum(c * h0_p1(d + shift) for d, c in mults.items())
+    return values
 
 
 def paper_closed_form(m: int) -> int:
@@ -170,7 +184,9 @@ def oracle_source(b: SplitBundle, conv: str = STANDARD) -> bounds.OracleSource:
     """Adapt a bundle and convention to the search interface.
 
     Counts are memoized; searches and monotonicity checks revisit the same
-    multiples many times.
+    multiples many times.  A miss at m fills every multiple up to m from
+    one h0_anti pass, so asking for the largest multiple first costs one
+    pass in all.
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
@@ -178,7 +194,7 @@ def oracle_source(b: SplitBundle, conv: str = STANDARD) -> bounds.OracleSource:
 
     def counted(m: int) -> int:
         if m not in cache:
-            cache[m] = h0_anti(b, m, conv)
+            cache.update(enumerate(h0_anti(b, m, conv), start=1))
         return cache[m]
 
     return bounds.OracleSource(
@@ -212,11 +228,16 @@ def consistency_audit(b: SplitBundle, m_max: int = 10) -> list[OracleAuditEntry]
         raise ValueError("m_max must be >= 2")
     entries: list[OracleAuditEntry] = []
 
+    try:
+        printed = h0_anti(b, m_max, PAPER)
+    except UnsupportedConventionError:
+        printed = None
+
     if b.twists == EXAMPLE_TWISTS:
         bad = [
             m
-            for m in range(1, m_max + 1)
-            if h0_anti(b, m, PAPER) != paper_closed_form(m)
+            for m, value in enumerate(printed, start=1)
+            if value != paper_closed_form(m)
         ]
         entries.append(
             OracleAuditEntry(
@@ -226,7 +247,7 @@ def consistency_audit(b: SplitBundle, m_max: int = 10) -> list[OracleAuditEntry]
             )
         )
 
-    std = [h0_anti(b, m, STANDARD) for m in range(1, m_max + 1)]
+    std = h0_anti(b, m_max, STANDARD)
     a, bb = fit_ab(PValue(1, std[0]), PValue(2, std[1]))
     misfit = [
         m for m in range(3, m_max + 1) if p_affine(m).evaluate(a, bb) != std[m - 1]
@@ -256,10 +277,6 @@ def consistency_audit(b: SplitBundle, m_max: int = 10) -> list[OracleAuditEntry]
         )
     )
 
-    try:
-        printed = [h0_anti(b, m, PAPER) for m in range(1, m_max + 1)]
-    except UnsupportedConventionError:
-        printed = None
     if printed is not None:
         ap, bp = fit_ab(PValue(1, printed[0]), PValue(2, printed[1]))
         misfit_p = [

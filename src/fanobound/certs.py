@@ -333,6 +333,13 @@ def _single_input(step_id: int, step: dict) -> dict:
     return inputs[0]
 
 
+def _json_int(step_id: int, value: Any, what: str) -> int:
+    """A JSON integer; floats, bools and strings are rejected, not coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _Fail(step_id, f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _witness(step_id: int, step: dict) -> dict:
     w = step.get("witness")
     if not isinstance(w, dict):
@@ -577,14 +584,14 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             w = _witness(sid, step)
             if cert.chern is None:
                 raise _Fail(sid, "eval_p requires chern data")
-            m_max = int(inp["m_max"])
+            m_max = _json_int(sid, inp.get("m_max"), "m_max")
             if not 0 <= m_max <= MAX_TABLE:
                 raise _Fail(sid, "value table exceeds verifier limits")
             values = w.get("values")
             if not isinstance(values, list) or len(values) != m_max + 1:
                 raise _Fail(sid, "value table has the wrong length")
             for m, v in enumerate(values):
-                if p_eval(cert.chern, m) != int(v):
+                if p_eval(cert.chern, m) != _json_int(sid, v, f"P({m})"):
                     raise _Fail(sid, f"recorded P({m}) differs from evaluation")
 
         elif rule == "oracle_values":
@@ -594,7 +601,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
 
             twists = inp.get("bundle")
             conv = inp.get("convention")
-            m_max = int(inp["m_max"])
+            m_max = _json_int(sid, inp.get("m_max"), "m_max")
             if not 1 <= m_max <= MAX_TABLE:
                 raise _Fail(sid, "value table exceeds verifier limits")
             try:
@@ -604,9 +611,10 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             values = w.get("values")
             if not isinstance(values, list) or len(values) != m_max:
                 raise _Fail(sid, "value table has the wrong length")
-            for i, v in enumerate(values):
-                m = i + 1
-                if bundle_mod.h0_anti(sb, m, conv) != int(v):
+            # the verifier's own single pass; it never sees the prover's cache
+            recount = bundle_mod.h0_anti(sb, m_max, conv)
+            for m, (v, want) in enumerate(zip(values, recount), start=1):
+                if _json_int(sid, v, f"h0 at m={m}") != want:
                     raise _Fail(sid, f"recorded h0 at m={m} differs from recomputation")
             d5 = inp.get("d5")
             if d5 is not None and bundle_mod.k5_geometric(sb) != int(d5):

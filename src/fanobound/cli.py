@@ -10,7 +10,7 @@ from typing import Optional
 
 from . import audit as audit_mod
 from . import bounds, bundle
-from .certs import MalformedCertificateError, from_json_bytes, verify
+from .certs import MAX_TABLE, MalformedCertificateError, from_json_bytes, verify
 from .derive import DEFAULT_M_CERT
 from .hilbert import ChernData, HilbertError, p_eval
 
@@ -23,7 +23,8 @@ def _m_cert() -> int:
         value = int(raw)
     except ValueError:
         raise SystemExit(2)
-    if value < 1:
+    # solve writes value tables up to m_cert + 2, which verify must accept
+    if not 1 <= value <= MAX_TABLE - 2:
         raise SystemExit(2)
     return value
 
@@ -129,7 +130,7 @@ def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parser.error("--m must be >= 1")
     try:
         b = bundle.SplitBundle.parse(args.bundle)
-        value = bundle.h0_anti(b, args.m, args.convention)
+        value = bundle.h0_anti(b, args.m, args.convention)[-1]
     except (ValueError, bundle.UnsupportedConventionError) as exc:
         parser.error(str(exc))
     print(value)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rat = Fraction
 
@@ -195,8 +195,3 @@ def poly_positive_on_ray(p: Poly, m0: RatLike) -> bool:
     if not shifted.coeffs:
         return False
     return all(c >= 0 for c in shifted.coeffs) and shifted.coeffs[0] > 0
-
-
-def shifted_coeffs(p: Poly, m0: RatLike) -> Sequence[Fraction]:
-    """Coefficients of p(m0 + t), the witness data behind the ray tests."""
-    return p.shift(m0).coeffs

@@ -152,12 +152,6 @@ def coefficient_polys() -> tuple[Poly, Poly, Poly]:
     return fa, fb, w
 
 
-def difference_polys() -> tuple[Poly, Poly, Poly]:
-    """Coefficients of P(m+1) - P(m) as polynomials in m."""
-    fa, fb, fc = coefficient_polys()
-    return fa.shift(1) - fa, fb.shift(1) - fb, fc.shift(1) - fc
-
-
 def p_poly(c: ChernData) -> Poly:
     """P as a univariate polynomial in m for concrete Chern data."""
     fa, fb, fc = coefficient_polys()

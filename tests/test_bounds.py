@@ -353,6 +353,36 @@ class TestVerifierRejectsTampering:
         res = verify(self._mutate(smuggle))
         assert not res.ok and "does not belong" in res.reason
 
+    @pytest.mark.parametrize("bad", [66.5, 66.0, True, "66"])
+    def test_non_integer_oracle_table_length_rejected(self, bad):
+        import fanobound.bundle as bundle
+
+        src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
+        doc = json.loads(solve_oracle(src).to_json_bytes())
+        for step in doc["steps"]:
+            if step["rule"] == "oracle_values":
+                assert step["inputs"][0]["m_max"] == 66
+                step["inputs"][0]["m_max"] = bad
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert not res.ok and "m_max must be an integer" in res.reason
+
+    @pytest.mark.parametrize("bad", [66.5, True, "66"])
+    def test_non_integer_chern_table_length_rejected(self, bad):
+        doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
+        for step in doc["steps"]:
+            if step["rule"] == "eval_p":
+                step["inputs"][0]["m_max"] = bad
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert not res.ok and "m_max must be an integer" in res.reason
+
+    def test_non_integer_table_value_rejected(self):
+        doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
+        for step in doc["steps"]:
+            if step["rule"] == "eval_p":
+                step["witness"]["values"][1] = float(step["witness"]["values"][1])
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert not res.ok and "must be an integer" in res.reason
+
     def test_tampered_oracle_values_caught(self):
         import fanobound.bundle as bundle
 

@@ -7,8 +7,9 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fanobound.hilbert import PValue, fit_ab, p_affine
+from fanobound.hilbert import ChernData, PValue, fit_ab, p_affine, p_eval
 from fanobound.bundle import (
     EXAMPLE_TWISTS,
     ChiApproximationWarning,
@@ -73,18 +74,18 @@ class TestBasics:
 
 class TestSymPowerTwists:
     def test_example_standard_multiplicities(self):
-        got = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 5, "standard")
+        got = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 5, "standard")[5]
         # brute force over all C(9,4) = 126 multi-indices
         assert got == brute_force_twists(EXAMPLE_TWISTS, 5)
         assert [got[d] for d in range(6)] == [56, 35, 20, 10, 4, 1]
 
     def test_example_printed_multiplicities(self):
-        got = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 5, "paper")
+        got = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 5, "paper")[5]
         # printed rank (k-1)k(k+1)/6 at k = 5..0
         assert [got.get(d, 0) for d in range(6)] == [20, 10, 4, 1, 0, 0]
 
     def test_trivial_bundle(self):
-        got = sym_power_twists(SplitBundle((0, 0, 0, 0, 0)), 2, "standard")
+        got = sym_power_twists(SplitBundle((0, 0, 0, 0, 0)), 2, "standard")[2]
         assert got == {0: comb(6, 4)}
 
     def test_dp_equals_brute_force_random_twists(self):
@@ -92,7 +93,7 @@ class TestSymPowerTwists:
         for _ in range(40):
             twists = tuple(rng.randint(-2, 3) for _ in range(5))
             k = rng.randint(0, 8)
-            assert sym_power_twists(SplitBundle(twists), k) == brute_force_twists(
+            assert sym_power_twists(SplitBundle(twists), k)[k] == brute_force_twists(
                 twists, k
             )
 
@@ -101,36 +102,90 @@ class TestSymPowerTwists:
         for _ in range(20):
             twists = tuple(rng.randint(-2, 3) for _ in range(5))
             k = rng.randint(0, 10)
-            mults = sym_power_twists(SplitBundle(twists), k)
+            mults = sym_power_twists(SplitBundle(twists), k)[k]
             assert sum(mults.values()) == standard_total_rank(k) == comb(k + 4, 4)
 
     def test_printed_convention_needs_special_shape(self):
         with pytest.raises(UnsupportedConventionError):
             sym_power_twists(SplitBundle((1, 1, 0, 0, 0)), 5, "paper")
-        # any order of four zeros and one e is accepted
-        assert sym_power_twists(SplitBundle((0, 2, 0, 0, 0)), 3, "paper") == {
+        # any order of four zeros and one e is accepted; degrees whose
+        # printed rank is zero are not stored
+        expected = {
             0: rank_printed(3),
             2: rank_printed(2),
             4: rank_printed(1),
             6: rank_printed(0),
         }
+        assert sym_power_twists(SplitBundle((0, 2, 0, 0, 0)), 3, "paper")[3] == {
+            d: c for d, c in expected.items() if c
+        }
+
+
+class TestOnePassTables:
+    def test_every_power_of_one_pass(self):
+        twists = (-1, 0, 0, 2, 3)
+        table = sym_power_twists(SplitBundle(twists), 6)
+        assert len(table) == 7
+        for k, got in enumerate(table):
+            assert got == brute_force_twists(twists, k)
+
+    def test_printed_table_matches_printed_rank(self):
+        # the paper list is the standard one shifted by two; check it
+        # against the published rank (k-1)k(k+1)/6 entry by entry
+        for e in range(-3, 4):
+            b = SplitBundle((0, 0, 0, 0, e))
+            table = sym_power_twists(b, 15, "paper")
+            for k, got in enumerate(table):
+                expected = {}
+                for j in range(k + 1):
+                    expected[j * e] = expected.get(j * e, 0) + rank_printed(k - j)
+                assert got == {d: c for d, c in expected.items() if c}
+
+    def test_table_is_prefix_stable(self):
+        b = SplitBundle((0, 0, 0, 1, 1))
+        assert h0_anti(b, 4) == h0_anti(b, 9)[:4]
+        assert h0_anti(b, 9) == [h0_anti(b, m)[-1] for m in range(1, 10)]
+
+
+# every nef split bundle is a shift of one with twists >= 0 summing to at
+# most 2: 5 min(e) + 2 - sum(e) >= 0 says exactly that
+NEF_OFFSETS = [d for d in product(range(3), repeat=5) if sum(d) <= 2]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    offset=st.sampled_from(NEF_OFFSETS),
+    shift=st.integers(-3, 3),
+    m_max=st.integers(1, 8),
+)
+def test_nef_table_equals_brute_force_and_p(offset, shift, m_max):
+    twists = tuple(d + shift for d in offset)
+    assert 5 * min(twists) + 2 - sum(twists) >= 0
+    values = h0_anti(SplitBundle(twists), m_max)
+    assert len(values) == m_max
+    for m in range(1, min(m_max, 2) + 1):
+        assert values[m - 1] == brute_force_h0(twists, m)
+    # every nef split bundle has (-K)^5 = 6250 and (-K)^3.c2 = 2750
+    chern = ChernData(6250, 2750)
+    assert values == [p_eval(chern, m) for m in range(1, m_max + 1)]
 
 
 class TestH0Anti:
     def test_printed_convention_headline_values(self):
         b = SplitBundle(EXAMPLE_TWISTS)
-        assert h0_anti(b, 1, "paper") == 91
-        assert h0_anti(b, 4, "paper") == 62909
-        assert h0_anti(b, 5, "paper") == 186030
+        values = h0_anti(b, 5, "paper")
+        assert values[0] == 91
+        assert values[3] == 62909
+        assert values[4] == 186030
 
     def test_standard_convention_value(self):
         b = SplitBundle(EXAMPLE_TWISTS)
         # by brute force: sum of C(8-i,3)*(i+2) over i = 0..5
-        assert h0_anti(b, 1, "standard") == brute_force_h0(EXAMPLE_TWISTS, 1) == 378
+        assert h0_anti(b, 1, "standard")[0] == brute_force_h0(EXAMPLE_TWISTS, 1) == 378
 
     def test_trivial_bundle_value(self):
         # P^4 x P^1: h0(-K) = C(9,4) * 3
-        assert h0_anti(SplitBundle((0, 0, 0, 0, 0)), 1) == brute_force_h0(
+        assert h0_anti(SplitBundle((0, 0, 0, 0, 0)), 1)[0] == brute_force_h0(
             (0, 0, 0, 0, 0), 1
         ) == 126 * 3
 
@@ -141,7 +196,7 @@ class TestH0Anti:
     def test_chi_guard_warns_on_deep_negative_twists(self):
         b = SplitBundle((-2, 0, 0, 0, 1))
         with pytest.warns(ChiApproximationWarning):
-            value = h0_anti(b, 1)
+            (value,) = h0_anti(b, 1)
         assert value == brute_force_h0((-2, 0, 0, 0, 1), 1)
 
     def test_no_warning_on_the_example(self):
@@ -160,14 +215,14 @@ class TestPaperClosedForm:
 
     def test_identity_with_summation_up_to_fifty(self):
         b = SplitBundle(EXAMPLE_TWISTS)
-        for m in range(1, 51):
-            assert h0_anti(b, m, "paper") == paper_closed_form(m)
+        for m, value in enumerate(h0_anti(b, 50, "paper"), start=1):
+            assert value == paper_closed_form(m)
 
 
 class TestHilbertFit:
     def test_standard_values_fit_one_ab(self):
         b = SplitBundle(EXAMPLE_TWISTS)
-        values = [h0_anti(b, m) for m in range(1, 11)]
+        values = h0_anti(b, 10)
         a, bb = fit_ab(PValue(1, values[0]), PValue(2, values[1]))
         for m in range(1, 11):
             assert p_affine(m).evaluate(a, bb) == values[m - 1]
@@ -178,18 +233,17 @@ class TestHilbertFit:
         for e in (0, 1, 2):
             twists = (0, 0, 0, 0, e)
             b = SplitBundle(twists)
-            v1, v2 = h0_anti(b, 1), h0_anti(b, 2)
+            v1, v2 = h0_anti(b, 2)
             a, _ = fit_ab(PValue(1, v1), PValue(2, v2))
             assert 720 * a == k5_geometric(b)
 
     def test_printed_values_fit_nothing(self):
         b = SplitBundle(EXAMPLE_TWISTS)
-        a, bb = fit_ab(
-            PValue(1, h0_anti(b, 1, "paper")), PValue(2, h0_anti(b, 2, "paper"))
-        )
+        printed = h0_anti(b, 3, "paper")
+        a, bb = fit_ab(PValue(1, printed[0]), PValue(2, printed[1]))
         # the pair (91, 2277) inverts to a = 229/45, but m = 3 breaks
         assert a == Fraction(229, 45)
-        assert p_affine(3).evaluate(a, bb) != h0_anti(b, 3, "paper")
+        assert p_affine(3).evaluate(a, bb) != printed[2]
 
 
 class TestConsistencyAudit:
@@ -206,7 +260,7 @@ class TestConsistencyAudit:
 
     def test_direct_summation_cross_check(self):
         # the standard count at m = 3 against an independent brute force
-        assert h0_anti(SplitBundle(EXAMPLE_TWISTS), 3) == brute_force_h0(
+        assert h0_anti(SplitBundle(EXAMPLE_TWISTS), 3)[2] == brute_force_h0(
             EXAMPLE_TWISTS, 3
         ) == 27132
 

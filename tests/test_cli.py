@@ -5,7 +5,11 @@ import json
 import subprocess
 import sys
 
-from fanobound.cli import main
+import pytest
+
+from fanobound import bundle
+from fanobound.certs import MAX_TABLE
+from fanobound.cli import _m_cert, main
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +77,42 @@ class TestSolve:
         monkeypatch.setenv("FANOBOUND_MCERT", "zero")
         code, _, _ = run_cli(capsys, "solve", "--worst-case")
         assert code == 2
+
+    def test_mcert_beyond_verifier_limits_exit_2(self, capsys, monkeypatch, tmp_path):
+        # a table of m_cert + 2 values longer than verify accepts is refused
+        # before solving, not written and then rejected
+        monkeypatch.setenv("FANOBOUND_MCERT", "600")
+        out_file = tmp_path / "cert.json"
+        code, _, _ = run_cli(
+            capsys, "solve", "--k5", "6250", "--k3c2", "2750", "--out", str(out_file)
+        )
+        assert code == 2 and not out_file.exists()
+
+    def test_mcert_limit_is_the_verifier_table_limit(self, monkeypatch):
+        monkeypatch.setenv("FANOBOUND_MCERT", str(MAX_TABLE - 2))
+        assert _m_cert() == MAX_TABLE - 2
+        monkeypatch.setenv("FANOBOUND_MCERT", str(MAX_TABLE - 1))
+        with pytest.raises(SystemExit) as exc:
+            _m_cert()
+        assert exc.value.code == 2
+
+    def test_bundle_solve_and_verify_count_once_each(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        real = bundle.h0_anti
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bundle, "h0_anti", counting)
+        cert_file = tmp_path / "cert.json"
+        code, out, _ = run_cli(capsys, "solve", "--bundle", "0,0,0,0,1", "--out", str(cert_file))
+        assert code == 0 and out == "12\n"
+        assert len(calls) == 1
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", str(cert_file))
+        assert code == 0 and out == "valid\n"
+        assert len(calls) == 1
 
 
 class TestTable:
