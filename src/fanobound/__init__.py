@@ -42,10 +42,8 @@ from .bounds import (
     compose_bound,
     lemma2_check,
     lemma2_threshold,
-    lemma2_worstcase,
     minimal_r,
     nonvanishing_rule,
-    solve,
     solve_concrete,
     solve_oracle,
     solve_worst_case,

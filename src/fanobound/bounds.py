@@ -10,10 +10,12 @@ The composition rule then says: if |-rK| is nonempty for every r >= r0
 (with r0 >= 3) and dim >= i is witnessed at r_i for i = 1, 2, 3, the map
 is birational for all m >= r0 + r1 + r2 + r3.
 
-Searches run in three modes sharing one interface: worst case (over a
-constraint system in (a, b)), concrete Chern data, and an h0 oracle.
-Every solve produces a Certificate whose steps the independent verifier
-in certs can replay.
+Searches read one of two sources: a constraint system in (a, b) for the
+worst case, or a table of exact values.  Concrete Chern data and an h0
+oracle both become value tables; Chern data brings its known polynomial,
+an oracle's is interpolated and checked once per solve.  Every solve
+produces a Certificate whose steps the independent verifier in certs can
+replay.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .exact import AffineForm, rat_str, to_rat
-from .hilbert import ChernData, p_affine, p_eval
+from .exact import rat_str, to_rat
+from .hilbert import ChernData, LEMMA2_R_CAP, lemma2_slack_form, lemma2_threshold, p_affine
 from . import certs
 from .derive import (
     ConstraintSystem,
@@ -32,7 +34,9 @@ from .derive import (
     InfeasibleSystemError,
     MinimizeResult,
     MonotoneReport,
+    ValueTable,
     axiom_system,
+    chern_table,
     derive_lower_bound,
     fact_to_constraint,
     fm_minimize,
@@ -40,15 +44,14 @@ from .derive import (
     interpolate_model,
     merge_branch_facts,
     monotone_from,
-    oracle_monotone,
     point_with_value_below,
     split_on_p1,
     strengthen_integral,
+    table_monotone,
 )
 
 DEFAULT_M_MAX = 32
 DEFAULT_LMAX = 3
-LEMMA2_R_CAP = 4
 
 
 class CertificationError(Exception):
@@ -85,34 +88,12 @@ def nonvanishing_rule(fact: Fact) -> Optional[DimWitness]:
     return None
 
 
-def lemma2_threshold(m: int, r: int, d5: int) -> int:
-    """The section count to beat: m^r * D^5 + r for D = -K with D^5 = d5."""
-    if m < 1 or r < 0 or d5 < 1:
-        raise ValueError("need m >= 1, r >= 0, d5 >= 1")
-    return m**r * d5 + r
-
-
 def lemma2_check(h0: int, m: int, r: int, d5: int) -> Optional[DimWitness]:
     """Strict dimension test on exact values: h0 > threshold gives
     dim >= r + 1; the boundary is not a pass."""
     t = lemma2_threshold(m, r, d5)
     if h0 > t:
         return DimWitness(r + 1, m, "lemma2", Fraction(h0 - t), r_used=r)
-    return None
-
-
-def lemma2_slack_form(m: int, r: int) -> AffineForm:
-    """P(m) - (m^r * 720a + r): positive exactly when the test passes with
-    (-K)^5 expressed as 720a."""
-    return p_affine(m) - AffineForm.of(720 * m**r, 0, r)
-
-
-def lemma2_worstcase(cs: ConstraintSystem, m: int, r: int) -> Optional[DimWitness]:
-    """Worst-case dimension test: passes when the slack form has a positive
-    minimum over the system."""
-    res = fm_minimize(cs, lemma2_slack_form(m, r))
-    if res.status == "minimum" and res.value > 0:
-        return DimWitness(r + 1, m, "lemma2", res.value, r_used=r)
     return None
 
 
@@ -138,7 +119,22 @@ class OracleSource:
     d5: int
 
 
-Source = Union[ConstraintSystem, ChernData, OracleSource]
+def oracle_table(source: OracleSource, m_max: int, m_cert: int) -> ValueTable:
+    """The oracle's values for m = 1..m_max and the polynomial through its
+    first six, checked against every value on [1, m_cert + 1] so that the
+    polynomial's difference certifies the monotone tail."""
+    # largest multiple first: a table-filling oracle then counts once
+    values = [source.h0(m) for m in range(m_max, 0, -1)][::-1]
+    model = interpolate_model(source.h0, list(range(1, 7)))
+    for m in range(1, m_cert + 2):
+        if model(m) != values[m - 1]:
+            raise CertificationError(
+                f"oracle is not polynomial at m = {m}; the tail cannot be certified"
+            )
+    return ValueTable(tuple(values), 1, source.d5, model, "oracle")
+
+
+Source = Union[ConstraintSystem, ValueTable]
 
 
 @dataclass(frozen=True)
@@ -149,61 +145,77 @@ class SearchOutcome:
     attempts: tuple[dict, ...]
 
 
-def _source_value(source: Source, m: int) -> int:
-    if isinstance(source, ChernData):
-        return p_eval(source, m)
-    return source.h0(m)
+def _worst_case_attempt(
+    cs: ConstraintSystem, m: int, r: Optional[int]
+) -> tuple[Optional[DimWitness], dict]:
+    """The test at (m, r) over cs, minimized once: its witness and the
+    selection record on a pass, or None and a failed attempt carrying a
+    feasible point that refutes the test.
 
-
-def _worst_case_dim1_attempt(cs: ConstraintSystem, m: int) -> Optional[dict]:
-    """Evidence that no pencil is certified at m, or None when it is.
-
-    A feasible point with P(m) <= 1 is exact evidence: the strongest
-    derivable integral bound is then at most 1, below the pencil rule.
+    r = None is the pencil test.  A point with P(m) <= 1 refutes it: the
+    strongest derivable integral bound is then at most 1.
     """
-    res = fm_minimize(cs, p_affine(m))
+    form = p_affine(m) if r is None else lemma2_slack_form(m, r)
+    res = fm_minimize(cs, form)
     if res.status == "infeasible":
         raise InfeasibleSystemError("search system is contradictory")
-    point = None
     if res.status == "minimum":
-        fact = strengthen_integral(Fact(m, res.value, res.strict), cs)
-        if fact.bound >= 2:
-            return None
-        if res.attained and res.value <= 1:
-            point = res.point
-    if point is None:
-        point = point_with_value_below(cs, p_affine(m), Fraction(1))
-    assert point is not None
-    return {
-        "m": m,
-        "r": None,
-        "point": certs.ser_point(point),
-        "value": rat_str(p_affine(m).evaluate(*point)),
-    }
-
-
-def _worst_case_lemma2_attempt(cs: ConstraintSystem, m: int, r: int) -> Optional[dict]:
-    """Evidence that the worst-case test fails at (m, r), or None on a pass."""
-    slack = lemma2_slack_form(m, r)
-    res = fm_minimize(cs, slack)
-    if res.status == "infeasible":
-        raise InfeasibleSystemError("search system is contradictory")
-    if res.status == "minimum" and res.value > 0:
-        return None
-    if res.status == "minimum" and res.attained and res.value <= 0:
+        if r is None:
+            fact = strengthen_integral(Fact(m, res.value, res.strict), cs)
+            witness = nonvanishing_rule(fact)
+            if witness is not None:
+                return witness, {
+                    "rule": "nonvanishing",
+                    "m": m,
+                    "r": None,
+                    "raw_min": rat_str(res.value),
+                    "raw_strict": res.strict,
+                    "farkas": certs.ser_farkas(res.farkas),
+                    "bound": rat_str(fact.bound),
+                    "strengthened": fact.bound != res.value,
+                    "margin": rat_str(witness.margin),
+                }
+        elif res.value > 0:
+            return DimWitness(r + 1, m, "lemma2", res.value, r_used=r), {
+                "rule": "lemma2",
+                "m": m,
+                "r": r,
+                "raw_min": rat_str(res.value),
+                "farkas": certs.ser_farkas(res.farkas),
+                "margin": rat_str(res.value),
+            }
+    limit = Fraction(1 if r is None else 0)
+    if res.status == "minimum" and res.attained and res.value <= limit:
         point = res.point
     else:
-        point = point_with_value_below(cs, slack, Fraction(0))
+        point = point_with_value_below(cs, form, limit)
     if point is None:
         raise CertificationError(
             f"test at m={m}, r={r} is inconclusive (boundary infimum)"
         )
-    return {
+    return None, {
         "m": m,
         "r": r,
         "point": certs.ser_point(point),
-        "value": rat_str(slack.evaluate(*point)),
+        "value": rat_str(form.evaluate(*point)),
     }
+
+
+def _table_attempt(
+    table: ValueTable, m: int, r: Optional[int]
+) -> tuple[Optional[DimWitness], dict]:
+    """The test at (m, r) on the table's value: its witness and the
+    selection record on a pass, or None and the failed attempt."""
+    value = table.at(m)
+    if r is None:
+        witness = nonvanishing_rule(Fact(m, Fraction(value)))
+        record = {"m": m, "r": None, "value": value}
+    else:
+        witness = lemma2_check(value, m, r, table.d5)
+        record = {"m": m, "r": r, "value": value, "threshold": lemma2_threshold(m, r, table.d5)}
+    if witness is None:
+        return None, record
+    return witness, {**record, "rule": witness.rule, "margin": rat_str(witness.margin)}
 
 
 def minimal_r(
@@ -222,81 +234,15 @@ def minimal_r(
         raise ValueError("target dimension must be 1, 2, or 3")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    attempt = _worst_case_attempt if isinstance(source, ConstraintSystem) else _table_attempt
     attempts: list[dict] = []
     r_options = [None] if target_dim == 1 else list(range(target_dim - 1, LEMMA2_R_CAP + 1))
     for m in range(m_start, m_max + 1):
         for r in r_options:
-            if isinstance(source, ConstraintSystem):
-                if r is None:
-                    fail = _worst_case_dim1_attempt(source, m)
-                    if fail is None:
-                        res = fm_minimize(source, p_affine(m))
-                        fact = strengthen_integral(Fact(m, res.value, res.strict), source)
-                        witness = nonvanishing_rule(fact)
-                        assert witness is not None
-                        selected = {
-                            "rule": "nonvanishing",
-                            "m": m,
-                            "r": None,
-                            "raw_min": rat_str(res.value),
-                            "raw_strict": res.strict,
-                            "farkas": certs.ser_farkas(res.farkas),
-                            "bound": rat_str(fact.bound),
-                            "strengthened": fact.bound != res.value,
-                            "margin": rat_str(witness.margin),
-                        }
-                        return SearchOutcome(m, witness, selected, tuple(attempts))
-                    attempts.append(fail)
-                else:
-                    fail = _worst_case_lemma2_attempt(source, m, r)
-                    if fail is None:
-                        res = fm_minimize(source, lemma2_slack_form(m, r))
-                        witness = DimWitness(r + 1, m, "lemma2", res.value, r_used=r)
-                        selected = {
-                            "rule": "lemma2",
-                            "m": m,
-                            "r": r,
-                            "raw_min": rat_str(res.value),
-                            "farkas": certs.ser_farkas(res.farkas),
-                            "margin": rat_str(res.value),
-                        }
-                        return SearchOutcome(m, witness, selected, tuple(attempts))
-                    attempts.append(fail)
-            else:
-                value = _source_value(source, m)
-                d5 = source.k5 if isinstance(source, ChernData) else source.d5
-                if r is None:
-                    witness = nonvanishing_rule(Fact(m, Fraction(value)))
-                    if witness is not None:
-                        selected = {
-                            "rule": "nonvanishing",
-                            "m": m,
-                            "r": None,
-                            "value": value,
-                            "margin": rat_str(witness.margin),
-                        }
-                        return SearchOutcome(m, witness, selected, tuple(attempts))
-                    attempts.append({"m": m, "r": None, "value": value})
-                else:
-                    witness = lemma2_check(value, m, r, d5)
-                    if witness is not None:
-                        selected = {
-                            "rule": "lemma2",
-                            "m": m,
-                            "r": r,
-                            "value": value,
-                            "threshold": lemma2_threshold(m, r, d5),
-                            "margin": rat_str(witness.margin),
-                        }
-                        return SearchOutcome(m, witness, selected, tuple(attempts))
-                    attempts.append(
-                        {
-                            "m": m,
-                            "r": r,
-                            "value": value,
-                            "threshold": lemma2_threshold(m, r, d5),
-                        }
-                    )
+            witness, record = attempt(source, m, r)
+            if witness is not None:
+                return SearchOutcome(m, witness, record, tuple(attempts))
+            attempts.append(record)
     raise SearchExhaustedError(
         f"no dimension-{target_dim} witness up to m = {m_max}"
     )
@@ -310,7 +256,6 @@ def minimal_r(
 class R0Certification:
     r0: int
     nonempty_bound: Fraction
-    nonempty_res: Optional[MinimizeResult]  # worst-case only
     monotone: MonotoneReport
 
 
@@ -325,34 +270,14 @@ def certify_r0(
     if r0 < 3:
         raise ValueError("the composition rule needs r0 >= 3")
     if isinstance(source, ConstraintSystem):
-        fact = derive_lower_bound(source, r0)
-        if fact.bound < 1:
-            raise CertificationError(
-                f"certify_r0: only P({r0}) >= {fact.bound} derivable, need >= 1"
-            )
-        res = fm_minimize(source, p_affine(r0))
-        report = monotone_from(source, r0, m_cert)
-        return R0Certification(r0, fact.bound, res, report)
-    if isinstance(source, ChernData):
-        v = p_eval(source, r0)
-        if v < 1:
-            raise CertificationError(f"certify_r0: P({r0}) = {v} < 1")
-        report = monotone_from(source, r0, m_cert)
-        return R0Certification(r0, Fraction(v), None, report)
-    v = source.h0(r0)
-    if v < 1:
-        raise CertificationError(f"certify_r0: h0 at {r0} is {v} < 1")
-    model = interpolate_model(source.h0, list(range(1, 7)))
-    if model.degree > 5:
-        raise CertificationError("certify_r0: oracle model degree exceeds 5")
-    for m in range(1, m_cert + 2):
-        if model(m) != source.h0(m):
-            raise CertificationError(
-                f"certify_r0: oracle is not polynomial at m = {m}; "
-                "the tail cannot be certified"
-            )
-    report = oracle_monotone(source.h0, r0, m_cert, model)
-    return R0Certification(r0, Fraction(v), None, report)
+        bound, monotone = derive_lower_bound(source, r0).bound, monotone_from
+    else:
+        bound, monotone = Fraction(source.at(r0)), table_monotone
+    if bound < 1:
+        raise CertificationError(
+            f"certify_r0: only P({r0}) >= {rat_str(bound)} is certified, need >= 1"
+        )
+    return R0Certification(r0, bound, monotone(source, r0, m_cert))
 
 
 # ---------------------------------------------------------------------------
@@ -399,43 +324,33 @@ def _fm_bound_step(
 def _monotone_steps(
     w: _StepWriter,
     report: MonotoneReport,
-    mode: str,
     cs: Optional[ConstraintSystem] = None,
     values_step: Optional[int] = None,
     model_step: Optional[int] = None,
 ) -> None:
-    if mode == "worst_case":
+    tail = report.tail
+    range_inputs: dict = {"m0": report.m0, "m_cert": report.m_cert, "mode": tail.mode}
+    tail_inputs: dict = {"m_start": tail.m_start, "mode": tail.mode}
+    if tail.mode == "worst_case":
         checks = [
             {"m": c.m, "min": rat_str(c.min_value), "farkas": certs.ser_farkas(c.farkas)}
             for c in report.checks
         ]
-        inputs = [
-            {
-                "m0": report.m0,
-                "m_cert": report.m_cert,
-                "mode": mode,
-                "constraints": _ser_system(cs),
-            }
-        ]
-    else:
-        checks = [{"m": c.m, "delta": int(c.min_value)} for c in report.checks]
-        inputs = [
-            {"m0": report.m0, "m_cert": report.m_cert, "mode": mode, "values_step": values_step}
-        ]
-    w.add(
-        "monotone_range",
-        inputs,
-        f"P(m+1) > P(m) for {report.m0} <= m <= {report.m_cert}",
-        {"checks": checks},
-    )
-    tail = report.tail
-    tail_inputs: dict = {"m_start": tail.m_start, "mode": tail.mode}
-    if tail.mode == "worst_case":
+        range_inputs["constraints"] = _ser_system(cs)
         tail_inputs["b_constraint"] = tail.b_constraint
         tail_inputs["a_constraint"] = tail.a_constraint
         tail_inputs["constraints"] = _ser_system(cs)
-    elif tail.mode == "oracle":
-        tail_inputs["model_step"] = model_step
+    else:
+        checks = [{"m": c.m, "delta": int(c.min_value)} for c in report.checks]
+        range_inputs["values_step"] = values_step
+        if tail.mode == "oracle":
+            tail_inputs["model_step"] = model_step
+    w.add(
+        "monotone_range",
+        [range_inputs],
+        f"P(m+1) > P(m) for {report.m0} <= m <= {report.m_cert}",
+        {"checks": checks},
+    )
     w.add(
         "monotone_tail",
         [tail_inputs],
@@ -464,9 +379,9 @@ def _dim_search_steps(
             inputs["system"] = source.label
             inputs["constraints"] = _ser_system(source)
         else:
-            inputs["mode"] = "concrete" if isinstance(source, ChernData) else "oracle"
+            inputs["mode"] = source.mode
             inputs["values_step"] = values_step
-            inputs["d5"] = source.k5 if isinstance(source, ChernData) else source.d5
+            inputs["d5"] = source.d5
         w.add(
             "dim_search",
             [inputs],
@@ -551,7 +466,7 @@ def solve_worst_case(
     )
     rs = _dim_search_steps(w, geom, m_max)
     r0cert = certify_r0(geom, 3, m_cert)
-    _monotone_steps(w, r0cert.monotone, "worst_case", cs=geom)
+    _monotone_steps(w, r0cert.monotone, cs=geom)
     bound = _compose_step(w, 3, rs)
     return certs.Certificate(
         mode=certs.WORST_CASE,
@@ -563,53 +478,73 @@ def solve_worst_case(
     )
 
 
-def solve_concrete(
-    chern: ChernData, m_max: int = DEFAULT_M_MAX, m_cert: int = DEFAULT_M_CERT
-) -> certs.Certificate:
-    """Bound for one concrete 5-fold given its Chern intersection numbers."""
+def _table_writer() -> _StepWriter:
+    """A step writer holding the axiom step of a value-table solve, which
+    declares no constraints."""
     w = _StepWriter()
-    table_max = max(m_cert + 2, m_max)
-    values = [p_eval(chern, m) for m in range(table_max + 1)]
-    w.add(
-        "axioms",
-        [{"a5": False, "horizon": 0}],
-        "axiom set fixed",
-        {"constraints": []},
-    )
-    values_step = w.add(
-        "eval_p",
-        [{"m_max": table_max}],
-        f"P(0..{table_max}) evaluated exactly",
-        {"values": values},
-    )
+    w.add("axioms", [{"a5": False, "horizon": 0}], "axiom set fixed", {"constraints": []})
+    return w
+
+
+def _solve_table(
+    w: _StepWriter,
+    table: ValueTable,
+    values_step: int,
+    axioms: list[str],
+    m_max: int,
+    m_cert: int,
+    dim1_start: int = 1,
+    model_step: Optional[int] = None,
+    chern: Optional[ChernData] = None,
+) -> certs.Certificate:
+    """The chain both value sources share once their value steps are
+    written: the least r0 with P(r0) >= 1 and monotone values from r0,
+    the dimension searches and the composition."""
     r0cert = None
     last_err: Optional[Exception] = None
     for r0 in range(3, m_max + 1):
         try:
-            r0cert = certify_r0(chern, r0, m_cert)
+            r0cert = certify_r0(table, r0, m_cert)
             break
         except CertificationError as exc:
             last_err = exc
     if r0cert is None:
         raise CertificationError(f"certify_r0 failed up to m_max: {last_err}")
+    r0 = r0cert.r0
     w.add(
         "value_at_least",
-        [{"m": r0cert.r0, "values_step": values_step}],
-        f"P({r0cert.r0}) >= 1",
-        {"value": values[r0cert.r0], "bound": 1},
+        [{"m": r0, "values_step": values_step}],
+        f"P({r0}) >= 1",
+        {"value": table.at(r0), "bound": 1},
     )
-    _monotone_steps(w, r0cert.monotone, "concrete", values_step=values_step)
-    rs = _dim_search_steps(w, chern, m_max, values_step)
-    bound = _compose_step(w, r0cert.r0, rs)
+    _monotone_steps(w, r0cert.monotone, values_step=values_step, model_step=model_step)
+    rs = _dim_search_steps(w, table, m_max, values_step, dim1_start=dim1_start)
+    bound = _compose_step(w, r0, rs)
     return certs.Certificate(
         mode=certs.CONCRETE,
-        axioms=list(CONCRETE_AXIOMS),
+        axioms=list(axioms),
         steps=w.steps,
-        r0=r0cert.r0,
+        r0=r0,
         r=rs,
         bound=bound,
         chern=chern,
     )
+
+
+def solve_concrete(
+    chern: ChernData, m_max: int = DEFAULT_M_MAX, m_cert: int = DEFAULT_M_CERT
+) -> certs.Certificate:
+    """Bound for one concrete 5-fold given its Chern intersection numbers."""
+    table_max = max(m_cert + 2, m_max)
+    table = chern_table(chern, table_max)
+    w = _table_writer()
+    values_step = w.add(
+        "eval_p",
+        [{"m_max": table_max}],
+        f"P(0..{table_max}) evaluated exactly",
+        {"values": list(table.values)},
+    )
+    return _solve_table(w, table, values_step, CONCRETE_AXIOMS, m_max, m_cert, chern=chern)
 
 
 def solve_oracle(
@@ -624,16 +559,9 @@ def solve_oracle(
     replay of the published example starts it at 3 to reproduce the
     printed multiple selection.
     """
-    w = _StepWriter()
     table_max = max(m_cert + 2, m_max)
-    # largest multiple first: a table-filling oracle then counts once
-    values = [source.h0(m) for m in range(table_max, 0, -1)][::-1]
-    w.add(
-        "axioms",
-        [{"a5": False, "horizon": 0}],
-        "axiom set fixed",
-        {"constraints": []},
-    )
+    table = oracle_table(source, table_max, m_cert)
+    w = _table_writer()
     values_step = w.add(
         "oracle_values",
         [
@@ -645,61 +573,14 @@ def solve_oracle(
             }
         ],
         f"h0(-mK) for m = 1..{table_max} under the {source.convention} convention",
-        {"values": values},
+        {"values": list(table.values)},
     )
-    r0cert = None
-    last_err: Optional[Exception] = None
-    for r0 in range(3, m_max + 1):
-        try:
-            r0cert = certify_r0(source, r0, m_cert)
-            break
-        except CertificationError as exc:
-            last_err = exc
-    if r0cert is None:
-        raise CertificationError(f"certify_r0 failed up to m_max: {last_err}")
-    model = interpolate_model(source.h0, list(range(1, 7)))
     model_step = w.add(
         "oracle_model",
         [{"values_step": values_step, "m_lo": 1, "m_hi": m_cert + 1}],
-        f"oracle values match a degree-{max(model.degree, 0)} polynomial on [1, {m_cert + 1}]",
-        {"coeffs": certs.ser_poly(model)},
+        f"oracle values match a degree-{max(table.poly.degree, 0)} polynomial on [1, {m_cert + 1}]",
+        {"coeffs": certs.ser_poly(table.poly)},
     )
-    w.add(
-        "value_at_least",
-        [{"m": r0cert.r0, "values_step": values_step}],
-        f"P({r0cert.r0}) >= 1",
-        {"value": values[r0cert.r0 - 1], "bound": 1},
+    return _solve_table(
+        w, table, values_step, ORACLE_AXIOMS, m_max, m_cert, dim1_start, model_step
     )
-    _monotone_steps(
-        w, r0cert.monotone, "oracle", values_step=values_step, model_step=model_step
-    )
-    rs = _dim_search_steps(w, source, m_max, values_step, dim1_start=dim1_start)
-    bound = _compose_step(w, r0cert.r0, rs)
-    return certs.Certificate(
-        mode=certs.CONCRETE,
-        axioms=list(ORACLE_AXIOMS),
-        steps=w.steps,
-        r0=r0cert.r0,
-        r=rs,
-        bound=bound,
-    )
-
-
-def solve(
-    mode: str,
-    chern: Optional[ChernData] = None,
-    oracle: Optional[OracleSource] = None,
-    m_max: int = DEFAULT_M_MAX,
-    m_cert: int = DEFAULT_M_CERT,
-    dim1_start: int = 1,
-) -> certs.Certificate:
-    """End-to-end entry point covering the three input modes."""
-    if mode == certs.WORST_CASE:
-        return solve_worst_case(m_max=m_max, m_cert=m_cert)
-    if mode == certs.CONCRETE:
-        if (chern is None) == (oracle is None):
-            raise ValueError("concrete mode takes exactly one of chern or oracle")
-        if chern is not None:
-            return solve_concrete(chern, m_max=m_max, m_cert=m_cert)
-        return solve_oracle(oracle, m_max=m_max, m_cert=m_cert, dim1_start=dim1_start)
-    raise ValueError(f"unknown mode {mode!r}")

@@ -26,10 +26,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .exact import AffineForm, Poly, rat_str, to_rat
-from .hilbert import ChernData, p_affine, p_eval
+from .hilbert import (
+    ChernData,
+    LEMMA2_R_CAP,
+    difference_polys,
+    lemma2_slack_form,
+    lemma2_threshold,
+    p_affine,
+    p_eval,
+)
 from .derive import constraint_form
 
 CERT_VERSION = 1
@@ -79,6 +87,11 @@ class Certificate:
         ).encode("utf-8")
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; floats, bools and strings do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json_dict(doc: Any) -> Certificate:
     if not isinstance(doc, dict):
         raise MalformedCertificateError("certificate must be a JSON object")
@@ -90,15 +103,19 @@ def from_json_dict(doc: Any) -> Certificate:
         isinstance(s, dict) for s in doc["steps"]
     ):
         raise MalformedCertificateError("steps must be a list of objects")
-    if not isinstance(doc["r"], list) or len(doc["r"]) != 3:
+    r = doc["r"]
+    if not isinstance(r, list) or len(r) != 3 or not all(_is_int(x) for x in r):
         raise MalformedCertificateError("r must be a list of three integers")
     for key in ("version", "r0", "bound"):
-        if not isinstance(doc[key], int):
+        if not _is_int(doc[key]):
             raise MalformedCertificateError(f"{key} must be an integer")
     chern = None
     if doc["chern"] is not None:
         try:
-            chern = ChernData(int(doc["chern"]["k5"]), int(doc["chern"]["k3c2"]))
+            k5, k3c2 = doc["chern"]["k5"], doc["chern"]["k3c2"]
+            if not (_is_int(k5) and _is_int(k3c2)):
+                raise TypeError("k5 and k3c2 must be integers")
+            chern = ChernData(k5, k3c2)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCertificateError(f"bad chern field: {exc}") from exc
     return Certificate(
@@ -106,7 +123,7 @@ def from_json_dict(doc: Any) -> Certificate:
         axioms=list(doc["axioms"]),
         steps=list(doc["steps"]),
         r0=doc["r0"],
-        r=[int(x) for x in doc["r"]],
+        r=list(r),
         bound=doc["bound"],
         chern=chern,
         version=doc["version"],
@@ -118,6 +135,8 @@ def from_json_bytes(data: bytes) -> Certificate:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedCertificateError("JSON nesting is too deep") from exc
     return from_json_dict(doc)
 
 
@@ -252,6 +271,8 @@ def _check_constraints(
             has_hypothesis = True
         elif kind != "from_fact":
             raise _Fail(step_id, f"constraint kind {kind!r} not allowed in certificates")
+        if params:
+            _json_int(step_id, params[0], f"first parameter of {cid}")
         try:
             rebuilt, rebuilt_strict = constraint_form(kind, params)
         except (ValueError, TypeError) as exc:
@@ -260,7 +281,7 @@ def _check_constraints(
             raise _Fail(step_id, f"constraint {cid} does not match its descriptor")
         if kind == "from_fact":
             m, bound, _scale, f_strict = params
-            key = (int(m), to_rat(bound), bool(f_strict))
+            key = (m, to_rat(bound), bool(f_strict))
             if key not in established:
                 raise _Fail(
                     step_id,
@@ -335,7 +356,7 @@ def _single_input(step_id: int, step: dict) -> dict:
 
 def _json_int(step_id: int, value: Any, what: str) -> int:
     """A JSON integer; floats, bools and strings are rejected, not coerced."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise _Fail(step_id, f"{what} must be an integer, got {value!r}")
     return value
 
@@ -345,18 +366,6 @@ def _witness(step_id: int, step: dict) -> dict:
     if not isinstance(w, dict):
         raise _Fail(step_id, "missing witness")
     return w
-
-
-def _lemma2_slack_form(m: int, r: int) -> AffineForm:
-    # h0 threshold in worst-case mode: m^r * (-K)^5 + r with (-K)^5 = 720a
-    return p_affine(m) - AffineForm.of(720 * m**r, 0, r)
-
-
-def _difference_polys_formula() -> tuple[Poly, Poly, Poly]:
-    from .hilbert import coefficient_polys
-
-    fa, fb, fc = coefficient_polys()
-    return fa.shift(1) - fa, fb.shift(1) - fb, fc.shift(1) - fc
 
 
 def _model_from_step(step_id: int, steps_by_id: dict, model_step: Any) -> Poly:
@@ -369,22 +378,24 @@ def _model_from_step(step_id: int, steps_by_id: dict, model_step: Any) -> Poly:
     return Poly([to_rat(c) for c in coeffs])
 
 
-def _oracle_values_from_step(step_id: int, steps_by_id: dict, values_step: Any) -> list[int]:
+def _table_from_step(step_id: int, steps_by_id: dict, values_step: Any) -> Callable[[int], int]:
+    """The value table a step cites, as a function of m."""
     vs = steps_by_id.get(values_step)
     if vs is None or vs.get("rule") not in ("oracle_values", "eval_p"):
         raise _Fail(step_id, "values_step does not reference a value table step")
     values = vs.get("witness", {}).get("values")
     if not isinstance(values, list):
         raise _Fail(step_id, "referenced value table is missing")
-    return [int(v) for v in values]
-
-
-def _value_at(step_id: int, rule: str, values: list[int], m: int) -> int:
+    values = [_json_int(step_id, v, "table value") for v in values]
     # eval_p tables start at m = 0, oracle tables at m = 1
-    idx = m if rule == "eval_p" else m - 1
-    if idx < 0 or idx >= len(values):
-        raise _Fail(step_id, f"value table has no entry for m = {m}")
-    return values[idx]
+    first = 0 if vs["rule"] == "eval_p" else 1
+
+    def value_at(m: int) -> int:
+        if not 0 <= m - first < len(values):
+            raise _Fail(step_id, f"value table has no entry for m = {m}")
+        return values[m - first]
+
+    return value_at
 
 
 def verify(cert: Certificate) -> VerifyResult:
@@ -402,7 +413,9 @@ def verify(cert: Certificate) -> VerifyResult:
     except _Fail as f:
         sid = f.step_id if f.step_id is not None else progress[0]
         return VerifyResult(False, sid, f.reason)
-    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+    except (
+        KeyError, TypeError, ValueError, IndexError, ZeroDivisionError, AttributeError
+    ) as exc:
         return VerifyResult(False, progress[0], f"malformed step data: {exc!r}")
     return VerifyResult(True)
 
@@ -443,8 +456,8 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
     last_id = 0
     for step in cert.steps:
         sid = step.get("id")
-        if not isinstance(sid, int) or sid <= last_id:
-            raise _Fail(sid if isinstance(sid, int) else None, "step ids must increase")
+        if not _is_int(sid) or sid <= last_id:
+            raise _Fail(sid if _is_int(sid) else None, "step ids must increase")
         last_id = sid
         steps_by_id[sid] = step
 
@@ -475,7 +488,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
         elif rule == "split_p1":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            lmax = int(inp.get("lmax", -1))
+            lmax = _json_int(sid, inp.get("lmax"), "lmax")
             if lmax < 0:
                 raise _Fail(sid, "split needs lmax >= 0")
             labels = w.get("labels")
@@ -487,7 +500,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
         elif rule == "fm_lower_bound":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            m = int(inp["m"])
+            m = _json_int(sid, inp.get("m"), "m")
             table, conditional = _check_constraints(
                 sid, inp.get("constraints", []), established, cert.axioms, branch_ok=True
             )
@@ -522,7 +535,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
         elif rule == "merge_min":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            m = int(inp["m"])
+            m = _json_int(sid, inp.get("m"), "m")
             branches = inp.get("branches")
             if not isinstance(branches, list) or not branches:
                 raise _Fail(sid, "merge needs branch references")
@@ -535,7 +548,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             if got_labels != want_labels:
                 raise _Fail(sid, "merged branches do not cover the split")
             bounds = []
-            for br in branches:
+            for l, br in enumerate(branches):
                 ref = steps_by_id.get(br.get("step"))
                 if ref is None or ref.get("rule") != "fm_lower_bound":
                     raise _Fail(sid, f"branch {br.get('label')} cites no bound step")
@@ -544,14 +557,13 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                     raise _Fail(sid, f"branch {br.get('label')} bound mismatch")
                 ref_inp = _single_input(sid, ref)
                 cids = {c.get("cid") for c in ref_inp.get("constraints", [])}
-                if br["label"].startswith("P(1)>="):
-                    tail_l = int(br["label"].split(">=")[1])
-                    if f"H.P1>={tail_l}" not in cids:
-                        raise _Fail(sid, f"branch {br['label']} lacks its hypothesis")
+                # labels follow the split, so branch l is P(1) = l or the tail
+                if l > split_lmax:
+                    hypotheses = {f"H.P1>={l}"}
                 else:
-                    l = int(br["label"].split("=")[1])
-                    if not {f"H.P1={l}.lo", f"H.P1={l}.hi"} <= cids:
-                        raise _Fail(sid, f"branch {br['label']} lacks its hypothesis")
+                    hypotheses = {f"H.P1={l}.lo", f"H.P1={l}.hi"}
+                if not hypotheses <= cids:
+                    raise _Fail(sid, f"branch {br['label']} lacks its hypothesis")
                 bounds.append(bound_br)
             merged = to_rat(w["bound"])
             if merged != min(bounds):
@@ -563,7 +575,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
         elif rule == "fact_to_constraint":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            m = int(inp["m"])
+            m = _json_int(sid, inp.get("m"), "m")
             bound = to_rat(inp["bound"])
             strict = bool(inp.get("strict", False))
             if (m, bound, strict) not in established:
@@ -605,7 +617,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             if not 1 <= m_max <= MAX_TABLE:
                 raise _Fail(sid, "value table exceeds verifier limits")
             try:
-                sb = bundle_mod.SplitBundle(tuple(int(e) for e in twists))
+                sb = bundle_mod.SplitBundle(tuple(_json_int(sid, e, "twist") for e in twists))
             except (TypeError, ValueError) as exc:
                 raise _Fail(sid, f"bad bundle: {exc}")
             values = w.get("values")
@@ -616,37 +628,34 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             for m, (v, want) in enumerate(zip(values, recount), start=1):
                 if _json_int(sid, v, f"h0 at m={m}") != want:
                     raise _Fail(sid, f"recorded h0 at m={m} differs from recomputation")
-            d5 = inp.get("d5")
-            if d5 is not None and bundle_mod.k5_geometric(sb) != int(d5):
+            if bundle_mod.k5_geometric(sb) != _json_int(sid, inp.get("d5"), "d5"):
                 raise _Fail(sid, "recorded (-K)^5 differs from intersection theory")
 
         elif rule == "oracle_model":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            values = _oracle_values_from_step(sid, steps_by_id, inp.get("values_step"))
-            vrule = steps_by_id[inp["values_step"]]["rule"]
+            value_at = _table_from_step(sid, steps_by_id, inp.get("values_step"))
             model = Poly([to_rat(c) for c in w.get("coeffs", [])])
             if model.degree > 5:
                 raise _Fail(sid, "model degree exceeds 5")
-            m_lo, m_hi = int(inp["m_lo"]), int(inp["m_hi"])
+            m_lo = _json_int(sid, inp.get("m_lo"), "m_lo")
+            m_hi = _json_int(sid, inp.get("m_hi"), "m_hi")
             if not 1 <= m_lo <= m_hi <= MAX_TABLE:
                 raise _Fail(sid, "model range exceeds verifier limits")
             if m_hi - m_lo < 5:
                 # six agreeing points pin a degree-5 polynomial
                 raise _Fail(sid, "model range too short to pin the polynomial")
             for m in range(m_lo, m_hi + 1):
-                if model(m) != _value_at(sid, vrule, values, m):
+                if model(m) != value_at(m):
                     raise _Fail(sid, f"model disagrees with values at m = {m}")
 
         elif rule == "value_at_least":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            m = int(inp["m"])
-            values = _oracle_values_from_step(sid, steps_by_id, inp.get("values_step"))
-            vrule = steps_by_id[inp["values_step"]]["rule"]
-            value = _value_at(sid, vrule, values, m)
-            bound = int(w["bound"])
-            if int(w.get("value", value)) != value:
+            m = _json_int(sid, inp.get("m"), "m")
+            value = _table_from_step(sid, steps_by_id, inp.get("values_step"))(m)
+            bound = _json_int(sid, w.get("bound"), "bound")
+            if _json_int(sid, w.get("value"), "value") != value:
                 raise _Fail(sid, "recorded value differs from the table")
             if value < bound:
                 raise _Fail(sid, f"P({m}) = {value} is below the claimed bound {bound}")
@@ -656,10 +665,9 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             inp = _single_input(sid, step)
             w = _witness(sid, step)
             _verify_dim_search(cert, sid, inp, w, steps_by_id, established, searches)
-            claim = step.get("claim")
-            sel = w["selected"]
-            want = f"dim >= {int(inp['target_dim'])} at m = {int(sel['m'])}"
-            if claim != want:
+            # target_dim and the selected m were checked as integers above
+            want = f"dim >= {inp['target_dim']} at m = {w['selected']['m']}"
+            if step.get("claim") != want:
                 raise _Fail(sid, "claim text does not match the selection")
 
         elif rule == "monotone_range":
@@ -678,12 +686,12 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             inp = _single_input(sid, step)
             w = _witness(sid, step)
             compose_step = step
-            r0 = int(inp["r0"])
-            rs = [int(x) for x in inp["r"]]
+            r0 = _json_int(sid, inp.get("r0"), "r0")
+            rs = [_json_int(sid, x, "r") for x in inp["r"]]
             if r0 < 3:
                 raise _Fail(sid, "r0 must be >= 3")
             total = r0 + sum(rs)
-            if int(w.get("bound", -1)) != total:
+            if _json_int(sid, w.get("bound"), "bound") != total:
                 raise _Fail(sid, "composed bound is not the sum")
             if cert.bound != total or cert.r0 != r0 or cert.r != rs:
                 raise _Fail(sid, "certificate header disagrees with composition")
@@ -691,7 +699,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                 sel = searches.get(target)
                 if sel is None:
                     raise _Fail(sid, f"no dimension-{target} witness step")
-                if int(sel["m"]) != rs[target - 1]:
+                if sel["m"] != rs[target - 1]:
                     raise _Fail(sid, f"r{target} does not match its witness step")
             if not any(m == r0 and q >= 1 and not s for (m, q, s) in established):
                 raise _Fail(sid, f"P({r0}) >= 1 was never established")
@@ -699,9 +707,10 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                 raise _Fail(sid, "monotonicity steps are missing")
             mr_inp = _single_input(sid, monotone_range_step)
             mt_inp = _single_input(sid, monotone_tail_step)
-            if int(mr_inp["m0"]) > r0:
+            # both steps checked these fields as integers
+            if mr_inp["m0"] > r0:
                 raise _Fail(sid, "monotone range does not start at r0")
-            if int(mt_inp["m_start"]) != int(mr_inp["m_cert"]) + 1:
+            if mt_inp["m_start"] != mr_inp["m_cert"] + 1:
                 raise _Fail(sid, "tail does not continue the per-multiple range")
             if step.get("claim") != f"birational for all m >= {total}":
                 raise _Fail(sid, "claim text does not match the composition")
@@ -722,52 +731,58 @@ def _verify_dim_search(
     established: dict,
     searches: dict,
 ) -> None:
-    target = int(inp["target_dim"])
+    target = _json_int(sid, inp.get("target_dim"), "target_dim")
     if target not in (1, 2, 3):
         raise _Fail(sid, "target dimension must be 1, 2, or 3")
-    m_max = int(inp["m_max"])
+    m_max = _json_int(sid, inp.get("m_max"), "m_max")
     if not 1 <= m_max <= MAX_SEARCH:
         raise _Fail(sid, "search range exceeds verifier limits")
-    m_start = int(inp.get("m_start", 1))
+    m_start = _json_int(sid, inp.get("m_start", 1), "m_start")
     mode = inp.get("mode")
     sel = w.get("selected")
     if not isinstance(sel, dict):
         raise _Fail(sid, "missing selection")
-    sel_m = int(sel["m"])
+    sel_m = _json_int(sid, sel.get("m"), "selected m")
     sel_r = sel.get("r")
-    if sel_m > m_max or sel_m < m_start:
+    if not 1 <= m_start <= sel_m <= m_max:
         raise _Fail(sid, "selected multiple is outside the search range")
     if target >= 2 and (sel.get("rule") != "lemma2" or sel_r is None):
         raise _Fail(sid, "dimension >= 2 needs a lemma2 selection with an exponent")
+    # checked before any m**r is computed
+    if sel_r is not None and not target - 1 <= _json_int(sid, sel_r, "selected r") <= LEMMA2_R_CAP:
+        raise _Fail(sid, f"selected exponent must lie in [{target - 1}, {LEMMA2_R_CAP}]")
 
-    r_options = [None] if target == 1 else list(range(target - 1, 5))
+    r_options = [None] if target == 1 else list(range(target - 1, LEMMA2_R_CAP + 1))
 
     # minimality: every (m, r) preceding the selection must appear as a
     # checked failing attempt
     expect: list[tuple[int, Optional[int]]] = []
     for m in range(m_start, sel_m + 1):
         for r in r_options:
-            if m == sel_m and (r is None or (sel_r is not None and r >= int(sel_r))):
+            if m == sel_m and (r is None or (sel_r is not None and r >= sel_r)):
                 break
             expect.append((m, r))
     attempts = w.get("attempts", [])
-    got = [(int(a["m"]), None if a.get("r") is None else int(a["r"])) for a in attempts]
+    got = [
+        (_json_int(sid, a["m"], "attempt m"),
+         None if a.get("r") is None else _json_int(sid, a["r"], "attempt r"))
+        for a in attempts
+    ]
     if got != expect:
         raise _Fail(sid, "failed attempts do not enumerate the search order")
 
     if mode == "worst_case":
         table, _ = _check_constraints(sid, inp.get("constraints", []), established, cert.axioms)
-        for a in attempts:
+        for (m, r), a in zip(expect, attempts):
             point = _check_point(sid, a.get("point"), table)
             value = to_rat(a["value"])
-            m, r = int(a["m"]), a.get("r")
             if r is None:
                 # P <= 1 at a feasible point caps the derivable integral bound
                 form = p_affine(m)
                 if form.evaluate(*point) != value or value > 1:
                     raise _Fail(sid, f"attempt at m={m} does not fail nonvanishing")
             else:
-                form = _lemma2_slack_form(m, int(r))
+                form = lemma2_slack_form(m, r)
                 if form.evaluate(*point) != value or value > 0:
                     raise _Fail(sid, f"attempt at m={m}, r={r} does not fail the test")
         raw = to_rat(sel["raw_min"])
@@ -793,42 +808,37 @@ def _verify_dim_search(
             if to_rat(sel["margin"]) != bound - 1:
                 raise _Fail(sid, "nonvanishing margin must be bound - 1")
         else:
-            r = int(sel_r)
-            form = _lemma2_slack_form(sel_m, r)
+            form = lemma2_slack_form(sel_m, sel_r)
             _check_farkas(sid, sel.get("farkas", []), table, form, raw)
             if raw <= 0:
                 raise _Fail(sid, "worst-case slack minimum is not positive")
             if to_rat(sel["margin"]) != raw:
                 raise _Fail(sid, "margin must equal the slack minimum")
-            if r + 1 < target:
+            if sel_r + 1 < target:
                 raise _Fail(sid, "lemma instance too weak for the target dimension")
     else:
-        values = _oracle_values_from_step(sid, steps_by_id, inp.get("values_step"))
-        vrule = steps_by_id[inp["values_step"]]["rule"]
-        d5 = inp.get("d5")
-        if d5 is not None:
-            d5 = int(d5)
-            if cert.chern is not None:
-                if d5 != cert.chern.k5:
-                    raise _Fail(sid, "d5 differs from the chern data")
-            else:
-                vs_inp = _single_input(sid, steps_by_id[inp["values_step"]])
-                if vs_inp.get("d5") is None or int(vs_inp["d5"]) != d5:
-                    raise _Fail(sid, "d5 differs from the verified value table")
-        for a in attempts:
-            m, r = int(a["m"]), a.get("r")
-            value = _value_at(sid, vrule, values, m)
-            if int(a["value"]) != value:
+        value_at = _table_from_step(sid, steps_by_id, inp.get("values_step"))
+        d5 = _json_int(sid, inp.get("d5"), "d5")
+        if cert.chern is not None:
+            if d5 != cert.chern.k5:
+                raise _Fail(sid, "d5 differs from the chern data")
+        else:
+            vs_inp = _single_input(sid, steps_by_id[inp["values_step"]])
+            if vs_inp.get("d5") != d5:
+                raise _Fail(sid, "d5 differs from the verified value table")
+        for (m, r), a in zip(expect, attempts):
+            value = value_at(m)
+            if _json_int(sid, a["value"], "attempt value") != value:
                 raise _Fail(sid, f"attempt value at m={m} differs from the table")
             if r is None:
                 if value >= 2:
                     raise _Fail(sid, f"attempt at m={m} does not fail nonvanishing")
             else:
-                threshold = int(m) ** int(r) * int(d5) + int(r)
-                if int(a.get("threshold", -1)) != threshold or value > threshold:
+                threshold = lemma2_threshold(m, r, d5)
+                if _json_int(sid, a.get("threshold"), "threshold") != threshold or value > threshold:
                     raise _Fail(sid, f"attempt at m={m}, r={r} does not fail the test")
-        value = _value_at(sid, vrule, values, sel_m)
-        if int(sel.get("value", -1)) != value:
+        value = value_at(sel_m)
+        if _json_int(sid, sel.get("value"), "selected value") != value:
             raise _Fail(sid, "selected value differs from the table")
         if sel.get("rule") == "nonvanishing":
             if target != 1 or value < 2:
@@ -836,15 +846,14 @@ def _verify_dim_search(
             if to_rat(sel["margin"]) != value - 1:
                 raise _Fail(sid, "nonvanishing margin must be value - 1")
         else:
-            r = int(sel_r)
-            threshold = sel_m**r * int(d5) + r
-            if int(sel.get("threshold", -1)) != threshold:
+            threshold = lemma2_threshold(sel_m, sel_r, d5)
+            if _json_int(sid, sel.get("threshold"), "selected threshold") != threshold:
                 raise _Fail(sid, "selection threshold is wrong")
             if value <= threshold:
                 raise _Fail(sid, "value does not clear the threshold strictly")
             if to_rat(sel["margin"]) != value - threshold:
                 raise _Fail(sid, "margin must be value - threshold")
-            if r + 1 < target:
+            if sel_r + 1 < target:
                 raise _Fail(sid, "lemma instance too weak for the target dimension")
 
     searches[target] = sel
@@ -853,41 +862,38 @@ def _verify_dim_search(
 def _verify_monotone_range(
     cert: Certificate, sid: int, inp: dict, w: dict, steps_by_id: dict, established: dict
 ) -> None:
-    m0, m_cert = int(inp["m0"]), int(inp["m_cert"])
+    m0 = _json_int(sid, inp.get("m0"), "m0")
+    m_cert = _json_int(sid, inp.get("m_cert"), "m_cert")
     if not 1 <= m0 <= m_cert <= MAX_TABLE:
         raise _Fail(sid, "monotone range exceeds verifier limits")
     mode = inp.get("mode")
     checks = w.get("checks")
-    if not isinstance(checks, list) or [int(c["m"]) for c in checks] != list(
-        range(m0, m_cert + 1)
-    ):
+    ms = list(range(m0, m_cert + 1))
+    if not isinstance(checks, list) or [_json_int(sid, c["m"], "m") for c in checks] != ms:
         raise _Fail(sid, "per-multiple checks do not cover [m0, m_cert]")
     if mode == "worst_case":
         table, _ = _check_constraints(sid, inp.get("constraints", []), established, cert.axioms)
-        for c in checks:
-            m = int(c["m"])
+        for m, c in zip(ms, checks):
             form = p_affine(m + 1) - p_affine(m)
             val = to_rat(c["min"])
             _check_farkas(sid, c.get("farkas", []), table, form, val)
             if val <= 0:
                 raise _Fail(sid, f"difference at m={m} not certified positive")
     else:
-        values = _oracle_values_from_step(sid, steps_by_id, inp.get("values_step"))
-        vrule = steps_by_id[inp["values_step"]]["rule"]
-        for c in checks:
-            m = int(c["m"])
-            delta = _value_at(sid, vrule, values, m + 1) - _value_at(sid, vrule, values, m)
-            if int(c["delta"]) != delta or delta <= 0:
+        value_at = _table_from_step(sid, steps_by_id, inp.get("values_step"))
+        for m, c in zip(ms, checks):
+            delta = value_at(m + 1) - value_at(m)
+            if _json_int(sid, c["delta"], "delta") != delta or delta <= 0:
                 raise _Fail(sid, f"difference at m={m} is not positive")
 
 
 def _verify_monotone_tail(
     cert: Certificate, sid: int, inp: dict, w: dict, steps_by_id: dict, established: dict
 ) -> None:
-    m_start = int(inp["m_start"])
+    m_start = _json_int(sid, inp.get("m_start"), "m_start")
     mode = inp.get("mode")
     q = Poly([to_rat(c) for c in w.get("q_poly", [])])
-    da, db, dk = _difference_polys_formula()
+    da, db, dk = difference_polys()
     if mode == "worst_case":
         table, _ = _check_constraints(sid, inp.get("constraints", []), established, cert.axioms)
         bcid, acid = inp.get("b_constraint"), inp.get("a_constraint")

@@ -27,16 +27,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .exact import AffineForm, Poly, poly_positive_on_ray, to_rat
 from .hilbert import (
     ChernData,
-    coefficient_polys,
     difference_form,
+    difference_polys,
     fit_ab,
     p_affine,
     p_eval,
+    p_poly,
     PValue,
 )
 
@@ -582,13 +583,8 @@ class MonotoneReport:
     tail: TailCertificate
 
 
-def _difference_coefficient_polys() -> tuple[Poly, Poly, Poly]:
-    fa, fb, fc = coefficient_polys()
-    return fa.shift(1) - fa, fb.shift(1) - fb, fc.shift(1) - fc
-
-
 def _worst_case_tail(cs: ConstraintSystem, m_start: int) -> TailCertificate:
-    da, db, dk = _difference_coefficient_polys()
+    da, db, dk = difference_polys()
     # candidates providing a lower bound for b: coeff_b > 0
     b_cands = [c for c in cs.constraints if c.form.coeff_b > 0 and not c.strict]
     # candidates providing a lower bound for a alone: coeff_b == 0, coeff_a > 0
@@ -629,69 +625,77 @@ def _worst_case_tail(cs: ConstraintSystem, m_start: int) -> TailCertificate:
 
 
 def monotone_from(
-    source: Union[ConstraintSystem, ChernData],
-    m0: int,
-    m_cert: int = DEFAULT_M_CERT,
+    cs: ConstraintSystem, m0: int, m_cert: int = DEFAULT_M_CERT
 ) -> MonotoneReport:
     """Certify P(m+1) > P(m) for m in [m0, m_cert] and for the ray beyond.
 
-    Worst-case mode minimizes each difference form over the system; a
-    failing multiple is reported, not papered over.  Concrete mode checks
-    the differences pointwise and derives the tail from the exact
-    polynomial.  The tail covers m > m_cert.
+    Each difference form is minimized over the system; a failing multiple
+    is reported, not papered over.  The tail covers m > m_cert.
     """
     if m0 < 1:
         raise ValueError("m0 must be >= 1")
     if m_cert < m0:
         raise ValueError("m_cert must be >= m0")
     checks: list[RangeCheck] = []
-    if isinstance(source, ChernData):
-        for m in range(m0, m_cert + 1):
-            d = p_eval(source, m + 1) - p_eval(source, m)
-            if d <= 0:
-                raise MonotoneCertificationError(
-                    f"P({m + 1}) - P({m}) = {d} is not positive"
-                )
-            checks.append(RangeCheck(m, Fraction(d)))
-        da, db, dk = _difference_coefficient_polys()
-        q = da.scale(source.a) + db.scale(source.b) + dk
-        if not poly_positive_on_ray(q, m_cert + 1):
-            raise MonotoneCertificationError(
-                f"no tail certificate from m = {m_cert + 1}; raise m_cert"
-            )
-        tail = TailCertificate(m_start=m_cert + 1, q_poly=q, mode="concrete")
-        return MonotoneReport(m0, m_cert, tuple(checks), tail)
-
     for m in range(m0, m_cert + 1):
-        res = fm_minimize(source, difference_form(m))
+        res = fm_minimize(cs, difference_form(m))
         if res.status != "minimum" or res.value <= 0:
             got = "unbounded below" if res.status == "unbounded" else f"minimum {res.value}"
             raise MonotoneCertificationError(
                 f"P({m + 1}) - P({m}) not certified positive at m = {m} ({got})"
             )
         checks.append(RangeCheck(m, res.value, res.farkas))
-    tail = _worst_case_tail(source, m_cert + 1)
+    tail = _worst_case_tail(cs, m_cert + 1)
     return MonotoneReport(m0, m_cert, tuple(checks), tail)
 
 
-def oracle_monotone(
-    values: Callable[[int], int], m0: int, m_cert: int, model: Poly
-) -> MonotoneReport:
-    """Monotonicity for an h0 oracle backed by a verified polynomial model."""
+@dataclass(frozen=True)
+class ValueTable:
+    """Exact section counts h0(-mK) for m = first, first + 1, ..., with
+    (-K)^5 and the polynomial the counts follow.
+
+    mode names the source in certificates: "concrete" for Chern data,
+    whose polynomial is P itself, or "oracle" for a section-count oracle,
+    whose polynomial is interpolated and checked against the table.
+    """
+
+    values: tuple[int, ...]
+    first: int
+    d5: int
+    poly: Poly
+    mode: str
+
+    def at(self, m: int) -> int:
+        i = m - self.first
+        if not 0 <= i < len(self.values):
+            raise ValueError(f"the value table has no entry for m = {m}")
+        return self.values[i]
+
+
+def chern_table(c: ChernData, m_max: int) -> ValueTable:
+    """P(0..m_max) for concrete Chern data, each value passing p_eval's
+    checks."""
+    values = tuple(p_eval(c, m) for m in range(m_max + 1))
+    return ValueTable(values, 0, c.k5, p_poly(c), "concrete")
+
+
+def table_monotone(table: ValueTable, m0: int, m_cert: int) -> MonotoneReport:
+    """Certify P(m+1) > P(m) for m in [m0, m_cert] pointwise from the table,
+    and for m > m_cert from the difference of the table's polynomial."""
     checks = []
     for m in range(m0, m_cert + 1):
-        d = values(m + 1) - values(m)
+        d = table.at(m + 1) - table.at(m)
         if d <= 0:
             raise MonotoneCertificationError(
-                f"h0({m + 1}) - h0({m}) = {d} is not positive"
+                f"P({m + 1}) - P({m}) = {d} is not positive"
             )
         checks.append(RangeCheck(m, Fraction(d)))
-    q = model.shift(1) - model
+    q = table.poly.shift(1) - table.poly
     if not poly_positive_on_ray(q, m_cert + 1):
         raise MonotoneCertificationError(
             f"no tail certificate from m = {m_cert + 1}; raise m_cert"
         )
-    tail = TailCertificate(m_start=m_cert + 1, q_poly=q, mode="oracle")
+    tail = TailCertificate(m_start=m_cert + 1, q_poly=q, mode=table.mode)
     return MonotoneReport(m0, m_cert, tuple(checks), tail)
 
 

@@ -88,6 +88,23 @@ def p_affine(m: int) -> AffineForm:
     return AffineForm.of(w * u * (3 * u - 1), w * u, w)
 
 
+# the strict dimension test is tried for exponents r up to this cap
+LEMMA2_R_CAP = 4
+
+
+def lemma2_threshold(m: int, r: int, d5: int) -> int:
+    """The section count to beat: m^r * D^5 + r for D = -K with D^5 = d5."""
+    if m < 1 or r < 0 or d5 < 1:
+        raise ValueError("need m >= 1, r >= 0, d5 >= 1")
+    return m**r * d5 + r
+
+
+def lemma2_slack_form(m: int, r: int) -> AffineForm:
+    """P(m) - (m^r * 720a + r): positive exactly when the test passes with
+    (-K)^5 expressed as 720a."""
+    return p_affine(m) - AffineForm.of(720 * m**r, 0, r)
+
+
 def p_eval(c: ChernData, m: int) -> int:
     """Exact integer value of P(m) for concrete Chern data.
 
@@ -150,6 +167,13 @@ def coefficient_polys() -> tuple[Poly, Poly, Poly]:
     fa = w * u * (u.scale(3) - one)
     fb = w * u
     return fa, fb, w
+
+
+def difference_polys() -> tuple[Poly, Poly, Poly]:
+    """The coefficients of P(m+1) - P(m) as polynomials in m, in the order
+    of coefficient_polys."""
+    fa, fb, fc = coefficient_polys()
+    return fa.shift(1) - fa, fb.shift(1) - fb, fc.shift(1) - fc
 
 
 def p_poly(c: ChernData) -> Poly:

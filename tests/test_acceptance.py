@@ -86,7 +86,8 @@ def test_criterion_3_second_proposition_replay():
     # soon as (-K)^5 = 720a exceeds 36
     slack = bounds.lemma2_slack_form(5, 2)
     assert slack.coeff_a - 35 * slack.coeff_b == -180 and slack.const == 9
-    assert bounds.lemma2_worstcase(geom, 5, 2) is None
+    res = fm_minimize(geom, slack)
+    assert not (res.status == "minimum" and res.value > 0)
     a = Fraction(37, 720)
     assert slack.evaluate(a, -35 * a) == Fraction(-180 * 37, 720) + 9 < 0
     assert (5, 2) in [(x["m"], x["r"]) for x in out3.attempts]

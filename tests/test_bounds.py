@@ -1,15 +1,20 @@
 """Dimension rules, searches, certification, and certificate verification."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from fanobound.exact import Poly
 from fanobound.hilbert import ChernData, p_affine
 from fanobound.derive import (
     Fact,
+    ValueTable,
     axiom_system,
+    chern_table,
     derive_lower_bound,
+    fm_minimize,
     geometry_system,
     merge_branch_facts,
     split_on_p1,
@@ -24,10 +29,8 @@ from fanobound.bounds import (
     lemma2_check,
     lemma2_slack_form,
     lemma2_threshold,
-    lemma2_worstcase,
     minimal_r,
     nonvanishing_rule,
-    solve,
     solve_concrete,
     solve_oracle,
     solve_worst_case,
@@ -51,6 +54,11 @@ def dummy_oracle(values):
         h0=lambda m: table[m],
         d5=6250,
     )
+
+
+def dummy_table(values):
+    """Oracle values for m = 1, 2, ... as a value table with no tail model."""
+    return ValueTable(tuple(values[m] for m in sorted(values)), 1, 6250, Poly(), "oracle")
 
 
 class TestRules:
@@ -87,12 +95,13 @@ class TestRules:
 
     def test_lemma2_worstcase_published_chain(self):
         cs = geom()
-        w = lemma2_worstcase(cs, 4, 1)
+        res = fm_minimize(cs, lemma2_slack_form(4, 1))
         # slack along b = -35a is 1440a + 8, minimized at a = 1/720
-        assert w is not None and w.margin == 10
-        assert lemma2_worstcase(cs, 5, 2) is None
-        w6 = lemma2_worstcase(cs, 6, 2)
-        assert w6 is not None and w6.margin == Fraction(173, 4)
+        assert res.status == "minimum" and res.value == 10
+        res = fm_minimize(cs, lemma2_slack_form(5, 2))
+        assert not (res.status == "minimum" and res.value > 0)
+        res = fm_minimize(cs, lemma2_slack_form(6, 2))
+        assert res.status == "minimum" and res.value == Fraction(173, 4)
 
     def test_m5_failure_slack_shape(self):
         # substituting b = -35a into the (5, 2) slack leaves -180a + 9,
@@ -129,7 +138,7 @@ class TestMinimalR:
         assert pairs == [(m, r) for m in range(1, 7) for r in range(2, 5)][: len(pairs)]
 
     def test_concrete_example(self):
-        c = ChernData(6250, 2750)
+        c = chern_table(ChernData(6250, 2750), 32)
         assert minimal_r(c, 1).m == 1
         out2 = minimal_r(c, 2)
         assert (out2.m, out2.witness.r_used) == (3, 1)
@@ -145,11 +154,11 @@ class TestMinimalR:
 
     def test_exhaustion(self):
         with pytest.raises(SearchExhaustedError):
-            minimal_r(dummy_oracle({m: 0 for m in range(1, 5)}), 1, m_max=4)
+            minimal_r(dummy_table({m: 0 for m in range(1, 5)}), 1, m_max=4)
 
     def test_deterministic_tie_break_smallest_r(self):
         # values so large that several exponents pass at the same m
-        src = dummy_oracle({1: 10**9, 2: 10**9})
+        src = dummy_table({1: 10**9, 2: 10**9})
         out = minimal_r(src, 2, m_max=2)
         assert out.m == 1 and out.witness.r_used == 1
 
@@ -165,11 +174,11 @@ class TestCertifyR0:
         assert cert.monotone.tail.m_start == 17
 
     def test_concrete_passes(self):
-        cert = certify_r0(ChernData(6250, 2750), 3, m_cert=16)
+        cert = certify_r0(chern_table(ChernData(6250, 2750), 18), 3, m_cert=16)
         assert cert.nonempty_bound == 27132
 
     def test_degenerate_oracle_fails(self):
-        zero = dummy_oracle({m: 0 for m in range(1, 70)})
+        zero = dummy_table({m: 0 for m in range(1, 70)})
         with pytest.raises(CertificationError):
             certify_r0(zero, 3)
 
@@ -190,14 +199,6 @@ class TestSolveWorstCase:
 
     def test_deterministic(self):
         assert solve_worst_case().to_json_bytes() == solve_worst_case().to_json_bytes()
-
-    def test_solve_dispatcher(self):
-        assert solve("worst_case").bound == 16
-        assert solve("concrete", chern=ChernData(6250, 2750)).bound == 12
-        with pytest.raises(ValueError):
-            solve("concrete")
-        with pytest.raises(ValueError):
-            solve("nonsense")
 
 
 class TestSolveConcrete:
@@ -395,3 +396,68 @@ class TestVerifierRejectsTampering:
                 break
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and "recomputation" in res.reason
+
+    def test_non_object_branch_rejected_without_raising(self):
+        def scramble(doc):
+            for step in doc["steps"]:
+                if step["rule"] == "merge_min":
+                    step["inputs"][0]["branches"] = [1, 2, 3, 4, 5]
+
+        res = verify(self._mutate(scramble))
+        assert not res.ok and "malformed" in res.reason
+
+    @pytest.mark.parametrize(
+        "rule, field, value, reason",
+        [
+            ("compose", "r0", 3.5, "r0 must be an integer"),
+            ("compose", "r", [1.9, 3, 5], "r must be an integer"),
+            ("value_at_least", "m", 3.7, "m must be an integer"),
+            ("dim_search", "r", 10**6, "exponent must lie in [2, 4]"),
+            ("dim_search", "r", 1, "exponent must lie in [2, 4]"),
+            ("dim_search", "r", 2.0, "r must be an integer"),
+        ],
+    )
+    def test_non_integer_or_out_of_range_number_rejected(self, rule, field, value, reason):
+        doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
+        for step in doc["steps"]:
+            if step["rule"] != rule:
+                continue
+            if rule == "dim_search":
+                if step["inputs"][0]["target_dim"] == 3:
+                    step["witness"]["selected"][field] = value
+            else:
+                step["inputs"][0][field] = value
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert not res.ok and reason in res.reason
+
+
+def count_calls(monkeypatch, fn):
+    """Record every call to fn made through any fanobound module binding it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "fanobound" or name.startswith("fanobound."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+class TestCallCounts:
+    def test_worst_case_minimizes_each_objective_once(self, monkeypatch):
+        import fanobound.derive as derive
+
+        calls = count_calls(monkeypatch, derive.fm_minimize)
+        assert solve_worst_case().bound == 16
+        assert len(calls) <= 129
+
+    def test_concrete_evaluates_each_table_entry_once(self, monkeypatch):
+        import fanobound.hilbert as hilbert
+
+        calls = count_calls(monkeypatch, hilbert.p_eval)
+        assert solve_concrete(ChernData(6250, 2750)).bound == 12
+        assert len(calls) <= 67

@@ -245,6 +245,12 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_deeply_nested_exit_2(self, capsys, tmp_path):
+        cert_file = tmp_path / "deep.json"
+        cert_file.write_bytes(b"[" * 100000 + b"]" * 100000)
+        code, _, err = run_cli(capsys, "verify", str(cert_file))
+        assert code == 2 and "malformed" in err
+
 
 class TestDeterminism:
     def test_solve_outputs_byte_identical(self, capsys, tmp_path):

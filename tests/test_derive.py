@@ -18,6 +18,7 @@ from fanobound.derive import (
     MonotoneCertificationError,
     UnboundedObjectiveError,
     axiom_system,
+    chern_table,
     derive_lower_bound,
     fact_to_constraint,
     feasible_point,
@@ -29,6 +30,7 @@ from fanobound.derive import (
     prop1_replay,
     split_on_p1,
     strengthen_integral,
+    table_monotone,
 )
 
 from test_hilbert import sample_chern
@@ -335,7 +337,7 @@ class TestMonotone:
         assert "m = 1" in str(exc.value)
 
     def test_concrete_pointwise(self):
-        report = monotone_from(ChernData(6250, 2750), 1, 50)
+        report = table_monotone(chern_table(ChernData(6250, 2750), 51), 1, 50)
         assert len(report.checks) == 50
         assert all(c.min_value > 0 for c in report.checks)
         assert report.tail.mode == "concrete"
