@@ -59,6 +59,7 @@ def _prop2_entries() -> list[AuditEntry]:
     )
     geom = geometry_system([merged])
     entries = []
+    tried: dict = {}
 
     w1 = bounds.minimal_r(geom, 1)
     entries.append(
@@ -73,7 +74,7 @@ def _prop2_entries() -> list[AuditEntry]:
         )
     )
 
-    w2 = bounds.minimal_r(geom, 2)
+    w2 = bounds.minimal_r(geom, 2, tried=tried)
     entries.append(
         AuditEntry(
             location="Proposition 2 (ii)",
@@ -89,7 +90,7 @@ def _prop2_entries() -> list[AuditEntry]:
         )
     )
 
-    w3 = bounds.minimal_r(geom, 3)
+    w3 = bounds.minimal_r(geom, 3, tried=tried)
     res5 = fm_minimize(geom, bounds.lemma2_slack_form(5, 2))
     entries.append(
         AuditEntry(

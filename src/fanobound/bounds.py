@@ -223,12 +223,16 @@ def minimal_r(
     target_dim: int,
     m_max: int = DEFAULT_M_MAX,
     m_start: int = 1,
+    tried: Optional[dict] = None,
 ) -> SearchOutcome:
     """Smallest m <= m_max carrying a dimension witness for target_dim.
 
     Dimension 1 uses the pencil rule; dimensions 2 and 3 try the strict
     test for every exponent r in [target_dim - 1, 4] and keep any pass.
     Deterministic tie-break: smallest m, then smallest r.
+
+    tried maps (m, r) to the (witness, record) of an attempt already made on
+    the same source; searches that share it run each test once.
     """
     if target_dim not in (1, 2, 3):
         raise ValueError("target dimension must be 1, 2, or 3")
@@ -237,9 +241,13 @@ def minimal_r(
     attempt = _worst_case_attempt if isinstance(source, ConstraintSystem) else _table_attempt
     attempts: list[dict] = []
     r_options = [None] if target_dim == 1 else list(range(target_dim - 1, LEMMA2_R_CAP + 1))
+    if tried is None:
+        tried = {}
     for m in range(m_start, m_max + 1):
         for r in r_options:
-            witness, record = attempt(source, m, r)
+            if (m, r) not in tried:
+                tried[m, r] = attempt(source, m, r)
+            witness, record = tried[m, r]
             if witness is not None:
                 return SearchOutcome(m, witness, record, tuple(attempts))
             attempts.append(record)
@@ -370,9 +378,10 @@ def _dim_search_steps(
     dim1_start: int = 1,
 ) -> list[int]:
     rs = []
+    tried: dict = {}
     for target in (1, 2, 3):
         m_start = dim1_start if target == 1 else 1
-        outcome = minimal_r(source, target, m_max, m_start=m_start)
+        outcome = minimal_r(source, target, m_max, m_start=m_start, tried=tried)
         inputs: dict = {"target_dim": target, "m_max": m_max, "m_start": m_start}
         if isinstance(source, ConstraintSystem):
             inputs["mode"] = "worst_case"

@@ -47,6 +47,9 @@ CONCRETE = "concrete"
 
 # refuse pathological ranges instead of looping on crafted input
 MAX_TABLE = 512
+# an oracle model is checked on [1, m_cert + 1]; six agreeing points pin a
+# degree-5 polynomial, so a shorter range cannot certify the tail
+MIN_M_CERT = 5
 MAX_SEARCH = 128
 
 
@@ -642,8 +645,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             m_hi = _json_int(sid, inp.get("m_hi"), "m_hi")
             if not 1 <= m_lo <= m_hi <= MAX_TABLE:
                 raise _Fail(sid, "model range exceeds verifier limits")
-            if m_hi - m_lo < 5:
-                # six agreeing points pin a degree-5 polynomial
+            if m_hi - m_lo < MIN_M_CERT:
                 raise _Fail(sid, "model range too short to pin the polynomial")
             for m in range(m_lo, m_hi + 1):
                 if model(m) != value_at(m):

@@ -10,7 +10,7 @@ from typing import Optional
 
 from . import audit as audit_mod
 from . import bounds, bundle
-from .certs import MAX_TABLE, MalformedCertificateError, from_json_bytes, verify
+from .certs import MAX_TABLE, MIN_M_CERT, MalformedCertificateError, from_json_bytes, verify
 from .derive import DEFAULT_M_CERT
 from .hilbert import ChernData, HilbertError, p_eval
 
@@ -23,8 +23,9 @@ def _m_cert() -> int:
         value = int(raw)
     except ValueError:
         raise SystemExit(2)
-    # solve writes value tables up to m_cert + 2, which verify must accept
-    if not 1 <= value <= MAX_TABLE - 2:
+    # solve writes value tables up to m_cert + 2 and oracle models checked
+    # on [1, m_cert + 1], which verify must accept
+    if not MIN_M_CERT <= value <= MAX_TABLE - 2:
         raise SystemExit(2)
     return value
 

@@ -9,6 +9,13 @@ multipliers on named constraints whose sum reproduces ``objective - bound``
 exactly, so an independent checker can replay the claim by substitution
 alone, with no search.
 
+The eliminator works on integer rows: each row is its rational inequality
+and Farkas combination scaled by a tracked positive multiplier, so no
+fraction is normalised inside the loop.  Ties, duplicates and multipliers
+are decided on the rational rows the integers stand for, so every result
+is identical to elimination over fractions; fractions appear only in the
+returned value, multipliers and point.
+
 Axioms (the default set):
 
     A1   720 a is an integer >= 1           (a >= 1/720 as an inequality)
@@ -25,9 +32,10 @@ assumed versus proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import chain, product
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exact import AffineForm, Poly, poly_positive_on_ray, to_rat
 from .hilbert import (
@@ -108,7 +116,8 @@ class Constraint:
     """An affine inequality form(a, b) >= 0 or > 0 with provenance.
 
     The (kind, params) descriptor regenerates the form; cid names the
-    constraint inside Farkas combinations.
+    constraint inside Farkas combinations.  row is the integer row the
+    minimizer reads, computed once here.
     """
 
     cid: str
@@ -116,6 +125,10 @@ class Constraint:
     params: tuple
     form: AffineForm
     strict: bool
+    row: "_Row" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "row", _constraint_row(self))
 
     @classmethod
     def make(cls, cid: str, kind: str, params: Sequence = ()) -> "Constraint":
@@ -182,62 +195,98 @@ _OBJ_POS = "__obj_pos__"
 _OBJ_NEG = "__obj_neg__"
 
 
-@dataclass(frozen=True)
-class _Row:
-    # coef = (ca, cb, ct); the row asserts ca*a + cb*b + ct*t + k (>= or >) 0
-    coef: tuple[Fraction, Fraction, Fraction]
-    k: Fraction
+class _Row(NamedTuple):
+    """One inequality ca*a + cb*b + ct*t + k (>= or >) 0 in integers.
+
+    The row is lam times the rational row it stands for (lam > 0): the
+    coefficients, the constant and every multiplier of the Farkas combination
+    (sorted (cid, multiplier) pairs) are scaled alike, so signs, bounds
+    -k/ct and multipliers v/ct read the same as on the rational row.
+    """
+
+    coef: tuple[int, int, int]
+    k: int
     strict: bool
-    combo: tuple[tuple[str, Fraction], ...]
+    combo: tuple[tuple[str, int], ...]
+    lam: int
 
 
-def _merge_combos(c1, m1: Fraction, c2, m2: Fraction):
-    acc: dict[str, Fraction] = {}
-    for cid, v in c1:
-        acc[cid] = acc.get(cid, Fraction(0)) + m1 * v
+def _int_form(form: AffineForm) -> tuple[int, tuple[int, int, int]]:
+    """(lam, (ca, cb, k)): the form times lam, the lcm of its denominators."""
+    xs = form.as_tuple()
+    lam = math.lcm(*(x.denominator for x in xs))
+    ca, cb, k = (x.numerator * (lam // x.denominator) for x in xs)
+    return lam, (ca, cb, k)
+
+
+def _constraint_row(c: "Constraint") -> _Row:
+    lam, (ca, cb, k) = _int_form(c.form)
+    return _Row((ca, cb, 0), k, c.strict, ((c.cid, lam),), lam)
+
+
+def _objective_rows(f: AffineForm) -> tuple[_Row, _Row]:
+    """t - f >= 0 and its negation f - t >= 0, which pin t to f."""
+    lam, (ca, cb, k) = _int_form(f)
+    return (
+        _Row((-ca, -cb, lam), -k, False, ((_OBJ_POS, lam),), lam),
+        _Row((ca, cb, -lam), k, False, ((_OBJ_NEG, lam),), lam),
+    )
+
+
+def _merge_combos(c1, m1: int, c2, m2: int):
+    # m1, m2 and every multiplier are positive, so no entry cancels
+    acc = {cid: m1 * v for cid, v in c1}
     for cid, v in c2:
-        acc[cid] = acc.get(cid, Fraction(0)) + m2 * v
-    return tuple(sorted((cid, v) for cid, v in acc.items() if v != 0))
+        acc[cid] = acc.get(cid, 0) + m2 * v
+    return tuple(sorted(acc.items()))
+
+
+def _rational_combo(row: _Row) -> tuple[tuple[str, Fraction], ...]:
+    return tuple((cid, Fraction(v, row.lam)) for cid, v in row.combo)
 
 
 def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
     """One Fourier-Motzkin step on variable ``idx``.
 
-    Returns None when a constant row already refutes the system (the caller
-    reads the refutation off the offending row separately).
+    The rows free of the variable come first, then every (positive,
+    negative) pair combined so that the variable cancels.  Rows with no
+    variable left are dropped, and a row whose rational row was already
+    kept is skipped before its combination is built; the key is the integer
+    row and lam divided by their gcd, which is the rational row in lowest
+    terms.  Returns the refuting constant row alone when one appears (the
+    caller reads the refutation off it).
     """
     pos = [r for r in rows if r.coef[idx] > 0]
     neg = [r for r in rows if r.coef[idx] < 0]
-    zero = [r for r in rows if r.coef[idx] == 0]
-    out: list[_Row] = list(zero)
-    for p in pos:
-        for n in neg:
+    zero = [(r, None) for r in rows if r.coef[idx] == 0]
+    out: list[_Row] = []
+    seen = set()
+    for p, n in chain(zero, product(pos, neg)):
+        if n is None:
+            coef, k, strict, lam = p.coef, p.k, p.strict, p.lam
+        else:
             lp = -n.coef[idx]
             ln = p.coef[idx]
-            coef = tuple(lp * p.coef[i] + ln * n.coef[i] for i in range(3))
+            pc, nc = p.coef, n.coef
+            coef = (lp * pc[0] + ln * nc[0], lp * pc[1] + ln * nc[1], lp * pc[2] + ln * nc[2])
             k = lp * p.k + ln * n.k
-            out.append(
-                _Row(
-                    coef,  # type: ignore[arg-type]
-                    k,
-                    p.strict or n.strict,
-                    _merge_combos(p.combo, lp, n.combo, ln),
-                )
-            )
-    # prune rows that carry no information and deduplicate
-    pruned: list[_Row] = []
-    seen = set()
-    for r in out:
-        if all(c == 0 for c in r.coef):
-            if r.k < 0 or (r.k == 0 and r.strict):
-                return [r]  # refutation; surface it alone
-            continue
-        key = (r.coef, r.k, r.strict)
-        if key in seen:
-            continue
-        seen.add(key)
-        pruned.append(r)
-    return pruned
+            strict = p.strict or n.strict
+            lam = p.lam * n.lam
+        constant = coef == (0, 0, 0)
+        if constant:
+            if k > 0 or (k == 0 and not strict):
+                continue  # carries no information
+        else:
+            g = math.gcd(*coef, k, lam)
+            key = (coef[0] // g, coef[1] // g, coef[2] // g, k // g, lam // g, strict)
+            if key in seen:
+                continue
+            seen.add(key)
+        row = p if n is None else _Row(coef, k, strict, _merge_combos(p.combo, lp, n.combo, ln), lam)
+        if constant:
+            return [row]
+        out.append(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -281,6 +330,10 @@ def _pick_in_interval(
 
 
 def _bounds_on(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]):
+    # the known values over one common denominator, so that each row's
+    # bound -(k + sum coef_j * v_j) / c is a single integer fraction
+    den = math.lcm(*(v.denominator for v in values.values()))
+    nums = [(j, v.numerator * (den // v.denominator)) for j, v in values.items()]
     lo: Optional[Fraction] = None
     lo_strict = False
     hi: Optional[Fraction] = None
@@ -289,10 +342,10 @@ def _bounds_on(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]):
         c = r.coef[idx]
         if c == 0:
             continue
-        rest = r.k
-        for j, v in values.items():
-            rest += r.coef[j] * v
-        bound = -rest / c
+        rest = r.k * den
+        for j, n in nums:
+            rest += r.coef[j] * n
+        bound = Fraction(-rest, c * den)
         if c > 0:
             if lo is None or bound > lo or (bound == lo and r.strict):
                 lo, lo_strict = bound, r.strict
@@ -310,33 +363,19 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     set of attainable objective values.  Infeasible and unbounded are
     results, not errors.
     """
-    rows: list[_Row] = []
-    for c in cs.constraints:
-        rows.append(
-            _Row(
-                (c.form.coeff_a, c.form.coeff_b, Fraction(0)),
-                c.form.const,
-                c.strict,
-                ((c.cid, Fraction(1)),),
-            )
-        )
-    rows.append(
-        _Row((-f.coeff_a, -f.coeff_b, Fraction(1)), -f.const, False, ((_OBJ_POS, Fraction(1)),))
-    )
-    rows.append(
-        _Row((f.coeff_a, f.coeff_b, Fraction(-1)), f.const, False, ((_OBJ_NEG, Fraction(1)),))
-    )
+    rows = [c.row for c in cs.constraints]
+    rows.extend(_objective_rows(f))
 
     def refutation(row: _Row) -> MinimizeResult:
-        farkas = tuple((cid, v) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG))
+        farkas = tuple(x for x in _rational_combo(row) if x[0] not in (_OBJ_POS, _OBJ_NEG))
         return MinimizeResult(status="infeasible", farkas=farkas)
 
     stage_b = rows
     stage_a = _eliminate(stage_b, 1)
-    if len(stage_a) == 1 and all(c == 0 for c in stage_a[0].coef):
+    if len(stage_a) == 1 and stage_a[0].coef == (0, 0, 0):
         return refutation(stage_a[0])
     stage_t = _eliminate(stage_a, 0)
-    if len(stage_t) == 1 and all(c == 0 for c in stage_t[0].coef):
+    if len(stage_t) == 1 and stage_t[0].coef == (0, 0, 0):
         return refutation(stage_t[0])
 
     lower: list[tuple[Fraction, _Row]] = []
@@ -344,9 +383,9 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     for r in stage_t:
         ct = r.coef[2]
         if ct > 0:
-            lower.append((-r.k / ct, r))
+            lower.append((Fraction(-r.k, ct), r))
         elif ct < 0:
-            upper.append((-r.k / ct, r))
+            upper.append((Fraction(-r.k, ct), r))
     if lower and upper:
         q_lo, row_lo = max(lower, key=lambda x: x[0])
         q_hi, row_hi = min(upper, key=lambda x: x[0])
@@ -354,7 +393,7 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
             lp = -row_hi.coef[2]
             ln = row_lo.coef[2]
             combo = _merge_combos(row_lo.combo, lp, row_hi.combo, ln)
-            return refutation(_Row((Fraction(0),) * 3, Fraction(0), True, combo))
+            return refutation(_Row((0, 0, 0), 0, True, combo, row_lo.lam * row_hi.lam))
     if not lower:
         return MinimizeResult(status="unbounded")
 
@@ -363,10 +402,11 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     # any strict row sitting exactly at q forces t > q, so q is not attained
     attained = not any(r.strict for r in at_q)
     pool = at_q if attained else [r for r in at_q if r.strict]
-    row = sorted(pool, key=lambda r: r.combo)[0]
+    # tie-break on the rational combination, as if rows were never scaled
+    row = min(pool, key=_rational_combo)
     ct = row.coef[2]
     farkas = tuple(
-        (cid, v / ct) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG)
+        (cid, Fraction(v, ct)) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG)
     )
 
     point: Optional[tuple[Fraction, Fraction]] = None
@@ -528,14 +568,8 @@ def fact_to_constraint(fact: Fact) -> Constraint:
     coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.
     """
     base = p_affine(fact.m) - AffineForm.constant(fact.bound)
-    nums = [base.coeff_a, base.coeff_b, base.const]
-    denom_lcm = 1
-    for x in nums:
-        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in nums]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, abs(n))
+    denom_lcm, ints = _int_form(base)
+    g = math.gcd(*ints)
     scale = Fraction(g, denom_lcm) if g else Fraction(1)
     cid = f"F.P{fact.m}{'>' if fact.strict else '>='}{fact.bound}"
     return Constraint.make(

@@ -22,10 +22,13 @@ UNKNOWN = "unknown"
 
 
 def to_rat(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+
+    bool is refused although it subclasses int: a JSON true is not a number.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

@@ -453,7 +453,17 @@ class TestCallCounts:
 
         calls = count_calls(monkeypatch, derive.fm_minimize)
         assert solve_worst_case().bound == 16
-        assert len(calls) <= 129
+        assert len(calls) <= 111
+
+    def test_no_minimization_is_reused_across_solves(self, monkeypatch):
+        # the dimension searches share their attempts within one solve only
+        import fanobound.derive as derive
+
+        calls = count_calls(monkeypatch, derive.fm_minimize)
+        for _ in range(2):
+            calls.clear()
+            assert solve_worst_case().bound == 16
+            assert len(calls) == 111
 
     def test_concrete_evaluates_each_table_entry_once(self, monkeypatch):
         import fanobound.hilbert as hilbert

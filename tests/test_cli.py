@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from fanobound import bundle
-from fanobound.certs import MAX_TABLE
+from fanobound.certs import MAX_TABLE, MIN_M_CERT
 from fanobound.cli import _m_cert, main
 
 
@@ -92,6 +92,34 @@ class TestSolve:
         monkeypatch.setenv("FANOBOUND_MCERT", str(MAX_TABLE - 2))
         assert _m_cert() == MAX_TABLE - 2
         monkeypatch.setenv("FANOBOUND_MCERT", str(MAX_TABLE - 1))
+        with pytest.raises(SystemExit) as exc:
+            _m_cert()
+        assert exc.value.code == 2
+
+    def test_mcert_below_the_oracle_model_range_exit_2(self, capsys, monkeypatch, tmp_path):
+        # m_cert = 4 checks the oracle model on five points, which verify
+        # rejects as too few to pin a degree-5 polynomial
+        monkeypatch.setenv("FANOBOUND_MCERT", "4")
+        out_file = tmp_path / "cert.json"
+        code, _, _ = run_cli(capsys, "solve", "--bundle", "0,0,0,0,1", "--out", str(out_file))
+        assert code == 2 and not out_file.exists()
+
+    def test_smallest_mcert_verifies_in_every_mode(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("FANOBOUND_MCERT", str(MIN_M_CERT))
+        assert _m_cert() == MIN_M_CERT
+        modes = [
+            ("--worst-case",),
+            ("--k5", "6250", "--k3c2", "2750"),
+            ("--bundle", "0,0,0,0,1"),
+            ("--bundle", "0,0,0,0,1", "--convention", "paper"),
+        ]
+        for i, flags in enumerate(modes):
+            cert_file = tmp_path / f"cert{i}.json"
+            code, _, _ = run_cli(capsys, "solve", *flags, "--out", str(cert_file))
+            assert code == 0
+            code, out, _ = run_cli(capsys, "verify", str(cert_file))
+            assert code == 0 and out == "valid\n"
+        monkeypatch.setenv("FANOBOUND_MCERT", str(MIN_M_CERT - 1))
         with pytest.raises(SystemExit) as exc:
             _m_cert()
         assert exc.value.code == 2
@@ -230,6 +258,18 @@ class TestVerify:
         run_cli(capsys, "solve", "--worst-case", "--out", str(cert_file))
         doc = json.loads(cert_file.read_text())
         doc["bound"] = 15
+        cert_file.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(cert_file))
+        assert code == 1 and "invalid at step" in err
+
+    def test_bool_model_coefficient_exit_1(self, capsys, tmp_path):
+        # JSON true is not the rational 1, though Python's bool is an int
+        cert_file = tmp_path / "cert.json"
+        run_cli(capsys, "solve", "--bundle", "0,0,0,0,1", "--out", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        (model,) = [s for s in doc["steps"] if s["rule"] == "oracle_model"]
+        assert model["witness"]["coeffs"][0] == "1"
+        model["witness"]["coeffs"][0] = True
         cert_file.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "verify", str(cert_file))
         assert code == 1 and "invalid at step" in err

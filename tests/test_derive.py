@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fanobound.exact import AffineForm
 from fanobound.hilbert import ChernData, p_affine
@@ -33,6 +34,7 @@ from fanobound.derive import (
     table_monotone,
 )
 
+from fm_reference import fm_minimize_reference
 from test_hilbert import sample_chern
 
 
@@ -182,6 +184,97 @@ class TestFmMinimize:
         assert point is not None
         assert p_affine(1).evaluate(*point) < 2
         assert feasible_point(cs) is not None
+
+
+small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def aux_system(rows):
+    """A system of named rows (ca, cb, k, strict): ca*a + cb*b + k >= 0."""
+    return ConstraintSystem(
+        tuple(
+            Constraint(f"c{i}", "aux", (), AffineForm.of(ca, cb, k), strict)
+            for i, (ca, cb, k, strict) in enumerate(rows)
+        )
+    )
+
+
+@st.composite
+def small_systems(draw):
+    """Up to six rows with small rational coefficients; about a quarter are
+    positive multiples of an earlier row, so minima tie and scaled copies of
+    one rational row meet in the dedup."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            ca, cb, k, strict = draw(st.sampled_from(rows))
+            c = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3)]))
+            rows.append((c * ca, c * cb, c * k, strict))
+        else:
+            rows.append((draw(small_rat), draw(small_rat), draw(small_rat), draw(st.booleans())))
+    f = AffineForm(draw(small_rat), draw(small_rat), draw(small_rat))
+    return aux_system(rows), f
+
+
+MINIMIZE_FIELDS = ("status", "value", "attained", "strict", "farkas", "point")
+
+# one case of each outcome the random systems must also reach
+INFEASIBLE = (aux_system([(1, 0, -1, False), (-1, 0, 0, False)]), AffineForm.of(0, 1, 0))
+UNBOUNDED = (aux_system([]), AffineForm.of(1, 0, 0))
+TIED = (
+    aux_system([(1, 0, 0, False), (0, 1, 0, False), (2, 0, 0, False), (Fraction(1, 2), 0, 0, False)]),
+    AffineForm.of(1, 1, 0),
+)
+NOT_ATTAINED = (
+    aux_system([(1, 0, 0, True), (Fraction(1, 3), 0, 0, False)]),
+    AffineForm.of(Fraction(2, 3), 0, 1),
+)
+
+
+class TestIntegerKernel:
+    """The integer-row minimizer against the rational reference kernel."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
+    @example(INFEASIBLE)
+    @example(UNBOUNDED)
+    @example(TIED)
+    @example(NOT_ATTAINED)
+    def test_every_field_matches_the_rational_kernel(self, case):
+        cs, f = case
+        got, want = fm_minimize(cs, f), fm_minimize_reference(cs, f)
+        for name in MINIMIZE_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+
+    def test_examples_reach_every_outcome(self):
+        assert fm_minimize(*INFEASIBLE).status == "infeasible"
+        assert fm_minimize(*UNBOUNDED).status == "unbounded"
+        tied = fm_minimize(*TIED)
+        assert tied.status == "minimum" and tied.attained
+        # rows built from a, 2a and a/2 all reach the minimum; the rational
+        # combinations differ in their objective multiplier (1, 2, 1/2), so
+        # a/2 wins, where the integer rows (multiplier 1 for both a and a/2)
+        # would have picked a
+        assert tied.farkas == (("c1", 1), ("c3", 2))
+        assert not fm_minimize(*NOT_ATTAINED).attained
+
+    def test_matches_on_every_worst_case_minimization(self, monkeypatch):
+        import fanobound.bounds as bounds
+        import fanobound.derive as derive
+
+        checked = []
+        real = derive.fm_minimize
+
+        def compared(cs, f):
+            got = real(cs, f)
+            assert got == fm_minimize_reference(cs, f)
+            checked.append(f)
+            return got
+
+        monkeypatch.setattr(derive, "fm_minimize", compared)
+        monkeypatch.setattr(bounds, "fm_minimize", compared)
+        assert bounds.solve_worst_case().bound == 16
+        assert len(checked) == 111
 
 
 class TestStrengthenIntegral:

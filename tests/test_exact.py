@@ -67,6 +67,12 @@ class TestRat:
             assert to_rat(rat_str(v)) == v
         assert rat_str(Rat(8, 2)) == "4"
 
+    def test_to_rat_refuses_bools(self):
+        assert to_rat(1) == 1
+        for x in (True, False):
+            with pytest.raises(TypeError):
+                to_rat(x)
+
 
 class TestAffineForm:
     def test_eval_matches_substitution_by_hand(self):
