@@ -29,7 +29,6 @@ from .derive import (
     fm_minimize,
     geometry_system,
     monotone_from,
-    prop1_replay,
     split_on_p1,
     strengthen_integral,
 )
@@ -53,8 +52,6 @@ from .bundle import (
     SplitBundle,
     UnsupportedConventionError,
     anticanonical_data,
-    consistency_audit,
-    example1_bound,
     h0_anti,
     h0_p1,
     k5_geometric,

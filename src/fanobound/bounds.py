@@ -565,8 +565,8 @@ def solve_oracle(
     """Bound from an exact section-count oracle.
 
     dim1_start pins where the dimension-1 search begins; the faithful
-    replay of the published example starts it at 3 to reproduce the
-    printed multiple selection.
+    replay of the published example starts it at bundle.PAPER_DIM1_START
+    to reproduce the printed multiple selection.
     """
     table_max = max(m_cert + 2, m_max)
     table = oracle_table(source, table_max, m_cert)

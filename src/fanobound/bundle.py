@@ -28,9 +28,6 @@ import warnings
 from dataclasses import dataclass
 from math import comb
 
-from .certs import Certificate
-from .exact import rat_str
-from .hilbert import PValue, fit_ab, p_affine
 from . import bounds
 
 STANDARD = "standard"
@@ -39,6 +36,10 @@ PAPER = "paper"
 CONVENTIONS = (STANDARD, PAPER)
 
 EXAMPLE_TWISTS = (0, 0, 0, 0, 1)
+
+# The printed example selects r1 = 3 although h0(-K) = 91 already gives a
+# pencil at m = 1, so its faithful replay starts the dimension-1 search at 3.
+PAPER_DIM1_START = 3
 
 
 class UnsupportedConventionError(ValueError):
@@ -203,121 +204,3 @@ def oracle_source(b: SplitBundle, conv: str = STANDARD) -> bounds.OracleSource:
         h0=counted,
         d5=k5_geometric(b),
     )
-
-
-# ---------------------------------------------------------------------------
-# Cross-checks between the two conventions, the closed form, and geometry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OracleAuditEntry:
-    check: str
-    result: str
-    status: str  # "confirmed" | "discrepancy"
-
-
-def consistency_audit(b: SplitBundle, m_max: int = 10) -> list[OracleAuditEntry]:
-    """Audit the oracle against itself and against the Hilbert polynomial.
-
-    Checks: the printed summation reproduces the printed closed form (on
-    the example bundle); the standard-convention counts fit a single (a, b)
-    across all multiples; the fitted 720a equals the intersection-theoretic
-    (-K)^5; and whether the printed-convention counts fit any (a, b) at all.
-    """
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    entries: list[OracleAuditEntry] = []
-
-    try:
-        printed = h0_anti(b, m_max, PAPER)
-    except UnsupportedConventionError:
-        printed = None
-
-    if b.twists == EXAMPLE_TWISTS:
-        bad = [
-            m
-            for m, value in enumerate(printed, start=1)
-            if value != paper_closed_form(m)
-        ]
-        entries.append(
-            OracleAuditEntry(
-                check=f"printed summation equals printed closed form for m = 1..{m_max}",
-                result="exact agreement" if not bad else f"mismatch at m = {bad}",
-                status="confirmed" if not bad else "discrepancy",
-            )
-        )
-
-    std = h0_anti(b, m_max, STANDARD)
-    a, bb = fit_ab(PValue(1, std[0]), PValue(2, std[1]))
-    misfit = [
-        m for m in range(3, m_max + 1) if p_affine(m).evaluate(a, bb) != std[m - 1]
-    ]
-    entries.append(
-        OracleAuditEntry(
-            check=(
-                f"standard counts fit one (a, b) for m = 1..{m_max} "
-                "and extrapolate to P(0) = 1"
-            ),
-            result=(
-                f"a = {rat_str(a)}, b = {rat_str(bb)}, all multiples reproduced"
-                if not misfit
-                else f"fit from m = 1, 2 fails at m = {misfit}"
-            ),
-            status="confirmed" if not misfit else "discrepancy",
-        )
-    )
-
-    geom = k5_geometric(b)
-    fit720 = 720 * a
-    entries.append(
-        OracleAuditEntry(
-            check="fitted 720a equals the intersection-theoretic (-K)^5",
-            result=f"fit gives {rat_str(fit720)}, geometry gives {geom}",
-            status="confirmed" if fit720 == geom else "discrepancy",
-        )
-    )
-
-    if printed is not None:
-        ap, bp = fit_ab(PValue(1, printed[0]), PValue(2, printed[1]))
-        misfit_p = [
-            m
-            for m in range(3, m_max + 1)
-            if p_affine(m).evaluate(ap, bp) != printed[m - 1]
-        ]
-        entries.append(
-            OracleAuditEntry(
-                check="printed-convention counts fit the two-parameter formula",
-                result=(
-                    "printed counts are consistent with the formula"
-                    if not misfit_p
-                    else (
-                        f"fit from m = 1, 2 gives a = {rat_str(ap)}, b = {rat_str(bp)} "
-                        f"but fails at m = {misfit_p}; the printed ranks use "
-                        "C(k+1,3) where the standard count is C(k+3,3)"
-                    )
-                ),
-                status="confirmed" if not misfit_p else "discrepancy",
-            )
-        )
-    return entries
-
-
-@dataclass(frozen=True)
-class Example1Result:
-    printed: Certificate
-    standard: Certificate
-
-
-def example1_bound() -> Example1Result:
-    """Reproduce the published example end to end.
-
-    The printed-convention certificate replays the published multiple
-    selection (the dimension-1 search is pinned to start at 3, matching
-    the printed choice r1 = 3) and lands on bound 15.  A parallel
-    standard-convention certificate is produced for the audit; its counts
-    are larger, so its multiples can only shrink.
-    """
-    b = SplitBundle(EXAMPLE_TWISTS)
-    printed = bounds.solve_oracle(oracle_source(b, PAPER), dim1_start=3)
-    standard = bounds.solve_oracle(oracle_source(b, STANDARD))
-    return Example1Result(printed=printed, standard=standard)

@@ -136,7 +136,9 @@ def from_json_dict(doc: Any) -> Certificate:
 def from_json_bytes(data: bytes) -> Certificate:
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # decoding and syntax errors, and an integer literal longer than
+        # sys.get_int_max_str_digits(), all raise ValueError
         raise MalformedCertificateError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MalformedCertificateError("JSON nesting is too deep") from exc

@@ -19,15 +19,20 @@ def _m_cert() -> int:
     raw = os.environ.get("FANOBOUND_MCERT")
     if raw is None:
         return DEFAULT_M_CERT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(2)
     # solve writes value tables up to m_cert + 2 and oracle models checked
     # on [1, m_cert + 1], which verify must accept
-    if not MIN_M_CERT <= value <= MAX_TABLE - 2:
-        raise SystemExit(2)
-    return value
+    lo, hi = MIN_M_CERT, MAX_TABLE - 2
+    try:
+        value: Optional[int] = int(raw)
+    except ValueError:
+        value = None
+    if value is not None and lo <= value <= hi:
+        return value
+    print(
+        f"fanobound: error: FANOBOUND_MCERT must be an integer in [{lo}, {hi}], got {raw!r}",
+        file=sys.stderr,
+    )
+    raise SystemExit(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +91,7 @@ def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             cert = bounds.solve_worst_case(m_cert=m_cert)
         elif args.bundle is not None:
             b = bundle.SplitBundle.parse(args.bundle)
-            dim1_start = 3 if args.convention == bundle.PAPER else 1
+            dim1_start = bundle.PAPER_DIM1_START if args.convention == bundle.PAPER else 1
             cert = bounds.solve_oracle(
                 bundle.oracle_source(b, args.convention),
                 m_cert=m_cert,

@@ -42,11 +42,9 @@ from .hilbert import (
     ChernData,
     difference_form,
     difference_polys,
-    fit_ab,
     p_affine,
     p_eval,
     p_poly,
-    PValue,
 )
 
 DEFAULT_HORIZON = 8
@@ -746,111 +744,3 @@ def interpolate_model(values: Callable[[int], int], ms: Sequence[int]) -> Poly:
             den *= Fraction(mi - mj)
         poly = poly + num.scale(Fraction(values(mi)) / den)
     return poly
-
-
-# ---------------------------------------------------------------------------
-# Replay of the published first proposition
-# ---------------------------------------------------------------------------
-
-CONFIRMED = "confirmed"
-STRONGER = "stronger"
-DISCREPANCY = "discrepancy"
-
-
-@dataclass(frozen=True)
-class ReplayEntry:
-    item: str
-    claim: str
-    engine: str
-    status: str
-    note: str = ""
-
-
-def prop1_replay(
-    a5: bool = True, horizon: int = DEFAULT_HORIZON, m_cert: int = DEFAULT_M_CERT
-) -> list[ReplayEntry]:
-    """Re-derive the six published estimates on P(1), P(2), P(3) and report
-    agreement item by item.
-
-    Items (i)-(iv) are exact re-derivations through the case split; item (v)
-    is replayed by inverting the formula on the stated values, which is where
-    the published arithmetic and the exact inversion part ways; item (vi) is
-    the monotonicity certificate.
-    """
-    base = axiom_system(a5=a5, horizon=horizon)
-    branches = split_on_p1(base, 3)
-    entries: list[ReplayEntry] = []
-
-    expected = {0: 35, 1: 21, 2: 7}
-    for idx, l in enumerate((0, 1, 2)):
-        fact = derive_lower_bound(branches[l].system, 3)
-        claim = f"P(1)={l}, P(2)>={l} imply P(3)>={expected[l]}"
-        if fact.bound == expected[l]:
-            status = CONFIRMED
-        elif fact.bound > expected[l]:
-            status = STRONGER
-        else:
-            status = DISCREPANCY
-        entries.append(
-            ReplayEntry(
-                item=f"Proposition 1 ({'i' * (idx + 1)})",
-                claim=claim,
-                engine=fact.describe(),
-                status=status,
-            )
-        )
-
-    fact_iv = derive_lower_bound(branches[3].system, 2)
-    entries.append(
-        ReplayEntry(
-            item="Proposition 1 (iv)",
-            claim="P(1)=3 implies P(2)>=6",
-            engine=fact_iv.describe(),
-            status=CONFIRMED if fact_iv.bound == 6 else (
-                STRONGER if fact_iv.bound > 6 else DISCREPANCY
-            ),
-        )
-    )
-
-    a, b = fit_ab(PValue(1, 3), PValue(2, 6))
-    p3 = p_affine(3).evaluate(a, b)
-    entries.append(
-        ReplayEntry(
-            item="Proposition 1 (v)",
-            claim="P(1)=3, P(2)=6 force a=1/60, b=-1/12 and P(3)=49",
-            engine=f"exact inversion gives a={a}, b={b} and P(3)={p3}",
-            status=DISCREPANCY,
-            note=(
-                "published values a=1/60, b=-1/12 satisfy P(1)=3 but give P(2)=11, "
-                "not 6; both value sets satisfy P(3)>=7, which is all the sequel uses"
-            ),
-        )
-    )
-
-    merged = merge_branch_facts([derive_lower_bound(br.system, 3) for br in branches])
-    geom = geometry_system([merged])
-    try:
-        monotone_from(geom, 3, m_cert)
-        engine_vi = (
-            f"P(m+1) > P(m) certified for every m >= 3 "
-            f"(per-multiple to {m_cert}, ray tail beyond)"
-        )
-        status_vi = CONFIRMED
-        note_vi = (
-            "statement says m > 3 while its argument asserts positivity from m >= 3; "
-            "the certificate starts at 3 and covers both readings"
-        )
-    except MonotoneCertificationError as exc:  # pragma: no cover - defensive
-        engine_vi = str(exc)
-        status_vi = DISCREPANCY
-        note_vi = ""
-    entries.append(
-        ReplayEntry(
-            item="Proposition 1 (vi)",
-            claim=f"P(m+1) > P(m) for m > 3, and P(3) >= 7 always (merged bound {merged.bound})",
-            engine=engine_vi,
-            status=status_vi,
-            note=note_vi,
-        )
-    )
-    return entries

@@ -19,11 +19,11 @@ from fanobound.derive import (
     fm_minimize,
     geometry_system,
     merge_branch_facts,
-    prop1_replay,
     split_on_p1,
     strengthen_integral,
 )
 from fanobound import bounds, bundle
+from fanobound.audit import build_audit
 from fanobound.certs import from_json_bytes, verify
 from fanobound.cli import main as cli_main
 
@@ -61,11 +61,11 @@ def test_criterion_2_first_proposition_replay():
         assert derive_lower_bound(branches[l].system, 3).bound == want
     assert derive_lower_bound(branches[3].system, 2).bound == 6
 
-    entries = {e.item: e for e in prop1_replay()}
+    entries = {e.location: e for e in build_audit().entries}
     v = entries["Proposition 1 (v)"]
     assert v.status == "discrepancy"
-    assert "a=1/360" in v.engine and "P(3)=14" in v.engine
-    assert "1/60" in v.claim and "49" in v.claim
+    assert "a=1/360" in v.engine_result and "P(3)=14" in v.engine_result
+    assert "1/60" in v.paper_claim and "49" in v.paper_claim
     a, b = fit_ab(PValue(1, 3), PValue(2, 6))
     assert (a, b) == (Fraction(1, 360), Fraction(-1, 72))
     assert p_affine(3).evaluate(a, b) == 14 >= 7
@@ -102,9 +102,10 @@ def test_criterion_4_printed_convention_oracle():
     assert printed[4] == 186030
     for m, value in enumerate(printed, start=1):
         assert value == bundle.paper_closed_form(m)
-    ex = bundle.example1_bound()
-    assert ex.printed.bound == 15 and ex.printed.r == [3, 4, 5]
-    assert verify(ex.printed).ok
+    source = bundle.oracle_source(b, "paper")
+    cert = bounds.solve_oracle(source, dim1_start=bundle.PAPER_DIM1_START)
+    assert cert.bound == 15 and cert.r == [3, 4, 5]
+    assert verify(cert).ok
     _passed(4, "printed counts 91/62909/186030, closed form to m=50, bound 15")
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
+from fanobound import bounds, bundle, derive
 from fanobound.audit import build_audit
+
+from test_bounds import count_calls
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +48,18 @@ def test_serialization_shape(report):
         set(entry) == {"location", "paper_claim", "engine_result", "status"}
         for entry in payload
     )
+
+
+def test_audit_reads_four_certificates(monkeypatch):
+    # one worst-case solve and three example solves supply every number;
+    # only P(2) on the P(1) = 3 branch and the m = 5, r = 2 test minimise
+    # beyond the worst-case solve's 111, and the two printed-convention
+    # solves share one section count
+    minimisations = count_calls(monkeypatch, derive.fm_minimize)
+    passes = count_calls(monkeypatch, bundle.h0_anti)
+    worst = count_calls(monkeypatch, bounds.solve_worst_case)
+    oracle = count_calls(monkeypatch, bounds.solve_oracle)
+    build_audit()
+    assert len(worst) == 1 and len(oracle) == 3
+    assert len(minimisations) <= 113
+    assert len(passes) == 2

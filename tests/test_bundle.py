@@ -12,12 +12,11 @@ from hypothesis import given, settings, strategies as st
 from fanobound.hilbert import ChernData, PValue, fit_ab, p_affine, p_eval
 from fanobound.bundle import (
     EXAMPLE_TWISTS,
+    PAPER_DIM1_START,
     ChiApproximationWarning,
     SplitBundle,
     UnsupportedConventionError,
     anticanonical_data,
-    consistency_audit,
-    example1_bound,
     h0_anti,
     h0_p1,
     k5_geometric,
@@ -27,6 +26,7 @@ from fanobound.bundle import (
     standard_total_rank,
     sym_power_twists,
 )
+from fanobound.bounds import solve_oracle
 from fanobound.certs import verify
 
 
@@ -247,17 +247,6 @@ class TestHilbertFit:
 
 
 class TestConsistencyAudit:
-    def test_example_entries(self):
-        entries = consistency_audit(SplitBundle(EXAMPLE_TWISTS), m_max=10)
-        by_status = {}
-        for e in entries:
-            by_status.setdefault(e.status, []).append(e.check)
-        assert any("closed form" in c for c in by_status["confirmed"])
-        assert any("intersection-theoretic" in c for c in by_status["confirmed"])
-        assert any(
-            "printed-convention" in c for c in by_status["discrepancy"]
-        )
-
     def test_direct_summation_cross_check(self):
         # the standard count at m = 3 against an independent brute force
         assert h0_anti(SplitBundle(EXAMPLE_TWISTS), 3)[2] == brute_force_h0(
@@ -265,18 +254,26 @@ class TestConsistencyAudit:
         ) == 27132
 
 
+def printed_example_certificate():
+    """The replay of the published selection: printed ranks, dimension-1
+    search pinned as printed."""
+    source = oracle_source(SplitBundle(EXAMPLE_TWISTS), "paper")
+    return solve_oracle(source, dim1_start=PAPER_DIM1_START)
+
+
 class TestExample1Bound:
     def test_printed_certificate(self):
-        ex = example1_bound()
-        assert ex.printed.bound == 15
-        assert ex.printed.r0 == 3 and ex.printed.r == [3, 4, 5]
-        assert verify(ex.printed).ok
+        printed = printed_example_certificate()
+        assert printed.bound == 15
+        assert printed.r0 == 3 and printed.r == [3, 4, 5]
+        assert verify(printed).ok
 
     def test_standard_certificate_is_no_worse(self):
-        ex = example1_bound()
-        assert ex.standard.bound <= 15
-        assert all(s <= p for s, p in zip(ex.standard.r, ex.printed.r))
-        assert verify(ex.standard).ok
+        printed = printed_example_certificate()
+        standard = solve_oracle(oracle_source(SplitBundle(EXAMPLE_TWISTS), "standard"))
+        assert standard.bound <= 15
+        assert all(s <= p for s, p in zip(standard.r, printed.r))
+        assert verify(standard).ok
 
     def test_oracle_source_adapter(self):
         src = oracle_source(SplitBundle(EXAMPLE_TWISTS), "paper")

@@ -21,6 +21,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_mcert_refusal(err, value):
+    # one line naming the variable, the accepted range and the refused value
+    assert err.count("\n") == 1
+    assert "FANOBOUND_MCERT" in err and f"[{MIN_M_CERT}, {MAX_TABLE - 2}]" in err
+    assert repr(value) in err
+
+
 class TestSolve:
     def test_worst_case_prints_16(self, capsys, tmp_path):
         out_file = tmp_path / "cert.json"
@@ -75,18 +82,20 @@ class TestSolve:
 
     def test_bad_mcert_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("FANOBOUND_MCERT", "zero")
-        code, _, _ = run_cli(capsys, "solve", "--worst-case")
-        assert code == 2
+        code, out, err = run_cli(capsys, "solve", "--worst-case")
+        assert code == 2 and out == ""
+        assert_mcert_refusal(err, "zero")
 
     def test_mcert_beyond_verifier_limits_exit_2(self, capsys, monkeypatch, tmp_path):
         # a table of m_cert + 2 values longer than verify accepts is refused
         # before solving, not written and then rejected
         monkeypatch.setenv("FANOBOUND_MCERT", "600")
         out_file = tmp_path / "cert.json"
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "solve", "--k5", "6250", "--k3c2", "2750", "--out", str(out_file)
         )
         assert code == 2 and not out_file.exists()
+        assert_mcert_refusal(err, "600")
 
     def test_mcert_limit_is_the_verifier_table_limit(self, monkeypatch):
         monkeypatch.setenv("FANOBOUND_MCERT", str(MAX_TABLE - 2))
@@ -101,8 +110,9 @@ class TestSolve:
         # rejects as too few to pin a degree-5 polynomial
         monkeypatch.setenv("FANOBOUND_MCERT", "4")
         out_file = tmp_path / "cert.json"
-        code, _, _ = run_cli(capsys, "solve", "--bundle", "0,0,0,0,1", "--out", str(out_file))
+        code, _, err = run_cli(capsys, "solve", "--bundle", "0,0,0,0,1", "--out", str(out_file))
         assert code == 2 and not out_file.exists()
+        assert_mcert_refusal(err, "4")
 
     def test_smallest_mcert_verifies_in_every_mode(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("FANOBOUND_MCERT", str(MIN_M_CERT))
@@ -284,6 +294,17 @@ class TestVerify:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_integer_past_the_digit_limit_exit_2(self, capsys, tmp_path):
+        # json.loads refuses an integer literal longer than
+        # sys.get_int_max_str_digits() (4300 by default) with a ValueError
+        cert_file = tmp_path / "cert.json"
+        run_cli(capsys, "solve", "--worst-case", "--out", str(cert_file))
+        text = cert_file.read_text()
+        assert '"r0": 3,' in text
+        cert_file.write_text(text.replace('"r0": 3,', '"r0": ' + "1" * 5000 + ",", 1))
+        code, out, err = run_cli(capsys, "verify", str(cert_file))
+        assert code == 2 and out == "" and "malformed certificate" in err
 
     def test_deeply_nested_exit_2(self, capsys, tmp_path):
         cert_file = tmp_path / "deep.json"

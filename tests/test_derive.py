@@ -9,9 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fanobound.exact import AffineForm
 from fanobound.hilbert import ChernData, p_affine
+from fanobound.audit import CONFIRMED, DISCREPANCY, build_audit
 from fanobound.derive import (
-    CONFIRMED,
-    DISCREPANCY,
     Constraint,
     ConstraintSystem,
     Fact,
@@ -28,7 +27,6 @@ from fanobound.derive import (
     merge_branch_facts,
     monotone_from,
     point_with_value_below,
-    prop1_replay,
     split_on_p1,
     strengthen_integral,
     table_monotone,
@@ -451,17 +449,16 @@ class TestMonotone:
 
 class TestProp1Replay:
     def test_statuses_and_values(self):
-        entries = prop1_replay()
-        by_item = {e.item: e for e in entries}
+        by_item = {e.location: e for e in build_audit().entries}
         assert by_item["Proposition 1 (i)"].status == CONFIRMED
-        assert "P(3) >= 35" in by_item["Proposition 1 (i)"].engine
-        assert "P(3) >= 21" in by_item["Proposition 1 (ii)"].engine
-        assert "P(3) >= 7" in by_item["Proposition 1 (iii)"].engine
-        assert "P(2) >= 6" in by_item["Proposition 1 (iv)"].engine
+        assert "P(3) >= 35" in by_item["Proposition 1 (i)"].engine_result
+        assert "P(3) >= 21" in by_item["Proposition 1 (ii)"].engine_result
+        assert "P(3) >= 7" in by_item["Proposition 1 (iii)"].engine_result
+        assert "P(2) >= 6" in by_item["Proposition 1 (iv)"].engine_result
         v = by_item["Proposition 1 (v)"]
         assert v.status == DISCREPANCY
-        assert "1/360" in v.engine and "14" in v.engine
-        assert "1/60" in v.claim and "49" in v.claim
+        assert "1/360" in v.engine_result and "14" in v.engine_result
+        assert "1/60" in v.paper_claim and "49" in v.paper_claim
         assert by_item["Proposition 1 (vi)"].status == CONFIRMED
 
     def test_both_case_v_readings_satisfy_the_sequel(self):
