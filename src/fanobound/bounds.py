@@ -29,11 +29,11 @@ from .hilbert import ChernData, LEMMA2_R_CAP, lemma2_slack_form, lemma2_threshol
 from . import certs
 from .derive import (
     ConstraintSystem,
-    DEFAULT_M_CERT,
     Fact,
     InfeasibleSystemError,
     MinimizeResult,
-    MonotoneReport,
+    MonotoneCertificationError,
+    TailCertificate,
     ValueTable,
     axiom_system,
     chern_table,
@@ -119,15 +119,19 @@ class OracleSource:
     d5: int
 
 
-def oracle_table(source: OracleSource, m_max: int, m_cert: int) -> ValueTable:
+def oracle_table(source: OracleSource, m_max: int) -> ValueTable:
     """The oracle's values for m = 1..m_max and the polynomial through its
-    first six, checked against every value on [1, m_cert + 1] so that the
+    first six, checked against every value of the table so that the
     polynomial's difference certifies the monotone tail."""
+    if m_max < certs.MODEL_POINTS:
+        raise CertificationError(
+            f"an oracle model needs {certs.MODEL_POINTS} values, the table has {m_max}"
+        )
     # largest multiple first: a table-filling oracle then counts once
     values = [source.h0(m) for m in range(m_max, 0, -1)][::-1]
-    model = interpolate_model(source.h0, list(range(1, 7)))
-    for m in range(1, m_cert + 2):
-        if model(m) != values[m - 1]:
+    model = interpolate_model(source.h0, list(range(1, certs.MODEL_POINTS + 1)))
+    for m, value in enumerate(values, start=1):
+        if model(m) != value:
             raise CertificationError(
                 f"oracle is not polynomial at m = {m}; the tail cannot be certified"
             )
@@ -264,16 +268,15 @@ def minimal_r(
 class R0Certification:
     r0: int
     nonempty_bound: Fraction
-    monotone: MonotoneReport
+    monotone: TailCertificate
 
 
-def certify_r0(
-    source: Source, r0: int, m_cert: int = DEFAULT_M_CERT
-) -> R0Certification:
+def certify_r0(source: Source, r0: int) -> R0Certification:
     """Certify h0(-rK) >= 1 for every r >= r0: a bound at r0 itself plus
-    strictly increasing values from r0 on (per-multiple range and ray tail).
+    strictly increasing values from r0 on, by the ray tail.
 
     The composition rule requires r0 >= 3; smaller values are rejected.
+    A tail that does not hold from r0 raises MonotoneCertificationError.
     """
     if r0 < 3:
         raise ValueError("the composition rule needs r0 >= 3")
@@ -285,7 +288,7 @@ def certify_r0(
         raise CertificationError(
             f"certify_r0: only P({r0}) >= {rat_str(bound)} is certified, need >= 1"
         )
-    return R0Certification(r0, bound, monotone(source, r0, m_cert))
+    return R0Certification(r0, bound, monotone(source, r0))
 
 
 # ---------------------------------------------------------------------------
@@ -329,39 +332,22 @@ def _fm_bound_step(
     )
 
 
-def _monotone_steps(
+def _monotone_tail_step(
     w: _StepWriter,
-    report: MonotoneReport,
+    tail: TailCertificate,
     cs: Optional[ConstraintSystem] = None,
-    values_step: Optional[int] = None,
     model_step: Optional[int] = None,
 ) -> None:
-    tail = report.tail
-    range_inputs: dict = {"m0": report.m0, "m_cert": report.m_cert, "mode": tail.mode}
-    tail_inputs: dict = {"m_start": tail.m_start, "mode": tail.mode}
+    inputs: dict = {"m_start": tail.m_start, "mode": tail.mode}
     if tail.mode == "worst_case":
-        checks = [
-            {"m": c.m, "min": rat_str(c.min_value), "farkas": certs.ser_farkas(c.farkas)}
-            for c in report.checks
-        ]
-        range_inputs["constraints"] = _ser_system(cs)
-        tail_inputs["b_constraint"] = tail.b_constraint
-        tail_inputs["a_constraint"] = tail.a_constraint
-        tail_inputs["constraints"] = _ser_system(cs)
-    else:
-        checks = [{"m": c.m, "delta": int(c.min_value)} for c in report.checks]
-        range_inputs["values_step"] = values_step
-        if tail.mode == "oracle":
-            tail_inputs["model_step"] = model_step
-    w.add(
-        "monotone_range",
-        [range_inputs],
-        f"P(m+1) > P(m) for {report.m0} <= m <= {report.m_cert}",
-        {"checks": checks},
-    )
+        inputs["b_constraint"] = tail.b_constraint
+        inputs["a_constraint"] = tail.a_constraint
+        inputs["constraints"] = _ser_system(cs)
+    elif tail.mode == "oracle":
+        inputs["model_step"] = model_step
     w.add(
         "monotone_tail",
-        [tail_inputs],
+        [inputs],
         f"P(m+1) - P(m) > 0 for m >= {tail.m_start}",
         {
             "q_poly": certs.ser_poly(tail.q_poly),
@@ -421,7 +407,6 @@ def solve_worst_case(
     a5: bool = True,
     lmax: int = DEFAULT_LMAX,
     m_max: int = DEFAULT_M_MAX,
-    m_cert: int = DEFAULT_M_CERT,
 ) -> certs.Certificate:
     """Derive the bound valid for every 5-fold with -K nef and big.
 
@@ -474,8 +459,8 @@ def solve_worst_case(
         },
     )
     rs = _dim_search_steps(w, geom, m_max)
-    r0cert = certify_r0(geom, 3, m_cert)
-    _monotone_steps(w, r0cert.monotone, cs=geom)
+    r0cert = certify_r0(geom, 3)
+    _monotone_tail_step(w, r0cert.monotone, cs=geom)
     bound = _compose_step(w, 3, rs)
     return certs.Certificate(
         mode=certs.WORST_CASE,
@@ -501,21 +486,20 @@ def _solve_table(
     values_step: int,
     axioms: list[str],
     m_max: int,
-    m_cert: int,
     dim1_start: int = 1,
     model_step: Optional[int] = None,
     chern: Optional[ChernData] = None,
 ) -> certs.Certificate:
     """The chain both value sources share once their value steps are
-    written: the least r0 with P(r0) >= 1 and monotone values from r0,
-    the dimension searches and the composition."""
+    written: the least r0 with P(r0) >= 1 and the ray tail from r0, the
+    dimension searches and the composition."""
     r0cert = None
     last_err: Optional[Exception] = None
     for r0 in range(3, m_max + 1):
         try:
-            r0cert = certify_r0(table, r0, m_cert)
+            r0cert = certify_r0(table, r0)
             break
-        except CertificationError as exc:
+        except (CertificationError, MonotoneCertificationError) as exc:
             last_err = exc
     if r0cert is None:
         raise CertificationError(f"certify_r0 failed up to m_max: {last_err}")
@@ -526,7 +510,7 @@ def _solve_table(
         f"P({r0}) >= 1",
         {"value": table.at(r0), "bound": 1},
     )
-    _monotone_steps(w, r0cert.monotone, values_step=values_step, model_step=model_step)
+    _monotone_tail_step(w, r0cert.monotone, model_step=model_step)
     rs = _dim_search_steps(w, table, m_max, values_step, dim1_start=dim1_start)
     bound = _compose_step(w, r0, rs)
     return certs.Certificate(
@@ -540,26 +524,22 @@ def _solve_table(
     )
 
 
-def solve_concrete(
-    chern: ChernData, m_max: int = DEFAULT_M_MAX, m_cert: int = DEFAULT_M_CERT
-) -> certs.Certificate:
+def solve_concrete(chern: ChernData, m_max: int = DEFAULT_M_MAX) -> certs.Certificate:
     """Bound for one concrete 5-fold given its Chern intersection numbers."""
-    table_max = max(m_cert + 2, m_max)
-    table = chern_table(chern, table_max)
+    table = chern_table(chern, m_max)
     w = _table_writer()
     values_step = w.add(
         "eval_p",
-        [{"m_max": table_max}],
-        f"P(0..{table_max}) evaluated exactly",
+        [{"m_max": m_max}],
+        f"P(0..{m_max}) evaluated exactly",
         {"values": list(table.values)},
     )
-    return _solve_table(w, table, values_step, CONCRETE_AXIOMS, m_max, m_cert, chern=chern)
+    return _solve_table(w, table, values_step, CONCRETE_AXIOMS, m_max, chern=chern)
 
 
 def solve_oracle(
     source: OracleSource,
     m_max: int = DEFAULT_M_MAX,
-    m_cert: int = DEFAULT_M_CERT,
     dim1_start: int = 1,
 ) -> certs.Certificate:
     """Bound from an exact section-count oracle.
@@ -568,8 +548,7 @@ def solve_oracle(
     replay of the published example starts it at bundle.PAPER_DIM1_START
     to reproduce the printed multiple selection.
     """
-    table_max = max(m_cert + 2, m_max)
-    table = oracle_table(source, table_max, m_cert)
+    table = oracle_table(source, m_max)
     w = _table_writer()
     values_step = w.add(
         "oracle_values",
@@ -577,19 +556,17 @@ def solve_oracle(
             {
                 "bundle": list(source.bundle),
                 "convention": source.convention,
-                "m_max": table_max,
+                "m_max": m_max,
                 "d5": source.d5,
             }
         ],
-        f"h0(-mK) for m = 1..{table_max} under the {source.convention} convention",
+        f"h0(-mK) for m = 1..{m_max} under the {source.convention} convention",
         {"values": list(table.values)},
     )
     model_step = w.add(
         "oracle_model",
-        [{"values_step": values_step, "m_lo": 1, "m_hi": m_cert + 1}],
-        f"oracle values match a degree-{max(table.poly.degree, 0)} polynomial on [1, {m_cert + 1}]",
+        [{"values_step": values_step}],
+        f"oracle values match a degree-{max(table.poly.degree, 0)} polynomial on [1, {m_max}]",
         {"coeffs": certs.ser_poly(table.poly)},
     )
-    return _solve_table(
-        w, table, values_step, ORACLE_AXIOMS, m_max, m_cert, dim1_start, model_step
-    )
+    return _solve_table(w, table, values_step, ORACLE_AXIOMS, m_max, dim1_start, model_step)

@@ -9,7 +9,7 @@ descriptor, replays the arithmetic, and rejects on the first mismatch.
 
 Schema (field names are part of the external interface):
 
-    {"version": 1,
+    {"version": 2,
      "mode": "worst_case" | "concrete",
      "chern": {"k5": int, "k3c2": int} | null,
      "axioms": [string, ...],
@@ -40,16 +40,16 @@ from .hilbert import (
 )
 from .derive import constraint_form
 
-CERT_VERSION = 1
+CERT_VERSION = 2
 
 WORST_CASE = "worst_case"
 CONCRETE = "concrete"
 
 # refuse pathological ranges instead of looping on crafted input
 MAX_TABLE = 512
-# an oracle model is checked on [1, m_cert + 1]; six agreeing points pin a
-# degree-5 polynomial, so a shorter range cannot certify the tail
-MIN_M_CERT = 5
+# an oracle model is checked on every value of its table; six agreeing
+# points pin a degree-5 polynomial, so a shorter table cannot certify the tail
+MODEL_POINTS = 6
 MAX_SEARCH = 128
 
 
@@ -262,7 +262,7 @@ def _check_constraints(
             kind = entry["kind"]
             params = tuple(entry["params"])
             recorded = _parse_form(entry["form"])
-            strict = bool(entry["strict"])
+            strict = _json_bool(step_id, entry["strict"], f"strict flag of {cid}")
         except (KeyError, TypeError) as exc:
             raise _Fail(step_id, f"bad constraint entry: {exc}")
         if kind in _AXIOM_KINDS:
@@ -286,7 +286,7 @@ def _check_constraints(
             raise _Fail(step_id, f"constraint {cid} does not match its descriptor")
         if kind == "from_fact":
             m, bound, _scale, f_strict = params
-            key = (m, to_rat(bound), bool(f_strict))
+            key = (m, to_rat(bound), _json_bool(step_id, f_strict, f"fact strictness of {cid}"))
             if key not in established:
                 raise _Fail(
                     step_id,
@@ -366,6 +366,13 @@ def _json_int(step_id: int, value: Any, what: str) -> int:
     return value
 
 
+def _json_bool(step_id: int, value: Any, what: str) -> bool:
+    """A JSON boolean; strings, numbers and null are rejected, not coerced."""
+    if not isinstance(value, bool):
+        raise _Fail(step_id, f"{what} must be a boolean, got {value!r}")
+    return value
+
+
 def _witness(step_id: int, step: dict) -> dict:
     w = step.get("witness")
     if not isinstance(w, dict):
@@ -383,8 +390,11 @@ def _model_from_step(step_id: int, steps_by_id: dict, model_step: Any) -> Poly:
     return Poly([to_rat(c) for c in coeffs])
 
 
-def _table_from_step(step_id: int, steps_by_id: dict, values_step: Any) -> Callable[[int], int]:
-    """The value table a step cites, as a function of m."""
+def _table_from_step(
+    step_id: int, steps_by_id: dict, values_step: Any
+) -> tuple[Callable[[int], int], range]:
+    """The value table a step cites, as a function of m, and the multiples
+    it holds."""
     vs = steps_by_id.get(values_step)
     if vs is None or vs.get("rule") not in ("oracle_values", "eval_p"):
         raise _Fail(step_id, "values_step does not reference a value table step")
@@ -400,7 +410,7 @@ def _table_from_step(step_id: int, steps_by_id: dict, values_step: Any) -> Calla
             raise _Fail(step_id, f"value table has no entry for m = {m}")
         return values[m - first]
 
-    return value_at
+    return value_at, range(first, first + len(values))
 
 
 def verify(cert: Certificate) -> VerifyResult:
@@ -430,16 +440,15 @@ def verify(cert: Certificate) -> VerifyResult:
 _FLAVOR_RULES = {
     "worst_case": {
         "axioms", "split_p1", "fm_lower_bound", "merge_min",
-        "fact_to_constraint", "dim_search", "monotone_range",
-        "monotone_tail", "compose",
+        "fact_to_constraint", "dim_search", "monotone_tail", "compose",
     },
     "concrete": {
-        "axioms", "eval_p", "value_at_least", "dim_search",
-        "monotone_range", "monotone_tail", "compose",
+        "axioms", "eval_p", "value_at_least", "dim_search", "monotone_tail",
+        "compose",
     },
     "oracle": {
         "axioms", "oracle_values", "oracle_model", "value_at_least",
-        "dim_search", "monotone_range", "monotone_tail", "compose",
+        "dim_search", "monotone_tail", "compose",
     },
 }
 
@@ -468,7 +477,6 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
 
     established: dict = {}  # facts available to later steps
     searches: dict[int, dict] = {}  # target_dim -> selected
-    monotone_range_step: Optional[dict] = None
     monotone_tail_step: Optional[dict] = None
     compose_step: Optional[dict] = None
     split_lmax: Optional[int] = None
@@ -481,7 +489,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             if rule in {r for rules in _FLAVOR_RULES.values() for r in rules}:
                 raise _Fail(sid, f"rule {rule!r} does not belong to a {flavor} certificate")
             raise _Fail(sid, f"unknown rule {rule!r}")
-        if rule in ("dim_search", "monotone_range", "monotone_tail"):
+        if rule in ("dim_search", "monotone_tail"):
             inner_mode = _single_input(sid, step).get("mode")
             if inner_mode != flavor:
                 raise _Fail(sid, f"step mode {inner_mode!r} contradicts the {flavor} flavor")
@@ -510,22 +518,24 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                 sid, inp.get("constraints", []), established, cert.axioms, branch_ok=True
             )
             raw = to_rat(w["raw_min"])
-            raw_strict = bool(w.get("raw_strict", False))
+            raw_strict = _json_bool(sid, w.get("raw_strict"), "raw_strict")
             proved_strict = _check_farkas(sid, w.get("farkas", []), table, p_affine(m), raw)
             if raw_strict and not proved_strict:
                 raise _Fail(sid, "strict bound claimed without a strict combination")
-            if bool(w.get("attained")) != (w.get("point") is not None):
+            attained = _json_bool(sid, w.get("attained"), "attained")
+            if attained != (w.get("point") is not None):
                 raise _Fail(sid, "attainment flag disagrees with the witness point")
-            if w.get("attained"):
+            if attained:
                 if proved_strict:
                     raise _Fail(sid, "attained minimum proved by a strict combination")
                 a, b = _check_point(sid, w.get("point"), table)
                 if p_affine(m).evaluate(a, b) != raw:
                     raise _Fail(sid, "witness point does not attain the minimum")
             bound = to_rat(w["bound"])
-            if bool(w.get("strengthened")) != (bound != raw):
+            strengthened = _json_bool(sid, w.get("strengthened"), "strengthened")
+            if strengthened != (bound != raw):
                 raise _Fail(sid, "strengthening flag disagrees with the bounds")
-            if w.get("strengthened"):
+            if strengthened:
                 if "A3" not in cert.axioms:
                     raise _Fail(sid, "strengthening uses undeclared integrality axiom")
                 if not _strengthen_ok(raw, raw_strict, bound):
@@ -582,7 +592,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             w = _witness(sid, step)
             m = _json_int(sid, inp.get("m"), "m")
             bound = to_rat(inp["bound"])
-            strict = bool(inp.get("strict", False))
+            strict = _json_bool(sid, inp.get("strict"), "strict")
             if (m, bound, strict) not in established:
                 raise _Fail(sid, f"fact P({m}) >= {bound} was not established")
             entry = w.get("constraint")
@@ -639,17 +649,13 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
         elif rule == "oracle_model":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            value_at = _table_from_step(sid, steps_by_id, inp.get("values_step"))
+            value_at, ms = _table_from_step(sid, steps_by_id, inp.get("values_step"))
             model = Poly([to_rat(c) for c in w.get("coeffs", [])])
             if model.degree > 5:
                 raise _Fail(sid, "model degree exceeds 5")
-            m_lo = _json_int(sid, inp.get("m_lo"), "m_lo")
-            m_hi = _json_int(sid, inp.get("m_hi"), "m_hi")
-            if not 1 <= m_lo <= m_hi <= MAX_TABLE:
-                raise _Fail(sid, "model range exceeds verifier limits")
-            if m_hi - m_lo < MIN_M_CERT:
-                raise _Fail(sid, "model range too short to pin the polynomial")
-            for m in range(m_lo, m_hi + 1):
+            if len(ms) < MODEL_POINTS:
+                raise _Fail(sid, "value table too short to pin the polynomial")
+            for m in ms:
                 if model(m) != value_at(m):
                     raise _Fail(sid, f"model disagrees with values at m = {m}")
 
@@ -657,7 +663,8 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             inp = _single_input(sid, step)
             w = _witness(sid, step)
             m = _json_int(sid, inp.get("m"), "m")
-            value = _table_from_step(sid, steps_by_id, inp.get("values_step"))(m)
+            value_at, _ = _table_from_step(sid, steps_by_id, inp.get("values_step"))
+            value = value_at(m)
             bound = _json_int(sid, w.get("bound"), "bound")
             if _json_int(sid, w.get("value"), "value") != value:
                 raise _Fail(sid, "recorded value differs from the table")
@@ -673,12 +680,6 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             want = f"dim >= {inp['target_dim']} at m = {w['selected']['m']}"
             if step.get("claim") != want:
                 raise _Fail(sid, "claim text does not match the selection")
-
-        elif rule == "monotone_range":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            monotone_range_step = step
-            _verify_monotone_range(cert, sid, inp, w, steps_by_id, established)
 
         elif rule == "monotone_tail":
             inp = _single_input(sid, step)
@@ -707,15 +708,11 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                     raise _Fail(sid, f"r{target} does not match its witness step")
             if not any(m == r0 and q >= 1 and not s for (m, q, s) in established):
                 raise _Fail(sid, f"P({r0}) >= 1 was never established")
-            if monotone_range_step is None or monotone_tail_step is None:
-                raise _Fail(sid, "monotonicity steps are missing")
-            mr_inp = _single_input(sid, monotone_range_step)
-            mt_inp = _single_input(sid, monotone_tail_step)
-            # both steps checked these fields as integers
-            if mr_inp["m0"] > r0:
-                raise _Fail(sid, "monotone range does not start at r0")
-            if mt_inp["m_start"] != mr_inp["m_cert"] + 1:
-                raise _Fail(sid, "tail does not continue the per-multiple range")
+            if monotone_tail_step is None:
+                raise _Fail(sid, "monotonicity step is missing")
+            # the tail step checked m_start as an integer
+            if _single_input(sid, monotone_tail_step)["m_start"] != r0:
+                raise _Fail(sid, "monotone tail does not start at r0")
             if step.get("claim") != f"birational for all m >= {total}":
                 raise _Fail(sid, "claim text does not match the composition")
 
@@ -796,11 +793,11 @@ def _verify_dim_search(
             proved_strict = _check_farkas(
                 sid, sel.get("farkas", []), table, p_affine(sel_m), raw
             )
-            raw_strict = bool(sel.get("raw_strict", False))
+            raw_strict = _json_bool(sid, sel.get("raw_strict"), "raw_strict")
             if raw_strict and not proved_strict:
                 raise _Fail(sid, "strict bound claimed without a strict combination")
             bound = to_rat(sel["bound"])
-            if sel.get("strengthened"):
+            if _json_bool(sid, sel.get("strengthened"), "strengthened"):
                 if "A3" not in cert.axioms:
                     raise _Fail(sid, "strengthening uses undeclared integrality axiom")
                 if not _strengthen_ok(raw, raw_strict, bound):
@@ -821,7 +818,7 @@ def _verify_dim_search(
             if sel_r + 1 < target:
                 raise _Fail(sid, "lemma instance too weak for the target dimension")
     else:
-        value_at = _table_from_step(sid, steps_by_id, inp.get("values_step"))
+        value_at, _ = _table_from_step(sid, steps_by_id, inp.get("values_step"))
         d5 = _json_int(sid, inp.get("d5"), "d5")
         if cert.chern is not None:
             if d5 != cert.chern.k5:
@@ -861,34 +858,6 @@ def _verify_dim_search(
                 raise _Fail(sid, "lemma instance too weak for the target dimension")
 
     searches[target] = sel
-
-
-def _verify_monotone_range(
-    cert: Certificate, sid: int, inp: dict, w: dict, steps_by_id: dict, established: dict
-) -> None:
-    m0 = _json_int(sid, inp.get("m0"), "m0")
-    m_cert = _json_int(sid, inp.get("m_cert"), "m_cert")
-    if not 1 <= m0 <= m_cert <= MAX_TABLE:
-        raise _Fail(sid, "monotone range exceeds verifier limits")
-    mode = inp.get("mode")
-    checks = w.get("checks")
-    ms = list(range(m0, m_cert + 1))
-    if not isinstance(checks, list) or [_json_int(sid, c["m"], "m") for c in checks] != ms:
-        raise _Fail(sid, "per-multiple checks do not cover [m0, m_cert]")
-    if mode == "worst_case":
-        table, _ = _check_constraints(sid, inp.get("constraints", []), established, cert.axioms)
-        for m, c in zip(ms, checks):
-            form = p_affine(m + 1) - p_affine(m)
-            val = to_rat(c["min"])
-            _check_farkas(sid, c.get("farkas", []), table, form, val)
-            if val <= 0:
-                raise _Fail(sid, f"difference at m={m} not certified positive")
-    else:
-        value_at = _table_from_step(sid, steps_by_id, inp.get("values_step"))
-        for m, c in zip(ms, checks):
-            delta = value_at(m + 1) - value_at(m)
-            if _json_int(sid, c["delta"], "delta") != delta or delta <= 0:
-                raise _Fail(sid, f"difference at m={m} is not positive")
 
 
 def _verify_monotone_tail(

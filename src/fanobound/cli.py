@@ -10,29 +10,8 @@ from typing import Optional
 
 from . import audit as audit_mod
 from . import bounds, bundle
-from .certs import MAX_TABLE, MIN_M_CERT, MalformedCertificateError, from_json_bytes, verify
-from .derive import DEFAULT_M_CERT
+from .certs import MalformedCertificateError, from_json_bytes, verify
 from .hilbert import ChernData, HilbertError, p_eval
-
-
-def _m_cert() -> int:
-    raw = os.environ.get("FANOBOUND_MCERT")
-    if raw is None:
-        return DEFAULT_M_CERT
-    # solve writes value tables up to m_cert + 2 and oracle models checked
-    # on [1, m_cert + 1], which verify must accept
-    lo, hi = MIN_M_CERT, MAX_TABLE - 2
-    try:
-        value: Optional[int] = int(raw)
-    except ValueError:
-        value = None
-    if value is not None and lo <= value <= hi:
-        return value
-    print(
-        f"fanobound: error: FANOBOUND_MCERT must be an integer in [{lo}, {hi}], got {raw!r}",
-        file=sys.stderr,
-    )
-    raise SystemExit(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,22 +64,19 @@ def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     ]
     if sum(sources) != 1:
         parser.error("choose exactly one of --worst-case, --k5/--k3c2, --bundle")
-    m_cert = _m_cert()
     try:
         if args.worst_case:
-            cert = bounds.solve_worst_case(m_cert=m_cert)
+            cert = bounds.solve_worst_case()
         elif args.bundle is not None:
             b = bundle.SplitBundle.parse(args.bundle)
             dim1_start = bundle.PAPER_DIM1_START if args.convention == bundle.PAPER else 1
             cert = bounds.solve_oracle(
-                bundle.oracle_source(b, args.convention),
-                m_cert=m_cert,
-                dim1_start=dim1_start,
+                bundle.oracle_source(b, args.convention), dim1_start=dim1_start
             )
         else:
             if args.k5 is None or args.k3c2 is None:
                 parser.error("--k5 and --k3c2 go together")
-            cert = bounds.solve_concrete(ChernData(args.k5, args.k3c2), m_cert=m_cert)
+            cert = bounds.solve_concrete(ChernData(args.k5, args.k3c2))
     except (bounds.CertificationError, HilbertError) as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
@@ -179,18 +155,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        return _cmd_solve(parser, args)
-    if args.command == "table":
-        return _cmd_table(parser, args)
-    if args.command == "oracle":
-        return _cmd_oracle(parser, args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    try:
+        if args.command == "solve":
+            code = _cmd_solve(parser, args)
+        elif args.command == "table":
+            code = _cmd_table(parser, args)
+        elif args.command == "oracle":
+            code = _cmd_oracle(parser, args)
+        elif args.command == "audit":
+            code = _cmd_audit(args)
+        elif args.command == "verify":
+            code = _cmd_verify(args)
+        else:  # pragma: no cover
+            parser.error(f"unknown command {args.command!r}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head -1`); files written
+        # with --out are complete.  Point stdout at devnull so the flush at
+        # exit cannot fail again, and exit nonzero without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

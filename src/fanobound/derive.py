@@ -40,7 +40,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .exact import AffineForm, Poly, poly_positive_on_ray, to_rat
 from .hilbert import (
     ChernData,
-    difference_form,
     difference_polys,
     p_affine,
     p_eval,
@@ -48,7 +47,6 @@ from .hilbert import (
 )
 
 DEFAULT_HORIZON = 8
-DEFAULT_M_CERT = 64
 
 
 class DerivationError(Exception):
@@ -64,7 +62,7 @@ class UnboundedObjectiveError(DerivationError):
 
 
 class MonotoneCertificationError(DerivationError):
-    """A per-multiple check or the ray tail could not be certified."""
+    """The ray tail could not be certified."""
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +578,6 @@ def fact_to_constraint(fact: Fact) -> Constraint:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RangeCheck:
-    m: int
-    min_value: Fraction
-    farkas: tuple[tuple[str, Fraction], ...] = ()
-
-
-@dataclass(frozen=True)
 class TailCertificate:
     """Witness that P(m+1) - P(m) > 0 for every m >= m_start.
 
@@ -594,8 +585,8 @@ class TailCertificate:
     ray; its shift at m_start has nonnegative coefficients and a positive
     constant term.  In worst-case mode the bound arises by substituting a
     named lower-bound constraint for b and then the floor constraint for a;
-    the two auxiliary polynomials certify that each substitution step is
-    minimizing (their nonnegativity on the ray is part of the witness).
+    each substitution minimizes because the polynomial it multiplies is
+    nonnegative on the ray, which the verifier re-checks.
     """
 
     m_start: int
@@ -603,19 +594,18 @@ class TailCertificate:
     mode: str  # "worst_case" | "concrete" | "oracle"
     b_constraint: Optional[str] = None
     a_constraint: Optional[str] = None
-    coeff_b_poly: Optional[Poly] = None
-    subst_a_poly: Optional[Poly] = None
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    m0: int
-    m_cert: int
-    checks: tuple[RangeCheck, ...]
-    tail: TailCertificate
+def monotone_from(cs: ConstraintSystem, m0: int) -> TailCertificate:
+    """Certify P(m+1) > P(m) over cs for every m >= m0 by the ray tail.
 
-
-def _worst_case_tail(cs: ConstraintSystem, m_start: int) -> TailCertificate:
+    The b-coefficient of the difference is nonnegative on the ray, so a
+    lower-bound constraint on b can be substituted; the resulting
+    a-coefficient must be nonnegative too, so a floor on a can follow.
+    A failure is reported, not papered over.
+    """
+    if m0 < 1:
+        raise ValueError("m0 must be >= 1")
     da, db, dk = difference_polys()
     # candidates providing a lower bound for b: coeff_b > 0
     b_cands = [c for c in cs.constraints if c.form.coeff_b > 0 and not c.strict]
@@ -626,9 +616,9 @@ def _worst_case_tail(cs: ConstraintSystem, m_start: int) -> TailCertificate:
         if c.form.coeff_b == 0 and c.form.coeff_a > 0 and not c.strict
     ]
     # substituting the lower bound for b minimizes only if db >= 0 on the ray
-    if not all(c >= 0 for c in db.shift(m_start).coeffs):
+    if not all(c >= 0 for c in db.shift(m0).coeffs):
         raise MonotoneCertificationError(
-            f"difference b-coefficient not certified nonnegative from m = {m_start}"
+            f"difference b-coefficient not certified nonnegative from m = {m0}"
         )
     for bc in b_cands:
         # bc gives b >= -(ca*a + k)/cb
@@ -636,49 +626,20 @@ def _worst_case_tail(cs: ConstraintSystem, m_start: int) -> TailCertificate:
         ratio_k = bc.form.const / bc.form.coeff_b
         subst_a = da - db.scale(ratio_a)
         subst_k = dk - db.scale(ratio_k)
-        if not all(c >= 0 for c in subst_a.shift(m_start).coeffs):
+        if not all(c >= 0 for c in subst_a.shift(m0).coeffs):
             continue
         for ac in a_cands:
             a_floor = -ac.form.const / ac.form.coeff_a
             q = subst_a.scale(a_floor) + subst_k
-            if poly_positive_on_ray(q, m_start):
+            if poly_positive_on_ray(q, m0):
                 return TailCertificate(
-                    m_start=m_start,
+                    m_start=m0,
                     q_poly=q,
                     mode="worst_case",
                     b_constraint=bc.cid,
                     a_constraint=ac.cid,
-                    coeff_b_poly=db,
-                    subst_a_poly=subst_a,
                 )
-    raise MonotoneCertificationError(
-        f"no tail certificate from m = {m_start}; raise m_cert"
-    )
-
-
-def monotone_from(
-    cs: ConstraintSystem, m0: int, m_cert: int = DEFAULT_M_CERT
-) -> MonotoneReport:
-    """Certify P(m+1) > P(m) for m in [m0, m_cert] and for the ray beyond.
-
-    Each difference form is minimized over the system; a failing multiple
-    is reported, not papered over.  The tail covers m > m_cert.
-    """
-    if m0 < 1:
-        raise ValueError("m0 must be >= 1")
-    if m_cert < m0:
-        raise ValueError("m_cert must be >= m0")
-    checks: list[RangeCheck] = []
-    for m in range(m0, m_cert + 1):
-        res = fm_minimize(cs, difference_form(m))
-        if res.status != "minimum" or res.value <= 0:
-            got = "unbounded below" if res.status == "unbounded" else f"minimum {res.value}"
-            raise MonotoneCertificationError(
-                f"P({m + 1}) - P({m}) not certified positive at m = {m} ({got})"
-            )
-        checks.append(RangeCheck(m, res.value, res.farkas))
-    tail = _worst_case_tail(cs, m_cert + 1)
-    return MonotoneReport(m0, m_cert, tuple(checks), tail)
+    raise MonotoneCertificationError(f"no tail certificate from m = {m0}")
 
 
 @dataclass(frozen=True)
@@ -711,24 +672,13 @@ def chern_table(c: ChernData, m_max: int) -> ValueTable:
     return ValueTable(values, 0, c.k5, p_poly(c), "concrete")
 
 
-def table_monotone(table: ValueTable, m0: int, m_cert: int) -> MonotoneReport:
-    """Certify P(m+1) > P(m) for m in [m0, m_cert] pointwise from the table,
-    and for m > m_cert from the difference of the table's polynomial."""
-    checks = []
-    for m in range(m0, m_cert + 1):
-        d = table.at(m + 1) - table.at(m)
-        if d <= 0:
-            raise MonotoneCertificationError(
-                f"P({m + 1}) - P({m}) = {d} is not positive"
-            )
-        checks.append(RangeCheck(m, Fraction(d)))
+def table_monotone(table: ValueTable, m0: int) -> TailCertificate:
+    """Certify P(m+1) > P(m) for every m >= m0 from the difference of the
+    table's polynomial."""
     q = table.poly.shift(1) - table.poly
-    if not poly_positive_on_ray(q, m_cert + 1):
-        raise MonotoneCertificationError(
-            f"no tail certificate from m = {m_cert + 1}; raise m_cert"
-        )
-    tail = TailCertificate(m_start=m_cert + 1, q_poly=q, mode=table.mode)
-    return MonotoneReport(m0, m_cert, tuple(checks), tail)
+    if not poly_positive_on_ray(q, m0):
+        raise MonotoneCertificationError(f"no tail certificate from m = {m0}")
+    return TailCertificate(m0, q, table.mode)
 
 
 def interpolate_model(values: Callable[[int], int], ms: Sequence[int]) -> Poly:

@@ -9,6 +9,7 @@ arbitrary-precision integers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -20,17 +21,25 @@ RatLike = Union[int, str, Fraction]
 CERTIFIED_NONNEG = "certified_nonneg"
 UNKNOWN = "unknown"
 
+# the strings rat_str writes; Fraction alone would also take decimals and
+# exponents such as "1e30000000", whose integer takes minutes to build
+_RAT_STR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def to_rat(x: RatLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational.
 
     bool is refused although it subclasses int: a JSON true is not a number.
+    A string must read -?[0-9]+(/[0-9]+)?; Python's limit on the digits of
+    an integer parsed from a string caps its length.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RAT_STR.fullmatch(x):
+            raise ValueError(f"{x!r} is not a rational of the form p or p/q")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 

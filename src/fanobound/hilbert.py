@@ -152,11 +152,6 @@ def fit_ab(v1: PValue, v2: PValue) -> tuple[Fraction, Fraction]:
     return a, b
 
 
-def difference_form(m: int) -> AffineForm:
-    """P(m+1) - P(m) as an affine form in (a, b)."""
-    return p_affine(m + 1) - p_affine(m)
-
-
 def coefficient_polys() -> tuple[Poly, Poly, Poly]:
     """The coefficients of P(m) as polynomials in m: (a-coefficient,
     b-coefficient, constant)."""

@@ -2,12 +2,14 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fanobound.exact import Poly
-from fanobound.hilbert import ChernData, p_affine
+from fanobound.hilbert import ChernData, p_affine, p_eval, p_poly
 from fanobound.derive import (
     Fact,
     ValueTable,
@@ -59,6 +61,35 @@ def dummy_oracle(values):
 def dummy_table(values):
     """Oracle values for m = 1, 2, ... as a value table with no tail model."""
     return ValueTable(tuple(values[m] for m in sorted(values)), 1, 6250, Poly(), "oracle")
+
+
+def p720(k5, k3c2, m):
+    """720 P(m) by the README formula, in integers."""
+    return (2 * m + 1) * (m * (m + 1) * ((3 * m * m + 3 * m - 1) * k5 + 5 * k3c2) + 720)
+
+
+@st.composite
+def admissible_chern(draw):
+    """(k5, k3c2) as the chern_batch bench draws them: k5 even in
+    [2, 20000], k3c2 in [-k5 - 72, 2 k5 + 720] with P integral and
+    non-negative (P(0..5) settle both)."""
+    k5 = 2 * draw(st.integers(1, 10000))
+    residues = {r for r in range(720) if all(p720(k5, r, m) % 720 == 0 for m in range(6))}
+    values = [
+        c for c in range(-k5 - 72, 2 * k5 + 721)
+        if c % 720 in residues and all(p720(k5, c, m) >= 0 for m in range(6))
+    ]
+    # every even k5 admits some k3c2 in the window
+    return ChernData(k5, draw(st.sampled_from(values)))
+
+
+def pointwise_r0(c):
+    """The least r >= 3 with P(r) >= 1 and P(m+1) > P(m) for every m >= r,
+    found by evaluating P up to a Cauchy bound on the difference's roots."""
+    d = (p_poly(c).shift(1) - p_poly(c)).coeffs
+    horizon = 2 + int(max(abs(x) for x in d[:-1]) / d[-1])
+    last_bad = max((m for m in range(horizon + 1) if p_eval(c, m + 1) <= p_eval(c, m)), default=-1)
+    return next(r for r in range(max(3, last_bad + 1), horizon + 3) if p_eval(c, r) >= 1)
 
 
 class TestRules:
@@ -169,13 +200,14 @@ class TestCertifyR0:
             certify_r0(geom(), 2)
 
     def test_worst_case_passes(self):
-        cert = certify_r0(geom(), 3, m_cert=16)
+        cert = certify_r0(geom(), 3)
         assert cert.nonempty_bound == 7
-        assert cert.monotone.tail.m_start == 17
+        assert cert.monotone.m_start == 3
 
     def test_concrete_passes(self):
-        cert = certify_r0(chern_table(ChernData(6250, 2750), 18), 3, m_cert=16)
+        cert = certify_r0(chern_table(ChernData(6250, 2750), 3), 3)
         assert cert.nonempty_bound == 27132
+        assert cert.monotone.m_start == 3
 
     def test_degenerate_oracle_fails(self):
         zero = dummy_table({m: 0 for m in range(1, 70)})
@@ -206,6 +238,18 @@ class TestSolveConcrete:
         cert = solve_concrete(ChernData(6250, 2750))
         assert cert.bound == 12
         assert cert.r0 == 3 and cert.r == [1, 3, 5]
+        assert verify(cert).ok
+
+    @settings(
+        max_examples=60, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(admissible_chern())
+    def test_picks_the_pointwise_r0(self, chern):
+        # the ray tail alone certifies monotonicity, so it must start no
+        # later than the least r >= 3 with P(r) >= 1 and no later decrease
+        cert = solve_concrete(chern)
+        assert cert.r0 == pointwise_r0(chern)
         assert verify(cert).ok
 
     def test_low_k5_without_monotone_hypothesis(self):
@@ -249,9 +293,16 @@ class TestSolveOracle:
         assert verify(cert).ok
 
     def test_non_polynomial_oracle_rejected(self):
+        # the model is checked on the table, which ends at the search
+        # horizon m_max; beyond it the model is the assumption O2
         values = {m: m**5 + (1 if m == 40 else 0) for m in range(1, 70)}
         with pytest.raises(CertificationError):
-            solve_oracle(dummy_oracle(values))
+            solve_oracle(dummy_oracle(values), m_max=40)
+
+    def test_table_too_short_for_the_model_rejected(self):
+        values = {m: m**5 for m in range(1, 70)}
+        with pytest.raises(CertificationError, match="needs 6 values"):
+            solve_oracle(dummy_oracle(values), m_max=5)
 
 
 class TestVerifierRejectsTampering:
@@ -362,7 +413,7 @@ class TestVerifierRejectsTampering:
         doc = json.loads(solve_oracle(src).to_json_bytes())
         for step in doc["steps"]:
             if step["rule"] == "oracle_values":
-                assert step["inputs"][0]["m_max"] == 66
+                assert step["inputs"][0]["m_max"] == 32
                 step["inputs"][0]["m_max"] = bad
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and "m_max must be an integer" in res.reason
@@ -375,6 +426,52 @@ class TestVerifierRejectsTampering:
                 step["inputs"][0]["m_max"] = bad
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and "m_max must be an integer" in res.reason
+
+    def test_old_version_refused(self):
+        res = verify(self._mutate(lambda d: d.update(version=1)))
+        assert not res.ok and res.reason == "unsupported version 1"
+
+    def test_string_flag_rejected(self):
+        # "no" is truthy, so bool() would read it as the true it replaces
+        def flag(doc):
+            (step,) = [
+                s for s in doc["steps"]
+                if s["rule"] == "fm_lower_bound" and s["witness"]["strengthened"] is True
+            ][:1]
+            step["witness"]["strengthened"] = "no"
+        res = verify(self._mutate(flag))
+        assert not res.ok and "strengthened must be a boolean" in res.reason
+
+    def test_decimal_exponent_rejected_quickly(self):
+        def inflate(doc):
+            step = next(s for s in doc["steps"] if s["rule"] == "fm_lower_bound")
+            step["witness"]["raw_min"] = "1e30000000"
+        bad = self._mutate(inflate)
+        start = time.perf_counter()
+        res = verify(bad)
+        assert time.perf_counter() - start < 2
+        assert not res.ok and "not a rational" in res.reason
+
+    def test_tail_not_starting_at_r0_rejected(self):
+        doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
+        (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
+        assert tail["inputs"][0]["m_start"] == doc["r0"] == 3
+        q = Poly(Fraction(c) for c in tail["witness"]["q_poly"])
+        tail["inputs"][0]["m_start"] = 4
+        tail["witness"]["q_shifted"] = [str(c) for c in q.shift(4).coeffs]
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert not res.ok and "does not start at r0" in res.reason
+
+    def test_oracle_table_too_short_for_the_model_rejected(self):
+        import fanobound.bundle as bundle
+
+        src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
+        doc = json.loads(solve_oracle(src).to_json_bytes())
+        (values,) = [s for s in doc["steps"] if s["rule"] == "oracle_values"]
+        values["inputs"][0]["m_max"] = 5
+        values["witness"]["values"] = values["witness"]["values"][:5]
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert not res.ok and "too short to pin the polynomial" in res.reason
 
     def test_non_integer_table_value_rejected(self):
         doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
@@ -453,7 +550,7 @@ class TestCallCounts:
 
         calls = count_calls(monkeypatch, derive.fm_minimize)
         assert solve_worst_case().bound == 16
-        assert len(calls) <= 111
+        assert len(calls) <= 49
 
     def test_no_minimization_is_reused_across_solves(self, monkeypatch):
         # the dimension searches share their attempts within one solve only
@@ -463,11 +560,11 @@ class TestCallCounts:
         for _ in range(2):
             calls.clear()
             assert solve_worst_case().bound == 16
-            assert len(calls) == 111
+            assert len(calls) == 49
 
     def test_concrete_evaluates_each_table_entry_once(self, monkeypatch):
         import fanobound.hilbert as hilbert
 
         calls = count_calls(monkeypatch, hilbert.p_eval)
         assert solve_concrete(ChernData(6250, 2750)).bound == 12
-        assert len(calls) <= 67
+        assert len(calls) <= 33

@@ -2,14 +2,14 @@
 reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-import pytest
-
+import fanobound
 from fanobound import bundle
-from fanobound.certs import MAX_TABLE, MIN_M_CERT
-from fanobound.cli import _m_cert, main
+from fanobound.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -19,13 +19,6 @@ def run_cli(capsys, *argv):
         code = exc.code if isinstance(exc.code, int) else 2
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def assert_mcert_refusal(err, value):
-    # one line naming the variable, the accepted range and the refused value
-    assert err.count("\n") == 1
-    assert "FANOBOUND_MCERT" in err and f"[{MIN_M_CERT}, {MAX_TABLE - 2}]" in err
-    assert repr(value) in err
 
 
 class TestSolve:
@@ -66,73 +59,6 @@ class TestSolve:
         # integrality of P fails: not a genuine 5-fold of this class
         code, _, err = run_cli(capsys, "solve", "--k5", "6251", "--k3c2", "2750")
         assert code == 1 and "certification failed" in err
-
-    def test_mcert_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("FANOBOUND_MCERT", "40")
-        out_file = tmp_path / "cert.json"
-        code, out, _ = run_cli(capsys, "solve", "--worst-case", "--out", str(out_file))
-        assert code == 0 and out == "16\n"
-        doc = json.loads(out_file.read_text())
-        ranges = [
-            s["inputs"][0]["m_cert"]
-            for s in doc["steps"]
-            if s["rule"] == "monotone_range"
-        ]
-        assert ranges == [40]
-
-    def test_bad_mcert_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("FANOBOUND_MCERT", "zero")
-        code, out, err = run_cli(capsys, "solve", "--worst-case")
-        assert code == 2 and out == ""
-        assert_mcert_refusal(err, "zero")
-
-    def test_mcert_beyond_verifier_limits_exit_2(self, capsys, monkeypatch, tmp_path):
-        # a table of m_cert + 2 values longer than verify accepts is refused
-        # before solving, not written and then rejected
-        monkeypatch.setenv("FANOBOUND_MCERT", "600")
-        out_file = tmp_path / "cert.json"
-        code, _, err = run_cli(
-            capsys, "solve", "--k5", "6250", "--k3c2", "2750", "--out", str(out_file)
-        )
-        assert code == 2 and not out_file.exists()
-        assert_mcert_refusal(err, "600")
-
-    def test_mcert_limit_is_the_verifier_table_limit(self, monkeypatch):
-        monkeypatch.setenv("FANOBOUND_MCERT", str(MAX_TABLE - 2))
-        assert _m_cert() == MAX_TABLE - 2
-        monkeypatch.setenv("FANOBOUND_MCERT", str(MAX_TABLE - 1))
-        with pytest.raises(SystemExit) as exc:
-            _m_cert()
-        assert exc.value.code == 2
-
-    def test_mcert_below_the_oracle_model_range_exit_2(self, capsys, monkeypatch, tmp_path):
-        # m_cert = 4 checks the oracle model on five points, which verify
-        # rejects as too few to pin a degree-5 polynomial
-        monkeypatch.setenv("FANOBOUND_MCERT", "4")
-        out_file = tmp_path / "cert.json"
-        code, _, err = run_cli(capsys, "solve", "--bundle", "0,0,0,0,1", "--out", str(out_file))
-        assert code == 2 and not out_file.exists()
-        assert_mcert_refusal(err, "4")
-
-    def test_smallest_mcert_verifies_in_every_mode(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("FANOBOUND_MCERT", str(MIN_M_CERT))
-        assert _m_cert() == MIN_M_CERT
-        modes = [
-            ("--worst-case",),
-            ("--k5", "6250", "--k3c2", "2750"),
-            ("--bundle", "0,0,0,0,1"),
-            ("--bundle", "0,0,0,0,1", "--convention", "paper"),
-        ]
-        for i, flags in enumerate(modes):
-            cert_file = tmp_path / f"cert{i}.json"
-            code, _, _ = run_cli(capsys, "solve", *flags, "--out", str(cert_file))
-            assert code == 0
-            code, out, _ = run_cli(capsys, "verify", str(cert_file))
-            assert code == 0 and out == "valid\n"
-        monkeypatch.setenv("FANOBOUND_MCERT", str(MIN_M_CERT - 1))
-        with pytest.raises(SystemExit) as exc:
-            _m_cert()
-        assert exc.value.code == 2
 
     def test_bundle_solve_and_verify_count_once_each(self, capsys, monkeypatch, tmp_path):
         calls = []
@@ -241,6 +167,25 @@ class TestAudit:
         for e in entries:
             assert set(e) == {"location", "paper_claim", "engine_result", "status"}
             assert e["status"] in ("confirmed", "stronger", "discrepancy")
+
+
+class TestClosedStdout:
+    def test_audit_into_a_closed_pipe(self, tmp_path):
+        # `fanobound audit --out a.json | head -1` with the reader gone
+        # before the first line: exit 1, no traceback, the file complete
+        out_file = tmp_path / "audit.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(fanobound.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fanobound.cli", "audit", "--out", str(out_file)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert err == b""
+        assert len(json.loads(out_file.read_text())) == 21
 
 
 class TestVerify:

@@ -272,7 +272,12 @@ class TestIntegerKernel:
         monkeypatch.setattr(derive, "fm_minimize", compared)
         monkeypatch.setattr(bounds, "fm_minimize", compared)
         assert bounds.solve_worst_case().bound == 16
-        assert len(checked) == 111
+        assert len(checked) == 49
+        # the differences the solve once minimised per multiple, which the
+        # ray tail now covers, still exercise the kernel here
+        geom = geometry_system([merged_p3_fact()])
+        for m in range(3, 65):
+            compared(geom, p_affine(m + 1) - p_affine(m))
 
 
 class TestStrengthenIntegral:
@@ -411,38 +416,43 @@ class TestFactToConstraint:
 
 class TestMonotone:
     def test_worst_case_range_and_tail(self):
+        # the tail from 3 stays below every per-multiple minimum of the
+        # difference over the geometry, and meets it at m = 3
         geom = geometry_system([merged_p3_fact()])
-        report = monotone_from(geom, 3, 32)
-        assert [c.m for c in report.checks] == list(range(3, 33))
-        assert all(c.min_value > 0 for c in report.checks)
+        tail = monotone_from(geom, 3)
+        assert tail.m_start == 3
+        assert (tail.b_constraint, tail.a_constraint) == (geom.constraints[1].cid, "A1")
+        q = tail.q_poly
+        for m in range(3, 33):
+            res = fm_minimize(geom, p_affine(m + 1) - p_affine(m))
+            assert res.status == "minimum" and res.value >= q(m) > 0
         # by hand: min of P(4)-P(3) over {b >= -35a, a >= 1/720} is 4320/720+2
-        assert report.checks[0].min_value == 8
-        assert report.tail.m_start == 33
-        q = report.tail.q_poly
-        for m in range(33, 80):
-            assert q(m) > 0
+        assert q(3) == 8
 
     def test_axioms_only_fails_at_one(self):
         with pytest.raises(MonotoneCertificationError) as exc:
-            monotone_from(axiom_system(), 1, 16)
+            monotone_from(axiom_system(), 1)
         assert "m = 1" in str(exc.value)
 
     def test_concrete_pointwise(self):
-        report = table_monotone(chern_table(ChernData(6250, 2750), 51), 1, 50)
-        assert len(report.checks) == 50
-        assert all(c.min_value > 0 for c in report.checks)
-        assert report.tail.mode == "concrete"
+        # the tail polynomial is the difference of P itself, so it agrees
+        # with the table at every multiple
+        table = chern_table(ChernData(6250, 2750), 51)
+        tail = table_monotone(table, 1)
+        assert tail.mode == "concrete" and tail.m_start == 1
+        for m in range(1, 51):
+            assert tail.q_poly(m) == table.at(m + 1) - table.at(m) > 0
 
     def test_tail_polynomial_bounds_the_difference(self):
         geom = geometry_system([merged_p3_fact()])
-        report = monotone_from(geom, 3, 10)
+        tail = monotone_from(geom, 3)
         rng = random.Random(20240304)
-        q = report.tail.q_poly
+        q = tail.q_poly
         for _ in range(200):
             point = sample_feasible(geom, rng)
             if point is None:
                 continue
-            m = rng.randint(11, 40)
+            m = rng.randint(3, 40)
             diff = (p_affine(m + 1) - p_affine(m)).evaluate(*point)
             assert diff >= q(m) > 0
 

@@ -14,7 +14,6 @@ from fanobound.hilbert import (
     VanishingViolationError,
     bracket_value,
     coefficient_polys,
-    difference_form,
     fit_ab,
     p_affine,
     p_eval,
@@ -79,7 +78,7 @@ class TestPAffine:
     def test_difference_form_shape(self):
         # P(m+1) - P(m) = 30(m+1)^4 a + 6(m+1)^2 b + 2, expanded by hand
         for m in range(0, 10):
-            d = difference_form(m)
+            d = p_affine(m + 1) - p_affine(m)
             assert d.coeff_a == 30 * (m + 1) ** 4
             assert d.coeff_b == 6 * (m + 1) ** 2
             assert d.const == 2
