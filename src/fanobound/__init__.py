@@ -7,7 +7,7 @@ certificate with an independent verifier, and the audit command replays
 the published derivation this engine mechanizes, claim by claim.
 """
 
-from .exact import AffineForm, Poly, Rat, affine_eval, poly_nonneg_on_ray
+from .exact import AffineForm, Poly
 from .hilbert import (
     ChernData,
     HilbertError,
@@ -17,7 +17,6 @@ from .hilbert import (
     fit_ab,
     p_affine,
     p_eval,
-    p_table,
 )
 from .derive import (
     Constraint,
@@ -35,7 +34,6 @@ from .derive import (
 from .bounds import (
     CertificationError,
     DimWitness,
-    OracleSource,
     SearchExhaustedError,
     certify_r0,
     compose_bound,
@@ -49,6 +47,7 @@ from .bounds import (
 )
 from .certs import Certificate, MalformedCertificateError, from_json_bytes, verify
 from .bundle import (
+    OracleSource,
     SplitBundle,
     UnsupportedConventionError,
     anticanonical_data,

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exact import rat_str, to_rat
 from .hilbert import ChernData, LEMMA2_R_CAP, lemma2_slack_form, lemma2_threshold, p_affine
 from . import certs
+from .bundle import OracleSource, SplitBundle, is_nef
 from .derive import (
+    DEFAULT_HORIZON,
     ConstraintSystem,
     Fact,
     InfeasibleSystemError,
@@ -108,17 +110,6 @@ def compose_bound(r0: int, rs: Sequence[int]) -> int:
 # Search sources
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleSource:
-    """An exact h0 oracle: the bundle it came from, the convention, the
-    value function, and the intersection number (-K)^5."""
-
-    bundle: tuple[int, ...]
-    convention: str
-    h0: Callable[[int], int]
-    d5: int
-
-
 def oracle_table(source: OracleSource, m_max: int) -> ValueTable:
     """The oracle's values for m = 1..m_max and the polynomial through its
     first six, checked against every value of the table so that the
@@ -139,6 +130,19 @@ def oracle_table(source: OracleSource, m_max: int) -> ValueTable:
 
 
 Source = Union[ConstraintSystem, ValueTable]
+
+
+def _integral_bound(m: int, res: MinimizeResult) -> tuple[Fact, dict]:
+    """P(m) >= the minimum of res, rounded up by A3, and the record of both
+    bounds that the verifier replays."""
+    fact = strengthen_integral(Fact(m, res.value, res.strict))
+    return fact, {
+        "raw_min": rat_str(res.value),
+        "raw_strict": res.strict,
+        "farkas": certs.ser_farkas(res.farkas),
+        "bound": rat_str(fact.bound),
+        "strengthened": fact.bound != res.value,
+    }
 
 
 @dataclass(frozen=True)
@@ -165,18 +169,14 @@ def _worst_case_attempt(
         raise InfeasibleSystemError("search system is contradictory")
     if res.status == "minimum":
         if r is None:
-            fact = strengthen_integral(Fact(m, res.value, res.strict), cs)
+            fact, record = _integral_bound(m, res)
             witness = nonvanishing_rule(fact)
             if witness is not None:
                 return witness, {
+                    **record,
                     "rule": "nonvanishing",
                     "m": m,
                     "r": None,
-                    "raw_min": rat_str(res.value),
-                    "raw_strict": res.strict,
-                    "farkas": certs.ser_farkas(res.farkas),
-                    "bound": rat_str(fact.bound),
-                    "strengthened": fact.bound != res.value,
                     "margin": rat_str(witness.margin),
                 }
         elif res.value > 0:
@@ -314,22 +314,16 @@ def _ser_system(cs: ConstraintSystem) -> list[dict]:
 
 
 def _fm_bound_step(
-    w: _StepWriter, cs: ConstraintSystem, m: int, fact: Fact, res: MinimizeResult
-) -> int:
-    return w.add(
+    w: _StepWriter, cs: ConstraintSystem, m: int, res: MinimizeResult
+) -> tuple[int, Fact]:
+    fact, record = _integral_bound(m, res)
+    sid = w.add(
         "fm_lower_bound",
         [{"m": m, "system": cs.label, "constraints": _ser_system(cs)}],
         f"P({m}) >= {rat_str(fact.bound)}",
-        {
-            "raw_min": rat_str(res.value),
-            "raw_strict": res.strict,
-            "farkas": certs.ser_farkas(res.farkas),
-            "attained": res.attained,
-            "point": certs.ser_point(res.point),
-            "bound": rat_str(fact.bound),
-            "strengthened": fact.bound != res.value,
-        },
+        {**record, "attained": res.attained, "point": certs.ser_point(res.point)},
     )
+    return sid, fact
 
 
 def _monotone_tail_step(
@@ -403,11 +397,7 @@ CONCRETE_AXIOMS = ["A3", "A4"]
 ORACLE_AXIOMS = ["O1", "O2"]
 
 
-def solve_worst_case(
-    a5: bool = True,
-    lmax: int = DEFAULT_LMAX,
-    m_max: int = DEFAULT_M_MAX,
-) -> certs.Certificate:
+def solve_worst_case() -> certs.Certificate:
     """Derive the bound valid for every 5-fold with -K nef and big.
 
     The chain: case split on P(1), per-branch lower bounds for P(3), merge,
@@ -415,19 +405,18 @@ def solve_worst_case(
     multiples for dimensions 1..3, certify nonemptiness from r0, compose.
     """
     w = _StepWriter()
-    axioms = [a for a in WORST_CASE_AXIOMS if a5 or a != "A5"]
-    base = axiom_system(a5=a5)
+    base = axiom_system()
     w.add(
         "axioms",
-        [{"a5": a5, "horizon": max(c.params[0] for c in base.constraints if c.kind == "vanishing")}],
+        [{"a5": True, "horizon": DEFAULT_HORIZON}],
         "axiom set fixed",
         {"constraints": _ser_system(base)},
     )
-    branches = split_on_p1(base, lmax)
+    branches = split_on_p1(base, DEFAULT_LMAX)
     w.add(
         "split_p1",
-        [{"lmax": lmax}],
-        f"P(1) cases 0..{lmax} and >= {lmax + 1} cover",
+        [{"lmax": DEFAULT_LMAX}],
+        f"P(1) cases 0..{DEFAULT_LMAX} and >= {DEFAULT_LMAX + 1} cover",
         {"labels": [br.label for br in branches], "coverage": branches[0].coverage_note},
     )
     branch_refs = []
@@ -436,8 +425,7 @@ def solve_worst_case(
         res = fm_minimize(br.system, p_affine(3))
         if res.status != "minimum":
             raise CertificationError(f"branch {br.label}: no finite bound for P(3)")
-        fact = strengthen_integral(Fact(3, res.value, res.strict), br.system)
-        sid = _fm_bound_step(w, br.system, 3, fact, res)
+        sid, fact = _fm_bound_step(w, br.system, 3, res)
         branch_refs.append({"label": br.label, "step": sid, "bound": rat_str(fact.bound)})
         branch_facts.append(fact)
     merged = merge_branch_facts(branch_facts)
@@ -458,13 +446,13 @@ def solve_worst_case(
             "scale": rat_str(to_rat(geom_fact.params[2])),
         },
     )
-    rs = _dim_search_steps(w, geom, m_max)
+    rs = _dim_search_steps(w, geom, DEFAULT_M_MAX)
     r0cert = certify_r0(geom, 3)
     _monotone_tail_step(w, r0cert.monotone, cs=geom)
     bound = _compose_step(w, 3, rs)
     return certs.Certificate(
         mode=certs.WORST_CASE,
-        axioms=axioms,
+        axioms=list(WORST_CASE_AXIOMS),
         steps=w.steps,
         r0=3,
         r=rs,
@@ -546,8 +534,11 @@ def solve_oracle(
 
     dim1_start pins where the dimension-1 search begins; the faithful
     replay of the published example starts it at bundle.PAPER_DIM1_START
-    to reproduce the printed multiple selection.
+    to reproduce the printed multiple selection.  A bundle outside the
+    theorem's hypotheses, where -K is not nef, is refused.
     """
+    if not is_nef(SplitBundle(source.bundle)):
+        raise CertificationError(f"-K is not nef on P(E) for the twists {source.bundle}")
     table = oracle_table(source, m_max)
     w = _table_writer()
     values_step = w.add(

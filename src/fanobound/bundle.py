@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
-
-from . import bounds
+from typing import Callable
 
 STANDARD = "standard"
 PAPER = "paper"
@@ -75,6 +73,16 @@ def h0_p1(d: int) -> int:
 def anticanonical_data(b: SplitBundle) -> tuple[int, int]:
     """-K = l_coeff * L + h_coeff * H: always (5, 2 - sum of twists)."""
     return 5, 2 - sum(b.twists)
+
+
+def is_nef(b: SplitBundle) -> bool:
+    """Whether -K = 5L + (2 - sum e)H is nef: 5*min(e) + 2 - sum(e) >= 0.
+
+    -K is then big as well, since (-K)^5 = k5_geometric(b) = 2 * 5^5 for
+    every split bundle.
+    """
+    l_coeff, h_coeff = anticanonical_data(b)
+    return l_coeff * min(b.twists) + h_coeff >= 0
 
 
 def k5_geometric(b: SplitBundle) -> int:
@@ -176,12 +184,18 @@ def paper_closed_form(m: int) -> int:
     return num // 24
 
 
-def standard_total_rank(k: int) -> int:
-    """rank S^k of a rank-5 bundle: C(k+4, 4)."""
-    return comb(k + 4, 4)
+@dataclass(frozen=True)
+class OracleSource:
+    """An exact h0 oracle: the bundle it came from, the convention, the
+    value function, and the intersection number (-K)^5."""
+
+    bundle: tuple[int, ...]
+    convention: str
+    h0: Callable[[int], int]
+    d5: int
 
 
-def oracle_source(b: SplitBundle, conv: str = STANDARD) -> bounds.OracleSource:
+def oracle_source(b: SplitBundle, conv: str = STANDARD) -> OracleSource:
     """Adapt a bundle and convention to the search interface.
 
     Counts are memoized; searches and monotonicity checks revisit the same
@@ -198,7 +212,7 @@ def oracle_source(b: SplitBundle, conv: str = STANDARD) -> bounds.OracleSource:
             cache.update(enumerate(h0_anti(b, m, conv), start=1))
         return cache[m]
 
-    return bounds.OracleSource(
+    return OracleSource(
         bundle=b.twists,
         convention=conv,
         h0=counted,

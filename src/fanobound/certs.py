@@ -24,6 +24,7 @@ integers omit the "/1".
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -38,6 +39,7 @@ from .hilbert import (
     p_affine,
     p_eval,
 )
+from . import bundle
 from .derive import constraint_form
 
 CERT_VERSION = 2
@@ -150,8 +152,6 @@ def from_json_bytes(data: bytes) -> Certificate:
 # ---------------------------------------------------------------------------
 
 def ser_param(p: Any) -> Any:
-    if isinstance(p, bool) or isinstance(p, int):
-        return p
     if isinstance(p, Fraction):
         return rat_str(p)
     return p
@@ -342,14 +342,28 @@ def _check_point(step_id: int, point: Any, table: dict) -> tuple[Fraction, Fract
     return a, b
 
 
-def _strengthen_ok(raw: Fraction, raw_strict: bool, bound: Fraction) -> bool:
-    import math
-
-    if raw_strict:
-        return bound == math.floor(raw) + 1
-    if raw.denominator != 1:
-        return bound == math.ceil(raw)
-    return bound == raw
+def _check_integral_bound(
+    step_id: int, w: dict, table: dict, m: int, axioms: list[str]
+) -> tuple[Fraction, bool, Fraction]:
+    """Replay P(m) >= bound from a recorded minimum: the Farkas combination
+    proves raw_min (strictly if raw_strict says so), and bound is raw_min
+    rounded up by A3 exactly when strengthened says so.  Returns raw_min,
+    whether the combination is strict, and the bound."""
+    raw = to_rat(w["raw_min"])
+    raw_strict = _json_bool(step_id, w.get("raw_strict"), "raw_strict")
+    proved_strict = _check_farkas(step_id, w.get("farkas", []), table, p_affine(m), raw)
+    if raw_strict and not proved_strict:
+        raise _Fail(step_id, "strict bound claimed without a strict combination")
+    bound = to_rat(w["bound"])
+    strengthened = _json_bool(step_id, w.get("strengthened"), "strengthened")
+    if strengthened != (bound != raw):
+        raise _Fail(step_id, "strengthening flag disagrees with the bounds")
+    if strengthened:
+        if "A3" not in axioms:
+            raise _Fail(step_id, "strengthening uses undeclared integrality axiom")
+        if bound != (math.floor(raw) + 1 if raw_strict else math.ceil(raw)):
+            raise _Fail(step_id, "integral strengthening is wrong")
+    return raw, proved_strict, bound
 
 
 def _single_input(step_id: int, step: dict) -> dict:
@@ -479,7 +493,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
     searches: dict[int, dict] = {}  # target_dim -> selected
     monotone_tail_step: Optional[dict] = None
     compose_step: Optional[dict] = None
-    split_lmax: Optional[int] = None
+    split_labels: Optional[list[str]] = None
 
     for step in cert.steps:
         sid = step["id"]
@@ -504,11 +518,9 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             lmax = _json_int(sid, inp.get("lmax"), "lmax")
             if lmax < 0:
                 raise _Fail(sid, "split needs lmax >= 0")
-            labels = w.get("labels")
-            want = [f"P(1)={l}" for l in range(lmax + 1)] + [f"P(1)>={lmax + 1}"]
-            if labels != want:
+            split_labels = [f"P(1)={l}" for l in range(lmax + 1)] + [f"P(1)>={lmax + 1}"]
+            if w.get("labels") != split_labels:
                 raise _Fail(sid, "branch labels do not cover the split")
-            split_lmax = lmax
 
         elif rule == "fm_lower_bound":
             inp = _single_input(sid, step)
@@ -517,11 +529,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             table, conditional = _check_constraints(
                 sid, inp.get("constraints", []), established, cert.axioms, branch_ok=True
             )
-            raw = to_rat(w["raw_min"])
-            raw_strict = _json_bool(sid, w.get("raw_strict"), "raw_strict")
-            proved_strict = _check_farkas(sid, w.get("farkas", []), table, p_affine(m), raw)
-            if raw_strict and not proved_strict:
-                raise _Fail(sid, "strict bound claimed without a strict combination")
+            raw, proved_strict, bound = _check_integral_bound(sid, w, table, m, cert.axioms)
             attained = _json_bool(sid, w.get("attained"), "attained")
             if attained != (w.get("point") is not None):
                 raise _Fail(sid, "attainment flag disagrees with the witness point")
@@ -531,15 +539,6 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                 a, b = _check_point(sid, w.get("point"), table)
                 if p_affine(m).evaluate(a, b) != raw:
                     raise _Fail(sid, "witness point does not attain the minimum")
-            bound = to_rat(w["bound"])
-            strengthened = _json_bool(sid, w.get("strengthened"), "strengthened")
-            if strengthened != (bound != raw):
-                raise _Fail(sid, "strengthening flag disagrees with the bounds")
-            if strengthened:
-                if "A3" not in cert.axioms:
-                    raise _Fail(sid, "strengthening uses undeclared integrality axiom")
-                if not _strengthen_ok(raw, raw_strict, bound):
-                    raise _Fail(sid, "integral strengthening is wrong")
             if step.get("claim") != f"P({m}) >= {rat_str(bound)}":
                 raise _Fail(sid, "claim text does not match the witness")
             if not conditional:
@@ -554,13 +553,9 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             branches = inp.get("branches")
             if not isinstance(branches, list) or not branches:
                 raise _Fail(sid, "merge needs branch references")
-            if split_lmax is None:
+            if split_labels is None:
                 raise _Fail(sid, "merge without a prior split")
-            want_labels = [f"P(1)={l}" for l in range(split_lmax + 1)] + [
-                f"P(1)>={split_lmax + 1}"
-            ]
-            got_labels = [br.get("label") for br in branches]
-            if got_labels != want_labels:
+            if [br.get("label") for br in branches] != split_labels:
                 raise _Fail(sid, "merged branches do not cover the split")
             bounds = []
             for l, br in enumerate(branches):
@@ -573,7 +568,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                 ref_inp = _single_input(sid, ref)
                 cids = {c.get("cid") for c in ref_inp.get("constraints", [])}
                 # labels follow the split, so branch l is P(1) = l or the tail
-                if l > split_lmax:
+                if l == len(split_labels) - 1:
                     hypotheses = {f"H.P1>={l}"}
                 else:
                     hypotheses = {f"H.P1={l}.lo", f"H.P1={l}.hi"}
@@ -624,26 +619,28 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
         elif rule == "oracle_values":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            from . import bundle as bundle_mod
-
             twists = inp.get("bundle")
             conv = inp.get("convention")
             m_max = _json_int(sid, inp.get("m_max"), "m_max")
             if not 1 <= m_max <= MAX_TABLE:
                 raise _Fail(sid, "value table exceeds verifier limits")
             try:
-                sb = bundle_mod.SplitBundle(tuple(_json_int(sid, e, "twist") for e in twists))
+                sb = bundle.SplitBundle(tuple(_json_int(sid, e, "twist") for e in twists))
             except (TypeError, ValueError) as exc:
                 raise _Fail(sid, f"bad bundle: {exc}")
+            # before any section count: the nef test also bounds the spread
+            # of the twists, and with it the symmetric-power pass
+            if not bundle.is_nef(sb):
+                raise _Fail(sid, "-K is not nef on the bundle, outside the hypotheses")
             values = w.get("values")
             if not isinstance(values, list) or len(values) != m_max:
                 raise _Fail(sid, "value table has the wrong length")
             # the verifier's own single pass; it never sees the prover's cache
-            recount = bundle_mod.h0_anti(sb, m_max, conv)
+            recount = bundle.h0_anti(sb, m_max, conv)
             for m, (v, want) in enumerate(zip(values, recount), start=1):
                 if _json_int(sid, v, f"h0 at m={m}") != want:
                     raise _Fail(sid, f"recorded h0 at m={m} differs from recomputation")
-            if bundle_mod.k5_geometric(sb) != _json_int(sid, inp.get("d5"), "d5"):
+            if bundle.k5_geometric(sb) != _json_int(sid, inp.get("d5"), "d5"):
                 raise _Fail(sid, "recorded (-K)^5 differs from intersection theory")
 
         elif rule == "oracle_model":
@@ -786,29 +783,16 @@ def _verify_dim_search(
                 form = lemma2_slack_form(m, r)
                 if form.evaluate(*point) != value or value > 0:
                     raise _Fail(sid, f"attempt at m={m}, r={r} does not fail the test")
-        raw = to_rat(sel["raw_min"])
         if sel.get("rule") == "nonvanishing":
             if target != 1:
                 raise _Fail(sid, "nonvanishing only witnesses dimension 1")
-            proved_strict = _check_farkas(
-                sid, sel.get("farkas", []), table, p_affine(sel_m), raw
-            )
-            raw_strict = _json_bool(sid, sel.get("raw_strict"), "raw_strict")
-            if raw_strict and not proved_strict:
-                raise _Fail(sid, "strict bound claimed without a strict combination")
-            bound = to_rat(sel["bound"])
-            if _json_bool(sid, sel.get("strengthened"), "strengthened"):
-                if "A3" not in cert.axioms:
-                    raise _Fail(sid, "strengthening uses undeclared integrality axiom")
-                if not _strengthen_ok(raw, raw_strict, bound):
-                    raise _Fail(sid, "integral strengthening is wrong")
-            elif bound != raw:
-                raise _Fail(sid, "selection bound differs from the minimum")
+            _, _, bound = _check_integral_bound(sid, sel, table, sel_m, cert.axioms)
             if bound < 2:
                 raise _Fail(sid, "a pencil needs P(m) >= 2")
             if to_rat(sel["margin"]) != bound - 1:
                 raise _Fail(sid, "nonvanishing margin must be bound - 1")
         else:
+            raw = to_rat(sel["raw_min"])
             form = lemma2_slack_form(sel_m, sel_r)
             _check_farkas(sid, sel.get("farkas", []), table, form, raw)
             if raw <= 0:

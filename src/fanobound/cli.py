@@ -34,11 +34,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--out", type=str, help="write the certificate JSON here")
 
-    p_table = sub.add_parser("table", help="print the exact values P(0..max-m)")
-    p_table.add_argument("--k5", type=int, required=True)
-    p_table.add_argument("--k3c2", type=int, required=True)
-    p_table.add_argument("--max-m", type=int, required=True)
-    p_table.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_tab = sub.add_parser("table", help="print the exact values P(0..max-m)")
+    p_tab.add_argument("--k5", type=int, required=True)
+    p_tab.add_argument("--k3c2", type=int, required=True)
+    p_tab.add_argument("--max-m", type=int, required=True)
+    p_tab.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_oracle = sub.add_parser("oracle", help="query the split-bundle section count")
     p_oracle.add_argument("--bundle", type=str, required=True)

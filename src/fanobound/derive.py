@@ -16,17 +16,17 @@ are decided on the rational rows the integers stand for, so every result
 is identical to elimination over fractions; fractions appear only in the
 returned value, multipliers and point.
 
-Axioms (the default set):
+Axioms:
 
     A1   720 a is an integer >= 1           (a >= 1/720 as an inequality)
-    A2   144 b is an integer                (integrality fact only)
-    A3   P(m) is an integer for every m     (integrality fact only)
+    A2   144 b is an integer                (cited; no step uses it)
+    A3   P(m) is an integer for every m     (every lower bound is rounded up)
     A4   P(m) >= 0 for 0 <= m <= horizon    (vanishing)
-    A5   P(2) >= P(1)                       (hypothesis toggle, on by default)
+    A5   P(2) >= P(1)                       (hypothesis)
 
-A5 is the per-case hypothesis the source derivation assumes; it is kept as
-an explicit, named constraint so certificates stay honest about what is
-assumed versus proved.
+A5 is the per-case hypothesis the source derivation assumes.  It is always
+part of the axiom system, as an explicit, named constraint, so
+certificates stay honest about what is assumed versus proved.
 """
 
 from __future__ import annotations
@@ -94,16 +94,6 @@ def constraint_form(kind: str, params: Sequence) -> tuple[AffineForm, bool]:
             Fraction(1, 1) / to_rat(scale)
         )
         return form, bool(strict)
-    if kind == "hyp":
-        m, bound, sense = params
-        base = p_affine(int(m)) - AffineForm.constant(to_rat(bound))
-        if sense == ">=":
-            return base, False
-        if sense == ">":
-            return base, True
-        if sense == "<=":
-            return -base, False
-        raise ValueError(f"unknown hypothesis sense {sense!r}")
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
@@ -134,16 +124,9 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """An immutable set of constraints plus the integrality facts.
-
-    p_integral records A3 (P(m) in Z for all m); a_integral and b_integral
-    record the integrality halves of A1 and A2.
-    """
+    """An immutable, labelled set of constraints."""
 
     constraints: tuple[Constraint, ...]
-    p_integral: bool = True
-    a_integral: bool = True
-    b_integral: bool = True
     label: str = ""
 
     def with_constraints(self, extra: Sequence[Constraint], label: str = "") -> "ConstraintSystem":
@@ -153,25 +136,18 @@ class ConstraintSystem:
             label=label or self.label,
         )
 
-    def get(self, cid: str) -> Constraint:
-        for c in self.constraints:
-            if c.cid == cid:
-                return c
-        raise KeyError(cid)
 
-
-def axiom_system(a5: bool = True, horizon: int = DEFAULT_HORIZON) -> ConstraintSystem:
-    """The default axiom system A1..A5 with vanishing up to ``horizon``.
+def axiom_system() -> ConstraintSystem:
+    """The axiom system A1..A5 with vanishing up to DEFAULT_HORIZON.
 
     The vanishing family is an infinite axiom schema; only finitely many
     instances can enter the eliminator.  Dropping instances only weakens
     derived lower bounds, never forges them.
     """
     cons = [Constraint.make("A1", "k5_floor")]
-    for m in range(horizon + 1):
+    for m in range(DEFAULT_HORIZON + 1):
         cons.append(Constraint.make(f"A4.{m}", "vanishing", (m,)))
-    if a5:
-        cons.append(Constraint.make("A5", "mono12"))
+    cons.append(Constraint.make("A5", "mono12"))
     return ConstraintSystem(tuple(cons), label="axioms")
 
 
@@ -457,12 +433,11 @@ def point_with_value_below(
 
 @dataclass(frozen=True)
 class Fact:
-    """A derived claim P(m) >= bound (or > bound) with its derivation trail."""
+    """A derived claim P(m) >= bound (or > bound)."""
 
     m: int
     bound: Fraction
     strict: bool = False
-    derivation: tuple[str, ...] = ()
 
     def describe(self) -> str:
         op = ">" if self.strict else ">="
@@ -476,14 +451,13 @@ class Branch:
     coverage_note: str
 
 
-def strengthen_integral(fact: Fact, cs: ConstraintSystem) -> Fact:
-    """Round a rational bound on the integer P(m) up to the next integer.
+def strengthen_integral(fact: Fact) -> Fact:
+    """Round a rational bound on the integer P(m) (axiom A3) up to the next
+    integer.
 
     P(m) > q becomes P(m) >= floor(q)+1; P(m) >= q with q not an integer
     becomes P(m) >= ceil(q); integral non-strict bounds are unchanged.
     """
-    if not cs.p_integral:
-        raise ValueError("system does not record P(m) in Z")
     q = fact.bound
     if fact.strict:
         new = Fraction(math.floor(q) + 1)
@@ -491,7 +465,7 @@ def strengthen_integral(fact: Fact, cs: ConstraintSystem) -> Fact:
         new = Fraction(math.ceil(q))
     else:
         return fact
-    return Fact(fact.m, new, False, fact.derivation + ("int-strengthen",))
+    return Fact(fact.m, new, False)
 
 
 def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
@@ -504,10 +478,7 @@ def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
         raise InfeasibleSystemError(f"hypotheses of {cs.label or 'system'} are contradictory")
     if res.status == "unbounded":
         raise UnboundedObjectiveError(f"P({m}) is unbounded below over {cs.label or 'system'}")
-    fact = Fact(m, res.value, res.strict, (f"fm_minimize[{cs.label}]",))
-    if cs.p_integral:
-        fact = strengthen_integral(fact, cs)
-    return fact
+    return strengthen_integral(Fact(m, res.value, res.strict))
 
 
 def split_on_p1(cs: ConstraintSystem, lmax: int) -> list[Branch]:
@@ -553,8 +524,7 @@ def merge_branch_facts(facts: Sequence[Fact]) -> Fact:
         raise ValueError("facts speak about different multiples")
     q = min(f.bound for f in facts)
     strict = all(f.strict for f in facts if f.bound == q)
-    trail = tuple(x for f in facts for x in f.derivation) + ("merge-min",)
-    return Fact(m, q, strict, trail)
+    return Fact(m, q, strict)
 
 
 def fact_to_constraint(fact: Fact) -> Constraint:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rat = Fraction
-
 RatLike = Union[int, str, Fraction]
-
-CERTIFIED_NONNEG = "certified_nonneg"
-UNKNOWN = "unknown"
 
 # the strings rat_str writes; Fraction alone would also take decimals and
 # exponents such as "1e30000000", whose integer takes minutes to build
@@ -169,35 +164,12 @@ class AffineForm:
     def __sub__(self, other: "AffineForm") -> "AffineForm":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "AffineForm":
-        return self.scale(-1)
-
     def scale(self, c: RatLike) -> "AffineForm":
         c = to_rat(c)
         return AffineForm(c * self.coeff_a, c * self.coeff_b, c * self.const)
 
-    def is_zero(self) -> bool:
-        return self.coeff_a == 0 and self.coeff_b == 0 and self.const == 0
-
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.coeff_a, self.coeff_b, self.const)
-
-
-def affine_eval(f: AffineForm, a: RatLike, b: RatLike) -> Fraction:
-    return f.evaluate(a, b)
-
-
-def poly_nonneg_on_ray(p: Poly, m0: RatLike) -> str:
-    """Sufficient test for p >= 0 on [m0, oo).
-
-    Shifts the polynomial to p(m0 + t) and certifies nonnegativity when all
-    shifted coefficients are >= 0.  Returns ``certified_nonneg`` only in that
-    case, otherwise ``unknown``; never a false certificate.
-    """
-    shifted = p.shift(m0)
-    if all(c >= 0 for c in shifted.coeffs):
-        return CERTIFIED_NONNEG
-    return UNKNOWN
 
 
 def poly_positive_on_ray(p: Poly, m0: RatLike) -> bool:

@@ -120,13 +120,6 @@ def p_eval(c: ChernData, m: int) -> int:
     return n
 
 
-def p_table(c: ChernData, m_max: int) -> list[PValue]:
-    """Values P(0..m_max), each passing p_eval's checks."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    return [PValue(m, p_eval(c, m)) for m in range(m_max + 1)]
-
-
 def fit_ab(v1: PValue, v2: PValue) -> tuple[Fraction, Fraction]:
     """Invert the formula: the unique (a, b) with P(v1.m) = v1.value and
     P(v2.m) = v2.value.

@@ -150,11 +150,10 @@ def test_criterion_6_formula_and_engine_invariants():
             count += 1
             assert p_affine(3).evaluate(*point) >= res.value
 
-    cs = axiom_system()
     for _ in range(200):
         q = Fraction(rng.randint(-300, 300), rng.randint(1, 48))
         strict = rng.random() < 0.5
-        assert strengthen_integral(Fact(2, q, strict), cs).bound >= q
+        assert strengthen_integral(Fact(2, q, strict)).bound >= q
 
     branches = split_on_p1(axiom_system(), 3)
     checked = 0

@@ -1,5 +1,6 @@
 """Dimension rules, searches, certification, and certificate verification."""
 
+import dataclasses
 import json
 import sys
 import time
@@ -304,6 +305,12 @@ class TestSolveOracle:
         with pytest.raises(CertificationError, match="needs 6 values"):
             solve_oracle(dummy_oracle(values), m_max=5)
 
+    def test_non_nef_bundle_refused(self):
+        values = {m: m**5 for m in range(1, 70)}
+        source = dataclasses.replace(dummy_oracle(values), bundle=(-1, 0, 0, 0, 0))
+        with pytest.raises(CertificationError, match="not nef"):
+            solve_oracle(source)
+
 
 class TestVerifierRejectsTampering:
     def setup_method(self):
@@ -493,6 +500,31 @@ class TestVerifierRejectsTampering:
                 break
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and "recomputation" in res.reason
+
+    def test_strengthening_flag_on_an_integral_selection_rejected(self):
+        def flag(doc):
+            step = next(s for s in doc["steps"] if s["rule"] == "dim_search")
+            sel = step["witness"]["selected"]
+            assert (sel["raw_min"], sel["bound"], sel["strengthened"]) == ("7", "7", False)
+            sel["strengthened"] = True
+
+        res = verify(self._mutate(flag))
+        assert not res.ok and "strengthening flag" in res.reason
+
+    @pytest.mark.parametrize("twists", [[-1, 0, 0, 0, 0], [0, 1, 10, 100, 3000]])
+    def test_non_nef_bundle_rejected_before_counting(self, twists):
+        # counting sections for the second bundle would take minutes and
+        # gigabytes; the nef test refuses it first
+        import fanobound.bundle as bundle
+
+        src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
+        doc = json.loads(solve_oracle(src).to_json_bytes())
+        (values,) = [s for s in doc["steps"] if s["rule"] == "oracle_values"]
+        values["inputs"][0]["bundle"] = twists
+        start = time.perf_counter()
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert time.perf_counter() - start < 2
+        assert not res.ok and "not nef" in res.reason
 
     def test_non_object_branch_rejected_without_raising(self):
         def scramble(doc):

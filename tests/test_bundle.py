@@ -19,11 +19,11 @@ from fanobound.bundle import (
     anticanonical_data,
     h0_anti,
     h0_p1,
+    is_nef,
     k5_geometric,
     oracle_source,
     paper_closed_form,
     rank_printed,
-    standard_total_rank,
     sym_power_twists,
 )
 from fanobound.bounds import solve_oracle
@@ -71,6 +71,13 @@ class TestBasics:
     def test_parse(self):
         assert SplitBundle.parse("0,0,0,0,1").twists == (0, 0, 0, 0, 1)
 
+    def test_is_nef(self):
+        for offset in NEF_OFFSETS:
+            for shift in (-3, 0, 7):
+                assert is_nef(SplitBundle(tuple(d + shift for d in offset)))
+        for twists in ((-1, 0, 0, 0, 0), (0, 0, 0, 0, 3), (0, 0, 0, 1, 2), (0, 1, 10, 100, 3000)):
+            assert not is_nef(SplitBundle(twists))
+
 
 class TestSymPowerTwists:
     def test_example_standard_multiplicities(self):
@@ -103,7 +110,7 @@ class TestSymPowerTwists:
             twists = tuple(rng.randint(-2, 3) for _ in range(5))
             k = rng.randint(0, 10)
             mults = sym_power_twists(SplitBundle(twists), k)[k]
-            assert sum(mults.values()) == standard_total_rank(k) == comb(k + 4, 4)
+            assert sum(mults.values()) == comb(k + 4, 4)
 
     def test_printed_convention_needs_special_shape(self):
         with pytest.raises(UnsupportedConventionError):
@@ -160,7 +167,7 @@ NEF_OFFSETS = [d for d in product(range(3), repeat=5) if sum(d) <= 2]
 )
 def test_nef_table_equals_brute_force_and_p(offset, shift, m_max):
     twists = tuple(d + shift for d in offset)
-    assert 5 * min(twists) + 2 - sum(twists) >= 0
+    assert is_nef(SplitBundle(twists))
     values = h0_anti(SplitBundle(twists), m_max)
     assert len(values) == m_max
     for m in range(1, min(m_max, 2) + 1):

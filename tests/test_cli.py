@@ -60,6 +60,13 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--k5", "6251", "--k3c2", "2750")
         assert code == 1 and "certification failed" in err
 
+    def test_non_nef_bundle_exits_1(self, capsys, tmp_path):
+        # -K = 5L + 3H, and 5*min(e) + 2 - sum(e) = -2 < 0
+        out_file = tmp_path / "cert.json"
+        code, out, err = run_cli(capsys, "solve", "--bundle=-1,0,0,0,0", "--out", str(out_file))
+        assert code == 1 and out == "" and "not nef" in err
+        assert not out_file.exists()
+
     def test_bundle_solve_and_verify_count_once_each(self, capsys, monkeypatch, tmp_path):
         calls = []
         real = bundle.h0_anti

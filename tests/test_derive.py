@@ -36,6 +36,15 @@ from fm_reference import fm_minimize_reference
 from test_hilbert import sample_chern
 
 
+def hyp(cid, m, bound, sense):
+    """An ad-hoc case hypothesis P(m) >= bound, P(m) > bound or
+    P(m) <= bound (sense ">=", ">" or "<=")."""
+    form = p_affine(m) - AffineForm.constant(bound)
+    if sense == "<=":
+        form = form.scale(-1)
+    return Constraint(cid, "hyp", (m, bound, sense), form, sense == ">")
+
+
 def branch_system(l):
     return split_on_p1(axiom_system(), 3)[l].system
 
@@ -111,26 +120,28 @@ class TestFmMinimize:
     def test_infeasible_with_farkas(self):
         cs = axiom_system().with_constraints(
             [
-                Constraint.make("H.lo", "hyp", (1, 2, ">=")),
-                Constraint.make("H.hi", "hyp", (1, 1, "<=")),
+                hyp("H.lo", 1, 2, ">="),
+                hyp("H.hi", 1, 1, "<="),
             ]
         )
         res = fm_minimize(cs, p_affine(3))
         assert res.status == "infeasible"
         # the refuting combination must sum to a negative constant
+        forms = {c.cid: c.form for c in cs.constraints}
         acc = AffineForm.of(0, 0, 0)
         for cid, mult in res.farkas:
             assert mult >= 0
-            acc = acc + cs.get(cid).form.scale(mult)
+            acc = acc + forms[cid].scale(mult)
         assert acc.coeff_a == acc.coeff_b == 0 and acc.const < 0
 
     def test_farkas_combination_replays_exactly(self):
         cs = branch_system(0)
         res = fm_minimize(cs, p_affine(3))
+        forms = {c.cid: c.form for c in cs.constraints}
         acc = AffineForm.of(0, 0, 0)
         for cid, mult in res.farkas:
             assert mult >= 0
-            acc = acc + cs.get(cid).form.scale(mult)
+            acc = acc + forms[cid].scale(mult)
         assert acc == p_affine(3) - AffineForm.of(0, 0, res.value)
 
     def test_soundness_on_random_feasible_points(self):
@@ -158,7 +169,7 @@ class TestFmMinimize:
     def test_strict_constraints_give_strict_bounds(self):
         cs = ConstraintSystem(
             (
-                Constraint.make("S", "hyp", (1, 0, ">")),  # P(1) > 0
+                hyp("S", 1, 0, ">"),  # P(1) > 0
                 Constraint.make("A1", "k5_floor"),
             )
         )
@@ -169,8 +180,8 @@ class TestFmMinimize:
     def test_mixed_strictness_at_the_infimum_is_not_attained(self):
         cs = ConstraintSystem(
             (
-                Constraint.make("NS", "hyp", (1, 0, ">=")),
-                Constraint.make("ST", "hyp", (1, 0, ">")),
+                hyp("NS", 1, 0, ">="),
+                hyp("ST", 1, 0, ">"),
             )
         )
         res = fm_minimize(cs, p_affine(1))
@@ -282,26 +293,22 @@ class TestIntegerKernel:
 
 class TestStrengthenIntegral:
     def test_strict_bound_rounds_to_next_integer(self):
-        cs = axiom_system()
-        fact = strengthen_integral(Fact(2, Fraction(5), strict=True), cs)
+        fact = strengthen_integral(Fact(2, Fraction(5), strict=True))
         assert fact.bound == 6 and not fact.strict
 
     def test_integral_bound_unchanged(self):
-        cs = axiom_system()
         fact = Fact(3, Fraction(7))
-        assert strengthen_integral(fact, cs) == fact
+        assert strengthen_integral(fact) == fact
 
     def test_fractional_bound_ceils(self):
-        cs = axiom_system()
-        assert strengthen_integral(Fact(3, Fraction(13, 2)), cs).bound == 7
+        assert strengthen_integral(Fact(3, Fraction(13, 2))).bound == 7
 
     def test_never_weakens(self):
-        cs = axiom_system()
         rng = random.Random(20240302)
         for _ in range(300):
             q = Fraction(rng.randint(-500, 500), rng.randint(1, 60))
             strict = rng.random() < 0.5
-            out = strengthen_integral(Fact(1, q, strict), cs)
+            out = strengthen_integral(Fact(1, q, strict))
             assert out.bound >= q
             assert out.bound.denominator == 1
 
@@ -366,10 +373,10 @@ class TestDeriveLowerBound:
     def test_pinned_system_case_v(self):
         cs = axiom_system().with_constraints(
             [
-                Constraint.make("H.P2=6.lo", "hyp", (2, 6, ">=")),
-                Constraint.make("H.P2=6.hi", "hyp", (2, 6, "<=")),
-                Constraint.make("H.P1=3.lo", "hyp", (1, 3, ">=")),
-                Constraint.make("H.P1=3.hi", "hyp", (1, 3, "<=")),
+                hyp("H.P2=6.lo", 2, 6, ">="),
+                hyp("H.P2=6.hi", 2, 6, "<="),
+                hyp("H.P1=3.lo", 1, 3, ">="),
+                hyp("H.P1=3.hi", 1, 3, "<="),
             ]
         )
         low = derive_lower_bound(cs, 3)
@@ -384,8 +391,8 @@ class TestDeriveLowerBound:
     def test_infeasible_raises(self):
         cs = axiom_system().with_constraints(
             [
-                Constraint.make("H1", "hyp", (1, 5, ">=")),
-                Constraint.make("H2", "hyp", (1, 4, "<=")),
+                hyp("H1", 1, 5, ">="),
+                hyp("H2", 1, 4, "<="),
             ]
         )
         with pytest.raises(InfeasibleSystemError):

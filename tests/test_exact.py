@@ -1,5 +1,5 @@
 """Exact arithmetic layer: canonical form, field axioms, affine forms,
-ray nonnegativity."""
+ray positivity."""
 
 import random
 from fractions import Fraction
@@ -7,18 +7,7 @@ from math import gcd
 
 import pytest
 
-from fanobound.exact import (
-    AffineForm,
-    CERTIFIED_NONNEG,
-    Poly,
-    Rat,
-    UNKNOWN,
-    affine_eval,
-    poly_nonneg_on_ray,
-    poly_positive_on_ray,
-    rat_str,
-    to_rat,
-)
+from fanobound.exact import AffineForm, Poly, poly_positive_on_ray, rat_str, to_rat
 
 
 def rand_rat(rng, span=1000):
@@ -28,19 +17,19 @@ def rand_rat(rng, span=1000):
 class TestRat:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            Rat(1, 0)
+            Fraction(1, 0)
 
     def test_scaling_a_reciprocal(self):
         # -5 * (1/60) = -1/12, the slope that appears in the published case (v)
-        assert Rat(-5) * Rat(1, 60) == Rat(-1, 12)
+        assert Fraction(-5) * Fraction(1, 60) == Fraction(-1, 12)
 
     def test_additive_identity(self):
-        x = Rat(7, 3)
-        assert Rat(0) + x == x
+        x = Fraction(7, 3)
+        assert Fraction(0) + x == x
 
     def test_longhand_fraction_arithmetic(self):
         # by hand: 125/2 = 4500/72, so the difference is 1375/72
-        assert Rat(125, 2) - Rat(3125, 72) == Rat(1375, 72)
+        assert Fraction(125, 2) - Fraction(3125, 72) == Fraction(1375, 72)
 
     def test_canonical_form_after_operation_chains(self):
         rng = random.Random(20240201)
@@ -59,13 +48,13 @@ class TestRat:
             assert (x * y) * z == x * (y * z)
 
     def test_total_order(self):
-        vals = [Rat(1, 3), Rat(-2), Rat(0), Rat(5, 7), Rat(1, 3)]
-        assert sorted(vals) == [Rat(-2), Rat(0), Rat(1, 3), Rat(1, 3), Rat(5, 7)]
+        vals = [Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 7), Fraction(1, 3)]
+        assert sorted(vals) == [Fraction(-2), Fraction(0), Fraction(1, 3), Fraction(1, 3), Fraction(5, 7)]
 
     def test_rat_str_roundtrip(self):
-        for v in (Rat(-7, 3), Rat(4), Rat(0), Rat(35, 1)):
+        for v in (Fraction(-7, 3), Fraction(4), Fraction(0), Fraction(35, 1)):
             assert to_rat(rat_str(v)) == v
-        assert rat_str(Rat(8, 2)) == "4"
+        assert rat_str(Fraction(8, 2)) == "4"
 
     def test_to_rat_refuses_bools(self):
         assert to_rat(1) == 1
@@ -78,15 +67,15 @@ class TestAffineForm:
     def test_eval_matches_substitution_by_hand(self):
         # 2940/360 - 84/72 + 7 = 49/6 - 7/6 + 7 = 14
         f = AffineForm.of(84 * 35, 84, 7)
-        assert affine_eval(f, Fraction(1, 360), Fraction(-1, 72)) == 14
+        assert f.evaluate(Fraction(1, 360), Fraction(-1, 72)) == 14
 
     def test_eval_at_origin_is_constant(self):
         f = AffineForm.of(123, -456, Fraction(7, 9))
-        assert affine_eval(f, 0, 0) == Fraction(7, 9)
+        assert f.evaluate(0, 0) == Fraction(7, 9)
 
     def test_published_value_p3_equals_49(self):
         f = AffineForm.of(2940, 84, 7)
-        assert affine_eval(f, Fraction(1, 60), Fraction(-1, 12)) == 49
+        assert f.evaluate(Fraction(1, 60), Fraction(-1, 12)) == 49
 
     def test_linearity(self):
         rng = random.Random(3)
@@ -114,38 +103,19 @@ class TestPoly:
 
 
 class TestPolyNonnegOnRay:
-    def test_perfect_square_at_its_root(self):
-        assert poly_nonneg_on_ray(Poly([9, -6, 1]), 3) == CERTIFIED_NONNEG
-
-    def test_negative_constant_unknown(self):
-        assert poly_nonneg_on_ray(Poly([-1]), 0) == UNKNOWN
-
-    def test_difference_a_coefficient_from_three(self):
-        # a-coefficient of P(m+1) - P(m) is 30(m+1)^4, expanded by hand
-        p = Poly([30, 120, 180, 120, 30])
-        assert poly_nonneg_on_ray(p, 3) == CERTIFIED_NONNEG
-
     def test_never_a_false_certificate(self):
         rng = random.Random(20240203)
         certified = 0
         for _ in range(200):
             p = Poly([rand_rat(rng, 20) for _ in range(rng.randint(1, 6))])
             m0 = rand_rat(rng, 10)
-            if poly_nonneg_on_ray(p, m0) != CERTIFIED_NONNEG:
+            if not poly_positive_on_ray(p, m0):
                 continue
             certified += 1
             for _ in range(20):
                 x = m0 + abs(rand_rat(rng, 50))
-                assert p(x) >= 0
+                assert p(x) > 0
         assert certified > 0
-
-    def test_soundness_on_thousand_points(self):
-        p = Poly([30, 120, 180, 120, 30])
-        assert poly_nonneg_on_ray(p, 3) == CERTIFIED_NONNEG
-        rng = random.Random(20240204)
-        for _ in range(1000):
-            x = 3 + abs(rand_rat(rng, 200))
-            assert p(x) >= 0
 
     def test_strict_variant(self):
         assert poly_positive_on_ray(Poly([2, 0, 1]), 0)

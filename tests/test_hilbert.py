@@ -18,7 +18,6 @@ from fanobound.hilbert import (
     p_affine,
     p_eval,
     p_poly,
-    p_table,
 )
 
 
@@ -127,20 +126,6 @@ class TestPEval:
         poly = p_poly(c)
         for m in range(0, 12):
             assert poly(m) == p_eval(c, m)
-
-
-class TestPTable:
-    def test_example_table(self):
-        values = [pv.value for pv in p_table(ChernData(6250, 2750), 2)]
-        assert values == [1, 378, 5005]
-
-    def test_m_max_zero(self):
-        assert [pv.value for pv in p_table(ChernData(6250, 2750), 0)] == [1]
-
-    def test_propagates_errors_with_offending_m(self):
-        with pytest.raises(VanishingViolationError) as exc:
-            p_table(ChernData(24, -240), 3)
-        assert exc.value.m == 1
 
 
 class TestFitAB:
