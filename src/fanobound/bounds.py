@@ -512,17 +512,17 @@ def _solve_table(
     )
 
 
-def solve_concrete(chern: ChernData, m_max: int = DEFAULT_M_MAX) -> certs.Certificate:
+def solve_concrete(chern: ChernData) -> certs.Certificate:
     """Bound for one concrete 5-fold given its Chern intersection numbers."""
-    table = chern_table(chern, m_max)
+    table = chern_table(chern, DEFAULT_M_MAX)
     w = _table_writer()
     values_step = w.add(
         "eval_p",
-        [{"m_max": m_max}],
-        f"P(0..{m_max}) evaluated exactly",
+        [{"m_max": DEFAULT_M_MAX}],
+        f"P(0..{DEFAULT_M_MAX}) evaluated exactly",
         {"values": list(table.values)},
     )
-    return _solve_table(w, table, values_step, CONCRETE_AXIOMS, m_max, chern=chern)
+    return _solve_table(w, table, values_step, CONCRETE_AXIOMS, DEFAULT_M_MAX, chern=chern)
 
 
 def solve_oracle(

@@ -11,8 +11,13 @@ down to the line:
 
 and the symmetric power splits into line bundles, one per multi-index
 alpha with |alpha| = 5m, of degree sum(alpha_j e_j).  Counting those
-degrees with multiplicity is a lattice-point problem solved here by
-dynamic programming.
+degrees with multiplicity is a lattice-point problem.  It is solved here
+on packed integers: each S^j(E) is one Python integer with a 64-bit slot
+per degree, lowest degree first, and adding a summand of twist e adds
+row j - 1, shifted by e - min(e) slots, to row j.  No multiplicity
+exceeds the rank C(j+4, 4) of S^j(E), so no slot carries while that rank
+stays below 2**64, which holds for j up to 145,052; larger powers are
+refused before anything is allocated.
 
 Two rank conventions are supported for the inner symmetric powers of the
 four untwisted summands.  The standard one is rank S^k(O^4) = C(k+3, 3).
@@ -24,8 +29,12 @@ final bound 15 are internally consistent with it and only with it.
 
 from __future__ import annotations
 
+import sys
 import warnings
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from math import comb
+from operator import mul
 from typing import Callable
 
 STANDARD = "standard"
@@ -98,28 +107,76 @@ def rank_printed(k: int) -> int:
     return max(0, (k - 1) * k * (k + 1) // 6)
 
 
-def _standard_powers(twists: tuple[int, ...], k: int) -> list[dict[int, int]]:
+SLOT_BITS = 64
+
+# int.to_bytes in the native order puts the lowest slot first only on a
+# little-endian host; elsewhere the cast view is read backwards.
+_SLOT_STEP = 1 if sys.byteorder == "little" else -1
+
+
+class PowerRow(Mapping[int, int]):
+    """The twist multiset of one S^j(E), read-only: counts[i] is the
+    multiplicity of degree low + i.  As a mapping it holds only the
+    degrees of positive multiplicity."""
+
+    __slots__ = ("low", "counts")
+
+    def __init__(self, low: int, counts: memoryview) -> None:
+        self.low = low
+        self.counts = counts
+
+    def __getitem__(self, d: int) -> int:
+        i = d - self.low
+        if 0 <= i < len(self.counts) and self.counts[i]:
+            return self.counts[i]
+        raise KeyError(d)
+
+    def __iter__(self) -> Iterator[int]:
+        return (self.low + i for i, c in enumerate(self.counts) if c)
+
+    def __len__(self) -> int:
+        return sum(1 for c in self.counts if c)
+
+    def __repr__(self) -> str:
+        return f"PowerRow({dict(self)!r})"
+
+
+_EMPTY_ROW = PowerRow(0, memoryview(b"").cast("Q"))
+
+
+def _standard_powers(twists: tuple[int, ...], k: int) -> list[PowerRow]:
     """Twist multisets of S^j(E) for j = 0..k (empty for k < 0).
 
-    One dynamic-programming pass per summand: after the summands seen so
-    far, rows[j] counts the multi-indices of total j by degree.  Adding a
-    summand of twist e turns row j into row j plus row j - 1 (already
-    updated) moved up by e.
+    One pass per summand over packed rows: after the summands seen so
+    far, rows[j] holds the multi-indices of total j counted by degree, one
+    SLOT_BITS slot per degree from j * min(twists) up.  Adding a summand
+    of twist e adds row j - 1 (already updated), moved up by e - min(e)
+    slots, to row j.
     """
     if k < 0:
         return []
-    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
+    if comb(k + 4, 4) >= 2**SLOT_BITS:
+        raise ValueError(
+            f"S^{k}(E) has rank C({k}+4, 4) >= 2**{SLOT_BITS}: "
+            f"its multiplicities do not fit {SLOT_BITS}-bit slots"
+        )
+    low = min(twists)
+    rows = [1] + [0] * k
     for e in twists:
+        shift = SLOT_BITS * (e - low)
         for j in range(1, k + 1):
-            row = rows[j]
-            for d, c in rows[j - 1].items():
-                row[d + e] = row.get(d + e, 0) + c
+            rows[j] += rows[j - 1] << shift
+    spread = max(twists) - low
+    for j in range(k + 1):
+        size = SLOT_BITS // 8 * (j * spread + 1)
+        counts = memoryview(rows[j].to_bytes(size, sys.byteorder)).cast("Q")
+        rows[j] = PowerRow(j * low, counts[::_SLOT_STEP])
     return rows
 
 
 def sym_power_twists(
     b: SplitBundle, k: int, conv: str = STANDARD
-) -> list[dict[int, int]]:
+) -> list[PowerRow]:
     """Twist multisets of S^j(E) for j = 0..k: entry j maps degree ->
     multiplicity, keeping only positive multiplicities.
 
@@ -129,6 +186,9 @@ def sym_power_twists(
     C(j-i+1, 3) of S^(j-i)(O^4).  Since C(j+1, 3) is the standard rank of
     S^(j-2)(O^4), the printed S^j is the standard S^(j-2) of the same
     bundle, and the paper list is the standard one shifted by two.
+
+    A power whose rank reaches 2**64 raises ValueError before any row is
+    built.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -139,7 +199,8 @@ def sym_power_twists(
             raise UnsupportedConventionError(
                 "printed-rank convention needs a bundle of shape (0,0,0,0,e)"
             )
-        return [{} for _ in range(min(k + 1, 2))] + _standard_powers(b.twists, k - 2)
+        rows = _standard_powers(b.twists, k - 2)
+        return [_EMPTY_ROW] * min(k + 1, 2) + rows
     raise ValueError(f"unknown convention {conv!r}")
 
 
@@ -160,10 +221,14 @@ def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
     values = []
     below_chi = False
     for m in range(1, m_max + 1):
-        shift = m * h_coeff
-        mults = powers[5 * m]
-        below_chi = below_chi or any(d + shift < -1 for d in mults)
-        values.append(sum(c * h0_p1(d + shift) for d, c in mults.items()))
+        row = powers[5 * m]
+        counts = row.counts
+        # slot i, degree low + i, twists to first + i sections when that is
+        # >= 0; the slots below skip twist to degrees below -1
+        first = row.low + m * h_coeff + 1
+        skip = max(0, -first)
+        below_chi = below_chi or any(counts[:skip])
+        values.append(sum(map(mul, counts[skip:], range(first + skip, first + len(counts)))))
     if below_chi:
         warnings.warn(
             "a summand has degree < -1 after twisting; h0 may differ from chi",

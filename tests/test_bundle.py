@@ -2,8 +2,10 @@
 form, and the worked example's certificates."""
 
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import comb
 
 import pytest
@@ -14,6 +16,7 @@ from fanobound.bundle import (
     EXAMPLE_TWISTS,
     PAPER_DIM1_START,
     ChiApproximationWarning,
+    PowerRow,
     SplitBundle,
     UnsupportedConventionError,
     anticanonical_data,
@@ -27,7 +30,7 @@ from fanobound.bundle import (
     sym_power_twists,
 )
 from fanobound.bounds import solve_oracle
-from fanobound.certs import verify
+from fanobound.certs import MAX_TABLE, verify
 
 
 def brute_force_twists(twists, k):
@@ -45,6 +48,32 @@ def brute_force_h0(twists, m):
     shift = m * (2 - sum(twists))
     mults = brute_force_twists(twists, 5 * m)
     return sum(c * h0_p1(d + shift) for d, c in mults.items())
+
+
+def dict_powers(twists, k):
+    """The per-degree dictionary pass, the reference for the packed rows:
+    adding a summand of twist e turns row j into row j plus row j - 1
+    (already updated) moved up by e."""
+    rows = [{0: 1}] + [{} for _ in range(k)]
+    for e in twists:
+        for j in range(1, k + 1):
+            row = rows[j]
+            for d, c in rows[j - 1].items():
+                row[d + e] = row.get(d + e, 0) + c
+    return rows
+
+
+def dict_h0_anti(twists, m_max):
+    """h0(-mK) for m = 1..m_max and the chi flag, degree by degree with
+    h0_p1 over dict_powers."""
+    h = 2 - sum(twists)
+    powers = dict_powers(twists, 5 * m_max)
+    values, below_chi = [], False
+    for m in range(1, m_max + 1):
+        mults = powers[5 * m]
+        below_chi = below_chi or any(d + m * h < -1 for d in mults)
+        values.append(sum(c * h0_p1(d + m * h) for d, c in mults.items()))
+    return values, below_chi
 
 
 class TestBasics:
@@ -128,6 +157,69 @@ class TestSymPowerTwists:
         }
 
 
+class TestPowerRow:
+    def test_row_equals_brute_force_both_ways(self):
+        twists = (-1, 0, 0, 2, 3)
+        for k, row in enumerate(sym_power_twists(SplitBundle(twists), 6)):
+            expected = brute_force_twists(twists, k)
+            assert isinstance(row, PowerRow)
+            assert row == expected and expected == row
+
+    def test_zero_multiplicity_inside_the_span_is_absent(self):
+        row = sym_power_twists(SplitBundle((0, 0, 0, 0, 2)), 3)[3]
+        assert row.low == 0 and list(row.counts) == [20, 0, 10, 0, 4, 0, 1]
+        assert list(row.keys()) == [0, 2, 4, 6] and len(row) == 4
+        for d in (1, 3, 5, -1, 7):
+            assert d not in row and row.get(d, 0) == 0
+            with pytest.raises(KeyError):
+                row[d]
+
+    def test_printed_leading_rows_are_empty(self):
+        table = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 3, "paper")
+        for row in table[:2]:
+            assert row == {} and {} == row
+            assert list(row.keys()) == [] and len(row) == 0
+            assert 0 not in row and row.get(0, 0) == 0
+        assert table[2] == {0: 1} and table[3] == {0: 4, 1: 1}
+
+    def test_rows_are_read_only(self):
+        row = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 2)[2]
+        with pytest.raises(TypeError):
+            row[0] = 1
+        with pytest.raises(TypeError):
+            row.counts[0] = 1
+
+    def test_rows_and_counts_match_the_dict_pass(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            twists = tuple(rng.randint(-6, 6) for _ in range(5))
+            m_max = rng.randint(1, 6)
+            assert sym_power_twists(SplitBundle(twists), 5 * m_max) == dict_powers(
+                twists, 5 * m_max
+            )
+            values, below_chi = dict_h0_anti(twists, m_max)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert h0_anti(SplitBundle(twists), m_max) == values
+            assert bool(caught) == below_chi
+            assert all(w.category is ChiApproximationWarning for w in caught)
+
+
+class TestSlotGuard:
+    def test_rank_past_64_bits_refused_before_any_row(self):
+        first = next(k for k in count() if comb(k + 4, 4) >= 2**64)
+        cases = [(first, "standard"), (200_000, "standard"), (first + 2, "paper")]
+        for k, conv in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="64-bit"):
+                    sym_power_twists(SplitBundle(EXAMPLE_TWISTS), k, conv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
+
+
 class TestOnePassTables:
     def test_every_power_of_one_pass(self):
         twists = (-1, 0, 0, 2, 3)
@@ -177,6 +269,14 @@ def test_nef_table_equals_brute_force_and_p(offset, shift, m_max):
     assert values == [p_eval(chern, m) for m in range(1, m_max + 1)]
 
 
+def test_table_at_the_verifier_limit_is_riemann_roch():
+    # Kawamata-Viehweg: h0 = chi = P on a nef split bundle, at every
+    # multiple the verifier may be asked to recount
+    values = h0_anti(SplitBundle((2, 2, 2, 3, 3)), MAX_TABLE)
+    chern = ChernData(6250, 2750)
+    assert values == [p_eval(chern, m) for m in range(1, MAX_TABLE + 1)]
+
+
 class TestH0Anti:
     def test_printed_convention_headline_values(self):
         b = SplitBundle(EXAMPLE_TWISTS)
@@ -205,6 +305,22 @@ class TestH0Anti:
         with pytest.warns(ChiApproximationWarning):
             (value,) = h0_anti(b, 1)
         assert value == brute_force_h0((-2, 0, 0, 0, 1), 1)
+
+    @pytest.mark.parametrize(
+        "twists, lowest, warns",
+        [((0, 0, 0, 1, 2), -1, False), ((0, 0, 0, 2, 2), -2, True)],
+    )
+    def test_chi_boundary_is_degree_minus_one(self, twists, lowest, warns):
+        # the lowest pushed-down degree of -K; h0_p1 counts O(-1) as 0
+        # sections with chi = 0, and O(-2) as 0 sections with chi = -1
+        b = SplitBundle(twists)
+        _, h_coeff = anticanonical_data(b)
+        assert min(sym_power_twists(b, 5)[5]) + h_coeff == lowest
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (value,) = h0_anti(b, 1)
+        assert [w.category for w in caught] == [ChiApproximationWarning] * warns
+        assert value == brute_force_h0(twists, 1)
 
     def test_no_warning_on_the_example(self):
         import warnings

@@ -150,6 +150,11 @@ class TestOracle:
         code, _, _ = run_cli(capsys, "oracle", "--bundle", "0,0,0,0,1", "--m", "0")
         assert code == 2
 
+    def test_rank_past_64_bit_slots_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--bundle=0,0,0,0,1", "--m", "40000")
+        assert code == 2 and out == ""
+        assert "64-bit slots" in err and "MemoryError" not in err
+
     def test_unsupported_convention_shape_exit_2(self, capsys):
         code, _, _ = run_cli(
             capsys,
