@@ -16,8 +16,9 @@ on packed integers: each S^j(E) is one Python integer with a 64-bit slot
 per degree, lowest degree first, and adding a summand of twist e adds
 row j - 1, shifted by e - min(e) slots, to row j.  No multiplicity
 exceeds the rank C(j+4, 4) of S^j(E), so no slot carries while that rank
-stays below 2**64, which holds for j up to 145,052; larger powers are
-refused before anything is allocated.
+stays below 2**64, which holds for j up to 145,052; larger powers, and
+passes whose rows would hold more than MAX_POWER_SLOTS slots, are refused
+before anything is allocated.  A row is unpacked only when it is read.
 
 Two rank conventions are supported for the inner symmetric powers of the
 four untwisted summands.  The standard one is rank S^k(O^4) = C(k+3, 3).
@@ -114,16 +115,41 @@ SLOT_BITS = 64
 _SLOT_STEP = 1 if sys.byteorder == "little" else -1
 
 
+# packed rows of one pass may hold this many slots in all, 64 MB; the
+# widest nef bundle (spread 2) at k = 2560, five times the verifier's
+# largest table, needs 2561**2 of them
+MAX_POWER_SLOTS = 2**23
+
+
+def power_slots(spread: int, k: int) -> int:
+    """Slots in the packed rows S^0..S^k of a bundle whose twists span
+    spread: row j holds j * spread + 1 degrees."""
+    return spread * k * (k + 1) // 2 + k + 1
+
+
 class PowerRow(Mapping[int, int]):
     """The twist multiset of one S^j(E), read-only: counts[i] is the
     multiplicity of degree low + i.  As a mapping it holds only the
-    degrees of positive multiplicity."""
+    degrees of positive multiplicity.
 
-    __slots__ = ("low", "counts")
+    The row keeps the packed integer of its pass and unpacks it into the
+    counts view on first read, so rows nobody reads cost nothing more.
+    """
 
-    def __init__(self, low: int, counts: memoryview) -> None:
+    __slots__ = ("low", "_packed", "_slots", "_counts")
+
+    def __init__(self, low: int, packed: int, slots: int) -> None:
         self.low = low
-        self.counts = counts
+        self._packed = packed
+        self._slots = slots
+        self._counts: memoryview | None = None
+
+    @property
+    def counts(self) -> memoryview:
+        if self._counts is None:
+            raw = self._packed.to_bytes(SLOT_BITS // 8 * self._slots, sys.byteorder)
+            self._counts = memoryview(raw).cast("Q")[::_SLOT_STEP]
+        return self._counts
 
     def __getitem__(self, d: int) -> int:
         i = d - self.low
@@ -141,7 +167,7 @@ class PowerRow(Mapping[int, int]):
         return f"PowerRow({dict(self)!r})"
 
 
-_EMPTY_ROW = PowerRow(0, memoryview(b"").cast("Q"))
+_EMPTY_ROW = PowerRow(0, 0, 0)
 
 
 def _standard_powers(twists: tuple[int, ...], k: int) -> list[PowerRow]:
@@ -161,17 +187,19 @@ def _standard_powers(twists: tuple[int, ...], k: int) -> list[PowerRow]:
             f"its multiplicities do not fit {SLOT_BITS}-bit slots"
         )
     low = min(twists)
+    spread = max(twists) - low
+    slots = power_slots(spread, k)
+    if slots > MAX_POWER_SLOTS:
+        raise ValueError(
+            f"S^0..S^{k}(E) need {slots} packed slots, "
+            f"more than the {MAX_POWER_SLOTS} one pass may hold"
+        )
     rows = [1] + [0] * k
     for e in twists:
         shift = SLOT_BITS * (e - low)
         for j in range(1, k + 1):
             rows[j] += rows[j - 1] << shift
-    spread = max(twists) - low
-    for j in range(k + 1):
-        size = SLOT_BITS // 8 * (j * spread + 1)
-        counts = memoryview(rows[j].to_bytes(size, sys.byteorder)).cast("Q")
-        rows[j] = PowerRow(j * low, counts[::_SLOT_STEP])
-    return rows
+    return [PowerRow(j * low, row, j * spread + 1) for j, row in enumerate(rows)]
 
 
 def sym_power_twists(
@@ -187,8 +215,8 @@ def sym_power_twists(
     S^(j-2)(O^4), the printed S^j is the standard S^(j-2) of the same
     bundle, and the paper list is the standard one shifted by two.
 
-    A power whose rank reaches 2**64 raises ValueError before any row is
-    built.
+    A power whose rank reaches 2**64, or a pass over more than
+    MAX_POWER_SLOTS slots, raises ValueError before any row is built.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

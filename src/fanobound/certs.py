@@ -850,7 +850,6 @@ def _verify_monotone_tail(
     m_start = _json_int(sid, inp.get("m_start"), "m_start")
     mode = inp.get("mode")
     q = Poly([to_rat(c) for c in w.get("q_poly", [])])
-    da, db, dk = difference_polys()
     if mode == "worst_case":
         table, _ = _check_constraints(sid, inp.get("constraints", []), established, cert.axioms)
         bcid, acid = inp.get("b_constraint"), inp.get("a_constraint")
@@ -864,6 +863,7 @@ def _verify_monotone_tail(
             raise _Fail(sid, "cited constraint gives no lower bound for b")
         if aform.coeff_b != 0 or aform.coeff_a <= 0:
             raise _Fail(sid, "cited constraint gives no lower bound for a")
+        da, db, dk = difference_polys()
         if not all(c >= 0 for c in db.shift(m_start).coeffs):
             raise _Fail(sid, "b-substitution is not minimizing on the ray")
         ratio_a = bform.coeff_a / bform.coeff_b
@@ -878,6 +878,7 @@ def _verify_monotone_tail(
     elif mode == "concrete":
         if cert.chern is None:
             raise _Fail(sid, "concrete tail requires chern data")
+        da, db, dk = difference_polys()
         want = da.scale(cert.chern.a) + db.scale(cert.chern.b) + dk
         if q != want:
             raise _Fail(sid, "tail polynomial does not match the chern data")

@@ -652,15 +652,29 @@ def table_monotone(table: ValueTable, m0: int) -> TailCertificate:
 
 
 def interpolate_model(values: Callable[[int], int], ms: Sequence[int]) -> Poly:
-    """Exact Lagrange interpolation through (m, values(m)) for m in ms."""
-    poly = Poly()
-    for i, mi in enumerate(ms):
-        num = Poly.const(1)
-        den = Fraction(1)
-        for j, mj in enumerate(ms):
-            if i == j:
-                continue
-            num = num * Poly([-mj, 1])
-            den *= Fraction(mi - mj)
-        poly = poly + num.scale(Fraction(values(mi)) / den)
-    return poly
+    """Exact Lagrange interpolation through (m, values(m)) for m in ms.
+
+    The node polynomials prod_{j != i} (t - m_j) have integer coefficients:
+    each is prod_j (t - m_j) divided by t - m_i synthetically.  The weights
+    values(m_i) / prod_{j != i} (m_i - m_j) go over one common denominator,
+    so the sum runs on integers and each coefficient is one Fraction.
+    """
+    if len(set(ms)) != len(ms):
+        raise ValueError("interpolation nodes must be distinct")
+    ys = [to_rat(values(m)) for m in ms]
+    full = [1]  # prod_j (t - m_j), low degree first
+    for m in ms:
+        full = [hi - m * lo for lo, hi in zip(full + [0], [0] + full)]
+    dens = [
+        y.denominator * math.prod(mi - mj for mj in ms if mj != mi)
+        for mi, y in zip(ms, ys)
+    ]
+    den = math.lcm(*dens)
+    acc = [0] * len(ms)
+    for mi, y, d in zip(ms, ys, dens):
+        weight = y.numerator * (den // d)
+        carry = 0
+        for k in range(len(ms), 0, -1):
+            carry = full[k] + mi * carry
+            acc[k - 1] += weight * carry
+    return Poly([Fraction(c, den) for c in acc])

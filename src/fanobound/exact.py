@@ -5,6 +5,12 @@ certificates) runs on these types.  All arithmetic is exact; floats never
 appear.  Rationals are ``fractions.Fraction``, which keeps canonical form
 (positive denominator, reduced) after every operation and sits on Python's
 arbitrary-precision integers.
+
+The kernels every check runs through (``Poly.__call__``, ``Poly.shift``
+and ``AffineForm.evaluate``) work on integers: the numerators of their
+inputs over one common denominator.  Each result value is built as a
+Fraction once, so only one gcd is taken per value instead of one per
+multiply-add.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 RatLike = Union[int, str, Fraction]
@@ -45,6 +52,13 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _over_common_denominator(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """The numerators of cs over the lcm of their denominators, and that
+    lcm (1 for no values)."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 class Poly:
@@ -113,20 +127,39 @@ class Poly:
         return Poly([c * a for a in self.coeffs])
 
     def __call__(self, x: RatLike) -> Fraction:
+        """p(x) by Horner on the coefficient numerators over their common
+        denominator den.  For x = r/s the loop is homogenised: coefficient
+        i is scaled by s^(d-i), so every step is an integer multiply-add
+        and p(x) = acc / (den * s^d)."""
         x = to_rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        r, s = x.numerator, x.denominator
+        nums, den = _over_common_denominator(self.coeffs)
+        acc, s_pow = 0, 1
+        for n in reversed(nums):
+            acc = acc * r + n * s_pow
+            s_pow *= s
+        return Fraction(acc, den * (s_pow // s))
 
     def shift(self, h: RatLike) -> "Poly":
-        """Return the polynomial t -> p(t + h)."""
+        """Return the polynomial t -> p(t + h).
+
+        The integer Taylor shift (Shaw and Traub, J. ACM 21, 1974): with
+        p = sum n_i t^i / den and h = r/s, the integers n_i * s^(d-i) are
+        the coefficients of den * s^d * p(y/s); shifting them by r in place
+        takes d(d+1)/2 multiply-adds, and coefficient k of p(t + h) is the
+        shifted c_k / (den * s^(d-k)).
+        """
         h = to_rat(h)
-        out = Poly()
-        base = Poly([h, 1])
-        for c in reversed(self.coeffs):
-            out = out * base + Poly.const(c)
-        return out
+        r, s = h.numerator, h.denominator
+        nums, den = _over_common_denominator(self.coeffs)
+        d = len(nums) - 1
+        c = [n * s ** (d - i) for i, n in enumerate(nums)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                c[j] += r * c[j + 1]
+        return Poly([Fraction(ck, den * s ** (d - k)) for k, ck in enumerate(c)])
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -152,7 +185,19 @@ class AffineForm:
         return cls.of(0, 0, k)
 
     def evaluate(self, a: RatLike, b: RatLike) -> Fraction:
-        return self.coeff_a * to_rat(a) + self.coeff_b * to_rat(b) + self.const
+        """coeff_a * a + coeff_b * b + const, summed as integers over the
+        lcm of the three terms' denominators."""
+        a, b = to_rat(a), to_rat(b)
+        ca, cb, k = self.coeff_a, self.coeff_b, self.const
+        da = ca.denominator * a.denominator
+        db = cb.denominator * b.denominator
+        den = lcm(da, db, k.denominator)
+        num = (
+            ca.numerator * a.numerator * (den // da)
+            + cb.numerator * b.numerator * (den // db)
+            + k.numerator * (den // k.denominator)
+        )
+        return Fraction(num, den)
 
     def __add__(self, other: "AffineForm") -> "AffineForm":
         return AffineForm(

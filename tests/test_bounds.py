@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -600,3 +601,58 @@ class TestCallCounts:
         calls = count_calls(monkeypatch, hilbert.p_eval)
         assert solve_concrete(ChernData(6250, 2750)).bound == 12
         assert len(calls) <= 33
+
+
+def coprime_4000_digit_rationals():
+    """Six rationals with 4,000-digit numerators and pairwise coprime
+    4,000-digit denominators (powers of distinct primes)."""
+    out = []
+    for i, p in enumerate((2, 3, 5, 7, 11, 13)):
+        den = p ** math.ceil(3999 / math.log10(p))
+        assert len(str(den)) in (4000, 4001)
+        out.append(f"{(-1) ** i * (10**3999 + 2 * i + 1)}/{den}")
+    return out
+
+
+class TestVerifierOnHugePolynomialData:
+    def oracle_doc(self):
+        import fanobound.bundle as bundle
+
+        src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
+        return json.loads(solve_oracle(src).to_json_bytes())
+
+    def check_invalid_in_bounded_time(self, doc, reason):
+        cert = from_json_bytes(json.dumps(doc).encode())
+        start = time.perf_counter()
+        res = verify(cert)
+        assert time.perf_counter() - start < 2
+        assert not res.ok and reason in res.reason
+
+    def test_huge_model_tail_and_start(self):
+        doc = self.oracle_doc()
+        huge = coprime_4000_digit_rationals()
+        for step in doc["steps"]:
+            if step["rule"] == "oracle_model":
+                step["witness"]["coeffs"] = huge
+            if step["rule"] == "monotone_tail":
+                step["inputs"][0]["m_start"] = 10**4000
+                step["witness"]["q_poly"] = huge
+                step["witness"]["q_shifted"] = huge
+        self.check_invalid_in_bounded_time(doc, "model disagrees with values")
+
+    def test_huge_tail_start_on_the_true_polynomial(self):
+        # the model and q are the prover's, so the tail shift itself runs
+        # on a 4,001-digit m_start
+        doc = self.oracle_doc()
+        (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
+        tail["inputs"][0]["m_start"] = 10**4000
+        self.check_invalid_in_bounded_time(doc, "recorded shift differs")
+
+    def test_huge_tail_polynomial_alone(self):
+        doc = self.oracle_doc()
+        huge = coprime_4000_digit_rationals()
+        (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
+        tail["inputs"][0]["m_start"] = 10**4000
+        tail["witness"]["q_poly"] = huge
+        tail["witness"]["q_shifted"] = huge
+        self.check_invalid_in_bounded_time(doc, "does not match the model difference")

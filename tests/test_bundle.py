@@ -15,6 +15,7 @@ from fanobound.hilbert import ChernData, PValue, fit_ab, p_affine, p_eval
 from fanobound.bundle import (
     EXAMPLE_TWISTS,
     PAPER_DIM1_START,
+    MAX_POWER_SLOTS,
     ChiApproximationWarning,
     PowerRow,
     SplitBundle,
@@ -26,6 +27,7 @@ from fanobound.bundle import (
     k5_geometric,
     oracle_source,
     paper_closed_form,
+    power_slots,
     rank_printed,
     sym_power_twists,
 )
@@ -218,6 +220,50 @@ class TestSlotGuard:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 16
+
+
+class TestSlotBudget:
+    def test_verifier_tables_fit_on_every_nef_normal_form(self):
+        # a nef bundle twisted to min(e) = 0 has sum(e) <= 2, so spread <= 2
+        for offset in NEF_OFFSETS:
+            spread = max(offset) - min(offset)
+            assert spread <= 2
+            assert power_slots(spread, 5 * MAX_TABLE) <= MAX_POWER_SLOTS
+        assert power_slots(2, 5 * MAX_TABLE) == (5 * MAX_TABLE + 1) ** 2
+
+    def test_slots_count_every_row(self):
+        for twists in [(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (-2, 0, 1, 1, 3)]:
+            spread = max(twists) - min(twists)
+            for k in range(6):
+                rows = sym_power_twists(SplitBundle(twists), k)
+                assert power_slots(spread, k) == sum(len(r.counts) for r in rows)
+
+    def test_over_budget_refused_before_any_row(self):
+        # k = 145,000 passes the 64-bit guard but would need ~84 GB of rows
+        k = 145_000
+        assert comb(k + 4, 4) < 2**64
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="packed slots"):
+                sym_power_twists(SplitBundle(EXAMPLE_TWISTS), k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_unread_rows_stay_packed(self):
+        # a pass holds its packed rows; a row is unpacked when it is read
+        b = SplitBundle((0, 0, 0, 1, 1))
+        packed_bytes = 8 * power_slots(1, 1000)
+        tracemalloc.start()
+        try:
+            rows = sym_power_twists(b, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * packed_bytes
+        assert list(rows[2].counts) == [6, 6, 3]
+        assert rows[3] == brute_force_twists((0, 0, 0, 1, 1), 3)
 
 
 class TestOnePassTables:

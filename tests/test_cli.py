@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import fanobound
@@ -154,6 +155,14 @@ class TestOracle:
         code, out, err = run_cli(capsys, "oracle", "--bundle=0,0,0,0,1", "--m", "40000")
         assert code == 2 and out == ""
         assert "64-bit slots" in err and "MemoryError" not in err
+
+    def test_rows_past_the_slot_budget_exit_2_quickly(self, capsys):
+        # k = 145,000 fits 64-bit slots, but its rows would need ~84 GB
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", "--bundle=0,0,0,0,1", "--m", "29000")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert "packed slots" in err and "MemoryError" not in err
 
     def test_unsupported_convention_shape_exit_2(self, capsys):
         code, _, _ = run_cli(

@@ -1,0 +1,126 @@
+"""The integer polynomial kernels against the Fraction reference.
+
+Poly.__call__, Poly.shift, AffineForm.evaluate and
+derive.interpolate_model compute on integer numerators over a common
+denominator.  The prover and the verifier share them, so each is compared
+for exact equality with tests/poly_reference.py, which does not use the
+package.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import poly_reference as ref
+from fanobound.derive import interpolate_model
+from fanobound.exact import AffineForm, Poly
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+small_ints = st.integers(-30, 30)
+big_ints = st.integers(-(10**60), 10**60)
+rationals = st.one_of(
+    small_ints.map(Fraction),
+    st.builds(Fraction, small_ints, st.integers(1, 30)),
+    st.builds(Fraction, big_ints, st.integers(1, 10**40)),
+)
+# int or Fraction, as callers pass both
+arguments = st.one_of(small_ints, big_ints, rationals)
+coefficients = st.lists(rationals, max_size=8)
+
+
+def exact(x: Fraction) -> tuple[type, int, int]:
+    """A Fraction's type and canonical numerator and denominator."""
+    return type(x), x.numerator, x.denominator
+
+
+class TestPolyCall:
+    @SETTINGS
+    @given(coefficients, arguments)
+    def test_matches_reference(self, cs, x):
+        got = Poly(cs)(x)
+        assert exact(got) == exact(ref.poly_eval(cs, Fraction(x)))
+
+    def test_zero_and_constants(self):
+        for x in (0, -7, Fraction(-3, 11), 10**50):
+            assert exact(Poly()(x)) == exact(Fraction(0))
+            assert exact(Poly([Fraction(-5, 6)])(x)) == exact(Fraction(-5, 6))
+
+    def test_large_numerators_at_a_rational(self):
+        cs = [Fraction(-(10**45) + 7, 3**20), Fraction(2**100, 5**30), Fraction(-1, 7**25)]
+        x = Fraction(-(10**30) + 1, 11**15)
+        assert Poly(cs)(x) == ref.poly_eval(cs, x)
+
+
+class TestPolyShift:
+    @SETTINGS
+    @given(coefficients, arguments)
+    def test_matches_reference(self, cs, h):
+        got = Poly(cs).shift(h).coeffs
+        want = ref.poly_shift(cs, Fraction(h))
+        assert [exact(c) for c in got] == [exact(c) for c in want]
+
+    @SETTINGS
+    @given(coefficients, rationals, rationals)
+    def test_shifted_value_is_the_value_moved(self, cs, h, x):
+        p = Poly(cs)
+        assert p.shift(h)(x) == p(x + h)
+
+    def test_zero_and_constants(self):
+        for h in (0, 3, -4, Fraction(5, -12)):
+            assert Poly().shift(h) == Poly()
+            assert Poly([Fraction(9, 4)]).shift(h) == Poly([Fraction(9, 4)])
+
+    def test_negative_rational_shift_of_large_coefficients(self):
+        cs = [Fraction(10**40 + 3, 7), -(10**35), Fraction(-2, 3**30), 0, Fraction(1, 2**70)]
+        h = Fraction(-(10**25), 13**9)
+        assert Poly(cs).shift(h).coeffs == ref.poly_shift(cs, h)
+
+
+class TestAffineEvaluate:
+    @SETTINGS
+    @given(rationals, rationals, rationals, arguments, arguments)
+    def test_matches_reference(self, ca, cb, k, a, b):
+        got = AffineForm.of(ca, cb, k).evaluate(a, b)
+        assert exact(got) == exact(ref.affine_evaluate(ca, cb, k, Fraction(a), Fraction(b)))
+
+    def test_zero_form(self):
+        assert exact(AffineForm.constant(0).evaluate(Fraction(-1, 3), 10**40)) == exact(Fraction(0))
+
+
+class TestInterpolateModel:
+    @SETTINGS
+    @given(
+        st.lists(st.integers(-60, 60), unique=True, max_size=8),
+        st.lists(st.one_of(big_ints, rationals), min_size=8, max_size=8),
+    )
+    def test_matches_reference(self, nodes, ys):
+        table = dict(zip(nodes, ys))
+        got = interpolate_model(table.__getitem__, nodes).coeffs
+        want = ref.interpolate(nodes, [Fraction(table[m]) for m in nodes])
+        assert [exact(c) for c in got] == [exact(c) for c in want]
+
+    def test_non_consecutive_and_negative_nodes(self):
+        p = Poly([Fraction(-7, 24), 3, Fraction(1, 5), 0, -(10**30), Fraction(5, 24)])
+        nodes = [-11, -2, 0, 3, 17, 40]
+        model = interpolate_model(lambda m: p(m), nodes)
+        assert model == p
+        assert model.coeffs == ref.interpolate(nodes, [p(m) for m in nodes])
+
+    def test_integer_values_at_the_oracle_nodes(self):
+        # the printed closed form m(5m-1)(5m+1)(5m+2)(10m+3)/24 at m = 1..6
+        def closed(m):
+            return m * (5 * m - 1) * (5 * m + 1) * (5 * m + 2) * (10 * m + 3) // 24
+
+        model = interpolate_model(closed, range(1, 7))
+        assert model.coeffs == ref.interpolate(range(1, 7), [closed(m) for m in range(1, 7)])
+        assert all(model(m) == closed(m) for m in range(1, 40))
+
+    def test_no_nodes_and_zero_values(self):
+        assert interpolate_model(lambda m: 1, []) == Poly()
+        assert interpolate_model(lambda m: 0, [4, -1, 9]) == Poly()
+
+    def test_repeated_node_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            interpolate_model(lambda m: m, [1, 2, 1])
