@@ -80,7 +80,9 @@ def _lower_bound_status(derived, printed) -> str:
 
 
 def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
-    branch_steps = {s["inputs"][0]["system"]: s for s in _steps(cert, "fm_lower_bound")}
+    by_id = {s["id"]: s for s in cert.steps}
+    merge = _steps(cert, "merge_min")[0]["inputs"][0]
+    branch_steps = {br["label"]: by_id[br["step"]] for br in merge["branches"]}
     entries = []
     for l, printed in ((0, 35), (1, 21), (2, 7)):
         step = branch_steps[f"P(1)={l}"]

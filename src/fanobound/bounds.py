@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import rat_str, to_rat
+from .exact import rat_str
 from .hilbert import ChernData, LEMMA2_R_CAP, lemma2_slack_form, lemma2_threshold, p_affine
 from . import certs
 from .bundle import OracleSource, SplitBundle, is_nef
 from .derive import (
-    DEFAULT_HORIZON,
+    Constraint,
     ConstraintSystem,
     Fact,
     InfeasibleSystemError,
@@ -296,21 +296,49 @@ def certify_r0(source: Source, r0: int) -> R0Certification:
 # ---------------------------------------------------------------------------
 
 class _StepWriter:
+    """The steps of one certificate and the constraints they cite, each
+    declared once."""
+
     def __init__(self) -> None:
         self.steps: list[dict] = []
         self._next = 1
+        self._constraints: dict[str, Constraint] = {}
 
-    def add(self, rule: str, inputs: list, claim: str, witness: dict) -> int:
+    def add(self, rule: str, inputs: list, witness: dict, claim: Optional[str] = None) -> int:
+        """Append a step; only the steps that derive a bound carry a claim."""
         sid = self._next
         self._next += 1
-        self.steps.append(
-            {"id": sid, "rule": rule, "inputs": inputs, "claim": claim, "witness": witness}
-        )
+        step = {"id": sid, "rule": rule, "inputs": inputs, "witness": witness}
+        if claim is not None:
+            step["claim"] = claim
+        self.steps.append(step)
         return sid
 
+    def cite(self, cs: ConstraintSystem) -> list[str]:
+        """The ids of the constraints of cs, which the certificate declares."""
+        for c in cs.constraints:
+            self._constraints.setdefault(c.cid, c)
+        return [c.cid for c in cs.constraints]
 
-def _ser_system(cs: ConstraintSystem) -> list[dict]:
-    return [certs.ser_constraint(c) for c in cs.constraints]
+    def compose(
+        self, mode: str, axioms: list[str], r0: int, rs: list[int],
+        chern: Optional[ChernData] = None,
+    ) -> certs.Certificate:
+        """The composition step, and the certificate it closes."""
+        bound = compose_bound(r0, rs)
+        self.add("compose", [{"r0": r0, "r": rs}], {"bound": bound},
+                 f"birational for all m >= {bound}")
+        return certs.Certificate(
+            mode=mode,
+            axioms=list(axioms),
+            constraints=[certs.ser_constraint(self._constraints[cid])
+                         for cid in sorted(self._constraints)],
+            steps=self.steps,
+            r0=r0,
+            r=rs,
+            bound=bound,
+            chern=chern,
+        )
 
 
 def _fm_bound_step(
@@ -319,9 +347,9 @@ def _fm_bound_step(
     fact, record = _integral_bound(m, res)
     sid = w.add(
         "fm_lower_bound",
-        [{"m": m, "system": cs.label, "constraints": _ser_system(cs)}],
-        f"P({m}) >= {rat_str(fact.bound)}",
+        [{"m": m, "constraints": w.cite(cs)}],
         {**record, "attained": res.attained, "point": certs.ser_point(res.point)},
+        f"P({m}) >= {rat_str(fact.bound)}",
     )
     return sid, fact
 
@@ -336,13 +364,12 @@ def _monotone_tail_step(
     if tail.mode == "worst_case":
         inputs["b_constraint"] = tail.b_constraint
         inputs["a_constraint"] = tail.a_constraint
-        inputs["constraints"] = _ser_system(cs)
+        inputs["constraints"] = w.cite(cs)
     elif tail.mode == "oracle":
         inputs["model_step"] = model_step
     w.add(
         "monotone_tail",
         [inputs],
-        f"P(m+1) - P(m) > 0 for m >= {tail.m_start}",
         {
             "q_poly": certs.ser_poly(tail.q_poly),
             "q_shifted": [rat_str(c) for c in tail.q_poly.shift(tail.m_start).coeffs],
@@ -365,8 +392,7 @@ def _dim_search_steps(
         inputs: dict = {"target_dim": target, "m_max": m_max, "m_start": m_start}
         if isinstance(source, ConstraintSystem):
             inputs["mode"] = "worst_case"
-            inputs["system"] = source.label
-            inputs["constraints"] = _ser_system(source)
+            inputs["constraints"] = w.cite(source)
         else:
             inputs["mode"] = source.mode
             inputs["values_step"] = values_step
@@ -374,25 +400,14 @@ def _dim_search_steps(
         w.add(
             "dim_search",
             [inputs],
-            f"dim >= {target} at m = {outcome.m}",
             {"attempts": list(outcome.attempts), "selected": outcome.selected},
+            f"dim >= {target} at m = {outcome.m}",
         )
         rs.append(outcome.m)
     return rs
 
 
-def _compose_step(w: _StepWriter, r0: int, rs: list[int]) -> int:
-    bound = compose_bound(r0, rs)
-    w.add(
-        "compose",
-        [{"r0": r0, "r": rs}],
-        f"birational for all m >= {bound}",
-        {"bound": bound},
-    )
-    return bound
-
-
-WORST_CASE_AXIOMS = ["A1", "A2", "A3", "A4", "A5"]
+WORST_CASE_AXIOMS = ["A1", "A3", "A4", "A5"]
 CONCRETE_AXIOMS = ["A3", "A4"]
 ORACLE_AXIOMS = ["O1", "O2"]
 
@@ -406,19 +421,9 @@ def solve_worst_case() -> certs.Certificate:
     """
     w = _StepWriter()
     base = axiom_system()
-    w.add(
-        "axioms",
-        [{"a5": True, "horizon": DEFAULT_HORIZON}],
-        "axiom set fixed",
-        {"constraints": _ser_system(base)},
-    )
+    w.add("axioms", [], {"constraints": w.cite(base)})
     branches = split_on_p1(base, DEFAULT_LMAX)
-    w.add(
-        "split_p1",
-        [{"lmax": DEFAULT_LMAX}],
-        f"P(1) cases 0..{DEFAULT_LMAX} and >= {DEFAULT_LMAX + 1} cover",
-        {"labels": [br.label for br in branches], "coverage": branches[0].coverage_note},
-    )
+    w.add("split_p1", [{"lmax": DEFAULT_LMAX}], {"labels": [br.label for br in branches]})
     branch_refs = []
     branch_facts = []
     for br in branches:
@@ -432,39 +437,27 @@ def solve_worst_case() -> certs.Certificate:
     w.add(
         "merge_min",
         [{"m": 3, "branches": branch_refs}],
-        f"P(3) >= {rat_str(merged.bound)} on the union of branches",
         {"bound": rat_str(merged.bound)},
+        f"P(3) >= {rat_str(merged.bound)} on the union of branches",
     )
     geom_fact = fact_to_constraint(merged)
     geom = geometry_system([merged])
     w.add(
         "fact_to_constraint",
         [{"m": 3, "bound": rat_str(merged.bound), "strict": merged.strict}],
-        f"{certs.format_form(geom_fact.form)} >= 0",
-        {
-            "constraint": certs.ser_constraint(geom_fact),
-            "scale": rat_str(to_rat(geom_fact.params[2])),
-        },
+        {"constraint": geom_fact.cid},
     )
     rs = _dim_search_steps(w, geom, DEFAULT_M_MAX)
     r0cert = certify_r0(geom, 3)
     _monotone_tail_step(w, r0cert.monotone, cs=geom)
-    bound = _compose_step(w, 3, rs)
-    return certs.Certificate(
-        mode=certs.WORST_CASE,
-        axioms=list(WORST_CASE_AXIOMS),
-        steps=w.steps,
-        r0=3,
-        r=rs,
-        bound=bound,
-    )
+    return w.compose(certs.WORST_CASE, WORST_CASE_AXIOMS, 3, rs)
 
 
 def _table_writer() -> _StepWriter:
     """A step writer holding the axiom step of a value-table solve, which
-    declares no constraints."""
+    cites no constraints."""
     w = _StepWriter()
-    w.add("axioms", [{"a5": False, "horizon": 0}], "axiom set fixed", {"constraints": []})
+    w.add("axioms", [], {"constraints": []})
     return w
 
 
@@ -495,33 +488,18 @@ def _solve_table(
     w.add(
         "value_at_least",
         [{"m": r0, "values_step": values_step}],
-        f"P({r0}) >= 1",
         {"value": table.at(r0), "bound": 1},
     )
     _monotone_tail_step(w, r0cert.monotone, model_step=model_step)
     rs = _dim_search_steps(w, table, m_max, values_step, dim1_start=dim1_start)
-    bound = _compose_step(w, r0, rs)
-    return certs.Certificate(
-        mode=certs.CONCRETE,
-        axioms=list(axioms),
-        steps=w.steps,
-        r0=r0,
-        r=rs,
-        bound=bound,
-        chern=chern,
-    )
+    return w.compose(table.mode, axioms, r0, rs, chern)
 
 
 def solve_concrete(chern: ChernData) -> certs.Certificate:
     """Bound for one concrete 5-fold given its Chern intersection numbers."""
     table = chern_table(chern, DEFAULT_M_MAX)
     w = _table_writer()
-    values_step = w.add(
-        "eval_p",
-        [{"m_max": DEFAULT_M_MAX}],
-        f"P(0..{DEFAULT_M_MAX}) evaluated exactly",
-        {"values": list(table.values)},
-    )
+    values_step = w.add("eval_p", [{"m_max": DEFAULT_M_MAX}], {"values": list(table.values)})
     return _solve_table(w, table, values_step, CONCRETE_AXIOMS, DEFAULT_M_MAX, chern=chern)
 
 
@@ -551,13 +529,11 @@ def solve_oracle(
                 "d5": source.d5,
             }
         ],
-        f"h0(-mK) for m = 1..{m_max} under the {source.convention} convention",
         {"values": list(table.values)},
     )
     model_step = w.add(
         "oracle_model",
         [{"values_step": values_step}],
-        f"oracle values match a degree-{max(table.poly.degree, 0)} polynomial on [1, {m_max}]",
         {"coeffs": certs.ser_poly(table.poly)},
     )
     return _solve_table(w, table, values_step, ORACLE_AXIOMS, m_max, dim1_start, model_step)

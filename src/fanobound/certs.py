@@ -4,18 +4,26 @@ A certificate is a JSON document recording every derivation step with
 enough exact witnesses (Farkas multipliers, optimal points, polynomial
 shifts, oracle values) that the claimed bound can be re-checked by
 substitution and sign tests alone.  The verifier here never calls the
-prover's search machinery: it rebuilds each recorded inequality from its
+prover's search machinery: it rebuilds each declared inequality from its
 descriptor, replays the arithmetic, and rejects on the first mismatch.
 
 Schema (field names are part of the external interface):
 
-    {"version": 2,
-     "mode": "worst_case" | "concrete",
+    {"version": 3,
+     "mode": "worst_case" | "concrete" | "oracle",
      "chern": {"k5": int, "k3c2": int} | null,
      "axioms": [string, ...],
+     "constraints": [{"cid": string, "kind": string, "params": [...],
+                      "form": [rational, rational, rational],
+                      "strict": bool}, ...],
      "steps": [{"id": int, "rule": string, "inputs": [...],
                 "claim": string, "witness": {...}}, ...],
      "r0": int, "r": [int, int, int], "bound": int}
+
+chern is non-null exactly in concrete mode.  constraints declares each
+inequality once, sorted by cid; steps cite declarations by cid.  Only the
+steps that derive a bound (fm_lower_bound, merge_min, dim_search and
+compose) carry a claim, and the verifier regenerates it.
 
 Rationals serialize as "p/q" strings with the sign on the numerator;
 integers omit the "/1".
@@ -25,9 +33,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .exact import AffineForm, Poly, rat_str, to_rat
 from .hilbert import (
@@ -42,10 +50,11 @@ from .hilbert import (
 from . import bundle
 from .derive import constraint_form
 
-CERT_VERSION = 2
+CERT_VERSION = 3
 
 WORST_CASE = "worst_case"
 CONCRETE = "concrete"
+ORACLE = "oracle"
 
 # refuse pathological ranges instead of looping on crafted input
 MAX_TABLE = 512
@@ -63,6 +72,7 @@ class MalformedCertificateError(ValueError):
 class Certificate:
     mode: str
     axioms: list[str]
+    constraints: list[dict]
     steps: list[dict]
     r0: int
     r: list[int]
@@ -80,6 +90,7 @@ class Certificate:
                 else None
             ),
             "axioms": list(self.axioms),
+            "constraints": self.constraints,
             "steps": self.steps,
             "r0": self.r0,
             "r": list(self.r),
@@ -100,14 +111,18 @@ def _is_int(value: Any) -> bool:
 def from_json_dict(doc: Any) -> Certificate:
     if not isinstance(doc, dict):
         raise MalformedCertificateError("certificate must be a JSON object")
-    required = {"version", "mode", "chern", "axioms", "steps", "r0", "r", "bound"}
+    required = {
+        "version", "mode", "chern", "axioms", "constraints", "steps", "r0", "r", "bound"
+    }
     missing = required - set(doc)
     if missing:
         raise MalformedCertificateError(f"missing fields: {sorted(missing)}")
-    if not isinstance(doc["steps"], list) or not all(
-        isinstance(s, dict) for s in doc["steps"]
-    ):
-        raise MalformedCertificateError("steps must be a list of objects")
+    for key in ("constraints", "steps"):
+        if not isinstance(doc[key], list) or not all(isinstance(s, dict) for s in doc[key]):
+            raise MalformedCertificateError(f"{key} must be a list of objects")
+    axioms = doc["axioms"]
+    if not isinstance(axioms, list) or not all(isinstance(a, str) for a in axioms):
+        raise MalformedCertificateError("axioms must be a list of strings")
     r = doc["r"]
     if not isinstance(r, list) or len(r) != 3 or not all(_is_int(x) for x in r):
         raise MalformedCertificateError("r must be a list of three integers")
@@ -125,7 +140,8 @@ def from_json_dict(doc: Any) -> Certificate:
             raise MalformedCertificateError(f"bad chern field: {exc}") from exc
     return Certificate(
         mode=doc["mode"],
-        axioms=list(doc["axioms"]),
+        axioms=list(axioms),
+        constraints=list(doc["constraints"]),
         steps=list(doc["steps"]),
         r0=doc["r0"],
         r=list(r),
@@ -185,25 +201,6 @@ def ser_point(point) -> Optional[list[str]]:
     return [rat_str(point[0]), rat_str(point[1])]
 
 
-def format_form(f: AffineForm) -> str:
-    parts = []
-    for coeff, name in ((f.coeff_a, "a"), (f.coeff_b, "b")):
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            parts.append(name)
-        elif coeff == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{rat_str(coeff)}{name}")
-    if f.const != 0 or not parts:
-        parts.append(rat_str(f.const))
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Verifier
 # ---------------------------------------------------------------------------
@@ -237,64 +234,104 @@ _AXIOM_KINDS = {"k5_floor": "A1", "vanishing": "A4", "mono12": "A5"}
 _BRANCH_KINDS = {"p1_eq_lo", "p1_eq_hi", "p1_tail"}
 
 
-def _check_constraints(
-    step_id: int,
-    cons: Any,
-    established: dict,
-    axioms: list[str],
-    branch_ok: bool = False,
-) -> tuple[dict, bool]:
-    """Validate a serialized constraint list.
+class _Decl(NamedTuple):
+    """A declared constraint, checked against its descriptor."""
 
-    Every form must regenerate from its descriptor; axiom constraints must
-    be covered by the certificate's declared axiom set; derived-fact
-    constraints must match a fact established by an earlier step; case
-    hypotheses on P(1) are legal only where branch_ok says so.  Returns
-    (cid -> (form, strict), whether any branch hypothesis is present).
+    form: AffineForm
+    strict: bool
+    kind: str
+    params: tuple
+    fact: Optional[tuple] = None  # (m, bound, strict) a from_fact constraint rests on
+
+
+def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
+    """Check every constraint declaration once.
+
+    Ids must be unique and sorted; a form must regenerate from its
+    descriptor, and an axiom constraint must rest on a declared axiom.
+    A from_fact form must be a positive multiple of the fact it cites;
+    whether that fact holds depends on the citing step and is checked there.
     """
-    if not isinstance(cons, list):
-        raise _Fail(step_id, "constraints must be a list")
-    table: dict[str, tuple[AffineForm, bool]] = {}
-    has_hypothesis = False
+    decls: dict[str, _Decl] = {}
+    last = None
     for entry in cons:
         try:
             cid = entry["cid"]
             kind = entry["kind"]
             params = tuple(entry["params"])
             recorded = _parse_form(entry["form"])
-            strict = _json_bool(step_id, entry["strict"], f"strict flag of {cid}")
+            strict = _json_bool(None, entry["strict"], f"strict flag of {cid}")
         except (KeyError, TypeError) as exc:
-            raise _Fail(step_id, f"bad constraint entry: {exc}")
+            raise _Fail(None, f"bad constraint declaration: {exc}")
+        if not isinstance(cid, str) or (last is not None and cid <= last):
+            raise _Fail(None, f"constraint id {cid!r} is not unique and in sorted order")
+        last = cid
         if kind in _AXIOM_KINDS:
             if _AXIOM_KINDS[kind] not in axioms:
                 raise _Fail(
-                    step_id, f"constraint {cid} uses undeclared axiom {_AXIOM_KINDS[kind]}"
+                    None, f"constraint {cid} uses undeclared axiom {_AXIOM_KINDS[kind]}"
                 )
-        elif kind in _BRANCH_KINDS:
-            if not branch_ok:
-                raise _Fail(step_id, f"case hypothesis {cid} outside a branch step")
-            has_hypothesis = True
-        elif kind != "from_fact":
-            raise _Fail(step_id, f"constraint kind {kind!r} not allowed in certificates")
+        elif kind not in _BRANCH_KINDS and kind != "from_fact":
+            raise _Fail(None, f"constraint kind {kind!r} not allowed in certificates")
         if params:
-            _json_int(step_id, params[0], f"first parameter of {cid}")
+            _json_int(None, params[0], f"first parameter of {cid}")
         try:
             rebuilt, rebuilt_strict = constraint_form(kind, params)
-        except (ValueError, TypeError) as exc:
-            raise _Fail(step_id, f"constraint {cid}: {exc}")
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise _Fail(None, f"constraint {cid}: {exc}")
         if rebuilt != recorded or rebuilt_strict != strict:
-            raise _Fail(step_id, f"constraint {cid} does not match its descriptor")
+            raise _Fail(None, f"constraint {cid} does not match its descriptor")
+        fact = None
         if kind == "from_fact":
-            m, bound, _scale, f_strict = params
-            key = (m, to_rat(bound), _json_bool(step_id, f_strict, f"fact strictness of {cid}"))
-            if key not in established:
+            m, bound, scale, f_strict = params
+            if to_rat(scale) <= 0:
+                raise _Fail(None, f"constraint {cid} must divide its fact by a positive scale")
+            fact = (m, to_rat(bound), _json_bool(None, f_strict, f"fact strictness of {cid}"))
+        decls[cid] = _Decl(recorded, strict, kind, params, fact)
+    return decls
+
+
+@dataclass
+class _Replay:
+    """What the verifier knows while it replays the steps in order."""
+
+    cert: Certificate
+    decls: dict[str, _Decl]
+    steps_by_id: dict[int, dict]
+    established: dict = field(default_factory=dict)  # (m, bound, strict) -> step id
+    cited: set = field(default_factory=set)
+
+    def cite(self, sid: int, cids: Any, branch_ok: bool = False) -> tuple[dict, bool]:
+        """The declarations a step cites, by cid, and whether a case
+        hypothesis on P(1) is among them.
+
+        Hypotheses are legal only where branch_ok says so, and a from_fact
+        constraint only once an earlier step established its fact.
+        """
+        if not isinstance(cids, list):
+            raise _Fail(sid, "constraints must be a list of constraint ids")
+        table: dict[str, _Decl] = {}
+        has_hypothesis = False
+        for cid in cids:
+            decl = self.decls.get(cid) if isinstance(cid, str) else None
+            if decl is None:
+                raise _Fail(sid, f"cites undeclared constraint {cid!r}")
+            if cid in table:
+                raise _Fail(sid, f"cites constraint {cid} twice")
+            if decl.kind in _BRANCH_KINDS:
+                if not branch_ok:
+                    raise _Fail(sid, f"case hypothesis {cid} outside a branch step")
+                has_hypothesis = True
+            elif decl.fact is not None and decl.fact not in self.established:
+                m, bound, _ = decl.fact
                 raise _Fail(
-                    step_id,
-                    f"constraint {cid} cites a fact P({m}) >= {bound} "
+                    sid,
+                    f"constraint {cid} cites a fact P({m}) >= {rat_str(bound)} "
                     "not established by an earlier step",
                 )
-        table[cid] = (recorded, strict)
-    return table, has_hypothesis
+            table[cid] = decl
+        self.cited.update(table)
+        return table, has_hypothesis
 
 
 def _check_farkas(
@@ -304,7 +341,7 @@ def _check_farkas(
     objective: AffineForm,
     value: Fraction,
 ) -> bool:
-    """Replay a Farkas combination: nonnegative multipliers over recorded
+    """Replay a Farkas combination: nonnegative multipliers over cited
     constraints summing exactly to objective - value.  Returns whether the
     combination proves a strict bound."""
     if not isinstance(farkas, list):
@@ -321,9 +358,9 @@ def _check_farkas(
             raise _Fail(step_id, f"negative farkas multiplier on {cid}")
         if cid not in table:
             raise _Fail(step_id, f"farkas cites unknown constraint {cid}")
-        form, c_strict = table[cid]
-        acc = acc + form.scale(mult)
-        if mult > 0 and c_strict:
+        decl = table[cid]
+        acc = acc + decl.form.scale(mult)
+        if mult > 0 and decl.strict:
             strict = True
     if acc != objective - AffineForm.constant(value):
         raise _Fail(step_id, "farkas combination does not reproduce the bound")
@@ -335,9 +372,9 @@ def _check_point(step_id: int, point: Any, table: dict) -> tuple[Fraction, Fract
         a, b = (to_rat(x) for x in point)
     except (TypeError, ValueError) as exc:
         raise _Fail(step_id, f"bad point {point!r}: {exc}")
-    for cid, (form, strict) in table.items():
-        v = form.evaluate(a, b)
-        if v < 0 or (v == 0 and strict):
+    for cid, decl in table.items():
+        v = decl.form.evaluate(a, b)
+        if v < 0 or (v == 0 and decl.strict):
             raise _Fail(step_id, f"witness point violates constraint {cid}")
     return a, b
 
@@ -373,14 +410,14 @@ def _single_input(step_id: int, step: dict) -> dict:
     return inputs[0]
 
 
-def _json_int(step_id: int, value: Any, what: str) -> int:
+def _json_int(step_id: Optional[int], value: Any, what: str) -> int:
     """A JSON integer; floats, bools and strings are rejected, not coerced."""
     if not _is_int(value):
         raise _Fail(step_id, f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _json_bool(step_id: int, value: Any, what: str) -> bool:
+def _json_bool(step_id: Optional[int], value: Any, what: str) -> bool:
     """A JSON boolean; strings, numbers and null are rejected, not coerced."""
     if not isinstance(value, bool):
         raise _Fail(step_id, f"{what} must be a boolean, got {value!r}")
@@ -392,6 +429,11 @@ def _witness(step_id: int, step: dict) -> dict:
     if not isinstance(w, dict):
         raise _Fail(step_id, "missing witness")
     return w
+
+
+def _check_claim(step_id: int, step: dict, want: str) -> None:
+    if step.get("claim") != want:
+        raise _Fail(step_id, "claim text does not match the witness")
 
 
 def _model_from_step(step_id: int, steps_by_id: dict, model_step: Any) -> Poly:
@@ -430,11 +472,11 @@ def _table_from_step(
 def verify(cert: Certificate) -> VerifyResult:
     """Replay every step of a certificate by arithmetic alone.
 
-    Valid means: all recorded constraints regenerate from their descriptors,
-    all Farkas combinations and witness points check out, value tables
-    recompute exactly, polynomial tails have the certified sign pattern,
-    selections are minimal over their recorded search ranges, and the final
-    bound equals the recomposed sum.
+    Valid means: every declared constraint regenerates from its descriptor
+    and is cited by some step, all Farkas combinations and witness points
+    check out, value tables recompute exactly, polynomial tails have the
+    certified sign pattern, selections are minimal over their recorded
+    search ranges, and the final bound equals the recomposed sum.
     """
     progress: list = [None]
     try:
@@ -452,32 +494,38 @@ def verify(cert: Certificate) -> VerifyResult:
 # every certificate sticks to one derivation flavor; mixing would let a
 # step about an unrelated object justify the composed bound
 _FLAVOR_RULES = {
-    "worst_case": {
+    WORST_CASE: {
         "axioms", "split_p1", "fm_lower_bound", "merge_min",
         "fact_to_constraint", "dim_search", "monotone_tail", "compose",
     },
-    "concrete": {
+    CONCRETE: {
         "axioms", "eval_p", "value_at_least", "dim_search", "monotone_tail",
         "compose",
     },
-    "oracle": {
+    ORACLE: {
         "axioms", "oracle_values", "oracle_model", "value_at_least",
         "dim_search", "monotone_tail", "compose",
     },
+}
+
+# the axioms each flavor rests on, exactly; the README documents each
+_FLAVOR_AXIOMS = {
+    WORST_CASE: ["A1", "A3", "A4", "A5"],
+    CONCRETE: ["A3", "A4"],
+    ORACLE: ["O1", "O2"],
 }
 
 
 def _verify_inner(cert: Certificate, progress: list) -> None:
     if cert.version != CERT_VERSION:
         raise _Fail(None, f"unsupported version {cert.version}")
-    if cert.mode not in (WORST_CASE, CONCRETE):
-        raise _Fail(None, f"unknown mode {cert.mode!r}")
-    if cert.mode == WORST_CASE:
-        flavor = "worst_case"
-    elif cert.chern is not None:
-        flavor = "concrete"
-    else:
-        flavor = "oracle"
+    flavor = cert.mode
+    if flavor not in _FLAVOR_RULES:
+        raise _Fail(None, f"unknown mode {flavor!r}")
+    if (cert.chern is not None) != (flavor == CONCRETE):
+        raise _Fail(None, "chern data must be given exactly in concrete mode")
+    if cert.axioms != _FLAVOR_AXIOMS[flavor]:
+        raise _Fail(None, f"a {flavor} certificate rests on the axioms {_FLAVOR_AXIOMS[flavor]}")
     allowed_rules = _FLAVOR_RULES[flavor]
 
     steps_by_id: dict[int, dict] = {}
@@ -489,7 +537,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
         last_id = sid
         steps_by_id[sid] = step
 
-    established: dict = {}  # facts available to later steps
+    st = _Replay(cert, _declarations(cert.constraints, cert.axioms), steps_by_id)
     searches: dict[int, dict] = {}  # target_dim -> selected
     monotone_tail_step: Optional[dict] = None
     compose_step: Optional[dict] = None
@@ -508,9 +556,10 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             if inner_mode != flavor:
                 raise _Fail(sid, f"step mode {inner_mode!r} contradicts the {flavor} flavor")
         if rule == "axioms":
-            _witness(sid, step)
-            cons = step["witness"].get("constraints", [])
-            _check_constraints(sid, cons, established, cert.axioms)
+            w = _witness(sid, step)
+            if step.get("inputs") != []:
+                raise _Fail(sid, "the axiom step takes no inputs")
+            st.cite(sid, w.get("constraints"))
 
         elif rule == "split_p1":
             inp = _single_input(sid, step)
@@ -526,9 +575,7 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             inp = _single_input(sid, step)
             w = _witness(sid, step)
             m = _json_int(sid, inp.get("m"), "m")
-            table, conditional = _check_constraints(
-                sid, inp.get("constraints", []), established, cert.axioms, branch_ok=True
-            )
+            table, conditional = st.cite(sid, inp.get("constraints"), branch_ok=True)
             raw, proved_strict, bound = _check_integral_bound(sid, w, table, m, cert.axioms)
             attained = _json_bool(sid, w.get("attained"), "attained")
             if attained != (w.get("point") is not None):
@@ -539,12 +586,11 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                 a, b = _check_point(sid, w.get("point"), table)
                 if p_affine(m).evaluate(a, b) != raw:
                     raise _Fail(sid, "witness point does not attain the minimum")
-            if step.get("claim") != f"P({m}) >= {rat_str(bound)}":
-                raise _Fail(sid, "claim text does not match the witness")
+            _check_claim(sid, step, f"P({m}) >= {rat_str(bound)}")
             if not conditional:
                 # bounds proved under case hypotheses stay branch-local;
                 # only the merge step may promote them
-                established[(m, bound, False)] = sid
+                st.established[(m, bound, False)] = sid
 
         elif rule == "merge_min":
             inp = _single_input(sid, step)
@@ -559,28 +605,32 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                 raise _Fail(sid, "merged branches do not cover the split")
             bounds = []
             for l, br in enumerate(branches):
-                ref = steps_by_id.get(br.get("step"))
-                if ref is None or ref.get("rule") != "fm_lower_bound":
-                    raise _Fail(sid, f"branch {br.get('label')} cites no bound step")
+                ref_id = br.get("step")
+                ref = steps_by_id.get(ref_id)
+                # an earlier step only: a later branch could cite the merged fact
+                if ref is None or ref.get("rule") != "fm_lower_bound" or ref_id >= sid:
+                    raise _Fail(sid, f"branch {br.get('label')} cites no earlier bound step")
                 bound_br = to_rat(br.get("bound"))
                 if ref.get("claim") != f"P({m}) >= {rat_str(bound_br)}":
                     raise _Fail(sid, f"branch {br.get('label')} bound mismatch")
-                ref_inp = _single_input(sid, ref)
-                cids = {c.get("cid") for c in ref_inp.get("constraints", [])}
                 # labels follow the split, so branch l is P(1) = l or the tail
                 if l == len(split_labels) - 1:
-                    hypotheses = {f"H.P1>={l}"}
+                    want = {("p1_tail", (l,))}
                 else:
-                    hypotheses = {f"H.P1={l}.lo", f"H.P1={l}.hi"}
-                if not hypotheses <= cids:
-                    raise _Fail(sid, f"branch {br['label']} lacks its hypothesis")
+                    want = {("p1_eq_lo", (l,)), ("p1_eq_hi", (l,))}
+                hypotheses = {
+                    (d.kind, d.params)
+                    for d in (st.decls[c] for c in _single_input(sid, ref)["constraints"])
+                    if d.kind in _BRANCH_KINDS
+                }
+                if hypotheses != want:
+                    raise _Fail(sid, f"branch {br['label']} does not rest on its own hypothesis")
                 bounds.append(bound_br)
             merged = to_rat(w["bound"])
             if merged != min(bounds):
                 raise _Fail(sid, "merged bound is not the branch minimum")
-            if step.get("claim") != f"P({m}) >= {rat_str(merged)} on the union of branches":
-                raise _Fail(sid, "claim text does not match the witness")
-            established[(m, merged, False)] = sid
+            _check_claim(sid, step, f"P({m}) >= {rat_str(merged)} on the union of branches")
+            st.established[(m, merged, False)] = sid
 
         elif rule == "fact_to_constraint":
             inp = _single_input(sid, step)
@@ -588,24 +638,21 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
             m = _json_int(sid, inp.get("m"), "m")
             bound = to_rat(inp["bound"])
             strict = _json_bool(sid, inp.get("strict"), "strict")
-            if (m, bound, strict) not in established:
+            if (m, bound, strict) not in st.established:
                 raise _Fail(sid, f"fact P({m}) >= {bound} was not established")
-            entry = w.get("constraint")
-            table, _ = _check_constraints(sid, [entry], established, cert.axioms)
-            (form, form_strict), = table.values()
-            scale = to_rat(w.get("scale", 1))
-            if scale <= 0:
-                raise _Fail(sid, "scale must be positive")
-            if form.scale(scale) != p_affine(m) - AffineForm.constant(bound):
+            cid = w.get("constraint")
+            (decl,) = st.cite(sid, [cid])[0].values()
+            if decl.fact is None:
+                raise _Fail(sid, f"constraint {cid} is not derived from a fact")
+            scale = to_rat(decl.params[2])  # positive, checked with the declaration
+            if decl.form.scale(scale) != p_affine(m) - AffineForm.constant(bound):
                 raise _Fail(sid, "constraint does not rescale to the fact")
-            if form_strict != strict:
+            if decl.strict != strict:
                 raise _Fail(sid, "strictness mismatch")
 
         elif rule == "eval_p":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            if cert.chern is None:
-                raise _Fail(sid, "eval_p requires chern data")
             m_max = _json_int(sid, inp.get("m_max"), "m_max")
             if not 0 <= m_max <= MAX_TABLE:
                 raise _Fail(sid, "value table exceeds verifier limits")
@@ -667,22 +714,20 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                 raise _Fail(sid, "recorded value differs from the table")
             if value < bound:
                 raise _Fail(sid, f"P({m}) = {value} is below the claimed bound {bound}")
-            established[(m, Fraction(bound), False)] = sid
+            st.established[(m, Fraction(bound), False)] = sid
 
         elif rule == "dim_search":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
-            _verify_dim_search(cert, sid, inp, w, steps_by_id, established, searches)
+            _verify_dim_search(st, sid, inp, w, searches)
             # target_dim and the selected m were checked as integers above
-            want = f"dim >= {inp['target_dim']} at m = {w['selected']['m']}"
-            if step.get("claim") != want:
-                raise _Fail(sid, "claim text does not match the selection")
+            _check_claim(sid, step, f"dim >= {inp['target_dim']} at m = {w['selected']['m']}")
 
         elif rule == "monotone_tail":
             inp = _single_input(sid, step)
             w = _witness(sid, step)
             monotone_tail_step = step
-            _verify_monotone_tail(cert, sid, inp, w, steps_by_id, established)
+            _verify_monotone_tail(st, sid, inp, w)
 
         elif rule == "compose":
             inp = _single_input(sid, step)
@@ -703,32 +748,27 @@ def _verify_inner(cert: Certificate, progress: list) -> None:
                     raise _Fail(sid, f"no dimension-{target} witness step")
                 if sel["m"] != rs[target - 1]:
                     raise _Fail(sid, f"r{target} does not match its witness step")
-            if not any(m == r0 and q >= 1 and not s for (m, q, s) in established):
+            if not any(m == r0 and q >= 1 and not s for (m, q, s) in st.established):
                 raise _Fail(sid, f"P({r0}) >= 1 was never established")
             if monotone_tail_step is None:
                 raise _Fail(sid, "monotonicity step is missing")
             # the tail step checked m_start as an integer
             if _single_input(sid, monotone_tail_step)["m_start"] != r0:
                 raise _Fail(sid, "monotone tail does not start at r0")
-            if step.get("claim") != f"birational for all m >= {total}":
-                raise _Fail(sid, "claim text does not match the composition")
+            _check_claim(sid, step, f"birational for all m >= {total}")
 
         else:
             raise _Fail(sid, f"unknown rule {rule!r}")
 
+    progress[0] = None
     if compose_step is None:
         raise _Fail(None, "certificate has no compose step")
+    uncited = sorted(st.decls.keys() - st.cited)
+    if uncited:
+        raise _Fail(None, f"constraint {uncited[0]} is declared but cited by no step")
 
 
-def _verify_dim_search(
-    cert: Certificate,
-    sid: int,
-    inp: dict,
-    w: dict,
-    steps_by_id: dict,
-    established: dict,
-    searches: dict,
-) -> None:
+def _verify_dim_search(st: _Replay, sid: int, inp: dict, w: dict, searches: dict) -> None:
     target = _json_int(sid, inp.get("target_dim"), "target_dim")
     if target not in (1, 2, 3):
         raise _Fail(sid, "target dimension must be 1, 2, or 3")
@@ -744,6 +784,8 @@ def _verify_dim_search(
     sel_r = sel.get("r")
     if not 1 <= m_start <= sel_m <= m_max:
         raise _Fail(sid, "selected multiple is outside the search range")
+    if target == 1 and sel_r is not None:
+        raise _Fail(sid, "a dimension-1 selection has no exponent")
     if target >= 2 and (sel.get("rule") != "lemma2" or sel_r is None):
         raise _Fail(sid, "dimension >= 2 needs a lemma2 selection with an exponent")
     # checked before any m**r is computed
@@ -760,7 +802,9 @@ def _verify_dim_search(
             if m == sel_m and (r is None or (sel_r is not None and r >= sel_r)):
                 break
             expect.append((m, r))
-    attempts = w.get("attempts", [])
+    attempts = w.get("attempts")
+    if not isinstance(attempts, list):
+        raise _Fail(sid, "attempts must be a list")
     got = [
         (_json_int(sid, a["m"], "attempt m"),
          None if a.get("r") is None else _json_int(sid, a["r"], "attempt r"))
@@ -769,8 +813,8 @@ def _verify_dim_search(
     if got != expect:
         raise _Fail(sid, "failed attempts do not enumerate the search order")
 
-    if mode == "worst_case":
-        table, _ = _check_constraints(sid, inp.get("constraints", []), established, cert.axioms)
+    if mode == WORST_CASE:
+        table, _ = st.cite(sid, inp.get("constraints"))
         for (m, r), a in zip(expect, attempts):
             point = _check_point(sid, a.get("point"), table)
             value = to_rat(a["value"])
@@ -786,7 +830,7 @@ def _verify_dim_search(
         if sel.get("rule") == "nonvanishing":
             if target != 1:
                 raise _Fail(sid, "nonvanishing only witnesses dimension 1")
-            _, _, bound = _check_integral_bound(sid, sel, table, sel_m, cert.axioms)
+            _, _, bound = _check_integral_bound(sid, sel, table, sel_m, st.cert.axioms)
             if bound < 2:
                 raise _Fail(sid, "a pencil needs P(m) >= 2")
             if to_rat(sel["margin"]) != bound - 1:
@@ -802,13 +846,13 @@ def _verify_dim_search(
             if sel_r + 1 < target:
                 raise _Fail(sid, "lemma instance too weak for the target dimension")
     else:
-        value_at, _ = _table_from_step(sid, steps_by_id, inp.get("values_step"))
+        value_at, _ = _table_from_step(sid, st.steps_by_id, inp.get("values_step"))
         d5 = _json_int(sid, inp.get("d5"), "d5")
-        if cert.chern is not None:
-            if d5 != cert.chern.k5:
+        if mode == CONCRETE:
+            if d5 != st.cert.chern.k5:
                 raise _Fail(sid, "d5 differs from the chern data")
         else:
-            vs_inp = _single_input(sid, steps_by_id[inp["values_step"]])
+            vs_inp = _single_input(sid, st.steps_by_id[inp["values_step"]])
             if vs_inp.get("d5") != d5:
                 raise _Fail(sid, "d5 differs from the verified value table")
         for (m, r), a in zip(expect, attempts):
@@ -844,19 +888,17 @@ def _verify_dim_search(
     searches[target] = sel
 
 
-def _verify_monotone_tail(
-    cert: Certificate, sid: int, inp: dict, w: dict, steps_by_id: dict, established: dict
-) -> None:
+def _verify_monotone_tail(st: _Replay, sid: int, inp: dict, w: dict) -> None:
     m_start = _json_int(sid, inp.get("m_start"), "m_start")
     mode = inp.get("mode")
     q = Poly([to_rat(c) for c in w.get("q_poly", [])])
-    if mode == "worst_case":
-        table, _ = _check_constraints(sid, inp.get("constraints", []), established, cert.axioms)
+    if mode == WORST_CASE:
+        table, _ = st.cite(sid, inp.get("constraints"))
         bcid, acid = inp.get("b_constraint"), inp.get("a_constraint")
         if bcid not in table or acid not in table:
             raise _Fail(sid, "tail cites constraints outside the recorded system")
-        bform, bstrict = table[bcid]
-        aform, astrict = table[acid]
+        bform, bstrict = table[bcid].form, table[bcid].strict
+        aform, astrict = table[acid].form, table[acid].strict
         if bstrict or astrict:
             raise _Fail(sid, "tail substitution requires non-strict constraints")
         if bform.coeff_b <= 0:
@@ -875,15 +917,13 @@ def _verify_monotone_tail(
         a_floor = -aform.const / aform.coeff_a
         if q != subst_a.scale(a_floor) + subst_k:
             raise _Fail(sid, "tail polynomial does not match the substitutions")
-    elif mode == "concrete":
-        if cert.chern is None:
-            raise _Fail(sid, "concrete tail requires chern data")
+    elif mode == CONCRETE:
         da, db, dk = difference_polys()
-        want = da.scale(cert.chern.a) + db.scale(cert.chern.b) + dk
+        want = da.scale(st.cert.chern.a) + db.scale(st.cert.chern.b) + dk
         if q != want:
             raise _Fail(sid, "tail polynomial does not match the chern data")
-    elif mode == "oracle":
-        model = _model_from_step(sid, steps_by_id, inp.get("model_step"))
+    elif mode == ORACLE:
+        model = _model_from_step(sid, st.steps_by_id, inp.get("model_step"))
         if q != model.shift(1) - model:
             raise _Fail(sid, "tail polynomial does not match the model difference")
     else:

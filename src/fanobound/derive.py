@@ -19,7 +19,6 @@ returned value, multipliers and point.
 Axioms:
 
     A1   720 a is an integer >= 1           (a >= 1/720 as an inequality)
-    A2   144 b is an integer                (cited; no step uses it)
     A3   P(m) is an integer for every m     (every lower bound is rounded up)
     A4   P(m) >= 0 for 0 <= m <= horizon    (vanishing)
     A5   P(2) >= P(1)                       (hypothesis)

@@ -352,8 +352,7 @@ class TestVerifierRejectsTampering:
 
     def test_tampered_constraint_form_caught(self):
         def bend(doc):
-            cons = doc["steps"][2]["inputs"][0]["constraints"]
-            cons[0]["form"][2] = "-1/7"
+            doc["constraints"][0]["form"][2] = "-1/7"
         bad = self._mutate(bend)
         res = verify(bad)
         assert not res.ok and "descriptor" in res.reason
@@ -362,15 +361,8 @@ class TestVerifierRejectsTampering:
         def smuggle(doc):
             for step in doc["steps"]:
                 if step["rule"] == "dim_search":
-                    step["inputs"][0]["constraints"].append(
-                        {
-                            "cid": "H.P1=0.lo",
-                            "kind": "p1_eq_lo",
-                            "params": [0],
-                            "form": ["30", "6", "3"],
-                            "strict": False,
-                        }
-                    )
+                    # declared for the branch steps, cited outside them
+                    step["inputs"][0]["constraints"].append("H.P1=0.lo")
                     return
         bad = self._mutate(smuggle)
         res = verify(bad)

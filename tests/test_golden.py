@@ -16,19 +16,19 @@ from fanobound.cli import main
 GOLDEN = {
     "solve_worst_case.json": (
         ["solve", "--worst-case"],
-        "dfbe589f412ca8db034d92b846a3849a78835c140bb4591896196a2f1865fc84",
+        "5f39ea521ebb81dc589db66febed0a869c84772693c3aa4bef47c01703112a76",
     ),
     "solve_k5_6250_k3c2_2750.json": (
         ["solve", "--k5", "6250", "--k3c2", "2750"],
-        "124b0895b3910fe54bf991a917429b883836f8876be32c8549ffda6a0efd4816",
+        "249d207c677822a4e2e7e3a04f6a52f437a010c69a961151e85c8c5848896d14",
     ),
     "solve_bundle_00001_standard.json": (
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "standard"],
-        "a1f58feb662026a8ae63ee4fe53f34405dd16e7bc0e4152893c40c57b4210dbb",
+        "d92a7d7ad683acc3c4984aa8efbb4c3cd0516c7b592907f7023d9c81de067102",
     ),
     "solve_bundle_00001_paper.json": (
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "paper"],
-        "a08a5676bfd0d2781da8340a8b7634771c286d3616099979896cf2374ce42a40",
+        "cfd599eba96c62bcccce3c9687774c2ffff54e180255e60aab5371e1c070fffb",
     ),
     "audit.json": (
         ["audit"],
