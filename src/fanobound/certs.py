@@ -21,12 +21,25 @@ Schema (field names are part of the external interface):
      "r0": int, "r": [int, int, int], "bound": int}
 
 chern is non-null exactly in concrete mode.  constraints declares each
-inequality once, sorted by cid; steps cite declarations by cid.  Only the
-steps that derive a bound (fm_lower_bound, merge_min, dim_search and
-compose) carry a claim, and the verifier regenerates it.
+inequality once, sorted by cid; steps cite declarations by cid, and earlier
+steps by their integer id.  Only the steps that derive a bound
+(fm_lower_bound, merge_min, dim_search and compose) carry a claim, and the
+verifier regenerates it.
 
 Rationals serialize as "p/q" strings with the sign on the numerator;
-integers omit the "/1".
+integers omit the "/1".  The verifier reads a rational only as a string.
+
+The verifier is one table, _RULES, from each rule to its checker and the
+flavors that allow it.  A checker replays one step over the shared _Replay
+context, records what it checked (a value table, an oracle model, a branch
+bound) for later steps to cite, and returns the claim the step must carry.
+It trusts four parts of the package: exact (rationals, polynomials, affine
+forms), hilbert (the polynomial P and the Lemma 2 forms), bundle (its own
+recount of the section counts, and the nef test) and derive.constraint_form,
+which regenerates a declared inequality from its descriptor.
+constraint_form still lives beside the prover's search in derive because
+the benchmark's trace self-check expects calls under that name; it moves
+out together with the next change to the benchmark.
 """
 
 from __future__ import annotations
@@ -216,18 +229,45 @@ class VerifyResult:
 
 
 class _Fail(Exception):
-    def __init__(self, step_id: Optional[int], reason: str):
-        self.step_id = step_id
-        self.reason = reason
-        super().__init__(reason)
+    """A failed check; verify reports it at the step being replayed."""
+
+
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer; floats, bools and strings are rejected, not coerced."""
+    if not _is_int(value):
+        raise _Fail(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_bool(value: Any, what: str) -> bool:
+    """A JSON boolean; strings, numbers and null are rejected, not coerced."""
+    if not isinstance(value, bool):
+        raise _Fail(f"{what} must be a boolean, got {value!r}")
+    return value
+
+
+def _rat(value: Any, what: str) -> Fraction:
+    """A rational written as a "p/q" string; JSON numbers are rejected, not
+    coerced."""
+    if not isinstance(value, str):
+        raise _Fail(f"{what} must be a rational string, got {value!r}")
+    try:
+        return to_rat(value)
+    except ValueError as exc:
+        raise _Fail(f"{what}: {exc}")
+
+
+def _rats(value: Any, what: str) -> list[Fraction]:
+    if not isinstance(value, list):
+        raise _Fail(f"{what} must be a list of rational strings")
+    return [_rat(v, what) for v in value]
 
 
 def _parse_form(data: Any) -> AffineForm:
-    try:
-        ca, cb, k = data
-        return AffineForm.of(to_rat(ca), to_rat(cb), to_rat(k))
-    except (TypeError, ValueError) as exc:
-        raise _Fail(None, f"bad affine form {data!r}: {exc}")
+    coeffs = _rats(data, "form")
+    if len(coeffs) != 3:
+        raise _Fail(f"bad affine form {data!r}")
+    return AffineForm.of(*coeffs)
 
 
 _AXIOM_KINDS = {"k5_floor": "A1", "vanishing": "A4", "mono12": "A5"}
@@ -260,35 +300,51 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
             kind = entry["kind"]
             params = tuple(entry["params"])
             recorded = _parse_form(entry["form"])
-            strict = _json_bool(None, entry["strict"], f"strict flag of {cid}")
+            strict = _json_bool(entry["strict"], f"strict flag of {cid}")
         except (KeyError, TypeError) as exc:
-            raise _Fail(None, f"bad constraint declaration: {exc}")
+            raise _Fail(f"bad constraint declaration: {exc}")
         if not isinstance(cid, str) or (last is not None and cid <= last):
-            raise _Fail(None, f"constraint id {cid!r} is not unique and in sorted order")
+            raise _Fail(f"constraint id {cid!r} is not unique and in sorted order")
         last = cid
         if kind in _AXIOM_KINDS:
             if _AXIOM_KINDS[kind] not in axioms:
-                raise _Fail(
-                    None, f"constraint {cid} uses undeclared axiom {_AXIOM_KINDS[kind]}"
-                )
+                raise _Fail(f"constraint {cid} uses undeclared axiom {_AXIOM_KINDS[kind]}")
         elif kind not in _BRANCH_KINDS and kind != "from_fact":
-            raise _Fail(None, f"constraint kind {kind!r} not allowed in certificates")
+            raise _Fail(f"constraint kind {kind!r} not allowed in certificates")
         if params:
-            _json_int(None, params[0], f"first parameter of {cid}")
+            _json_int(params[0], f"first parameter of {cid}")
         try:
             rebuilt, rebuilt_strict = constraint_form(kind, params)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise _Fail(None, f"constraint {cid}: {exc}")
+            raise _Fail(f"constraint {cid}: {exc}")
         if rebuilt != recorded or rebuilt_strict != strict:
-            raise _Fail(None, f"constraint {cid} does not match its descriptor")
+            raise _Fail(f"constraint {cid} does not match its descriptor")
         fact = None
         if kind == "from_fact":
             m, bound, scale, f_strict = params
-            if to_rat(scale) <= 0:
-                raise _Fail(None, f"constraint {cid} must divide its fact by a positive scale")
-            fact = (m, to_rat(bound), _json_bool(None, f_strict, f"fact strictness of {cid}"))
+            if _rat(scale, f"scale of {cid}") <= 0:
+                raise _Fail(f"constraint {cid} must divide its fact by a positive scale")
+            fact = (
+                m,
+                _rat(bound, f"fact bound of {cid}"),
+                _json_bool(f_strict, f"fact strictness of {cid}"),
+            )
         decls[cid] = _Decl(recorded, strict, kind, params, fact)
     return decls
+
+
+class _Table(NamedTuple):
+    """A checked value table: the values at m = first, first + 1, ... of a
+    variety with (-K)^5 = d5."""
+
+    values: list[int]
+    first: int
+    d5: int
+
+    def at(self, m: int) -> int:
+        if not 0 <= m - self.first < len(self.values):
+            raise _Fail(f"value table has no entry for m = {m}")
+        return self.values[m - self.first]
 
 
 @dataclass
@@ -296,216 +352,489 @@ class _Replay:
     """What the verifier knows while it replays the steps in order."""
 
     cert: Certificate
-    decls: dict[str, _Decl]
-    steps_by_id: dict[int, dict]
-    established: dict = field(default_factory=dict)  # (m, bound, strict) -> step id
+    sid: Optional[int] = None  # the step being replayed; None outside the steps
+    decls: dict[str, _Decl] = field(default_factory=dict)
     cited: set = field(default_factory=set)
+    established: set = field(default_factory=set)  # facts (m, bound, strict) under no case
+    results: dict = field(default_factory=dict)  # step id -> (kind, what its check recorded)
+    split_labels: Optional[list[str]] = None
+    searches: dict = field(default_factory=dict)  # target dimension -> selected m
+    tail_start: Optional[int] = None
+    composed: bool = False
 
-    def cite(self, sid: int, cids: Any, branch_ok: bool = False) -> tuple[dict, bool]:
-        """The declarations a step cites, by cid, and whether a case
-        hypothesis on P(1) is among them.
+    def record(self, kind: str, result: Any) -> None:
+        """Keep what the current step checked for later steps to cite."""
+        self.results[self.sid] = (kind, result)
+
+    def result(self, ref: Any, kind: str, what: str) -> Any:
+        """What an earlier step of this kind recorded; ref is its id, a JSON
+        integer."""
+        got = self.results.get(ref) if _is_int(ref) else None
+        if got is None or got[0] != kind:
+            raise _Fail(f"{what} cites no earlier {kind} step")
+        return got[1]
+
+    def cite(self, cids: Any, branch_ok: bool = False) -> tuple[dict[str, _Decl], frozenset]:
+        """The declarations a step cites, by cid, and the case hypotheses on
+        P(1) among them as (kind, params) pairs.
 
         Hypotheses are legal only where branch_ok says so, and a from_fact
         constraint only once an earlier step established its fact.
         """
         if not isinstance(cids, list):
-            raise _Fail(sid, "constraints must be a list of constraint ids")
+            raise _Fail("constraints must be a list of constraint ids")
         table: dict[str, _Decl] = {}
-        has_hypothesis = False
         for cid in cids:
             decl = self.decls.get(cid) if isinstance(cid, str) else None
             if decl is None:
-                raise _Fail(sid, f"cites undeclared constraint {cid!r}")
+                raise _Fail(f"cites undeclared constraint {cid!r}")
             if cid in table:
-                raise _Fail(sid, f"cites constraint {cid} twice")
-            if decl.kind in _BRANCH_KINDS:
-                if not branch_ok:
-                    raise _Fail(sid, f"case hypothesis {cid} outside a branch step")
-                has_hypothesis = True
-            elif decl.fact is not None and decl.fact not in self.established:
+                raise _Fail(f"cites constraint {cid} twice")
+            if decl.kind in _BRANCH_KINDS and not branch_ok:
+                raise _Fail(f"case hypothesis {cid} outside a branch step")
+            if decl.fact is not None and decl.fact not in self.established:
                 m, bound, _ = decl.fact
                 raise _Fail(
-                    sid,
                     f"constraint {cid} cites a fact P({m}) >= {rat_str(bound)} "
-                    "not established by an earlier step",
+                    "not established by an earlier step"
                 )
             table[cid] = decl
         self.cited.update(table)
-        return table, has_hypothesis
+        hypotheses = frozenset((d.kind, d.params) for d in table.values() if d.kind in _BRANCH_KINDS)
+        return table, hypotheses
 
 
-def _check_farkas(
-    step_id: int,
-    farkas: Any,
-    table: dict,
-    objective: AffineForm,
-    value: Fraction,
-) -> bool:
+def _check_farkas(farkas: Any, table: dict, objective: AffineForm, value: Fraction) -> bool:
     """Replay a Farkas combination: nonnegative multipliers over cited
     constraints summing exactly to objective - value.  Returns whether the
     combination proves a strict bound."""
     if not isinstance(farkas, list):
-        raise _Fail(step_id, "farkas witness must be a list")
+        raise _Fail("farkas witness must be a list")
     acc = AffineForm.constant(0)
     strict = False
     for item in farkas:
         try:
             cid, mult = item
-            mult = to_rat(mult)
         except (TypeError, ValueError) as exc:
-            raise _Fail(step_id, f"bad farkas entry {item!r}: {exc}")
+            raise _Fail(f"bad farkas entry {item!r}: {exc}")
+        mult = _rat(mult, f"farkas multiplier on {cid}")
         if mult < 0:
-            raise _Fail(step_id, f"negative farkas multiplier on {cid}")
+            raise _Fail(f"negative farkas multiplier on {cid}")
         if cid not in table:
-            raise _Fail(step_id, f"farkas cites unknown constraint {cid}")
+            raise _Fail(f"farkas cites unknown constraint {cid}")
         decl = table[cid]
         acc = acc + decl.form.scale(mult)
         if mult > 0 and decl.strict:
             strict = True
     if acc != objective - AffineForm.constant(value):
-        raise _Fail(step_id, "farkas combination does not reproduce the bound")
+        raise _Fail("farkas combination does not reproduce the bound")
     return strict
 
 
-def _check_point(step_id: int, point: Any, table: dict) -> tuple[Fraction, Fraction]:
+def _check_point(point: Any, table: dict) -> tuple[Fraction, Fraction]:
     try:
-        a, b = (to_rat(x) for x in point)
+        a, b = (_rat(x, "point coordinate") for x in point)
     except (TypeError, ValueError) as exc:
-        raise _Fail(step_id, f"bad point {point!r}: {exc}")
+        raise _Fail(f"bad point {point!r}: {exc}")
     for cid, decl in table.items():
         v = decl.form.evaluate(a, b)
         if v < 0 or (v == 0 and decl.strict):
-            raise _Fail(step_id, f"witness point violates constraint {cid}")
+            raise _Fail(f"witness point violates constraint {cid}")
     return a, b
 
 
-def _check_integral_bound(
-    step_id: int, w: dict, table: dict, m: int, axioms: list[str]
-) -> tuple[Fraction, bool, Fraction]:
+def _check_integral_bound(w: dict, table: dict, m: int) -> tuple[Fraction, bool, Fraction]:
     """Replay P(m) >= bound from a recorded minimum: the Farkas combination
     proves raw_min (strictly if raw_strict says so), and bound is raw_min
-    rounded up by A3 exactly when strengthened says so.  Returns raw_min,
-    whether the combination is strict, and the bound."""
-    raw = to_rat(w["raw_min"])
-    raw_strict = _json_bool(step_id, w.get("raw_strict"), "raw_strict")
-    proved_strict = _check_farkas(step_id, w.get("farkas", []), table, p_affine(m), raw)
+    rounded up by A3, which every worst-case certificate declares, exactly
+    when strengthened says so.  Returns raw_min, whether the combination is
+    strict, and the bound."""
+    raw = _rat(w.get("raw_min"), "raw_min")
+    raw_strict = _json_bool(w.get("raw_strict"), "raw_strict")
+    proved_strict = _check_farkas(w.get("farkas"), table, p_affine(m), raw)
     if raw_strict and not proved_strict:
-        raise _Fail(step_id, "strict bound claimed without a strict combination")
-    bound = to_rat(w["bound"])
-    strengthened = _json_bool(step_id, w.get("strengthened"), "strengthened")
+        raise _Fail("strict bound claimed without a strict combination")
+    bound = _rat(w.get("bound"), "bound")
+    strengthened = _json_bool(w.get("strengthened"), "strengthened")
     if strengthened != (bound != raw):
-        raise _Fail(step_id, "strengthening flag disagrees with the bounds")
-    if strengthened:
-        if "A3" not in axioms:
-            raise _Fail(step_id, "strengthening uses undeclared integrality axiom")
-        if bound != (math.floor(raw) + 1 if raw_strict else math.ceil(raw)):
-            raise _Fail(step_id, "integral strengthening is wrong")
+        raise _Fail("strengthening flag disagrees with the bounds")
+    if strengthened and bound != (math.floor(raw) + 1 if raw_strict else math.ceil(raw)):
+        raise _Fail("integral strengthening is wrong")
     return raw, proved_strict, bound
 
 
-def _single_input(step_id: int, step: dict) -> dict:
-    inputs = step.get("inputs")
-    if not isinstance(inputs, list) or len(inputs) != 1 or not isinstance(inputs[0], dict):
-        raise _Fail(step_id, "inputs must be a one-element list holding an object")
-    return inputs[0]
+def _step_mode(st: _Replay, inp: dict) -> str:
+    """The mode a search or tail step names, which must be its certificate's."""
+    mode = inp.get("mode")
+    if mode != st.cert.mode:
+        raise _Fail(f"step mode {mode!r} contradicts the {st.cert.mode} flavor")
+    return mode
 
 
-def _json_int(step_id: Optional[int], value: Any, what: str) -> int:
-    """A JSON integer; floats, bools and strings are rejected, not coerced."""
-    if not _is_int(value):
-        raise _Fail(step_id, f"{what} must be an integer, got {value!r}")
-    return value
+# -- one checker per rule --------------------------------------------------------
+#
+# A checker replays one step from its single input object (empty for the
+# axiom step) and its witness, records what later steps may cite, and
+# returns the claim the step must carry, or None for a rule that derives
+# no bound.
 
 
-def _json_bool(step_id: Optional[int], value: Any, what: str) -> bool:
-    """A JSON boolean; strings, numbers and null are rejected, not coerced."""
-    if not isinstance(value, bool):
-        raise _Fail(step_id, f"{what} must be a boolean, got {value!r}")
-    return value
+def _axioms(st: _Replay, inp: dict, w: dict) -> None:
+    st.cite(w.get("constraints"))
 
 
-def _witness(step_id: int, step: dict) -> dict:
-    w = step.get("witness")
-    if not isinstance(w, dict):
-        raise _Fail(step_id, "missing witness")
-    return w
+def _split_p1(st: _Replay, inp: dict, w: dict) -> None:
+    lmax = _json_int(inp.get("lmax"), "lmax")
+    labels = w.get("labels")
+    # the lengths first, so a huge lmax builds no labels
+    if lmax < 0 or not isinstance(labels, list) or len(labels) != lmax + 2:
+        raise _Fail("split needs lmax >= 0 and one label per branch")
+    st.split_labels = [f"P(1)={l}" for l in range(lmax + 1)] + [f"P(1)>={lmax + 1}"]
+    if labels != st.split_labels:
+        raise _Fail("branch labels do not cover the split")
 
 
-def _check_claim(step_id: int, step: dict, want: str) -> None:
-    if step.get("claim") != want:
-        raise _Fail(step_id, "claim text does not match the witness")
+def _fm_lower_bound(st: _Replay, inp: dict, w: dict) -> str:
+    m = _json_int(inp.get("m"), "m")
+    table, hypotheses = st.cite(inp.get("constraints"), branch_ok=True)
+    raw, proved_strict, bound = _check_integral_bound(w, table, m)
+    attained = _json_bool(w.get("attained"), "attained")
+    if attained != (w.get("point") is not None):
+        raise _Fail("attainment flag disagrees with the witness point")
+    if attained:
+        if proved_strict:
+            raise _Fail("attained minimum proved by a strict combination")
+        a, b = _check_point(w.get("point"), table)
+        if p_affine(m).evaluate(a, b) != raw:
+            raise _Fail("witness point does not attain the minimum")
+    st.record("bound", (m, bound, hypotheses))
+    if not hypotheses:
+        # bounds proved under case hypotheses stay branch-local; only the
+        # merge step may promote them
+        st.established.add((m, bound, False))
+    return f"P({m}) >= {rat_str(bound)}"
 
 
-def _model_from_step(step_id: int, steps_by_id: dict, model_step: Any) -> Poly:
-    ms = steps_by_id.get(model_step)
-    if ms is None or ms.get("rule") != "oracle_model":
-        raise _Fail(step_id, "model_step does not reference an oracle_model step")
-    coeffs = ms.get("witness", {}).get("coeffs")
-    if not isinstance(coeffs, list):
-        raise _Fail(step_id, "referenced model has no coefficients")
-    return Poly([to_rat(c) for c in coeffs])
+def _merge_min(st: _Replay, inp: dict, w: dict) -> str:
+    m = _json_int(inp.get("m"), "m")
+    branches = inp.get("branches")
+    if not isinstance(branches, list) or not branches:
+        raise _Fail("merge needs branch references")
+    if st.split_labels is None:
+        raise _Fail("merge without a prior split")
+    if [br.get("label") for br in branches] != st.split_labels:
+        raise _Fail("merged branches do not cover the split")
+    bounds = []
+    for l, br in enumerate(branches):
+        label = br["label"]
+        # an earlier step only: a later branch could cite the merged fact
+        ref_m, ref_bound, hypotheses = st.result(br.get("step"), "bound", f"branch {label}")
+        bound = _rat(br.get("bound"), f"bound of branch {label}")
+        if (ref_m, ref_bound) != (m, bound):
+            raise _Fail(f"branch {label} bound mismatch")
+        # labels follow the split, so branch l is P(1) = l or the tail
+        if l == len(branches) - 1:
+            want = {("p1_tail", (l,))}
+        else:
+            want = {("p1_eq_lo", (l,)), ("p1_eq_hi", (l,))}
+        if hypotheses != want:
+            raise _Fail(f"branch {label} does not rest on its own hypothesis")
+        bounds.append(bound)
+    merged = _rat(w.get("bound"), "merged bound")
+    if merged != min(bounds):
+        raise _Fail("merged bound is not the branch minimum")
+    st.established.add((m, merged, False))
+    return f"P({m}) >= {rat_str(merged)} on the union of branches"
 
 
-def _table_from_step(
-    step_id: int, steps_by_id: dict, values_step: Any
-) -> tuple[Callable[[int], int], range]:
-    """The value table a step cites, as a function of m, and the multiples
-    it holds."""
-    vs = steps_by_id.get(values_step)
-    if vs is None or vs.get("rule") not in ("oracle_values", "eval_p"):
-        raise _Fail(step_id, "values_step does not reference a value table step")
-    values = vs.get("witness", {}).get("values")
-    if not isinstance(values, list):
-        raise _Fail(step_id, "referenced value table is missing")
-    values = [_json_int(step_id, v, "table value") for v in values]
-    # eval_p tables start at m = 0, oracle tables at m = 1
-    first = 0 if vs["rule"] == "eval_p" else 1
-
-    def value_at(m: int) -> int:
-        if not 0 <= m - first < len(values):
-            raise _Fail(step_id, f"value table has no entry for m = {m}")
-        return values[m - first]
-
-    return value_at, range(first, first + len(values))
+def _fact_to_constraint(st: _Replay, inp: dict, w: dict) -> None:
+    m = _json_int(inp.get("m"), "m")
+    bound = _rat(inp.get("bound"), "bound")
+    strict = _json_bool(inp.get("strict"), "strict")
+    if (m, bound, strict) not in st.established:
+        raise _Fail(f"fact P({m}) >= {bound} was not established")
+    cid = w.get("constraint")
+    (decl,) = st.cite([cid])[0].values()
+    if decl.fact is None:
+        raise _Fail(f"constraint {cid} is not derived from a fact")
+    scale = to_rat(decl.params[2])  # a positive rational string, checked with the declaration
+    if decl.form.scale(scale) != p_affine(m) - AffineForm.constant(bound):
+        raise _Fail("constraint does not rescale to the fact")
+    if decl.strict != strict:
+        raise _Fail("strictness mismatch")
 
 
-def verify(cert: Certificate) -> VerifyResult:
-    """Replay every step of a certificate by arithmetic alone.
+def _eval_p(st: _Replay, inp: dict, w: dict) -> None:
+    m_max = _json_int(inp.get("m_max"), "m_max")
+    if not 0 <= m_max <= MAX_TABLE:
+        raise _Fail("value table exceeds verifier limits")
+    values = w.get("values")
+    if not isinstance(values, list) or len(values) != m_max + 1:
+        raise _Fail("value table has the wrong length")
+    for m, v in enumerate(values):
+        if p_eval(st.cert.chern, m) != _json_int(v, f"P({m})"):
+            raise _Fail(f"recorded P({m}) differs from evaluation")
+    st.record("value table", _Table(values, 0, st.cert.chern.k5))
 
-    Valid means: every declared constraint regenerates from its descriptor
-    and is cited by some step, all Farkas combinations and witness points
-    check out, value tables recompute exactly, polynomial tails have the
-    certified sign pattern, selections are minimal over their recorded
-    search ranges, and the final bound equals the recomposed sum.
-    """
-    progress: list = [None]
+
+def _oracle_values(st: _Replay, inp: dict, w: dict) -> None:
+    twists = inp.get("bundle")
+    conv = inp.get("convention")
+    m_max = _json_int(inp.get("m_max"), "m_max")
+    if not 1 <= m_max <= MAX_TABLE:
+        raise _Fail("value table exceeds verifier limits")
     try:
-        _verify_inner(cert, progress)
-    except _Fail as f:
-        sid = f.step_id if f.step_id is not None else progress[0]
-        return VerifyResult(False, sid, f.reason)
-    except (
-        KeyError, TypeError, ValueError, IndexError, ZeroDivisionError, AttributeError
-    ) as exc:
-        return VerifyResult(False, progress[0], f"malformed step data: {exc!r}")
-    return VerifyResult(True)
+        sb = bundle.SplitBundle(tuple(_json_int(e, "twist") for e in twists))
+    except (TypeError, ValueError) as exc:
+        raise _Fail(f"bad bundle: {exc}")
+    # before any section count: the nef test also bounds the spread of the
+    # twists, and with it the symmetric-power pass
+    if not bundle.is_nef(sb):
+        raise _Fail("-K is not nef on the bundle, outside the hypotheses")
+    values = w.get("values")
+    if not isinstance(values, list) or len(values) != m_max:
+        raise _Fail("value table has the wrong length")
+    # the verifier's own single pass; it never sees the prover's cache
+    recount = bundle.h0_anti(sb, m_max, conv)
+    for m, (v, want) in enumerate(zip(values, recount), start=1):
+        if _json_int(v, f"h0 at m={m}") != want:
+            raise _Fail(f"recorded h0 at m={m} differs from recomputation")
+    d5 = bundle.k5_geometric(sb)
+    if d5 != _json_int(inp.get("d5"), "d5"):
+        raise _Fail("recorded (-K)^5 differs from intersection theory")
+    st.record("value table", _Table(values, 1, d5))
 
 
-# every certificate sticks to one derivation flavor; mixing would let a
-# step about an unrelated object justify the composed bound
-_FLAVOR_RULES = {
-    WORST_CASE: {
-        "axioms", "split_p1", "fm_lower_bound", "merge_min",
-        "fact_to_constraint", "dim_search", "monotone_tail", "compose",
-    },
-    CONCRETE: {
-        "axioms", "eval_p", "value_at_least", "dim_search", "monotone_tail",
-        "compose",
-    },
-    ORACLE: {
-        "axioms", "oracle_values", "oracle_model", "value_at_least",
-        "dim_search", "monotone_tail", "compose",
-    },
+def _oracle_model(st: _Replay, inp: dict, w: dict) -> None:
+    table = st.result(inp.get("values_step"), "value table", "values_step")
+    model = Poly(_rats(w.get("coeffs"), "model coefficients"))
+    if model.degree > 5:
+        raise _Fail("model degree exceeds 5")
+    if len(table.values) < MODEL_POINTS:
+        raise _Fail("value table too short to pin the polynomial")
+    for m, value in enumerate(table.values, start=table.first):
+        if model(m) != value:
+            raise _Fail(f"model disagrees with values at m = {m}")
+    st.record("model", model)
+
+
+def _value_at_least(st: _Replay, inp: dict, w: dict) -> None:
+    m = _json_int(inp.get("m"), "m")
+    value = st.result(inp.get("values_step"), "value table", "values_step").at(m)
+    bound = _json_int(w.get("bound"), "bound")
+    if _json_int(w.get("value"), "value") != value:
+        raise _Fail("recorded value differs from the table")
+    if value < bound:
+        raise _Fail(f"P({m}) = {value} is below the claimed bound {bound}")
+    st.established.add((m, Fraction(bound), False))
+
+
+def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
+    mode = _step_mode(st, inp)
+    target = _json_int(inp.get("target_dim"), "target_dim")
+    if target not in (1, 2, 3):
+        raise _Fail("target dimension must be 1, 2, or 3")
+    m_max = _json_int(inp.get("m_max"), "m_max")
+    if not 1 <= m_max <= MAX_SEARCH:
+        raise _Fail("search range exceeds verifier limits")
+    m_start = _json_int(inp.get("m_start", 1), "m_start")
+    sel = w.get("selected")
+    if not isinstance(sel, dict):
+        raise _Fail("missing selection")
+    sel_m = _json_int(sel.get("m"), "selected m")
+    sel_r = sel.get("r")
+    if not 1 <= m_start <= sel_m <= m_max:
+        raise _Fail("selected multiple is outside the search range")
+    # a pencil (P(m) >= 2) witnesses dimension 1 and Lemma 2 every higher one
+    nonvanishing = target == 1
+    if sel.get("rule") != ("nonvanishing" if nonvanishing else "lemma2"):
+        raise _Fail("a dimension-1 selection is nonvanishing and a higher one lemma2")
+    if nonvanishing:
+        if sel_r is not None:
+            raise _Fail("a dimension-1 selection has no exponent")
+    # checked before any m**r is computed
+    elif not target - 1 <= _json_int(sel_r, "selected r") <= LEMMA2_R_CAP:
+        raise _Fail(f"selected exponent must lie in [{target - 1}, {LEMMA2_R_CAP}]")
+
+    r_options = [None] if nonvanishing else list(range(target - 1, LEMMA2_R_CAP + 1))
+
+    # minimality: every (m, r) preceding the selection must appear as a
+    # checked failing attempt
+    expect: list[tuple[int, Optional[int]]] = []
+    for m in range(m_start, sel_m + 1):
+        for r in r_options:
+            if m == sel_m and (r is None or r >= sel_r):
+                break
+            expect.append((m, r))
+    attempts = w.get("attempts")
+    if not isinstance(attempts, list):
+        raise _Fail("attempts must be a list")
+    got = [
+        (_json_int(a["m"], "attempt m"),
+         None if a.get("r") is None else _json_int(a["r"], "attempt r"))
+        for a in attempts
+    ]
+    if got != expect:
+        raise _Fail("failed attempts do not enumerate the search order")
+
+    if mode == WORST_CASE:
+        table, _ = st.cite(inp.get("constraints"))
+        for (m, r), a in zip(expect, attempts):
+            point = _check_point(a.get("point"), table)
+            value = _rat(a.get("value"), "attempt value")
+            if r is None:
+                # P <= 1 at a feasible point caps the derivable integral bound
+                form = p_affine(m)
+                if form.evaluate(*point) != value or value > 1:
+                    raise _Fail(f"attempt at m={m} does not fail nonvanishing")
+            else:
+                form = lemma2_slack_form(m, r)
+                if form.evaluate(*point) != value or value > 0:
+                    raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
+        if nonvanishing:
+            _, _, bound = _check_integral_bound(sel, table, sel_m)
+            if bound < 2:
+                raise _Fail("a pencil needs P(m) >= 2")
+            if _rat(sel.get("margin"), "margin") != bound - 1:
+                raise _Fail("nonvanishing margin must be bound - 1")
+        else:
+            raw = _rat(sel.get("raw_min"), "raw_min")
+            _check_farkas(sel.get("farkas"), table, lemma2_slack_form(sel_m, sel_r), raw)
+            if raw <= 0:
+                raise _Fail("worst-case slack minimum is not positive")
+            if _rat(sel.get("margin"), "margin") != raw:
+                raise _Fail("margin must equal the slack minimum")
+    else:
+        table = st.result(inp.get("values_step"), "value table", "values_step")
+        d5 = _json_int(inp.get("d5"), "d5")
+        if d5 != table.d5:
+            raise _Fail("d5 differs from the verified value table")
+        for (m, r), a in zip(expect, attempts):
+            value = table.at(m)
+            if _json_int(a.get("value"), "attempt value") != value:
+                raise _Fail(f"attempt value at m={m} differs from the table")
+            if r is None:
+                if value >= 2:
+                    raise _Fail(f"attempt at m={m} does not fail nonvanishing")
+            else:
+                threshold = lemma2_threshold(m, r, d5)
+                if _json_int(a.get("threshold"), "threshold") != threshold or value > threshold:
+                    raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
+        value = table.at(sel_m)
+        if _json_int(sel.get("value"), "selected value") != value:
+            raise _Fail("selected value differs from the table")
+        if nonvanishing:
+            if value < 2:
+                raise _Fail("a pencil needs P(m) >= 2")
+            if _rat(sel.get("margin"), "margin") != value - 1:
+                raise _Fail("nonvanishing margin must be value - 1")
+        else:
+            threshold = lemma2_threshold(sel_m, sel_r, d5)
+            if _json_int(sel.get("threshold"), "selected threshold") != threshold:
+                raise _Fail("selection threshold is wrong")
+            if value <= threshold:
+                raise _Fail("value does not clear the threshold strictly")
+            if _rat(sel.get("margin"), "margin") != value - threshold:
+                raise _Fail("margin must be value - threshold")
+    st.searches[target] = sel_m
+    return f"dim >= {target} at m = {sel_m}"
+
+
+def _monotone_tail(st: _Replay, inp: dict, w: dict) -> None:
+    mode = _step_mode(st, inp)
+    m_start = _json_int(inp.get("m_start"), "m_start")
+    q = Poly(_rats(w.get("q_poly"), "q_poly"))
+    if mode == WORST_CASE:
+        table, _ = st.cite(inp.get("constraints"))
+        bcid, acid = inp.get("b_constraint"), inp.get("a_constraint")
+        if bcid not in table or acid not in table:
+            raise _Fail("tail cites constraints outside the recorded system")
+        bform, bstrict = table[bcid].form, table[bcid].strict
+        aform, astrict = table[acid].form, table[acid].strict
+        if bstrict or astrict:
+            raise _Fail("tail substitution requires non-strict constraints")
+        if bform.coeff_b <= 0:
+            raise _Fail("cited constraint gives no lower bound for b")
+        if aform.coeff_b != 0 or aform.coeff_a <= 0:
+            raise _Fail("cited constraint gives no lower bound for a")
+        da, db, dk = difference_polys()
+        if not all(c >= 0 for c in db.shift(m_start).coeffs):
+            raise _Fail("b-substitution is not minimizing on the ray")
+        ratio_a = bform.coeff_a / bform.coeff_b
+        ratio_k = bform.const / bform.coeff_b
+        subst_a = da - db.scale(ratio_a)
+        subst_k = dk - db.scale(ratio_k)
+        if not all(c >= 0 for c in subst_a.shift(m_start).coeffs):
+            raise _Fail("a-substitution is not minimizing on the ray")
+        a_floor = -aform.const / aform.coeff_a
+        if q != subst_a.scale(a_floor) + subst_k:
+            raise _Fail("tail polynomial does not match the substitutions")
+    elif mode == CONCRETE:
+        da, db, dk = difference_polys()
+        if q != da.scale(st.cert.chern.a) + db.scale(st.cert.chern.b) + dk:
+            raise _Fail("tail polynomial does not match the chern data")
+    else:
+        model = st.result(inp.get("model_step"), "model", "model_step")
+        if q != model.shift(1) - model:
+            raise _Fail("tail polynomial does not match the model difference")
+
+    shifted = q.shift(m_start).coeffs
+    if list(shifted) != _rats(w.get("q_shifted"), "q_shifted"):
+        raise _Fail("recorded shift differs from recomputation")
+    if not shifted or any(c < 0 for c in shifted) or shifted[0] <= 0:
+        raise _Fail("shifted tail is not certified positive")
+    st.tail_start = m_start
+
+
+def _compose(st: _Replay, inp: dict, w: dict) -> str:
+    r0 = _json_int(inp.get("r0"), "r0")
+    rs = [_json_int(x, "r") for x in inp["r"]]
+    if r0 < 3:
+        raise _Fail("r0 must be >= 3")
+    total = r0 + sum(rs)
+    if _json_int(w.get("bound"), "bound") != total:
+        raise _Fail("composed bound is not the sum")
+    cert = st.cert
+    if cert.bound != total or cert.r0 != r0 or cert.r != rs:
+        raise _Fail("certificate header disagrees with composition")
+    for target in (1, 2, 3):
+        if target not in st.searches:
+            raise _Fail(f"no dimension-{target} witness step")
+        if st.searches[target] != rs[target - 1]:
+            raise _Fail(f"r{target} does not match its witness step")
+    if not any(m == r0 and q >= 1 and not s for (m, q, s) in st.established):
+        raise _Fail(f"P({r0}) >= 1 was never established")
+    if st.tail_start is None:
+        raise _Fail("monotonicity step is missing")
+    if st.tail_start != r0:
+        raise _Fail("monotone tail does not start at r0")
+    st.composed = True
+    return f"birational for all m >= {total}"
+
+
+class _Rule(NamedTuple):
+    check: Callable[[_Replay, dict, dict], Optional[str]]
+    # every certificate sticks to one derivation flavor; mixing would let a
+    # step about an unrelated object justify the composed bound
+    flavors: frozenset
+    takes_input: bool = True
+
+
+_ANY = frozenset({WORST_CASE, CONCRETE, ORACLE})
+
+_RULES = {
+    "axioms": _Rule(_axioms, _ANY, takes_input=False),
+    "split_p1": _Rule(_split_p1, frozenset({WORST_CASE})),
+    "fm_lower_bound": _Rule(_fm_lower_bound, frozenset({WORST_CASE})),
+    "merge_min": _Rule(_merge_min, frozenset({WORST_CASE})),
+    "fact_to_constraint": _Rule(_fact_to_constraint, frozenset({WORST_CASE})),
+    "eval_p": _Rule(_eval_p, frozenset({CONCRETE})),
+    "oracle_values": _Rule(_oracle_values, frozenset({ORACLE})),
+    "oracle_model": _Rule(_oracle_model, frozenset({ORACLE})),
+    "value_at_least": _Rule(_value_at_least, frozenset({CONCRETE, ORACLE})),
+    "dim_search": _Rule(_dim_search, _ANY),
+    "monotone_tail": _Rule(_monotone_tail, _ANY),
+    "compose": _Rule(_compose, _ANY),
 }
 
 # the axioms each flavor rests on, exactly; the README documents each
@@ -516,422 +845,75 @@ _FLAVOR_AXIOMS = {
 }
 
 
-def _verify_inner(cert: Certificate, progress: list) -> None:
+def verify(cert: Certificate) -> VerifyResult:
+    """Replay every step of a certificate by arithmetic alone.
+
+    Valid means: every declared constraint regenerates from its descriptor
+    and is cited by some step, all Farkas combinations and witness points
+    check out, value tables recompute exactly, polynomial tails have the
+    certified sign pattern, selections are minimal over their recorded
+    search ranges, and the final bound equals the recomposed sum.  A
+    failure names the step being replayed, or none for the header and the
+    declarations.
+    """
+    st = _Replay(cert)
+    try:
+        _replay(st)
+    except _Fail as f:
+        return VerifyResult(False, st.sid, str(f))
+    except (
+        KeyError, TypeError, ValueError, IndexError, ZeroDivisionError, AttributeError
+    ) as exc:
+        return VerifyResult(False, st.sid, f"malformed step data: {exc!r}")
+    return VerifyResult(True)
+
+
+def _replay(st: _Replay) -> None:
+    cert = st.cert
     if cert.version != CERT_VERSION:
-        raise _Fail(None, f"unsupported version {cert.version}")
+        raise _Fail(f"unsupported version {cert.version}")
     flavor = cert.mode
-    if flavor not in _FLAVOR_RULES:
-        raise _Fail(None, f"unknown mode {flavor!r}")
+    if flavor not in _FLAVOR_AXIOMS:
+        raise _Fail(f"unknown mode {flavor!r}")
     if (cert.chern is not None) != (flavor == CONCRETE):
-        raise _Fail(None, "chern data must be given exactly in concrete mode")
+        raise _Fail("chern data must be given exactly in concrete mode")
     if cert.axioms != _FLAVOR_AXIOMS[flavor]:
-        raise _Fail(None, f"a {flavor} certificate rests on the axioms {_FLAVOR_AXIOMS[flavor]}")
-    allowed_rules = _FLAVOR_RULES[flavor]
-
-    steps_by_id: dict[int, dict] = {}
-    last_id = 0
-    for step in cert.steps:
-        sid = step.get("id")
-        if not _is_int(sid) or sid <= last_id:
-            raise _Fail(sid if _is_int(sid) else None, "step ids must increase")
-        last_id = sid
-        steps_by_id[sid] = step
-
-    st = _Replay(cert, _declarations(cert.constraints, cert.axioms), steps_by_id)
-    searches: dict[int, dict] = {}  # target_dim -> selected
-    monotone_tail_step: Optional[dict] = None
-    compose_step: Optional[dict] = None
-    split_labels: Optional[list[str]] = None
+        raise _Fail(f"a {flavor} certificate rests on the axioms {_FLAVOR_AXIOMS[flavor]}")
+    st.decls = _declarations(cert.constraints, cert.axioms)
 
     for step in cert.steps:
-        sid = step["id"]
-        progress[0] = sid
-        rule = step.get("rule")
-        if rule not in allowed_rules:
-            if rule in {r for rules in _FLAVOR_RULES.values() for r in rules}:
-                raise _Fail(sid, f"rule {rule!r} does not belong to a {flavor} certificate")
-            raise _Fail(sid, f"unknown rule {rule!r}")
-        if rule in ("dim_search", "monotone_tail"):
-            inner_mode = _single_input(sid, step).get("mode")
-            if inner_mode != flavor:
-                raise _Fail(sid, f"step mode {inner_mode!r} contradicts the {flavor} flavor")
-        if rule == "axioms":
-            w = _witness(sid, step)
-            if step.get("inputs") != []:
-                raise _Fail(sid, "the axiom step takes no inputs")
-            st.cite(sid, w.get("constraints"))
-
-        elif rule == "split_p1":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            lmax = _json_int(sid, inp.get("lmax"), "lmax")
-            if lmax < 0:
-                raise _Fail(sid, "split needs lmax >= 0")
-            split_labels = [f"P(1)={l}" for l in range(lmax + 1)] + [f"P(1)>={lmax + 1}"]
-            if w.get("labels") != split_labels:
-                raise _Fail(sid, "branch labels do not cover the split")
-
-        elif rule == "fm_lower_bound":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            m = _json_int(sid, inp.get("m"), "m")
-            table, conditional = st.cite(sid, inp.get("constraints"), branch_ok=True)
-            raw, proved_strict, bound = _check_integral_bound(sid, w, table, m, cert.axioms)
-            attained = _json_bool(sid, w.get("attained"), "attained")
-            if attained != (w.get("point") is not None):
-                raise _Fail(sid, "attainment flag disagrees with the witness point")
-            if attained:
-                if proved_strict:
-                    raise _Fail(sid, "attained minimum proved by a strict combination")
-                a, b = _check_point(sid, w.get("point"), table)
-                if p_affine(m).evaluate(a, b) != raw:
-                    raise _Fail(sid, "witness point does not attain the minimum")
-            _check_claim(sid, step, f"P({m}) >= {rat_str(bound)}")
-            if not conditional:
-                # bounds proved under case hypotheses stay branch-local;
-                # only the merge step may promote them
-                st.established[(m, bound, False)] = sid
-
-        elif rule == "merge_min":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            m = _json_int(sid, inp.get("m"), "m")
-            branches = inp.get("branches")
-            if not isinstance(branches, list) or not branches:
-                raise _Fail(sid, "merge needs branch references")
-            if split_labels is None:
-                raise _Fail(sid, "merge without a prior split")
-            if [br.get("label") for br in branches] != split_labels:
-                raise _Fail(sid, "merged branches do not cover the split")
-            bounds = []
-            for l, br in enumerate(branches):
-                ref_id = br.get("step")
-                ref = steps_by_id.get(ref_id)
-                # an earlier step only: a later branch could cite the merged fact
-                if ref is None or ref.get("rule") != "fm_lower_bound" or ref_id >= sid:
-                    raise _Fail(sid, f"branch {br.get('label')} cites no earlier bound step")
-                bound_br = to_rat(br.get("bound"))
-                if ref.get("claim") != f"P({m}) >= {rat_str(bound_br)}":
-                    raise _Fail(sid, f"branch {br.get('label')} bound mismatch")
-                # labels follow the split, so branch l is P(1) = l or the tail
-                if l == len(split_labels) - 1:
-                    want = {("p1_tail", (l,))}
-                else:
-                    want = {("p1_eq_lo", (l,)), ("p1_eq_hi", (l,))}
-                hypotheses = {
-                    (d.kind, d.params)
-                    for d in (st.decls[c] for c in _single_input(sid, ref)["constraints"])
-                    if d.kind in _BRANCH_KINDS
-                }
-                if hypotheses != want:
-                    raise _Fail(sid, f"branch {br['label']} does not rest on its own hypothesis")
-                bounds.append(bound_br)
-            merged = to_rat(w["bound"])
-            if merged != min(bounds):
-                raise _Fail(sid, "merged bound is not the branch minimum")
-            _check_claim(sid, step, f"P({m}) >= {rat_str(merged)} on the union of branches")
-            st.established[(m, merged, False)] = sid
-
-        elif rule == "fact_to_constraint":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            m = _json_int(sid, inp.get("m"), "m")
-            bound = to_rat(inp["bound"])
-            strict = _json_bool(sid, inp.get("strict"), "strict")
-            if (m, bound, strict) not in st.established:
-                raise _Fail(sid, f"fact P({m}) >= {bound} was not established")
-            cid = w.get("constraint")
-            (decl,) = st.cite(sid, [cid])[0].values()
-            if decl.fact is None:
-                raise _Fail(sid, f"constraint {cid} is not derived from a fact")
-            scale = to_rat(decl.params[2])  # positive, checked with the declaration
-            if decl.form.scale(scale) != p_affine(m) - AffineForm.constant(bound):
-                raise _Fail(sid, "constraint does not rescale to the fact")
-            if decl.strict != strict:
-                raise _Fail(sid, "strictness mismatch")
-
-        elif rule == "eval_p":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            m_max = _json_int(sid, inp.get("m_max"), "m_max")
-            if not 0 <= m_max <= MAX_TABLE:
-                raise _Fail(sid, "value table exceeds verifier limits")
-            values = w.get("values")
-            if not isinstance(values, list) or len(values) != m_max + 1:
-                raise _Fail(sid, "value table has the wrong length")
-            for m, v in enumerate(values):
-                if p_eval(cert.chern, m) != _json_int(sid, v, f"P({m})"):
-                    raise _Fail(sid, f"recorded P({m}) differs from evaluation")
-
-        elif rule == "oracle_values":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            twists = inp.get("bundle")
-            conv = inp.get("convention")
-            m_max = _json_int(sid, inp.get("m_max"), "m_max")
-            if not 1 <= m_max <= MAX_TABLE:
-                raise _Fail(sid, "value table exceeds verifier limits")
-            try:
-                sb = bundle.SplitBundle(tuple(_json_int(sid, e, "twist") for e in twists))
-            except (TypeError, ValueError) as exc:
-                raise _Fail(sid, f"bad bundle: {exc}")
-            # before any section count: the nef test also bounds the spread
-            # of the twists, and with it the symmetric-power pass
-            if not bundle.is_nef(sb):
-                raise _Fail(sid, "-K is not nef on the bundle, outside the hypotheses")
-            values = w.get("values")
-            if not isinstance(values, list) or len(values) != m_max:
-                raise _Fail(sid, "value table has the wrong length")
-            # the verifier's own single pass; it never sees the prover's cache
-            recount = bundle.h0_anti(sb, m_max, conv)
-            for m, (v, want) in enumerate(zip(values, recount), start=1):
-                if _json_int(sid, v, f"h0 at m={m}") != want:
-                    raise _Fail(sid, f"recorded h0 at m={m} differs from recomputation")
-            if bundle.k5_geometric(sb) != _json_int(sid, inp.get("d5"), "d5"):
-                raise _Fail(sid, "recorded (-K)^5 differs from intersection theory")
-
-        elif rule == "oracle_model":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            value_at, ms = _table_from_step(sid, steps_by_id, inp.get("values_step"))
-            model = Poly([to_rat(c) for c in w.get("coeffs", [])])
-            if model.degree > 5:
-                raise _Fail(sid, "model degree exceeds 5")
-            if len(ms) < MODEL_POINTS:
-                raise _Fail(sid, "value table too short to pin the polynomial")
-            for m in ms:
-                if model(m) != value_at(m):
-                    raise _Fail(sid, f"model disagrees with values at m = {m}")
-
-        elif rule == "value_at_least":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            m = _json_int(sid, inp.get("m"), "m")
-            value_at, _ = _table_from_step(sid, steps_by_id, inp.get("values_step"))
-            value = value_at(m)
-            bound = _json_int(sid, w.get("bound"), "bound")
-            if _json_int(sid, w.get("value"), "value") != value:
-                raise _Fail(sid, "recorded value differs from the table")
-            if value < bound:
-                raise _Fail(sid, f"P({m}) = {value} is below the claimed bound {bound}")
-            st.established[(m, Fraction(bound), False)] = sid
-
-        elif rule == "dim_search":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            _verify_dim_search(st, sid, inp, w, searches)
-            # target_dim and the selected m were checked as integers above
-            _check_claim(sid, step, f"dim >= {inp['target_dim']} at m = {w['selected']['m']}")
-
-        elif rule == "monotone_tail":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            monotone_tail_step = step
-            _verify_monotone_tail(st, sid, inp, w)
-
-        elif rule == "compose":
-            inp = _single_input(sid, step)
-            w = _witness(sid, step)
-            compose_step = step
-            r0 = _json_int(sid, inp.get("r0"), "r0")
-            rs = [_json_int(sid, x, "r") for x in inp["r"]]
-            if r0 < 3:
-                raise _Fail(sid, "r0 must be >= 3")
-            total = r0 + sum(rs)
-            if _json_int(sid, w.get("bound"), "bound") != total:
-                raise _Fail(sid, "composed bound is not the sum")
-            if cert.bound != total or cert.r0 != r0 or cert.r != rs:
-                raise _Fail(sid, "certificate header disagrees with composition")
-            for target in (1, 2, 3):
-                sel = searches.get(target)
-                if sel is None:
-                    raise _Fail(sid, f"no dimension-{target} witness step")
-                if sel["m"] != rs[target - 1]:
-                    raise _Fail(sid, f"r{target} does not match its witness step")
-            if not any(m == r0 and q >= 1 and not s for (m, q, s) in st.established):
-                raise _Fail(sid, f"P({r0}) >= 1 was never established")
-            if monotone_tail_step is None:
-                raise _Fail(sid, "monotonicity step is missing")
-            # the tail step checked m_start as an integer
-            if _single_input(sid, monotone_tail_step)["m_start"] != r0:
-                raise _Fail(sid, "monotone tail does not start at r0")
-            _check_claim(sid, step, f"birational for all m >= {total}")
-
+        last, sid = st.sid or 0, step.get("id")
+        st.sid = sid if _is_int(sid) else None
+        if st.sid is None or sid <= last:
+            raise _Fail("step ids must increase")
+        name = step.get("rule")
+        rule = _RULES.get(name) if isinstance(name, str) else None
+        if rule is None:
+            raise _Fail(f"unknown rule {name!r}")
+        if flavor not in rule.flavors:
+            raise _Fail(f"rule {name!r} does not belong to a {flavor} certificate")
+        w = step.get("witness")
+        if not isinstance(w, dict):
+            raise _Fail("missing witness")
+        inputs = step.get("inputs")
+        if not rule.takes_input:
+            if inputs != []:
+                raise _Fail(f"rule {name} takes no inputs")
+            inp = {}
+        elif isinstance(inputs, list) and len(inputs) == 1 and isinstance(inputs[0], dict):
+            inp = inputs[0]
         else:
-            raise _Fail(sid, f"unknown rule {rule!r}")
+            raise _Fail("inputs must be a one-element list holding an object")
+        claim = rule.check(st, inp, w)
+        if claim is None:
+            if "claim" in step:
+                raise _Fail(f"rule {name} derives no bound, so its step carries no claim")
+        elif step.get("claim") != claim:
+            raise _Fail("claim text does not match the witness")
 
-    progress[0] = None
-    if compose_step is None:
-        raise _Fail(None, "certificate has no compose step")
+    st.sid = None
+    if not st.composed:
+        raise _Fail("certificate has no compose step")
     uncited = sorted(st.decls.keys() - st.cited)
     if uncited:
-        raise _Fail(None, f"constraint {uncited[0]} is declared but cited by no step")
-
-
-def _verify_dim_search(st: _Replay, sid: int, inp: dict, w: dict, searches: dict) -> None:
-    target = _json_int(sid, inp.get("target_dim"), "target_dim")
-    if target not in (1, 2, 3):
-        raise _Fail(sid, "target dimension must be 1, 2, or 3")
-    m_max = _json_int(sid, inp.get("m_max"), "m_max")
-    if not 1 <= m_max <= MAX_SEARCH:
-        raise _Fail(sid, "search range exceeds verifier limits")
-    m_start = _json_int(sid, inp.get("m_start", 1), "m_start")
-    mode = inp.get("mode")
-    sel = w.get("selected")
-    if not isinstance(sel, dict):
-        raise _Fail(sid, "missing selection")
-    sel_m = _json_int(sid, sel.get("m"), "selected m")
-    sel_r = sel.get("r")
-    if not 1 <= m_start <= sel_m <= m_max:
-        raise _Fail(sid, "selected multiple is outside the search range")
-    if target == 1 and sel_r is not None:
-        raise _Fail(sid, "a dimension-1 selection has no exponent")
-    if target >= 2 and (sel.get("rule") != "lemma2" or sel_r is None):
-        raise _Fail(sid, "dimension >= 2 needs a lemma2 selection with an exponent")
-    # checked before any m**r is computed
-    if sel_r is not None and not target - 1 <= _json_int(sid, sel_r, "selected r") <= LEMMA2_R_CAP:
-        raise _Fail(sid, f"selected exponent must lie in [{target - 1}, {LEMMA2_R_CAP}]")
-
-    r_options = [None] if target == 1 else list(range(target - 1, LEMMA2_R_CAP + 1))
-
-    # minimality: every (m, r) preceding the selection must appear as a
-    # checked failing attempt
-    expect: list[tuple[int, Optional[int]]] = []
-    for m in range(m_start, sel_m + 1):
-        for r in r_options:
-            if m == sel_m and (r is None or (sel_r is not None and r >= sel_r)):
-                break
-            expect.append((m, r))
-    attempts = w.get("attempts")
-    if not isinstance(attempts, list):
-        raise _Fail(sid, "attempts must be a list")
-    got = [
-        (_json_int(sid, a["m"], "attempt m"),
-         None if a.get("r") is None else _json_int(sid, a["r"], "attempt r"))
-        for a in attempts
-    ]
-    if got != expect:
-        raise _Fail(sid, "failed attempts do not enumerate the search order")
-
-    if mode == WORST_CASE:
-        table, _ = st.cite(sid, inp.get("constraints"))
-        for (m, r), a in zip(expect, attempts):
-            point = _check_point(sid, a.get("point"), table)
-            value = to_rat(a["value"])
-            if r is None:
-                # P <= 1 at a feasible point caps the derivable integral bound
-                form = p_affine(m)
-                if form.evaluate(*point) != value or value > 1:
-                    raise _Fail(sid, f"attempt at m={m} does not fail nonvanishing")
-            else:
-                form = lemma2_slack_form(m, r)
-                if form.evaluate(*point) != value or value > 0:
-                    raise _Fail(sid, f"attempt at m={m}, r={r} does not fail the test")
-        if sel.get("rule") == "nonvanishing":
-            if target != 1:
-                raise _Fail(sid, "nonvanishing only witnesses dimension 1")
-            _, _, bound = _check_integral_bound(sid, sel, table, sel_m, st.cert.axioms)
-            if bound < 2:
-                raise _Fail(sid, "a pencil needs P(m) >= 2")
-            if to_rat(sel["margin"]) != bound - 1:
-                raise _Fail(sid, "nonvanishing margin must be bound - 1")
-        else:
-            raw = to_rat(sel["raw_min"])
-            form = lemma2_slack_form(sel_m, sel_r)
-            _check_farkas(sid, sel.get("farkas", []), table, form, raw)
-            if raw <= 0:
-                raise _Fail(sid, "worst-case slack minimum is not positive")
-            if to_rat(sel["margin"]) != raw:
-                raise _Fail(sid, "margin must equal the slack minimum")
-            if sel_r + 1 < target:
-                raise _Fail(sid, "lemma instance too weak for the target dimension")
-    else:
-        value_at, _ = _table_from_step(sid, st.steps_by_id, inp.get("values_step"))
-        d5 = _json_int(sid, inp.get("d5"), "d5")
-        if mode == CONCRETE:
-            if d5 != st.cert.chern.k5:
-                raise _Fail(sid, "d5 differs from the chern data")
-        else:
-            vs_inp = _single_input(sid, st.steps_by_id[inp["values_step"]])
-            if vs_inp.get("d5") != d5:
-                raise _Fail(sid, "d5 differs from the verified value table")
-        for (m, r), a in zip(expect, attempts):
-            value = value_at(m)
-            if _json_int(sid, a["value"], "attempt value") != value:
-                raise _Fail(sid, f"attempt value at m={m} differs from the table")
-            if r is None:
-                if value >= 2:
-                    raise _Fail(sid, f"attempt at m={m} does not fail nonvanishing")
-            else:
-                threshold = lemma2_threshold(m, r, d5)
-                if _json_int(sid, a.get("threshold"), "threshold") != threshold or value > threshold:
-                    raise _Fail(sid, f"attempt at m={m}, r={r} does not fail the test")
-        value = value_at(sel_m)
-        if _json_int(sid, sel.get("value"), "selected value") != value:
-            raise _Fail(sid, "selected value differs from the table")
-        if sel.get("rule") == "nonvanishing":
-            if target != 1 or value < 2:
-                raise _Fail(sid, "a pencil needs P(m) >= 2")
-            if to_rat(sel["margin"]) != value - 1:
-                raise _Fail(sid, "nonvanishing margin must be value - 1")
-        else:
-            threshold = lemma2_threshold(sel_m, sel_r, d5)
-            if _json_int(sid, sel.get("threshold"), "selected threshold") != threshold:
-                raise _Fail(sid, "selection threshold is wrong")
-            if value <= threshold:
-                raise _Fail(sid, "value does not clear the threshold strictly")
-            if to_rat(sel["margin"]) != value - threshold:
-                raise _Fail(sid, "margin must be value - threshold")
-            if sel_r + 1 < target:
-                raise _Fail(sid, "lemma instance too weak for the target dimension")
-
-    searches[target] = sel
-
-
-def _verify_monotone_tail(st: _Replay, sid: int, inp: dict, w: dict) -> None:
-    m_start = _json_int(sid, inp.get("m_start"), "m_start")
-    mode = inp.get("mode")
-    q = Poly([to_rat(c) for c in w.get("q_poly", [])])
-    if mode == WORST_CASE:
-        table, _ = st.cite(sid, inp.get("constraints"))
-        bcid, acid = inp.get("b_constraint"), inp.get("a_constraint")
-        if bcid not in table or acid not in table:
-            raise _Fail(sid, "tail cites constraints outside the recorded system")
-        bform, bstrict = table[bcid].form, table[bcid].strict
-        aform, astrict = table[acid].form, table[acid].strict
-        if bstrict or astrict:
-            raise _Fail(sid, "tail substitution requires non-strict constraints")
-        if bform.coeff_b <= 0:
-            raise _Fail(sid, "cited constraint gives no lower bound for b")
-        if aform.coeff_b != 0 or aform.coeff_a <= 0:
-            raise _Fail(sid, "cited constraint gives no lower bound for a")
-        da, db, dk = difference_polys()
-        if not all(c >= 0 for c in db.shift(m_start).coeffs):
-            raise _Fail(sid, "b-substitution is not minimizing on the ray")
-        ratio_a = bform.coeff_a / bform.coeff_b
-        ratio_k = bform.const / bform.coeff_b
-        subst_a = da - db.scale(ratio_a)
-        subst_k = dk - db.scale(ratio_k)
-        if not all(c >= 0 for c in subst_a.shift(m_start).coeffs):
-            raise _Fail(sid, "a-substitution is not minimizing on the ray")
-        a_floor = -aform.const / aform.coeff_a
-        if q != subst_a.scale(a_floor) + subst_k:
-            raise _Fail(sid, "tail polynomial does not match the substitutions")
-    elif mode == CONCRETE:
-        da, db, dk = difference_polys()
-        want = da.scale(st.cert.chern.a) + db.scale(st.cert.chern.b) + dk
-        if q != want:
-            raise _Fail(sid, "tail polynomial does not match the chern data")
-    elif mode == ORACLE:
-        model = _model_from_step(sid, st.steps_by_id, inp.get("model_step"))
-        if q != model.shift(1) - model:
-            raise _Fail(sid, "tail polynomial does not match the model difference")
-    else:
-        raise _Fail(sid, f"unknown tail mode {mode!r}")
-
-    shifted = q.shift(m_start).coeffs
-    recorded = [to_rat(c) for c in w.get("q_shifted", [])]
-    if list(shifted) != recorded:
-        raise _Fail(sid, "recorded shift differs from recomputation")
-    if not shifted or any(c < 0 for c in shifted) or shifted[0] <= 0:
-        raise _Fail(sid, "shifted tail is not certified positive")
+        raise _Fail(f"constraint {uncited[0]} is declared but cited by no step")

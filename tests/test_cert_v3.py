@@ -289,3 +289,57 @@ def test_every_leaf_edit_is_rejected_or_still_true():
     assert accepted == []
     # every exception is met, so the list holds no dead entry
     assert seen == {"raised m_max", "raised last id", "raised bound", "nef twist"}
+
+
+# -- every retyped leaf ---------------------------------------------------------
+
+def retyped(value):
+    """The retypes of a scalar: an int as a float and as a string, an
+    integral rational string as an int, and a boolean as an int."""
+    if isinstance(value, bool):
+        return [int(value)]
+    if isinstance(value, int):
+        return [float(value), str(value)]
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return [int(value)]
+    return []
+
+
+def test_every_retyped_leaf_is_rejected():
+    # a step reference written 2.0 or a rational written 546 names the
+    # same value in Python but is not what the format allows
+    accepted, count = [], 0
+    for name, original in DOCS.items():
+        d = doc(name)
+        for path, value in list(leaves(original)):
+            holder = d
+            for key in path[:-1]:
+                holder = holder[key]
+            for new in retyped(value):
+                holder[path[-1]] = new
+                count += 1
+                try:
+                    cert = from_json_dict(d)
+                except MalformedCertificateError:
+                    continue
+                if verify(cert).ok:
+                    accepted.append((name, path, value, new))
+            holder[path[-1]] = value
+    assert accepted == [] and count > 1000
+
+
+def test_claim_on_a_rule_that_derives_no_bound_rejected():
+    d = doc()
+    d["steps"][0]["claim"] = "P(3) >= 7"
+    res = check(d)
+    assert not res.ok and res.step_id == 1
+    assert res.reason == "rule axioms derives no bound, so its step carries no claim"
+
+
+def test_dimension_1_selection_by_lemma2_rejected():
+    d = doc("concrete")
+    (search,) = [s for s in steps(d, "dim_search") if s["inputs"][0]["target_dim"] == 1]
+    search["witness"]["selected"]["rule"] = "lemma2"
+    res = check(d)
+    assert not res.ok and res.step_id == search["id"]
+    assert res.reason == "a dimension-1 selection is nonvanishing and a higher one lemma2"
