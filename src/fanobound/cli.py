@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -14,6 +15,10 @@ from .certs import MalformedCertificateError, from_json_bytes, verify
 from .hilbert import ChernData, HilbertError, p_eval
 
 
+# built once per process: a parser holds reference cycles that only the
+# cyclic garbage collector frees, so a parser per call lets a long-running
+# caller's memory grow between collections
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanobound",

@@ -447,7 +447,6 @@ class Fact:
 class Branch:
     label: str
     system: ConstraintSystem
-    coverage_note: str
 
 
 def strengthen_integral(fact: Fact) -> Fact:
@@ -489,26 +488,16 @@ def split_on_p1(cs: ConstraintSystem, lmax: int) -> list[Branch]:
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
-    note = (
-        "P(1) is a nonnegative integer (vanishing at m=1 plus integrality of P); "
-        f"the cases l = 0..{lmax} and l >= {lmax + 1} are exhaustive"
-    )
     branches = []
     for l in range(lmax + 1):
         extra = [
             Constraint.make(f"H.P1={l}.lo", "p1_eq_lo", (l,)),
             Constraint.make(f"H.P1={l}.hi", "p1_eq_hi", (l,)),
         ]
-        branches.append(
-            Branch(f"P(1)={l}", cs.with_constraints(extra, label=f"P(1)={l}"), note)
-        )
+        branches.append(Branch(f"P(1)={l}", cs.with_constraints(extra, label=f"P(1)={l}")))
     tail = [Constraint.make(f"H.P1>={lmax + 1}", "p1_tail", (lmax + 1,))]
     branches.append(
-        Branch(
-            f"P(1)>={lmax + 1}",
-            cs.with_constraints(tail, label=f"P(1)>={lmax + 1}"),
-            note,
-        )
+        Branch(f"P(1)>={lmax + 1}", cs.with_constraints(tail, label=f"P(1)>={lmax + 1}"))
     )
     return branches
 

@@ -296,3 +296,13 @@ class TestDeterminism:
             text=True,
         )
         assert proc.returncode == 0 and proc.stdout == "186030\n"
+
+
+def test_parser_is_built_once(capsys):
+    # a parser per command would leave reference cycles to the collector
+    from fanobound.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    # a refused command leaves the shared parser usable
+    assert run_cli(capsys, "table", "--k5", "1")[0] == 2
+    assert run_cli(capsys, "oracle", "--bundle", "0,0,0,0,1", "--m", "1")[:2] == (0, "378\n")

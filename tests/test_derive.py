@@ -360,10 +360,6 @@ class TestSplitAndMerge:
             ]
             assert len(hits) == 1, (c, hits)
 
-    def test_coverage_note_recorded(self):
-        for br in split_on_p1(axiom_system(), 2):
-            assert "exhaustive" in br.coverage_note
-
 
 class TestDeriveLowerBound:
     def test_case_iii(self):
