@@ -652,8 +652,8 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
     if nonvanishing:
         if sel_r is not None:
             raise _Fail("a dimension-1 selection has no exponent")
-    # checked before any m**r is computed
     elif not target - 1 <= _json_int(sel_r, "selected r") <= LEMMA2_R_CAP:
+        # refused before any m**r is computed
         raise _Fail(f"selected exponent must lie in [{target - 1}, {LEMMA2_R_CAP}]")
 
     r_options = [None] if nonvanishing else list(range(target - 1, LEMMA2_R_CAP + 1))
@@ -816,22 +816,22 @@ class _Rule(NamedTuple):
     check: Callable[[_Replay, dict, dict], Optional[str]]
     # every certificate sticks to one derivation flavor; mixing would let a
     # step about an unrelated object justify the composed bound
-    flavors: frozenset
+    flavors: tuple[str, ...]
     takes_input: bool = True
 
 
-_ANY = frozenset({WORST_CASE, CONCRETE, ORACLE})
+_ANY = (WORST_CASE, CONCRETE, ORACLE)
 
 _RULES = {
     "axioms": _Rule(_axioms, _ANY, takes_input=False),
-    "split_p1": _Rule(_split_p1, frozenset({WORST_CASE})),
-    "fm_lower_bound": _Rule(_fm_lower_bound, frozenset({WORST_CASE})),
-    "merge_min": _Rule(_merge_min, frozenset({WORST_CASE})),
-    "fact_to_constraint": _Rule(_fact_to_constraint, frozenset({WORST_CASE})),
-    "eval_p": _Rule(_eval_p, frozenset({CONCRETE})),
-    "oracle_values": _Rule(_oracle_values, frozenset({ORACLE})),
-    "oracle_model": _Rule(_oracle_model, frozenset({ORACLE})),
-    "value_at_least": _Rule(_value_at_least, frozenset({CONCRETE, ORACLE})),
+    "split_p1": _Rule(_split_p1, (WORST_CASE,)),
+    "fm_lower_bound": _Rule(_fm_lower_bound, (WORST_CASE,)),
+    "merge_min": _Rule(_merge_min, (WORST_CASE,)),
+    "fact_to_constraint": _Rule(_fact_to_constraint, (WORST_CASE,)),
+    "eval_p": _Rule(_eval_p, (CONCRETE,)),
+    "oracle_values": _Rule(_oracle_values, (ORACLE,)),
+    "oracle_model": _Rule(_oracle_model, (ORACLE,)),
+    "value_at_least": _Rule(_value_at_least, (CONCRETE, ORACLE)),
     "dim_search": _Rule(_dim_search, _ANY),
     "monotone_tail": _Rule(_monotone_tail, _ANY),
     "compose": _Rule(_compose, _ANY),
@@ -853,8 +853,7 @@ def verify(cert: Certificate) -> VerifyResult:
     check out, value tables recompute exactly, polynomial tails have the
     certified sign pattern, selections are minimal over their recorded
     search ranges, and the final bound equals the recomposed sum.  A
-    failure names the step being replayed, or none for the header and the
-    declarations.
+    failure names the step being replayed, or none outside the steps.
     """
     st = _Replay(cert)
     try:

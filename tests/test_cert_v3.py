@@ -343,3 +343,16 @@ def test_dimension_1_selection_by_lemma2_rejected():
     res = check(d)
     assert not res.ok and res.step_id == search["id"]
     assert res.reason == "a dimension-1 selection is nonvanishing and a higher one lemma2"
+
+
+def test_reference_to_a_later_value_table_rejected():
+    # a step reads only what the verifier has already checked
+    d = doc("concrete")
+    late = json.loads(json.dumps(steps(d, "eval_p")[0]))
+    late["id"] = d["steps"][-1]["id"] + 1
+    d["steps"].append(late)
+    (at_least,) = steps(d, "value_at_least")
+    at_least["inputs"][0]["values_step"] = late["id"]
+    res = check(d)
+    assert not res.ok and res.step_id == at_least["id"]
+    assert res.reason == "values_step cites no earlier value table step"
