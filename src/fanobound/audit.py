@@ -81,11 +81,12 @@ def _lower_bound_status(derived, printed) -> str:
 
 def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
     by_id = {s["id"]: s for s in cert.steps}
+    # the merge lists the branch steps in split order, P(1) = 0 first
     merge = _steps(cert, "merge_min")[0]["inputs"][0]
-    branch_steps = {br["label"]: by_id[br["step"]] for br in merge["branches"]}
+    branch_steps = [by_id[sid] for sid in merge["branches"]]
     entries = []
     for l, printed in ((0, 35), (1, 21), (2, 7)):
-        step = branch_steps[f"P(1)={l}"]
+        step = branch_steps[l]
         entries.append(
             AuditEntry(
                 location=f"Proposition 1 ({'i' * (l + 1)})",
@@ -157,7 +158,7 @@ def _prop2_entries(cert: Certificate) -> list[AuditEntry]:
             ),
             engine_result=(
                 f"strict test at m = 4, r = 1: threshold 4(-K)^5 + 1, worst-case "
-                f"slack minimum {w2['margin']} > 0; the printed "
+                f"slack minimum {w2['raw_min']} > 0; the printed "
                 "threshold 6(-K)^5 + 2 matches no (m, r) instance of the test"
             ),
             status=CONFIRMED if (w2["m"], w2["r"]) == (4, 1) else DISCREPANCY,
@@ -175,7 +176,7 @@ def _prop2_entries(cert: Certificate) -> list[AuditEntry]:
             ),
             engine_result=(
                 f"strict test at m = 6, r = 2: threshold 36(-K)^5 + 2, worst-case "
-                f"slack minimum {w3['margin']} > 0; at m = 5, r = 2 the "
+                f"slack minimum {w3['raw_min']} > 0; at m = 5, r = 2 the "
                 f"slack along b = -35a is -180a + 9, negative once (-K)^5 > 36, so "
                 f"the worst case genuinely needs m = 6 (engine search: {res5.status})"
             ),
@@ -186,9 +187,7 @@ def _prop2_entries(cert: Certificate) -> list[AuditEntry]:
 
 
 def _main_theorem_entry(cert: Certificate) -> AuditEntry:
-    compose = _steps(cert, "compose")[0]
-    r0, rs = compose["inputs"][0]["r0"], compose["inputs"][0]["r"]
-    bound = compose["witness"]["bound"]
+    r0, rs, bound = cert.r0, cert.r, cert.bound
     ok = bound == 16 and r0 == 3 and rs == [3, 4, 6]
     return AuditEntry(
         location="Main Theorem",

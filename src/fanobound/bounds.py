@@ -40,7 +40,6 @@ from .derive import (
     axiom_system,
     chern_table,
     derive_lower_bound,
-    fact_to_constraint,
     fm_minimize,
     geometry_system,
     interpolate_model,
@@ -138,10 +137,8 @@ def _integral_bound(m: int, res: MinimizeResult) -> tuple[Fact, dict]:
     fact = strengthen_integral(Fact(m, res.value, res.strict))
     return fact, {
         "raw_min": rat_str(res.value),
-        "raw_strict": res.strict,
         "farkas": certs.ser_farkas(res.farkas),
         "bound": rat_str(fact.bound),
-        "strengthened": fact.bound != res.value,
     }
 
 
@@ -172,21 +169,13 @@ def _worst_case_attempt(
             fact, record = _integral_bound(m, res)
             witness = nonvanishing_rule(fact)
             if witness is not None:
-                return witness, {
-                    **record,
-                    "rule": "nonvanishing",
-                    "m": m,
-                    "r": None,
-                    "margin": rat_str(witness.margin),
-                }
+                return witness, {"m": m, "r": None, **record}
         elif res.value > 0:
             return DimWitness(r + 1, m, "lemma2", res.value, r_used=r), {
-                "rule": "lemma2",
                 "m": m,
                 "r": r,
                 "raw_min": rat_str(res.value),
                 "farkas": certs.ser_farkas(res.farkas),
-                "margin": rat_str(res.value),
             }
     limit = Fraction(1 if r is None else 0)
     if res.status == "minimum" and res.attained and res.value <= limit:
@@ -208,18 +197,15 @@ def _worst_case_attempt(
 def _table_attempt(
     table: ValueTable, m: int, r: Optional[int]
 ) -> tuple[Optional[DimWitness], dict]:
-    """The test at (m, r) on the table's value: its witness and the
-    selection record on a pass, or None and the failed attempt."""
+    """The test at (m, r) on the table's value: its witness or None, and the
+    record of the selection or the failed attempt, which names only m and r
+    since the verifier reads the value from the table it checked."""
     value = table.at(m)
     if r is None:
         witness = nonvanishing_rule(Fact(m, Fraction(value)))
-        record = {"m": m, "r": None, "value": value}
     else:
         witness = lemma2_check(value, m, r, table.d5)
-        record = {"m": m, "r": r, "value": value, "threshold": lemma2_threshold(m, r, table.d5)}
-    if witness is None:
-        return None, record
-    return witness, {**record, "rule": witness.rule, "margin": rat_str(witness.margin)}
+    return witness, {"m": m, "r": r}
 
 
 def minimal_r(
@@ -326,8 +312,7 @@ class _StepWriter:
     ) -> certs.Certificate:
         """The composition step, and the certificate it closes."""
         bound = compose_bound(r0, rs)
-        self.add("compose", [{"r0": r0, "r": rs}], {"bound": bound},
-                 f"birational for all m >= {bound}")
+        self.add("compose", [], {}, f"birational for all m >= {bound}")
         return certs.Certificate(
             mode=mode,
             axioms=list(axioms),
@@ -348,7 +333,7 @@ def _fm_bound_step(
     sid = w.add(
         "fm_lower_bound",
         [{"m": m, "constraints": w.cite(cs)}],
-        {**record, "attained": res.attained, "point": certs.ser_point(res.point)},
+        {**record, "point": certs.ser_point(res.point)},
         f"P({m}) >= {rat_str(fact.bound)}",
     )
     return sid, fact
@@ -360,21 +345,14 @@ def _monotone_tail_step(
     cs: Optional[ConstraintSystem] = None,
     model_step: Optional[int] = None,
 ) -> None:
-    inputs: dict = {"m_start": tail.m_start, "mode": tail.mode}
-    if tail.mode == "worst_case":
+    inputs: dict = {"m_start": tail.m_start}
+    if tail.mode == certs.WORST_CASE:
         inputs["b_constraint"] = tail.b_constraint
         inputs["a_constraint"] = tail.a_constraint
         inputs["constraints"] = w.cite(cs)
-    elif tail.mode == "oracle":
+    elif tail.mode == certs.ORACLE:
         inputs["model_step"] = model_step
-    w.add(
-        "monotone_tail",
-        [inputs],
-        {
-            "q_poly": certs.ser_poly(tail.q_poly),
-            "q_shifted": [rat_str(c) for c in tail.q_poly.shift(tail.m_start).coeffs],
-        },
-    )
+    w.add("monotone_tail", [inputs], {"q_poly": certs.ser_poly(tail.q_poly)})
 
 
 def _dim_search_steps(
@@ -389,14 +367,11 @@ def _dim_search_steps(
     for target in (1, 2, 3):
         m_start = dim1_start if target == 1 else 1
         outcome = minimal_r(source, target, m_max, m_start=m_start, tried=tried)
-        inputs: dict = {"target_dim": target, "m_max": m_max, "m_start": m_start}
+        inputs: dict = {"target_dim": target, "m_start": m_start}
         if isinstance(source, ConstraintSystem):
-            inputs["mode"] = "worst_case"
             inputs["constraints"] = w.cite(source)
         else:
-            inputs["mode"] = source.mode
             inputs["values_step"] = values_step
-            inputs["d5"] = source.d5
         w.add(
             "dim_search",
             [inputs],
@@ -416,49 +391,33 @@ def solve_worst_case() -> certs.Certificate:
     """Derive the bound valid for every 5-fold with -K nef and big.
 
     The chain: case split on P(1), per-branch lower bounds for P(3), merge,
-    convert the merged bound into an affine constraint, search minimal
-    multiples for dimensions 1..3, certify nonemptiness from r0, compose.
+    search minimal multiples for dimensions 1..3 over the merged bound as an
+    affine constraint, certify nonemptiness from r0, compose.
     """
     w = _StepWriter()
-    base = axiom_system()
-    w.add("axioms", [], {"constraints": w.cite(base)})
-    branches = split_on_p1(base, DEFAULT_LMAX)
-    w.add("split_p1", [{"lmax": DEFAULT_LMAX}], {"labels": [br.label for br in branches]})
-    branch_refs = []
+    branches = split_on_p1(axiom_system(), DEFAULT_LMAX)
+    w.add("split_p1", [{"lmax": DEFAULT_LMAX}], {})
+    branch_steps = []
     branch_facts = []
     for br in branches:
         res = fm_minimize(br.system, p_affine(3))
         if res.status != "minimum":
             raise CertificationError(f"branch {br.label}: no finite bound for P(3)")
         sid, fact = _fm_bound_step(w, br.system, 3, res)
-        branch_refs.append({"label": br.label, "step": sid, "bound": rat_str(fact.bound)})
+        branch_steps.append(sid)
         branch_facts.append(fact)
     merged = merge_branch_facts(branch_facts)
     w.add(
         "merge_min",
-        [{"m": 3, "branches": branch_refs}],
+        [{"m": 3, "branches": branch_steps}],
         {"bound": rat_str(merged.bound)},
         f"P(3) >= {rat_str(merged.bound)} on the union of branches",
     )
-    geom_fact = fact_to_constraint(merged)
     geom = geometry_system([merged])
-    w.add(
-        "fact_to_constraint",
-        [{"m": 3, "bound": rat_str(merged.bound), "strict": merged.strict}],
-        {"constraint": geom_fact.cid},
-    )
     rs = _dim_search_steps(w, geom, DEFAULT_M_MAX)
     r0cert = certify_r0(geom, 3)
     _monotone_tail_step(w, r0cert.monotone, cs=geom)
     return w.compose(certs.WORST_CASE, WORST_CASE_AXIOMS, 3, rs)
-
-
-def _table_writer() -> _StepWriter:
-    """A step writer holding the axiom step of a value-table solve, which
-    cites no constraints."""
-    w = _StepWriter()
-    w.add("axioms", [], {"constraints": []})
-    return w
 
 
 def _solve_table(
@@ -485,11 +444,7 @@ def _solve_table(
     if r0cert is None:
         raise CertificationError(f"certify_r0 failed up to m_max: {last_err}")
     r0 = r0cert.r0
-    w.add(
-        "value_at_least",
-        [{"m": r0, "values_step": values_step}],
-        {"value": table.at(r0), "bound": 1},
-    )
+    w.add("value_at_least", [{"m": r0, "values_step": values_step}], {})
     _monotone_tail_step(w, r0cert.monotone, model_step=model_step)
     rs = _dim_search_steps(w, table, m_max, values_step, dim1_start=dim1_start)
     return w.compose(table.mode, axioms, r0, rs, chern)
@@ -498,8 +453,8 @@ def _solve_table(
 def solve_concrete(chern: ChernData) -> certs.Certificate:
     """Bound for one concrete 5-fold given its Chern intersection numbers."""
     table = chern_table(chern, DEFAULT_M_MAX)
-    w = _table_writer()
-    values_step = w.add("eval_p", [{"m_max": DEFAULT_M_MAX}], {"values": list(table.values)})
+    w = _StepWriter()
+    values_step = w.add("eval_p", [], {"values": list(table.values)})
     return _solve_table(w, table, values_step, CONCRETE_AXIOMS, DEFAULT_M_MAX, chern=chern)
 
 
@@ -518,17 +473,10 @@ def solve_oracle(
     if not is_nef(SplitBundle(source.bundle)):
         raise CertificationError(f"-K is not nef on P(E) for the twists {source.bundle}")
     table = oracle_table(source, m_max)
-    w = _table_writer()
+    w = _StepWriter()
     values_step = w.add(
         "oracle_values",
-        [
-            {
-                "bundle": list(source.bundle),
-                "convention": source.convention,
-                "m_max": m_max,
-                "d5": source.d5,
-            }
-        ],
+        [{"bundle": list(source.bundle), "convention": source.convention}],
         {"values": list(table.values)},
     )
     model_step = w.add(

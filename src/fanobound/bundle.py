@@ -102,12 +102,6 @@ def k5_geometric(b: SplitBundle) -> int:
     return 5**5 * sum(b.twists) + 5 * 5**4 * c
 
 
-def rank_printed(k: int) -> int:
-    """The published rank count for S^k of the four untwisted summands:
-    (k-1)k(k+1)/6, clamped at zero."""
-    return max(0, (k - 1) * k * (k + 1) // 6)
-
-
 SLOT_BITS = 64
 
 # int.to_bytes in the native order puts the lowest slot first only on a

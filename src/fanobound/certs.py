@@ -2,35 +2,40 @@
 
 A certificate is a JSON document recording every derivation step with
 enough exact witnesses (Farkas multipliers, optimal points, polynomial
-shifts, oracle values) that the claimed bound can be re-checked by
+tails, section counts) that the claimed bound can be re-checked by
 substitution and sign tests alone.  The verifier here never calls the
 prover's search machinery: it rebuilds each declared inequality from its
 descriptor, replays the arithmetic, and rejects on the first mismatch.
+A certificate writes each value once; whatever the verifier can derive
+from other fields is not written at all.
 
-Schema (field names are part of the external interface):
+Schema, version 4 (field names are part of the external interface):
 
-    {"version": 3,
+    {"version": 4,
      "mode": "worst_case" | "concrete" | "oracle",
      "chern": {"k5": int, "k3c2": int} | null,
      "axioms": [string, ...],
      "constraints": [{"cid": string, "kind": string, "params": [...],
                       "form": [rational, rational, rational],
                       "strict": bool}, ...],
-     "steps": [{"id": int, "rule": string, "inputs": [...],
-                "claim": string, "witness": {...}}, ...],
+     "steps": [{"id": int, "rule": string, "inputs": [] | [{...}],
+                "witness": {...}, "claim": string}, ...],
      "r0": int, "r": [int, int, int], "bound": int}
 
-chern is non-null exactly in concrete mode.  constraints declares each
-inequality once, sorted by cid; steps cite declarations by cid, and earlier
-steps by their integer id.  Only the steps that derive a bound
-(fm_lower_bound, merge_min, dim_search and compose) carry a claim, and the
-verifier regenerates it.
+Every object holds exactly the keys shown, and a step's input object and
+witness exactly the keys that _RULES names for its rule and flavor (the
+README tabulates them); any other key is refused.  A rule that takes no
+input (eval_p, compose) has "inputs": [].  chern is non-null exactly in
+concrete mode.  constraints declares each inequality once, sorted by cid;
+steps cite declarations by cid, and earlier steps by their integer id.
+Only the steps that derive a bound (fm_lower_bound, merge_min, dim_search
+and compose) carry a claim, and the verifier regenerates it.
 
 Rationals serialize as "p/q" strings with the sign on the numerator;
 integers omit the "/1".  The verifier reads a rational only as a string.
 
-The verifier is one table, _RULES, from each rule to its checker and the
-flavors that allow it.  A checker replays one step over the shared _Replay
+The verifier is one table, _RULES, from each rule to its checker and its
+layout per flavor.  A checker replays one step over the shared _Replay
 context, records what it checked (a value table, an oracle model, a branch
 bound) for later steps to cite, and returns the claim the step must carry.
 It trusts four parts of the package: exact (rationals, polynomials, affine
@@ -63,13 +68,14 @@ from .hilbert import (
 from . import bundle
 from .derive import constraint_form
 
-CERT_VERSION = 3
+CERT_VERSION = 4
 
 WORST_CASE = "worst_case"
 CONCRETE = "concrete"
 ORACLE = "oracle"
 
-# refuse pathological ranges instead of looping on crafted input
+# refuse pathological ranges instead of looping on crafted input: the
+# length of a value table, and the largest multiple a search may select
 MAX_TABLE = 512
 # an oracle model is checked on every value of its table; six agreeing
 # points pin a degree-5 polynomial, so a shorter table cannot certify the tail
@@ -121,15 +127,17 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_HEADER_KEYS = {"version", "mode", "chern", "axioms", "constraints", "steps", "r0", "r", "bound"}
+
+
 def from_json_dict(doc: Any) -> Certificate:
     if not isinstance(doc, dict):
         raise MalformedCertificateError("certificate must be a JSON object")
-    required = {
-        "version", "mode", "chern", "axioms", "constraints", "steps", "r0", "r", "bound"
-    }
-    missing = required - set(doc)
-    if missing:
-        raise MalformedCertificateError(f"missing fields: {sorted(missing)}")
+    if doc.keys() != _HEADER_KEYS:
+        missing, unknown = _HEADER_KEYS - doc.keys(), doc.keys() - _HEADER_KEYS
+        raise MalformedCertificateError(
+            f"missing fields {sorted(missing)}, unknown fields {sorted(map(str, unknown))}"
+        )
     for key in ("constraints", "steps"):
         if not isinstance(doc[key], list) or not all(isinstance(s, dict) for s in doc[key]):
             raise MalformedCertificateError(f"{key} must be a list of objects")
@@ -142,14 +150,17 @@ def from_json_dict(doc: Any) -> Certificate:
     for key in ("version", "r0", "bound"):
         if not _is_int(doc[key]):
             raise MalformedCertificateError(f"{key} must be an integer")
-    chern = None
-    if doc["chern"] is not None:
+    chern = doc["chern"]
+    if chern is not None:
+        if not (
+            isinstance(chern, dict)
+            and chern.keys() == {"k5", "k3c2"}
+            and all(map(_is_int, chern.values()))
+        ):
+            raise MalformedCertificateError("chern must hold exactly the integers k5 and k3c2")
         try:
-            k5, k3c2 = doc["chern"]["k5"], doc["chern"]["k3c2"]
-            if not (_is_int(k5) and _is_int(k3c2)):
-                raise TypeError("k5 and k3c2 must be integers")
-            chern = ChernData(k5, k3c2)
-        except (KeyError, TypeError, ValueError) as exc:
+            chern = ChernData(chern["k5"], chern["k3c2"])
+        except ValueError as exc:
             raise MalformedCertificateError(f"bad chern field: {exc}") from exc
     return Certificate(
         mode=doc["mode"],
@@ -246,6 +257,13 @@ def _json_bool(value: Any, what: str) -> bool:
     return value
 
 
+def _exact(obj: Any, keys: frozenset, what: str) -> dict:
+    """obj as a JSON object holding exactly keys; any other key is refused."""
+    if not isinstance(obj, dict) or obj.keys() != keys:
+        raise _Fail(f"{what} must be an object with exactly the keys {sorted(keys)}")
+    return obj
+
+
 def _rat(value: Any, what: str) -> Fraction:
     """A rational written as a "p/q" string; JSON numbers are rejected, not
     coerced."""
@@ -284,6 +302,9 @@ class _Decl(NamedTuple):
     fact: Optional[tuple] = None  # (m, bound, strict) a from_fact constraint rests on
 
 
+_DECLARATION_KEYS = frozenset({"cid", "kind", "params", "form", "strict"})
+
+
 def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
     """Check every constraint declaration once.
 
@@ -295,22 +316,21 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
     decls: dict[str, _Decl] = {}
     last = None
     for entry in cons:
-        try:
-            cid = entry["cid"]
-            kind = entry["kind"]
-            params = tuple(entry["params"])
-            recorded = _parse_form(entry["form"])
-            strict = _json_bool(entry["strict"], f"strict flag of {cid}")
-        except (KeyError, TypeError) as exc:
-            raise _Fail(f"bad constraint declaration: {exc}")
+        _exact(entry, _DECLARATION_KEYS, "a constraint declaration")
+        cid, kind, params = entry["cid"], entry["kind"], entry["params"]
         if not isinstance(cid, str) or (last is not None and cid <= last):
             raise _Fail(f"constraint id {cid!r} is not unique and in sorted order")
         last = cid
+        if not isinstance(kind, str) or not isinstance(params, list):
+            raise _Fail(f"constraint {cid} needs a kind string and a params list")
+        recorded = _parse_form(entry["form"])
+        strict = _json_bool(entry["strict"], f"strict flag of {cid}")
         if kind in _AXIOM_KINDS:
             if _AXIOM_KINDS[kind] not in axioms:
                 raise _Fail(f"constraint {cid} uses undeclared axiom {_AXIOM_KINDS[kind]}")
         elif kind not in _BRANCH_KINDS and kind != "from_fact":
             raise _Fail(f"constraint kind {kind!r} not allowed in certificates")
+        params = tuple(params)
         if params:
             _json_int(params[0], f"first parameter of {cid}")
         try:
@@ -357,7 +377,7 @@ class _Replay:
     cited: set = field(default_factory=set)
     established: set = field(default_factory=set)  # facts (m, bound, strict) under no case
     results: dict = field(default_factory=dict)  # step id -> (kind, what its check recorded)
-    split_labels: Optional[list[str]] = None
+    split: Optional[int] = None  # lmax of the P(1) case split
     searches: dict = field(default_factory=dict)  # target dimension -> selected m
     tail_start: Optional[int] = None
     composed: bool = False
@@ -443,70 +463,46 @@ def _check_point(point: Any, table: dict) -> tuple[Fraction, Fraction]:
     return a, b
 
 
-def _check_integral_bound(w: dict, table: dict, m: int) -> tuple[Fraction, bool, Fraction]:
-    """Replay P(m) >= bound from a recorded minimum: the Farkas combination
-    proves raw_min (strictly if raw_strict says so), and bound is raw_min
-    rounded up by A3, which every worst-case certificate declares, exactly
-    when strengthened says so.  Returns raw_min, whether the combination is
-    strict, and the bound."""
-    raw = _rat(w.get("raw_min"), "raw_min")
-    raw_strict = _json_bool(w.get("raw_strict"), "raw_strict")
-    proved_strict = _check_farkas(w.get("farkas"), table, p_affine(m), raw)
-    if raw_strict and not proved_strict:
-        raise _Fail("strict bound claimed without a strict combination")
-    bound = _rat(w.get("bound"), "bound")
-    strengthened = _json_bool(w.get("strengthened"), "strengthened")
-    if strengthened != (bound != raw):
-        raise _Fail("strengthening flag disagrees with the bounds")
-    if strengthened and bound != (math.floor(raw) + 1 if raw_strict else math.ceil(raw)):
-        raise _Fail("integral strengthening is wrong")
-    return raw, proved_strict, bound
-
-
-def _step_mode(st: _Replay, inp: dict) -> str:
-    """The mode a search or tail step names, which must be its certificate's."""
-    mode = inp.get("mode")
-    if mode != st.cert.mode:
-        raise _Fail(f"step mode {mode!r} contradicts the {st.cert.mode} flavor")
-    return mode
+def _integral_bound(w: dict, table: dict, m: int) -> tuple[Fraction, bool, Fraction]:
+    """Replay P(m) >= bound from a recorded minimum raw_min.  The Farkas
+    combination proves raw_min, strictly when it puts weight on a strict
+    constraint, and bound must be raw_min rounded up by A3, which every
+    worst-case certificate declares: floor + 1 after a strict combination,
+    the ceiling otherwise.  Returns raw_min, the strictness and the bound."""
+    raw = _rat(w["raw_min"], "raw_min")
+    strict = _check_farkas(w["farkas"], table, p_affine(m), raw)
+    bound = _rat(w["bound"], "bound")
+    if bound != (math.floor(raw) + 1 if strict else math.ceil(raw)):
+        raise _Fail("bound is not raw_min rounded up by A3")
+    return raw, strict, bound
 
 
 # -- one checker per rule --------------------------------------------------------
 #
-# A checker replays one step from its single input object (empty for the
-# axiom step) and its witness, records what later steps may cite, and
-# returns the claim the step must carry, or None for a rule that derives
-# no bound.
-
-
-def _axioms(st: _Replay, inp: dict, w: dict) -> None:
-    st.cite(w.get("constraints"))
+# A checker replays one step from its single input object (empty for a rule
+# that takes none) and its witness, whose keys _replay has already checked
+# against the rule's layout.  It records what later steps may cite and
+# returns the claim the step must carry, or None for a rule that derives no
+# bound.
 
 
 def _split_p1(st: _Replay, inp: dict, w: dict) -> None:
-    lmax = _json_int(inp.get("lmax"), "lmax")
-    labels = w.get("labels")
-    # the lengths first, so a huge lmax builds no labels
-    if lmax < 0 or not isinstance(labels, list) or len(labels) != lmax + 2:
-        raise _Fail("split needs lmax >= 0 and one label per branch")
-    st.split_labels = [f"P(1)={l}" for l in range(lmax + 1)] + [f"P(1)>={lmax + 1}"]
-    if labels != st.split_labels:
-        raise _Fail("branch labels do not cover the split")
+    lmax = _json_int(inp["lmax"], "lmax")
+    if lmax < 0:
+        raise _Fail("split needs lmax >= 0")
+    st.split = lmax
 
 
 def _fm_lower_bound(st: _Replay, inp: dict, w: dict) -> str:
-    m = _json_int(inp.get("m"), "m")
-    table, hypotheses = st.cite(inp.get("constraints"), branch_ok=True)
-    raw, proved_strict, bound = _check_integral_bound(w, table, m)
-    attained = _json_bool(w.get("attained"), "attained")
-    if attained != (w.get("point") is not None):
-        raise _Fail("attainment flag disagrees with the witness point")
-    if attained:
-        if proved_strict:
-            raise _Fail("attained minimum proved by a strict combination")
-        a, b = _check_point(w.get("point"), table)
-        if p_affine(m).evaluate(a, b) != raw:
-            raise _Fail("witness point does not attain the minimum")
+    m = _json_int(inp["m"], "m")
+    table, hypotheses = st.cite(inp["constraints"], branch_ok=True)
+    raw, strict, bound = _integral_bound(w, table, m)
+    # a strict combination shows the minimum is not attained; otherwise the
+    # point attains it
+    if (w["point"] is None) != strict:
+        raise _Fail("the point is null exactly when the minimum is not attained")
+    if not strict and p_affine(m).evaluate(*_check_point(w["point"], table)) != raw:
+        raise _Fail("witness point does not attain the minimum")
     st.record("bound", (m, bound, hypotheses))
     if not hypotheses:
         # bounds proved under case hypotheses stay branch-local; only the
@@ -516,61 +512,41 @@ def _fm_lower_bound(st: _Replay, inp: dict, w: dict) -> str:
 
 
 def _merge_min(st: _Replay, inp: dict, w: dict) -> str:
-    m = _json_int(inp.get("m"), "m")
-    branches = inp.get("branches")
-    if not isinstance(branches, list) or not branches:
-        raise _Fail("merge needs branch references")
-    if st.split_labels is None:
+    m = _json_int(inp["m"], "m")
+    branches = inp["branches"]
+    if st.split is None:
         raise _Fail("merge without a prior split")
-    if [br.get("label") for br in branches] != st.split_labels:
+    if not isinstance(branches, list) or len(branches) != st.split + 2:
         raise _Fail("merged branches do not cover the split")
     bounds = []
-    for l, br in enumerate(branches):
-        label = br["label"]
+    for l, ref in enumerate(branches):
         # an earlier step only: a later branch could cite the merged fact
-        ref_m, ref_bound, hypotheses = st.result(br.get("step"), "bound", f"branch {label}")
-        bound = _rat(br.get("bound"), f"bound of branch {label}")
-        if (ref_m, ref_bound) != (m, bound):
-            raise _Fail(f"branch {label} bound mismatch")
-        # labels follow the split, so branch l is P(1) = l or the tail
+        ref_m, bound, hypotheses = st.result(ref, "bound", f"branch {l}")
+        if ref_m != m:
+            raise _Fail(f"branch {l} bounds P({ref_m}), not P({m})")
+        # branches follow the split: P(1) = l, and last the tail
         if l == len(branches) - 1:
             want = {("p1_tail", (l,))}
         else:
             want = {("p1_eq_lo", (l,)), ("p1_eq_hi", (l,))}
         if hypotheses != want:
-            raise _Fail(f"branch {label} does not rest on its own hypothesis")
+            raise _Fail(f"branch {l} does not rest on its own hypothesis")
         bounds.append(bound)
-    merged = _rat(w.get("bound"), "merged bound")
+    merged = _rat(w["bound"], "merged bound")
     if merged != min(bounds):
         raise _Fail("merged bound is not the branch minimum")
     st.established.add((m, merged, False))
     return f"P({m}) >= {rat_str(merged)} on the union of branches"
 
 
-def _fact_to_constraint(st: _Replay, inp: dict, w: dict) -> None:
-    m = _json_int(inp.get("m"), "m")
-    bound = _rat(inp.get("bound"), "bound")
-    strict = _json_bool(inp.get("strict"), "strict")
-    if (m, bound, strict) not in st.established:
-        raise _Fail(f"fact P({m}) >= {bound} was not established")
-    cid = w.get("constraint")
-    (decl,) = st.cite([cid])[0].values()
-    if decl.fact is None:
-        raise _Fail(f"constraint {cid} is not derived from a fact")
-    scale = to_rat(decl.params[2])  # a positive rational string, checked with the declaration
-    if decl.form.scale(scale) != p_affine(m) - AffineForm.constant(bound):
-        raise _Fail("constraint does not rescale to the fact")
-    if decl.strict != strict:
-        raise _Fail("strictness mismatch")
+def _table_values(values: Any) -> list:
+    if not isinstance(values, list) or not 1 <= len(values) <= MAX_TABLE:
+        raise _Fail(f"a value table holds 1 to {MAX_TABLE} values")
+    return values
 
 
 def _eval_p(st: _Replay, inp: dict, w: dict) -> None:
-    m_max = _json_int(inp.get("m_max"), "m_max")
-    if not 0 <= m_max <= MAX_TABLE:
-        raise _Fail("value table exceeds verifier limits")
-    values = w.get("values")
-    if not isinstance(values, list) or len(values) != m_max + 1:
-        raise _Fail("value table has the wrong length")
+    values = _table_values(w["values"])
     for m, v in enumerate(values):
         if p_eval(st.cert.chern, m) != _json_int(v, f"P({m})"):
             raise _Fail(f"recorded P({m}) differs from evaluation")
@@ -578,36 +554,26 @@ def _eval_p(st: _Replay, inp: dict, w: dict) -> None:
 
 
 def _oracle_values(st: _Replay, inp: dict, w: dict) -> None:
-    twists = inp.get("bundle")
-    conv = inp.get("convention")
-    m_max = _json_int(inp.get("m_max"), "m_max")
-    if not 1 <= m_max <= MAX_TABLE:
-        raise _Fail("value table exceeds verifier limits")
     try:
-        sb = bundle.SplitBundle(tuple(_json_int(e, "twist") for e in twists))
+        sb = bundle.SplitBundle(tuple(_json_int(e, "twist") for e in inp["bundle"]))
     except (TypeError, ValueError) as exc:
         raise _Fail(f"bad bundle: {exc}")
     # before any section count: the nef test also bounds the spread of the
     # twists, and with it the symmetric-power pass
     if not bundle.is_nef(sb):
         raise _Fail("-K is not nef on the bundle, outside the hypotheses")
-    values = w.get("values")
-    if not isinstance(values, list) or len(values) != m_max:
-        raise _Fail("value table has the wrong length")
+    values = _table_values(w["values"])
     # the verifier's own single pass; it never sees the prover's cache
-    recount = bundle.h0_anti(sb, m_max, conv)
+    recount = bundle.h0_anti(sb, len(values), inp["convention"])
     for m, (v, want) in enumerate(zip(values, recount), start=1):
         if _json_int(v, f"h0 at m={m}") != want:
             raise _Fail(f"recorded h0 at m={m} differs from recomputation")
-    d5 = bundle.k5_geometric(sb)
-    if d5 != _json_int(inp.get("d5"), "d5"):
-        raise _Fail("recorded (-K)^5 differs from intersection theory")
-    st.record("value table", _Table(values, 1, d5))
+    st.record("value table", _Table(values, 1, bundle.k5_geometric(sb)))
 
 
 def _oracle_model(st: _Replay, inp: dict, w: dict) -> None:
-    table = st.result(inp.get("values_step"), "value table", "values_step")
-    model = Poly(_rats(w.get("coeffs"), "model coefficients"))
+    table = st.result(inp["values_step"], "value table", "values_step")
+    model = Poly(_rats(w["coeffs"], "model coefficients"))
     if model.degree > 5:
         raise _Fail("model degree exceeds 5")
     if len(table.values) < MODEL_POINTS:
@@ -619,36 +585,44 @@ def _oracle_model(st: _Replay, inp: dict, w: dict) -> None:
 
 
 def _value_at_least(st: _Replay, inp: dict, w: dict) -> None:
-    m = _json_int(inp.get("m"), "m")
-    value = st.result(inp.get("values_step"), "value table", "values_step").at(m)
-    bound = _json_int(w.get("bound"), "bound")
-    if _json_int(w.get("value"), "value") != value:
-        raise _Fail("recorded value differs from the table")
-    if value < bound:
-        raise _Fail(f"P({m}) = {value} is below the claimed bound {bound}")
-    st.established.add((m, Fraction(bound), False))
+    m = _json_int(inp["m"], "m")
+    value = st.result(inp["values_step"], "value table", "values_step").at(m)
+    st.established.add((m, Fraction(value), False))
+
+
+# the keys of a failed attempt and of a selection: a table names only the
+# multiple and the exponent, the worst case adds what refutes or proves the test
+_TABLE_TEST = frozenset({"m", "r"})
+_REFUTED_TEST = _TABLE_TEST | {"point", "value"}
+_LEMMA2_SELECTION = _TABLE_TEST | {"raw_min", "farkas"}
+_PENCIL_SELECTION = _LEMMA2_SELECTION | {"bound"}
+
+
+def _passes(table: _Table, m: int, r: Optional[int]) -> bool:
+    """Whether the table's value at m passes the pencil test (r is None) or
+    the strict Lemma 2 test with exponent r."""
+    value = table.at(m)
+    return value >= 2 if r is None else value > lemma2_threshold(m, r, table.d5)
 
 
 def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
-    mode = _step_mode(st, inp)
-    target = _json_int(inp.get("target_dim"), "target_dim")
+    target = _json_int(inp["target_dim"], "target_dim")
     if target not in (1, 2, 3):
         raise _Fail("target dimension must be 1, 2, or 3")
-    m_max = _json_int(inp.get("m_max"), "m_max")
-    if not 1 <= m_max <= MAX_SEARCH:
-        raise _Fail("search range exceeds verifier limits")
-    m_start = _json_int(inp.get("m_start", 1), "m_start")
-    sel = w.get("selected")
-    if not isinstance(sel, dict):
-        raise _Fail("missing selection")
-    sel_m = _json_int(sel.get("m"), "selected m")
-    sel_r = sel.get("r")
-    if not 1 <= m_start <= sel_m <= m_max:
-        raise _Fail("selected multiple is outside the search range")
+    worst = st.cert.mode == WORST_CASE
     # a pencil (P(m) >= 2) witnesses dimension 1 and Lemma 2 every higher one
     nonvanishing = target == 1
-    if sel.get("rule") != ("nonvanishing" if nonvanishing else "lemma2"):
-        raise _Fail("a dimension-1 selection is nonvanishing and a higher one lemma2")
+    if worst:
+        attempt_keys = _REFUTED_TEST
+        sel_keys = _PENCIL_SELECTION if nonvanishing else _LEMMA2_SELECTION
+    else:
+        attempt_keys = sel_keys = _TABLE_TEST
+    sel = _exact(w["selected"], sel_keys, "selection")
+    m_start = _json_int(inp["m_start"], "m_start")
+    sel_m = _json_int(sel["m"], "selected m")
+    sel_r = sel["r"]
+    if not 1 <= m_start <= sel_m <= MAX_SEARCH:
+        raise _Fail("selected multiple is outside the search range")
     if nonvanishing:
         if sel_r is not None:
             raise _Fail("a dimension-1 selection has no exponent")
@@ -666,87 +640,51 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
             if m == sel_m and (r is None or r >= sel_r):
                 break
             expect.append((m, r))
-    attempts = w.get("attempts")
+    attempts = w["attempts"]
     if not isinstance(attempts, list):
         raise _Fail("attempts must be a list")
-    got = [
-        (_json_int(a["m"], "attempt m"),
-         None if a.get("r") is None else _json_int(a["r"], "attempt r"))
-        for a in attempts
-    ]
+    got = []
+    for a in attempts:
+        m, r = _exact(a, attempt_keys, "attempt")["m"], a["r"]
+        got.append((_json_int(m, "attempt m"), None if r is None else _json_int(r, "attempt r")))
     if got != expect:
         raise _Fail("failed attempts do not enumerate the search order")
 
-    if mode == WORST_CASE:
-        table, _ = st.cite(inp.get("constraints"))
+    if worst:
+        table, _ = st.cite(inp["constraints"])
         for (m, r), a in zip(expect, attempts):
-            point = _check_point(a.get("point"), table)
-            value = _rat(a.get("value"), "attempt value")
-            if r is None:
-                # P <= 1 at a feasible point caps the derivable integral bound
-                form = p_affine(m)
-                if form.evaluate(*point) != value or value > 1:
-                    raise _Fail(f"attempt at m={m} does not fail nonvanishing")
-            else:
-                form = lemma2_slack_form(m, r)
-                if form.evaluate(*point) != value or value > 0:
-                    raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
+            point = _check_point(a["point"], table)
+            value = _rat(a["value"], "attempt value")
+            # P <= 1 at a feasible point caps the derivable integral bound
+            form, limit = (p_affine(m), 1) if r is None else (lemma2_slack_form(m, r), 0)
+            if form.evaluate(*point) != value or value > limit:
+                raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
         if nonvanishing:
-            _, _, bound = _check_integral_bound(sel, table, sel_m)
-            if bound < 2:
+            if _integral_bound(sel, table, sel_m)[2] < 2:
                 raise _Fail("a pencil needs P(m) >= 2")
-            if _rat(sel.get("margin"), "margin") != bound - 1:
-                raise _Fail("nonvanishing margin must be bound - 1")
         else:
-            raw = _rat(sel.get("raw_min"), "raw_min")
-            _check_farkas(sel.get("farkas"), table, lemma2_slack_form(sel_m, sel_r), raw)
+            raw = _rat(sel["raw_min"], "raw_min")
+            _check_farkas(sel["farkas"], table, lemma2_slack_form(sel_m, sel_r), raw)
             if raw <= 0:
                 raise _Fail("worst-case slack minimum is not positive")
-            if _rat(sel.get("margin"), "margin") != raw:
-                raise _Fail("margin must equal the slack minimum")
     else:
-        table = st.result(inp.get("values_step"), "value table", "values_step")
-        d5 = _json_int(inp.get("d5"), "d5")
-        if d5 != table.d5:
-            raise _Fail("d5 differs from the verified value table")
-        for (m, r), a in zip(expect, attempts):
-            value = table.at(m)
-            if _json_int(a.get("value"), "attempt value") != value:
-                raise _Fail(f"attempt value at m={m} differs from the table")
-            if r is None:
-                if value >= 2:
-                    raise _Fail(f"attempt at m={m} does not fail nonvanishing")
-            else:
-                threshold = lemma2_threshold(m, r, d5)
-                if _json_int(a.get("threshold"), "threshold") != threshold or value > threshold:
-                    raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
-        value = table.at(sel_m)
-        if _json_int(sel.get("value"), "selected value") != value:
-            raise _Fail("selected value differs from the table")
-        if nonvanishing:
-            if value < 2:
-                raise _Fail("a pencil needs P(m) >= 2")
-            if _rat(sel.get("margin"), "margin") != value - 1:
-                raise _Fail("nonvanishing margin must be value - 1")
-        else:
-            threshold = lemma2_threshold(sel_m, sel_r, d5)
-            if _json_int(sel.get("threshold"), "selected threshold") != threshold:
-                raise _Fail("selection threshold is wrong")
-            if value <= threshold:
-                raise _Fail("value does not clear the threshold strictly")
-            if _rat(sel.get("margin"), "margin") != value - threshold:
-                raise _Fail("margin must be value - threshold")
+        table = st.result(inp["values_step"], "value table", "values_step")
+        for m, r in expect:
+            if _passes(table, m, r):
+                raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
+        if not _passes(table, sel_m, sel_r):
+            raise _Fail(f"the selection at m={sel_m}, r={sel_r} does not pass the test")
     st.searches[target] = sel_m
     return f"dim >= {target} at m = {sel_m}"
 
 
 def _monotone_tail(st: _Replay, inp: dict, w: dict) -> None:
-    mode = _step_mode(st, inp)
-    m_start = _json_int(inp.get("m_start"), "m_start")
-    q = Poly(_rats(w.get("q_poly"), "q_poly"))
+    m_start = _json_int(inp["m_start"], "m_start")
+    q = Poly(_rats(w["q_poly"], "q_poly"))
+    mode = st.cert.mode
     if mode == WORST_CASE:
-        table, _ = st.cite(inp.get("constraints"))
-        bcid, acid = inp.get("b_constraint"), inp.get("a_constraint")
+        table, _ = st.cite(inp["constraints"])
+        bcid, acid = inp["b_constraint"], inp["a_constraint"]
         if bcid not in table or acid not in table:
             raise _Fail("tail cites constraints outside the recorded system")
         bform, bstrict = table[bcid].form, table[bcid].strict
@@ -774,68 +712,77 @@ def _monotone_tail(st: _Replay, inp: dict, w: dict) -> None:
         if q != da.scale(st.cert.chern.a) + db.scale(st.cert.chern.b) + dk:
             raise _Fail("tail polynomial does not match the chern data")
     else:
-        model = st.result(inp.get("model_step"), "model", "model_step")
+        model = st.result(inp["model_step"], "model", "model_step")
         if q != model.shift(1) - model:
             raise _Fail("tail polynomial does not match the model difference")
 
     shifted = q.shift(m_start).coeffs
-    if list(shifted) != _rats(w.get("q_shifted"), "q_shifted"):
-        raise _Fail("recorded shift differs from recomputation")
     if not shifted or any(c < 0 for c in shifted) or shifted[0] <= 0:
         raise _Fail("shifted tail is not certified positive")
     st.tail_start = m_start
 
 
 def _compose(st: _Replay, inp: dict, w: dict) -> str:
-    r0 = _json_int(inp.get("r0"), "r0")
-    rs = [_json_int(x, "r") for x in inp["r"]]
-    if r0 < 3:
-        raise _Fail("r0 must be >= 3")
-    total = r0 + sum(rs)
-    if _json_int(w.get("bound"), "bound") != total:
-        raise _Fail("composed bound is not the sum")
     cert = st.cert
-    if cert.bound != total or cert.r0 != r0 or cert.r != rs:
-        raise _Fail("certificate header disagrees with composition")
+    if cert.r0 < 3:
+        raise _Fail("r0 must be >= 3")
+    if cert.bound != cert.r0 + sum(cert.r):
+        raise _Fail("the certificate's bound is not the sum r0 + r1 + r2 + r3")
     for target in (1, 2, 3):
         if target not in st.searches:
             raise _Fail(f"no dimension-{target} witness step")
-        if st.searches[target] != rs[target - 1]:
+        if st.searches[target] != cert.r[target - 1]:
             raise _Fail(f"r{target} does not match its witness step")
-    if not any(m == r0 and q >= 1 and not s for (m, q, s) in st.established):
-        raise _Fail(f"P({r0}) >= 1 was never established")
+    if not any(m == cert.r0 and q >= 1 and not s for (m, q, s) in st.established):
+        raise _Fail(f"P({cert.r0}) >= 1 was never established")
     if st.tail_start is None:
         raise _Fail("monotonicity step is missing")
-    if st.tail_start != r0:
+    if st.tail_start != cert.r0:
         raise _Fail("monotone tail does not start at r0")
     st.composed = True
-    return f"birational for all m >= {total}"
+    return f"birational for all m >= {cert.bound}"
 
 
 class _Rule(NamedTuple):
     check: Callable[[_Replay, dict, dict], Optional[str]]
-    # every certificate sticks to one derivation flavor; mixing would let a
-    # step about an unrelated object justify the composed bound
-    flavors: tuple[str, ...]
-    takes_input: bool = True
+    # flavor -> the exact keys of the step's input object (None for a rule
+    # that takes no input) and of its witness.  Every certificate sticks to
+    # one derivation flavor; mixing would let a step about an unrelated
+    # object justify the composed bound
+    layouts: dict[str, tuple[Optional[frozenset], frozenset]]
 
 
-_ANY = (WORST_CASE, CONCRETE, ORACLE)
+def _layout(flavors: tuple[str, ...], inputs: Optional[str], witness: str = "") -> dict:
+    """The same layout for each flavor; key names are space-separated."""
+    keys = (None if inputs is None else frozenset(inputs.split()), frozenset(witness.split()))
+    return dict.fromkeys(flavors, keys)
+
+
+_TABLES = (CONCRETE, ORACLE)
 
 _RULES = {
-    "axioms": _Rule(_axioms, _ANY, takes_input=False),
-    "split_p1": _Rule(_split_p1, (WORST_CASE,)),
-    "fm_lower_bound": _Rule(_fm_lower_bound, (WORST_CASE,)),
-    "merge_min": _Rule(_merge_min, (WORST_CASE,)),
-    "fact_to_constraint": _Rule(_fact_to_constraint, (WORST_CASE,)),
-    "eval_p": _Rule(_eval_p, (CONCRETE,)),
-    "oracle_values": _Rule(_oracle_values, (ORACLE,)),
-    "oracle_model": _Rule(_oracle_model, (ORACLE,)),
-    "value_at_least": _Rule(_value_at_least, (CONCRETE, ORACLE)),
-    "dim_search": _Rule(_dim_search, _ANY),
-    "monotone_tail": _Rule(_monotone_tail, _ANY),
-    "compose": _Rule(_compose, _ANY),
+    "split_p1": _Rule(_split_p1, _layout((WORST_CASE,), "lmax")),
+    "fm_lower_bound": _Rule(
+        _fm_lower_bound, _layout((WORST_CASE,), "m constraints", "raw_min farkas bound point")
+    ),
+    "merge_min": _Rule(_merge_min, _layout((WORST_CASE,), "m branches", "bound")),
+    "eval_p": _Rule(_eval_p, _layout((CONCRETE,), None, "values")),
+    "oracle_values": _Rule(_oracle_values, _layout((ORACLE,), "bundle convention", "values")),
+    "oracle_model": _Rule(_oracle_model, _layout((ORACLE,), "values_step", "coeffs")),
+    "value_at_least": _Rule(_value_at_least, _layout(_TABLES, "m values_step")),
+    "dim_search": _Rule(_dim_search, {
+        **_layout((WORST_CASE,), "target_dim m_start constraints", "attempts selected"),
+        **_layout(_TABLES, "target_dim m_start values_step", "attempts selected"),
+    }),
+    "monotone_tail": _Rule(_monotone_tail, {
+        **_layout((WORST_CASE,), "m_start constraints a_constraint b_constraint", "q_poly"),
+        **_layout((CONCRETE,), "m_start", "q_poly"),
+        **_layout((ORACLE,), "m_start model_step", "q_poly"),
+    }),
+    "compose": _Rule(_compose, _layout((WORST_CASE, *_TABLES), None)),
 }
+
+_STEP_KEYS = frozenset({"id", "rule", "inputs", "witness", "claim"})
 
 # the axioms each flavor rests on, exactly; the README documents each
 _FLAVOR_AXIOMS = {
@@ -889,18 +836,19 @@ def _replay(st: _Replay) -> None:
         rule = _RULES.get(name) if isinstance(name, str) else None
         if rule is None:
             raise _Fail(f"unknown rule {name!r}")
-        if flavor not in rule.flavors:
+        if flavor not in rule.layouts:
             raise _Fail(f"rule {name!r} does not belong to a {flavor} certificate")
-        w = step.get("witness")
-        if not isinstance(w, dict):
-            raise _Fail("missing witness")
+        if not step.keys() <= _STEP_KEYS:
+            raise _Fail(f"a step has only the keys {sorted(_STEP_KEYS)}")
+        input_keys, witness_keys = rule.layouts[flavor]
+        w = _exact(step.get("witness"), witness_keys, "witness")
         inputs = step.get("inputs")
-        if not rule.takes_input:
+        if input_keys is None:
             if inputs != []:
                 raise _Fail(f"rule {name} takes no inputs")
             inp = {}
-        elif isinstance(inputs, list) and len(inputs) == 1 and isinstance(inputs[0], dict):
-            inp = inputs[0]
+        elif isinstance(inputs, list) and len(inputs) == 1:
+            inp = _exact(inputs[0], input_keys, "input")
         else:
             raise _Fail("inputs must be a one-element list holding an object")
         claim = rule.check(st, inp, w)

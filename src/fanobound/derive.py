@@ -70,7 +70,10 @@ class MonotoneCertificationError(DerivationError):
 
 def constraint_form(kind: str, params: Sequence) -> tuple[AffineForm, bool]:
     """Rebuild the affine form and strictness of a constraint from its
-    descriptor.  Verifiers use this to reject tampered forms."""
+    descriptor.  Verifiers use this to reject tampered forms, so a kind
+    takes exactly its parameters and k5_floor and mono12 take none."""
+    if kind in ("k5_floor", "mono12") and params:
+        raise ValueError(f"{kind} takes no parameters")
     if kind == "k5_floor":
         return AffineForm.of(1, 0, Fraction(-1, 720)), False
     if kind == "vanishing":

@@ -25,7 +25,7 @@ RatLike = Union[int, str, Fraction]
 
 # the strings rat_str writes; Fraction alone would also take decimals and
 # exponents such as "1e30000000", whose integer takes minutes to build
-_RAT_STR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RAT_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def to_rat(x: RatLike) -> Fraction:
@@ -40,9 +40,13 @@ def to_rat(x: RatLike) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        if not _RAT_STR.fullmatch(x):
+        match = _RAT_STR.fullmatch(x)
+        if match is None:
             raise ValueError(f"{x!r} is not a rational of the form p or p/q")
-        return Fraction(x)
+        # built from the matched digits, not parsed a second time; a zero
+        # denominator raises ZeroDivisionError
+        p, q = match.groups()
+        return Fraction(int(p), int(q or 1))
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

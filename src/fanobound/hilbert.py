@@ -168,9 +168,3 @@ def p_poly(c: ChernData) -> Poly:
     """P as a univariate polynomial in m for concrete Chern data."""
     fa, fb, fc = coefficient_polys()
     return fa.scale(c.a) + fb.scale(c.b) + fc
-
-
-def bracket_value(c: ChernData, m: int) -> Fraction:
-    """The bracket q with P(m) = (2m+1) * q, q = m(m+1)[(3m^2+3m-1)a+b] + 1."""
-    u = m * (m + 1)
-    return u * ((3 * u - 1) * c.a + c.b) + 1

@@ -39,7 +39,7 @@ from fanobound.bounds import (
     solve_oracle,
     solve_worst_case,
 )
-from fanobound.certs import from_json_bytes, verify
+from fanobound.certs import MalformedCertificateError, from_json_bytes, verify
 
 from test_hilbert import sample_chern
 
@@ -330,11 +330,11 @@ class TestVerifierRejectsTampering:
         assert "composition" in res.reason or "sum" in res.reason
 
     def test_negated_margin_caught_at_lemma_step(self):
+        # the slack minimum is the margin of the Lemma 2 test
         def flip(doc):
             for step in doc["steps"]:
                 if step["rule"] == "dim_search" and step["inputs"][0]["target_dim"] == 2:
                     sel = step["witness"]["selected"]
-                    sel["margin"] = "-" + sel["margin"]
                     sel["raw_min"] = "-" + sel["raw_min"]
                     return
         bad = self._mutate(flip)
@@ -407,40 +407,40 @@ class TestVerifierRejectsTampering:
 
     @pytest.mark.parametrize("bad", [66.5, 66.0, True, "66"])
     def test_non_integer_oracle_table_length_rejected(self, bad):
+        # a table's length is the length of its values; a leftover m_max
+        # key is refused whatever its value
         import fanobound.bundle as bundle
 
         src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
         doc = json.loads(solve_oracle(src).to_json_bytes())
-        for step in doc["steps"]:
-            if step["rule"] == "oracle_values":
-                assert step["inputs"][0]["m_max"] == 32
-                step["inputs"][0]["m_max"] = bad
+        (values,) = [s for s in doc["steps"] if s["rule"] == "oracle_values"]
+        assert len(values["witness"]["values"]) == 32
+        values["inputs"][0]["m_max"] = bad
         res = verify(from_json_bytes(json.dumps(doc).encode()))
-        assert not res.ok and "m_max must be an integer" in res.reason
+        assert not res.ok and res.step_id == values["id"]
+        assert "input must be an object with exactly the keys" in res.reason
 
     @pytest.mark.parametrize("bad", [66.5, True, "66"])
     def test_non_integer_chern_table_length_rejected(self, bad):
         doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
-        for step in doc["steps"]:
-            if step["rule"] == "eval_p":
-                step["inputs"][0]["m_max"] = bad
+        (values,) = [s for s in doc["steps"] if s["rule"] == "eval_p"]
+        assert values["inputs"] == []
+        values["inputs"] = [{"m_max": bad}]
         res = verify(from_json_bytes(json.dumps(doc).encode()))
-        assert not res.ok and "m_max must be an integer" in res.reason
+        assert not res.ok and res.step_id == values["id"]
+        assert res.reason == "rule eval_p takes no inputs"
 
     def test_old_version_refused(self):
         res = verify(self._mutate(lambda d: d.update(version=1)))
         assert not res.ok and res.reason == "unsupported version 1"
 
     def test_string_flag_rejected(self):
-        # "no" is truthy, so bool() would read it as the true it replaces
+        # "no" is truthy, so bool() would read it as a true flag
         def flag(doc):
-            (step,) = [
-                s for s in doc["steps"]
-                if s["rule"] == "fm_lower_bound" and s["witness"]["strengthened"] is True
-            ][:1]
-            step["witness"]["strengthened"] = "no"
+            assert doc["constraints"][0]["strict"] is False
+            doc["constraints"][0]["strict"] = "no"
         res = verify(self._mutate(flag))
-        assert not res.ok and "strengthened must be a boolean" in res.reason
+        assert not res.ok and "strict flag of A1 must be a boolean" in res.reason
 
     def test_decimal_exponent_rejected_quickly(self):
         def inflate(doc):
@@ -457,8 +457,8 @@ class TestVerifierRejectsTampering:
         (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
         assert tail["inputs"][0]["m_start"] == doc["r0"] == 3
         q = Poly(Fraction(c) for c in tail["witness"]["q_poly"])
+        assert all(c > 0 for c in q.shift(4).coeffs)
         tail["inputs"][0]["m_start"] = 4
-        tail["witness"]["q_shifted"] = [str(c) for c in q.shift(4).coeffs]
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and "does not start at r0" in res.reason
 
@@ -468,7 +468,6 @@ class TestVerifierRejectsTampering:
         src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
         doc = json.loads(solve_oracle(src).to_json_bytes())
         (values,) = [s for s in doc["steps"] if s["rule"] == "oracle_values"]
-        values["inputs"][0]["m_max"] = 5
         values["witness"]["values"] = values["witness"]["values"][:5]
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and "too short to pin the polynomial" in res.reason
@@ -495,14 +494,15 @@ class TestVerifierRejectsTampering:
         assert not res.ok and "recomputation" in res.reason
 
     def test_strengthening_flag_on_an_integral_selection_rejected(self):
+        # an integral minimum from a non-strict combination is its own bound
         def flag(doc):
             step = next(s for s in doc["steps"] if s["rule"] == "dim_search")
             sel = step["witness"]["selected"]
-            assert (sel["raw_min"], sel["bound"], sel["strengthened"]) == ("7", "7", False)
-            sel["strengthened"] = True
+            assert (sel["raw_min"], sel["bound"]) == ("7", "7")
+            sel["bound"] = "8"
 
         res = verify(self._mutate(flag))
-        assert not res.ok and "strengthening flag" in res.reason
+        assert not res.ok and "bound is not raw_min rounded up by A3" in res.reason
 
     @pytest.mark.parametrize("twists", [[-1, 0, 0, 0, 0], [0, 1, 10, 100, 3000]])
     def test_non_nef_bundle_rejected_before_counting(self, twists):
@@ -520,13 +520,18 @@ class TestVerifierRejectsTampering:
         assert not res.ok and "not nef" in res.reason
 
     def test_non_object_branch_rejected_without_raising(self):
+        # version-3 branch objects in place of the step ids
         def scramble(doc):
             for step in doc["steps"]:
                 if step["rule"] == "merge_min":
-                    step["inputs"][0]["branches"] = [1, 2, 3, 4, 5]
+                    branches = step["inputs"][0]["branches"]
+                    step["inputs"][0]["branches"] = [
+                        {"label": f"P(1)={l}", "step": sid, "bound": "7"}
+                        for l, sid in enumerate(branches)
+                    ]
 
         res = verify(self._mutate(scramble))
-        assert not res.ok and "malformed" in res.reason
+        assert not res.ok and res.reason == "branch 0 cites no earlier bound step"
 
     @pytest.mark.parametrize(
         "rule, field, value, reason",
@@ -541,6 +546,12 @@ class TestVerifierRejectsTampering:
     )
     def test_non_integer_or_out_of_range_number_rejected(self, rule, field, value, reason):
         doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
+        if rule == "compose":
+            # compose reads r0 and r from the header, which the parser checks
+            doc[field] = value
+            with pytest.raises(MalformedCertificateError, match=f"^{field} must be"):
+                from_json_bytes(json.dumps(doc).encode())
+            return
         for step in doc["steps"]:
             if step["rule"] != rule:
                 continue
@@ -629,7 +640,6 @@ class TestVerifierOnHugePolynomialData:
             if step["rule"] == "monotone_tail":
                 step["inputs"][0]["m_start"] = 10**4000
                 step["witness"]["q_poly"] = huge
-                step["witness"]["q_shifted"] = huge
         self.check_invalid_in_bounded_time(doc, "model disagrees with values")
 
     def test_huge_tail_start_on_the_true_polynomial(self):
@@ -638,7 +648,7 @@ class TestVerifierOnHugePolynomialData:
         doc = self.oracle_doc()
         (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
         tail["inputs"][0]["m_start"] = 10**4000
-        self.check_invalid_in_bounded_time(doc, "recorded shift differs")
+        self.check_invalid_in_bounded_time(doc, "monotone tail does not start at r0")
 
     def test_huge_tail_polynomial_alone(self):
         doc = self.oracle_doc()
@@ -646,5 +656,4 @@ class TestVerifierOnHugePolynomialData:
         (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
         tail["inputs"][0]["m_start"] = 10**4000
         tail["witness"]["q_poly"] = huge
-        tail["witness"]["q_shifted"] = huge
         self.check_invalid_in_bounded_time(doc, "does not match the model difference")

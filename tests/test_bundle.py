@@ -28,11 +28,16 @@ from fanobound.bundle import (
     oracle_source,
     paper_closed_form,
     power_slots,
-    rank_printed,
     sym_power_twists,
 )
 from fanobound.bounds import solve_oracle
 from fanobound.certs import MAX_TABLE, verify
+
+
+def rank_printed(k):
+    """The published rank count for S^k of the four untwisted summands:
+    (k-1)k(k+1)/6, clamped at zero."""
+    return max(0, (k - 1) * k * (k + 1) // 6)
 
 
 def brute_force_twists(twists, k):

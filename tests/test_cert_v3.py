@@ -1,5 +1,6 @@
-"""The version-3 certificate layout: constraints declared once at the top
-level and cited by id, and no field that the verifier does not check."""
+"""The certificate layout: constraints declared once at the top level and
+cited by id (version 3), each value written once and every object holding
+exactly the keys the verifier reads (version 4)."""
 
 import json
 import re
@@ -57,8 +58,67 @@ def test_each_constraint_is_declared_once_and_cited_by_id():
     (fm, *_), (dim, *_) = steps(d, "fm_lower_bound"), steps(d, "dim_search")
     assert all(isinstance(c, str) for c in fm["inputs"][0]["constraints"])
     assert dim["inputs"][0]["constraints"] == ["A1", "F.P3>=7"]
-    assert steps(d, "fact_to_constraint")[0]["witness"] == {"constraint": "F.P3>=7"}
-    assert steps(d, "axioms")[0]["inputs"] == []
+    assert [s["rule"] for s in d["steps"]][:2] == ["split_p1", "fm_lower_bound"]
+
+
+# the version-4 layout: per rule and flavor, the keys of the input object
+# (None: "inputs" is empty) and of the witness
+SEARCH, TAIL = {"attempts", "selected"}, {"q_poly"}
+LAYOUT = {
+    "split_p1": {"worst_case": ({"lmax"}, set())},
+    "fm_lower_bound": {
+        "worst_case": ({"m", "constraints"}, {"raw_min", "farkas", "bound", "point"})
+    },
+    "merge_min": {"worst_case": ({"m", "branches"}, {"bound"})},
+    "eval_p": {"concrete": (None, {"values"})},
+    "oracle_values": {"oracle": ({"bundle", "convention"}, {"values"})},
+    "oracle_model": {"oracle": ({"values_step"}, {"coeffs"})},
+    "value_at_least": {f: ({"m", "values_step"}, set()) for f in ("concrete", "oracle")},
+    "dim_search": {
+        "worst_case": ({"target_dim", "m_start", "constraints"}, SEARCH),
+        "concrete": ({"target_dim", "m_start", "values_step"}, SEARCH),
+        "oracle": ({"target_dim", "m_start", "values_step"}, SEARCH),
+    },
+    "monotone_tail": {
+        "worst_case": ({"m_start", "constraints", "a_constraint", "b_constraint"}, TAIL),
+        "concrete": ({"m_start"}, TAIL),
+        "oracle": ({"m_start", "model_step"}, TAIL),
+    },
+    "compose": {f: (None, set()) for f in ("worst_case", "concrete", "oracle")},
+}
+CLAIMED = {"fm_lower_bound", "merge_min", "dim_search", "compose"}
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_every_object_has_the_version_4_layout(name):
+    d = DOCS[name]
+    heads = {
+        "worst_case": ["split_p1"] + ["fm_lower_bound"] * 5 + ["merge_min"],
+        "concrete": ["eval_p", "value_at_least", "monotone_tail"],
+    }
+    head = heads.get(name, ["oracle_values", "oracle_model", "value_at_least", "monotone_tail"])
+    tail = ["monotone_tail"] if name == "worst_case" else []
+    assert d["version"] == 4
+    assert [s["rule"] for s in d["steps"]] == head + ["dim_search"] * 3 + tail + ["compose"]
+    assert [s["id"] for s in d["steps"]] == list(range(1, len(d["steps"]) + 1))
+    for step in d["steps"]:
+        rule = step["rule"]
+        inputs, witness = LAYOUT[rule][d["mode"]]
+        assert set(step) == {"id", "rule", "inputs", "witness"} | (
+            {"claim"} if rule in CLAIMED else set()
+        )
+        assert step["inputs"] == [] if inputs is None else set(step["inputs"][0]) == inputs
+        assert set(step["witness"]) == witness
+        if rule == "dim_search":
+            sel, worst = step["witness"]["selected"], d["mode"] == "worst_case"
+            lemma2 = {"m", "r", "raw_min", "farkas"}
+            want = (lemma2 | {"bound"} if sel["r"] is None else lemma2) if worst else {"m", "r"}
+            assert set(sel) == want
+            for a in step["witness"]["attempts"]:
+                assert set(a) == ({"m", "r", "point", "value"} if worst else {"m", "r"})
+    if d["mode"] == "worst_case":
+        (merge,) = steps(d, "merge_min")
+        assert merge["inputs"][0]["branches"] == [s["id"] for s in steps(d, "fm_lower_bound")]
 
 
 def test_flavors_are_written_out():
@@ -97,7 +157,9 @@ def test_citation_of_undeclared_cid_rejected():
     d = doc()
     d["constraints"] = [c for c in d["constraints"] if c["cid"] != "A4.0"]
     res = check(d)
-    assert not res.ok and res.step_id == 1 and "undeclared constraint 'A4.0'" in res.reason
+    first_citing = steps(d, "fm_lower_bound")[0]["id"]
+    assert not res.ok and res.step_id == first_citing == 2
+    assert "undeclared constraint 'A4.0'" in res.reason
 
 
 def test_fact_cited_before_it_is_established_rejected():
@@ -141,17 +203,17 @@ def test_branch_after_the_merge_rejected():
     late = json.loads(json.dumps(steps(d, "fm_lower_bound")[0]))
     late["id"] = d["steps"][-1]["id"] + 1
     d["steps"].append(late)
-    steps(d, "merge_min")[0]["inputs"][0]["branches"][0]["step"] = late["id"]
+    steps(d, "merge_min")[0]["inputs"][0]["branches"][0] = late["id"]
     res = check(d)
     assert not res.ok and "cites no earlier bound step" in res.reason
 
 
 def test_branch_resting_on_another_hypothesis_rejected():
-    # P(1) = 1 together with P(1) >= 4 covers no case of the split
+    # P(1) = 1 and P(1) >= 0 hold together, so the branch step itself
+    # checks out; but a branch rests on its own case of the split alone
     d = doc()
     branch = steps(d, "fm_lower_bound")[1]
-    branch["inputs"][0]["constraints"].append("H.P1>=4")
-    branch["witness"].update(attained=False, point=None)
+    branch["inputs"][0]["constraints"].append("H.P1=0.lo")
     res = check(d)
     assert not res.ok and res.step_id == steps(d, "merge_min")[0]["id"]
     assert "does not rest on its own hypothesis" in res.reason
@@ -248,15 +310,9 @@ def still_true(d, path, new):
         return None
     step = d["steps"][path[1]]
     rule, rest = step["rule"], path[2:]
-    if rule == "dim_search" and rest == ("inputs", 0, "m_max"):
-        # a longer search range holds the same minimal selection
-        return "raised m_max"
     if rest == ("id",) and path[1] == len(d["steps"]) - 1:
         # ids need only increase, and no step cites the last one
         return "raised last id"
-    if rule == "value_at_least" and rest == ("witness", "bound"):
-        # P(r0) >= new still holds and still gives P(r0) >= 1
-        return "raised bound" if new <= step["witness"]["value"] else None
     if rule == "oracle_values" and rest[:3] == ("inputs", 0, "bundle"):
         # the verifier recounts the table for the new bundle; every nef
         # split bundle of rank 5 over the line has the same h0(-mK) under
@@ -288,7 +344,7 @@ def test_every_leaf_edit_is_rejected_or_still_true():
                 seen.add(reason)
     assert accepted == []
     # every exception is met, so the list holds no dead entry
-    assert seen == {"raised m_max", "raised last id", "raised bound", "nef twist"}
+    assert seen == {"raised last id", "nef twist"}
 
 
 # -- every retyped leaf ---------------------------------------------------------
@@ -330,19 +386,21 @@ def test_every_retyped_leaf_is_rejected():
 
 def test_claim_on_a_rule_that_derives_no_bound_rejected():
     d = doc()
+    assert d["steps"][0]["rule"] == "split_p1"
     d["steps"][0]["claim"] = "P(3) >= 7"
     res = check(d)
     assert not res.ok and res.step_id == 1
-    assert res.reason == "rule axioms derives no bound, so its step carries no claim"
+    assert res.reason == "rule split_p1 derives no bound, so its step carries no claim"
 
 
 def test_dimension_1_selection_by_lemma2_rejected():
     d = doc("concrete")
     (search,) = [s for s in steps(d, "dim_search") if s["inputs"][0]["target_dim"] == 1]
-    search["witness"]["selected"]["rule"] = "lemma2"
+    assert search["witness"]["selected"]["r"] is None
+    search["witness"]["selected"]["r"] = 1
     res = check(d)
     assert not res.ok and res.step_id == search["id"]
-    assert res.reason == "a dimension-1 selection is nonvanishing and a higher one lemma2"
+    assert res.reason == "a dimension-1 selection has no exponent"
 
 
 def test_reference_to_a_later_value_table_rejected():
@@ -356,3 +414,69 @@ def test_reference_to_a_later_value_table_rejected():
     res = check(d)
     assert not res.ok and res.step_id == at_least["id"]
     assert res.reason == "values_step cites no earlier value table step"
+
+
+# -- keys the verifier does not read ----------------------------------------
+
+
+def refused(d):
+    """Whether the document is refused: malformed to the parser or invalid
+    to the verifier, which must not raise either way."""
+    try:
+        cert = from_json_dict(d)
+    except MalformedCertificateError:
+        return True
+    return not verify(cert).ok
+
+
+@pytest.mark.parametrize(
+    "name, path, rule, key",
+    [
+        # a version-3 key left in place
+        ("worst_case", ("steps", 1, "witness"), "fm_lower_bound", "strengthened"),
+        ("worst_case", ("steps", 8, "witness", "selected"), "dim_search", "margin"),
+        ("concrete", ("steps", 4, "witness", "attempts", 0), "dim_search", "threshold"),
+        ("concrete", ("steps", 2, "witness"), "monotone_tail", "q_shifted"),
+        ("standard", ("steps", 4, "inputs", 0), "dim_search", "mode"),
+        ("worst_case", ("steps", 0, "witness"), "split_p1", "labels"),
+        # an unknown key at every level
+        ("worst_case", (), None, "extra"),
+        ("concrete", ("chern",), None, "extra"),
+        ("worst_case", ("constraints", 0), None, "extra"),
+        ("paper", ("steps", 0), "oracle_values", "extra"),
+        ("worst_case", ("steps", 6, "inputs", 0), "merge_min", "extra"),
+        ("paper", ("steps", 7, "witness"), "compose", "extra"),
+        ("worst_case", ("steps", 9, "witness", "selected"), "dim_search", "extra"),
+        ("worst_case", ("steps", 9, "witness", "attempts", 0), "dim_search", "extra"),
+    ],
+)
+def test_stale_or_unknown_key_refused(name, path, rule, key):
+    d = doc(name)
+    holder = d
+    for part in path:
+        holder = holder[part]
+    assert rule is None or d["steps"][path[1]]["rule"] == rule
+    assert key not in holder
+    holder[key] = True
+    assert refused(d)
+    if rule is not None:
+        assert check(d).step_id == d["steps"][path[1]]["id"]
+
+
+@pytest.mark.parametrize("cid, params", [("A1", [7]), ("A5", [1, "x"])])
+def test_parameters_on_a_kind_that_takes_none_rejected(cid, params):
+    d = doc()
+    (decl,) = [c for c in d["constraints"] if c["cid"] == cid]
+    assert decl["params"] == []
+    decl["params"] = params
+    res = check(d)
+    assert not res.ok and res.step_id is None and "takes no parameters" in res.reason
+
+
+def test_zero_denominator_is_malformed_step_data():
+    d = doc()
+    branch = steps(d, "fm_lower_bound")[0]
+    branch["witness"]["raw_min"] = "1/0"
+    res = check(d)
+    assert not res.ok and res.step_id == branch["id"]
+    assert res.reason.startswith("malformed step data: ZeroDivisionError")

@@ -56,6 +56,20 @@ class TestRat:
             assert to_rat(rat_str(v)) == v
         assert rat_str(Fraction(8, 2)) == "4"
 
+    def test_to_rat_reads_strings_as_fraction_does_on_its_own_grammar(self):
+        # the grammar is -?[0-9]+(/[0-9]+)?; within it the value is the one
+        # Fraction parses, and anything outside it is refused
+        accepted = ["0", "-0", "7", "-35/3", "007/014", "10/5", "-4/1", "1" * 300 + "/3"]
+        for x in accepted:
+            got = to_rat(x)
+            assert got == Fraction(x) and type(got) is Fraction
+        refused = ["", "1.5", "1e3", " 1", "1 ", "+1", "1/", "/2", "1/-2", "--1", "1/2/3", "\u0661"]
+        for x in refused:
+            with pytest.raises(ValueError, match="not a rational"):
+                to_rat(x)
+        with pytest.raises(ZeroDivisionError):
+            to_rat("3/0")
+
     def test_to_rat_refuses_bools(self):
         assert to_rat(1) == 1
         for x in (True, False):

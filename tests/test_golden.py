@@ -16,19 +16,19 @@ from fanobound.cli import main
 GOLDEN = {
     "solve_worst_case.json": (
         ["solve", "--worst-case"],
-        "5f39ea521ebb81dc589db66febed0a869c84772693c3aa4bef47c01703112a76",
+        "436ff9315cafbe9220fd859c58728b5451b9fe653d8d0f147e434eb7fa708ab4",
     ),
     "solve_k5_6250_k3c2_2750.json": (
         ["solve", "--k5", "6250", "--k3c2", "2750"],
-        "249d207c677822a4e2e7e3a04f6a52f437a010c69a961151e85c8c5848896d14",
+        "1bb0e4795224ac4266e750290dac7c5d50f1aa6aba1d3ae51b2f591a6b19d9a7",
     ),
     "solve_bundle_00001_standard.json": (
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "standard"],
-        "d92a7d7ad683acc3c4984aa8efbb4c3cd0516c7b592907f7023d9c81de067102",
+        "4753184f0f5221362851897eb5946d5b2902512ad5a785db0b737fdd3969b460",
     ),
     "solve_bundle_00001_paper.json": (
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "paper"],
-        "cfd599eba96c62bcccce3c9687774c2ffff54e180255e60aab5371e1c070fffb",
+        "ef257cc86370de34bf3f2974b1241511d742394c99f044cf689d1cd6c4a1d9ac",
     ),
     "audit.json": (
         ["audit"],

@@ -12,13 +12,18 @@ from fanobound.hilbert import (
     NonIntegralValueError,
     PValue,
     VanishingViolationError,
-    bracket_value,
     coefficient_polys,
     fit_ab,
     p_affine,
     p_eval,
     p_poly,
 )
+
+
+def bracket_value(c, m):
+    """The bracket q with P(m) = (2m+1) * q, q = m(m+1)[(3m^2+3m-1)a+b] + 1."""
+    u = m * (m + 1)
+    return u * ((3 * u - 1) * c.a + c.b) + 1
 
 
 def brute_force_h0_example(m):
