@@ -27,7 +27,7 @@ geometry rebuilt from the certificate's merged bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from .certs import Certificate
 from .exact import to_rat
@@ -47,20 +47,18 @@ STRONGER = "stronger"
 DISCREPANCY = "discrepancy"
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     location: str
     paper_claim: str
     engine_result: str
     status: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     entries: tuple[AuditEntry, ...]
 
     def to_json_list(self) -> list[dict]:
-        return [asdict(e) for e in self.entries]
+        return [e._asdict() for e in self.entries]
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}

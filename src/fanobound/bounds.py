@@ -20,9 +20,8 @@ replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exact import rat_str
 from .hilbert import ChernData, LEMMA2_R_CAP, lemma2_slack_form, lemma2_threshold, p_affine
@@ -63,22 +62,27 @@ class SearchExhaustedError(CertificationError):
     """No witness within the search budget m_max."""
 
 
-@dataclass(frozen=True)
-class DimWitness:
+class DimWitness(NamedTuple("DimWitness", [
+    ("target_dim", int), ("m", int), ("rule", str), ("margin", Fraction),
+    ("r_used", Optional[int]),
+])):
     """Evidence that the image of the map at multiple m has dimension at
-    least target_dim, with the exact positive margin of the inequality."""
+    least target_dim, with the exact positive margin of the inequality.
+    rule is "nonvanishing" or "lemma2"."""
 
-    target_dim: int
-    m: int
-    rule: str  # "nonvanishing" | "lemma2"
-    margin: Fraction
-    r_used: Optional[int] = None
+    __slots__ = ()
+    # _replace builds through _make, so a replaced field is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.margin <= 0:
+    def __new__(
+        cls, target_dim: int, m: int, rule: str, margin: Fraction,
+        r_used: Optional[int] = None,
+    ) -> "DimWitness":
+        if margin <= 0:
             raise ValueError("a witness needs a positive margin")
-        if self.rule == "nonvanishing" and self.target_dim != 1:
+        if rule == "nonvanishing" and target_dim != 1:
             raise ValueError("nonvanishing only witnesses dimension 1")
+        return super().__new__(cls, target_dim, m, rule, margin, r_used)
 
 
 def nonvanishing_rule(fact: Fact) -> Optional[DimWitness]:
@@ -142,8 +146,7 @@ def _integral_bound(m: int, res: MinimizeResult) -> tuple[Fact, dict]:
     }
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     m: int
     witness: DimWitness
     selected: dict
@@ -250,8 +253,7 @@ def minimal_r(
 # Nonemptiness of |-rK| for all r >= r0
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class R0Certification:
+class R0Certification(NamedTuple):
     r0: int
     nonempty_bound: Fraction
     monotone: TailCertificate

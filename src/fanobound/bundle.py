@@ -36,7 +36,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from math import comb
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 STANDARD = "standard"
 PAPER = "paper"
@@ -60,15 +60,17 @@ class ChiApproximationWarning(UserWarning):
     may differ from the Euler characteristic."""
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(NamedTuple("SplitBundle", [("twists", tuple[int, ...])])):
     """Twist vector (e1, ..., e5) of E = O(e1) + ... + O(e5) over P^1."""
 
-    twists: tuple[int, ...]
+    __slots__ = ()
+    # _replace builds through _make, so a replaced field is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if len(self.twists) != 5:
+    def __new__(cls, twists: tuple[int, ...]) -> "SplitBundle":
+        if len(twists) != 5:
             raise ValueError("X must be a 5-fold: exactly five twists")
+        return super().__new__(cls, twists)
 
     @classmethod
     def parse(cls, text: str) -> "SplitBundle":

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -87,8 +86,7 @@ class MalformedCertificateError(ValueError):
     """The document is not a structurally valid certificate."""
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     mode: str
     axioms: list[str]
     constraints: list[dict]
@@ -229,8 +227,7 @@ def ser_point(point) -> Optional[list[str]]:
 # Verifier
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     step_id: Optional[int] = None
     reason: str = ""
@@ -367,20 +364,20 @@ class _Table(NamedTuple):
         return self.values[m - self.first]
 
 
-@dataclass
 class _Replay:
     """What the verifier knows while it replays the steps in order."""
 
-    cert: Certificate
-    sid: Optional[int] = None  # the step being replayed; None outside the steps
-    decls: dict[str, _Decl] = field(default_factory=dict)
-    cited: set = field(default_factory=set)
-    established: set = field(default_factory=set)  # facts (m, bound, strict) under no case
-    results: dict = field(default_factory=dict)  # step id -> (kind, what its check recorded)
-    split: Optional[int] = None  # lmax of the P(1) case split
-    searches: dict = field(default_factory=dict)  # target dimension -> selected m
-    tail_start: Optional[int] = None
-    composed: bool = False
+    def __init__(self, cert: Certificate) -> None:
+        self.cert = cert
+        self.sid: Optional[int] = None  # the step being replayed; None outside the steps
+        self.decls: dict[str, _Decl] = {}
+        self.cited: set = set()
+        self.established: set = set()  # facts (m, bound, strict) under no case
+        self.results: dict = {}  # step id -> (kind, what its check recorded)
+        self.split: Optional[int] = None  # lmax of the P(1) case split
+        self.searches: dict = {}  # target dimension -> selected m
+        self.tail_start: Optional[int] = None
+        self.composed = False
 
     def record(self, kind: str, result: Any) -> None:
         """Keep what the current step checked for later steps to cite."""

@@ -9,7 +9,6 @@ import os
 import sys
 from typing import Optional
 
-from . import audit as audit_mod
 from . import bounds, bundle
 from .certs import MalformedCertificateError, from_json_bytes, verify
 from .hilbert import ChernData, HilbertError, p_eval
@@ -125,7 +124,10 @@ def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    report = audit_mod.build_audit()
+    # the one command that needs the audit loads it; solve and verify do not
+    from . import audit
+
+    report = audit.build_audit()
     if args.out:
         payload = json.dumps(report.to_json_list(), sort_keys=True, indent=2) + "\n"
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -31,7 +31,6 @@ certificates stay honest about what is assumed versus proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -99,24 +98,34 @@ def constraint_form(kind: str, params: Sequence) -> tuple[AffineForm, bool]:
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple("Constraint", [
+    ("cid", str), ("kind", str), ("params", tuple), ("form", AffineForm), ("strict", bool),
+    ("row", "_Row"),
+])):
     """An affine inequality form(a, b) >= 0 or > 0 with provenance.
 
     The (kind, params) descriptor regenerates the form; cid names the
     constraint inside Farkas combinations.  row is the integer row the
-    minimizer reads, computed once here.
+    minimizer reads, computed once here from cid, form and strict, so equal
+    constraints have equal rows.
     """
 
-    cid: str
-    kind: str
-    params: tuple
-    form: AffineForm
-    strict: bool
-    row: "_Row" = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "row", _constraint_row(self))
+    def __new__(
+        cls, cid: str, kind: str, params: tuple, form: AffineForm, strict: bool
+    ) -> "Constraint":
+        return super().__new__(
+            cls, cid, kind, params, form, strict, _constraint_row(cid, form, strict)
+        )
+
+    # _replace builds through _make, and copy and pickle through
+    # __getnewargs__; each passes only the five given fields, so the row is
+    # recomputed, never copied
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:5]))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)[:5]
 
     @classmethod
     def make(cls, cid: str, kind: str, params: Sequence = ()) -> "Constraint":
@@ -124,19 +133,14 @@ class Constraint:
         return cls(cid, kind, tuple(params), form, strict)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """An immutable, labelled set of constraints."""
 
     constraints: tuple[Constraint, ...]
     label: str = ""
 
     def with_constraints(self, extra: Sequence[Constraint], label: str = "") -> "ConstraintSystem":
-        return replace(
-            self,
-            constraints=self.constraints + tuple(extra),
-            label=label or self.label,
-        )
+        return ConstraintSystem(self.constraints + tuple(extra), label or self.label)
 
 
 def axiom_system() -> ConstraintSystem:
@@ -193,9 +197,9 @@ def _int_form(form: AffineForm) -> tuple[int, tuple[int, int, int]]:
     return lam, (ca, cb, k)
 
 
-def _constraint_row(c: "Constraint") -> _Row:
-    lam, (ca, cb, k) = _int_form(c.form)
-    return _Row((ca, cb, 0), k, c.strict, ((c.cid, lam),), lam)
+def _constraint_row(cid: str, form: AffineForm, strict: bool) -> _Row:
+    lam, (ca, cb, k) = _int_form(form)
+    return _Row((ca, cb, 0), k, strict, ((cid, lam),), lam)
 
 
 def _objective_rows(f: AffineForm) -> tuple[_Row, _Row]:
@@ -263,8 +267,7 @@ def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
     return out
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(NamedTuple):
     """Outcome of an exact minimization.
 
     status is one of "minimum", "unbounded", "infeasible".  For "minimum",
@@ -433,8 +436,7 @@ def point_with_value_below(
 # Facts, strengthening, case split
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     """A derived claim P(m) >= bound (or > bound)."""
 
     m: int
@@ -446,8 +448,7 @@ class Fact:
         return f"P({self.m}) {op} {self.bound}"
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     label: str
     system: ConstraintSystem
 
@@ -538,8 +539,7 @@ def fact_to_constraint(fact: Fact) -> Constraint:
 # Monotonicity certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailCertificate:
+class TailCertificate(NamedTuple):
     """Witness that P(m+1) - P(m) > 0 for every m >= m_start.
 
     q_poly is an exact univariate lower bound for the difference on the
@@ -603,8 +603,7 @@ def monotone_from(cs: ConstraintSystem, m0: int) -> TailCertificate:
     raise MonotoneCertificationError(f"no tail certificate from m = {m0}")
 
 
-@dataclass(frozen=True)
-class ValueTable:
+class ValueTable(NamedTuple):
     """Exact section counts h0(-mK) for m = first, first + 1, ..., with
     (-K)^5 and the polynomial the counts follow.
 

@@ -16,10 +16,9 @@ multiply-add.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -172,8 +171,7 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(NamedTuple):
     """Affine expression coeff_a * a + coeff_b * b + const over two parameters."""
 
     coeff_a: Fraction

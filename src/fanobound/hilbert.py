@@ -12,8 +12,8 @@ because every downstream derivation rule assumes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import AffineForm, Poly, to_rat
 
@@ -41,16 +41,17 @@ class VanishingViolationError(HilbertError):
         super().__init__(f"P({m}) = {value} < 0 violates vanishing for m >= 0")
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(NamedTuple("ChernData", [("k5", int), ("k3c2", int)])):
     """The two Chern intersection numbers determining P: (-K)^5 and (-K)^3.c2."""
 
-    k5: int
-    k3c2: int
+    __slots__ = ()
+    # _replace builds through _make, so a replaced field is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.k5 < 1:
+    def __new__(cls, k5: int, k3c2: int) -> "ChernData":
+        if k5 < 1:
             raise ValueError("(-K)^5 must be >= 1 for -K nef and big")
+        return super().__new__(cls, k5, k3c2)
 
     @property
     def a(self) -> Fraction:
@@ -61,20 +62,21 @@ class ChernData:
         return Fraction(self.k3c2, 144)
 
 
-@dataclass(frozen=True)
-class PValue:
+class PValue(NamedTuple("PValue", [("m", int), ("value", int)])):
     """An exact value P(m) at a non-negative multiple m.
 
     Vanishing (value >= 0) is enforced where tables are produced, in
     p_eval; the record itself also serves hypothetical inversions.
     """
 
-    m: int
-    value: int
+    __slots__ = ()
+    # _replace builds through _make, so a replaced field is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+    def __new__(cls, m: int, value: int) -> "PValue":
+        if m < 0:
             raise ValueError("P values are recorded for m >= 0 only")
+        return super().__new__(cls, m, value)
 
 
 def p_affine(m: int) -> AffineForm:
