@@ -52,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Optional
 
 from .exact import AffineForm, Poly, rat_str, to_rat
@@ -62,7 +63,6 @@ from .hilbert import (
     lemma2_slack_form,
     lemma2_threshold,
     p_affine,
-    p_eval,
 )
 from . import bundle
 from .derive import constraint_form
@@ -84,6 +84,58 @@ MAX_SEARCH = 128
 
 class MalformedCertificateError(ValueError):
     """The document is not a structurally valid certificate."""
+
+
+def _json_bytes(doc: Any) -> bytes:
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n", the
+    format of every artifact.  indent sends json to its pure-Python encoder,
+    so the layout is written here and only strings go to json's C escaper.
+    Only dicts with str keys, lists, str, int, bool and None are written;
+    anything else, a float or a tuple included, raises TypeError."""
+    out: list[str] = []
+    _emit(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+def _emit(o: Any, nl: str, put: Callable[[str], Any]) -> None:
+    t = type(o)
+    if t is str:
+        put(_quote(o))
+    elif t is int:
+        put(int.__repr__(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif t is dict:
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            if type(k) is not str:
+                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+            put(sep + _quote(k) + ": ")
+            _emit(o[k], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif t is list:
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            put(sep)
+            _emit(v, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    else:
+        raise TypeError(f"{t.__name__} is not written to JSON")
 
 
 class Certificate(NamedTuple):
@@ -115,9 +167,7 @@ class Certificate(NamedTuple):
         }
 
     def to_json_bytes(self) -> bytes:
-        return (
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-        ).encode("utf-8")
+        return _json_bytes(self.to_json_dict())
 
 
 def _is_int(value: Any) -> bool:
@@ -544,9 +594,14 @@ def _table_values(values: Any) -> list:
 
 def _eval_p(st: _Replay, inp: dict, w: dict) -> None:
     values = _table_values(w["values"])
+    # P(m) as an affine form in rational (a, b): a route apart from the
+    # prover's integer p_eval
+    a, b = st.cert.chern.a, st.cert.chern.b
     for m, v in enumerate(values):
-        if p_eval(st.cert.chern, m) != _json_int(v, f"P({m})"):
+        if p_affine(m).evaluate(a, b) != _json_int(v, f"P({m})"):
             raise _Fail(f"recorded P({m}) differs from evaluation")
+        if v < 0:
+            raise _Fail(f"P({m}) = {v} < 0 violates vanishing for m >= 0")
     st.record("value table", _Table(values, 0, st.cert.chern.k5))
 
 

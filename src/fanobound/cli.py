@@ -10,7 +10,7 @@ import sys
 from typing import Optional
 
 from . import bounds, bundle
-from .certs import MalformedCertificateError, from_json_bytes, verify
+from .certs import MalformedCertificateError, _json_bytes, from_json_bytes, verify
 from .hilbert import ChernData, HilbertError, p_eval
 
 
@@ -60,6 +60,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, data: bytes) -> bool:
+    """Write an --out file; on failure say why on stderr and return False."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     sources = [
         bool(args.worst_case),
@@ -86,9 +97,8 @@ def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         return 1
     except ValueError as exc:
         parser.error(str(exc))
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(cert.to_json_bytes())
+    if args.out and not _write(args.out, cert.to_json_bytes()):
+        return 2
     print(cert.bound)
     return 0
 
@@ -128,10 +138,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from . import audit
 
     report = audit.build_audit()
-    if args.out:
-        payload = json.dumps(report.to_json_list(), sort_keys=True, indent=2) + "\n"
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    if args.out and not _write(args.out, _json_bytes(report.to_json_list())):
+        return 2
     counts = report.counts()
     total = len(report.entries)
     print(f"audited {total} claims: " + ", ".join(

@@ -79,14 +79,6 @@ class Poly:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
-    @classmethod
-    def const(cls, c: RatLike) -> "Poly":
-        return cls([to_rat(c)])
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -113,17 +105,6 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
 
     def scale(self, c: RatLike) -> "Poly":
         c = to_rat(c)

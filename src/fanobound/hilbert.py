@@ -4,7 +4,15 @@ For such an X the Euler characteristic of O(-mK) is
 
     P(m) = (2m+1) * ( m(m+1) * [ (3m^2+3m-1) a + b ] + 1 )
 
-with 720 a = (-K)^5 and 144 b = (-K)^3.c2.  Vanishing of higher cohomology
+with 720 a = (-K)^5 and 144 b = (-K)^3.c2.  Multiplied out, P is written
+once, as three integer coefficient tuples in m, low degree first:
+
+    P(m) = a * (6m^5 + 15m^4 + 10m^3 - m)     _A = (0, -1, 0, 10, 15, 6)
+         + b * (2m^3 + 3m^2 + m)               _B = (0, 1, 3, 2)
+         + (2m + 1)                            _C = (1, 2)
+
+so 720 P(m) = (-K)^5 _A(m) + 5 (-K)^3.c2 _B(m) + 720 _C(m) is an integer
+for integer m, and p_eval needs no rationals.  Vanishing of higher cohomology
 for m >= 0 makes P(m) = h^0(-mK), so P(m) must be a nonnegative integer
 there; this module treats violations as hard errors rather than warnings,
 because every downstream derivation rule assumes them.
@@ -16,6 +24,18 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import AffineForm, Poly, to_rat
+
+# P's coefficients of a, of b and of 1 as polynomials in m, low degree first
+_A = (0, -1, 0, 10, 15, 6)
+_B = (0, 1, 3, 2)
+_C = (1, 2)
+
+
+def _horner(coeffs: tuple[int, ...], m: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * m + c
+    return acc
 
 
 class HilbertError(ValueError):
@@ -85,9 +105,7 @@ def p_affine(m: int) -> AffineForm:
     Negative m is allowed; the form satisfies P(m) + P(-1-m) = 0,
     the shape Serre duality forces on the polynomial.
     """
-    u = m * (m + 1)
-    w = 2 * m + 1
-    return AffineForm.of(w * u * (3 * u - 1), w * u, w)
+    return AffineForm.of(_horner(_A, m), _horner(_B, m), _horner(_C, m))
 
 
 # the strict dimension test is tried for exponents r up to this cap
@@ -113,10 +131,10 @@ def p_eval(c: ChernData, m: int) -> int:
     Raises NonIntegralValueError when the value is not an integer and
     VanishingViolationError when m >= 0 and the value is negative.
     """
-    v = p_affine(m).evaluate(c.a, c.b)
-    if v.denominator != 1:
-        raise NonIntegralValueError(m, v)
-    n = int(v)
+    num = c.k5 * _horner(_A, m) + 5 * c.k3c2 * _horner(_B, m) + 720 * _horner(_C, m)
+    n, rem = divmod(num, 720)
+    if rem:
+        raise NonIntegralValueError(m, Fraction(num, 720))
     if m >= 0 and n < 0:
         raise VanishingViolationError(m, n)
     return n
@@ -150,13 +168,7 @@ def fit_ab(v1: PValue, v2: PValue) -> tuple[Fraction, Fraction]:
 def coefficient_polys() -> tuple[Poly, Poly, Poly]:
     """The coefficients of P(m) as polynomials in m: (a-coefficient,
     b-coefficient, constant)."""
-    t = Poly.x()
-    one = Poly.const(1)
-    u = t * (t + one)
-    w = t.scale(2) + one
-    fa = w * u * (u.scale(3) - one)
-    fb = w * u
-    return fa, fb, w
+    return Poly(_A), Poly(_B), Poly(_C)
 
 
 def difference_polys() -> tuple[Poly, Poly, Poly]:

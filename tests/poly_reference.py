@@ -2,7 +2,9 @@
 
 These are the rational kernels that ``Poly.__call__``, ``Poly.shift``,
 ``AffineForm.evaluate`` and ``derive.interpolate_model`` used before they
-moved to integer numerators over a common denominator.  They work on plain
+moved to integer numerators over a common denominator, and the Fraction
+route by which hilbert built and evaluated P before it stored P as integer
+coefficients (p_coefficients, p_value).  They work on plain
 coefficient lists (low degree first) and use nothing from the package, so
 a wrong value that the prover and the verifier would both compute, and
 both accept, still differs from the reference.
@@ -63,3 +65,38 @@ def interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> tuple[Fract
         for d, c in enumerate(basis):
             total[d] += weight * c
     return _trim(total)
+
+
+def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    n = max(len(p), len(q))
+    return _trim([
+        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
+    ])
+
+
+def p_coefficients() -> tuple[tuple[Fraction, ...], ...]:
+    """The coefficients of a, of b and of 1 in P(m), multiplied out from
+    the factored form (2m+1) * (m(m+1) * [(3m^2+3m-1) a + b] + 1) as
+    hilbert.coefficient_polys built them before P was stored expanded."""
+    one = (Fraction(1),)
+    t = (Fraction(0), Fraction(1))
+    u = poly_mul(t, poly_add(t, one))
+    w = poly_add(poly_mul((Fraction(2),), t), one)
+    fa = poly_mul(poly_mul(w, u), poly_add(poly_mul((Fraction(3),), u), (Fraction(-1),)))
+    return fa, poly_mul(w, u), w
+
+
+def p_value(k5: int, k3c2: int, m: int) -> Fraction:
+    """P(m) on Fractions with 720 a = k5 and 144 b = k3c2, the route
+    hilbert.p_eval took before its integer kernel."""
+    fa, fb, fc = p_coefficients()
+    a, b = Fraction(k5, 720), Fraction(k3c2, 144)
+    return affine_evaluate(poly_eval(fa, m), poly_eval(fb, m), poly_eval(fc, m), a, b)

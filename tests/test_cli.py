@@ -56,6 +56,13 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "--k5", "6250")
         assert code == 2
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        # exit 1 would read as a failed certification
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "solve", "--k5", "6250", "--k3c2", "2750", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == f"cannot write {path}: No such file or directory\n"
+
     def test_bad_chern_exits_1(self, capsys):
         # integrality of P fails: not a genuine 5-fold of this class
         code, _, err = run_cli(capsys, "solve", "--k5", "6251", "--k3c2", "2750")
@@ -188,6 +195,12 @@ class TestAudit:
         for e in entries:
             assert set(e) == {"location", "paper_claim", "engine_result", "status"}
             assert e["status"] in ("confirmed", "stronger", "discrepancy")
+
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "audit", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"cannot write {tmp_path}: Is a directory\n"
 
 
 class TestClosedStdout:

@@ -5,7 +5,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import hrr_reference as hrr
+import poly_reference as ref
 from fanobound.exact import AffineForm
 from fanobound.hilbert import (
     ChernData,
@@ -13,6 +16,7 @@ from fanobound.hilbert import (
     PValue,
     VanishingViolationError,
     coefficient_polys,
+    difference_polys,
     fit_ab,
     p_affine,
     p_eval,
@@ -175,3 +179,72 @@ class TestFitAB:
         # antisymmetric partner has a proportional coefficient row
         with pytest.raises(ValueError):
             fit_ab(PValue(2, 5), PValue(-3, -5))
+
+
+class TestAgainstFractionRoute:
+    """p_eval's integer kernel and the stored coefficients against the
+    Fraction route of tests/poly_reference.py."""
+
+    def test_coefficient_polys_match_the_product_construction(self):
+        assert tuple(p.coeffs for p in coefficient_polys()) == ref.p_coefficients()
+
+    def test_difference_and_concrete_polys_match(self):
+        fa, fb, fc = ref.p_coefficients()
+        for mine, theirs in zip(difference_polys(), (fa, fb, fc)):
+            assert mine.coeffs == ref.poly_add(
+                ref.poly_shift(theirs, Fraction(1)), [-x for x in theirs]
+            )
+        c = ChernData(6250, 2750)
+        for m in range(-5, 40):
+            assert p_poly(c)(m) == ref.p_value(c.k5, c.k3c2, m)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            # on the integrality lattice: k3c2 even and 24 | k5 + k3c2
+            st.tuples(st.integers(1, 10**6), st.integers(-(10**7), 10**7)).map(
+                lambda t: (24 * t[0] - (2 * t[1]) % 24, 2 * t[1])
+            ),
+            st.tuples(st.integers(1, 10**40), st.integers(-(10**40), 10**40)),
+        ),
+        st.integers(-50, 600),
+    )
+    @example((24, -240), 1)
+    @example((6251, 2750), 1)
+    def test_p_eval_matches_the_fraction_route(self, chern, m):
+        want = ref.p_value(*chern, m)
+        c = ChernData(*chern)
+        if want.denominator != 1:
+            err = NonIntegralValueError(m, want)
+        elif m >= 0 and want < 0:
+            err = VanishingViolationError(m, int(want))
+        else:
+            got = p_eval(c, m)
+            assert type(got) is int and got == want
+            return
+        with pytest.raises(type(err)) as exc:
+            p_eval(c, m)
+        assert (exc.value.m, exc.value.value, str(exc.value)) == (err.m, err.value, str(err))
+        assert type(exc.value.value) is type(err.value)
+
+
+class TestRiemannRoch:
+    """p_affine against P derived from Hirzebruch-Riemann-Roch in
+    tests/hrr_reference.py."""
+
+    def test_todd_class_low_degrees(self):
+        td = hrr.todd()
+        c1, c2, c3 = hrr.chern(1), hrr.chern(2), hrr.chern(3)
+        assert hrr.part(td, 0) == hrr.const(Fraction(1))
+        assert hrr.part(td, 1) == hrr.scale(Fraction(1, 2), c1)
+        assert hrr.part(td, 2) == hrr.scale(Fraction(1, 12), hrr.add(hrr.mul(c1, c1), c2))
+        assert hrr.part(td, 3) == hrr.scale(Fraction(1, 24), hrr.mul(c1, c2))
+        assert hrr.bernoulli(2) == Fraction(1, 6) and hrr.bernoulli(4) == Fraction(-1, 30)
+
+    def test_the_eliminating_identity(self):
+        assert hrr.todd_identity_holds(hrr.todd())
+
+    def test_p_affine_is_riemann_roch(self):
+        td = hrr.todd()
+        for m in range(13):
+            assert hrr.hrr_affine(m, td) == p_affine(m).as_tuple()
