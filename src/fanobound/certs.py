@@ -33,6 +33,8 @@ and compose) carry a claim, and the verifier regenerates it.
 
 Rationals serialize as "p/q" strings with the sign on the numerator;
 integers omit the "/1".  The verifier reads a rational only as a string.
+A certificate's bytes are json.dumps(doc, sort_keys=True, indent=2) + "\n",
+as written by _json_bytes.
 
 The verifier is one table, _RULES, from each rule to its checker and its
 layout per flavor.  A checker replays one step over the shared _Replay

@@ -480,6 +480,26 @@ class TestVerifierRejectsTampering:
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and "must be an integer" in res.reason
 
+    @pytest.mark.parametrize(
+        "chern, reason",
+        [
+            # P(1) = 6251/24 - 2750/24 + 3 is not an integer
+            ((6251, 2750), "recorded P(1) differs from evaluation"),
+            # P(1) = 24/24 - 240/24 + 3 = -6, recorded as it evaluates
+            ((24, -240), "P(1) = -6 < 0 violates vanishing for m >= 0"),
+        ],
+    )
+    def test_table_of_inconsistent_chern_data_rejected(self, chern, reason):
+        doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
+        doc["chern"] = {"k5": chern[0], "k3c2": chern[1]}
+        (values,) = [s for s in doc["steps"] if s["rule"] == "eval_p"]
+        a, b = Fraction(chern[0], 720), Fraction(chern[1], 144)
+        values["witness"]["values"] = [
+            math.floor(p_affine(m).evaluate(a, b)) for m in range(len(values["witness"]["values"]))
+        ]
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert not res.ok and res.step_id == values["id"] and res.reason == reason
+
     def test_tampered_oracle_values_caught(self):
         import fanobound.bundle as bundle
 
