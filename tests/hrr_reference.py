@@ -1,4 +1,4 @@
-"""P(m) = chi(O(-mK)) from Hirzebruch-Riemann-Roch, derived from scratch.
+"""P(m) = chi(O(-mK)) from Hirzebruch-Riemann-Roch, derived independently.
 
 For a smooth 5-fold X, chi(O(-mK)) is the degree-5 part of e^{m c1} td(X)
 (Hirzebruch, Topological Methods in Algebraic Geometry, on multiplicative
