@@ -21,9 +21,8 @@ _EXPORTS = {
     "derive": "Constraint ConstraintSystem Fact axiom_system derive_lower_bound "
     "fact_to_constraint fm_minimize geometry_system monotone_from split_on_p1 "
     "strengthen_integral",
-    "bounds": "CertificationError DimWitness SearchExhaustedError certify_r0 compose_bound "
-    "lemma2_check lemma2_threshold minimal_r nonvanishing_rule solve_concrete solve_oracle "
-    "solve_worst_case",
+    "bounds": "CertificationError SearchExhaustedError certify_r0 lemma2_threshold minimal_r "
+    "solve_concrete solve_oracle solve_worst_case",
     "certs": "Certificate MalformedCertificateError from_json_bytes verify",
     "bundle": "OracleSource SplitBundle UnsupportedConventionError anticanonical_data h0_anti "
     "h0_p1 k5_geometric paper_closed_form sym_power_twists",

@@ -1,10 +1,9 @@
-"""Dimension rules, minimal-multiple searches, and bound composition.
+"""Dimension tests, minimal-multiple searches, and the composed bound.
 
-Two rules produce dimension witnesses for the image of the map attached
-to |-mK|:
+Two tests bound the dimension of the image of the map attached to |-mK|:
 
-  * nonvanishing: h0(-mK) >= 2 gives a nonconstant map, so dim >= 1;
-  * the Matsusaka-Maehara test: h0(-mK) > m^r (-K)^5 + r gives dim > r.
+  * the pencil test: h0(-mK) >= 2 gives a nonconstant map, so dim >= 1;
+  * the strict Lemma 2 test: h0(-mK) > m^r (-K)^5 + r gives dim > r.
 
 The composition rule then says: if |-rK| is nonempty for every r >= r0
 (with r0 >= 3) and dim >= i is witnessed at r_i for i = 1, 2, 3, the map
@@ -13,15 +12,16 @@ is birational for all m >= r0 + r1 + r2 + r3.
 Searches read one of two sources: a constraint system in (a, b) for the
 worst case, or a table of exact values.  Concrete Chern data and an h0
 oracle both become value tables; Chern data brings its known polynomial,
-an oracle's is interpolated and checked once per solve.  Every solve
-produces a Certificate whose steps the independent verifier in certs can
-replay.
+an oracle's is interpolated and checked once per solve.  An attempt at a
+test yields whether it passed and the record the certificate carries;
+the searches keep nothing else.  Every solve produces a Certificate whose
+steps the independent verifier in certs can replay.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .exact import rat_str
 from .hilbert import ChernData, LEMMA2_R_CAP, lemma2_slack_form, lemma2_threshold, p_affine
@@ -38,7 +38,6 @@ from .derive import (
     ValueTable,
     axiom_system,
     chern_table,
-    derive_lower_bound,
     fm_minimize,
     geometry_system,
     interpolate_model,
@@ -60,53 +59,6 @@ class CertificationError(Exception):
 
 class SearchExhaustedError(CertificationError):
     """No witness within the search budget m_max."""
-
-
-class DimWitness(NamedTuple("DimWitness", [
-    ("target_dim", int), ("m", int), ("rule", str), ("margin", Fraction),
-    ("r_used", Optional[int]),
-])):
-    """Evidence that the image of the map at multiple m has dimension at
-    least target_dim, with the exact positive margin of the inequality.
-    rule is "nonvanishing" or "lemma2"."""
-
-    __slots__ = ()
-    # _replace builds through _make, so a replaced field is checked too
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(
-        cls, target_dim: int, m: int, rule: str, margin: Fraction,
-        r_used: Optional[int] = None,
-    ) -> "DimWitness":
-        if margin <= 0:
-            raise ValueError("a witness needs a positive margin")
-        if rule == "nonvanishing" and target_dim != 1:
-            raise ValueError("nonvanishing only witnesses dimension 1")
-        return super().__new__(cls, target_dim, m, rule, margin, r_used)
-
-
-def nonvanishing_rule(fact: Fact) -> Optional[DimWitness]:
-    """A pencil rule: P(m) >= 2 means the map at m is nonconstant."""
-    bound = fact.bound if not fact.strict else fact.bound + 1
-    if bound >= 2:
-        return DimWitness(1, fact.m, "nonvanishing", bound - 1)
-    return None
-
-
-def lemma2_check(h0: int, m: int, r: int, d5: int) -> Optional[DimWitness]:
-    """Strict dimension test on exact values: h0 > threshold gives
-    dim >= r + 1; the boundary is not a pass."""
-    t = lemma2_threshold(m, r, d5)
-    if h0 > t:
-        return DimWitness(r + 1, m, "lemma2", Fraction(h0 - t), r_used=r)
-    return None
-
-
-def compose_bound(r0: int, rs: Sequence[int]) -> int:
-    """The composition rule's bound r0 + r1 + r2 + r3."""
-    if len(rs) != 3:
-        raise ValueError("need the three dimension multiples r1, r2, r3")
-    return r0 + sum(rs)
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +100,18 @@ def _integral_bound(m: int, res: MinimizeResult) -> tuple[Fact, dict]:
 
 class SearchOutcome(NamedTuple):
     m: int
-    witness: DimWitness
     selected: dict
     attempts: tuple[dict, ...]
 
 
-def _worst_case_attempt(
-    cs: ConstraintSystem, m: int, r: Optional[int]
-) -> tuple[Optional[DimWitness], dict]:
-    """The test at (m, r) over cs, minimized once: its witness and the
-    selection record on a pass, or None and a failed attempt carrying a
-    feasible point that refutes the test.
+def _worst_case_attempt(cs: ConstraintSystem, m: int, r: Optional[int]) -> tuple[bool, dict]:
+    """The test at (m, r) over cs, minimized once: whether it passed, and the
+    selection record on a pass or a failed attempt carrying a feasible point
+    that refutes the test.
 
-    r = None is the pencil test.  A point with P(m) <= 1 refutes it: the
-    strongest derivable integral bound is then at most 1.
+    r = None is the pencil test, which passes when the integral bound on
+    P(m) is at least 2; a point with P(m) <= 1 refutes it.  The strict test
+    passes when the slack's minimum is positive.
     """
     form = p_affine(m) if r is None else lemma2_slack_form(m, r)
     res = fm_minimize(cs, form)
@@ -170,11 +120,10 @@ def _worst_case_attempt(
     if res.status == "minimum":
         if r is None:
             fact, record = _integral_bound(m, res)
-            witness = nonvanishing_rule(fact)
-            if witness is not None:
-                return witness, {"m": m, "r": None, **record}
+            if fact.bound >= 2:
+                return True, {"m": m, "r": None, **record}
         elif res.value > 0:
-            return DimWitness(r + 1, m, "lemma2", res.value, r_used=r), {
+            return True, {
                 "m": m,
                 "r": r,
                 "raw_min": rat_str(res.value),
@@ -189,7 +138,7 @@ def _worst_case_attempt(
         raise CertificationError(
             f"test at m={m}, r={r} is inconclusive (boundary infimum)"
         )
-    return None, {
+    return False, {
         "m": m,
         "r": r,
         "point": certs.ser_point(point),
@@ -197,18 +146,14 @@ def _worst_case_attempt(
     }
 
 
-def _table_attempt(
-    table: ValueTable, m: int, r: Optional[int]
-) -> tuple[Optional[DimWitness], dict]:
-    """The test at (m, r) on the table's value: its witness or None, and the
-    record of the selection or the failed attempt, which names only m and r
-    since the verifier reads the value from the table it checked."""
+def _table_attempt(table: ValueTable, m: int, r: Optional[int]) -> tuple[bool, dict]:
+    """The test at (m, r) on the table's value: the pencil test passes at
+    h0 >= 2, the strict test above its threshold (the boundary is not a
+    pass).  The record names only m and r, since the verifier reads the
+    value from the table it checked."""
     value = table.at(m)
-    if r is None:
-        witness = nonvanishing_rule(Fact(m, Fraction(value)))
-    else:
-        witness = lemma2_check(value, m, r, table.d5)
-    return witness, {"m": m, "r": r}
+    passed = value >= 2 if r is None else value > lemma2_threshold(m, r, table.d5)
+    return passed, {"m": m, "r": r}
 
 
 def minimal_r(
@@ -224,7 +169,7 @@ def minimal_r(
     test for every exponent r in [target_dim - 1, 4] and keep any pass.
     Deterministic tie-break: smallest m, then smallest r.
 
-    tried maps (m, r) to the (witness, record) of an attempt already made on
+    tried maps (m, r) to the (passed, record) of an attempt already made on
     the same source; searches that share it run each test once.
     """
     if target_dim not in (1, 2, 3):
@@ -240,9 +185,9 @@ def minimal_r(
         for r in r_options:
             if (m, r) not in tried:
                 tried[m, r] = attempt(source, m, r)
-            witness, record = tried[m, r]
-            if witness is not None:
-                return SearchOutcome(m, witness, record, tuple(attempts))
+            passed, record = tried[m, r]
+            if passed:
+                return SearchOutcome(m, record, tuple(attempts))
             attempts.append(record)
     raise SearchExhaustedError(
         f"no dimension-{target_dim} witness up to m = {m_max}"
@@ -253,30 +198,19 @@ def minimal_r(
 # Nonemptiness of |-rK| for all r >= r0
 # ---------------------------------------------------------------------------
 
-class R0Certification(NamedTuple):
-    r0: int
-    nonempty_bound: Fraction
-    monotone: TailCertificate
-
-
-def certify_r0(source: Source, r0: int) -> R0Certification:
-    """Certify h0(-rK) >= 1 for every r >= r0: a bound at r0 itself plus
-    strictly increasing values from r0 on, by the ray tail.
+def certify_r0(table: ValueTable, r0: int) -> TailCertificate:
+    """Certify h0(-rK) >= 1 for every r >= r0 on a value table: the value at
+    r0 itself plus strictly increasing values from r0 on, by the ray tail.
 
     The composition rule requires r0 >= 3; smaller values are rejected.
     A tail that does not hold from r0 raises MonotoneCertificationError.
     """
     if r0 < 3:
         raise ValueError("the composition rule needs r0 >= 3")
-    if isinstance(source, ConstraintSystem):
-        bound, monotone = derive_lower_bound(source, r0).bound, monotone_from
-    else:
-        bound, monotone = Fraction(source.at(r0)), table_monotone
-    if bound < 1:
-        raise CertificationError(
-            f"certify_r0: only P({r0}) >= {rat_str(bound)} is certified, need >= 1"
-        )
-    return R0Certification(r0, bound, monotone(source, r0))
+    value = table.at(r0)
+    if value < 1:
+        raise CertificationError(f"certify_r0: P({r0}) = {value}, need >= 1")
+    return table_monotone(table, r0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +243,14 @@ class _StepWriter:
         return [c.cid for c in cs.constraints]
 
     def compose(
-        self, mode: str, axioms: list[str], r0: int, rs: list[int],
-        chern: Optional[ChernData] = None,
+        self, mode: str, r0: int, rs: list[int], chern: Optional[ChernData] = None
     ) -> certs.Certificate:
         """The composition step, and the certificate it closes."""
-        bound = compose_bound(r0, rs)
+        bound = r0 + sum(rs)
         self.add("compose", [], {}, f"birational for all m >= {bound}")
         return certs.Certificate(
             mode=mode,
-            axioms=list(axioms),
+            axioms=list(certs.FLAVOR_AXIOMS[mode]),
             constraints=[certs.ser_constraint(self._constraints[cid])
                          for cid in sorted(self._constraints)],
             steps=self.steps,
@@ -341,42 +274,20 @@ def _fm_bound_step(
     return sid, fact
 
 
-def _monotone_tail_step(
-    w: _StepWriter,
-    tail: TailCertificate,
-    cs: Optional[ConstraintSystem] = None,
-    model_step: Optional[int] = None,
-) -> None:
-    inputs: dict = {"m_start": tail.m_start}
-    if tail.mode == certs.WORST_CASE:
-        inputs["b_constraint"] = tail.b_constraint
-        inputs["a_constraint"] = tail.a_constraint
-        inputs["constraints"] = w.cite(cs)
-    elif tail.mode == certs.ORACLE:
-        inputs["model_step"] = model_step
-    w.add("monotone_tail", [inputs], {"q_poly": certs.ser_poly(tail.q_poly)})
-
-
 def _dim_search_steps(
-    w: _StepWriter,
-    source: Source,
-    m_max: int,
-    values_step: Optional[int] = None,
-    dim1_start: int = 1,
+    w: _StepWriter, source: Source, cited: dict, dim1_start: int = 1
 ) -> list[int]:
+    """The three dimension searches over source, each citing what it reads:
+    {"constraints": ids} for a constraint system, {"values_step": id} for a
+    value table."""
     rs = []
     tried: dict = {}
     for target in (1, 2, 3):
         m_start = dim1_start if target == 1 else 1
-        outcome = minimal_r(source, target, m_max, m_start=m_start, tried=tried)
-        inputs: dict = {"target_dim": target, "m_start": m_start}
-        if isinstance(source, ConstraintSystem):
-            inputs["constraints"] = w.cite(source)
-        else:
-            inputs["values_step"] = values_step
+        outcome = minimal_r(source, target, m_start=m_start, tried=tried)
         w.add(
             "dim_search",
-            [inputs],
+            [{"target_dim": target, "m_start": m_start, **cited}],
             {"attempts": list(outcome.attempts), "selected": outcome.selected},
             f"dim >= {target} at m = {outcome.m}",
         )
@@ -384,17 +295,13 @@ def _dim_search_steps(
     return rs
 
 
-WORST_CASE_AXIOMS = ["A1", "A3", "A4", "A5"]
-CONCRETE_AXIOMS = ["A3", "A4"]
-ORACLE_AXIOMS = ["O1", "O2"]
-
-
 def solve_worst_case() -> certs.Certificate:
     """Derive the bound valid for every 5-fold with -K nef and big.
 
     The chain: case split on P(1), per-branch lower bounds for P(3), merge,
     search minimal multiples for dimensions 1..3 over the merged bound as an
-    affine constraint, certify nonemptiness from r0, compose.
+    affine constraint, the ray tail from r0 = 3, where the merged bound
+    already gives P(3) >= 1, and compose.
     """
     w = _StepWriter()
     branches = split_on_p1(axiom_system(), DEFAULT_LMAX)
@@ -415,41 +322,53 @@ def solve_worst_case() -> certs.Certificate:
         {"bound": rat_str(merged.bound)},
         f"P(3) >= {rat_str(merged.bound)} on the union of branches",
     )
+    if merged.bound < 1:
+        raise CertificationError(
+            f"only P(3) >= {rat_str(merged.bound)} is certified, need >= 1"
+        )
     geom = geometry_system([merged])
-    rs = _dim_search_steps(w, geom, DEFAULT_M_MAX)
-    r0cert = certify_r0(geom, 3)
-    _monotone_tail_step(w, r0cert.monotone, cs=geom)
-    return w.compose(certs.WORST_CASE, WORST_CASE_AXIOMS, 3, rs)
+    cited = {"constraints": w.cite(geom)}
+    rs = _dim_search_steps(w, geom, cited)
+    tail = monotone_from(geom, 3)
+    w.add(
+        "monotone_tail",
+        [{"m_start": 3, "b_constraint": tail.b_constraint,
+          "a_constraint": tail.a_constraint, **cited}],
+        {"q_poly": certs.ser_poly(tail.q_poly)},
+    )
+    return w.compose(certs.WORST_CASE, 3, rs)
 
 
 def _solve_table(
     w: _StepWriter,
     table: ValueTable,
     values_step: int,
-    axioms: list[str],
-    m_max: int,
+    tail_inputs: dict,
     dim1_start: int = 1,
-    model_step: Optional[int] = None,
     chern: Optional[ChernData] = None,
 ) -> certs.Certificate:
     """The chain both value sources share once their value steps are
     written: the least r0 with P(r0) >= 1 and the ray tail from r0, the
-    dimension searches and the composition."""
-    r0cert = None
+    dimension searches and the composition.  tail_inputs holds what the
+    source's monotone_tail step cites beyond its start."""
+    tail = None
     last_err: Optional[Exception] = None
-    for r0 in range(3, m_max + 1):
+    for r0 in range(3, DEFAULT_M_MAX + 1):
         try:
-            r0cert = certify_r0(table, r0)
+            tail = certify_r0(table, r0)
             break
         except (CertificationError, MonotoneCertificationError) as exc:
             last_err = exc
-    if r0cert is None:
+    if tail is None:
         raise CertificationError(f"certify_r0 failed up to m_max: {last_err}")
-    r0 = r0cert.r0
     w.add("value_at_least", [{"m": r0, "values_step": values_step}], {})
-    _monotone_tail_step(w, r0cert.monotone, model_step=model_step)
-    rs = _dim_search_steps(w, table, m_max, values_step, dim1_start=dim1_start)
-    return w.compose(table.mode, axioms, r0, rs, chern)
+    w.add(
+        "monotone_tail",
+        [{"m_start": r0, **tail_inputs}],
+        {"q_poly": certs.ser_poly(tail.q_poly)},
+    )
+    rs = _dim_search_steps(w, table, {"values_step": values_step}, dim1_start)
+    return w.compose(table.mode, r0, rs, chern)
 
 
 def solve_concrete(chern: ChernData) -> certs.Certificate:
@@ -457,14 +376,10 @@ def solve_concrete(chern: ChernData) -> certs.Certificate:
     table = chern_table(chern, DEFAULT_M_MAX)
     w = _StepWriter()
     values_step = w.add("eval_p", [], {"values": list(table.values)})
-    return _solve_table(w, table, values_step, CONCRETE_AXIOMS, DEFAULT_M_MAX, chern=chern)
+    return _solve_table(w, table, values_step, {}, chern=chern)
 
 
-def solve_oracle(
-    source: OracleSource,
-    m_max: int = DEFAULT_M_MAX,
-    dim1_start: int = 1,
-) -> certs.Certificate:
+def solve_oracle(source: OracleSource, dim1_start: int = 1) -> certs.Certificate:
     """Bound from an exact section-count oracle.
 
     dim1_start pins where the dimension-1 search begins; the faithful
@@ -474,7 +389,7 @@ def solve_oracle(
     """
     if not is_nef(SplitBundle(source.bundle)):
         raise CertificationError(f"-K is not nef on P(E) for the twists {source.bundle}")
-    table = oracle_table(source, m_max)
+    table = oracle_table(source, DEFAULT_M_MAX)
     w = _StepWriter()
     values_step = w.add(
         "oracle_values",
@@ -486,4 +401,4 @@ def solve_oracle(
         [{"values_step": values_step}],
         {"coeffs": certs.ser_poly(table.poly)},
     )
-    return _solve_table(w, table, values_step, ORACLE_AXIOMS, m_max, dim1_start, model_step)
+    return _solve_table(w, table, values_step, {"model_step": model_step}, dim1_start)

@@ -838,8 +838,9 @@ _RULES = {
 
 _STEP_KEYS = frozenset({"id", "rule", "inputs", "witness", "claim"})
 
-# the axioms each flavor rests on, exactly; the README documents each
-_FLAVOR_AXIOMS = {
+# the axioms each flavor rests on, exactly; the prover writes them from here
+# and the README documents each
+FLAVOR_AXIOMS = {
     WORST_CASE: ["A1", "A3", "A4", "A5"],
     CONCRETE: ["A3", "A4"],
     ORACLE: ["O1", "O2"],
@@ -873,12 +874,12 @@ def _replay(st: _Replay) -> None:
     if cert.version != CERT_VERSION:
         raise _Fail(f"unsupported version {cert.version}")
     flavor = cert.mode
-    if flavor not in _FLAVOR_AXIOMS:
+    if flavor not in FLAVOR_AXIOMS:
         raise _Fail(f"unknown mode {flavor!r}")
     if (cert.chern is not None) != (flavor == CONCRETE):
         raise _Fail("chern data must be given exactly in concrete mode")
-    if cert.axioms != _FLAVOR_AXIOMS[flavor]:
-        raise _Fail(f"a {flavor} certificate rests on the axioms {_FLAVOR_AXIOMS[flavor]}")
+    if cert.axioms != FLAVOR_AXIOMS[flavor]:
+        raise _Fail(f"a {flavor} certificate rests on the axioms {FLAVOR_AXIOMS[flavor]}")
     st.decls = _declarations(cert.constraints, cert.axioms)
 
     for step in cert.steps:

@@ -37,12 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--convention", choices=list(bundle.CONVENTIONS), default=bundle.STANDARD
     )
     p_solve.add_argument("--out", type=str, help="write the certificate JSON here")
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_tab = sub.add_parser("table", help="print the exact values P(0..max-m)")
     p_tab.add_argument("--k5", type=int, required=True)
     p_tab.add_argument("--k3c2", type=int, required=True)
     p_tab.add_argument("--max-m", type=int, required=True)
     p_tab.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_tab.set_defaults(run=_cmd_table)
 
     p_oracle = sub.add_parser("oracle", help="query the split-bundle section count")
     p_oracle.add_argument("--bundle", type=str, required=True)
@@ -50,12 +52,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--convention", choices=list(bundle.CONVENTIONS), default=bundle.STANDARD
     )
+    p_oracle.set_defaults(run=_cmd_oracle)
 
     p_audit = sub.add_parser("audit", help="replay every published claim")
     p_audit.add_argument("--out", type=str, help="write the audit JSON here")
+    p_audit.set_defaults(run=_cmd_audit)
 
     p_verify = sub.add_parser("verify", help="independently re-check a certificate")
     p_verify.add_argument("path", type=str)
+    p_verify.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -97,7 +102,13 @@ def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         return 1
     except ValueError as exc:
         parser.error(str(exc))
-    if args.out and not _write(args.out, cert.to_json_bytes()):
+    # a bound counts only with its certificate: serialise it before printing
+    try:
+        data = cert.to_json_bytes()
+    except ValueError as exc:
+        print(f"certificate cannot be written: {exc}", file=sys.stderr)
+        return 2
+    if args.out and not _write(args.out, data):
         return 2
     print(cert.bound)
     return 0
@@ -109,7 +120,7 @@ def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     try:
         chern = ChernData(args.k5, args.k3c2)
         rows = [(m, p_eval(chern, m)) for m in range(args.max_m + 1)]
-    except (ValueError, HilbertError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv":
@@ -127,13 +138,13 @@ def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     try:
         b = bundle.SplitBundle.parse(args.bundle)
         value = bundle.h0_anti(b, args.m, args.convention)[-1]
-    except (ValueError, bundle.UnsupportedConventionError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     print(value)
     return 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # the one command that needs the audit loads it; solve and verify do not
     from . import audit
 
@@ -151,7 +162,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         with open(args.path, "rb") as fh:
             cert = from_json_bytes(fh.read())
@@ -171,18 +182,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
-            code = _cmd_solve(parser, args)
-        elif args.command == "table":
-            code = _cmd_table(parser, args)
-        elif args.command == "oracle":
-            code = _cmd_oracle(parser, args)
-        elif args.command == "audit":
-            code = _cmd_audit(args)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
+        code = args.run(parser, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (e.g. `| head -1`); files written

@@ -544,15 +544,15 @@ class TailCertificate(NamedTuple):
 
     q_poly is an exact univariate lower bound for the difference on the
     ray; its shift at m_start has nonnegative coefficients and a positive
-    constant term.  In worst-case mode the bound arises by substituting a
-    named lower-bound constraint for b and then the floor constraint for a;
-    each substitution minimizes because the polynomial it multiplies is
-    nonnegative on the ray, which the verifier re-checks.
+    constant term.  Over a constraint system the bound arises by
+    substituting the named lower-bound constraint for b and then the floor
+    constraint for a; each substitution minimizes because the polynomial it
+    multiplies is nonnegative on the ray, which the verifier re-checks.  A
+    value table's tail names no constraints.
     """
 
     m_start: int
     q_poly: Poly
-    mode: str  # "worst_case" | "concrete" | "oracle"
     b_constraint: Optional[str] = None
     a_constraint: Optional[str] = None
 
@@ -593,13 +593,7 @@ def monotone_from(cs: ConstraintSystem, m0: int) -> TailCertificate:
             a_floor = -ac.form.const / ac.form.coeff_a
             q = subst_a.scale(a_floor) + subst_k
             if poly_positive_on_ray(q, m0):
-                return TailCertificate(
-                    m_start=m0,
-                    q_poly=q,
-                    mode="worst_case",
-                    b_constraint=bc.cid,
-                    a_constraint=ac.cid,
-                )
+                return TailCertificate(m0, q, bc.cid, ac.cid)
     raise MonotoneCertificationError(f"no tail certificate from m = {m0}")
 
 
@@ -638,7 +632,7 @@ def table_monotone(table: ValueTable, m0: int) -> TailCertificate:
     q = table.poly.shift(1) - table.poly
     if not poly_positive_on_ray(q, m0):
         raise MonotoneCertificationError(f"no tail certificate from m = {m0}")
-    return TailCertificate(m0, q, table.mode)
+    return TailCertificate(m0, q)
 
 
 def interpolate_model(values: Callable[[int], int], ms: Sequence[int]) -> Poly:

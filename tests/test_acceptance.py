@@ -77,9 +77,9 @@ def test_criterion_3_second_proposition_replay():
     geom = merged_geometry()
     assert bounds.minimal_r(geom, 1).m == 3
     out2 = bounds.minimal_r(geom, 2)
-    assert (out2.m, out2.witness.r_used) == (4, 1)
+    assert (out2.m, out2.selected["r"]) == (4, 1)
     out3 = bounds.minimal_r(geom, 3)
-    assert (out3.m, out3.witness.r_used) == (6, 2)
+    assert (out3.m, out3.selected["r"]) == (6, 2)
 
     # the m = 5, r = 2 test genuinely fails in the worst case: substituting
     # the binding constraint b = -35a leaves slack -180a + 9, negative as

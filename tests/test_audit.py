@@ -53,7 +53,7 @@ def test_serialization_shape(report):
 def test_audit_reads_four_certificates(monkeypatch):
     # one worst-case solve and three example solves supply every number;
     # only P(2) on the P(1) = 3 branch and the m = 5, r = 2 test minimise
-    # beyond the worst-case solve's 49, and the two printed-convention
+    # beyond the worst-case solve's 48, and the two printed-convention
     # solves share one section count
     minimisations = count_calls(monkeypatch, derive.fm_minimize)
     passes = count_calls(monkeypatch, bundle.h0_anti)
@@ -61,5 +61,5 @@ def test_audit_reads_four_certificates(monkeypatch):
     oracle = count_calls(monkeypatch, bounds.solve_oracle)
     build_audit()
     assert len(worst) == 1 and len(oracle) == 3
-    assert len(minimisations) <= 51
+    assert len(minimisations) <= 50
     assert len(passes) == 2

@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fanobound import bundle
 from fanobound.exact import Poly
 from fanobound.hilbert import ChernData, p_affine, p_eval, p_poly
 from fanobound.derive import (
-    Fact,
     ValueTable,
     axiom_system,
     chern_table,
@@ -25,16 +25,13 @@ from fanobound.derive import (
 )
 from fanobound.bounds import (
     CertificationError,
-    DimWitness,
     OracleSource,
     SearchExhaustedError,
     certify_r0,
-    compose_bound,
-    lemma2_check,
     lemma2_slack_form,
     lemma2_threshold,
     minimal_r,
-    nonvanishing_rule,
+    oracle_table,
     solve_concrete,
     solve_oracle,
     solve_worst_case,
@@ -95,11 +92,11 @@ def pointwise_r0(c):
 
 
 class TestRules:
-    def test_nonvanishing(self):
-        assert nonvanishing_rule(Fact(3, Fraction(7))).margin == 6
-        assert nonvanishing_rule(Fact(3, Fraction(1))) is None
-        w = nonvanishing_rule(Fact(1, Fraction(378)))
-        assert w.target_dim == 1 and w.m == 1 and w.margin == 377
+    def test_pencil_needs_two_sections(self):
+        # h0 = 1 gives no pencil, h0 = 2 does
+        out = minimal_r(dummy_table({1: 1, 2: 2}), 1, m_max=2)
+        assert out.m == 2 and out.selected == {"m": 2, "r": None}
+        assert out.attempts == ({"m": 1, "r": None},)
 
     def test_threshold_values(self):
         assert lemma2_threshold(5, 2, 6250) == 156252
@@ -114,17 +111,19 @@ class TestRules:
         assert slack.coeff_b == p6.coeff_b
         assert slack.const == p6.const - 2
 
-    def test_lemma2_check_published_values(self):
-        w = lemma2_check(62909, 4, 1, 6250)
-        assert w.target_dim == 2 and w.margin == 62909 - 25001
-        w = lemma2_check(186030, 5, 2, 6250)
-        assert w.target_dim == 3
-        assert lemma2_check(1, 1, 1, 1) is None
+    def test_lemma2_published_values(self):
+        # h0(-4K) = 62909 > 25001 and h0(-5K) = 186030 > 156252
+        src = dummy_table({1: 1, 2: 1, 3: 1, 4: 62909, 5: 186030})
+        assert minimal_r(src, 2, m_max=5).selected == {"m": 4, "r": 1}
+        assert minimal_r(src, 3, m_max=5).selected == {"m": 5, "r": 2}
 
     def test_lemma2_boundary_is_not_a_pass(self):
         t = lemma2_threshold(4, 1, 6250)
-        assert lemma2_check(t, 4, 1, 6250) is None
-        assert lemma2_check(t + 1, 4, 1, 6250) is not None
+        at = dummy_table({1: 1, 2: 1, 3: 1, 4: t})
+        with pytest.raises(SearchExhaustedError):
+            minimal_r(at, 2, m_max=4)
+        above = dummy_table({1: 1, 2: 1, 3: 1, 4: t + 1})
+        assert minimal_r(above, 2, m_max=4).selected == {"m": 4, "r": 1}
 
     def test_lemma2_worstcase_published_chain(self):
         cs = geom()
@@ -145,24 +144,19 @@ class TestRules:
         a = Fraction(1, 10)  # 720a = 72 > 36
         assert slack.evaluate(a, -35 * a) == -9
 
-    def test_witness_margin_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DimWitness(2, 4, "lemma2", Fraction(0), r_used=1)
-
-    def test_compose(self):
-        assert compose_bound(3, [3, 4, 6]) == 16
-        assert compose_bound(3, [3, 4, 5]) == 15
-        assert compose_bound(3, [0, 0, 0]) == 3
-
 
 class TestMinimalR:
     def test_worst_case_targets(self):
         cs = geom()
-        assert minimal_r(cs, 1).m == 3
+        out1 = minimal_r(cs, 1)
+        assert out1.m == 3 and out1.selected["bound"] == "7"
+        # a pencil selection carries its integral bound, a refutation its point
+        assert out1.selected.keys() == {"m", "r", "raw_min", "farkas", "bound"}
+        assert all(a.keys() == {"m", "r", "point", "value"} for a in out1.attempts)
         out2 = minimal_r(cs, 2)
-        assert (out2.m, out2.witness.r_used) == (4, 1)
+        assert (out2.m, out2.selected["r"]) == (4, 1)
         out3 = minimal_r(cs, 3)
-        assert (out3.m, out3.witness.r_used) == (6, 2)
+        assert (out3.m, out3.selected["r"]) == (6, 2)
 
     def test_worst_case_failure_attempts_recorded(self):
         out = minimal_r(geom(), 3)
@@ -174,9 +168,12 @@ class TestMinimalR:
         c = chern_table(ChernData(6250, 2750), 32)
         assert minimal_r(c, 1).m == 1
         out2 = minimal_r(c, 2)
-        assert (out2.m, out2.witness.r_used) == (3, 1)
+        assert (out2.m, out2.selected["r"]) == (3, 1)
         out3 = minimal_r(c, 3)
-        assert (out3.m, out3.witness.r_used) == (5, 2)
+        assert (out3.m, out3.selected["r"]) == (5, 2)
+        # the verifier reads each value from the table it checked
+        assert out3.selected.keys() == {"m", "r"} and out3.attempts
+        assert all(a.keys() == {"m", "r"} for a in out3.attempts)
 
     def test_monotone_budget(self):
         cs = geom()
@@ -193,23 +190,23 @@ class TestMinimalR:
         # values so large that several exponents pass at the same m
         src = dummy_table({1: 10**9, 2: 10**9})
         out = minimal_r(src, 2, m_max=2)
-        assert out.m == 1 and out.witness.r_used == 1
+        assert out.m == 1 and out.selected["r"] == 1
 
 
 class TestCertifyR0:
     def test_rejects_small_r0(self):
         with pytest.raises(ValueError):
-            certify_r0(geom(), 2)
-
-    def test_worst_case_passes(self):
-        cert = certify_r0(geom(), 3)
-        assert cert.nonempty_bound == 7
-        assert cert.monotone.m_start == 3
+            certify_r0(chern_table(ChernData(6250, 2750), 3), 2)
 
     def test_concrete_passes(self):
-        cert = certify_r0(chern_table(ChernData(6250, 2750), 3), 3)
-        assert cert.nonempty_bound == 27132
-        assert cert.monotone.m_start == 3
+        table = chern_table(ChernData(6250, 2750), 3)
+        assert table.at(3) == 27132
+        assert certify_r0(table, 3).m_start == 3
+
+    def test_no_section_at_r0_refused(self):
+        # P(3) = 0 for (2, -26), whose solve moves r0 to 4
+        with pytest.raises(CertificationError, match=r"P\(3\) = 0, need >= 1"):
+            certify_r0(chern_table(ChernData(2, -26), 32), 3)
 
     def test_degenerate_oracle_fails(self):
         zero = dummy_table({m: 0 for m in range(1, 70)})
@@ -233,6 +230,37 @@ class TestSolveWorstCase:
 
     def test_deterministic(self):
         assert solve_worst_case().to_json_bytes() == solve_worst_case().to_json_bytes()
+
+    def test_tail_starts_at_the_merged_bound(self, monkeypatch):
+        # P(3) >= 7 from merge_min is the nonemptiness at r0 = 3; nothing
+        # minimises P(3) again over the geometry system
+        import fanobound.bounds as bounds
+        import fanobound.derive as derive
+
+        calls = count_calls(monkeypatch, bounds.certify_r0)
+        calls += count_calls(monkeypatch, derive.derive_lower_bound)
+        cert = solve_worst_case()
+        assert calls == []
+        (merge,) = [s for s in cert.steps if s["rule"] == "merge_min"]
+        (tail,) = [s for s in cert.steps if s["rule"] == "monotone_tail"]
+        searches = [s for s in cert.steps if s["rule"] == "dim_search"]
+        assert merge["witness"]["bound"] == "7" and tail["inputs"][0]["m_start"] == 3
+        assert all(
+            s["inputs"][0]["constraints"] == tail["inputs"][0]["constraints"] for s in searches
+        )
+
+
+@pytest.mark.parametrize("solve", [
+    solve_worst_case,
+    lambda: solve_concrete(ChernData(6250, 2750)),
+    lambda: solve_oracle(bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)))),
+], ids=["worst_case", "concrete", "oracle"])
+def test_each_flavor_rests_on_the_axioms_the_verifier_reads(solve):
+    from fanobound.certs import FLAVOR_AXIOMS
+
+    cert = solve()
+    assert cert.axioms == FLAVOR_AXIOMS[cert.mode]
+    assert verify(cert).ok
 
 
 class TestSolveConcrete:
@@ -296,15 +324,15 @@ class TestSolveOracle:
 
     def test_non_polynomial_oracle_rejected(self):
         # the model is checked on the table, which ends at the search
-        # horizon m_max; beyond it the model is the assumption O2
-        values = {m: m**5 + (1 if m == 40 else 0) for m in range(1, 70)}
-        with pytest.raises(CertificationError):
-            solve_oracle(dummy_oracle(values), m_max=40)
+        # horizon m = 32; beyond it the model is the assumption O2
+        values = {m: m**5 + (1 if m == 32 else 0) for m in range(1, 70)}
+        with pytest.raises(CertificationError, match="not polynomial at m = 32"):
+            solve_oracle(dummy_oracle(values))
 
     def test_table_too_short_for_the_model_rejected(self):
         values = {m: m**5 for m in range(1, 70)}
         with pytest.raises(CertificationError, match="needs 6 values"):
-            solve_oracle(dummy_oracle(values), m_max=5)
+            oracle_table(dummy_oracle(values), 5)
 
     def test_non_nef_bundle_refused(self):
         values = {m: m**5 for m in range(1, 70)}
@@ -606,7 +634,7 @@ class TestCallCounts:
 
         calls = count_calls(monkeypatch, derive.fm_minimize)
         assert solve_worst_case().bound == 16
-        assert len(calls) <= 49
+        assert len(calls) <= 48
 
     def test_no_minimization_is_reused_across_solves(self, monkeypatch):
         # the dimension searches share their attempts within one solve only
@@ -616,7 +644,7 @@ class TestCallCounts:
         for _ in range(2):
             calls.clear()
             assert solve_worst_case().bound == 16
-            assert len(calls) == 49
+            assert len(calls) == 48
 
     def test_concrete_evaluates_each_table_entry_once(self, monkeypatch):
         import fanobound.hilbert as hilbert

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import fanobound
 from fanobound import bundle
 from fanobound.cli import main
@@ -62,6 +64,22 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", "--k5", "6250", "--k3c2", "2750", "--out", str(path))
         assert code == 2 and out == ""
         assert err == f"cannot write {path}: No such file or directory\n"
+
+    # 4,298 and 4,297 digits: the solve succeeds, but its table values pass
+    # the interpreter's 4,300-digit limit on int-to-str conversion
+    OVERSIZED = ("--k5", str(720 * 10**4295), "--k3c2", str(720 * 10**4294))
+
+    def test_unwritable_certificate_prints_no_bound(self, capsys):
+        code, out, err = run_cli(capsys, "solve", *self.OVERSIZED)
+        assert code == 2 and out == ""
+        assert err.startswith("certificate cannot be written: ")
+
+    def test_unwritable_certificate_writes_no_file(self, capsys, tmp_path):
+        out_file = tmp_path / "cert.json"
+        code, out, err = run_cli(capsys, "solve", *self.OVERSIZED, "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("certificate cannot be written: ")
+        assert not out_file.exists()
 
     def test_bad_chern_exits_1(self, capsys):
         # integrality of P fails: not a genuine 5-fold of this class
@@ -309,6 +327,20 @@ class TestDeterminism:
             text=True,
         )
         assert proc.returncode == 0 and proc.stdout == "186030\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--worst-case"],
+    ["table", "--k5", "1", "--k3c2", "1", "--max-m", "1"],
+    ["oracle", "--bundle", "0,0,0,0,1", "--m", "1"],
+    ["audit"],
+    ["verify", "cert.json"],
+], ids=lambda argv: argv[0])
+def test_each_command_runs_its_own_handler(argv):
+    from fanobound import cli
+
+    args = cli._build_parser().parse_args(argv)
+    assert args.run is getattr(cli, f"_cmd_{argv[0]}")
 
 
 def test_parser_is_built_once(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fanobound.audit import AuditEntry, AuditReport
-from fanobound.bounds import DimWitness, R0Certification, SearchOutcome
+from fanobound.bounds import SearchOutcome
 from fanobound.bundle import SplitBundle
 from fanobound.certs import Certificate, VerifyResult
 from fanobound.derive import (
@@ -27,18 +27,15 @@ from fanobound.hilbert import ChernData, PValue
 
 
 def _records():
-    tail = TailCertificate(3, Poly([1]), "concrete")
-    witness = DimWitness(1, 3, "nonvanishing", Fraction(1))
     return [
         AffineForm.of(1, "1/2", 3),
         MinimizeResult("unbounded"),
         Fact(3, Fraction(7)),
         Branch("P(1)=0", axiom_system()),
-        tail,
+        TailCertificate(3, Poly([1])),
         ValueTable((1, 2), 0, 1, Poly([1]), "concrete"),
         axiom_system(),
-        SearchOutcome(3, witness, {"m": 3, "r": None}, ()),
-        R0Certification(3, Fraction(1), tail),
+        SearchOutcome(3, {"m": 3, "r": None}, ()),
         Certificate(
             mode="concrete", axioms=[], constraints=[], steps=[], r0=3, r=[3, 4, 6], bound=16
         ),
@@ -48,7 +45,6 @@ def _records():
         ChernData(6250, 2750),
         PValue(1, 3),
         SplitBundle((0, 0, 0, 0, 1)),
-        witness,
         Constraint.make("A4.3", "vanishing", (3,)),
     ]
 
@@ -72,19 +68,12 @@ def test_copy_and_pickle_keep_the_value(record):
     (lambda: ChernData(0, 1), r"\(-K\)\^5 must be >= 1 for -K nef and big"),
     (lambda: PValue(-1, 0), "P values are recorded for m >= 0 only"),
     (lambda: SplitBundle((0, 0, 0, 1)), "X must be a 5-fold: exactly five twists"),
-    (lambda: DimWitness(1, 3, "nonvanishing", Fraction(0)), "a witness needs a positive margin"),
-    (lambda: DimWitness(2, 3, "lemma2", Fraction(-1), r_used=1), "a witness needs a positive margin"),
-    (lambda: DimWitness(2, 3, "nonvanishing", Fraction(1)), "nonvanishing only witnesses dimension 1"),
     # _replace runs the same check
     (lambda: ChernData(6250, 2750)._replace(k5=0), r"\(-K\)\^5 must be >= 1 for -K nef and big"),
     (lambda: PValue(1, 3)._replace(m=-1), "P values are recorded for m >= 0 only"),
     (
         lambda: SplitBundle((0, 0, 0, 0, 1))._replace(twists=(0, 1)),
         "X must be a 5-fold: exactly five twists",
-    ),
-    (
-        lambda: DimWitness(1, 3, "nonvanishing", Fraction(1))._replace(target_dim=2),
-        "nonvanishing only witnesses dimension 1",
     ),
 ])
 def test_checked_records_refuse_bad_input(build, message):

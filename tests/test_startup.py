@@ -32,9 +32,8 @@ REEXPORTS = {
         "split_on_p1", "strengthen_integral",
     ],
     "bounds": [
-        "CertificationError", "DimWitness", "SearchExhaustedError", "certify_r0",
-        "compose_bound", "lemma2_check", "lemma2_threshold", "minimal_r",
-        "nonvanishing_rule", "solve_concrete", "solve_oracle", "solve_worst_case",
+        "CertificationError", "SearchExhaustedError", "certify_r0", "lemma2_threshold",
+        "minimal_r", "solve_concrete", "solve_oracle", "solve_worst_case",
     ],
     "certs": ["Certificate", "MalformedCertificateError", "from_json_bytes", "verify"],
     "bundle": [
@@ -97,7 +96,7 @@ def test_only_oracle_source_is_a_dataclass():
 class TestLazyNames:
     def test_every_reexport_is_the_defining_modules_object(self):
         names = [name for names in REEXPORTS.values() for name in names]
-        assert len(names) == 49
+        assert len(names) == 45
         assert sorted(fanobound.__all__) == sorted(names)
         for short, module_names in REEXPORTS.items():
             mod = importlib.import_module(f"fanobound.{short}")
