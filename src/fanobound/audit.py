@@ -80,7 +80,7 @@ def _lower_bound_status(derived, printed) -> str:
 def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
     by_id = {s["id"]: s for s in cert.steps}
     # the merge lists the branch steps in split order, P(1) = 0 first
-    merge = _steps(cert, "merge_min")[0]["inputs"][0]
+    merge = _steps(cert, "merge_min")[0]["inputs"]
     branch_steps = [by_id[sid] for sid in merge["branches"]]
     entries = []
     for l, printed in ((0, 35), (1, 21), (2, 7)):
@@ -120,7 +120,7 @@ def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
     )
 
     merged = _steps(cert, "merge_min")[0]["witness"]["bound"]
-    start = _steps(cert, "monotone_tail")[0]["inputs"][0]["m_start"]
+    start = _steps(cert, "monotone_tail")[0]["inputs"]["m_start"]
     entries.append(
         AuditEntry(
             location="Proposition 1 (vi)",

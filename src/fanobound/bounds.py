@@ -90,7 +90,7 @@ Source = Union[ConstraintSystem, ValueTable]
 def _integral_bound(m: int, res: MinimizeResult) -> tuple[Fact, dict]:
     """P(m) >= the minimum of res, rounded up by A3, and the record of both
     bounds that the verifier replays."""
-    fact = strengthen_integral(Fact(m, res.value, res.strict))
+    fact = strengthen_integral(m, res.value)
     return fact, {
         "raw_min": rat_str(res.value),
         "farkas": certs.ser_farkas(res.farkas),
@@ -226,7 +226,7 @@ class _StepWriter:
         self._next = 1
         self._constraints: dict[str, Constraint] = {}
 
-    def add(self, rule: str, inputs: list, witness: dict, claim: Optional[str] = None) -> int:
+    def add(self, rule: str, inputs: dict, witness: dict, claim: Optional[str] = None) -> int:
         """Append a step; only the steps that derive a bound carry a claim."""
         sid = self._next
         self._next += 1
@@ -247,7 +247,7 @@ class _StepWriter:
     ) -> certs.Certificate:
         """The composition step, and the certificate it closes."""
         bound = r0 + sum(rs)
-        self.add("compose", [], {}, f"birational for all m >= {bound}")
+        self.add("compose", {}, {}, f"birational for all m >= {bound}")
         return certs.Certificate(
             mode=mode,
             axioms=list(certs.FLAVOR_AXIOMS[mode]),
@@ -267,7 +267,7 @@ def _fm_bound_step(
     fact, record = _integral_bound(m, res)
     sid = w.add(
         "fm_lower_bound",
-        [{"m": m, "constraints": w.cite(cs)}],
+        {"m": m, "constraints": w.cite(cs)},
         {**record, "point": certs.ser_point(res.point)},
         f"P({m}) >= {rat_str(fact.bound)}",
     )
@@ -287,7 +287,7 @@ def _dim_search_steps(
         outcome = minimal_r(source, target, m_start=m_start, tried=tried)
         w.add(
             "dim_search",
-            [{"target_dim": target, "m_start": m_start, **cited}],
+            {"target_dim": target, "m_start": m_start, **cited},
             {"attempts": list(outcome.attempts), "selected": outcome.selected},
             f"dim >= {target} at m = {outcome.m}",
         )
@@ -305,7 +305,7 @@ def solve_worst_case() -> certs.Certificate:
     """
     w = _StepWriter()
     branches = split_on_p1(axiom_system(), DEFAULT_LMAX)
-    w.add("split_p1", [{"lmax": DEFAULT_LMAX}], {})
+    w.add("split_p1", {"lmax": DEFAULT_LMAX}, {})
     branch_steps = []
     branch_facts = []
     for br in branches:
@@ -318,7 +318,7 @@ def solve_worst_case() -> certs.Certificate:
     merged = merge_branch_facts(branch_facts)
     w.add(
         "merge_min",
-        [{"m": 3, "branches": branch_steps}],
+        {"m": 3, "branches": branch_steps},
         {"bound": rat_str(merged.bound)},
         f"P(3) >= {rat_str(merged.bound)} on the union of branches",
     )
@@ -332,9 +332,9 @@ def solve_worst_case() -> certs.Certificate:
     tail = monotone_from(geom, 3)
     w.add(
         "monotone_tail",
-        [{"m_start": 3, "b_constraint": tail.b_constraint,
-          "a_constraint": tail.a_constraint, **cited}],
-        {"q_poly": certs.ser_poly(tail.q_poly)},
+        {"m_start": 3, "b_constraint": tail.b_constraint,
+         "a_constraint": tail.a_constraint, **cited},
+        {},
     )
     return w.compose(certs.WORST_CASE, 3, rs)
 
@@ -351,22 +351,16 @@ def _solve_table(
     written: the least r0 with P(r0) >= 1 and the ray tail from r0, the
     dimension searches and the composition.  tail_inputs holds what the
     source's monotone_tail step cites beyond its start."""
-    tail = None
-    last_err: Optional[Exception] = None
     for r0 in range(3, DEFAULT_M_MAX + 1):
         try:
-            tail = certify_r0(table, r0)
+            certify_r0(table, r0)
             break
         except (CertificationError, MonotoneCertificationError) as exc:
             last_err = exc
-    if tail is None:
+    else:
         raise CertificationError(f"certify_r0 failed up to m_max: {last_err}")
-    w.add("value_at_least", [{"m": r0, "values_step": values_step}], {})
-    w.add(
-        "monotone_tail",
-        [{"m_start": r0, **tail_inputs}],
-        {"q_poly": certs.ser_poly(tail.q_poly)},
-    )
+    w.add("value_at_least", {"m": r0, "values_step": values_step}, {})
+    w.add("monotone_tail", {"m_start": r0, **tail_inputs}, {})
     rs = _dim_search_steps(w, table, {"values_step": values_step}, dim1_start)
     return w.compose(table.mode, r0, rs, chern)
 
@@ -375,7 +369,7 @@ def solve_concrete(chern: ChernData) -> certs.Certificate:
     """Bound for one concrete 5-fold given its Chern intersection numbers."""
     table = chern_table(chern, DEFAULT_M_MAX)
     w = _StepWriter()
-    values_step = w.add("eval_p", [], {"values": list(table.values)})
+    values_step = w.add("eval_p", {}, {"values": list(table.values)})
     return _solve_table(w, table, values_step, {}, chern=chern)
 
 
@@ -393,12 +387,12 @@ def solve_oracle(source: OracleSource, dim1_start: int = 1) -> certs.Certificate
     w = _StepWriter()
     values_step = w.add(
         "oracle_values",
-        [{"bundle": list(source.bundle), "convention": source.convention}],
+        {"bundle": list(source.bundle), "convention": source.convention},
         {"values": list(table.values)},
     )
     model_step = w.add(
         "oracle_model",
-        [{"values_step": values_step}],
+        {"values_step": values_step},
         {"coeffs": certs.ser_poly(table.poly)},
     )
     return _solve_table(w, table, values_step, {"model_step": model_step}, dim1_start)

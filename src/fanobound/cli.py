@@ -117,18 +117,19 @@ def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.max_m < 0:
         parser.error("--max-m must be >= 0")
+    # the whole output is formatted before any of it is printed: a value
+    # past the int-to-str digit limit fails here, not after the first rows
     try:
         chern = ChernData(args.k5, args.k3c2)
         rows = [(m, p_eval(chern, m)) for m in range(args.max_m + 1)]
+        if args.format == "csv":
+            text = "\n".join(["m,P(m)", *(f"{m},{v}" for m, v in rows)])
+        else:
+            text = json.dumps([{"m": m, "P": v} for m, v in rows], sort_keys=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "csv":
-        print("m,P(m)")
-        for m, v in rows:
-            print(f"{m},{v}")
-    else:
-        print(json.dumps([{"m": m, "P": v} for m, v in rows], sort_keys=True))
+    print(text)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The derivation engine encodes a small axiom set as affine inequalities,
 minimizes affine objectives by Fourier-Motzkin elimination (b first, then
-a), strengthens rational bounds through integrality of P(m), splits on the
+a), strengthens rational bounds through integrality of P(m) into closed
+integral facts P(m) >= q, splits on the
 integer value of P(1), and certifies eventual monotonicity of P along a
 ray.  Every derived bound comes with a Farkas combination: nonnegative
 multipliers on named constraints whose sum reproduces ``objective - bound``
@@ -67,34 +68,33 @@ class MonotoneCertificationError(DerivationError):
 # Constraints and systems
 # ---------------------------------------------------------------------------
 
-def constraint_form(kind: str, params: Sequence) -> tuple[AffineForm, bool]:
-    """Rebuild the affine form and strictness of a constraint from its
-    descriptor.  Verifiers use this to reject tampered forms, so a kind
-    takes exactly its parameters and k5_floor and mono12 take none."""
+def constraint_form(kind: str, params: Sequence) -> AffineForm:
+    """Rebuild the affine form of a constraint, form >= 0, from its
+    descriptor.  Verifiers use this as the declared form, so a kind takes
+    exactly its parameters and k5_floor and mono12 take none."""
     if kind in ("k5_floor", "mono12") and params:
         raise ValueError(f"{kind} takes no parameters")
     if kind == "k5_floor":
-        return AffineForm.of(1, 0, Fraction(-1, 720)), False
+        return AffineForm.of(1, 0, Fraction(-1, 720))
     if kind == "vanishing":
         (m,) = params
-        return p_affine(int(m)), False
+        return p_affine(int(m))
     if kind == "mono12":
-        return p_affine(2) - p_affine(1), False
+        return p_affine(2) - p_affine(1)
     if kind == "p1_eq_lo":
         (l,) = params
-        return p_affine(1) - AffineForm.constant(int(l)), False
+        return p_affine(1) - AffineForm.constant(int(l))
     if kind == "p1_eq_hi":
         (l,) = params
-        return AffineForm.constant(int(l)) - p_affine(1), False
+        return AffineForm.constant(int(l)) - p_affine(1)
     if kind == "p1_tail":
         (l0,) = params
-        return p_affine(1) - AffineForm.constant(int(l0)), False
+        return p_affine(1) - AffineForm.constant(int(l0))
     if kind == "from_fact":
-        m, bound, scale, strict = params
-        form = (p_affine(int(m)) - AffineForm.constant(to_rat(bound))).scale(
+        m, bound, scale = params
+        return (p_affine(int(m)) - AffineForm.constant(to_rat(bound))).scale(
             Fraction(1, 1) / to_rat(scale)
         )
-        return form, bool(strict)
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
@@ -104,8 +104,9 @@ class Constraint(NamedTuple("Constraint", [
 ])):
     """An affine inequality form(a, b) >= 0 or > 0 with provenance.
 
-    The (kind, params) descriptor regenerates the form; cid names the
-    constraint inside Farkas combinations.  row is the integer row the
+    The (kind, params) descriptor regenerates the form of a closed
+    constraint; only the eliminator's own auxiliary rows are strict.  cid
+    names the constraint inside Farkas combinations.  row is the integer row the
     minimizer reads, computed once here from cid, form and strict, so equal
     constraints have equal rows.
     """
@@ -129,8 +130,7 @@ class Constraint(NamedTuple("Constraint", [
 
     @classmethod
     def make(cls, cid: str, kind: str, params: Sequence = ()) -> "Constraint":
-        form, strict = constraint_form(kind, tuple(params))
-        return cls(cid, kind, tuple(params), form, strict)
+        return cls(cid, kind, tuple(params), constraint_form(kind, tuple(params)), False)
 
 
 class ConstraintSystem(NamedTuple):
@@ -437,15 +437,13 @@ def point_with_value_below(
 # ---------------------------------------------------------------------------
 
 class Fact(NamedTuple):
-    """A derived claim P(m) >= bound (or > bound)."""
+    """A derived claim P(m) >= bound."""
 
     m: int
     bound: Fraction
-    strict: bool = False
 
     def describe(self) -> str:
-        op = ">" if self.strict else ">="
-        return f"P({self.m}) {op} {self.bound}"
+        return f"P({self.m}) >= {self.bound}"
 
 
 class Branch(NamedTuple):
@@ -453,21 +451,11 @@ class Branch(NamedTuple):
     system: ConstraintSystem
 
 
-def strengthen_integral(fact: Fact) -> Fact:
-    """Round a rational bound on the integer P(m) (axiom A3) up to the next
-    integer.
-
-    P(m) > q becomes P(m) >= floor(q)+1; P(m) >= q with q not an integer
-    becomes P(m) >= ceil(q); integral non-strict bounds are unchanged.
-    """
-    q = fact.bound
-    if fact.strict:
-        new = Fraction(math.floor(q) + 1)
-    elif q.denominator != 1:
-        new = Fraction(math.ceil(q))
-    else:
-        return fact
-    return Fact(fact.m, new, False)
+def strengthen_integral(m: int, q: Fraction, strict: bool = False) -> Fact:
+    """Round a rational bound on the integer P(m) (axiom A3) up to a closed
+    integral one: P(m) > q becomes P(m) >= floor(q) + 1, and P(m) >= q
+    becomes P(m) >= ceil(q)."""
+    return Fact(m, Fraction(math.floor(q) + 1 if strict else math.ceil(q)))
 
 
 def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
@@ -480,7 +468,7 @@ def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
         raise InfeasibleSystemError(f"hypotheses of {cs.label or 'system'} are contradictory")
     if res.status == "unbounded":
         raise UnboundedObjectiveError(f"P({m}) is unbounded below over {cs.label or 'system'}")
-    return strengthen_integral(Fact(m, res.value, res.strict))
+    return strengthen_integral(m, res.value, res.strict)
 
 
 def split_on_p1(cs: ConstraintSystem, lmax: int) -> list[Branch]:
@@ -514,9 +502,7 @@ def merge_branch_facts(facts: Sequence[Fact]) -> Fact:
     m = facts[0].m
     if any(f.m != m for f in facts):
         raise ValueError("facts speak about different multiples")
-    q = min(f.bound for f in facts)
-    strict = all(f.strict for f in facts if f.bound == q)
-    return Fact(m, q, strict)
+    return Fact(m, min(f.bound for f in facts))
 
 
 def fact_to_constraint(fact: Fact) -> Constraint:
@@ -529,9 +515,8 @@ def fact_to_constraint(fact: Fact) -> Constraint:
     denom_lcm, ints = _int_form(base)
     g = math.gcd(*ints)
     scale = Fraction(g, denom_lcm) if g else Fraction(1)
-    cid = f"F.P{fact.m}{'>' if fact.strict else '>='}{fact.bound}"
     return Constraint.make(
-        cid, "from_fact", (fact.m, fact.bound, scale, fact.strict)
+        f"F.P{fact.m}>={fact.bound}", "from_fact", (fact.m, fact.bound, scale)
     )
 
 

@@ -13,7 +13,6 @@ from itertools import product
 from fanobound.exact import AffineForm
 from fanobound.hilbert import PValue, fit_ab, p_affine
 from fanobound.derive import (
-    Fact,
     axiom_system,
     derive_lower_bound,
     fm_minimize,
@@ -153,7 +152,7 @@ def test_criterion_6_formula_and_engine_invariants():
     for _ in range(200):
         q = Fraction(rng.randint(-300, 300), rng.randint(1, 48))
         strict = rng.random() < 0.5
-        assert strengthen_integral(Fact(2, q, strict)).bound >= q
+        assert strengthen_integral(2, q, strict).bound >= q
 
     branches = split_on_p1(axiom_system(), 3)
     checked = 0

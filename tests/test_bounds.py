@@ -244,9 +244,9 @@ class TestSolveWorstCase:
         (merge,) = [s for s in cert.steps if s["rule"] == "merge_min"]
         (tail,) = [s for s in cert.steps if s["rule"] == "monotone_tail"]
         searches = [s for s in cert.steps if s["rule"] == "dim_search"]
-        assert merge["witness"]["bound"] == "7" and tail["inputs"][0]["m_start"] == 3
+        assert merge["witness"]["bound"] == "7" and tail["inputs"]["m_start"] == 3
         assert all(
-            s["inputs"][0]["constraints"] == tail["inputs"][0]["constraints"] for s in searches
+            s["inputs"]["constraints"] == tail["inputs"]["constraints"] for s in searches
         )
 
 
@@ -361,7 +361,7 @@ class TestVerifierRejectsTampering:
         # the slack minimum is the margin of the Lemma 2 test
         def flip(doc):
             for step in doc["steps"]:
-                if step["rule"] == "dim_search" and step["inputs"][0]["target_dim"] == 2:
+                if step["rule"] == "dim_search" and step["inputs"]["target_dim"] == 2:
                     sel = step["witness"]["selected"]
                     sel["raw_min"] = "-" + sel["raw_min"]
                     return
@@ -379,18 +379,21 @@ class TestVerifierRejectsTampering:
         assert not verify(bad).ok
 
     def test_tampered_constraint_form_caught(self):
+        # the verifier builds each form from kind and params; a written
+        # form is a key it does not read
         def bend(doc):
-            doc["constraints"][0]["form"][2] = "-1/7"
+            doc["constraints"][0]["form"] = ["1", "0", "-1/7"]
         bad = self._mutate(bend)
         res = verify(bad)
-        assert not res.ok and "descriptor" in res.reason
+        assert not res.ok and res.step_id is None
+        assert "a constraint declaration must be an object with exactly the keys" in res.reason
 
     def test_smuggled_hypothesis_caught(self):
         def smuggle(doc):
             for step in doc["steps"]:
                 if step["rule"] == "dim_search":
                     # declared for the branch steps, cited outside them
-                    step["inputs"][0]["constraints"].append("H.P1=0.lo")
+                    step["inputs"]["constraints"].append("H.P1=0.lo")
                     return
         bad = self._mutate(smuggle)
         res = verify(bad)
@@ -443,32 +446,34 @@ class TestVerifierRejectsTampering:
         doc = json.loads(solve_oracle(src).to_json_bytes())
         (values,) = [s for s in doc["steps"] if s["rule"] == "oracle_values"]
         assert len(values["witness"]["values"]) == 32
-        values["inputs"][0]["m_max"] = bad
+        values["inputs"]["m_max"] = bad
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and res.step_id == values["id"]
-        assert "input must be an object with exactly the keys" in res.reason
+        assert "inputs must be an object with exactly the keys" in res.reason
 
     @pytest.mark.parametrize("bad", [66.5, True, "66"])
     def test_non_integer_chern_table_length_rejected(self, bad):
         doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
         (values,) = [s for s in doc["steps"] if s["rule"] == "eval_p"]
-        assert values["inputs"] == []
-        values["inputs"] = [{"m_max": bad}]
+        assert values["inputs"] == {}
+        values["inputs"] = {"m_max": bad}
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and res.step_id == values["id"]
-        assert res.reason == "rule eval_p takes no inputs"
+        assert res.reason == "inputs must be an object with exactly the keys []"
 
     def test_old_version_refused(self):
         res = verify(self._mutate(lambda d: d.update(version=1)))
         assert not res.ok and res.reason == "unsupported version 1"
 
     def test_string_flag_rejected(self):
-        # "no" is truthy, so bool() would read it as a true flag
+        # every declared constraint is closed, so a strict flag, even "no",
+        # is a key the verifier does not read
         def flag(doc):
-            assert doc["constraints"][0]["strict"] is False
+            assert "strict" not in doc["constraints"][0]
             doc["constraints"][0]["strict"] = "no"
         res = verify(self._mutate(flag))
-        assert not res.ok and "strict flag of A1 must be a boolean" in res.reason
+        assert not res.ok and res.step_id is None
+        assert "a constraint declaration must be an object with exactly the keys" in res.reason
 
     def test_decimal_exponent_rejected_quickly(self):
         def inflate(doc):
@@ -483,10 +488,10 @@ class TestVerifierRejectsTampering:
     def test_tail_not_starting_at_r0_rejected(self):
         doc = json.loads(solve_concrete(ChernData(6250, 2750)).to_json_bytes())
         (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
-        assert tail["inputs"][0]["m_start"] == doc["r0"] == 3
-        q = Poly(Fraction(c) for c in tail["witness"]["q_poly"])
-        assert all(c > 0 for c in q.shift(4).coeffs)
-        tail["inputs"][0]["m_start"] = 4
+        assert tail["inputs"]["m_start"] == doc["r0"] == 3
+        # the tail itself holds from 4 on
+        certify_r0(chern_table(ChernData(6250, 2750), 32), 4)
+        tail["inputs"]["m_start"] = 4
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and "does not start at r0" in res.reason
 
@@ -561,7 +566,7 @@ class TestVerifierRejectsTampering:
         src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
         doc = json.loads(solve_oracle(src).to_json_bytes())
         (values,) = [s for s in doc["steps"] if s["rule"] == "oracle_values"]
-        values["inputs"][0]["bundle"] = twists
+        values["inputs"]["bundle"] = twists
         start = time.perf_counter()
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert time.perf_counter() - start < 2
@@ -572,8 +577,8 @@ class TestVerifierRejectsTampering:
         def scramble(doc):
             for step in doc["steps"]:
                 if step["rule"] == "merge_min":
-                    branches = step["inputs"][0]["branches"]
-                    step["inputs"][0]["branches"] = [
+                    branches = step["inputs"]["branches"]
+                    step["inputs"]["branches"] = [
                         {"label": f"P(1)={l}", "step": sid, "bound": "7"}
                         for l, sid in enumerate(branches)
                     ]
@@ -604,10 +609,10 @@ class TestVerifierRejectsTampering:
             if step["rule"] != rule:
                 continue
             if rule == "dim_search":
-                if step["inputs"][0]["target_dim"] == 3:
+                if step["inputs"]["target_dim"] == 3:
                     step["witness"]["selected"][field] = value
             else:
-                step["inputs"][0][field] = value
+                step["inputs"][field] = value
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert not res.ok and reason in res.reason
 
@@ -686,8 +691,7 @@ class TestVerifierOnHugePolynomialData:
             if step["rule"] == "oracle_model":
                 step["witness"]["coeffs"] = huge
             if step["rule"] == "monotone_tail":
-                step["inputs"][0]["m_start"] = 10**4000
-                step["witness"]["q_poly"] = huge
+                step["inputs"]["m_start"] = 10**4000
         self.check_invalid_in_bounded_time(doc, "model disagrees with values")
 
     def test_huge_tail_start_on_the_true_polynomial(self):
@@ -695,13 +699,15 @@ class TestVerifierOnHugePolynomialData:
         # on a 4,001-digit m_start
         doc = self.oracle_doc()
         (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
-        tail["inputs"][0]["m_start"] = 10**4000
+        tail["inputs"]["m_start"] = 10**4000
         self.check_invalid_in_bounded_time(doc, "monotone tail does not start at r0")
 
     def test_huge_tail_polynomial_alone(self):
+        # the verifier builds the tail polynomial from the model, so a
+        # written one is refused before any arithmetic on it
         doc = self.oracle_doc()
         huge = coprime_4000_digit_rationals()
         (tail,) = [s for s in doc["steps"] if s["rule"] == "monotone_tail"]
-        tail["inputs"][0]["m_start"] = 10**4000
+        tail["inputs"]["m_start"] = 10**4000
         tail["witness"]["q_poly"] = huge
-        self.check_invalid_in_bounded_time(doc, "does not match the model difference")
+        self.check_invalid_in_bounded_time(doc, "witness must be an object with exactly the keys []")

@@ -93,21 +93,21 @@ def true_edit(name, mutation):
     if kind == "change" and path == ("steps", last, "id"):
         # ids need only increase, and no step cites the last one
         return "later last id" if type(new) is int and new > original["steps"][last]["id"] else None
-    if kind == "change" and path[2:5] == ("inputs", 0, "bundle"):
+    if kind == "change" and path[2:4] == ("inputs", "bundle"):
         # every nef split bundle of rank 5 over the line has the same h0(-mK)
-        twists = list(original["steps"][path[1]]["inputs"][0]["bundle"])
-        twists[path[5]] = new
+        twists = list(original["steps"][path[1]]["inputs"]["bundle"])
+        twists[path[4]] = new
         nef = all(type(e) is int for e in twists) and bundle.is_nef(bundle.SplitBundle(tuple(twists)))
         return "nef twist" if nef else None
     if kind == "delete element" and path[2:] == ("witness", "values", len(at(original, path[:-1])) - 1):
         # a shorter table still covers every multiple the steps read
         return "last table entry dropped"
-    if kind == "delete element" and path[2:-1] == ("inputs", 0, "constraints"):
+    if kind == "delete element" and path[2:-1] == ("inputs", "constraints"):
         # a bound over fewer constraints still holds while the combination
         # that proves it and the step's case hypotheses stay
         step = original["steps"][path[1]]
-        cid = step["inputs"][0]["constraints"][path[-1]]
-        w, inp = step["witness"], step["inputs"][0]
+        cid = step["inputs"]["constraints"][path[-1]]
+        w, inp = step["witness"], step["inputs"]
         used = {c for c, _ in w.get("farkas", []) + w.get("selected", {}).get("farkas", [])}
         used |= {inp.get("a_constraint"), inp.get("b_constraint")}
         return None if cid in used or cid.startswith("H.") else "unused citation dropped"

@@ -1,6 +1,7 @@
 """The certificate layout: constraints declared once at the top level and
 cited by id (version 3), each value written once and every object holding
-exactly the keys the verifier reads (version 4)."""
+exactly the keys the verifier reads (version 4), and nothing written that
+the verifier rebuilds, in a language of closed inequalities (version 5)."""
 
 import json
 import re
@@ -9,15 +10,15 @@ from fractions import Fraction
 import pytest
 
 from fanobound import bundle
-from fanobound.bounds import solve_concrete, solve_oracle, solve_worst_case
+from fanobound.bounds import certify_r0, solve_concrete, solve_oracle, solve_worst_case
 from fanobound.certs import (
     MalformedCertificateError,
     from_json_bytes,
     from_json_dict,
-    ser_form,
+    ser_poly,
     verify,
 )
-from fanobound.derive import constraint_form
+from fanobound.derive import chern_table
 from fanobound.hilbert import ChernData
 
 BUNDLE = bundle.SplitBundle((0, 0, 0, 0, 1))
@@ -56,21 +57,22 @@ def test_each_constraint_is_declared_once_and_cited_by_id():
     cids = [c["cid"] for c in d["constraints"]]
     assert cids == sorted(set(cids)) and len(cids) == 21
     (fm, *_), (dim, *_) = steps(d, "fm_lower_bound"), steps(d, "dim_search")
-    assert all(isinstance(c, str) for c in fm["inputs"][0]["constraints"])
-    assert dim["inputs"][0]["constraints"] == ["A1", "F.P3>=7"]
+    assert all(isinstance(c, str) for c in fm["inputs"]["constraints"])
+    assert all(c.keys() == {"cid", "kind", "params"} for c in d["constraints"])
+    assert dim["inputs"]["constraints"] == ["A1", "F.P3>=7"]
     assert [s["rule"] for s in d["steps"]][:2] == ["split_p1", "fm_lower_bound"]
 
 
-# the version-4 layout: per rule and flavor, the keys of the input object
-# (None: "inputs" is empty) and of the witness
-SEARCH, TAIL = {"attempts", "selected"}, {"q_poly"}
+# the version-5 layout: per rule and flavor, the keys of the inputs object
+# and of the witness
+SEARCH = {"attempts", "selected"}
 LAYOUT = {
     "split_p1": {"worst_case": ({"lmax"}, set())},
     "fm_lower_bound": {
         "worst_case": ({"m", "constraints"}, {"raw_min", "farkas", "bound", "point"})
     },
     "merge_min": {"worst_case": ({"m", "branches"}, {"bound"})},
-    "eval_p": {"concrete": (None, {"values"})},
+    "eval_p": {"concrete": (set(), {"values"})},
     "oracle_values": {"oracle": ({"bundle", "convention"}, {"values"})},
     "oracle_model": {"oracle": ({"values_step"}, {"coeffs"})},
     "value_at_least": {f: ({"m", "values_step"}, set()) for f in ("concrete", "oracle")},
@@ -80,17 +82,17 @@ LAYOUT = {
         "oracle": ({"target_dim", "m_start", "values_step"}, SEARCH),
     },
     "monotone_tail": {
-        "worst_case": ({"m_start", "constraints", "a_constraint", "b_constraint"}, TAIL),
-        "concrete": ({"m_start"}, TAIL),
-        "oracle": ({"m_start", "model_step"}, TAIL),
+        "worst_case": ({"m_start", "constraints", "a_constraint", "b_constraint"}, set()),
+        "concrete": ({"m_start"}, set()),
+        "oracle": ({"m_start", "model_step"}, set()),
     },
-    "compose": {f: (None, set()) for f in ("worst_case", "concrete", "oracle")},
+    "compose": {f: (set(), set()) for f in ("worst_case", "concrete", "oracle")},
 }
 CLAIMED = {"fm_lower_bound", "merge_min", "dim_search", "compose"}
 
 
 @pytest.mark.parametrize("name", sorted(DOCS))
-def test_every_object_has_the_version_4_layout(name):
+def test_every_object_has_the_version_5_layout(name):
     d = DOCS[name]
     heads = {
         "worst_case": ["split_p1"] + ["fm_lower_bound"] * 5 + ["merge_min"],
@@ -98,7 +100,7 @@ def test_every_object_has_the_version_4_layout(name):
     }
     head = heads.get(name, ["oracle_values", "oracle_model", "value_at_least", "monotone_tail"])
     tail = ["monotone_tail"] if name == "worst_case" else []
-    assert d["version"] == 4
+    assert d["version"] == 5
     assert [s["rule"] for s in d["steps"]] == head + ["dim_search"] * 3 + tail + ["compose"]
     assert [s["id"] for s in d["steps"]] == list(range(1, len(d["steps"]) + 1))
     for step in d["steps"]:
@@ -107,7 +109,7 @@ def test_every_object_has_the_version_4_layout(name):
         assert set(step) == {"id", "rule", "inputs", "witness"} | (
             {"claim"} if rule in CLAIMED else set()
         )
-        assert step["inputs"] == [] if inputs is None else set(step["inputs"][0]) == inputs
+        assert type(step["inputs"]) is dict and set(step["inputs"]) == inputs
         assert set(step["witness"]) == witness
         if rule == "dim_search":
             sel, worst = step["witness"]["selected"], d["mode"] == "worst_case"
@@ -118,7 +120,7 @@ def test_every_object_has_the_version_4_layout(name):
                 assert set(a) == ({"m", "r", "point", "value"} if worst else {"m", "r"})
     if d["mode"] == "worst_case":
         (merge,) = steps(d, "merge_min")
-        assert merge["inputs"][0]["branches"] == [s["id"] for s in steps(d, "fm_lower_bound")]
+        assert merge["inputs"]["branches"] == [s["id"] for s in steps(d, "fm_lower_bound")]
 
 
 def test_flavors_are_written_out():
@@ -144,9 +146,7 @@ def test_unsorted_cids_rejected():
 
 def test_declaration_no_step_cites_rejected():
     d = doc()
-    form, _ = constraint_form("vanishing", (9,))
-    d["constraints"].insert(10, {"cid": "A4.9", "kind": "vanishing", "params": [9],
-                                 "form": ser_form(form), "strict": False})
+    d["constraints"].insert(10, {"cid": "A4.9", "kind": "vanishing", "params": [9]})
     assert [c["cid"] for c in d["constraints"]][9:12] == ["A4.8", "A4.9", "A5"]
     res = check(d)
     assert not res.ok and res.step_id is None
@@ -165,7 +165,7 @@ def test_citation_of_undeclared_cid_rejected():
 def test_fact_cited_before_it_is_established_rejected():
     d = doc()
     first_branch = steps(d, "fm_lower_bound")[0]
-    first_branch["inputs"][0]["constraints"].append("F.P3>=7")
+    first_branch["inputs"]["constraints"].append("F.P3>=7")
     res = check(d)
     assert not res.ok and res.step_id == first_branch["id"]
     assert "not established by an earlier step" in res.reason
@@ -185,14 +185,11 @@ def test_version_2_refused():
 def test_from_fact_with_a_negative_scale_rejected():
     # dividing P(3) - 7 by a negative number turns P(3) >= 7 into P(3) <= 7
     d = doc()
-    params = [3, "7", "-84", False]
-    form, _ = constraint_form("from_fact", params)
     d["constraints"].append(
-        {"cid": "F.P3>=7.neg", "kind": "from_fact", "params": params,
-         "form": ser_form(form), "strict": False}
+        {"cid": "F.P3>=7.neg", "kind": "from_fact", "params": [3, "7", "-84"]}
     )
     d["constraints"].sort(key=lambda c: c["cid"])
-    steps(d, "dim_search")[0]["inputs"][0]["constraints"].append("F.P3>=7.neg")
+    steps(d, "dim_search")[0]["inputs"]["constraints"].append("F.P3>=7.neg")
     res = check(d)
     assert not res.ok and "positive scale" in res.reason
 
@@ -203,7 +200,7 @@ def test_branch_after_the_merge_rejected():
     late = json.loads(json.dumps(steps(d, "fm_lower_bound")[0]))
     late["id"] = d["steps"][-1]["id"] + 1
     d["steps"].append(late)
-    steps(d, "merge_min")[0]["inputs"][0]["branches"][0] = late["id"]
+    steps(d, "merge_min")[0]["inputs"]["branches"][0] = late["id"]
     res = check(d)
     assert not res.ok and "cites no earlier bound step" in res.reason
 
@@ -213,7 +210,7 @@ def test_branch_resting_on_another_hypothesis_rejected():
     # checks out; but a branch rests on its own case of the split alone
     d = doc()
     branch = steps(d, "fm_lower_bound")[1]
-    branch["inputs"][0]["constraints"].append("H.P1=0.lo")
+    branch["inputs"]["constraints"].append("H.P1=0.lo")
     res = check(d)
     assert not res.ok and res.step_id == steps(d, "merge_min")[0]["id"]
     assert "does not rest on its own hypothesis" in res.reason
@@ -313,12 +310,12 @@ def still_true(d, path, new):
     if rest == ("id",) and path[1] == len(d["steps"]) - 1:
         # ids need only increase, and no step cites the last one
         return "raised last id"
-    if rule == "oracle_values" and rest[:3] == ("inputs", 0, "bundle"):
+    if rule == "oracle_values" and rest[:2] == ("inputs", "bundle"):
         # the verifier recounts the table for the new bundle; every nef
         # split bundle of rank 5 over the line has the same h0(-mK) under
         # the standard convention
-        twists = list(step["inputs"][0]["bundle"])
-        twists[rest[3]] = new
+        twists = list(step["inputs"]["bundle"])
+        twists[rest[2]] = new
         return "nef twist" if bundle.is_nef(bundle.SplitBundle(tuple(twists))) else None
     return None
 
@@ -351,13 +348,16 @@ def test_every_leaf_edit_is_rejected_or_still_true():
 
 def retyped(value):
     """The retypes of a scalar: an int as a float and as a string, an
-    integral rational string as an int, and a boolean as an int."""
+    integral rational string as an int, any other rational string as a
+    float, and a boolean as an int."""
     if isinstance(value, bool):
         return [int(value)]
     if isinstance(value, int):
         return [float(value), str(value)]
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return [int(value)]
+    if isinstance(value, str) and RATIONAL.fullmatch(value):
+        return [float(Fraction(value))]
     return []
 
 
@@ -395,7 +395,7 @@ def test_claim_on_a_rule_that_derives_no_bound_rejected():
 
 def test_dimension_1_selection_by_lemma2_rejected():
     d = doc("concrete")
-    (search,) = [s for s in steps(d, "dim_search") if s["inputs"][0]["target_dim"] == 1]
+    (search,) = [s for s in steps(d, "dim_search") if s["inputs"]["target_dim"] == 1]
     assert search["witness"]["selected"]["r"] is None
     search["witness"]["selected"]["r"] = 1
     res = check(d)
@@ -410,7 +410,7 @@ def test_reference_to_a_later_value_table_rejected():
     late["id"] = d["steps"][-1]["id"] + 1
     d["steps"].append(late)
     (at_least,) = steps(d, "value_at_least")
-    at_least["inputs"][0]["values_step"] = late["id"]
+    at_least["inputs"]["values_step"] = late["id"]
     res = check(d)
     assert not res.ok and res.step_id == at_least["id"]
     assert res.reason == "values_step cites no earlier value table step"
@@ -437,14 +437,14 @@ def refused(d):
         ("worst_case", ("steps", 8, "witness", "selected"), "dim_search", "margin"),
         ("concrete", ("steps", 4, "witness", "attempts", 0), "dim_search", "threshold"),
         ("concrete", ("steps", 2, "witness"), "monotone_tail", "q_shifted"),
-        ("standard", ("steps", 4, "inputs", 0), "dim_search", "mode"),
+        ("standard", ("steps", 4, "inputs"), "dim_search", "mode"),
         ("worst_case", ("steps", 0, "witness"), "split_p1", "labels"),
         # an unknown key at every level
         ("worst_case", (), None, "extra"),
         ("concrete", ("chern",), None, "extra"),
         ("worst_case", ("constraints", 0), None, "extra"),
         ("paper", ("steps", 0), "oracle_values", "extra"),
-        ("worst_case", ("steps", 6, "inputs", 0), "merge_min", "extra"),
+        ("worst_case", ("steps", 6, "inputs"), "merge_min", "extra"),
         ("paper", ("steps", 7, "witness"), "compose", "extra"),
         ("worst_case", ("steps", 9, "witness", "selected"), "dim_search", "extra"),
         ("worst_case", ("steps", 9, "witness", "attempts", 0), "dim_search", "extra"),
@@ -480,3 +480,79 @@ def test_zero_denominator_is_malformed_step_data():
     res = check(d)
     assert not res.ok and res.step_id == branch["id"]
     assert res.reason.startswith("malformed step data: ZeroDivisionError")
+
+
+# -- the version-5 language ---------------------------------------------------
+#
+# Each of these is what a version-4 certificate wrote, with its true value;
+# version 5 refuses it.
+
+
+@pytest.mark.parametrize("key, value", [("form", ["1", "0", "-1/720"]), ("strict", False)])
+def test_declaration_carrying_a_form_or_a_strict_flag_refused(key, value):
+    d = doc()
+    assert d["constraints"][0]["cid"] == "A1"
+    d["constraints"][0][key] = value
+    res = check(d)
+    assert not res.ok and res.step_id is None
+    assert "a constraint declaration must be an object with exactly the keys" in res.reason
+
+
+def test_from_fact_with_a_strictness_parameter_refused():
+    d = doc()
+    (fact,) = [c for c in d["constraints"] if c["kind"] == "from_fact"]
+    assert fact["params"] == [3, "7", "84"]
+    fact["params"].append(False)
+    res = check(d)
+    assert not res.ok and res.step_id is None
+    assert res.reason.startswith("constraint F.P3>=7: too many values to unpack")
+
+
+def test_tail_witness_with_a_polynomial_refused():
+    d = doc("concrete")
+    (tail,) = steps(d, "monotone_tail")
+    q = certify_r0(chern_table(ChernData(6250, 2750), 32), 3).q_poly
+    tail["witness"]["q_poly"] = ser_poly(q)
+    res = check(d)
+    assert not res.ok and res.step_id == tail["id"]
+    assert res.reason == "witness must be an object with exactly the keys []"
+
+
+@pytest.mark.parametrize("name, rule", [
+    ("worst_case", "split_p1"), ("concrete", "eval_p"), ("paper", "compose"),
+])
+def test_inputs_written_as_a_one_element_list_refused(name, rule):
+    d = doc(name)
+    (step,) = steps(d, rule)
+    # version 4 wrote an empty list for a rule that takes no inputs
+    step["inputs"] = [step["inputs"]] if step["inputs"] else []
+    res = check(d)
+    assert not res.ok and res.step_id == step["id"]
+    assert res.reason.startswith("inputs must be an object with exactly the keys")
+
+
+def test_null_minimum_point_refused():
+    d = doc()
+    branch = steps(d, "fm_lower_bound")[0]
+    branch["witness"]["point"] = None
+    res = check(d)
+    assert not res.ok and res.step_id == branch["id"]
+    assert res.reason.startswith("bad point None")
+
+
+def test_declaration_named_for_another_descriptor_refused():
+    # P(1) >= 0 holds and no combination uses A4.0, but a cid names
+    # exactly the constraint its kind and params give
+    d = doc()
+    assert d["constraints"][1] == {"cid": "A4.0", "kind": "vanishing", "params": [0]}
+    d["constraints"][1]["params"] = [1]
+    res = check(d)
+    assert not res.ok and res.step_id is None
+    assert res.reason == "constraint A4.0 is not the name of its descriptor"
+
+
+def test_version_4_refused():
+    d = doc()
+    d["version"] = 4
+    res = check(d)
+    assert not res.ok and res.step_id is None and res.reason == "unsupported version 4"

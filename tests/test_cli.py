@@ -155,6 +155,17 @@ class TestTable:
         )
         assert code == 1 and "integer" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_values_past_the_digit_limit_print_nothing(self, capsys, fmt):
+        # the first rows fit the 4,300-digit limit on int-to-str conversion
+        # and later ones do not; no row is printed before the whole output
+        # is formatted
+        code, out, err = run_cli(
+            capsys, "table", *TestSolve.OVERSIZED, "--max-m", "32", "--format", fmt
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
+
 
 class TestOracle:
     def test_printed_convention(self, capsys):

@@ -292,24 +292,24 @@ class TestIntegerKernel:
 
 
 class TestStrengthenIntegral:
+    # a fact is closed: P(m) > 5 comes out as P(m) >= 6
     def test_strict_bound_rounds_to_next_integer(self):
-        fact = strengthen_integral(Fact(2, Fraction(5), strict=True))
-        assert fact.bound == 6 and not fact.strict
+        assert strengthen_integral(2, Fraction(5), strict=True) == Fact(2, Fraction(6))
 
     def test_integral_bound_unchanged(self):
-        fact = Fact(3, Fraction(7))
-        assert strengthen_integral(fact) == fact
+        assert strengthen_integral(3, Fraction(7)) == Fact(3, Fraction(7))
 
     def test_fractional_bound_ceils(self):
-        assert strengthen_integral(Fact(3, Fraction(13, 2))).bound == 7
+        assert strengthen_integral(3, Fraction(13, 2)).bound == 7
+        assert strengthen_integral(3, Fraction(13, 2), strict=True).bound == 7
 
     def test_never_weakens(self):
         rng = random.Random(20240302)
         for _ in range(300):
             q = Fraction(rng.randint(-500, 500), rng.randint(1, 60))
             strict = rng.random() < 0.5
-            out = strengthen_integral(Fact(1, q, strict))
-            assert out.bound >= q
+            out = strengthen_integral(1, q, strict)
+            assert out.bound > q if strict else out.bound >= q
             assert out.bound.denominator == 1
 
 
@@ -405,6 +405,7 @@ class TestFactToConstraint:
         # (2940a + 84b + 7) - 7 divided by the positive scalar 84
         assert c.form == AffineForm.of(35, 1, 0)
         assert not c.strict
+        assert (c.cid, c.params) == ("F.P3>=7", (3, Fraction(7), Fraction(84)))
 
     def test_vacuous_fact_retained(self):
         c = fact_to_constraint(Fact(0, Fraction(1)))

@@ -16,19 +16,19 @@ from fanobound.cli import main
 GOLDEN = {
     "solve_worst_case.json": (
         ["solve", "--worst-case"],
-        "436ff9315cafbe9220fd859c58728b5451b9fe653d8d0f147e434eb7fa708ab4",
+        "20cecdaa7a61266cc11f8463a8706c6e722d0fe83887bb6202923ed9b8c87247",
     ),
     "solve_k5_6250_k3c2_2750.json": (
         ["solve", "--k5", "6250", "--k3c2", "2750"],
-        "1bb0e4795224ac4266e750290dac7c5d50f1aa6aba1d3ae51b2f591a6b19d9a7",
+        "b0c871e79151704254b04a749cfb5446cf308f4803e0c8fd29e624544687e455",
     ),
     "solve_bundle_00001_standard.json": (
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "standard"],
-        "4753184f0f5221362851897eb5946d5b2902512ad5a785db0b737fdd3969b460",
+        "12ab278504e964e0aa9453253a905335e2e3fcc6844c406f60996813e213ea08",
     ),
     "solve_bundle_00001_paper.json": (
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "paper"],
-        "ef257cc86370de34bf3f2974b1241511d742394c99f044cf689d1cd6c4a1d9ac",
+        "29250194231b63787e592d04a8416e09eb0dd43f24da1e689a7ad6f11de7b2d1",
     ),
     "audit.json": (
         ["audit"],

@@ -85,7 +85,7 @@ def test_checked_records_refuse_bad_input(build, message):
     (AffineForm.of(1, "1/2", 3), AffineForm(Fraction(1), Fraction(2, 4), Fraction(3))),
     (Constraint.make("A4.3", "vanishing", (3,)), Constraint.make("A4.3", "vanishing", [3])),
     (fact_to_constraint(Fact(3, Fraction(7))), fact_to_constraint(Fact(3, Fraction(14, 2)))),
-    (Fact(3, Fraction(7)), Fact(3, Fraction(7), False)),
+    (Fact(3, Fraction(7)), Fact(m=3, bound=Fraction(14, 2))),
     (ChernData(6250, 2750), ChernData(k5=6250, k3c2=2750)),
 ], ids=["AffineForm", "Constraint", "from_fact", "Fact", "ChernData"])
 def test_equal_values_hash_equal(left, right):
