@@ -43,7 +43,7 @@ from .derive import (
     interpolate_model,
     merge_branch_facts,
     monotone_from,
-    point_with_value_below,
+    point_with_value_at_most,
     split_on_p1,
     strengthen_integral,
     table_monotone,
@@ -129,15 +129,12 @@ def _worst_case_attempt(cs: ConstraintSystem, m: int, r: Optional[int]) -> tuple
                 "raw_min": rat_str(res.value),
                 "farkas": certs.ser_farkas(res.farkas),
             }
-    limit = Fraction(1 if r is None else 0)
-    if res.status == "minimum" and res.attained and res.value <= limit:
+    # a failed minimum sits at or below the limit, and an unbounded form
+    # reaches it
+    if res.status == "minimum":
         point = res.point
     else:
-        point = point_with_value_below(cs, form, limit)
-    if point is None:
-        raise CertificationError(
-            f"test at m={m}, r={r} is inconclusive (boundary infimum)"
-        )
+        point = point_with_value_at_most(cs, form, Fraction(1 if r is None else 0))
     return False, {
         "m": m,
         "r": r,

@@ -44,9 +44,11 @@ layout per flavor.  A checker replays one step over the shared _Replay
 context, records what it checked (a value table, an oracle model, a branch
 bound) for later steps to cite, and returns the claim the step must carry.
 It trusts four parts of the package: exact (rationals, polynomials, affine
-forms), hilbert (the polynomial P and the Lemma 2 forms), bundle (its own
-recount of the section counts, and the nef test) and derive.constraint_form,
-which builds a declared inequality from its descriptor.
+forms), hilbert (the polynomial P, the Lemma 2 forms and ray_tail, the
+worst-case tail built from two cited bounds, which the prover also
+calls), bundle (its own recount of the section counts, and the nef test)
+and derive.constraint_form, which builds a declared inequality from its
+descriptor.
 constraint_form still lives beside the prover's search in derive because
 the benchmark's trace self-check expects calls under that name; it moves
 out together with the next change to the benchmark.
@@ -68,6 +70,7 @@ from .hilbert import (
     lemma2_slack_form,
     lemma2_threshold,
     p_affine,
+    ray_tail,
 )
 from . import bundle
 from .derive import constraint_form
@@ -699,32 +702,20 @@ def _monotone_tail(st: _Replay, inp: dict, w: dict) -> None:
     """P(m + 1) - P(m) >= q(m), with q built per flavor, and q(m_start + x)
     has nonnegative coefficients and a positive constant term."""
     m_start = _json_int(inp["m_start"], "m_start")
-    da, db, dk = difference_polys()
     mode = st.cert.mode
     if mode == WORST_CASE:
-        # substitute the b_constraint's lower bound on b, then the
-        # a_constraint's on a; each substitution minimizes because the
-        # coefficient it replaces is nonnegative on the ray
+        # the b_constraint's lower bound on b, then the a_constraint's on a,
+        # substituted into the difference
         table, _ = st.cite(inp["constraints"])
         bcid, acid = inp["b_constraint"], inp["a_constraint"]
         if bcid not in table or acid not in table:
             raise _Fail("tail cites constraints outside the recorded system")
-        bform, aform = table[bcid].form, table[acid].form
-        if bform.coeff_b <= 0:
-            raise _Fail("cited constraint gives no lower bound for b")
-        if aform.coeff_b != 0 or aform.coeff_a <= 0:
-            raise _Fail("cited constraint gives no lower bound for a")
-        if not all(c >= 0 for c in db.shift(m_start).coeffs):
-            raise _Fail("b-substitution is not minimizing on the ray")
-        ratio_a = bform.coeff_a / bform.coeff_b
-        ratio_k = bform.const / bform.coeff_b
-        subst_a = da - db.scale(ratio_a)
-        subst_k = dk - db.scale(ratio_k)
-        if not all(c >= 0 for c in subst_a.shift(m_start).coeffs):
-            raise _Fail("a-substitution is not minimizing on the ray")
-        a_floor = -aform.const / aform.coeff_a
-        q = subst_a.scale(a_floor) + subst_k
+        try:
+            q = ray_tail(table[bcid].form, table[acid].form, m_start)
+        except ValueError as exc:
+            raise _Fail(str(exc))
     elif mode == CONCRETE:
+        da, db, dk = difference_polys()
         q = da.scale(st.cert.chern.a) + db.scale(st.cert.chern.b) + dk
     else:
         model = st.result(inp["model_step"], "model", "model_step")

@@ -1,14 +1,15 @@
 """Exact linear-constraint derivation over the two parameters (a, b).
 
-The derivation engine encodes a small axiom set as affine inequalities,
-minimizes affine objectives by Fourier-Motzkin elimination (b first, then
-a), strengthens rational bounds through integrality of P(m) into closed
-integral facts P(m) >= q, splits on the
-integer value of P(1), and certifies eventual monotonicity of P along a
-ray.  Every derived bound comes with a Farkas combination: nonnegative
-multipliers on named constraints whose sum reproduces ``objective - bound``
-exactly, so an independent checker can replay the claim by substitution
-alone, with no search.
+The derivation engine encodes a small axiom set as closed affine
+inequalities, minimizes affine objectives by Fourier-Motzkin elimination
+(b first, then a), strengthens rational bounds through integrality of
+P(m) into closed integral facts P(m) >= q, splits on the integer value of
+P(1), and certifies eventual monotonicity of P along a ray.  Every derived
+bound comes with a Farkas combination: nonnegative multipliers on named
+constraints whose sum reproduces ``objective - bound`` exactly, so an
+independent checker can replay the claim by substitution alone, with no
+search.  Every row is closed, so a minimum that is bounded below is
+attained, and it comes with a point that attains it.
 
 The eliminator works on integer rows: each row is its rational inequality
 and Farkas combination scaled by a tracked positive multiplier, so no
@@ -39,10 +40,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .exact import AffineForm, Poly, poly_positive_on_ray, to_rat
 from .hilbert import (
     ChernData,
-    difference_polys,
     p_affine,
     p_eval,
     p_poly,
+    ray_tail,
 )
 
 DEFAULT_HORIZON = 8
@@ -99,38 +100,35 @@ def constraint_form(kind: str, params: Sequence) -> AffineForm:
 
 
 class Constraint(NamedTuple("Constraint", [
-    ("cid", str), ("kind", str), ("params", tuple), ("form", AffineForm), ("strict", bool),
-    ("row", "_Row"),
+    ("cid", str), ("kind", str), ("params", tuple), ("form", AffineForm), ("row", "_Row"),
 ])):
-    """An affine inequality form(a, b) >= 0 or > 0 with provenance.
+    """A closed affine inequality form(a, b) >= 0 with provenance.
 
-    The (kind, params) descriptor regenerates the form of a closed
-    constraint; only the eliminator's own auxiliary rows are strict.  cid
-    names the constraint inside Farkas combinations.  row is the integer row the
-    minimizer reads, computed once here from cid, form and strict, so equal
+    The (kind, params) descriptor regenerates the form of a declared
+    constraint; the eliminator's auxiliary rows have kind "aux".  cid names
+    the constraint inside Farkas combinations.  row is the integer row the
+    minimizer reads, computed once here from cid and form, so equal
     constraints have equal rows.
     """
 
     __slots__ = ()
+    # every constraint is closed; perfbench's tracer reads this flag
+    strict = False
 
-    def __new__(
-        cls, cid: str, kind: str, params: tuple, form: AffineForm, strict: bool
-    ) -> "Constraint":
-        return super().__new__(
-            cls, cid, kind, params, form, strict, _constraint_row(cid, form, strict)
-        )
+    def __new__(cls, cid: str, kind: str, params: tuple, form: AffineForm) -> "Constraint":
+        return super().__new__(cls, cid, kind, params, form, _constraint_row(cid, form))
 
     # _replace builds through _make, and copy and pickle through
-    # __getnewargs__; each passes only the five given fields, so the row is
+    # __getnewargs__; each passes only the four given fields, so the row is
     # recomputed, never copied
-    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:5]))
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:4]))
 
     def __getnewargs__(self) -> tuple:
-        return tuple(self)[:5]
+        return tuple(self)[:4]
 
     @classmethod
     def make(cls, cid: str, kind: str, params: Sequence = ()) -> "Constraint":
-        return cls(cid, kind, tuple(params), constraint_form(kind, tuple(params)), False)
+        return cls(cid, kind, tuple(params), constraint_form(kind, tuple(params)))
 
 
 class ConstraintSystem(NamedTuple):
@@ -174,7 +172,7 @@ _OBJ_NEG = "__obj_neg__"
 
 
 class _Row(NamedTuple):
-    """One inequality ca*a + cb*b + ct*t + k (>= or >) 0 in integers.
+    """One inequality ca*a + cb*b + ct*t + k >= 0 in integers.
 
     The row is lam times the rational row it stands for (lam > 0): the
     coefficients, the constant and every multiplier of the Farkas combination
@@ -184,7 +182,6 @@ class _Row(NamedTuple):
 
     coef: tuple[int, int, int]
     k: int
-    strict: bool
     combo: tuple[tuple[str, int], ...]
     lam: int
 
@@ -197,17 +194,17 @@ def _int_form(form: AffineForm) -> tuple[int, tuple[int, int, int]]:
     return lam, (ca, cb, k)
 
 
-def _constraint_row(cid: str, form: AffineForm, strict: bool) -> _Row:
+def _constraint_row(cid: str, form: AffineForm) -> _Row:
     lam, (ca, cb, k) = _int_form(form)
-    return _Row((ca, cb, 0), k, strict, ((cid, lam),), lam)
+    return _Row((ca, cb, 0), k, ((cid, lam),), lam)
 
 
 def _objective_rows(f: AffineForm) -> tuple[_Row, _Row]:
     """t - f >= 0 and its negation f - t >= 0, which pin t to f."""
     lam, (ca, cb, k) = _int_form(f)
     return (
-        _Row((-ca, -cb, lam), -k, False, ((_OBJ_POS, lam),), lam),
-        _Row((ca, cb, -lam), k, False, ((_OBJ_NEG, lam),), lam),
+        _Row((-ca, -cb, lam), -k, ((_OBJ_POS, lam),), lam),
+        _Row((ca, cb, -lam), k, ((_OBJ_NEG, lam),), lam),
     )
 
 
@@ -241,26 +238,25 @@ def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
     seen = set()
     for p, n in chain(zero, product(pos, neg)):
         if n is None:
-            coef, k, strict, lam = p.coef, p.k, p.strict, p.lam
+            coef, k, lam = p.coef, p.k, p.lam
         else:
             lp = -n.coef[idx]
             ln = p.coef[idx]
             pc, nc = p.coef, n.coef
             coef = (lp * pc[0] + ln * nc[0], lp * pc[1] + ln * nc[1], lp * pc[2] + ln * nc[2])
             k = lp * p.k + ln * n.k
-            strict = p.strict or n.strict
             lam = p.lam * n.lam
         constant = coef == (0, 0, 0)
         if constant:
-            if k > 0 or (k == 0 and not strict):
+            if k >= 0:
                 continue  # carries no information
         else:
             g = math.gcd(*coef, k, lam)
-            key = (coef[0] // g, coef[1] // g, coef[2] // g, k // g, lam // g, strict)
+            key = (coef[0] // g, coef[1] // g, coef[2] // g, k // g, lam // g)
             if key in seen:
                 continue
             seen.add(key)
-        row = p if n is None else _Row(coef, k, strict, _merge_combos(p.combo, lp, n.combo, ln), lam)
+        row = p if n is None else _Row(coef, k, _merge_combos(p.combo, lp, n.combo, ln), lam)
         if constant:
             return [row]
         out.append(row)
@@ -271,39 +267,25 @@ class MinimizeResult(NamedTuple):
     """Outcome of an exact minimization.
 
     status is one of "minimum", "unbounded", "infeasible".  For "minimum",
-    value is the infimum, attained tells whether it is reached, farkas is a
-    tuple of (cid, multiplier) with
+    value is the minimum, farkas is a tuple of (cid, multiplier) with
 
         sum(multiplier * constraint.form) == objective - value
 
-    and point is an optimal (a, b) when the infimum is attained.
+    and point is an (a, b) where the objective equals value.  For
+    "infeasible", farkas combines the constraints into a negative constant.
     """
 
     status: str
     value: Optional[Fraction] = None
-    attained: bool = False
-    strict: bool = False
     farkas: tuple[tuple[str, Fraction], ...] = ()
     point: Optional[tuple[Fraction, Fraction]] = None
 
 
-def _pick_in_interval(
-    lo: Optional[Fraction],
-    lo_strict: bool,
-    hi: Optional[Fraction],
-    hi_strict: bool,
-) -> Fraction:
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1 if hi_strict else hi  # type: ignore[operator]
-    if hi is None:
-        return lo + 1 if lo_strict else lo
-    if lo == hi:
+def _pick_in_interval(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+    """The lower end of the interval, else its upper end, else 0."""
+    if lo is not None:
         return lo
-    if not lo_strict:
-        return lo
-    return (lo + hi) / 2
+    return Fraction(0) if hi is None else hi
 
 
 def _bounds_on(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]):
@@ -312,9 +294,7 @@ def _bounds_on(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]):
     den = math.lcm(*(v.denominator for v in values.values()))
     nums = [(j, v.numerator * (den // v.denominator)) for j, v in values.items()]
     lo: Optional[Fraction] = None
-    lo_strict = False
     hi: Optional[Fraction] = None
-    hi_strict = False
     for r in rows:
         c = r.coef[idx]
         if c == 0:
@@ -324,16 +304,14 @@ def _bounds_on(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]):
             rest += r.coef[j] * n
         bound = Fraction(-rest, c * den)
         if c > 0:
-            if lo is None or bound > lo or (bound == lo and r.strict):
-                lo, lo_strict = bound, r.strict
+            lo = bound if lo is None else max(lo, bound)
         else:
-            if hi is None or bound < hi or (bound == hi and r.strict):
-                hi, hi_strict = bound, r.strict
-    return lo, lo_strict, hi, hi_strict
+            hi = bound if hi is None else min(hi, bound)
+    return lo, hi
 
 
 def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
-    """Exact infimum of f over the feasible region of cs.
+    """Exact minimum of f over the feasible region of cs.
 
     Couples a fresh variable t to f with two opposite inequalities, then
     eliminates b and a; the surviving constraints on t describe the exact
@@ -366,47 +344,30 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     if lower and upper:
         q_lo, row_lo = max(lower, key=lambda x: x[0])
         q_hi, row_hi = min(upper, key=lambda x: x[0])
-        if q_lo > q_hi or (q_lo == q_hi and (row_lo.strict or row_hi.strict)):
+        if q_lo > q_hi:
             lp = -row_hi.coef[2]
             ln = row_lo.coef[2]
             combo = _merge_combos(row_lo.combo, lp, row_hi.combo, ln)
-            return refutation(_Row((0, 0, 0), 0, True, combo, row_lo.lam * row_hi.lam))
+            k = lp * row_lo.k + ln * row_hi.k
+            return refutation(_Row((0, 0, 0), k, combo, row_lo.lam * row_hi.lam))
     if not lower:
         return MinimizeResult(status="unbounded")
 
     q = max(v for v, _ in lower)
-    at_q = [r for v, r in lower if v == q]
-    # any strict row sitting exactly at q forces t > q, so q is not attained
-    attained = not any(r.strict for r in at_q)
-    pool = at_q if attained else [r for r in at_q if r.strict]
     # tie-break on the rational combination, as if rows were never scaled
-    row = min(pool, key=_rational_combo)
+    row = min((r for v, r in lower if v == q), key=_rational_combo)
     ct = row.coef[2]
     farkas = tuple(
         (cid, Fraction(v, ct)) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG)
     )
 
-    point: Optional[tuple[Fraction, Fraction]] = None
-    if attained:
-        t_star = q
-        a_lo, a_lo_s, a_hi, a_hi_s = _bounds_on(stage_a, 0, {2: t_star})
-        a_star = _pick_in_interval(a_lo, a_lo_s, a_hi, a_hi_s)
-        b_lo, b_lo_s, b_hi, b_hi_s = _bounds_on(stage_b, 1, {0: a_star, 2: t_star})
-        b_star = _pick_in_interval(b_lo, b_lo_s, b_hi, b_hi_s)
-        point = (a_star, b_star)
-        assert f.evaluate(*point) == q
-        for c in cs.constraints:
-            v = c.form.evaluate(*point)
-            assert v > 0 if c.strict else v >= 0
-
-    return MinimizeResult(
-        status="minimum",
-        value=q,
-        attained=attained,
-        strict=not attained,
-        farkas=farkas,
-        point=point,
-    )
+    # back-substitute t = q: a from the rows on (a, t), then b
+    a_star = _pick_in_interval(*_bounds_on(stage_a, 0, {2: q}))
+    b_star = _pick_in_interval(*_bounds_on(stage_b, 1, {0: a_star, 2: q}))
+    point = (a_star, b_star)
+    assert f.evaluate(*point) == q
+    assert all(c.form.evaluate(*point) >= 0 for c in cs.constraints)
+    return MinimizeResult(status="minimum", value=q, farkas=farkas, point=point)
 
 
 def feasible_point(cs: ConstraintSystem) -> Optional[tuple[Fraction, Fraction]]:
@@ -417,17 +378,16 @@ def feasible_point(cs: ConstraintSystem) -> Optional[tuple[Fraction, Fraction]]:
     return res.point
 
 
-def point_with_value_below(
-    cs: ConstraintSystem, f: AffineForm, target: Fraction
+def point_with_value_at_most(
+    cs: ConstraintSystem, f: AffineForm, limit: Fraction
 ) -> Optional[tuple[Fraction, Fraction]]:
-    """A feasible point of cs where f < target, or None when f >= target
+    """A feasible point of cs where f <= limit, or None when f > limit
     throughout.  Used to witness that a search step genuinely fails."""
     aux = Constraint(
-        cid="__aux_below__",
+        cid="__aux_at_most__",
         kind="aux",
         params=(),
-        form=AffineForm.constant(to_rat(target)) - f,
-        strict=True,
+        form=AffineForm.constant(to_rat(limit)) - f,
     )
     return feasible_point(cs.with_constraints([aux]))
 
@@ -451,11 +411,10 @@ class Branch(NamedTuple):
     system: ConstraintSystem
 
 
-def strengthen_integral(m: int, q: Fraction, strict: bool = False) -> Fact:
-    """Round a rational bound on the integer P(m) (axiom A3) up to a closed
-    integral one: P(m) > q becomes P(m) >= floor(q) + 1, and P(m) >= q
-    becomes P(m) >= ceil(q)."""
-    return Fact(m, Fraction(math.floor(q) + 1 if strict else math.ceil(q)))
+def strengthen_integral(m: int, q: Fraction) -> Fact:
+    """Round a rational bound P(m) >= q on the integer P(m) (axiom A3) up
+    to the integral one P(m) >= ceil(q)."""
+    return Fact(m, Fraction(math.ceil(q)))
 
 
 def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
@@ -468,7 +427,7 @@ def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
         raise InfeasibleSystemError(f"hypotheses of {cs.label or 'system'} are contradictory")
     if res.status == "unbounded":
         raise UnboundedObjectiveError(f"P({m}) is unbounded below over {cs.label or 'system'}")
-    return strengthen_integral(m, res.value, res.strict)
+    return strengthen_integral(m, res.value)
 
 
 def split_on_p1(cs: ConstraintSystem, lmax: int) -> list[Branch]:
@@ -527,17 +486,14 @@ def fact_to_constraint(fact: Fact) -> Constraint:
 class TailCertificate(NamedTuple):
     """Witness that P(m+1) - P(m) > 0 for every m >= m_start.
 
-    q_poly is an exact univariate lower bound for the difference on the
-    ray; its shift at m_start has nonnegative coefficients and a positive
-    constant term.  Over a constraint system the bound arises by
-    substituting the named lower-bound constraint for b and then the floor
-    constraint for a; each substitution minimizes because the polynomial it
-    multiplies is nonnegative on the ray, which the verifier re-checks.  A
-    value table's tail names no constraints.
+    Over a constraint system it names the lower-bound constraint on b and
+    the floor on a that hilbert.ray_tail substitutes into the difference;
+    the verifier rebuilds the tail polynomial from them.  A value table's
+    tail is the difference of the table's polynomial and names no
+    constraints.
     """
 
     m_start: int
-    q_poly: Poly
     b_constraint: Optional[str] = None
     a_constraint: Optional[str] = None
 
@@ -545,40 +501,19 @@ class TailCertificate(NamedTuple):
 def monotone_from(cs: ConstraintSystem, m0: int) -> TailCertificate:
     """Certify P(m+1) > P(m) over cs for every m >= m0 by the ray tail.
 
-    The b-coefficient of the difference is nonnegative on the ray, so a
-    lower-bound constraint on b can be substituted; the resulting
-    a-coefficient must be nonnegative too, so a floor on a can follow.
-    A failure is reported, not papered over.
+    Pairs of constraints are tried in order, a bound on b then a floor on
+    a, until ray_tail accepts a pair and its polynomial is positive on the
+    ray.  A failure is reported, not papered over.
     """
     if m0 < 1:
         raise ValueError("m0 must be >= 1")
-    da, db, dk = difference_polys()
-    # candidates providing a lower bound for b: coeff_b > 0
-    b_cands = [c for c in cs.constraints if c.form.coeff_b > 0 and not c.strict]
-    # candidates providing a lower bound for a alone: coeff_b == 0, coeff_a > 0
-    a_cands = [
-        c
-        for c in cs.constraints
-        if c.form.coeff_b == 0 and c.form.coeff_a > 0 and not c.strict
-    ]
-    # substituting the lower bound for b minimizes only if db >= 0 on the ray
-    if not all(c >= 0 for c in db.shift(m0).coeffs):
-        raise MonotoneCertificationError(
-            f"difference b-coefficient not certified nonnegative from m = {m0}"
-        )
-    for bc in b_cands:
-        # bc gives b >= -(ca*a + k)/cb
-        ratio_a = bc.form.coeff_a / bc.form.coeff_b
-        ratio_k = bc.form.const / bc.form.coeff_b
-        subst_a = da - db.scale(ratio_a)
-        subst_k = dk - db.scale(ratio_k)
-        if not all(c >= 0 for c in subst_a.shift(m0).coeffs):
+    for bc, ac in product(cs.constraints, repeat=2):
+        try:
+            q = ray_tail(bc.form, ac.form, m0)
+        except ValueError:
             continue
-        for ac in a_cands:
-            a_floor = -ac.form.const / ac.form.coeff_a
-            q = subst_a.scale(a_floor) + subst_k
-            if poly_positive_on_ray(q, m0):
-                return TailCertificate(m0, q, bc.cid, ac.cid)
+        if poly_positive_on_ray(q, m0):
+            return TailCertificate(m0, bc.cid, ac.cid)
     raise MonotoneCertificationError(f"no tail certificate from m = {m0}")
 
 
@@ -617,7 +552,7 @@ def table_monotone(table: ValueTable, m0: int) -> TailCertificate:
     q = table.poly.shift(1) - table.poly
     if not poly_positive_on_ray(q, m0):
         raise MonotoneCertificationError(f"no tail certificate from m = {m0}")
-    return TailCertificate(m0, q)
+    return TailCertificate(m0)
 
 
 def interpolate_model(values: Callable[[int], int], ms: Sequence[int]) -> Poly:

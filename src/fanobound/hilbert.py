@@ -178,6 +178,31 @@ def difference_polys() -> tuple[Poly, Poly, Poly]:
     return fa.shift(1) - fa, fb.shift(1) - fb, fc.shift(1) - fc
 
 
+def ray_tail(b_form: AffineForm, a_form: AffineForm, m_start: int) -> Poly:
+    """A polynomial q with P(m+1) - P(m) >= q(m) for every m >= m_start
+    wherever b_form >= 0 and a_form >= 0.
+
+    b_form bounds b below and a_form, free of b, bounds a below.  The bound
+    on b is substituted into the difference first, then the bound on a;
+    each substitution minimizes because the coefficient it replaces has
+    nonnegative coefficients once shifted to m_start.  Raises ValueError
+    naming the first condition that fails.
+    """
+    if b_form.coeff_b <= 0:
+        raise ValueError("cited constraint gives no lower bound for b")
+    if a_form.coeff_b != 0 or a_form.coeff_a <= 0:
+        raise ValueError("cited constraint gives no lower bound for a")
+    da, db, dk = difference_polys()
+    if any(c < 0 for c in db.shift(m_start).coeffs):
+        raise ValueError("b-substitution is not minimizing on the ray")
+    # b >= -(ca a + k) / cb
+    subst_a = da - db.scale(b_form.coeff_a / b_form.coeff_b)
+    if any(c < 0 for c in subst_a.shift(m_start).coeffs):
+        raise ValueError("a-substitution is not minimizing on the ray")
+    subst_k = dk - db.scale(b_form.const / b_form.coeff_b)
+    return subst_a.scale(-a_form.const / a_form.coeff_a) + subst_k
+
+
 def p_poly(c: ChernData) -> Poly:
     """P as a univariate polynomial in m for concrete Chern data."""
     fa, fb, fc = coefficient_polys()

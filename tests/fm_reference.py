@@ -160,11 +160,4 @@ def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult
         a_star = _pick_in_interval(*_bounds_on(stage_a, 0, {2: q}))
         b_star = _pick_in_interval(*_bounds_on(stage_b, 1, {0: a_star, 2: q}))
         point = (a_star, b_star)
-    return MinimizeResult(
-        status="minimum",
-        value=q,
-        attained=attained,
-        strict=not attained,
-        farkas=farkas,
-        point=point,
-    )
+    return MinimizeResult(status="minimum", value=q, farkas=farkas, point=point)

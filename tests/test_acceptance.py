@@ -151,8 +151,7 @@ def test_criterion_6_formula_and_engine_invariants():
 
     for _ in range(200):
         q = Fraction(rng.randint(-300, 300), rng.randint(1, 48))
-        strict = rng.random() < 0.5
-        assert strengthen_integral(2, q, strict).bound >= q
+        assert strengthen_integral(2, q).bound >= q
 
     branches = split_on_p1(axiom_system(), 3)
     checked = 0
@@ -165,10 +164,7 @@ def test_criterion_6_formula_and_engine_invariants():
         hits = sum(
             1
             for br in branches
-            if all(
-                (cc.form.evaluate(c.a, c.b) > 0 if cc.strict else cc.form.evaluate(c.a, c.b) >= 0)
-                for cc in br.system.constraints
-            )
+            if all(cc.form.evaluate(c.a, c.b) >= 0 for cc in br.system.constraints)
         )
         assert hits == 1
     _passed(6, "formula identities, eliminator soundness x1000, rounding, coverage")

@@ -369,6 +369,44 @@ class TestVerifierRejectsTampering:
         res = verify(bad)
         assert not res.ok and "farkas" in res.reason.lower()
 
+    def test_boundary_attempts_sit_at_the_limit(self):
+        # a refuting point reaches at most the test's limit: 1 for the
+        # pencil, 0 for the Lemma 2 slack; where the form is unbounded
+        # below, the closed row limit - form >= 0 puts it on the limit
+        doc = json.loads(self.cert.to_json_bytes())
+        at_limit = []
+        for step in doc["steps"]:
+            if step["rule"] != "dim_search":
+                continue
+            for a in step["witness"]["attempts"]:
+                value, limit = Fraction(a["value"]), 1 if a["r"] is None else 0
+                assert value <= limit
+                if value == limit:
+                    at_limit.append((a["m"], a["r"], a["point"]))
+        assert at_limit == [
+            (1, None, ["1/90", "-7/18"]),
+            (2, None, ["1/135", "-7/27"]),
+            (1, 1, ["1/450", "-7/90"]),
+            (2, 1, ["1/495", "-7/99"]),
+            (3, 1, ["1/360", "-7/72"]),
+            (5, 2, ["1/20", "-7/4"]),
+        ]
+
+    def test_consistent_point_above_the_limit_rejected(self):
+        # raising b keeps the point feasible (both cited constraints grow
+        # with b) and lifts P(1) above the pencil limit; the value is
+        # rewritten to match, so only the limit can refuse the attempt
+        def lift(doc):
+            search = next(s for s in doc["steps"] if s["rule"] == "dim_search")
+            attempt = search["witness"]["attempts"][0]
+            assert (attempt["m"], attempt["r"], attempt["value"]) == (1, None, "1")
+            a, b = Fraction(attempt["point"][0]), Fraction(attempt["point"][1]) + 1
+            attempt["point"][1] = str(b)
+            attempt["value"] = str(p_affine(1).evaluate(a, b))
+        res = verify(self._mutate(lift))
+        assert not res.ok
+        assert res.reason == "attempt at m=1, r=None does not fail the test"
+
     def test_tampered_branch_bound_caught(self):
         def weaken(doc):
             step = doc["steps"][2]

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fanobound import bundle
-from fanobound.bounds import certify_r0, solve_concrete, solve_oracle, solve_worst_case
+from fanobound.bounds import solve_concrete, solve_oracle, solve_worst_case
 from fanobound.certs import (
     MalformedCertificateError,
     from_json_bytes,
@@ -511,8 +511,8 @@ def test_from_fact_with_a_strictness_parameter_refused():
 def test_tail_witness_with_a_polynomial_refused():
     d = doc("concrete")
     (tail,) = steps(d, "monotone_tail")
-    q = certify_r0(chern_table(ChernData(6250, 2750), 32), 3).q_poly
-    tail["witness"]["q_poly"] = ser_poly(q)
+    table = chern_table(ChernData(6250, 2750), 32)
+    tail["witness"]["q_poly"] = ser_poly(table.poly.shift(1) - table.poly)
     res = check(d)
     assert not res.ok and res.step_id == tail["id"]
     assert res.reason == "witness must be an object with exactly the keys []"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanobound.exact import AffineForm
-from fanobound.hilbert import ChernData, p_affine
+from fanobound.hilbert import ChernData, p_affine, ray_tail
 from fanobound.audit import CONFIRMED, DISCREPANCY, build_audit
 from fanobound.derive import (
     Constraint,
@@ -26,7 +26,7 @@ from fanobound.derive import (
     geometry_system,
     merge_branch_facts,
     monotone_from,
-    point_with_value_below,
+    point_with_value_at_most,
     split_on_p1,
     strengthen_integral,
     table_monotone,
@@ -37,12 +37,12 @@ from test_hilbert import sample_chern
 
 
 def hyp(cid, m, bound, sense):
-    """An ad-hoc case hypothesis P(m) >= bound, P(m) > bound or
-    P(m) <= bound (sense ">=", ">" or "<=")."""
+    """An ad-hoc case hypothesis P(m) >= bound or P(m) <= bound (sense
+    ">=" or "<=")."""
     form = p_affine(m) - AffineForm.constant(bound)
     if sense == "<=":
         form = form.scale(-1)
-    return Constraint(cid, "hyp", (m, bound, sense), form, sense == ">")
+    return Constraint(cid, "hyp", (m, bound, sense), form)
 
 
 def branch_system(l):
@@ -65,7 +65,7 @@ def sample_feasible(cs, rng, tries=50):
             cb = c.form.coeff_b
             rest = c.form.coeff_a * a + c.form.const
             if cb == 0:
-                if rest < 0 or (rest == 0 and c.strict):
+                if rest < 0:
                     ok = False
                     break
             elif cb > 0:
@@ -86,10 +86,7 @@ def sample_feasible(cs, rng, tries=50):
             t = Fraction(rng.randint(0, 16), 16)
             b = lo + (hi - lo) * t
         point = (a, b)
-        if all(
-            (c.form.evaluate(*point) > 0 if c.strict else c.form.evaluate(*point) >= 0)
-            for c in cs.constraints
-        ):
+        if all(c.form.evaluate(*point) >= 0 for c in cs.constraints):
             return point
     return None
 
@@ -101,13 +98,13 @@ class TestFmMinimize:
             res = fm_minimize(branch_system(l), p_affine(3))
             assert res.status == "minimum"
             assert res.value == want
-            assert res.attained
+            assert p_affine(3).evaluate(*res.point) == want
 
     def test_single_bound_attained(self):
         res = fm_minimize(geometry_system(), AffineForm.of(1, 0, 0))
         assert res.status == "minimum"
         assert res.value == Fraction(1, 720)
-        assert res.attained and res.point[0] == Fraction(1, 720)
+        assert res.point[0] == Fraction(1, 720)
 
     def test_constant_objective(self):
         res = fm_minimize(axiom_system(), p_affine(0))
@@ -164,34 +161,13 @@ class TestFmMinimize:
                         continue
                     count += 1
                     value = f.evaluate(*point)
-                    assert value > res.value if res.strict else value >= res.value
-
-    def test_strict_constraints_give_strict_bounds(self):
-        cs = ConstraintSystem(
-            (
-                hyp("S", 1, 0, ">"),  # P(1) > 0
-                Constraint.make("A1", "k5_floor"),
-            )
-        )
-        res = fm_minimize(cs, p_affine(1))
-        assert res.status == "minimum"
-        assert res.value == 0 and not res.attained and res.strict
-
-    def test_mixed_strictness_at_the_infimum_is_not_attained(self):
-        cs = ConstraintSystem(
-            (
-                hyp("NS", 1, 0, ">="),
-                hyp("ST", 1, 0, ">"),
-            )
-        )
-        res = fm_minimize(cs, p_affine(1))
-        assert res.value == 0 and not res.attained and res.strict
+                    assert value >= res.value
 
     def test_point_below(self):
         cs = geometry_system([merged_p3_fact()])
-        point = point_with_value_below(cs, p_affine(1), Fraction(2))
+        point = point_with_value_at_most(cs, p_affine(1), Fraction(2))
         assert point is not None
-        assert p_affine(1).evaluate(*point) < 2
+        assert p_affine(1).evaluate(*point) <= 2
         assert feasible_point(cs) is not None
 
 
@@ -199,11 +175,11 @@ small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
 def aux_system(rows):
-    """A system of named rows (ca, cb, k, strict): ca*a + cb*b + k >= 0."""
+    """A system of named rows (ca, cb, k): ca*a + cb*b + k >= 0."""
     return ConstraintSystem(
         tuple(
-            Constraint(f"c{i}", "aux", (), AffineForm.of(ca, cb, k), strict)
-            for i, (ca, cb, k, strict) in enumerate(rows)
+            Constraint(f"c{i}", "aux", (), AffineForm.of(ca, cb, k))
+            for i, (ca, cb, k) in enumerate(rows)
         )
     )
 
@@ -216,27 +192,23 @@ def small_systems(draw):
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         if rows and draw(st.integers(0, 3)) == 0:
-            ca, cb, k, strict = draw(st.sampled_from(rows))
+            ca, cb, k = draw(st.sampled_from(rows))
             c = draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3)]))
-            rows.append((c * ca, c * cb, c * k, strict))
+            rows.append((c * ca, c * cb, c * k))
         else:
-            rows.append((draw(small_rat), draw(small_rat), draw(small_rat), draw(st.booleans())))
+            rows.append((draw(small_rat), draw(small_rat), draw(small_rat)))
     f = AffineForm(draw(small_rat), draw(small_rat), draw(small_rat))
     return aux_system(rows), f
 
 
-MINIMIZE_FIELDS = ("status", "value", "attained", "strict", "farkas", "point")
+MINIMIZE_FIELDS = ("status", "value", "farkas", "point")
 
 # one case of each outcome the random systems must also reach
-INFEASIBLE = (aux_system([(1, 0, -1, False), (-1, 0, 0, False)]), AffineForm.of(0, 1, 0))
+INFEASIBLE = (aux_system([(1, 0, -1), (-1, 0, 0)]), AffineForm.of(0, 1, 0))
 UNBOUNDED = (aux_system([]), AffineForm.of(1, 0, 0))
 TIED = (
-    aux_system([(1, 0, 0, False), (0, 1, 0, False), (2, 0, 0, False), (Fraction(1, 2), 0, 0, False)]),
+    aux_system([(1, 0, 0), (0, 1, 0), (2, 0, 0), (Fraction(1, 2), 0, 0)]),
     AffineForm.of(1, 1, 0),
-)
-NOT_ATTAINED = (
-    aux_system([(1, 0, 0, True), (Fraction(1, 3), 0, 0, False)]),
-    AffineForm.of(Fraction(2, 3), 0, 1),
 )
 
 
@@ -248,24 +220,26 @@ class TestIntegerKernel:
     @example(INFEASIBLE)
     @example(UNBOUNDED)
     @example(TIED)
-    @example(NOT_ATTAINED)
     def test_every_field_matches_the_rational_kernel(self, case):
         cs, f = case
         got, want = fm_minimize(cs, f), fm_minimize_reference(cs, f)
         for name in MINIMIZE_FIELDS:
             assert getattr(got, name) == getattr(want, name), name
+        # over closed rows every minimum is attained at a feasible point
+        if got.status == "minimum":
+            assert f.evaluate(*got.point) == got.value
+            assert all(c.form.evaluate(*got.point) >= 0 for c in cs.constraints)
 
     def test_examples_reach_every_outcome(self):
         assert fm_minimize(*INFEASIBLE).status == "infeasible"
         assert fm_minimize(*UNBOUNDED).status == "unbounded"
         tied = fm_minimize(*TIED)
-        assert tied.status == "minimum" and tied.attained
+        assert tied.status == "minimum"
         # rows built from a, 2a and a/2 all reach the minimum; the rational
         # combinations differ in their objective multiplier (1, 2, 1/2), so
         # a/2 wins, where the integer rows (multiplier 1 for both a and a/2)
         # would have picked a
         assert tied.farkas == (("c1", 1), ("c3", 2))
-        assert not fm_minimize(*NOT_ATTAINED).attained
 
     def test_matches_on_every_worst_case_minimization(self, monkeypatch):
         import fanobound.bounds as bounds
@@ -292,24 +266,18 @@ class TestIntegerKernel:
 
 
 class TestStrengthenIntegral:
-    # a fact is closed: P(m) > 5 comes out as P(m) >= 6
-    def test_strict_bound_rounds_to_next_integer(self):
-        assert strengthen_integral(2, Fraction(5), strict=True) == Fact(2, Fraction(6))
-
     def test_integral_bound_unchanged(self):
         assert strengthen_integral(3, Fraction(7)) == Fact(3, Fraction(7))
 
     def test_fractional_bound_ceils(self):
         assert strengthen_integral(3, Fraction(13, 2)).bound == 7
-        assert strengthen_integral(3, Fraction(13, 2), strict=True).bound == 7
 
     def test_never_weakens(self):
         rng = random.Random(20240302)
         for _ in range(300):
             q = Fraction(rng.randint(-500, 500), rng.randint(1, 60))
-            strict = rng.random() < 0.5
-            out = strengthen_integral(1, q, strict)
-            assert out.bound > q if strict else out.bound >= q
+            out = strengthen_integral(1, q)
+            assert out.bound >= q
             assert out.bound.denominator == 1
 
 
@@ -353,10 +321,7 @@ class TestSplitAndMerge:
             hits = [
                 br.label
                 for br in branches
-                if all(
-                    (cc.form.evaluate(*point) > 0 if cc.strict else cc.form.evaluate(*point) >= 0)
-                    for cc in br.system.constraints
-                )
+                if all(cc.form.evaluate(*point) >= 0 for cc in br.system.constraints)
             ]
             assert len(hits) == 1, (c, hits)
 
@@ -404,7 +369,6 @@ class TestFactToConstraint:
         c = fact_to_constraint(Fact(3, Fraction(7)))
         # (2940a + 84b + 7) - 7 divided by the positive scalar 84
         assert c.form == AffineForm.of(35, 1, 0)
-        assert not c.strict
         assert (c.cid, c.params) == ("F.P3>=7", (3, Fraction(7), Fraction(84)))
 
     def test_vacuous_fact_retained(self):
@@ -418,6 +382,12 @@ class TestFactToConstraint:
         assert c.form.evaluate(0, Fraction(-1, 2)) == 0
 
 
+def tail_poly(cs, tail):
+    """The polynomial the verifier rebuilds from a tail's cited constraints."""
+    forms = {c.cid: c.form for c in cs.constraints}
+    return ray_tail(forms[tail.b_constraint], forms[tail.a_constraint], tail.m_start)
+
+
 class TestMonotone:
     def test_worst_case_range_and_tail(self):
         # the tail from 3 stays below every per-multiple minimum of the
@@ -426,7 +396,7 @@ class TestMonotone:
         tail = monotone_from(geom, 3)
         assert tail.m_start == 3
         assert (tail.b_constraint, tail.a_constraint) == (geom.constraints[1].cid, "A1")
-        q = tail.q_poly
+        q = tail_poly(geom, tail)
         for m in range(3, 33):
             res = fm_minimize(geom, p_affine(m + 1) - p_affine(m))
             assert res.status == "minimum" and res.value >= q(m) > 0
@@ -444,14 +414,15 @@ class TestMonotone:
         table = chern_table(ChernData(6250, 2750), 51)
         tail = table_monotone(table, 1)
         assert tail.m_start == 1 and tail.b_constraint is None
+        q = table.poly.shift(1) - table.poly
         for m in range(1, 51):
-            assert tail.q_poly(m) == table.at(m + 1) - table.at(m) > 0
+            assert q(m) == table.at(m + 1) - table.at(m) > 0
 
     def test_tail_polynomial_bounds_the_difference(self):
         geom = geometry_system([merged_p3_fact()])
         tail = monotone_from(geom, 3)
         rng = random.Random(20240304)
-        q = tail.q_poly
+        q = tail_poly(geom, tail)
         for _ in range(200):
             point = sample_feasible(geom, rng)
             if point is None:

@@ -16,7 +16,7 @@ from fanobound.cli import main
 GOLDEN = {
     "solve_worst_case.json": (
         ["solve", "--worst-case"],
-        "20cecdaa7a61266cc11f8463a8706c6e722d0fe83887bb6202923ed9b8c87247",
+        "9acba85faf8dc49e363f138ff9d804de6bd661ed1418319ee2326046b009eb5a",
     ),
     "solve_k5_6250_k3c2_2750.json": (
         ["solve", "--k5", "6250", "--k3c2", "2750"],

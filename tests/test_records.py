@@ -32,7 +32,7 @@ def _records():
         MinimizeResult("unbounded"),
         Fact(3, Fraction(7)),
         Branch("P(1)=0", axiom_system()),
-        TailCertificate(3, Poly([1])),
+        TailCertificate(3),
         ValueTable((1, 2), 0, 1, Poly([1]), "concrete"),
         axiom_system(),
         SearchOutcome(3, {"m": 3, "r": None}, ()),
@@ -97,7 +97,7 @@ def test_equal_values_hash_equal(left, right):
 
 def test_constraint_row_follows_the_other_fields():
     c = Constraint.make("A4.3", "vanishing", (3,))
-    assert Constraint("A4.3", "vanishing", (3,), c.form, c.strict).row == c.row
+    assert Constraint("A4.3", "vanishing", (3,), c.form).row == c.row
     renamed = c._replace(cid="A4.x")
-    assert renamed == Constraint("A4.x", "vanishing", (3,), c.form, c.strict)
+    assert renamed == Constraint("A4.x", "vanishing", (3,), c.form)
     assert renamed.row.combo == (("A4.x", 1),)
