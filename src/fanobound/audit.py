@@ -20,9 +20,9 @@ invocation so the report is reproducible from the artifact alone:
     the printed closed form is compared on every multiple of the printed
     table (m = 1..32, the search horizon).
 
-Two results appear in no certificate and are minimised once each: P(2)
-on the P(1) = 3 branch, and the m = 5, r = 2 test over the worst-case
-geometry rebuilt from the certificate's merged bound.
+One result appears in no certificate and is minimised on its own: P(2)
+on the P(1) = 3 branch.  The m = 5, r = 2 test that the worst case fails
+is the failed attempt its dimension-3 search already carries.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from .certs import Certificate
 from .exact import to_rat
 from .hilbert import PValue, fit_ab, p_affine
 from . import bounds, bundle
-from .derive import (
-    Fact,
-    axiom_system,
-    derive_lower_bound,
-    fm_minimize,
-    geometry_system,
-    split_on_p1,
-)
+from .derive import axiom_system, derive_lower_bound, split_on_p1
 
 CONFIRMED = "confirmed"
 STRONGER = "stronger"
@@ -138,7 +131,9 @@ def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
 
 def _prop2_entries(cert: Certificate) -> list[AuditEntry]:
     merged = _steps(cert, "merge_min")[0]["witness"]["bound"]
-    w1, w2, w3 = (s["witness"]["selected"] for s in _steps(cert, "dim_search"))
+    searches = [s["witness"] for s in _steps(cert, "dim_search")]
+    w1, w2, w3 = (s["selected"] for s in searches)
+    at52 = next(a for a in searches[2]["attempts"] if (a["m"], a["r"]) == (5, 2))
     entries = [
         AuditEntry(
             location="Proposition 2 (i)",
@@ -163,8 +158,6 @@ def _prop2_entries(cert: Certificate) -> list[AuditEntry]:
         ),
     ]
 
-    geom = geometry_system([Fact(3, to_rat(merged))])
-    res5 = fm_minimize(geom, bounds.lemma2_slack_form(5, 2))
     entries.append(
         AuditEntry(
             location="Proposition 2 (iii)",
@@ -176,7 +169,8 @@ def _prop2_entries(cert: Certificate) -> list[AuditEntry]:
                 f"strict test at m = 6, r = 2: threshold 36(-K)^5 + 2, worst-case "
                 f"slack minimum {w3['raw_min']} > 0; at m = 5, r = 2 the "
                 f"slack along b = -35a is -180a + 9, negative once (-K)^5 > 36, so "
-                f"the worst case genuinely needs m = 6 (engine search: {res5.status})"
+                "the worst case genuinely needs m = 6 (the search's failed attempt: "
+                f"slack {at52['value']} at (a, b) = ({', '.join(at52['point'])}))"
             ),
             status=CONFIRMED if (w3["m"], w3["r"]) == (6, 2) else DISCREPANCY,
         )

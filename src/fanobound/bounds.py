@@ -20,10 +20,9 @@ steps the independent verifier in certs can replay.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .exact import rat_str
+from .exact import poly_positive_on_ray, rat_str
 from .hilbert import ChernData, LEMMA2_R_CAP, lemma2_slack_form, lemma2_threshold, p_affine
 from . import certs
 from .bundle import OracleSource, SplitBundle, is_nef
@@ -34,7 +33,6 @@ from .derive import (
     InfeasibleSystemError,
     MinimizeResult,
     MonotoneCertificationError,
-    TailCertificate,
     ValueTable,
     axiom_system,
     chern_table,
@@ -43,10 +41,8 @@ from .derive import (
     interpolate_model,
     merge_branch_facts,
     monotone_from,
-    point_with_value_at_most,
     split_on_p1,
     strengthen_integral,
-    table_monotone,
 )
 
 DEFAULT_M_MAX = 32
@@ -129,17 +125,13 @@ def _worst_case_attempt(cs: ConstraintSystem, m: int, r: Optional[int]) -> tuple
                 "raw_min": rat_str(res.value),
                 "farkas": certs.ser_farkas(res.farkas),
             }
-    # a failed minimum sits at or below the limit, and an unbounded form
-    # reaches it
-    if res.status == "minimum":
-        point = res.point
-    else:
-        point = point_with_value_at_most(cs, form, Fraction(1 if r is None else 0))
+    # a failed minimum sits at or below the limit, and an unbounded form's
+    # point at or below 0
     return False, {
         "m": m,
         "r": r,
-        "point": certs.ser_point(point),
-        "value": rat_str(form.evaluate(*point)),
+        "point": certs.ser_point(res.point),
+        "value": rat_str(form.evaluate(*res.point)),
     }
 
 
@@ -195,9 +187,10 @@ def minimal_r(
 # Nonemptiness of |-rK| for all r >= r0
 # ---------------------------------------------------------------------------
 
-def certify_r0(table: ValueTable, r0: int) -> TailCertificate:
+def certify_r0(table: ValueTable, r0: int) -> None:
     """Certify h0(-rK) >= 1 for every r >= r0 on a value table: the value at
-    r0 itself plus strictly increasing values from r0 on, by the ray tail.
+    r0 itself plus strictly increasing values from r0 on, by the difference
+    of the table's polynomial.
 
     The composition rule requires r0 >= 3; smaller values are rejected.
     A tail that does not hold from r0 raises MonotoneCertificationError.
@@ -207,7 +200,8 @@ def certify_r0(table: ValueTable, r0: int) -> TailCertificate:
     value = table.at(r0)
     if value < 1:
         raise CertificationError(f"certify_r0: P({r0}) = {value}, need >= 1")
-    return table_monotone(table, r0)
+    if not poly_positive_on_ray(table.poly.shift(1) - table.poly, r0):
+        raise MonotoneCertificationError(f"no tail certificate from m = {r0}")
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,11 @@ layout per flavor.  A checker replays one step over the shared _Replay
 context, records what it checked (a value table, an oracle model, a branch
 bound) for later steps to cite, and returns the claim the step must carry.
 It trusts four parts of the package: exact (rationals, polynomials, affine
-forms), hilbert (the polynomial P, the Lemma 2 forms and ray_tail, the
-worst-case tail built from two cited bounds, which the prover also
-calls), bundle (its own recount of the section counts, and the nef test)
-and derive.constraint_form, which builds a declared inequality from its
-descriptor.
+forms and the positivity test on a ray), hilbert (the polynomial P, the
+Lemma 2 forms and ray_tail, the worst-case tail built from two cited
+bounds, which the prover also calls), bundle (its own recount of the
+section counts, and the nef test) and derive.constraint_form, which
+builds a declared inequality from its descriptor.
 constraint_form still lives beside the prover's search in derive because
 the benchmark's trace self-check expects calls under that name; it moves
 out together with the next change to the benchmark.
@@ -62,7 +62,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Optional
 
-from .exact import AffineForm, Poly, rat_str, to_rat
+from .exact import AffineForm, Poly, poly_positive_on_ray, rat_str, to_rat
 from .hilbert import (
     ChernData,
     LEMMA2_R_CAP,
@@ -451,22 +451,27 @@ class _Replay:
 
 
 def _check_farkas(farkas: Any, table: dict, objective: AffineForm, value: Fraction) -> None:
-    """Replay a Farkas combination: nonnegative multipliers over cited
+    """Replay a Farkas combination: positive multipliers over cited
     constraints summing exactly to objective - value, which proves
-    objective >= value."""
+    objective >= value.  A combination has one spelling: each constraint
+    appears once, in cid order."""
     if not isinstance(farkas, list):
         raise _Fail("farkas witness must be a list")
     acc = AffineForm.constant(0)
+    prev = None
     for item in farkas:
         try:
             cid, mult = item
         except (TypeError, ValueError) as exc:
             raise _Fail(f"bad farkas entry {item!r}: {exc}")
         mult = _rat(mult, f"farkas multiplier on {cid}")
-        if mult < 0:
-            raise _Fail(f"negative farkas multiplier on {cid}")
+        if mult <= 0:
+            raise _Fail(f"farkas multiplier on {cid} is not positive")
         if cid not in table:
             raise _Fail(f"farkas cites unknown constraint {cid}")
+        if prev is not None and cid <= prev:
+            raise _Fail("farkas entries must name distinct constraints in cid order")
+        prev = cid
         acc = acc + table[cid].form.scale(mult)
     if acc != objective - AffineForm.constant(value):
         raise _Fail("farkas combination does not reproduce the bound")
@@ -721,8 +726,7 @@ def _monotone_tail(st: _Replay, inp: dict, w: dict) -> None:
         model = st.result(inp["model_step"], "model", "model_step")
         q = model.shift(1) - model
 
-    shifted = q.shift(m_start).coeffs
-    if not shifted or any(c < 0 for c in shifted) or shifted[0] <= 0:
+    if not poly_positive_on_ray(q, m_start):
         raise _Fail("shifted tail is not certified positive")
     st.tail_start = m_start
 

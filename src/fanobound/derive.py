@@ -9,7 +9,9 @@ bound comes with a Farkas combination: nonnegative multipliers on named
 constraints whose sum reproduces ``objective - bound`` exactly, so an
 independent checker can replay the claim by substitution alone, with no
 search.  Every row is closed, so a minimum that is bounded below is
-attained, and it comes with a point that attains it.
+attained, and it comes with a point that attains it; an objective that is
+unbounded below comes with a feasible point where it is at most 0, which
+refutes any test that asks for a positive lower bound.
 
 The eliminator works on integer rows: each row is its rational inequality
 and Farkas combination scaled by a tracked positive multiplier, so no
@@ -105,10 +107,9 @@ class Constraint(NamedTuple("Constraint", [
     """A closed affine inequality form(a, b) >= 0 with provenance.
 
     The (kind, params) descriptor regenerates the form of a declared
-    constraint; the eliminator's auxiliary rows have kind "aux".  cid names
-    the constraint inside Farkas combinations.  row is the integer row the
-    minimizer reads, computed once here from cid and form, so equal
-    constraints have equal rows.
+    constraint.  cid names the constraint inside Farkas combinations.  row
+    is the integer row the minimizer reads, computed once here from cid and
+    form, so equal constraints have equal rows.
     """
 
     __slots__ = ()
@@ -272,7 +273,9 @@ class MinimizeResult(NamedTuple):
         sum(multiplier * constraint.form) == objective - value
 
     and point is an (a, b) where the objective equals value.  For
-    "infeasible", farkas combines the constraints into a negative constant.
+    "unbounded", point is a feasible (a, b) where the objective equals
+    min(0, its supremum), so it is at most 0.  For "infeasible", farkas
+    combines the constraints into a negative constant.
     """
 
     status: str
@@ -316,7 +319,8 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     Couples a fresh variable t to f with two opposite inequalities, then
     eliminates b and a; the surviving constraints on t describe the exact
     set of attainable objective values.  Infeasible and unbounded are
-    results, not errors.
+    results, not errors; both feasible outcomes fix t and back-substitute
+    a, then b, for their point.
     """
     rows = [c.row for c in cs.constraints]
     rows.extend(_objective_rows(f))
@@ -350,16 +354,19 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
             combo = _merge_combos(row_lo.combo, lp, row_hi.combo, ln)
             k = lp * row_lo.k + ln * row_hi.k
             return refutation(_Row((0, 0, 0), k, combo, row_lo.lam * row_hi.lam))
-    if not lower:
-        return MinimizeResult(status="unbounded")
-
-    q = max(v for v, _ in lower)
-    # tie-break on the rational combination, as if rows were never scaled
-    row = min((r for v, r in lower if v == q), key=_rational_combo)
-    ct = row.coef[2]
-    farkas = tuple(
-        (cid, Fraction(v, ct)) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG)
-    )
+    if lower:
+        q = max(v for v, _ in lower)
+        # tie-break on the rational combination, as if rows were never scaled
+        row = min((r for v, r in lower if v == q), key=_rational_combo)
+        ct = row.coef[2]
+        farkas = tuple(
+            (cid, Fraction(v, ct)) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG)
+        )
+        status, value = "minimum", q
+    else:
+        # no floor on t: f takes every value up to its supremum
+        q = min([Fraction(0)] + [v for v, _ in upper])
+        status, value, farkas = "unbounded", None, ()
 
     # back-substitute t = q: a from the rows on (a, t), then b
     a_star = _pick_in_interval(*_bounds_on(stage_a, 0, {2: q}))
@@ -367,29 +374,7 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     point = (a_star, b_star)
     assert f.evaluate(*point) == q
     assert all(c.form.evaluate(*point) >= 0 for c in cs.constraints)
-    return MinimizeResult(status="minimum", value=q, farkas=farkas, point=point)
-
-
-def feasible_point(cs: ConstraintSystem) -> Optional[tuple[Fraction, Fraction]]:
-    """A deterministic feasible point of cs, or None when infeasible."""
-    res = fm_minimize(cs, AffineForm.constant(0))
-    if res.status != "minimum":
-        return None
-    return res.point
-
-
-def point_with_value_at_most(
-    cs: ConstraintSystem, f: AffineForm, limit: Fraction
-) -> Optional[tuple[Fraction, Fraction]]:
-    """A feasible point of cs where f <= limit, or None when f > limit
-    throughout.  Used to witness that a search step genuinely fails."""
-    aux = Constraint(
-        cid="__aux_at_most__",
-        kind="aux",
-        params=(),
-        form=AffineForm.constant(to_rat(limit)) - f,
-    )
-    return feasible_point(cs.with_constraints([aux]))
+    return MinimizeResult(status, value, farkas, point)
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +471,14 @@ def fact_to_constraint(fact: Fact) -> Constraint:
 class TailCertificate(NamedTuple):
     """Witness that P(m+1) - P(m) > 0 for every m >= m_start.
 
-    Over a constraint system it names the lower-bound constraint on b and
-    the floor on a that hilbert.ray_tail substitutes into the difference;
-    the verifier rebuilds the tail polynomial from them.  A value table's
-    tail is the difference of the table's polynomial and names no
-    constraints.
+    It names the lower-bound constraint on b and the floor on a that
+    hilbert.ray_tail substitutes into the difference; the verifier rebuilds
+    the tail polynomial from them.
     """
 
     m_start: int
-    b_constraint: Optional[str] = None
-    a_constraint: Optional[str] = None
+    b_constraint: str
+    a_constraint: str
 
 
 def monotone_from(cs: ConstraintSystem, m0: int) -> TailCertificate:
@@ -544,15 +527,6 @@ def chern_table(c: ChernData, m_max: int) -> ValueTable:
     checks."""
     values = tuple(p_eval(c, m) for m in range(m_max + 1))
     return ValueTable(values, 0, c.k5, p_poly(c), "concrete")
-
-
-def table_monotone(table: ValueTable, m0: int) -> TailCertificate:
-    """Certify P(m+1) > P(m) for every m >= m0 from the difference of the
-    table's polynomial."""
-    q = table.poly.shift(1) - table.poly
-    if not poly_positive_on_ray(q, m0):
-        raise MonotoneCertificationError(f"no tail certificate from m = {m0}")
-    return TailCertificate(m0)
 
 
 def interpolate_model(values: Callable[[int], int], ms: Sequence[int]) -> Poly:

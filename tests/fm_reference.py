@@ -1,8 +1,9 @@
 """Reference Fourier-Motzkin minimizer on Fraction rows.
 
 This is the rational kernel ``derive.fm_minimize`` used before it moved to
-integer rows.  Tests compare the two on random systems: every field of the
-result must agree, because certificates are built from them.
+integer rows, with the point of an unbounded objective restated apart from
+it.  Tests compare the two on random systems: every field of the result
+must agree, because certificates are built from them.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ def _bounds_on(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]):
     return lo, lo_strict, hi, hi_strict
 
 
+def _back_substitute(stage_a, stage_b, t: Fraction) -> tuple[Fraction, Fraction]:
+    a = _pick_in_interval(*_bounds_on(stage_a, 0, {2: t}))
+    b = _pick_in_interval(*_bounds_on(stage_b, 1, {0: a, 2: t}))
+    return a, b
+
+
 def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     rows = [
         _Row(
@@ -145,7 +152,10 @@ def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult
             combo = _merge_combos(row_lo.combo, -row_hi.coef[2], row_hi.combo, row_lo.coef[2])
             return refutation(_Row((Fraction(0),) * 3, Fraction(0), True, combo))
     if not lower:
-        return MinimizeResult(status="unbounded")
+        # t has no floor: take t = 0, or the tightest ceiling when it lies below 0
+        ceilings = sorted(v for v, _ in upper)
+        t = ceilings[0] if ceilings and ceilings[0] < 0 else Fraction(0)
+        return MinimizeResult(status="unbounded", point=_back_substitute(stage_a, stage_b, t))
 
     q = max(v for v, _ in lower)
     at_q = [r for v, r in lower if v == q]
@@ -155,9 +165,5 @@ def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult
     ct = row.coef[2]
     farkas = tuple((cid, v / ct) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG))
 
-    point: Optional[tuple[Fraction, Fraction]] = None
-    if attained:
-        a_star = _pick_in_interval(*_bounds_on(stage_a, 0, {2: q}))
-        b_star = _pick_in_interval(*_bounds_on(stage_b, 1, {0: a_star, 2: q}))
-        point = (a_star, b_star)
+    point = _back_substitute(stage_a, stage_b, q) if attained else None
     return MinimizeResult(status="minimum", value=q, farkas=farkas, point=point)

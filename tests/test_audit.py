@@ -30,6 +30,10 @@ def test_known_statuses(report):
     assert by_loc["Example 1: symmetric power rank"].status == "discrepancy"
     assert by_loc["Main Theorem"].status == "confirmed"
     assert by_loc["Proposition 2 (iii)"].status == "confirmed"
+    # the m = 5, r = 2 refutation is the dimension-3 search's failed attempt
+    assert by_loc["Proposition 2 (iii)"].engine_result.endswith(
+        "(the search's failed attempt: slack 0 at (a, b) = (1/20, -7/4))"
+    )
     assert by_loc["Example 1: r3 test"].status == "stronger"
     counts = report.counts()
     assert counts["discrepancy"] == 2
@@ -52,14 +56,14 @@ def test_serialization_shape(report):
 
 def test_audit_reads_four_certificates(monkeypatch):
     # one worst-case solve and three example solves supply every number;
-    # only P(2) on the P(1) = 3 branch and the m = 5, r = 2 test minimise
-    # beyond the worst-case solve's 48, and the two printed-convention
-    # solves share one section count
+    # only P(2) on the P(1) = 3 branch minimises beyond the worst-case
+    # solve's 28, and the two printed-convention solves share one section
+    # count
     minimisations = count_calls(monkeypatch, derive.fm_minimize)
     passes = count_calls(monkeypatch, bundle.h0_anti)
     worst = count_calls(monkeypatch, bounds.solve_worst_case)
     oracle = count_calls(monkeypatch, bounds.solve_oracle)
     build_audit()
     assert len(worst) == 1 and len(oracle) == 3
-    assert len(minimisations) <= 50
+    assert len(minimisations) <= 29
     assert len(passes) == 2

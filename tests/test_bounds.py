@@ -201,7 +201,7 @@ class TestCertifyR0:
     def test_concrete_passes(self):
         table = chern_table(ChernData(6250, 2750), 3)
         assert table.at(3) == 27132
-        assert certify_r0(table, 3).m_start == 3
+        assert certify_r0(table, 3) is None
 
     def test_no_section_at_r0_refused(self):
         # P(3) = 0 for (2, -26), whose solve moves r0 to 4
@@ -371,38 +371,41 @@ class TestVerifierRejectsTampering:
 
     def test_boundary_attempts_sit_at_the_limit(self):
         # a refuting point reaches at most the test's limit: 1 for the
-        # pencil, 0 for the Lemma 2 slack; where the form is unbounded
-        # below, the closed row limit - form >= 0 puts it on the limit
+        # pencil, 0 for the Lemma 2 slack.  Every form the worst case fails
+        # on is either a slack whose minimum is exactly 0 or unbounded below
+        # with no ceiling, whose point sits at min(0, sup) = 0
         doc = json.loads(self.cert.to_json_bytes())
-        at_limit = []
+        points = {}
         for step in doc["steps"]:
             if step["rule"] != "dim_search":
                 continue
             for a in step["witness"]["attempts"]:
-                value, limit = Fraction(a["value"]), 1 if a["r"] is None else 0
-                assert value <= limit
-                if value == limit:
-                    at_limit.append((a["m"], a["r"], a["point"]))
-        assert at_limit == [
-            (1, None, ["1/90", "-7/18"]),
-            (2, None, ["1/135", "-7/27"]),
-            (1, 1, ["1/450", "-7/90"]),
-            (2, 1, ["1/495", "-7/99"]),
-            (3, 1, ["1/360", "-7/72"]),
-            (5, 2, ["1/20", "-7/4"]),
-        ]
+                assert a["value"] == "0"
+                points[a["m"], a["r"]] = a["point"]
+        assert len(points) == 20
+        # off the floor a = 1/720 of A1
+        assert {k: p for k, p in points.items() if p[0] != "1/720"} == {
+            (1, None): ["1/60", "-7/12"],
+            (2, None): ["1/108", "-35/108"],
+            (1, 1): ["1/450", "-7/90"],
+            (2, 1): ["1/495", "-7/99"],
+            (3, 1): ["1/360", "-7/72"],
+            (5, 2): ["1/20", "-7/4"],
+        }
 
     def test_consistent_point_above_the_limit_rejected(self):
         # raising b keeps the point feasible (both cited constraints grow
-        # with b) and lifts P(1) above the pencil limit; the value is
-        # rewritten to match, so only the limit can refuse the attempt
+        # with b) and lifts P(1) from 0 to 6, above the pencil limit; the
+        # value is rewritten to match, so only the limit can refuse the
+        # attempt
         def lift(doc):
             search = next(s for s in doc["steps"] if s["rule"] == "dim_search")
             attempt = search["witness"]["attempts"][0]
-            assert (attempt["m"], attempt["r"], attempt["value"]) == (1, None, "1")
+            assert (attempt["m"], attempt["r"], attempt["value"]) == (1, None, "0")
             a, b = Fraction(attempt["point"][0]), Fraction(attempt["point"][1]) + 1
             attempt["point"][1] = str(b)
             attempt["value"] = str(p_affine(1).evaluate(a, b))
+            assert attempt["value"] == "6"
         res = verify(self._mutate(lift))
         assert not res.ok
         assert res.reason == "attempt at m=1, r=None does not fail the test"
@@ -677,7 +680,7 @@ class TestCallCounts:
 
         calls = count_calls(monkeypatch, derive.fm_minimize)
         assert solve_worst_case().bound == 16
-        assert len(calls) <= 48
+        assert len(calls) <= 28
 
     def test_no_minimization_is_reused_across_solves(self, monkeypatch):
         # the dimension searches share their attempts within one solve only
@@ -687,7 +690,7 @@ class TestCallCounts:
         for _ in range(2):
             calls.clear()
             assert solve_worst_case().bound == 16
-            assert len(calls) == 48
+            assert len(calls) == 28
 
     def test_concrete_evaluates_each_table_entry_once(self, monkeypatch):
         import fanobound.hilbert as hilbert

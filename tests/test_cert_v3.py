@@ -5,6 +5,7 @@ the verifier rebuilds, in a language of closed inequalities (version 5)."""
 
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -556,3 +557,45 @@ def test_version_4_refused():
     d["version"] = 4
     res = check(d)
     assert not res.ok and res.step_id is None and res.reason == "unsupported version 4"
+
+
+# -- one spelling per Farkas combination ------------------------------------
+
+def reordered(farkas):
+    farkas.reverse()
+
+
+def split(farkas):
+    # A4.1's 14 written as 7 + 7
+    assert farkas[0] == ["A4.1", "14"]
+    farkas[0:1] = [["A4.1", "7"], ["A4.1", "7"]]
+
+
+def zero_appended(farkas):
+    farkas.append(["A1", "0"])
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (reordered, "farkas entries must name distinct constraints in cid order"),
+    (split, "farkas entries must name distinct constraints in cid order"),
+    (zero_appended, "farkas multiplier on A1 is not positive"),
+], ids=["reordered", "split", "zero_appended"])
+def test_farkas_combination_has_one_spelling(edit, reason):
+    # each edit sums to the same form, so only the spelling rule refuses it
+    d = doc()
+    branch = steps(d, "fm_lower_bound")[0]
+    assert branch["witness"]["farkas"] == [["A4.1", "14"], ["A4.2", "7"], ["H.P1=0.hi", "35"]]
+    edit(branch["witness"]["farkas"])
+    res = check(d)
+    assert not res.ok and res.step_id == branch["id"] and res.reason == reason
+
+
+def test_long_zero_padding_rejected_at_its_first_entry():
+    d = doc()
+    branch = steps(d, "fm_lower_bound")[0]
+    branch["witness"]["farkas"] += [["A1", "0"]] * 200_000
+    cert = from_json_dict(d)
+    start = time.perf_counter()
+    res = verify(cert)
+    assert time.perf_counter() - start < 0.5
+    assert not res.ok and res.reason == "farkas multiplier on A1 is not positive"

@@ -21,16 +21,14 @@ from fanobound.derive import (
     chern_table,
     derive_lower_bound,
     fact_to_constraint,
-    feasible_point,
     fm_minimize,
     geometry_system,
     merge_branch_facts,
     monotone_from,
-    point_with_value_at_most,
     split_on_p1,
     strengthen_integral,
-    table_monotone,
 )
+from fanobound.bounds import certify_r0
 
 from fm_reference import fm_minimize_reference
 from test_hilbert import sample_chern
@@ -113,6 +111,8 @@ class TestFmMinimize:
     def test_unbounded(self):
         res = fm_minimize(geometry_system(), p_affine(1))
         assert res.status == "unbounded"
+        assert res.value is None and res.farkas == ()
+        assert p_affine(1).evaluate(*res.point) == 0
 
     def test_infeasible_with_farkas(self):
         cs = axiom_system().with_constraints(
@@ -164,11 +164,13 @@ class TestFmMinimize:
                     assert value >= res.value
 
     def test_point_below(self):
+        # P(1) is unbounded below over the worst-case geometry, so the
+        # point fm_minimize returns is feasible and has P(1) <= 0
         cs = geometry_system([merged_p3_fact()])
-        point = point_with_value_at_most(cs, p_affine(1), Fraction(2))
-        assert point is not None
-        assert p_affine(1).evaluate(*point) <= 2
-        assert feasible_point(cs) is not None
+        res = fm_minimize(cs, p_affine(1))
+        assert res.status == "unbounded"
+        assert p_affine(1).evaluate(*res.point) <= 0
+        assert all(c.form.evaluate(*res.point) >= 0 for c in cs.constraints)
 
 
 small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -206,6 +208,8 @@ MINIMIZE_FIELDS = ("status", "value", "farkas", "point")
 # one case of each outcome the random systems must also reach
 INFEASIBLE = (aux_system([(1, 0, -1), (-1, 0, 0)]), AffineForm.of(0, 1, 0))
 UNBOUNDED = (aux_system([]), AffineForm.of(1, 0, 0))
+# a <= -2, so f = a reaches at most -2 and its point sits there
+BOUNDED_ABOVE = (aux_system([(-1, 0, -2), (0, 1, 0)]), AffineForm.of(1, 0, 0))
 TIED = (
     aux_system([(1, 0, 0), (0, 1, 0), (2, 0, 0), (Fraction(1, 2), 0, 0)]),
     AffineForm.of(1, 1, 0),
@@ -219,6 +223,7 @@ class TestIntegerKernel:
     @given(small_systems())
     @example(INFEASIBLE)
     @example(UNBOUNDED)
+    @example(BOUNDED_ABOVE)
     @example(TIED)
     def test_every_field_matches_the_rational_kernel(self, case):
         cs, f = case
@@ -229,6 +234,22 @@ class TestIntegerKernel:
         if got.status == "minimum":
             assert f.evaluate(*got.point) == got.value
             assert all(c.form.evaluate(*got.point) >= 0 for c in cs.constraints)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
+    @example(UNBOUNDED)
+    @example(BOUNDED_ABOVE)
+    def test_unbounded_point_sits_at_min_of_zero_and_sup(self, case):
+        cs, f = case
+        got = fm_minimize(cs, f)
+        if got.status != "unbounded":
+            return
+        assert all(c.form.evaluate(*got.point) >= 0 for c in cs.constraints)
+        # sup f is minus the minimum of -f, or +oo when -f is unbounded too
+        neg = fm_minimize(cs, f.scale(-1))
+        sup_f = -neg.value if neg.status == "minimum" else None
+        want = 0 if sup_f is None else min(Fraction(0), sup_f)
+        assert f.evaluate(*got.point) == want
 
     def test_examples_reach_every_outcome(self):
         assert fm_minimize(*INFEASIBLE).status == "infeasible"
@@ -257,7 +278,7 @@ class TestIntegerKernel:
         monkeypatch.setattr(derive, "fm_minimize", compared)
         monkeypatch.setattr(bounds, "fm_minimize", compared)
         assert bounds.solve_worst_case().bound == 16
-        assert len(checked) == 48
+        assert len(checked) == 28
         # the differences the solve once minimised per multiple, which the
         # ray tail now covers, still exercise the kernel here
         geom = geometry_system([merged_p3_fact()])
@@ -412,8 +433,7 @@ class TestMonotone:
         # the tail polynomial is the difference of P itself, so it agrees
         # with the table at every multiple
         table = chern_table(ChernData(6250, 2750), 51)
-        tail = table_monotone(table, 1)
-        assert tail.m_start == 1 and tail.b_constraint is None
+        assert certify_r0(table, 3) is None
         q = table.poly.shift(1) - table.poly
         for m in range(1, 51):
             assert q(m) == table.at(m + 1) - table.at(m) > 0

@@ -16,7 +16,7 @@ from fanobound.cli import main
 GOLDEN = {
     "solve_worst_case.json": (
         ["solve", "--worst-case"],
-        "9acba85faf8dc49e363f138ff9d804de6bd661ed1418319ee2326046b009eb5a",
+        "e54c8f0efcc071563821732267b9b343c9aeb3cffdbc3f8597013dd75435b910",
     ),
     "solve_k5_6250_k3c2_2750.json": (
         ["solve", "--k5", "6250", "--k3c2", "2750"],
@@ -32,7 +32,7 @@ GOLDEN = {
     ),
     "audit.json": (
         ["audit"],
-        "d247395f9c61f2304d2ec7889a19f021aa6fe803c1047a4d3453c93737f3ad06",
+        "b708cdabe550586c3c2daf17ad32e94d939164c4395a1f6689cb044f8177741e",
     ),
 }
 

@@ -32,7 +32,7 @@ def _records():
         MinimizeResult("unbounded"),
         Fact(3, Fraction(7)),
         Branch("P(1)=0", axiom_system()),
-        TailCertificate(3),
+        TailCertificate(3, "F.P3>=7", "A1"),
         ValueTable((1, 2), 0, 1, Poly([1]), "concrete"),
         axiom_system(),
         SearchOutcome(3, {"m": 3, "r": None}, ()),
