@@ -15,10 +15,12 @@ refutes any test that asks for a positive lower bound.
 
 The eliminator works on integer rows: each row is its rational inequality
 and Farkas combination scaled by a tracked positive multiplier, so no
-fraction is normalised inside the loop.  Ties, duplicates and multipliers
-are decided on the rational rows the integers stand for, so every result
-is identical to elimination over fractions; fractions appear only in the
-returned value, multipliers and point.
+fraction is normalised inside the loop, and a combined row's combination
+is merged only if it is read.  Bounds are compared by cross-multiplying
+and the returned point is checked on integers.  Ties, duplicates and
+multipliers are decided on the rational rows the integers stand for, so
+every result is identical to elimination over fractions; fractions
+appear only in the returned value, multipliers and point.
 
 Axioms:
 
@@ -177,14 +179,18 @@ class _Row(NamedTuple):
 
     The row is lam times the rational row it stands for (lam > 0): the
     coefficients, the constant and every multiplier of the Farkas combination
-    (sorted (cid, multiplier) pairs) are scaled alike, so signs, bounds
-    -k/ct and multipliers v/ct read the same as on the rational row.
+    are scaled alike, so signs, bounds -k/ct and multipliers v/ct read the
+    same as on the rational row.  An input row carries its combination as
+    sorted (cid, multiplier) pairs.  A combined row carries None there and
+    its parents (p, lp, n, ln), lp times row p plus ln times row n; _combo
+    merges the parents' combinations only for a row that is read.
     """
 
     coef: tuple[int, int, int]
     k: int
-    combo: tuple[tuple[str, int], ...]
+    combo: Optional[tuple[tuple[str, int], ...]]
     lam: int
+    parents: tuple = ()
 
 
 def _int_form(form: AffineForm) -> tuple[int, tuple[int, int, int]]:
@@ -217,8 +223,24 @@ def _merge_combos(c1, m1: int, c2, m2: int):
     return tuple(sorted(acc.items()))
 
 
-def _rational_combo(row: _Row) -> tuple[tuple[str, Fraction], ...]:
-    return tuple((cid, Fraction(v, row.lam)) for cid, v in row.combo)
+def _combo(row: _Row) -> tuple[tuple[str, int], ...]:
+    if row.combo is not None:
+        return row.combo
+    p, lp, n, ln = row.parents
+    return _merge_combos(_combo(p), lp, _combo(n), ln)
+
+
+def _combine(p: _Row, n: _Row, idx: int) -> _Row:
+    """Positive multiples of p and n summed so that variable idx cancels."""
+    lp, ln = -n.coef[idx], p.coef[idx]
+    pc, nc = p.coef, n.coef
+    coef = (lp * pc[0] + ln * nc[0], lp * pc[1] + ln * nc[1], lp * pc[2] + ln * nc[2])
+    return _Row(coef, lp * p.k + ln * n.k, None, p.lam * n.lam, (p, lp, n, ln))
+
+
+def _farkas(combo, den: int) -> tuple[tuple[str, Fraction], ...]:
+    """The combination over den, without the two objective rows."""
+    return tuple((cid, Fraction(v, den)) for cid, v in combo if cid not in (_OBJ_POS, _OBJ_NEG))
 
 
 def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
@@ -227,10 +249,10 @@ def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
     The rows free of the variable come first, then every (positive,
     negative) pair combined so that the variable cancels.  Rows with no
     variable left are dropped, and a row whose rational row was already
-    kept is skipped before its combination is built; the key is the integer
-    row and lam divided by their gcd, which is the rational row in lowest
-    terms.  Returns the refuting constant row alone when one appears (the
-    caller reads the refutation off it).
+    kept is skipped; the key is the integer row and lam divided by their
+    gcd, which is the rational row in lowest terms.  Returns the refuting
+    constant row alone when one appears (the caller reads the refutation
+    off it).
     """
     pos = [r for r in rows if r.coef[idx] > 0]
     neg = [r for r in rows if r.coef[idx] < 0]
@@ -238,29 +260,17 @@ def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
     out: list[_Row] = []
     seen = set()
     for p, n in chain(zero, product(pos, neg)):
-        if n is None:
-            coef, k, lam = p.coef, p.k, p.lam
-        else:
-            lp = -n.coef[idx]
-            ln = p.coef[idx]
-            pc, nc = p.coef, n.coef
-            coef = (lp * pc[0] + ln * nc[0], lp * pc[1] + ln * nc[1], lp * pc[2] + ln * nc[2])
-            k = lp * p.k + ln * n.k
-            lam = p.lam * n.lam
-        constant = coef == (0, 0, 0)
-        if constant:
-            if k >= 0:
-                continue  # carries no information
-        else:
-            g = math.gcd(*coef, k, lam)
-            key = (coef[0] // g, coef[1] // g, coef[2] // g, k // g, lam // g)
-            if key in seen:
-                continue
+        row = p if n is None else _combine(p, n, idx)
+        coef, k, lam = row.coef, row.k, row.lam
+        if coef == (0, 0, 0):
+            if k < 0:
+                return [row]
+            continue  # carries no information
+        g = math.gcd(*coef, k, lam)
+        key = (coef[0] // g, coef[1] // g, coef[2] // g, k // g, lam // g)
+        if key not in seen:
             seen.add(key)
-        row = p if n is None else _Row(coef, k, _merge_combos(p.combo, lp, n.combo, ln), lam)
-        if constant:
-            return [row]
-        out.append(row)
+            out.append(row)
     return out
 
 
@@ -284,20 +294,17 @@ class MinimizeResult(NamedTuple):
     point: Optional[tuple[Fraction, Fraction]] = None
 
 
-def _pick_in_interval(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    """The lower end of the interval, else its upper end, else 0."""
-    if lo is not None:
-        return lo
-    return Fraction(0) if hi is None else hi
+def _back_substitute(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]) -> Fraction:
+    """The least value of variable idx the rows allow once the known values
+    are fixed, else the greatest, else 0.
 
-
-def _bounds_on(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]):
-    # the known values over one common denominator, so that each row's
-    # bound -(k + sum coef_j * v_j) / c is a single integer fraction
+    The known values go over one common denominator den, so each row's
+    bound -(k + sum coef_j * v_j) / c is a pair of integers, compared by
+    cross-multiplying; only the returned end becomes a Fraction.
+    """
     den = math.lcm(*(v.denominator for v in values.values()))
     nums = [(j, v.numerator * (den // v.denominator)) for j, v in values.items()]
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    lo = hi = None  # (numerator, positive denominator)
     for r in rows:
         c = r.coef[idx]
         if c == 0:
@@ -305,12 +312,13 @@ def _bounds_on(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]):
         rest = r.k * den
         for j, n in nums:
             rest += r.coef[j] * n
-        bound = Fraction(-rest, c * den)
         if c > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    return lo, hi
+            if lo is None or -rest * lo[1] > lo[0] * c * den:
+                lo = (-rest, c * den)
+        elif hi is None or rest * hi[1] < hi[0] * -c * den:
+            hi = (rest, -c * den)
+    end = lo or hi
+    return Fraction(0) if end is None else Fraction(*end)
 
 
 def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
@@ -320,14 +328,15 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     eliminates b and a; the surviving constraints on t describe the exact
     set of attainable objective values.  Infeasible and unbounded are
     results, not errors; both feasible outcomes fix t and back-substitute
-    a, then b, for their point.
+    a, then b, for their point, which is checked against f and every
+    constraint before it is returned.
     """
+    obj_pos, obj_neg = _objective_rows(f)
     rows = [c.row for c in cs.constraints]
-    rows.extend(_objective_rows(f))
+    rows += (obj_pos, obj_neg)
 
     def refutation(row: _Row) -> MinimizeResult:
-        farkas = tuple(x for x in _rational_combo(row) if x[0] not in (_OBJ_POS, _OBJ_NEG))
-        return MinimizeResult(status="infeasible", farkas=farkas)
+        return MinimizeResult(status="infeasible", farkas=_farkas(_combo(row), row.lam))
 
     stage_b = rows
     stage_a = _eliminate(stage_b, 1)
@@ -337,44 +346,55 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     if len(stage_t) == 1 and stage_t[0].coef == (0, 0, 0):
         return refutation(stage_t[0])
 
-    lower: list[tuple[Fraction, _Row]] = []
-    upper: list[tuple[Fraction, _Row]] = []
+    tied: list[_Row] = []  # the rows at the greatest floor -k/ct on t
+    row_hi = None  # the first row at the least ceiling
     for r in stage_t:
         ct = r.coef[2]
         if ct > 0:
-            lower.append((Fraction(-r.k, ct), r))
-        elif ct < 0:
-            upper.append((Fraction(-r.k, ct), r))
-    if lower and upper:
-        q_lo, row_lo = max(lower, key=lambda x: x[0])
-        q_hi, row_hi = min(upper, key=lambda x: x[0])
-        if q_lo > q_hi:
-            lp = -row_hi.coef[2]
-            ln = row_lo.coef[2]
-            combo = _merge_combos(row_lo.combo, lp, row_hi.combo, ln)
-            k = lp * row_lo.k + ln * row_hi.k
-            return refutation(_Row((0, 0, 0), k, combo, row_lo.lam * row_hi.lam))
-    if lower:
-        q = max(v for v, _ in lower)
-        # tie-break on the rational combination, as if rows were never scaled
-        row = min((r for v, r in lower if v == q), key=_rational_combo)
-        ct = row.coef[2]
-        farkas = tuple(
-            (cid, Fraction(v, ct)) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG)
+            # the sign of -k/ct against the floor so far, cross-multiplied
+            d = r.k * tied[0].coef[2] - tied[0].k * ct if tied else -1
+            if d < 0:
+                tied = []
+            if d <= 0:
+                tied.append(r)
+        elif ct < 0 and (row_hi is None or r.k * row_hi.coef[2] > row_hi.k * ct):
+            row_hi = r
+    if tied and row_hi is not None:
+        cross = _combine(tied[0], row_hi, 2)
+        if cross.k < 0:  # the floor lies above the ceiling
+            return refutation(cross)
+    if tied:
+        # tie-break on the rational combination, as if rows were never
+        # scaled: the tied combinations over the lcm of their lams
+        lam = math.lcm(*(r.lam for r in tied))
+        row, combo = min(
+            ((r, _combo(r)) for r in tied),
+            key=lambda rc: [(cid, v * (lam // rc[0].lam)) for cid, v in rc[1]],
         )
+        farkas = _farkas(combo, row.coef[2])
+        q = Fraction(-row.k, row.coef[2])
         status, value = "minimum", q
     else:
         # no floor on t: f takes every value up to its supremum
-        q = min([Fraction(0)] + [v for v, _ in upper])
+        below = row_hi is not None and row_hi.k < 0
+        q = Fraction(row_hi.k, -row_hi.coef[2]) if below else Fraction(0)
         status, value, farkas = "unbounded", None, ()
 
     # back-substitute t = q: a from the rows on (a, t), then b
-    a_star = _pick_in_interval(*_bounds_on(stage_a, 0, {2: q}))
-    b_star = _pick_in_interval(*_bounds_on(stage_b, 1, {0: a_star, 2: q}))
-    point = (a_star, b_star)
-    assert f.evaluate(*point) == q
-    assert all(c.form.evaluate(*point) >= 0 for c in cs.constraints)
-    return MinimizeResult(status, value, farkas, point)
+    a_star = _back_substitute(stage_a, 0, {2: q})
+    b_star = _back_substitute(stage_b, 1, {0: a_star, 2: q})
+    # both checks on integers: each row at the point, times ad * bd
+    an, ad, bn, bd = a_star.numerator, a_star.denominator, b_star.numerator, b_star.denominator
+
+    def at_point(r: _Row) -> int:
+        return r.coef[0] * an * bd + r.coef[1] * bn * ad + r.k * ad * bd
+
+    if at_point(obj_neg) * q.denominator != obj_neg.lam * ad * bd * q.numerator:
+        raise AssertionError(f"fm_minimize: f does not equal {q} at {(a_star, b_star)}")
+    for c in cs.constraints:
+        if at_point(c.row) < 0:
+            raise AssertionError(f"fm_minimize: {c.cid} fails at {(a_star, b_star)}")
+    return MinimizeResult(status, value, farkas, (a_star, b_star))
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,9 @@ def lemma2_threshold(m: int, r: int, d5: int) -> int:
 
 
 def lemma2_slack_form(m: int, r: int) -> AffineForm:
-    """P(m) - (m^r * 720a + r): positive exactly when the test passes with
-    (-K)^5 expressed as 720a."""
-    return p_affine(m) - AffineForm.of(720 * m**r, 0, r)
+    """P(m) - (m^r * 720a + r), built on the integer coefficients: positive
+    exactly when the test passes with (-K)^5 expressed as 720a."""
+    return AffineForm.of(_horner(_A, m) - 720 * m**r, _horner(_B, m), _horner(_C, m) - r)
 
 
 def p_eval(c: ChernData, m: int) -> int:

@@ -214,6 +214,12 @@ TIED = (
     aux_system([(1, 0, 0), (0, 1, 0), (2, 0, 0), (Fraction(1, 2), 0, 0)]),
     AffineForm.of(1, 1, 0),
 )
+# eliminating b, c0 + c2 and c1 + c3 are both the row a - 1 >= 0; the
+# elimination keeps the first, so f = a has the Farkas combination c0 + c2
+DEDUP = (
+    aux_system([(0, 1, 0), (1, 1, -1), (1, -1, -1), (0, -1, 0)]),
+    AffineForm.of(1, 0, 0),
+)
 
 
 class TestIntegerKernel:
@@ -225,6 +231,7 @@ class TestIntegerKernel:
     @example(UNBOUNDED)
     @example(BOUNDED_ABOVE)
     @example(TIED)
+    @example(DEDUP)
     def test_every_field_matches_the_rational_kernel(self, case):
         cs, f = case
         got, want = fm_minimize(cs, f), fm_minimize_reference(cs, f)
@@ -261,6 +268,45 @@ class TestIntegerKernel:
         # a/2 wins, where the integer rows (multiplier 1 for both a and a/2)
         # would have picked a
         assert tied.farkas == (("c1", 1), ("c3", 2))
+        dedup = fm_minimize(*DEDUP)
+        assert (dedup.value, dedup.farkas) == (1, (("c0", 1), ("c2", 1)))
+
+    def test_a_wrong_point_raises(self, monkeypatch):
+        # both feasibility checks run as statements, not asserts, so they
+        # also run under python -O
+        import fanobound.derive as derive
+
+        real = derive._back_substitute
+
+        def lifted_b(rows, idx, values):
+            return real(rows, idx, values) + (idx == 1)
+
+        monkeypatch.setattr(derive, "_back_substitute", lifted_b)
+        # P(3) depends on b, so its value moves off the minimum
+        with pytest.raises(AssertionError, match="f does not equal"):
+            fm_minimize(branch_system(0), p_affine(3))
+        # f = a does not, but c1 bounds b above by 0
+        cs = aux_system([(1, 0, 0), (0, -1, 0)])
+        with pytest.raises(AssertionError, match="c1 fails"):
+            fm_minimize(cs, AffineForm.of(1, 0, 0))
+
+    def test_worst_case_merges_only_the_combinations_it_reads(self, monkeypatch):
+        # a combined row merges its parents' combinations only when the
+        # refutation, the tie-break or the chosen minimum reads it; merging
+        # every kept row took 347 merges
+        import fanobound.bounds as bounds
+        import fanobound.derive as derive
+
+        calls = []
+        real = derive._merge_combos
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(derive, "_merge_combos", counting)
+        assert bounds.solve_worst_case().bound == 16
+        assert len(calls) == 39
 
     def test_matches_on_every_worst_case_minimization(self, monkeypatch):
         import fanobound.bounds as bounds

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import hrr_reference as hrr
 import poly_reference as ref
+from fanobound.certs import MAX_SEARCH
 from fanobound.exact import AffineForm
 from fanobound.hilbert import (
+    LEMMA2_R_CAP,
     ChernData,
     NonIntegralValueError,
     PValue,
@@ -18,6 +20,7 @@ from fanobound.hilbert import (
     coefficient_polys,
     difference_polys,
     fit_ab,
+    lemma2_slack_form,
     p_affine,
     p_eval,
     p_poly,
@@ -90,6 +93,14 @@ class TestPAffine:
             assert d.coeff_a == 30 * (m + 1) ** 4
             assert d.coeff_b == 6 * (m + 1) ** 2
             assert d.const == 2
+
+    def test_lemma2_slack_form_is_p_minus_the_threshold(self):
+        # the integer coefficients against P(m) - (m^r * 720a + r) built
+        # from affine forms, for every multiple a search may reach
+        for m in range(1, MAX_SEARCH + 1):
+            for r in range(LEMMA2_R_CAP + 1):
+                want = p_affine(m) - AffineForm.of(720 * m**r, 0, r)
+                assert lemma2_slack_form(m, r) == want, (m, r)
 
 
 class TestPEval:
