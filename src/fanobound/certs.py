@@ -44,11 +44,13 @@ layout per flavor.  A checker replays one step over the shared _Replay
 context, records what it checked (a value table, an oracle model, a branch
 bound) for later steps to cite, and returns the claim the step must carry.
 It trusts four parts of the package: exact (rationals, polynomials, affine
-forms and the positivity test on a ray), hilbert (the polynomial P, the
-Lemma 2 forms and ray_tail, the worst-case tail built from two cited
-bounds, which the prover also calls), bundle (its own recount of the
-section counts, and the nef test) and derive.constraint_form, which
-builds a declared inequality from its descriptor.
+forms and the positivity test on a ray), hilbert (P(m) and the Lemma 2
+slack as the integer triples p_coeffs and lemma2_slack_coeffs, on which the
+point, Farkas and attempt checks run, p_affine for eval_p, and ray_tail,
+the worst-case tail built from two cited bounds, which the prover also
+calls), bundle (its own recount of the section counts, and the nef test)
+and derive.constraint_form, which builds a declared inequality from its
+descriptor; the verifier keeps each as an integer row of its own.
 constraint_form still lives beside the prover's search in derive because
 the benchmark's trace self-check expects calls under that name; it moves
 out together with the next change to the benchmark.
@@ -67,9 +69,10 @@ from .hilbert import (
     ChernData,
     LEMMA2_R_CAP,
     difference_polys,
-    lemma2_slack_form,
+    lemma2_slack_coeffs,
     lemma2_threshold,
     p_affine,
+    p_coeffs,
     ray_tail,
 )
 from . import bundle
@@ -330,6 +333,7 @@ class _Decl(NamedTuple):
     """A declared constraint form >= 0, built from its descriptor."""
 
     form: AffineForm
+    row: tuple[int, int, int, int]  # (ca, cb, k, den): form = (ca, cb, k) / den, den > 0
     kind: str
     params: tuple
     fact: Optional[tuple] = None  # (m, bound) a from_fact constraint rests on
@@ -375,7 +379,9 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
             fact = (m, _rat(bound, f"fact bound of {cid}"))
         if cid != _CIDS[kind].format(*params):
             raise _Fail(f"constraint {cid} is not the name of its descriptor")
-        decls[cid] = _Decl(form, kind, params, fact)
+        den = math.lcm(*(c.denominator for c in form))
+        row = (*(c.numerator * (den // c.denominator) for c in form), den)
+        decls[cid] = _Decl(form, row, kind, params, fact)
     return decls
 
 
@@ -450,14 +456,15 @@ class _Replay:
         return table, hypotheses
 
 
-def _check_farkas(farkas: Any, table: dict, objective: AffineForm, value: Fraction) -> None:
+def _check_farkas(farkas: Any, table: dict, objective: tuple, value: Fraction) -> None:
     """Replay a Farkas combination: positive multipliers over cited
     constraints summing exactly to objective - value, which proves
-    objective >= value.  A combination has one spelling: each constraint
-    appears once, in cid order."""
+    objective >= value, for objective an integer triple (ca, cb, k) from
+    hilbert.  A combination has one spelling: each constraint appears once,
+    in cid order.  The sum runs on the integer rows."""
     if not isinstance(farkas, list):
         raise _Fail("farkas witness must be a list")
-    acc = AffineForm.constant(0)
+    scale, sa, sb, sk = 1, 0, 0, 0
     prev = None
     for item in farkas:
         try:
@@ -472,20 +479,37 @@ def _check_farkas(farkas: Any, table: dict, objective: AffineForm, value: Fracti
         if prev is not None and cid <= prev:
             raise _Fail("farkas entries must name distinct constraints in cid order")
         prev = cid
-        acc = acc + table[cid].form.scale(mult)
-    if acc != objective - AffineForm.constant(value):
+        # (sa, sb, sk) / scale is the sum so far
+        ca, cb, k, den = table[cid].row
+        new = math.lcm(scale, mult.denominator * den)
+        f, g = mult.numerator * new // (mult.denominator * den), new // scale
+        sa, sb, sk, scale = sa * g + f * ca, sb * g + f * cb, sk * g + f * k, new
+    # (sa, sb, sk) / scale == objective - vn / vd, times scale * vd
+    (ca, cb, k), vn, vd = objective, value.numerator, value.denominator
+    if sa != scale * ca or sb != scale * cb or sk * vd != scale * (k * vd - vn):
         raise _Fail("farkas combination does not reproduce the bound")
 
 
-def _check_point(point: Any, table: dict) -> tuple[Fraction, Fraction]:
+def _check_point(point: Any, table: dict) -> tuple[int, int, int]:
+    """The point (a, b) = (x / d, y / d) as integers (x, y, d), d > 0, once
+    every cited row (ca, cb, k, den) has ca * x + cb * y + k * d >= 0."""
     try:
         a, b = (_rat(x, "point coordinate") for x in point)
     except (TypeError, ValueError) as exc:
         raise _Fail(f"bad point {point!r}: {exc}")
+    ad, bd = a.denominator, b.denominator
+    x, y, d = a.numerator * bd, b.numerator * ad, ad * bd
     for cid, decl in table.items():
-        if decl.form.evaluate(a, b) < 0:
+        ca, cb, k, _ = decl.row
+        if ca * x + cb * y + k * d < 0:
             raise _Fail(f"witness point violates constraint {cid}")
-    return a, b
+    return x, y, d
+
+
+def _evaluates_to(coeffs: tuple, point: tuple[int, int, int], value: Fraction) -> bool:
+    """Whether ca * a + cb * b + k equals value at a point from _check_point."""
+    (ca, cb, k), (x, y, d) = coeffs, point
+    return (ca * x + cb * y + k * d) * value.denominator == value.numerator * d
 
 
 def _integral_bound(w: dict, table: dict, m: int) -> tuple[Fraction, Fraction]:
@@ -494,7 +518,7 @@ def _integral_bound(w: dict, table: dict, m: int) -> tuple[Fraction, Fraction]:
     which every worst-case certificate declares, makes P(m) an integer.
     Returns raw_min and the bound."""
     raw = _rat(w["raw_min"], "raw_min")
-    _check_farkas(w["farkas"], table, p_affine(m), raw)
+    _check_farkas(w["farkas"], table, p_coeffs(m), raw)
     bound = _rat(w["bound"], "bound")
     if bound != math.ceil(raw):
         raise _Fail("bound is not raw_min rounded up by A3")
@@ -521,7 +545,7 @@ def _fm_lower_bound(st: _Replay, inp: dict, w: dict) -> str:
     m = _json_int(inp["m"], "m")
     table, hypotheses = st.cite(inp["constraints"], branch_ok=True)
     raw, bound = _integral_bound(w, table, m)
-    if p_affine(m).evaluate(*_check_point(w["point"], table)) != raw:
+    if not _evaluates_to(p_coeffs(m), _check_point(w["point"], table), raw):
         raise _Fail("witness point does not attain the minimum")
     st.record("bound", (m, bound, hypotheses))
     if not hypotheses:
@@ -668,6 +692,8 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
     attempts = w["attempts"]
     if not isinstance(attempts, list):
         raise _Fail("attempts must be a list")
+    if len(attempts) != len(expect):  # before any entry is read
+        raise _Fail("failed attempts do not enumerate the search order")
     got = []
     for a in attempts:
         m, r = _exact(a, attempt_keys, "attempt")["m"], a["r"]
@@ -681,15 +707,15 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
             point = _check_point(a["point"], table)
             value = _rat(a["value"], "attempt value")
             # P <= 1 at a feasible point caps the derivable integral bound
-            form, limit = (p_affine(m), 1) if r is None else (lemma2_slack_form(m, r), 0)
-            if form.evaluate(*point) != value or value > limit:
+            coeffs, limit = (p_coeffs(m), 1) if r is None else (lemma2_slack_coeffs(m, r), 0)
+            if not _evaluates_to(coeffs, point, value) or value > limit:
                 raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
         if nonvanishing:
             if _integral_bound(sel, table, sel_m)[1] < 2:
                 raise _Fail("a pencil needs P(m) >= 2")
         else:
             raw = _rat(sel["raw_min"], "raw_min")
-            _check_farkas(sel["farkas"], table, lemma2_slack_form(sel_m, sel_r), raw)
+            _check_farkas(sel["farkas"], table, lemma2_slack_coeffs(sel_m, sel_r), raw)
             if raw <= 0:
                 raise _Fail("worst-case slack minimum is not positive")
     else:

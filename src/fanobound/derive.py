@@ -45,6 +45,7 @@ from .exact import AffineForm, Poly, poly_positive_on_ray, to_rat
 from .hilbert import (
     ChernData,
     p_affine,
+    p_coeffs,
     p_eval,
     p_poly,
     ray_tail,
@@ -85,21 +86,17 @@ def constraint_form(kind: str, params: Sequence) -> AffineForm:
         (m,) = params
         return p_affine(int(m))
     if kind == "mono12":
-        return p_affine(2) - p_affine(1)
-    if kind == "p1_eq_lo":
+        return AffineForm.of(*(x - y for x, y in zip(p_coeffs(2), p_coeffs(1))))
+    if kind in ("p1_eq_lo", "p1_eq_hi", "p1_tail"):
         (l,) = params
-        return p_affine(1) - AffineForm.constant(int(l))
-    if kind == "p1_eq_hi":
-        (l,) = params
-        return AffineForm.constant(int(l)) - p_affine(1)
-    if kind == "p1_tail":
-        (l0,) = params
-        return p_affine(1) - AffineForm.constant(int(l0))
+        ca, cb, k = p_coeffs(1)
+        sign = -1 if kind == "p1_eq_hi" else 1
+        return AffineForm.of(sign * ca, sign * cb, sign * (k - int(l)))
     if kind == "from_fact":
         m, bound, scale = params
-        return (p_affine(int(m)) - AffineForm.constant(to_rat(bound))).scale(
-            Fraction(1, 1) / to_rat(scale)
-        )
+        ca, cb, k = p_coeffs(int(m))
+        k, inv = k - to_rat(bound), Fraction(1, 1) / to_rat(scale)
+        return AffineForm.of(ca * inv, cb * inv, k * inv)
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 

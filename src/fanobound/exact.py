@@ -34,10 +34,7 @@ def to_rat(x: RatLike) -> Fraction:
     A string must read -?[0-9]+(/[0-9]+)?; Python's limit on the digits of
     an integer parsed from a string caps its length.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+    # str and int first: isinstance(x, Fraction) is slow unless x is one
     if isinstance(x, str):
         match = _RAT_STR.fullmatch(x)
         if match is None:
@@ -46,6 +43,10 @@ def to_rat(x: RatLike) -> Fraction:
         # denominator raises ZeroDivisionError
         p, q = match.groups()
         return Fraction(int(p), int(q or 1))
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

@@ -21,6 +21,7 @@ because every downstream derivation rule assumes them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .exact import AffineForm, Poly, to_rat
@@ -99,13 +100,18 @@ class PValue(NamedTuple("PValue", [("m", int), ("value", int)])):
         return super().__new__(cls, m, value)
 
 
+def p_coeffs(m: int) -> tuple[int, int, int]:
+    """P(m) as the integers (ca, cb, k) with P(m) = ca * a + cb * b + k."""
+    return _horner(_A, m), _horner(_B, m), _horner(_C, m)
+
+
 def p_affine(m: int) -> AffineForm:
     """P(m) as an exact affine form in (a, b).
 
     Negative m is allowed; the form satisfies P(m) + P(-1-m) = 0,
     the shape Serre duality forces on the polynomial.
     """
-    return AffineForm.of(_horner(_A, m), _horner(_B, m), _horner(_C, m))
+    return AffineForm.of(*p_coeffs(m))
 
 
 # the strict dimension test is tried for exponents r up to this cap
@@ -119,10 +125,15 @@ def lemma2_threshold(m: int, r: int, d5: int) -> int:
     return m**r * d5 + r
 
 
+def lemma2_slack_coeffs(m: int, r: int) -> tuple[int, int, int]:
+    """P(m) - (m^r * 720a + r) as integers (ca, cb, k) like p_coeffs:
+    positive exactly when the test passes with (-K)^5 expressed as 720a."""
+    return _horner(_A, m) - 720 * m**r, _horner(_B, m), _horner(_C, m) - r
+
+
 def lemma2_slack_form(m: int, r: int) -> AffineForm:
-    """P(m) - (m^r * 720a + r), built on the integer coefficients: positive
-    exactly when the test passes with (-K)^5 expressed as 720a."""
-    return AffineForm.of(_horner(_A, m) - 720 * m**r, _horner(_B, m), _horner(_C, m) - r)
+    """lemma2_slack_coeffs(m, r) as an exact affine form in (a, b)."""
+    return AffineForm.of(*lemma2_slack_coeffs(m, r))
 
 
 def p_eval(c: ChernData, m: int) -> int:
@@ -152,17 +163,14 @@ def fit_ab(v1: PValue, v2: PValue) -> tuple[Fraction, Fraction]:
             raise ValueError(f"m = {v.m} carries no (a, b) information")
     if v1.m == v2.m:
         raise ValueError("need two distinct multiples")
-    f1, f2 = p_affine(v1.m), p_affine(v2.m)
-    det = f1.coeff_a * f2.coeff_b - f2.coeff_a * f1.coeff_b
+    (a1, b1, k1), (a2, b2, k2) = p_coeffs(v1.m), p_coeffs(v2.m)
+    det = a1 * b2 - a2 * b1
     if det == 0:
         raise ValueError(
             f"coefficient rows for m = {v1.m}, {v2.m} are proportional"
         )
-    r1 = to_rat(v1.value) - f1.const
-    r2 = to_rat(v2.value) - f2.const
-    a = (r1 * f2.coeff_b - r2 * f1.coeff_b) / det
-    b = (f1.coeff_a * r2 - f2.coeff_a * r1) / det
-    return a, b
+    r1, r2 = to_rat(v1.value) - k1, to_rat(v2.value) - k2
+    return (r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det
 
 
 def coefficient_polys() -> tuple[Poly, Poly, Poly]:
@@ -173,9 +181,12 @@ def coefficient_polys() -> tuple[Poly, Poly, Poly]:
 
 def difference_polys() -> tuple[Poly, Poly, Poly]:
     """The coefficients of P(m+1) - P(m) as polynomials in m, in the order
-    of coefficient_polys."""
-    fa, fb, fc = coefficient_polys()
-    return fa.shift(1) - fa, fb.shift(1) - fb, fc.shift(1) - fc
+    of coefficient_polys.  By the binomial theorem the coefficient of m^j
+    in c(m+1) - c(m) is the sum of c_i * C(i, j) over i > j."""
+    return tuple(
+        Poly([sum(c[i] * comb(i, j) for i in range(j + 1, len(c))) for j in range(len(c) - 1)])
+        for c in (_A, _B, _C)
+    )
 
 
 def ray_tail(b_form: AffineForm, a_form: AffineForm, m_start: int) -> Poly:

@@ -599,3 +599,18 @@ def test_long_zero_padding_rejected_at_its_first_entry():
     res = verify(cert)
     assert time.perf_counter() - start < 0.5
     assert not res.ok and res.reason == "farkas multiplier on A1 is not positive"
+
+
+def test_overlong_attempts_refused_before_any_entry_is_read():
+    # the first search's two attempts repeated into 200,000: the length
+    # alone refuses them, whatever the entries hold
+    d = doc()
+    search = steps(d, "dim_search")[0]
+    search["witness"]["attempts"] *= 100_000
+    assert len(search["witness"]["attempts"]) == 200_000
+    cert = from_json_dict(d)
+    start = time.perf_counter()
+    res = verify(cert)
+    assert time.perf_counter() - start < 0.1
+    assert not res.ok and res.step_id == search["id"]
+    assert res.reason == "failed attempts do not enumerate the search order"

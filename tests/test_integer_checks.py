@@ -1,0 +1,132 @@
+"""The verifier's point, value and Farkas checks run on integer rows; here
+they are compared with a Fraction reference written apart from the package.
+On random declared forms, points with large and negative numerators and
+combinations of one to three multipliers, both must accept and reject the
+same inputs."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from fanobound.certs import _Fail, _check_farkas, _check_point, _declarations, _evaluates_to
+from fanobound.exact import rat_str
+
+TINY = Fraction(1, 10**40)
+RATS = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12))
+POSITIVE = st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**12))
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def declare(facts, a1=False):
+    """The verifier's declarations of P(m) >= bound scaled by 1/scale, one
+    per (m, bound, scale), and of A1 (a >= 1/720) if a1."""
+    cons = [
+        {"cid": f"F.P{m}>={rat_str(q)}", "kind": "from_fact", "params": [m, rat_str(q), rat_str(s)]}
+        for m, q, s in facts
+    ]
+    if a1:
+        cons.append({"cid": "A1", "kind": "k5_floor", "params": []})
+    return _declarations(sorted(cons, key=lambda c: c["cid"]), ["A1"])
+
+
+TABLES = st.builds(
+    declare,
+    st.lists(
+        st.tuples(st.integers(-8, 8), RATS, POSITIVE),
+        min_size=1, max_size=3, unique_by=lambda f: (f[0], f[1]),
+    ),
+    st.booleans(),
+)
+A1_ONLY = declare([], a1=True)
+
+
+def value_at(form, a, b):
+    return form.coeff_a * a + form.coeff_b * b + form.const
+
+
+@st.composite
+def tables_and_points(draw):
+    """A table and a point, random or on a cited row's boundary moved by
+    0 or +-1/10**40 in b."""
+    table = draw(TABLES)
+    a, b = draw(RATS), draw(RATS)
+    form = table[draw(st.sampled_from(sorted(table)))].form
+    if form.coeff_b and draw(st.booleans()):
+        b = -(form.coeff_a * a + form.const) / form.coeff_b + draw(st.sampled_from([0, TINY, -TINY]))
+    return table, a, b
+
+
+@SETTINGS
+@given(tables_and_points())
+@example((A1_ONLY, Fraction(1, 720) - TINY, Fraction(0)))
+@example((A1_ONLY, Fraction(1, 720), Fraction(-(10**30), 7)))
+def test_point_check_matches_fractions(case):
+    table, a, b = case
+    want = all(value_at(d.form, a, b) >= 0 for d in table.values())
+    try:
+        x, y, d = _check_point([rat_str(a), rat_str(b)], table)
+    except _Fail as f:
+        assert not want and str(f).startswith("witness point violates constraint")
+    else:
+        assert want and d > 0 and (Fraction(x, d), Fraction(y, d)) == (a, b)
+
+
+@SETTINGS
+@given(
+    st.tuples(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20), st.integers()),
+    RATS, RATS, st.sampled_from([0, TINY, -1]),
+)
+def test_value_check_matches_fractions(coeffs, a, b, off):
+    ca, cb, k = coeffs
+    exact = ca * a + cb * b + k
+    point = _check_point([rat_str(a), rat_str(b)], {})
+    assert _evaluates_to(coeffs, point, exact + off) == (off == 0)
+
+
+@st.composite
+def combinations(draw):
+    """A table, a Farkas list over 1 to 3 of its rows, an integer objective
+    and a value.  The multipliers are scaled so that the sum has integer a
+    and b coefficients; the objective and the value then match it, or miss
+    by an integer in a or by 1/10**40 in the value."""
+    table = draw(TABLES)
+    cids = sorted(draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=3, unique=True)))
+    mults = [draw(POSITIVE) for _ in cids]
+    sa, sb, sk = (sum(m * c for m, c in zip(mults, col)) for col in zip(*(table[c].form for c in cids)))
+    scale = math.lcm(sa.denominator, sb.denominator)
+    mults = [m * scale for m in mults]
+    k = draw(st.integers(-(10**20), 10**20))
+    miss_a, miss_value = draw(st.sampled_from([(0, 0), (0, 0), (1, 0), (0, TINY), (0, -TINY)]))
+    objective = (int(sa * scale) + miss_a, int(sb * scale), k)
+    value = k - sk * scale + miss_value
+    return table, [[c, rat_str(m)] for c, m in zip(cids, mults)], objective, value
+
+
+def reproduces(farkas, table, objective, value):
+    """The combination summed over Fractions equals objective - value."""
+    acc = [Fraction(0)] * 3
+    for cid, mult in farkas:
+        for i, c in enumerate(table[cid].form):
+            acc[i] += Fraction(mult) * c
+    ca, cb, k = objective
+    return acc == [ca, cb, k - value]
+
+
+A1_STEP = [["A1", "720"]]  # 720 (a - 1/720) = 720 a - 1
+
+
+@SETTINGS
+@given(combinations())
+@example((A1_ONLY, A1_STEP, (720, 0, 5), Fraction(6)))
+@example((A1_ONLY, [["A1", rat_str(720 + TINY)]], (720, 0, 5), Fraction(6)))
+@example((A1_ONLY, A1_STEP, (720, 0, 5), 6 + TINY))
+def test_farkas_check_matches_fractions(case):
+    table, farkas, objective, value = case
+    want = reproduces(farkas, table, objective, value)
+    try:
+        _check_farkas(farkas, table, objective, value)
+    except _Fail as f:
+        assert not want and str(f) == "farkas combination does not reproduce the bound"
+    else:
+        assert want
