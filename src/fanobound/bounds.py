@@ -72,11 +72,10 @@ def oracle_table(source: OracleSource, m_max: int) -> ValueTable:
     # largest multiple first: a table-filling oracle then counts once
     values = [source.h0(m) for m in range(m_max, 0, -1)][::-1]
     model = interpolate_model(source.h0, list(range(1, certs.MODEL_POINTS + 1)))
-    for m, value in enumerate(values, start=1):
-        if model(m) != value:
-            raise CertificationError(
-                f"oracle is not polynomial at m = {m}; the tail cannot be certified"
-            )
+    if (m := model.first_mismatch(values)) is not None:
+        raise CertificationError(
+            f"oracle is not polynomial at m = {m}; the tail cannot be certified"
+        )
     return ValueTable(tuple(values), 1, source.d5, model, "oracle")
 
 

@@ -18,7 +18,7 @@ row j - 1, shifted by e - min(e) slots, to row j.  No multiplicity
 exceeds the rank C(j+4, 4) of S^j(E), so no slot carries while that rank
 stays below 2**64, which holds for j up to 145,052; larger powers, and
 passes whose rows would hold more than MAX_POWER_SLOTS slots, are refused
-before anything is allocated.  A row is unpacked only when it is read.
+before anything is allocated.  h0_anti reads two moments of each row.
 
 Two rank conventions are supported for the inner symmetric powers of the
 four untwisted summands.  The standard one is rank S^k(O^4) = C(k+3, 3).
@@ -35,7 +35,6 @@ import warnings
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from math import comb
-from operator import mul
 from typing import Callable, NamedTuple
 
 STANDARD = "standard"
@@ -115,6 +114,20 @@ _SLOT_STEP = 1 if sys.byteorder == "little" else -1
 # widest nef bundle (spread 2) at k = 2560, five times the verifier's
 # largest table, needs 2561**2 of them
 MAX_POWER_SLOTS = 2**23
+
+
+_M = 2**SLOT_BITS - 1
+
+
+def _moments(packed: int) -> tuple[int, int]:
+    """(S0, S1) = (sum c_i, sum i * c_i) of a packed row sum c_i * B**i:
+    B = 2**SLOT_BITS = 1 + M, so the row is S0 + S1*M modulo M**2, exact
+    while both are below M.  S0 is at most the rank, up to C(145056, 4) =
+    M - 2.6e14 under the rank guard; S1 at most (slots - 1) * rank, which
+    MAX_POWER_SLOTS caps at 4094 * C(4098, 4) ~ 2**55.4 (spread 1, k = 4094).
+    """
+    s1, s0 = divmod(packed % (_M * _M), _M)
+    return s0, s1
 
 
 def power_slots(spread: int, k: int) -> int:
@@ -246,13 +259,13 @@ def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
     below_chi = False
     for m in range(1, m_max + 1):
         row = powers[5 * m]
-        counts = row.counts
         # slot i, degree low + i, twists to first + i sections when that is
-        # >= 0; the slots below skip twist to degrees below -1
+        # >= 0; the skip bits below hold the degrees below -1
         first = row.low + m * h_coeff + 1
-        skip = max(0, -first)
-        below_chi = below_chi or any(counts[:skip])
-        values.append(sum(map(mul, counts[skip:], range(first + skip, first + len(counts)))))
+        skip = SLOT_BITS * max(0, -first)
+        below_chi = below_chi or row._packed & ((1 << skip) - 1) != 0
+        s0, s1 = _moments(row._packed >> skip)
+        values.append(max(first, 0) * s0 + s1)
     if below_chi:
         warnings.warn(
             "a summand has degree < -1 after twisting; h0 may differ from chi",

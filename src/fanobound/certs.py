@@ -48,9 +48,10 @@ forms and the positivity test on a ray), hilbert (P(m) and the Lemma 2
 slack as the integer triples p_coeffs and lemma2_slack_coeffs, on which the
 point, Farkas and attempt checks run, p_affine for eval_p, and ray_tail,
 the worst-case tail built from two cited bounds, which the prover also
-calls), bundle (its own recount of the section counts, and the nef test)
-and derive.constraint_form, which builds a declared inequality from its
-descriptor; the verifier keeps each as an integer row of its own.
+calls), bundle (its own recount of the section counts, two moments of
+each packed row, and the nef test) and derive.constraint_form, which
+builds a declared inequality from its descriptor; the verifier keeps each
+as an integer row of its own.
 constraint_form still lives beside the prover's search in derive because
 the benchmark's trace self-check expects calls under that name; it moves
 out together with the next change to the benchmark.
@@ -627,9 +628,8 @@ def _oracle_model(st: _Replay, inp: dict, w: dict) -> None:
         raise _Fail("model degree exceeds 5")
     if len(table.values) < MODEL_POINTS:
         raise _Fail("value table too short to pin the polynomial")
-    for m, value in enumerate(table.values, start=table.first):
-        if model(m) != value:
-            raise _Fail(f"model disagrees with values at m = {m}")
+    if (m := model.first_mismatch(table.values, table.first)) is not None:
+        raise _Fail(f"model disagrees with values at m = {m}")
     st.record("model", model)
 
 

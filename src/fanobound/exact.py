@@ -6,11 +6,11 @@ appear.  Rationals are ``fractions.Fraction``, which keeps canonical form
 (positive denominator, reduced) after every operation and sits on Python's
 arbitrary-precision integers.
 
-The kernels every check runs through (``Poly.__call__``, ``Poly.shift``
-and ``AffineForm.evaluate``) work on integers: the numerators of their
-inputs over one common denominator.  Each result value is built as a
-Fraction once, so only one gcd is taken per value instead of one per
-multiply-add.
+The kernels (``Poly.__call__``, ``Poly.shift``, ``Poly.first_mismatch``,
+``AffineForm.evaluate``) work on integers: the numerators of their inputs
+over one common denominator.  Each result is built as a Fraction once, one
+gcd per value instead of one per multiply-add; first_mismatch, the model
+check, builds none and compares den * value with integer Horner sums.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -126,6 +126,17 @@ class Poly:
             acc = acc * r + n * s_pow
             s_pow *= s
         return Fraction(acc, den * (s_pow // s))
+
+    def first_mismatch(self, values: Iterable[int], start: int = 1) -> Optional[int]:
+        """The first m >= start where p(m) != values[m - start], or None."""
+        nums, den = _over_common_denominator(self.coeffs)
+        for m, value in enumerate(values, start):
+            acc = 0
+            for n in reversed(nums):
+                acc = acc * m + n
+            if acc != den * value:
+                return m
+        return None
 
     def shift(self, h: RatLike) -> "Poly":
         """Return the polynomial t -> p(t + h).

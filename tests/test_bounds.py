@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fanobound import bundle
-from fanobound.exact import Poly
+from fanobound.exact import Poly, rat_str
 from fanobound.hilbert import ChernData, p_affine, p_eval, p_poly
 from fanobound.derive import (
     ValueTable,
@@ -328,6 +328,24 @@ class TestSolveOracle:
         values = {m: m**5 + (1 if m == 32 else 0) for m in range(1, 70)}
         with pytest.raises(CertificationError, match="not polynomial at m = 32"):
             solve_oracle(dummy_oracle(values))
+
+    def test_model_bent_between_the_nodes_refused_at_m_6(self):
+        # eps * (t-1)...(t-5) vanishes on m = 1..5 and is 120 * eps at 6
+        src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
+        doc = json.loads(solve_oracle(src).to_json_bytes())
+        (step,) = [s for s in doc["steps"] if s["rule"] == "oracle_model"]
+        model = Poly(step["witness"]["coeffs"])
+        bend = Poly([1])
+        for r in range(1, 6):
+            bend = Poly([0] + list(bend.coeffs)) - bend.scale(r)
+        bent = model + bend.scale(Fraction(1, 10**40))
+        assert [bent(m) for m in range(1, 6)] == [src.h0(m) for m in range(1, 6)]
+        assert bent(6) - src.h0(6) == Fraction(120, 10**40)
+        step["witness"]["coeffs"] = [rat_str(c) for c in bent.coeffs]
+        res = verify(from_json_bytes(json.dumps(doc).encode()))
+        assert (res.ok, res.step_id, res.reason) == (
+            False, step["id"], "model disagrees with values at m = 6"
+        )
 
     def test_table_too_short_for_the_model_rejected(self):
         values = {m: m**5 for m in range(1, 70)}

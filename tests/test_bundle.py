@@ -9,7 +9,7 @@ from itertools import count, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanobound.hilbert import ChernData, PValue, fit_ab, p_affine, p_eval
 from fanobound.bundle import (
@@ -25,6 +25,7 @@ from fanobound.bundle import (
     h0_p1,
     is_nef,
     k5_geometric,
+    _moments,
     oracle_source,
     paper_closed_form,
     power_slots,
@@ -70,11 +71,14 @@ def dict_powers(twists, k):
     return rows
 
 
-def dict_h0_anti(twists, m_max):
+def dict_h0_anti(twists, m_max, conv="standard"):
     """h0(-mK) for m = 1..m_max and the chi flag, degree by degree with
-    h0_p1 over dict_powers."""
+    h0_p1 over dict_powers; the printed S^j is the standard S^(j-2)."""
     h = 2 - sum(twists)
-    powers = dict_powers(twists, 5 * m_max)
+    if conv == "standard":
+        powers = dict_powers(twists, 5 * m_max)
+    else:
+        powers = [{}, {}] + dict_powers(twists, 5 * m_max - 2)
     values, below_chi = [], False
     for m in range(1, m_max + 1):
         mults = powers[5 * m]
@@ -210,6 +214,81 @@ class TestPowerRow:
                 assert h0_anti(SplitBundle(twists), m_max) == values
             assert bool(caught) == below_chi
             assert all(w.category is ChiApproximationWarning for w in caught)
+
+
+def h0_anti_and_chi_flag(twists, m_max, conv="standard"):
+    """h0_anti's values and whether it warned, the shape of dict_h0_anti."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = h0_anti(SplitBundle(twists), m_max, conv)
+    assert all(w.category is ChiApproximationWarning for w in caught)
+    return values, bool(caught)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(twists=st.tuples(*[st.integers(-6, 6)] * 5), m_max=st.integers(1, 5))
+# lowest pushed-down degree exactly -1 (no warning), -2 from m = 1 on
+# (slots skipped, a warning), and far from nef
+@example(twists=(0, 0, 0, 1, 2), m_max=1)
+@example(twists=(0, 0, 0, 2, 2), m_max=3)
+@example(twists=(-6, -6, 6, 6, 6), m_max=2)
+def test_h0_anti_matches_the_dict_pass(twists, m_max):
+    assert h0_anti_and_chi_flag(twists, m_max) == dict_h0_anti(twists, m_max)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(e=st.integers(-6, 6), m_max=st.integers(1, 6))
+# the printed example, and a bundle whose lowest degrees are skipped
+@example(e=1, m_max=5)
+@example(e=6, m_max=2)
+def test_printed_h0_anti_matches_the_dict_pass(e, m_max):
+    twists = (0, 0, 0, 0, e)
+    assert h0_anti_and_chi_flag(twists, m_max, "paper") == dict_h0_anti(twists, m_max, "paper")
+
+
+def slot_moments(packed):
+    """(sum c_i, sum i * c_i) of a packed row, slot by slot."""
+    s0 = s1 = 0
+    for i in range((packed.bit_length() + 63) // 64):
+        c = packed >> (64 * i) & (2**64 - 1)
+        s0, s1 = s0 + c, s1 + i * c
+    return s0, s1
+
+
+class TestMoments:
+    def pack(self, counts):
+        return sum(c << (64 * i) for i, c in enumerate(counts))
+
+    def test_largest_rank_the_guard_admits(self):
+        # spread 0 holds one slot per row, up to S^145052 of rank C(145056, 4)
+        rank = comb(145056, 4)
+        assert rank < 2**64 - 1 and comb(145057, 4) >= 2**64
+        for counts in ([rank], [0, rank], [rank, 0, 0, 0]):
+            packed = self.pack(counts)
+            assert _moments(packed) == slot_moments(packed) == (rank, counts.index(rank) * rank)
+
+    def test_largest_weighted_sum_the_slot_budget_admits(self):
+        # spread 1 reaches k = 4094 under MAX_POWER_SLOTS; its top row has
+        # 4095 slots and rank C(4098, 4), so sum(i * c_i) < 4094 * C(4098, 4)
+        assert power_slots(1, 4094) <= MAX_POWER_SLOTS < power_slots(1, 4095)
+        rank = comb(4098, 4)
+        top = [0] * 4094 + [rank]
+        spread = [rank // 4095 + (i < rank % 4095) for i in range(4095)]
+        rng = random.Random(22)
+        uneven = [0] * 4095
+        for _ in range(200):
+            uneven[rng.randrange(3000, 4095)] += rank // 200
+        for counts in (top, spread, uneven):
+            packed = self.pack(counts)
+            s0, s1 = slot_moments(packed)
+            assert s0 <= rank and 2**54 < s1 <= 4094 * rank < 2**55.5
+            assert _moments(packed) == (s0, s1)
+
+    def test_trivial_bundle_at_the_rank_guard(self):
+        # P^4 x P^1 up to S^145050: h0(-mK) = C(5m+4, 4) * (2m + 1)
+        values = h0_anti(SplitBundle((0, 0, 0, 0, 0)), 29010)
+        assert values[-1] == comb(145054, 4) * 58021
+        assert values[::2900] == [comb(5 * m + 4, 4) * (2 * m + 1) for m in range(1, 29011, 2900)]
 
 
 class TestSlotGuard:

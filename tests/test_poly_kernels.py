@@ -1,6 +1,6 @@
 """The integer polynomial kernels against the Fraction reference.
 
-Poly.__call__, Poly.shift, AffineForm.evaluate and
+Poly.__call__, Poly.shift, Poly.first_mismatch, AffineForm.evaluate and
 derive.interpolate_model compute on integer numerators over a common
 denominator.  The prover and the verifier share them, so each is compared
 for exact equality with tests/poly_reference.py, which does not use the
@@ -51,6 +51,43 @@ class TestPolyCall:
         cs = [Fraction(-(10**45) + 7, 3**20), Fraction(2**100, 5**30), Fraction(-1, 7**25)]
         x = Fraction(-(10**30) + 1, 11**15)
         assert Poly(cs)(x) == ref.poly_eval(cs, x)
+
+
+class TestPolyFirstMismatch:
+    @SETTINGS
+    @given(
+        st.lists(big_ints, min_size=6, max_size=6),
+        st.integers(-40, 40),
+        st.lists(st.integers(-1, 1), max_size=40),
+    )
+    def test_matches_reference(self, ys, start, bends):
+        # through integers at six consecutive nodes a quintic is integral
+        # at every integer; each non-zero bend moves one value off it
+        cs = ref.interpolate(range(start, start + 6), [Fraction(y) for y in ys])
+        exact_values = [ref.poly_eval(cs, Fraction(m)) for m in range(start, start + len(bends))]
+        assert all(v.denominator == 1 for v in exact_values)
+        values = [v.numerator + d for v, d in zip(exact_values, bends)]
+        want = next((start + i for i, d in enumerate(bends) if d), None)
+        assert Poly(cs).first_mismatch(values, start) == want
+
+    def test_rational_model_and_edges(self):
+        assert Poly([Fraction(1, 2)]).first_mismatch([0, 1]) == 1
+        assert Poly().first_mismatch([0, 0, 3], start=-1) == 1
+        assert Poly().first_mismatch([]) is None
+        # m(m+1)/2 is integral although no coefficient is
+        triangle = Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        assert triangle.first_mismatch([m * (m + 1) // 2 for m in range(-5, 30)], -5) is None
+
+    def test_a_bend_of_one_part_in_ten_to_the_forty(self):
+        # eps * (t-1)...(t-5) is zero on m = 1..5 and eps * 120 at m = 6
+        cs = ref.interpolate(range(1, 7), [Fraction(y) for y in (91, 2277, 15708, 62909, 186030, 0)])
+        bend = (Fraction(1),)
+        for r in range(1, 6):
+            bend = ref.poly_mul(bend, (Fraction(-r), Fraction(1)))
+        bent = ref.poly_add(cs, [Fraction(1, 10**40) * c for c in bend])
+        values = [int(ref.poly_eval(cs, Fraction(m))) for m in range(1, 33)]
+        assert Poly(cs).first_mismatch(values) is None
+        assert Poly(bent).first_mismatch(values) == 6
 
 
 class TestPolyShift:
