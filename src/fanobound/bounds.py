@@ -199,7 +199,7 @@ def certify_r0(table: ValueTable, r0: int) -> None:
     value = table.at(r0)
     if value < 1:
         raise CertificationError(f"certify_r0: P({r0}) = {value}, need >= 1")
-    if not poly_positive_on_ray(table.poly.shift(1) - table.poly, r0):
+    if not poly_positive_on_ray(table.poly.difference(), r0):
         raise MonotoneCertificationError(f"no tail certificate from m = {r0}")
 
 

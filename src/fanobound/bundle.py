@@ -11,14 +11,18 @@ down to the line:
 
 and the symmetric power splits into line bundles, one per multi-index
 alpha with |alpha| = 5m, of degree sum(alpha_j e_j).  Counting those
-degrees with multiplicity is a lattice-point problem.  It is solved here
-on packed integers: each S^j(E) is one Python integer with a 64-bit slot
-per degree, lowest degree first, and adding a summand of twist e adds
-row j - 1, shifted by e - min(e) slots, to row j.  No multiplicity
-exceeds the rank C(j+4, 4) of S^j(E), so no slot carries while that rank
-stays below 2**64, which holds for j up to 145,052; larger powers, and
-passes whose rows would hold more than MAX_POWER_SLOTS slots, are refused
-before anything is allocated.  h0_anti reads two moments of each row.
+degrees with multiplicity is a lattice-point problem.  Adding a summand
+of twist e to E adds row j - 1 of the symmetric powers, moved up by e
+degrees, to row j, and one pass per summand does that for two moments
+of every row on small integers: its count sum S0 and its index-weighted
+sum S1.  They are all h0_anti needs where every pushed-down degree is
+>= -1, so on every nef bundle.  The rows themselves are packed integers,
+one 64-bit slot per degree, lowest degree first, built by the same
+passes on the first read of any row of a call.  No multiplicity exceeds
+the rank C(j+4, 4) of S^j(E), so no slot carries while that rank stays
+below 2**64, which holds for j up to 145,052; larger powers, and passes
+whose rows would hold more than MAX_POWER_SLOTS slots, are refused
+before anything is allocated.
 
 Two rank conventions are supported for the inner symmetric powers of the
 four untwisted summands.  The standard one is rank S^k(O^4) = C(k+3, 3).
@@ -34,7 +38,9 @@ import sys
 import warnings
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import comb
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 STANDARD = "standard"
@@ -136,27 +142,66 @@ def power_slots(spread: int, k: int) -> int:
     return spread * k * (k + 1) // 2 + k + 1
 
 
+class _PackedRows:
+    """The packed rows S^0..S^k of one sym_power_twists call, built by one
+    pass per summand on the first read of any of them: row j holds the
+    multi-indices of total j counted by degree, one SLOT_BITS slot per
+    degree from j * min(twists) up, and a summand of twist e adds row
+    j - 1 (already updated), moved up by e - min(e) slots, to row j."""
+
+    __slots__ = ("_twists", "_k", "_rows")
+
+    def __init__(self, twists: tuple[int, ...], k: int) -> None:
+        self._twists = twists
+        self._k = k
+        self._rows: list[int] | None = None
+
+    def __getitem__(self, j: int) -> int:
+        if self._rows is None:
+            low = min(self._twists)
+            rows = [1] + [0] * self._k
+            for e in self._twists:
+                shift = SLOT_BITS * (e - low)
+                for i in range(1, self._k + 1):
+                    rows[i] += rows[i - 1] << shift
+            self._rows = rows
+        return self._rows[j]
+
+
 class PowerRow(Mapping[int, int]):
     """The twist multiset of one S^j(E), read-only: counts[i] is the
     multiplicity of degree low + i.  As a mapping it holds only the
     degrees of positive multiplicity.
 
-    The row keeps the packed integer of its pass and unpacks it into the
-    counts view on first read, so rows nobody reads cost nothing more.
+    s0 = sum(counts) and s1 = sum(i * counts[i]) are carried through the
+    passes that build the row.  The packed integer comes from the rows of
+    its call, built on the first read of any row's counts, mapping or
+    packed integer, and is unpacked into the counts view on first read.
     """
 
-    __slots__ = ("low", "_packed", "_slots", "_counts")
+    __slots__ = ("low", "s0", "s1", "_span", "_rows", "_j", "_counts")
 
-    def __init__(self, low: int, packed: int, slots: int) -> None:
+    def __init__(
+        self, low: int, span: int, s0: int, s1: int,
+        rows: _PackedRows | tuple[int, ...], j: int,
+    ) -> None:
+        # the row holds degrees low..low + span
         self.low = low
-        self._packed = packed
-        self._slots = slots
+        self.s0 = s0
+        self.s1 = s1
+        self._span = span
+        self._rows = rows
+        self._j = j
         self._counts: memoryview | None = None
+
+    @property
+    def _packed(self) -> int:
+        return self._rows[self._j]
 
     @property
     def counts(self) -> memoryview:
         if self._counts is None:
-            raw = self._packed.to_bytes(SLOT_BITS // 8 * self._slots, sys.byteorder)
+            raw = self._packed.to_bytes(SLOT_BITS // 8 * (self._span + 1), sys.byteorder)
             self._counts = memoryview(raw).cast("Q")[::_SLOT_STEP]
         return self._counts
 
@@ -176,17 +221,17 @@ class PowerRow(Mapping[int, int]):
         return f"PowerRow({dict(self)!r})"
 
 
-_EMPTY_ROW = PowerRow(0, 0, 0)
+_EMPTY_ROW = PowerRow(0, -1, 0, 0, (0,), 0)
 
 
 def _standard_powers(twists: tuple[int, ...], k: int) -> list[PowerRow]:
     """Twist multisets of S^j(E) for j = 0..k (empty for k < 0).
 
-    One pass per summand over packed rows: after the summands seen so
-    far, rows[j] holds the multi-indices of total j counted by degree, one
-    SLOT_BITS slot per degree from j * min(twists) up.  Adding a summand
-    of twist e adds row j - 1 (already updated), moved up by e - min(e)
-    slots, to row j.
+    One pass per summand carries the moments (S0_j, S1_j) of every row j:
+    a summand of twist e adds row j - 1 (already updated), moved up by
+    d = e - min(e) slots, to row j, so S1_j += S1_{j-1} + d * S0_{j-1}
+    and S0_j += S0_{j-1}, each a prefix sum over j.  The packed rows are
+    left to the first read (_PackedRows).
     """
     if k < 0:
         return []
@@ -203,12 +248,21 @@ def _standard_powers(twists: tuple[int, ...], k: int) -> list[PowerRow]:
             f"S^0..S^{k}(E) need {slots} packed slots, "
             f"more than the {MAX_POWER_SLOTS} one pass may hold"
         )
-    rows = [1] + [0] * k
+    s0 = [1] + [0] * k
+    s1 = [0] * (k + 1)
     for e in twists:
-        shift = SLOT_BITS * (e - low)
-        for j in range(1, k + 1):
-            rows[j] += rows[j - 1] << shift
-    return [PowerRow(j * low, row, j * spread + 1) for j, row in enumerate(rows)]
+        d = e - low
+        s0 = list(accumulate(s0))
+        # d = 0 moves nothing up: S1 only takes its prefix sum
+        if d:
+            s1 = list(accumulate(map(add, s1, [0, *map(mul, repeat(d), s0)])))
+        else:
+            s1 = list(accumulate(s1))
+    # map, not a comprehension: building the rows costs as much as the
+    # moments, and map calls PowerRow without a Python-level loop
+    js = range(k + 1)
+    lows, spans = map(mul, js, repeat(low)), map(mul, js, repeat(spread))
+    return list(map(PowerRow, lows, spans, s0, s1, repeat(_PackedRows(twists, k)), js))
 
 
 def sym_power_twists(
@@ -246,6 +300,12 @@ def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
     summing line-bundle sections; one symmetric-power pass up to 5*m_max
     serves every multiple.
 
+    Slot i of row 5m twists to first + i sections.  Where first >= 0 the
+    count is first * S0 + S1 from the row's carried moments, and no packed
+    row is built; is_nef makes first = m(5 min(e) + 2 - sum(e)) + 1 >= 1 in
+    both conventions.  Only a row with degrees below -1 reads its packed
+    integer: it shifts them out and reads the moments of the rest.
+
     When every pushed-down degree is >= -1 the first cohomology of each
     summand vanishes and the count equals the Euler characteristic; for
     lower degrees the count is still the honest h0 but chi may differ,
@@ -259,13 +319,16 @@ def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
     below_chi = False
     for m in range(1, m_max + 1):
         row = powers[5 * m]
-        # slot i, degree low + i, twists to first + i sections when that is
-        # >= 0; the skip bits below hold the degrees below -1
         first = row.low + m * h_coeff + 1
-        skip = SLOT_BITS * max(0, -first)
-        below_chi = below_chi or row._packed & ((1 << skip) - 1) != 0
-        s0, s1 = _moments(row._packed >> skip)
-        values.append(max(first, 0) * s0 + s1)
+        if first >= 0:
+            values.append(first * row.s0 + row.s1)
+            continue
+        # the skip bits below hold the degrees below -1; slot -first of the
+        # row, index 0 after the shift, twists to 0 sections
+        packed = row._packed
+        skip = SLOT_BITS * -first
+        below_chi = below_chi or packed & ((1 << skip) - 1) != 0
+        values.append(_moments(packed >> skip)[1])
     if below_chi:
         warnings.warn(
             "a summand has degree < -1 after twisting; h0 may differ from chi",

@@ -43,15 +43,17 @@ The verifier is one table, _RULES, from each rule to its checker and its
 layout per flavor.  A checker replays one step over the shared _Replay
 context, records what it checked (a value table, an oracle model, a branch
 bound) for later steps to cite, and returns the claim the step must carry.
-It trusts four parts of the package: exact (rationals, polynomials, affine
-forms and the positivity test on a ray), hilbert (P(m) and the Lemma 2
-slack as the integer triples p_coeffs and lemma2_slack_coeffs, on which the
-point, Farkas and attempt checks run, p_affine for eval_p, and ray_tail,
-the worst-case tail built from two cited bounds, which the prover also
-calls), bundle (its own recount of the section counts, two moments of
-each packed row, and the nef test) and derive.constraint_form, which
-builds a declared inequality from its descriptor; the verifier keeps each
-as an integer row of its own.
+It trusts four parts of the package: exact (rationals, polynomials and
+their difference p(t + 1) - p(t), affine forms and the positivity test on
+a ray), hilbert (P(m) and the Lemma 2 slack as the integer triples
+p_coeffs and lemma2_slack_coeffs, on which the point, Farkas and attempt
+checks run, p_affine for eval_p, and ray_tail, the worst-case tail built
+from two cited bounds, which the prover also calls), bundle (its own
+recount of the section counts, from the two moments per row its pass
+carries, a packed row being built only for a degree below -1, and the
+nef test) and derive.constraint_form, which builds a declared inequality
+from its descriptor; the verifier keeps each as an integer row of its
+own.
 constraint_form still lives beside the prover's search in derive because
 the benchmark's trace self-check expects calls under that name; it moves
 out together with the next change to the benchmark.
@@ -750,7 +752,7 @@ def _monotone_tail(st: _Replay, inp: dict, w: dict) -> None:
         q = da.scale(st.cert.chern.a) + db.scale(st.cert.chern.b) + dk
     else:
         model = st.result(inp["model_step"], "model", "model_step")
-        q = model.shift(1) - model
+        q = model.difference()
 
     if not poly_positive_on_ray(q, m_start):
         raise _Fail("shifted tail is not certified positive")

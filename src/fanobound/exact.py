@@ -6,9 +6,9 @@ appear.  Rationals are ``fractions.Fraction``, which keeps canonical form
 (positive denominator, reduced) after every operation and sits on Python's
 arbitrary-precision integers.
 
-The kernels (``Poly.__call__``, ``Poly.shift``, ``Poly.first_mismatch``,
-``AffineForm.evaluate``) work on integers: the numerators of their inputs
-over one common denominator.  Each result is built as a Fraction once, one
+The kernels (``Poly.__call__``, ``Poly.shift``, ``Poly.difference``,
+``Poly.first_mismatch``, ``AffineForm.evaluate``) work on integers: the
+numerators of their inputs over one common denominator.  Each result is built as a Fraction once, one
 gcd per value instead of one per multiply-add; first_mismatch, the model
 check, builds none and compares den * value with integer Horner sums.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
 RatLike = Union[int, str, Fraction]
@@ -156,6 +156,18 @@ class Poly:
             for j in range(d - 1, i - 1, -1):
                 c[j] += r * c[j + 1]
         return Poly([Fraction(ck, den * s ** (d - k)) for k, ck in enumerate(c)])
+
+    def difference(self) -> "Poly":
+        """Return the polynomial t -> p(t + 1) - p(t).
+
+        By the binomial theorem its coefficient of t^j is the sum of
+        n_i * C(i, j) over i > j, for p = sum n_i t^i / den, over den.
+        """
+        nums, den = _over_common_denominator(self.coeffs)
+        return Poly([
+            Fraction(sum(nums[i] * comb(i, j) for i in range(j + 1, len(nums))), den)
+            for j in range(len(nums) - 1)
+        ])
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -21,7 +21,6 @@ because every downstream derivation rule assumes them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import NamedTuple
 
 from .exact import AffineForm, Poly, to_rat
@@ -179,14 +178,14 @@ def coefficient_polys() -> tuple[Poly, Poly, Poly]:
     return Poly(_A), Poly(_B), Poly(_C)
 
 
+_DIFFERENCES = tuple(Poly(c).difference() for c in (_A, _B, _C))
+
+
 def difference_polys() -> tuple[Poly, Poly, Poly]:
     """The coefficients of P(m+1) - P(m) as polynomials in m, in the order
-    of coefficient_polys.  By the binomial theorem the coefficient of m^j
-    in c(m+1) - c(m) is the sum of c_i * C(i, j) over i > j."""
-    return tuple(
-        Poly([sum(c[i] * comb(i, j) for i in range(j + 1, len(c))) for j in range(len(c) - 1)])
-        for c in (_A, _B, _C)
-    )
+    of coefficient_polys: the Poly.difference of each, built once at
+    import (a Poly is never changed in place)."""
+    return _DIFFERENCES
 
 
 def ray_tail(b_form: AffineForm, a_form: AffineForm, m_start: int) -> Poly:

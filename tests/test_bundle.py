@@ -255,6 +255,22 @@ def slot_moments(packed):
     return s0, s1
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(e=st.integers(-6, 6), others=st.tuples(*[st.integers(-6, 6)] * 4), k=st.integers(0, 40),
+       conv=st.sampled_from(["standard", "paper"]))
+# a nef bundle, the printed example, and one far from nef
+@example(e=1, others=(0, 0, 0, 0), k=40, conv="paper")
+@example(e=2, others=(0, 0, 0, 0), k=40, conv="standard")
+@example(e=6, others=(-6, -6, 6, 6), k=40, conv="standard")
+def test_carried_moments_match_the_packed_rows(e, others, k, conv):
+    # the printed convention takes four zeros and one e
+    twists = (e,) + (others if conv == "standard" else (0, 0, 0, 0))
+    rows = sym_power_twists(SplitBundle(twists), k, conv)
+    assert len(rows) == k + 1
+    for row in rows:
+        assert (row.s0, row.s1) == slot_moments(row._packed)
+
+
 class TestMoments:
     def pack(self, counts):
         return sum(c << (64 * i) for i, c in enumerate(counts))
@@ -336,7 +352,8 @@ class TestSlotBudget:
         assert peak < 1 << 16
 
     def test_unread_rows_stay_packed(self):
-        # a pass holds its packed rows; a row is unpacked when it is read
+        # a call holds no packed row until one is read; the first read
+        # builds them all, and a row is unpacked when it is read
         b = SplitBundle((0, 0, 0, 1, 1))
         packed_bytes = 8 * power_slots(1, 1000)
         tracemalloc.start()
@@ -348,6 +365,23 @@ class TestSlotBudget:
         assert peak < 1.5 * packed_bytes
         assert list(rows[2].counts) == [6, 6, 3]
         assert rows[3] == brute_force_twists((0, 0, 0, 1, 1), 3)
+
+    def test_nef_counts_build_no_packed_row(self):
+        # the widest nef bundle at the verifier's largest table: its packed
+        # rows would take 8 * 2561**2 bytes, about 52 MB, and h0_anti reads
+        # only the carried moments
+        b = SplitBundle((0, 0, 0, 0, 2))
+        assert is_nef(b)
+        packed_bytes = 8 * power_slots(2, 5 * MAX_TABLE)
+        tracemalloc.start()
+        try:
+            values = h0_anti(b, MAX_TABLE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < packed_bytes / 10
+        chern = ChernData(6250, 2750)
+        assert values[::64] == [p_eval(chern, m) for m in range(1, MAX_TABLE + 1, 64)]
 
 
 class TestOnePassTables:

@@ -1,10 +1,10 @@
 """The integer polynomial kernels against the Fraction reference.
 
-Poly.__call__, Poly.shift, Poly.first_mismatch, AffineForm.evaluate and
-derive.interpolate_model compute on integer numerators over a common
-denominator.  The prover and the verifier share them, so each is compared
-for exact equality with tests/poly_reference.py, which does not use the
-package.
+Poly.__call__, Poly.shift, Poly.difference, Poly.first_mismatch,
+AffineForm.evaluate and derive.interpolate_model compute on integer
+numerators over a common denominator.  The prover and the verifier share
+them, so each is compared for exact equality with tests/poly_reference.py,
+which does not use the package.
 """
 
 from fractions import Fraction
@@ -113,6 +113,25 @@ class TestPolyShift:
         cs = [Fraction(10**40 + 3, 7), -(10**35), Fraction(-2, 3**30), 0, Fraction(1, 2**70)]
         h = Fraction(-(10**25), 13**9)
         assert Poly(cs).shift(h).coeffs == ref.poly_shift(cs, h)
+
+
+class TestPolyDifference:
+    @SETTINGS
+    @given(coefficients)
+    def test_matches_reference(self, cs):
+        # p(t + 1) - p(t) on the reference's Fraction kernels
+        want = ref.poly_add(ref.poly_shift(cs, Fraction(1)), [-c for c in cs])
+        assert [exact(c) for c in Poly(cs).difference().coeffs] == [exact(c) for c in want]
+
+    def test_zero_constants_and_the_oracle_model(self):
+        assert Poly().difference() == Poly()
+        assert Poly([Fraction(-7, 3)]).difference() == Poly()
+        # a quintic through the printed example's first five counts: its
+        # difference at m is its value at m + 1 minus its value at m
+        cs = ref.interpolate(range(1, 7), [Fraction(y) for y in (91, 2277, 15708, 62909, 186030, 0)])
+        values = [ref.poly_eval(cs, Fraction(m)) for m in range(1, 7)]
+        diff = Poly(cs).difference()
+        assert [diff(m) for m in range(1, 6)] == [b - a for a, b in zip(values, values[1:])]
 
 
 class TestAffineEvaluate:
