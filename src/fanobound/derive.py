@@ -16,11 +16,14 @@ refutes any test that asks for a positive lower bound.
 The eliminator works on integer rows: each row is its rational inequality
 and Farkas combination scaled by a tracked positive multiplier, so no
 fraction is normalised inside the loop, and a combined row's combination
-is merged only if it is read.  Bounds are compared by cross-multiplying
-and the returned point is checked on integers.  Ties, duplicates and
-multipliers are decided on the rational rows the integers stand for, so
-every result is identical to elimination over fractions; fractions
-appear only in the returned value, multipliers and point.
+is merged only if it is read.  The last step, eliminating a, is streamed:
+its rows bound only t, so each is kept only while it is tied at the floor
+or is the ceiling.  Bounds are compared by cross-multiplying, a and b are
+back-substituted on integers, and the returned point is checked on
+integers.  Ties, duplicates and multipliers are decided on the rational
+rows the integers stand for, so every result is identical to elimination
+over fractions; fractions appear only in the returned value, multipliers
+and point.
 
 Axioms:
 
@@ -41,7 +44,7 @@ from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import AffineForm, Poly, poly_positive_on_ray, to_rat
+from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray, to_rat
 from .hilbert import (
     ChernData,
     p_affine,
@@ -190,22 +193,15 @@ class _Row(NamedTuple):
     parents: tuple = ()
 
 
-def _int_form(form: AffineForm) -> tuple[int, tuple[int, int, int]]:
-    """(lam, (ca, cb, k)): the form times lam, the lcm of its denominators."""
-    xs = form.as_tuple()
-    lam = math.lcm(*(x.denominator for x in xs))
-    ca, cb, k = (x.numerator * (lam // x.denominator) for x in xs)
-    return lam, (ca, cb, k)
-
-
 def _constraint_row(cid: str, form: AffineForm) -> _Row:
-    lam, (ca, cb, k) = _int_form(form)
+    # the form times lam, the lcm of its denominators
+    (ca, cb, k), lam = over_common_denominator(form)
     return _Row((ca, cb, 0), k, ((cid, lam),), lam)
 
 
 def _objective_rows(f: AffineForm) -> tuple[_Row, _Row]:
     """t - f >= 0 and its negation f - t >= 0, which pin t to f."""
-    lam, (ca, cb, k) = _int_form(f)
+    (ca, cb, k), lam = over_common_denominator(f)
     return (
         _Row((-ca, -cb, lam), -k, ((_OBJ_POS, lam),), lam),
         _Row((ca, cb, -lam), k, ((_OBJ_NEG, lam),), lam),
@@ -240,24 +236,28 @@ def _farkas(combo, den: int) -> tuple[tuple[str, Fraction], ...]:
     return tuple((cid, Fraction(v, den)) for cid, v in combo if cid not in (_OBJ_POS, _OBJ_NEG))
 
 
-def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
-    """One Fourier-Motzkin step on variable ``idx``.
-
-    The rows free of the variable come first, then every (positive,
-    negative) pair combined so that the variable cancels.  Rows with no
-    variable left are dropped, and a row whose rational row was already
-    kept is skipped; the key is the integer row and lam divided by their
-    gcd, which is the rational row in lowest terms.  Returns the refuting
-    constant row alone when one appears (the caller reads the refutation
-    off it).
-    """
+def _pairs(rows: list[_Row], idx: int):
+    """The rows free of variable idx as (row, None), then every (positive,
+    negative) pair on it: the order an elimination reads them in."""
     pos = [r for r in rows if r.coef[idx] > 0]
     neg = [r for r in rows if r.coef[idx] < 0]
-    zero = [(r, None) for r in rows if r.coef[idx] == 0]
+    return chain([(r, None) for r in rows if r.coef[idx] == 0], product(pos, neg))
+
+
+def _eliminate(rows: list[_Row]) -> list[_Row]:
+    """One Fourier-Motzkin step on b.
+
+    The rows free of b come first, then every (positive, negative) pair
+    combined so that b cancels.  Rows with no variable left are dropped,
+    and a row whose rational row was already kept is skipped; the key is
+    the integer row and lam divided by their gcd, which is the rational row
+    in lowest terms.  Returns the refuting constant row alone when one
+    appears (the caller reads the refutation off it).
+    """
     out: list[_Row] = []
     seen = set()
-    for p, n in chain(zero, product(pos, neg)):
-        row = p if n is None else _combine(p, n, idx)
+    for p, n in _pairs(rows, 1):
+        row = p if n is None else _combine(p, n, 1)
         coef, k, lam = row.coef, row.k, row.lam
         if coef == (0, 0, 0):
             if k < 0:
@@ -291,31 +291,27 @@ class MinimizeResult(NamedTuple):
     point: Optional[tuple[Fraction, Fraction]] = None
 
 
-def _back_substitute(rows: Sequence[_Row], idx: int, values: dict[int, Fraction]) -> Fraction:
-    """The least value of variable idx the rows allow once the known values
-    are fixed, else the greatest, else 0.
+def _back_substitute(rows: Sequence[_Row], idx: int, point: tuple) -> tuple[int, int]:
+    """The least value of variable idx the rows allow once the others are
+    fixed, else the greatest, else 0, as (numerator, positive denominator).
 
-    The known values go over one common denominator den, so each row's
-    bound -(k + sum coef_j * v_j) / c is a pair of integers, compared by
-    cross-multiplying; only the returned end becomes a Fraction.
+    point is the homogeneous (a, b, t, den), den > 0 and 0 at idx, so each
+    row's bound is a pair of integers, compared by cross-multiplying.
     """
-    den = math.lcm(*(v.denominator for v in values.values()))
-    nums = [(j, v.numerator * (den // v.denominator)) for j, v in values.items()]
+    xa, xb, xt, den = point
     lo = hi = None  # (numerator, positive denominator)
     for r in rows:
         c = r.coef[idx]
         if c == 0:
             continue
-        rest = r.k * den
-        for j, n in nums:
-            rest += r.coef[j] * n
+        ca, cb, ct = r.coef
+        rest = ca * xa + cb * xb + ct * xt + r.k * den
         if c > 0:
             if lo is None or -rest * lo[1] > lo[0] * c * den:
                 lo = (-rest, c * den)
         elif hi is None or rest * hi[1] < hi[0] * -c * den:
             hi = (rest, -c * den)
-    end = lo or hi
-    return Fraction(0) if end is None else Fraction(*end)
+    return lo or hi or (0, 1)
 
 
 def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
@@ -336,26 +332,41 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
         return MinimizeResult(status="infeasible", farkas=_farkas(_combo(row), row.lam))
 
     stage_b = rows
-    stage_a = _eliminate(stage_b, 1)
+    stage_a = _eliminate(stage_b)
     if len(stage_a) == 1 and stage_a[0].coef == (0, 0, 0):
         return refutation(stage_a[0])
-    stage_t = _eliminate(stage_a, 0)
-    if len(stage_t) == 1 and stage_t[0].coef == (0, 0, 0):
-        return refutation(stage_t[0])
 
-    tied: list[_Row] = []  # the rows at the greatest floor -k/ct on t
+    # eliminating a, streamed: each row it yields is ct*t + k >= 0, so a
+    # _Row is built only for one tied at the greatest floor -k/ct on t, a
+    # new least ceiling or the first negative constant, which refutes; the
+    # dedup of _eliminate runs among the tied rows, which share one floor
+    tied: list[_Row] = []
+    keys = set()  # the tied rows' rational rows in lowest terms
     row_hi = None  # the first row at the least ceiling
-    for r in stage_t:
-        ct = r.coef[2]
+    for p, n in _pairs(stage_a, 0):
+        if n is None:
+            ct, k = p.coef[2], p.k
+        else:
+            lp, ln = -n.coef[0], p.coef[0]
+            ct, k = lp * p.coef[2] + ln * n.coef[2], lp * p.k + ln * n.k
         if ct > 0:
             # the sign of -k/ct against the floor so far, cross-multiplied
-            d = r.k * tied[0].coef[2] - tied[0].k * ct if tied else -1
+            d = k * tied[0].coef[2] - tied[0].k * ct if tied else -1
             if d < 0:
-                tied = []
+                tied, keys = [], set()
             if d <= 0:
-                tied.append(r)
-        elif ct < 0 and (row_hi is None or r.k * row_hi.coef[2] > row_hi.k * ct):
-            row_hi = r
+                lam = p.lam if n is None else p.lam * n.lam
+                g = math.gcd(ct, k, lam)
+                key = (ct // g, k // g, lam // g)
+                if key not in keys:
+                    keys.add(key)
+                    tied.append(p if n is None else _combine(p, n, 0))
+        elif ct < 0:
+            if row_hi is None or k * row_hi.coef[2] > row_hi.k * ct:
+                row_hi = p if n is None else _combine(p, n, 0)
+        elif k < 0:
+            return refutation(p if n is None else _combine(p, n, 0))
+
     if tied and row_hi is not None:
         cross = _combine(tied[0], row_hi, 2)
         if cross.k < 0:  # the floor lies above the ceiling
@@ -368,25 +379,26 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
             ((r, _combo(r)) for r in tied),
             key=lambda rc: [(cid, v * (lam // rc[0].lam)) for cid, v in rc[1]],
         )
-        farkas = _farkas(combo, row.coef[2])
-        q = Fraction(-row.k, row.coef[2])
-        status, value = "minimum", q
+        qn, qd = -row.k, row.coef[2]
+        status, value, farkas = "minimum", Fraction(qn, qd), _farkas(combo, qd)
     else:
         # no floor on t: f takes every value up to its supremum
         below = row_hi is not None and row_hi.k < 0
-        q = Fraction(row_hi.k, -row_hi.coef[2]) if below else Fraction(0)
+        qn, qd = (row_hi.k, -row_hi.coef[2]) if below else (0, 1)
         status, value, farkas = "unbounded", None, ()
 
-    # back-substitute t = q: a from the rows on (a, t), then b
-    a_star = _back_substitute(stage_a, 0, {2: q})
-    b_star = _back_substitute(stage_b, 1, {0: a_star, 2: q})
+    # back-substitute t = qn/qd: a from the rows on (a, t), then b, on
+    # integers; only the returned coordinates become Fractions
+    an, ad = _back_substitute(stage_a, 0, (0, 0, qn, qd))
+    bn, bd = _back_substitute(stage_b, 1, (an * qd, 0, qn * ad, ad * qd))
+    a_star, b_star = Fraction(an, ad), Fraction(bn, bd)
     # both checks on integers: each row at the point, times ad * bd
-    an, ad, bn, bd = a_star.numerator, a_star.denominator, b_star.numerator, b_star.denominator
 
     def at_point(r: _Row) -> int:
         return r.coef[0] * an * bd + r.coef[1] * bn * ad + r.k * ad * bd
 
-    if at_point(obj_neg) * q.denominator != obj_neg.lam * ad * bd * q.numerator:
+    if at_point(obj_neg) * qd != obj_neg.lam * ad * bd * qn:
+        q = Fraction(qn, qd)
         raise AssertionError(f"fm_minimize: f does not equal {q} at {(a_star, b_star)}")
     for c in cs.constraints:
         if at_point(c.row) < 0:
@@ -473,7 +485,7 @@ def fact_to_constraint(fact: Fact) -> Constraint:
     coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.
     """
     base = p_affine(fact.m) - AffineForm.constant(fact.bound)
-    denom_lcm, ints = _int_form(base)
+    ints, denom_lcm = over_common_denominator(base)
     g = math.gcd(*ints)
     scale = Fraction(g, denom_lcm) if g else Fraction(1)
     return Constraint.make(

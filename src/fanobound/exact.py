@@ -50,19 +50,30 @@ def to_rat(x: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def rat_str(x: Fraction) -> str:
-    """Serialize a rational as "p/q", omitting "/1" for integers."""
-    x = Fraction(x)
+def rat_str(x: Union[int, Fraction]) -> str:
+    """Serialize an int or Fraction as "p/q", omitting "/1" for integers;
+    anything else, bool and float included, is refused as by to_rat."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot write {x!r} as a rational")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def _over_common_denominator(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+def over_common_denominator(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     """The numerators of cs over the lcm of their denominators, and that
     lcm (1 for no values)."""
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def taylor_shift(c: list[int], r: int) -> list[int]:
+    """Shift the coefficients c (low degree first) in place to t -> c(t + r)."""
+    d = len(c) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += r * c[j + 1]
+    return c
 
 
 class Poly:
@@ -120,7 +131,7 @@ class Poly:
         if not self.coeffs:
             return Fraction(0)
         r, s = x.numerator, x.denominator
-        nums, den = _over_common_denominator(self.coeffs)
+        nums, den = over_common_denominator(self.coeffs)
         acc, s_pow = 0, 1
         for n in reversed(nums):
             acc = acc * r + n * s_pow
@@ -129,7 +140,7 @@ class Poly:
 
     def first_mismatch(self, values: Iterable[int], start: int = 1) -> Optional[int]:
         """The first m >= start where p(m) != values[m - start], or None."""
-        nums, den = _over_common_denominator(self.coeffs)
+        nums, den = over_common_denominator(self.coeffs)
         for m, value in enumerate(values, start):
             acc = 0
             for n in reversed(nums):
@@ -149,12 +160,9 @@ class Poly:
         """
         h = to_rat(h)
         r, s = h.numerator, h.denominator
-        nums, den = _over_common_denominator(self.coeffs)
+        nums, den = over_common_denominator(self.coeffs)
         d = len(nums) - 1
-        c = [n * s ** (d - i) for i, n in enumerate(nums)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                c[j] += r * c[j + 1]
+        c = taylor_shift([n * s ** (d - i) for i, n in enumerate(nums)], r)
         return Poly([Fraction(ck, den * s ** (d - k)) for k, ck in enumerate(c)])
 
     def difference(self) -> "Poly":
@@ -163,7 +171,7 @@ class Poly:
         By the binomial theorem its coefficient of t^j is the sum of
         n_i * C(i, j) over i > j, for p = sum n_i t^i / den, over den.
         """
-        nums, den = _over_common_denominator(self.coeffs)
+        nums, den = over_common_denominator(self.coeffs)
         return Poly([
             Fraction(sum(nums[i] * comb(i, j) for i in range(j + 1, len(nums))), den)
             for j in range(len(nums) - 1)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import AffineForm, Poly, to_rat
+from .exact import AffineForm, Poly, over_common_denominator, taylor_shift, to_rat
 
 # P's coefficients of a, of b and of 1 as polynomials in m, low degree first
 _A = (0, -1, 0, 10, 15, 6)
@@ -181,6 +181,12 @@ def coefficient_polys() -> tuple[Poly, Poly, Poly]:
 _DIFFERENCES = tuple(Poly(c).difference() for c in (_A, _B, _C))
 
 
+# their integer coefficients, padded to one length, for ray_tail
+_DIFFERENCE_NUMS = tuple(
+    [c.numerator for c in p.coeffs] + [0] * (len(_A) - 1 - len(p.coeffs)) for p in _DIFFERENCES
+)
+
+
 def difference_polys() -> tuple[Poly, Poly, Poly]:
     """The coefficients of P(m+1) - P(m) as polynomials in m, in the order
     of coefficient_polys: the Poly.difference of each, built once at
@@ -195,22 +201,28 @@ def ray_tail(b_form: AffineForm, a_form: AffineForm, m_start: int) -> Poly:
     b_form bounds b below and a_form, free of b, bounds a below.  The bound
     on b is substituted into the difference first, then the bound on a;
     each substitution minimizes because the coefficient it replaces has
-    nonnegative coefficients once shifted to m_start.  Raises ValueError
-    naming the first condition that fails.
+    nonnegative coefficients once shifted to m_start.  Both run on integer
+    coefficients, each form over its common denominator, so q is one
+    integer polynomial over cb * ca, b_form's b coefficient times a_form's
+    a coefficient.  Raises ValueError naming the first condition that fails.
     """
     if b_form.coeff_b <= 0:
         raise ValueError("cited constraint gives no lower bound for b")
     if a_form.coeff_b != 0 or a_form.coeff_a <= 0:
         raise ValueError("cited constraint gives no lower bound for a")
-    da, db, dk = difference_polys()
-    if any(c < 0 for c in db.shift(m_start).coeffs):
+    (ba, bb, bk), _ = over_common_denominator(b_form)
+    (aa, _, ak), _ = over_common_denominator(a_form)
+    da, db, dk = _DIFFERENCE_NUMS
+    if any(c < 0 for c in taylor_shift(list(db), m_start)):
         raise ValueError("b-substitution is not minimizing on the ray")
-    # b >= -(ca a + k) / cb
-    subst_a = da - db.scale(b_form.coeff_a / b_form.coeff_b)
-    if any(c < 0 for c in subst_a.shift(m_start).coeffs):
+    # bb b >= -(ba a + bk), so bb times the difference is at least
+    # subst_a a + bb dk - bk db, and then aa a >= -ak
+    subst_a = [bb * x - ba * y for x, y in zip(da, db)]
+    if any(c < 0 for c in taylor_shift(list(subst_a), m_start)):
         raise ValueError("a-substitution is not minimizing on the ray")
-    subst_k = dk - db.scale(b_form.const / b_form.coeff_b)
-    return subst_a.scale(-a_form.const / a_form.coeff_a) + subst_k
+    den = bb * aa
+    return Poly([Fraction(aa * (bb * z - bk * y) - ak * x, den)
+                 for x, y, z in zip(subst_a, db, dk)])
 
 
 def p_poly(c: ChernData) -> Poly:

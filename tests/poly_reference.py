@@ -1,10 +1,11 @@
 """Reference polynomial kernels on Fractions.
 
 These are the rational kernels that ``Poly.__call__``, ``Poly.shift``,
-``AffineForm.evaluate`` and ``derive.interpolate_model`` used before they
-moved to integer numerators over a common denominator, and the Fraction
-route by which hilbert built and evaluated P before it stored P as integer
-coefficients (p_coefficients, p_value).  They work on plain
+``AffineForm.evaluate``, ``derive.interpolate_model`` and
+``hilbert.ray_tail`` used before they moved to integer numerators over a
+common denominator, and the Fraction route by which hilbert built and
+evaluated P before it stored P as integer coefficients (p_coefficients,
+p_value).  They work on plain
 coefficient lists (low degree first) and use nothing from the package, so
 a wrong value that the prover and the verifier would both compute, and
 both accept, still differs from the reference.
@@ -100,3 +101,29 @@ def p_value(k5: int, k3c2: int, m: int) -> Fraction:
     fa, fb, fc = p_coefficients()
     a, b = Fraction(k5, 720), Fraction(k3c2, 144)
     return affine_evaluate(poly_eval(fa, m), poly_eval(fb, m), poly_eval(fc, m), a, b)
+
+
+
+def ray_tail(
+    b_form: Sequence[Fraction], a_form: Sequence[Fraction], m_start: int
+) -> tuple[Fraction, ...]:
+    """hilbert.ray_tail on Fractions, for forms given as (ca, cb, k): the
+    difference of each coefficient of P is its shift by 1 minus itself, and
+    each bound is substituted by scaling.  Raises ValueError with the same
+    messages, in the same order."""
+    b_ca, b_cb, b_k = b_form
+    a_ca, a_cb, a_k = a_form
+    if b_cb <= 0:
+        raise ValueError("cited constraint gives no lower bound for b")
+    if a_cb != 0 or a_ca <= 0:
+        raise ValueError("cited constraint gives no lower bound for a")
+    da, db, dk = (poly_add(poly_shift(p, Fraction(1)), [-c for c in p]) for p in p_coefficients())
+    if any(c < 0 for c in poly_shift(db, Fraction(m_start))):
+        raise ValueError("b-substitution is not minimizing on the ray")
+    # b >= -(b_ca a + b_k) / b_cb
+    subst_a = poly_add(da, [-b_ca / b_cb * c for c in db])
+    if any(c < 0 for c in poly_shift(subst_a, Fraction(m_start))):
+        raise ValueError("a-substitution is not minimizing on the ray")
+    subst_k = poly_add(dk, [-b_k / b_cb * c for c in db])
+    # a >= -a_k / a_ca
+    return poly_add([-a_k / a_ca * c for c in subst_a], subst_k)

@@ -222,6 +222,35 @@ DEDUP = (
 )
 
 
+
+def named_system(*rows):
+    """A system of rows (cid, ca, cb, k), in the order given."""
+    return ConstraintSystem(
+        tuple(Constraint(cid, "aux", (), AffineForm.of(ca, cb, k)) for cid, ca, cb, k in rows)
+    )
+
+
+# the last step, eliminating a, for f = b.  Its pairs (p, n) and (p, m)
+# both give t - 1 >= 0, the first as p + n and the second as 2p + m, which
+# sorts first ("m" < "n"); the first row of a rational row is kept, so the
+# combination is p + n
+LAST_STEP_DUPLICATE = (
+    named_system(("p", 1, 0, -1), ("n", -1, 1, 0), ("m", -2, 1, 1)),
+    AffineForm.of(0, 1, 0),
+)
+# t - 1 and 2t - 2 tie at the floor, then the pair of p and n raises it to 2
+FLOOR_RISES = (
+    aux_system([(1, 0, -2), (0, 1, -1), (0, 2, -2), (-1, 1, 0)]),
+    AffineForm.of(0, 1, 0),
+)
+# the last step reads the floor t >= 1 and the ceiling t <= 3, then the
+# pair of c2 and c3, -1 >= 0, which refutes
+LAST_STEP_REFUTATION = (
+    aux_system([(0, 1, -1), (0, -1, 3), (1, 0, -1), (-1, 0, 0)]),
+    AffineForm.of(0, 1, 0),
+)
+
+
 class TestIntegerKernel:
     """The integer-row minimizer against the rational reference kernel."""
 
@@ -232,6 +261,9 @@ class TestIntegerKernel:
     @example(BOUNDED_ABOVE)
     @example(TIED)
     @example(DEDUP)
+    @example(LAST_STEP_DUPLICATE)
+    @example(FLOOR_RISES)
+    @example(LAST_STEP_REFUTATION)
     def test_every_field_matches_the_rational_kernel(self, case):
         cs, f = case
         got, want = fm_minimize(cs, f), fm_minimize_reference(cs, f)
@@ -270,6 +302,12 @@ class TestIntegerKernel:
         assert tied.farkas == (("c1", 1), ("c3", 2))
         dedup = fm_minimize(*DEDUP)
         assert (dedup.value, dedup.farkas) == (1, (("c0", 1), ("c2", 1)))
+        first = fm_minimize(*LAST_STEP_DUPLICATE)
+        assert (first.value, first.farkas) == (1, (("n", 1), ("p", 1)))
+        risen = fm_minimize(*FLOOR_RISES)
+        assert (risen.value, risen.farkas) == (2, (("c0", 1), ("c3", 1)))
+        refuted = fm_minimize(*LAST_STEP_REFUTATION)
+        assert (refuted.status, refuted.farkas) == ("infeasible", (("c2", 1), ("c3", 1)))
 
     def test_a_wrong_point_raises(self, monkeypatch):
         # both feasibility checks run as statements, not asserts, so they
@@ -278,8 +316,9 @@ class TestIntegerKernel:
 
         real = derive._back_substitute
 
-        def lifted_b(rows, idx, values):
-            return real(rows, idx, values) + (idx == 1)
+        def lifted_b(rows, idx, point):
+            num, den = real(rows, idx, point)
+            return num + den * (idx == 1), den
 
         monkeypatch.setattr(derive, "_back_substitute", lifted_b)
         # P(3) depends on b, so its value moves off the minimum

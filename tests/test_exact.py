@@ -56,6 +56,15 @@ class TestRat:
             assert to_rat(rat_str(v)) == v
         assert rat_str(Fraction(8, 2)) == "4"
 
+    def test_rat_str_writes_ints_and_fractions_only(self):
+        assert [rat_str(x) for x in (0, -12, 10**40, Fraction(-6, 4))] == ["0", "-12", "1" + "0" * 40, "-3/2"]
+        # a float, a string, a bool or a Decimal is refused, not coerced
+        from decimal import Decimal
+
+        for x in (0.5, "1/2", True, False, Decimal(1), None):
+            with pytest.raises(TypeError):
+                rat_str(x)
+
     def test_to_rat_reads_strings_as_fraction_does_on_its_own_grammar(self):
         # the grammar is -?[0-9]+(/[0-9]+)?; within it the value is the one
         # Fraction parses, and anything outside it is refused

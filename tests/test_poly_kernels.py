@@ -1,8 +1,8 @@
 """The integer polynomial kernels against the Fraction reference.
 
 Poly.__call__, Poly.shift, Poly.difference, Poly.first_mismatch,
-AffineForm.evaluate and derive.interpolate_model compute on integer
-numerators over a common denominator.  The prover and the verifier share
+AffineForm.evaluate, derive.interpolate_model and hilbert.ray_tail compute
+on integer numerators over a common denominator.  The prover and the verifier share
 them, so each is compared for exact equality with tests/poly_reference.py,
 which does not use the package.
 """
@@ -10,11 +10,12 @@ which does not use the package.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import poly_reference as ref
 from fanobound.derive import interpolate_model
 from fanobound.exact import AffineForm, Poly
+from fanobound.hilbert import ray_tail
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -132,6 +133,54 @@ class TestPolyDifference:
         values = [ref.poly_eval(cs, Fraction(m)) for m in range(1, 7)]
         diff = Poly(cs).difference()
         assert [diff(m) for m in range(1, 6)] == [b - a for a, b in zip(values, values[1:])]
+
+
+def tail_outcome(tail, b_form, a_form, m_start):
+    """The coefficients a ray tail returns, each as exact(), or the message
+    of the ValueError it raises."""
+    try:
+        return [exact(c) for c in tail(b_form, a_form, m_start)]
+    except ValueError as exc:
+        return str(exc)
+
+
+forms = st.builds(AffineForm, rationals, rationals, rationals)
+# a form free of b, as every floor on a is
+floors = st.builds(AffineForm, rationals, st.just(Fraction(0)), rationals)
+# the worst-case tail's pair: F.P3>=7 (35a + b >= 0) and A1 (a >= 1/720)
+MERGED, A1 = AffineForm.of(35, 1, 0), AffineForm.of(1, 0, Fraction(-1, 720))
+# one case per outcome: a polynomial, then each refusal in the order checked
+TAILS = {
+    "polynomial": (MERGED, A1, 3),
+    "no lower bound for b": (AffineForm.of(35, -1, 0), A1, 3),
+    "no lower bound for a": (MERGED, AffineForm.of(1, 1, 0), 3),
+    "b-substitution": (MERGED, A1, -3),
+    "a-substitution": (AffineForm.of(10**6, 1, 0), A1, 3),
+}
+
+
+class TestRayTail:
+    @SETTINGS
+    @given(forms, st.one_of(floors, forms), st.integers(-4, 8))
+    @example(*TAILS["polynomial"])
+    @example(*TAILS["no lower bound for b"])
+    @example(*TAILS["no lower bound for a"])
+    @example(*TAILS["b-substitution"])
+    @example(*TAILS["a-substitution"])
+    # a floor free of b whose a coefficient is negative
+    @example(MERGED, AffineForm.of(-1, 0, 1), 3)
+    def test_matches_reference(self, b_form, a_form, m_start):
+        got = tail_outcome(lambda *args: ray_tail(*args).coeffs, b_form, a_form, m_start)
+        assert got == tail_outcome(ref.ray_tail, b_form, a_form, m_start)
+
+    def test_every_outcome_is_reached(self):
+        for want, args in TAILS.items():
+            got = tail_outcome(lambda *args: ray_tail(*args).coeffs, *args)
+            assert (want == "polynomial") == isinstance(got, list)
+            if want != "polynomial":
+                assert want in got
+        # by hand: min of P(4)-P(3) over {b >= -35a, a >= 1/720} is 4320/720+2
+        assert ray_tail(*TAILS["polynomial"])(3) == 8
 
 
 class TestAffineEvaluate:
