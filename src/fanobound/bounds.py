@@ -23,7 +23,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from .exact import poly_positive_on_ray, rat_str
-from .hilbert import ChernData, LEMMA2_R_CAP, lemma2_slack_form, lemma2_threshold, p_affine
+# lemma2_threshold is re-exported by the package
+from .hilbert import ChernData, lemma2_slack_form, lemma2_threshold, p_affine
+from .hilbert import passes_dimension_test, search_order
 from . import certs
 from .bundle import OracleSource, SplitBundle, is_nef
 from .derive import (
@@ -139,9 +141,7 @@ def _table_attempt(table: ValueTable, m: int, r: Optional[int]) -> tuple[bool, d
     h0 >= 2, the strict test above its threshold (the boundary is not a
     pass).  The record names only m and r, since the verifier reads the
     value from the table it checked."""
-    value = table.at(m)
-    passed = value >= 2 if r is None else value > lemma2_threshold(m, r, table.d5)
-    return passed, {"m": m, "r": r}
+    return passes_dimension_test(table.at(m), m, r, table.d5), {"m": m, "r": r}
 
 
 def minimal_r(
@@ -166,17 +166,15 @@ def minimal_r(
         raise ValueError("m_max must be >= 1")
     attempt = _worst_case_attempt if isinstance(source, ConstraintSystem) else _table_attempt
     attempts: list[dict] = []
-    r_options = [None] if target_dim == 1 else list(range(target_dim - 1, LEMMA2_R_CAP + 1))
     if tried is None:
         tried = {}
-    for m in range(m_start, m_max + 1):
-        for r in r_options:
-            if (m, r) not in tried:
-                tried[m, r] = attempt(source, m, r)
-            passed, record = tried[m, r]
-            if passed:
-                return SearchOutcome(m, record, tuple(attempts))
-            attempts.append(record)
+    for m, r in search_order(target_dim, m_start, m_max):
+        if (m, r) not in tried:
+            tried[m, r] = attempt(source, m, r)
+        passed, record = tried[m, r]
+        if passed:
+            return SearchOutcome(m, record, tuple(attempts))
+        attempts.append(record)
     raise SearchExhaustedError(
         f"no dimension-{target_dim} witness up to m = {m_max}"
     )

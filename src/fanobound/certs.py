@@ -43,20 +43,17 @@ The verifier is one table, _RULES, from each rule to its checker and its
 layout per flavor.  A checker replays one step over the shared _Replay
 context, records what it checked (a value table, an oracle model, a branch
 bound) for later steps to cite, and returns the claim the step must carry.
-It trusts four parts of the package: exact (rationals, polynomials and
-their difference p(t + 1) - p(t), affine forms and the positivity test on
-a ray), hilbert (P(m) and the Lemma 2 slack as the integer triples
-p_coeffs and lemma2_slack_coeffs, on which the point, Farkas and attempt
-checks run, p_affine for eval_p, and ray_tail, the worst-case tail built
-from two cited bounds, which the prover also calls), bundle (its own
-recount of the section counts, from the two moments per row its pass
-carries, a packed row being built only for a degree below -1, and the
-nef test) and derive.constraint_form, which builds a declared inequality
-from its descriptor; the verifier keeps each as an integer row of its
-own.
-constraint_form still lives beside the prover's search in derive because
-the benchmark's trace self-check expects calls under that name; it moves
-out together with the next change to the benchmark.
+It trusts three parts of the package and no prover code: exact
+(rationals, polynomials and their difference p(t + 1) - p(t), affine forms
+and the positivity test on a ray), hilbert (P(m) and the Lemma 2 slack as
+the integer triples p_coeffs and lemma2_slack_coeffs, on which the point,
+Farkas and attempt checks run, p_affine for eval_p, constraint_row and
+CONSTRAINT_CIDS, the integer row and the name of each declared kind, the
+dimension tests and their search order, and ray_tail, the worst-case tail
+built from two cited bounds; the prover calls each of these too) and
+bundle (its own recount of the section counts, from the two moments per
+row its pass carries, a packed row being built only for a degree below
+-1, and the nef test).
 """
 
 from __future__ import annotations
@@ -67,19 +64,21 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Optional
 
-from .exact import AffineForm, Poly, poly_positive_on_ray, rat_str, to_rat
+from .exact import Poly, poly_positive_on_ray, rat_str, to_rat
 from .hilbert import (
+    CONSTRAINT_CIDS,
     ChernData,
     LEMMA2_R_CAP,
+    constraint_row,
     difference_polys,
     lemma2_slack_coeffs,
-    lemma2_threshold,
     p_affine,
     p_coeffs,
+    passes_dimension_test,
     ray_tail,
+    search_order,
 )
 from . import bundle
-from .derive import constraint_form
 
 CERT_VERSION = 5
 
@@ -322,20 +321,11 @@ def _rats(value: Any, what: str) -> list[Fraction]:
 
 _AXIOM_KINDS = {"k5_floor": "A1", "vanishing": "A4", "mono12": "A5"}
 _BRANCH_KINDS = {"p1_eq_lo", "p1_eq_hi", "p1_tail"}
-# the kinds a certificate may declare, and the cid each names its
-# constraint by, filled in from the params: A4.3 is P(3) >= 0, F.P3>=7 the
-# fact P(3) >= 7
-_CIDS = {
-    "k5_floor": "A1", "vanishing": "A4.{}", "mono12": "A5",
-    "p1_eq_lo": "H.P1={}.lo", "p1_eq_hi": "H.P1={}.hi", "p1_tail": "H.P1>={}",
-    "from_fact": "F.P{}>={}",
-}
 
 
 class _Decl(NamedTuple):
     """A declared constraint form >= 0, built from its descriptor."""
 
-    form: AffineForm
     row: tuple[int, int, int, int]  # (ca, cb, k, den): form = (ca, cb, k) / den, den > 0
     kind: str
     params: tuple
@@ -363,7 +353,7 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
         last = cid
         if not isinstance(kind, str) or not isinstance(params, list):
             raise _Fail(f"constraint {cid} needs a kind string and a params list")
-        if kind not in _CIDS:
+        if kind not in CONSTRAINT_CIDS:
             raise _Fail(f"constraint kind {kind!r} not allowed in certificates")
         if kind in _AXIOM_KINDS and _AXIOM_KINDS[kind] not in axioms:
             raise _Fail(f"constraint {cid} uses undeclared axiom {_AXIOM_KINDS[kind]}")
@@ -371,7 +361,7 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
         if params:
             _json_int(params[0], f"first parameter of {cid}")
         try:
-            form = constraint_form(kind, params)
+            row = constraint_row(kind, params)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise _Fail(f"constraint {cid}: {exc}")
         fact = None
@@ -380,11 +370,9 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
             if _rat(scale, f"scale of {cid}") <= 0:
                 raise _Fail(f"constraint {cid} must divide its fact by a positive scale")
             fact = (m, _rat(bound, f"fact bound of {cid}"))
-        if cid != _CIDS[kind].format(*params):
+        if cid != CONSTRAINT_CIDS[kind].format(*params):
             raise _Fail(f"constraint {cid} is not the name of its descriptor")
-        den = math.lcm(*(c.denominator for c in form))
-        row = (*(c.numerator * (den // c.denominator) for c in form), den)
-        decls[cid] = _Decl(form, row, kind, params, fact)
+        decls[cid] = _Decl(row, kind, params, fact)
     return decls
 
 
@@ -649,13 +637,6 @@ _LEMMA2_SELECTION = _TABLE_TEST | {"raw_min", "farkas"}
 _PENCIL_SELECTION = _LEMMA2_SELECTION | {"bound"}
 
 
-def _passes(table: _Table, m: int, r: Optional[int]) -> bool:
-    """Whether the table's value at m passes the pencil test (r is None) or
-    the strict Lemma 2 test with exponent r."""
-    value = table.at(m)
-    return value >= 2 if r is None else value > lemma2_threshold(m, r, table.d5)
-
-
 def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
     target = _json_int(inp["target_dim"], "target_dim")
     if target not in (1, 2, 3):
@@ -681,16 +662,10 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
         # refused before any m**r is computed
         raise _Fail(f"selected exponent must lie in [{target - 1}, {LEMMA2_R_CAP}]")
 
-    r_options = [None] if nonvanishing else list(range(target - 1, LEMMA2_R_CAP + 1))
-
     # minimality: every (m, r) preceding the selection must appear as a
     # checked failing attempt
-    expect: list[tuple[int, Optional[int]]] = []
-    for m in range(m_start, sel_m + 1):
-        for r in r_options:
-            if m == sel_m and (r is None or r >= sel_r):
-                break
-            expect.append((m, r))
+    order = list(search_order(target, m_start, sel_m))
+    expect = order[:order.index((sel_m, sel_r))]
     attempts = w["attempts"]
     if not isinstance(attempts, list):
         raise _Fail("attempts must be a list")
@@ -723,9 +698,9 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
     else:
         table = st.result(inp["values_step"], "value table", "values_step")
         for m, r in expect:
-            if _passes(table, m, r):
+            if passes_dimension_test(table.at(m), m, r, table.d5):
                 raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
-        if not _passes(table, sel_m, sel_r):
+        if not passes_dimension_test(table.at(sel_m), sel_m, sel_r, table.d5):
             raise _Fail(f"the selection at m={sel_m}, r={sel_r} does not pass the test")
     st.searches[target] = sel_m
     return f"dim >= {target} at m = {sel_m}"
@@ -744,7 +719,7 @@ def _monotone_tail(st: _Replay, inp: dict, w: dict) -> None:
         if bcid not in table or acid not in table:
             raise _Fail("tail cites constraints outside the recorded system")
         try:
-            q = ray_tail(table[bcid].form, table[acid].form, m_start)
+            q = ray_tail(table[bcid].row[:3], table[acid].row[:3], m_start)
         except ValueError as exc:
             raise _Fail(str(exc))
     elif mode == CONCRETE:

@@ -46,9 +46,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray, to_rat
 from .hilbert import (
+    CONSTRAINT_CIDS,
     ChernData,
+    constraint_row,
     p_affine,
-    p_coeffs,
     p_eval,
     p_poly,
     ray_tail,
@@ -78,29 +79,10 @@ class MonotoneCertificationError(DerivationError):
 # ---------------------------------------------------------------------------
 
 def constraint_form(kind: str, params: Sequence) -> AffineForm:
-    """Rebuild the affine form of a constraint, form >= 0, from its
-    descriptor.  Verifiers use this as the declared form, so a kind takes
-    exactly its parameters and k5_floor and mono12 take none."""
-    if kind in ("k5_floor", "mono12") and params:
-        raise ValueError(f"{kind} takes no parameters")
-    if kind == "k5_floor":
-        return AffineForm.of(1, 0, Fraction(-1, 720))
-    if kind == "vanishing":
-        (m,) = params
-        return p_affine(int(m))
-    if kind == "mono12":
-        return AffineForm.of(*(x - y for x, y in zip(p_coeffs(2), p_coeffs(1))))
-    if kind in ("p1_eq_lo", "p1_eq_hi", "p1_tail"):
-        (l,) = params
-        ca, cb, k = p_coeffs(1)
-        sign = -1 if kind == "p1_eq_hi" else 1
-        return AffineForm.of(sign * ca, sign * cb, sign * (k - int(l)))
-    if kind == "from_fact":
-        m, bound, scale = params
-        ca, cb, k = p_coeffs(int(m))
-        k, inv = k - to_rat(bound), Fraction(1, 1) / to_rat(scale)
-        return AffineForm.of(ca * inv, cb * inv, k * inv)
-    raise ValueError(f"unknown constraint kind {kind!r}")
+    """The affine form of a constraint, form >= 0, from its descriptor:
+    hilbert.constraint_row over its denominator."""
+    ca, cb, k, den = constraint_row(kind, params)
+    return AffineForm(Fraction(ca, den), Fraction(cb, den), Fraction(k, den))
 
 
 class Constraint(NamedTuple("Constraint", [
@@ -109,7 +91,8 @@ class Constraint(NamedTuple("Constraint", [
     """A closed affine inequality form(a, b) >= 0 with provenance.
 
     The (kind, params) descriptor regenerates the form of a declared
-    constraint.  cid names the constraint inside Farkas combinations.  row
+    constraint, and make takes its cid from hilbert.CONSTRAINT_CIDS.  cid
+    names the constraint inside Farkas combinations.  row
     is the integer row the minimizer reads, computed once here from cid and
     form, so equal constraints have equal rows.
     """
@@ -130,8 +113,10 @@ class Constraint(NamedTuple("Constraint", [
         return tuple(self)[:4]
 
     @classmethod
-    def make(cls, cid: str, kind: str, params: Sequence = ()) -> "Constraint":
-        return cls(cid, kind, tuple(params), constraint_form(kind, tuple(params)))
+    def make(cls, kind: str, params: Sequence = ()) -> "Constraint":
+        params = tuple(params)
+        form = constraint_form(kind, params)
+        return cls(CONSTRAINT_CIDS[kind].format(*params), kind, params, form)
 
 
 class ConstraintSystem(NamedTuple):
@@ -151,17 +136,16 @@ def axiom_system() -> ConstraintSystem:
     instances can enter the eliminator.  Dropping instances only weakens
     derived lower bounds, never forges them.
     """
-    cons = [Constraint.make("A1", "k5_floor")]
-    for m in range(DEFAULT_HORIZON + 1):
-        cons.append(Constraint.make(f"A4.{m}", "vanishing", (m,)))
-    cons.append(Constraint.make("A5", "mono12"))
+    cons = [Constraint.make("k5_floor")]
+    cons += [Constraint.make("vanishing", (m,)) for m in range(DEFAULT_HORIZON + 1)]
+    cons.append(Constraint.make("mono12"))
     return ConstraintSystem(tuple(cons), label="axioms")
 
 
 def geometry_system(facts: Sequence["Fact"] = ()) -> ConstraintSystem:
     """The reduced system used after the P(1) case analysis: positivity of
     (-K)^5 plus the affine constraints carried by derived facts."""
-    cs = ConstraintSystem((Constraint.make("A1", "k5_floor"),), label="geometry")
+    cs = ConstraintSystem((Constraint.make("k5_floor"),), label="geometry")
     extra = [fact_to_constraint(f) for f in facts]
     return cs.with_constraints(extra, label="geometry")
 
@@ -455,12 +439,9 @@ def split_on_p1(cs: ConstraintSystem, lmax: int) -> list[Branch]:
         raise ValueError("lmax must be >= 0")
     branches = []
     for l in range(lmax + 1):
-        extra = [
-            Constraint.make(f"H.P1={l}.lo", "p1_eq_lo", (l,)),
-            Constraint.make(f"H.P1={l}.hi", "p1_eq_hi", (l,)),
-        ]
+        extra = [Constraint.make("p1_eq_lo", (l,)), Constraint.make("p1_eq_hi", (l,))]
         branches.append(Branch(f"P(1)={l}", cs.with_constraints(extra, label=f"P(1)={l}")))
-    tail = [Constraint.make(f"H.P1>={lmax + 1}", "p1_tail", (lmax + 1,))]
+    tail = [Constraint.make("p1_tail", (lmax + 1,))]
     branches.append(
         Branch(f"P(1)>={lmax + 1}", cs.with_constraints(tail, label=f"P(1)>={lmax + 1}"))
     )
@@ -484,13 +465,10 @@ def fact_to_constraint(fact: Fact) -> Constraint:
     The form (P(m) - q) is divided by the positive gcd of its scaled integer
     coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.
     """
-    base = p_affine(fact.m) - AffineForm.constant(fact.bound)
-    ints, denom_lcm = over_common_denominator(base)
+    *ints, den = constraint_row("from_fact", (fact.m, fact.bound, 1))
     g = math.gcd(*ints)
-    scale = Fraction(g, denom_lcm) if g else Fraction(1)
-    return Constraint.make(
-        f"F.P{fact.m}>={fact.bound}", "from_fact", (fact.m, fact.bound, scale)
-    )
+    scale = Fraction(g, den) if g else Fraction(1)
+    return Constraint.make("from_fact", (fact.m, fact.bound, scale))
 
 
 # ---------------------------------------------------------------------------

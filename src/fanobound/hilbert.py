@@ -16,12 +16,16 @@ for integer m, and p_eval needs no rationals.  Vanishing of higher cohomology
 for m >= 0 makes P(m) = h^0(-mK), so P(m) must be a nonnegative integer
 there; this module treats violations as hard errors rather than warnings,
 because every downstream derivation rule assumes them.
+
+What the prover and the verifier must read alike is written here once: each
+constraint kind as an integer row of P's coefficients (constraint_row) and
+its name (CONSTRAINT_CIDS), and the dimension tests with their search order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from .exact import AffineForm, Poly, over_common_denominator, taylor_shift, to_rat
 
@@ -113,6 +117,44 @@ def p_affine(m: int) -> AffineForm:
     return AffineForm.of(*p_coeffs(m))
 
 
+# the kinds a constraint may take, and the cid each names its constraint
+# by, filled in from the params: A4.3 is P(3) >= 0, F.P3>=7 the fact P(3) >= 7
+CONSTRAINT_CIDS = {
+    "k5_floor": "A1", "vanishing": "A4.{}", "mono12": "A5",
+    "p1_eq_lo": "H.P1={}.lo", "p1_eq_hi": "H.P1={}.hi", "p1_tail": "H.P1>={}",
+    "from_fact": "F.P{}>={}",
+}
+
+
+def constraint_row(kind: str, params: tuple) -> tuple[int, int, int, int]:
+    """The constraint (ca * a + cb * b + k) / den >= 0 a descriptor names, as
+    integers in lowest terms, den > 0.  A kind takes exactly its parameters,
+    and vanishing, an axiom for m >= 0 only, refuses a negative m."""
+    if kind in ("k5_floor", "mono12") and params:
+        raise ValueError(f"{kind} takes no parameters")
+    if kind == "k5_floor":
+        return 720, 0, -1, 720  # a >= 1/720
+    if kind == "vanishing":
+        (m,) = params
+        if int(m) < 0:
+            raise ValueError(f"vanishing holds for m >= 0 only, not m = {m}")
+        return (*p_coeffs(int(m)), 1)
+    if kind == "mono12":
+        return (*(x - y for x, y in zip(p_coeffs(2), p_coeffs(1))), 1)
+    if kind in ("p1_eq_lo", "p1_eq_hi", "p1_tail"):
+        (l,) = params
+        ca, cb, k = p_coeffs(1)
+        sign = -1 if kind == "p1_eq_hi" else 1
+        return sign * ca, sign * cb, sign * (k - int(l)), 1
+    if kind == "from_fact":
+        m, bound, scale = params
+        ca, cb, k = p_coeffs(int(m))
+        q, s = to_rat(bound), Fraction(1, 1) / to_rat(scale)
+        nums, den = over_common_denominator((ca * s, cb * s, (k - q) * s))
+        return (*nums, den)
+    raise ValueError(f"unknown constraint kind {kind!r}")
+
+
 # the strict dimension test is tried for exponents r up to this cap
 LEMMA2_R_CAP = 4
 
@@ -122,6 +164,21 @@ def lemma2_threshold(m: int, r: int, d5: int) -> int:
     if m < 1 or r < 0 or d5 < 1:
         raise ValueError("need m >= 1, r >= 0, d5 >= 1")
     return m**r * d5 + r
+
+
+def passes_dimension_test(value: int, m: int, r: Optional[int], d5: int) -> bool:
+    """Whether the section count value at m passes the pencil test (r is
+    None), value >= 2, or the strict Lemma 2 test with exponent r; the
+    boundary of the strict test is not a pass."""
+    return value >= 2 if r is None else value > lemma2_threshold(m, r, d5)
+
+
+def search_order(target_dim: int, m_start: int, m_stop: int) -> Iterator[tuple]:
+    """The tests (m, r) a search for a dimension witness tries, in order:
+    m from m_start to m_stop and, per m, the pencil test (r None) for
+    dimension 1, else the strict test for r = target_dim - 1 .. LEMMA2_R_CAP."""
+    rs = [None] if target_dim == 1 else range(target_dim - 1, LEMMA2_R_CAP + 1)
+    return ((m, r) for m in range(m_start, m_stop + 1) for r in rs)
 
 
 def lemma2_slack_coeffs(m: int, r: int) -> tuple[int, int, int]:
@@ -194,10 +251,11 @@ def difference_polys() -> tuple[Poly, Poly, Poly]:
     return _DIFFERENCES
 
 
-def ray_tail(b_form: AffineForm, a_form: AffineForm, m_start: int) -> Poly:
+def ray_tail(b_form: tuple, a_form: tuple, m_start: int) -> Poly:
     """A polynomial q with P(m+1) - P(m) >= q(m) for every m >= m_start
     wherever b_form >= 0 and a_form >= 0.
 
+    Each form is (ca, cb, k): an AffineForm, or a constraint_row's integers.
     b_form bounds b below and a_form, free of b, bounds a below.  The bound
     on b is substituted into the difference first, then the bound on a;
     each substitution minimizes because the coefficient it replaces has
@@ -206,9 +264,9 @@ def ray_tail(b_form: AffineForm, a_form: AffineForm, m_start: int) -> Poly:
     integer polynomial over cb * ca, b_form's b coefficient times a_form's
     a coefficient.  Raises ValueError naming the first condition that fails.
     """
-    if b_form.coeff_b <= 0:
+    if b_form[1] <= 0:
         raise ValueError("cited constraint gives no lower bound for b")
-    if a_form.coeff_b != 0 or a_form.coeff_a <= 0:
+    if a_form[1] != 0 or a_form[0] <= 0:
         raise ValueError("cited constraint gives no lower bound for a")
     (ba, bb, bk), _ = over_common_denominator(b_form)
     (aa, _, ak), _ = over_common_denominator(a_form)

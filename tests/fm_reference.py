@@ -1,9 +1,13 @@
-"""Reference Fourier-Motzkin minimizer on Fraction rows.
+"""Reference Fourier-Motzkin minimizer on Fraction rows, and the Fraction
+ladder of constraint forms.
 
-This is the rational kernel ``derive.fm_minimize`` used before it moved to
-integer rows, with the point of an unbounded objective restated apart from
-it.  Tests compare the two on random systems: every field of the result
-must agree, because certificates are built from them.
+The minimizer is the rational kernel ``derive.fm_minimize`` used before it
+moved to integer rows, with the point of an unbounded objective restated
+apart from it.  Tests compare the two on random systems: every field of
+the result must agree, because certificates are built from them.
+
+The ladder is ``derive.constraint_form`` as it stood before the kinds moved
+to ``hilbert.constraint_row``, which must agree with it on every kind.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from fanobound.derive import ConstraintSystem, MinimizeResult
-from fanobound.exact import AffineForm
+from fanobound.exact import AffineForm, to_rat
+from fanobound.hilbert import p_affine, p_coeffs
 
 _OBJ_POS = "__obj_pos__"
 _OBJ_NEG = "__obj_neg__"
@@ -167,3 +172,28 @@ def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult
 
     point = _back_substitute(stage_a, stage_b, q) if attained else None
     return MinimizeResult(status="minimum", value=q, farkas=farkas, point=point)
+
+
+def constraint_form_reference(kind: str, params: Sequence) -> AffineForm:
+    """The affine form of a constraint, form >= 0, from its descriptor, on
+    Fractions; a kind takes exactly its parameters."""
+    if kind in ("k5_floor", "mono12") and params:
+        raise ValueError(f"{kind} takes no parameters")
+    if kind == "k5_floor":
+        return AffineForm.of(1, 0, Fraction(-1, 720))
+    if kind == "vanishing":
+        (m,) = params
+        return p_affine(int(m))
+    if kind == "mono12":
+        return AffineForm.of(*(x - y for x, y in zip(p_coeffs(2), p_coeffs(1))))
+    if kind in ("p1_eq_lo", "p1_eq_hi", "p1_tail"):
+        (l,) = params
+        ca, cb, k = p_coeffs(1)
+        sign = -1 if kind == "p1_eq_hi" else 1
+        return AffineForm.of(sign * ca, sign * cb, sign * (k - int(l)))
+    if kind == "from_fact":
+        m, bound, scale = params
+        ca, cb, k = p_coeffs(int(m))
+        k, inv = k - to_rat(bound), Fraction(1, 1) / to_rat(scale)
+        return AffineForm.of(ca * inv, cb * inv, k * inv)
+    raise ValueError(f"unknown constraint kind {kind!r}")

@@ -41,8 +41,15 @@ TABLES = st.builds(
 A1_ONLY = declare([], a1=True)
 
 
-def value_at(form, a, b):
-    return form.coeff_a * a + form.coeff_b * b + form.const
+def form(decl):
+    """The declared form (ca, cb, k) / den as three Fractions."""
+    *coeffs, den = decl.row
+    return [Fraction(c, den) for c in coeffs]
+
+
+def value_at(decl, a, b):
+    ca, cb, k = form(decl)
+    return ca * a + cb * b + k
 
 
 @st.composite
@@ -51,9 +58,9 @@ def tables_and_points(draw):
     0 or +-1/10**40 in b."""
     table = draw(TABLES)
     a, b = draw(RATS), draw(RATS)
-    form = table[draw(st.sampled_from(sorted(table)))].form
-    if form.coeff_b and draw(st.booleans()):
-        b = -(form.coeff_a * a + form.const) / form.coeff_b + draw(st.sampled_from([0, TINY, -TINY]))
+    ca, cb, k = form(table[draw(st.sampled_from(sorted(table)))])
+    if cb and draw(st.booleans()):
+        b = -(ca * a + k) / cb + draw(st.sampled_from([0, TINY, -TINY]))
     return table, a, b
 
 
@@ -63,7 +70,7 @@ def tables_and_points(draw):
 @example((A1_ONLY, Fraction(1, 720), Fraction(-(10**30), 7)))
 def test_point_check_matches_fractions(case):
     table, a, b = case
-    want = all(value_at(d.form, a, b) >= 0 for d in table.values())
+    want = all(value_at(d, a, b) >= 0 for d in table.values())
     try:
         x, y, d = _check_point([rat_str(a), rat_str(b)], table)
     except _Fail as f:
@@ -93,7 +100,7 @@ def combinations(draw):
     table = draw(TABLES)
     cids = sorted(draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=3, unique=True)))
     mults = [draw(POSITIVE) for _ in cids]
-    sa, sb, sk = (sum(m * c for m, c in zip(mults, col)) for col in zip(*(table[c].form for c in cids)))
+    sa, sb, sk = (sum(m * c for m, c in zip(mults, col)) for col in zip(*(form(table[c]) for c in cids)))
     scale = math.lcm(sa.denominator, sb.denominator)
     mults = [m * scale for m in mults]
     k = draw(st.integers(-(10**20), 10**20))
@@ -107,7 +114,7 @@ def reproduces(farkas, table, objective, value):
     """The combination summed over Fractions equals objective - value."""
     acc = [Fraction(0)] * 3
     for cid, mult in farkas:
-        for i, c in enumerate(table[cid].form):
+        for i, c in enumerate(form(table[cid])):
             acc[i] += Fraction(mult) * c
     ca, cb, k = objective
     return acc == [ca, cb, k - value]

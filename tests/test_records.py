@@ -45,7 +45,7 @@ def _records():
         ChernData(6250, 2750),
         PValue(1, 3),
         SplitBundle((0, 0, 0, 0, 1)),
-        Constraint.make("A4.3", "vanishing", (3,)),
+        Constraint.make("vanishing", (3,)),
     ]
 
 
@@ -83,7 +83,7 @@ def test_checked_records_refuse_bad_input(build, message):
 
 @pytest.mark.parametrize("left, right", [
     (AffineForm.of(1, "1/2", 3), AffineForm(Fraction(1), Fraction(2, 4), Fraction(3))),
-    (Constraint.make("A4.3", "vanishing", (3,)), Constraint.make("A4.3", "vanishing", [3])),
+    (Constraint.make("vanishing", (3,)), Constraint.make("vanishing", [3])),
     (fact_to_constraint(Fact(3, Fraction(7))), fact_to_constraint(Fact(3, Fraction(14, 2)))),
     (Fact(3, Fraction(7)), Fact(m=3, bound=Fraction(14, 2))),
     (ChernData(6250, 2750), ChernData(k5=6250, k3c2=2750)),
@@ -96,7 +96,8 @@ def test_equal_values_hash_equal(left, right):
 
 
 def test_constraint_row_follows_the_other_fields():
-    c = Constraint.make("A4.3", "vanishing", (3,))
+    c = Constraint.make("vanishing", (3,))
+    assert c.cid == "A4.3"
     assert Constraint("A4.3", "vanishing", (3,), c.form).row == c.row
     renamed = c._replace(cid="A4.x")
     assert renamed == Constraint("A4.x", "vanishing", (3,), c.form)

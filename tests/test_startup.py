@@ -6,6 +6,7 @@ has already loaded every module.
 
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -62,9 +63,31 @@ class TestImportGuards:
         assert loaded_after("import fanobound") == set()
 
     def test_verifier_loads_no_prover_search_or_audit(self):
-        loaded = loaded_after("import fanobound.certs")
-        assert "certs" in loaded
-        assert not loaded & {"bounds", "audit", "cli"}
+        # the verifier's trusted base: no bounds, audit or cli, and no
+        # derive, since the constraint kinds live in hilbert
+        assert loaded_after("import fanobound.certs") == {"exact", "hilbert", "bundle", "certs"}
+
+    def test_verifier_accepts_readme_certificates_without_the_prover(self, tmp_path):
+        from test_cert_v3 import DOCS
+
+        paths = []
+        for name, doc in DOCS.items():
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        # importing derive or bounds raises ImportError in this interpreter
+        code = (
+            "import sys\n"
+            "sys.modules['fanobound.derive'] = sys.modules['fanobound.bounds'] = None\n"
+            "from fanobound.certs import from_json_bytes, verify\n"
+            "for path in sys.argv[1:]:\n"
+            "    print(verify(from_json_bytes(open(path, 'rb').read())).ok)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        out = subprocess.run(
+            [sys.executable, "-c", code, *map(str, paths)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.split() == ["True"] * 4
 
     def test_cli_loads_no_audit(self):
         loaded = loaded_after("import fanobound.cli")
