@@ -5,24 +5,23 @@ inequalities, minimizes affine objectives by Fourier-Motzkin elimination
 (b first, then a), strengthens rational bounds through integrality of
 P(m) into closed integral facts P(m) >= q, splits on the integer value of
 P(1), and certifies eventual monotonicity of P along a ray.  Every derived
-bound comes with a Farkas combination: nonnegative multipliers on named
-constraints whose sum reproduces ``objective - bound`` exactly, so an
+bound comes with a Farkas combination: positive multipliers on one or two
+named constraints whose sum reproduces ``objective - bound`` exactly, so an
 independent checker can replay the claim by substitution alone, with no
 search.  Every row is closed, so a minimum that is bounded below is
 attained, and it comes with a point that attains it; an objective that is
 unbounded below comes with a feasible point where it is at most 0, which
 refutes any test that asks for a positive lower bound.
 
-The eliminator works on integer rows: each row is its rational inequality
-and Farkas combination scaled by a tracked positive multiplier, so no
-fraction is normalised inside the loop, and a combined row's combination
-is merged only if it is read.  The last step, eliminating a, is streamed:
-its rows bound only t, so each is kept only while it is tied at the floor
-or is the ceiling.  Bounds are compared by cross-multiplying, a and b are
-back-substituted on integers, and the returned point is checked on
-integers.  Ties, duplicates and multipliers are decided on the rational
-rows the integers stand for, so every result is identical to elimination
-over fractions; fractions appear only in the returned value, multipliers
+The eliminator works on integer rows (ca, cb, ct, k), so no fraction is
+normalised inside the loop; each row it derives is divided by the gcd of
+its entries, so duplicates are found as equal primitive rows.  The last step, eliminating
+a, is streamed: its rows bound only t, so only the greatest floor and the
+least ceiling are kept.  Bounds are compared by cross-multiplying, a and
+b are back-substituted on integers, and the returned point is checked on
+integers.  The Farkas combination of a minimum is then solved from the
+constraints tight at that point: in two variables one or two of them
+always suffice.  Fractions appear only in the returned value, multipliers
 and point.
 
 Axioms:
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray, to_rat
@@ -86,15 +85,15 @@ def constraint_form(kind: str, params: Sequence) -> AffineForm:
 
 
 class Constraint(NamedTuple("Constraint", [
-    ("cid", str), ("kind", str), ("params", tuple), ("form", AffineForm), ("row", "_Row"),
+    ("cid", str), ("kind", str), ("params", tuple), ("form", AffineForm), ("row", tuple),
 ])):
     """A closed affine inequality form(a, b) >= 0 with provenance.
 
     The (kind, params) descriptor regenerates the form of a declared
     constraint, and make takes its cid from hilbert.CONSTRAINT_CIDS.  cid
-    names the constraint inside Farkas combinations.  row
-    is the integer row the minimizer reads, computed once here from cid and
-    form, so equal constraints have equal rows.
+    names the constraint inside Farkas combinations.  row is the integer
+    row (ca, cb, k, den) the minimizer reads, the form times den, the lcm
+    of its denominators, computed once here from the form.
     """
 
     __slots__ = ()
@@ -102,7 +101,8 @@ class Constraint(NamedTuple("Constraint", [
     strict = False
 
     def __new__(cls, cid: str, kind: str, params: tuple, form: AffineForm) -> "Constraint":
-        return super().__new__(cls, cid, kind, params, form, _constraint_row(cid, form))
+        ints, den = over_common_denominator(form)
+        return super().__new__(cls, cid, kind, params, form, (*ints, den))
 
     # _replace builds through _make, and copy and pickle through
     # __getnewargs__; each passes only the four given fields, so the row is
@@ -154,119 +154,52 @@ def geometry_system(facts: Sequence["Fact"] = ()) -> ConstraintSystem:
 # Fourier-Motzkin minimization
 # ---------------------------------------------------------------------------
 
-_OBJ_POS = "__obj_pos__"
-_OBJ_NEG = "__obj_neg__"
-
-
-class _Row(NamedTuple):
-    """One inequality ca*a + cb*b + ct*t + k >= 0 in integers.
-
-    The row is lam times the rational row it stands for (lam > 0): the
-    coefficients, the constant and every multiplier of the Farkas combination
-    are scaled alike, so signs, bounds -k/ct and multipliers v/ct read the
-    same as on the rational row.  An input row carries its combination as
-    sorted (cid, multiplier) pairs.  A combined row carries None there and
-    its parents (p, lp, n, ln), lp times row p plus ln times row n; _combo
-    merges the parents' combinations only for a row that is read.
-    """
-
-    coef: tuple[int, int, int]
-    k: int
-    combo: Optional[tuple[tuple[str, int], ...]]
-    lam: int
-    parents: tuple = ()
-
-
-def _constraint_row(cid: str, form: AffineForm) -> _Row:
-    # the form times lam, the lcm of its denominators
-    (ca, cb, k), lam = over_common_denominator(form)
-    return _Row((ca, cb, 0), k, ((cid, lam),), lam)
-
-
-def _objective_rows(f: AffineForm) -> tuple[_Row, _Row]:
-    """t - f >= 0 and its negation f - t >= 0, which pin t to f."""
-    (ca, cb, k), lam = over_common_denominator(f)
-    return (
-        _Row((-ca, -cb, lam), -k, ((_OBJ_POS, lam),), lam),
-        _Row((ca, cb, -lam), k, ((_OBJ_NEG, lam),), lam),
-    )
-
-
-def _merge_combos(c1, m1: int, c2, m2: int):
-    # m1, m2 and every multiplier are positive, so no entry cancels
-    acc = {cid: m1 * v for cid, v in c1}
-    for cid, v in c2:
-        acc[cid] = acc.get(cid, 0) + m2 * v
-    return tuple(sorted(acc.items()))
-
-
-def _combo(row: _Row) -> tuple[tuple[str, int], ...]:
-    if row.combo is not None:
-        return row.combo
-    p, lp, n, ln = row.parents
-    return _merge_combos(_combo(p), lp, _combo(n), ln)
-
-
-def _combine(p: _Row, n: _Row, idx: int) -> _Row:
-    """Positive multiples of p and n summed so that variable idx cancels."""
-    lp, ln = -n.coef[idx], p.coef[idx]
-    pc, nc = p.coef, n.coef
-    coef = (lp * pc[0] + ln * nc[0], lp * pc[1] + ln * nc[1], lp * pc[2] + ln * nc[2])
-    return _Row(coef, lp * p.k + ln * n.k, None, p.lam * n.lam, (p, lp, n, ln))
-
-
-def _farkas(combo, den: int) -> tuple[tuple[str, Fraction], ...]:
-    """The combination over den, without the two objective rows."""
-    return tuple((cid, Fraction(v, den)) for cid, v in combo if cid not in (_OBJ_POS, _OBJ_NEG))
-
-
-def _pairs(rows: list[_Row], idx: int):
+def _pairs(rows: list[tuple], idx: int):
     """The rows free of variable idx as (row, None), then every (positive,
     negative) pair on it: the order an elimination reads them in."""
-    pos = [r for r in rows if r.coef[idx] > 0]
-    neg = [r for r in rows if r.coef[idx] < 0]
-    return chain([(r, None) for r in rows if r.coef[idx] == 0], product(pos, neg))
+    pos = [r for r in rows if r[idx] > 0]
+    neg = [r for r in rows if r[idx] < 0]
+    return chain([(r, None) for r in rows if r[idx] == 0], product(pos, neg))
 
 
-def _eliminate(rows: list[_Row]) -> list[_Row]:
-    """One Fourier-Motzkin step on b.
+def _eliminate(rows: list[tuple]) -> Optional[list[tuple]]:
+    """One Fourier-Motzkin step on b over rows (ca, cb, ct, k).
 
     The rows free of b come first, then every (positive, negative) pair
-    combined so that b cancels.  Rows with no variable left are dropped,
-    and a row whose rational row was already kept is skipped; the key is
-    the integer row and lam divided by their gcd, which is the rational row
-    in lowest terms.  Returns the refuting constant row alone when one
-    appears (the caller reads the refutation off it).
+    combined so that b cancels.  Each row is divided by the gcd of its
+    entries, and a primitive row already kept is skipped; rows with no
+    variable left are dropped.  Returns None when a negative constant row
+    appears: the system is infeasible.
     """
-    out: list[_Row] = []
-    seen = set()
+    out = {}
     for p, n in _pairs(rows, 1):
-        row = p if n is None else _combine(p, n, 1)
-        coef, k, lam = row.coef, row.k, row.lam
-        if coef == (0, 0, 0):
+        if n is None:
+            ca, _, ct, k = p
+        else:
+            lp, ln = -n[1], p[1]
+            ca, ct, k = lp * p[0] + ln * n[0], lp * p[2] + ln * n[2], lp * p[3] + ln * n[3]
+        if ca == ct == 0:
             if k < 0:
-                return [row]
+                return None
             continue  # carries no information
-        g = math.gcd(*coef, k, lam)
-        key = (coef[0] // g, coef[1] // g, coef[2] // g, k // g, lam // g)
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
+        g = math.gcd(ca, ct, k)
+        out[(ca // g, 0, ct // g, k // g)] = None
+    return list(out)
 
 
 class MinimizeResult(NamedTuple):
     """Outcome of an exact minimization.
 
     status is one of "minimum", "unbounded", "infeasible".  For "minimum",
-    value is the minimum, farkas is a tuple of (cid, multiplier) with
+    value is the minimum, farkas is a tuple of at most two (cid,
+    multiplier), distinct, in cid order and positive, with
 
         sum(multiplier * constraint.form) == objective - value
 
     and point is an (a, b) where the objective equals value.  For
     "unbounded", point is a feasible (a, b) where the objective equals
-    min(0, its supremum), so it is at most 0.  For "infeasible", farkas
-    combines the constraints into a negative constant.
+    min(0, its supremum), so it is at most 0.  An infeasible result
+    carries no combination and no point.
     """
 
     status: str
@@ -275,7 +208,7 @@ class MinimizeResult(NamedTuple):
     point: Optional[tuple[Fraction, Fraction]] = None
 
 
-def _back_substitute(rows: Sequence[_Row], idx: int, point: tuple) -> tuple[int, int]:
+def _back_substitute(rows: Sequence[tuple], idx: int, point: tuple) -> tuple[int, int]:
     """The least value of variable idx the rows allow once the others are
     fixed, else the greatest, else 0, as (numerator, positive denominator).
 
@@ -284,18 +217,46 @@ def _back_substitute(rows: Sequence[_Row], idx: int, point: tuple) -> tuple[int,
     """
     xa, xb, xt, den = point
     lo = hi = None  # (numerator, positive denominator)
-    for r in rows:
-        c = r.coef[idx]
+    for ca, cb, ct, k in rows:
+        c = cb if idx else ca
         if c == 0:
             continue
-        ca, cb, ct = r.coef
-        rest = ca * xa + cb * xb + ct * xt + r.k * den
+        rest = ca * xa + cb * xb + ct * xt + k * den
         if c > 0:
             if lo is None or -rest * lo[1] > lo[0] * c * den:
                 lo = (-rest, c * den)
         elif hi is None or rest * hi[1] < hi[0] * -c * den:
             hi = (rest, -c * den)
     return lo or hi or (0, 1)
+
+
+def _basic_combination(tight: list[Constraint], fa: int, fb: int, lf: int):
+    """The Farkas combination of a minimum of f = (fa, fb, .)/lf from the
+    constraints tight at its point: the first single whose gradient is a
+    positive multiple of f's, else the first pair, in cid order, whose
+    2x2 solve for f's gradient is positive; () for a constant f.
+
+    Every row is tight at the point, where f equals its minimum, so the
+    constants agree once the gradients do.  Linear programming duality
+    and Caratheodory's theorem in two variables say a single or a pair
+    always exists; both are solved on integers, one Fraction per
+    multiplier.
+    """
+    if fa == fb == 0:
+        return ()
+    tight = sorted(tight, key=lambda c: c.cid)
+    for c in tight:
+        ca, cb, _, den = c.row
+        if ca * fb == cb * fa and ca * fa + cb * fb > 0:
+            return ((c.cid, Fraction(den * (ca * fa + cb * fb), lf * (ca * ca + cb * cb))),)
+    for ci, cj in combinations(tight, 2):
+        (ai, bi, _, di), (aj, bj, _, dj) = ci.row, cj.row
+        # Cramer's rule: (fa, fb) = (xi (ai, bi) + xj (aj, bj)) / d
+        d = ai * bj - aj * bi
+        xi, xj = fa * bj - fb * aj, ai * fb - bi * fa
+        if xi * d > 0 and xj * d > 0:
+            return ((ci.cid, Fraction(di * xi, lf * d)), (cj.cid, Fraction(dj * xj, lf * d)))
+    raise AssertionError("fm_minimize: no tight single or pair certifies the minimum")
 
 
 def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
@@ -306,70 +267,42 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     set of attainable objective values.  Infeasible and unbounded are
     results, not errors; both feasible outcomes fix t and back-substitute
     a, then b, for their point, which is checked against f and every
-    constraint before it is returned.
+    constraint before it is returned.  A minimum's Farkas combination is
+    read off the constraints tight at that point.
     """
-    obj_pos, obj_neg = _objective_rows(f)
-    rows = [c.row for c in cs.constraints]
-    rows += (obj_pos, obj_neg)
-
-    def refutation(row: _Row) -> MinimizeResult:
-        return MinimizeResult(status="infeasible", farkas=_farkas(_combo(row), row.lam))
-
-    stage_b = rows
+    (fa, fb, fk), lf = over_common_denominator(f)
+    stage_b = [(ca, cb, 0, k) for ca, cb, k, _ in (c.row for c in cs.constraints)]
+    stage_b += ((-fa, -fb, lf, -fk), (fa, fb, -lf, fk))  # t - f >= 0 and f - t >= 0
     stage_a = _eliminate(stage_b)
-    if len(stage_a) == 1 and stage_a[0].coef == (0, 0, 0):
-        return refutation(stage_a[0])
+    if stage_a is None:
+        return MinimizeResult("infeasible")
 
-    # eliminating a, streamed: each row it yields is ct*t + k >= 0, so a
-    # _Row is built only for one tied at the greatest floor -k/ct on t, a
-    # new least ceiling or the first negative constant, which refutes; the
-    # dedup of _eliminate runs among the tied rows, which share one floor
-    tied: list[_Row] = []
-    keys = set()  # the tied rows' rational rows in lowest terms
-    row_hi = None  # the first row at the least ceiling
+    # eliminating a, streamed: each row it yields is ct*t + k >= 0, so only
+    # the greatest floor -k/ct and the least ceiling on t are kept, as
+    # (numerator, positive denominator), compared by cross-multiplying
+    lo = hi = None
     for p, n in _pairs(stage_a, 0):
         if n is None:
-            ct, k = p.coef[2], p.k
+            ct, k = p[2], p[3]
         else:
-            lp, ln = -n.coef[0], p.coef[0]
-            ct, k = lp * p.coef[2] + ln * n.coef[2], lp * p.k + ln * n.k
+            lp, ln = -n[0], p[0]
+            ct, k = lp * p[2] + ln * n[2], lp * p[3] + ln * n[3]
         if ct > 0:
-            # the sign of -k/ct against the floor so far, cross-multiplied
-            d = k * tied[0].coef[2] - tied[0].k * ct if tied else -1
-            if d < 0:
-                tied, keys = [], set()
-            if d <= 0:
-                lam = p.lam if n is None else p.lam * n.lam
-                g = math.gcd(ct, k, lam)
-                key = (ct // g, k // g, lam // g)
-                if key not in keys:
-                    keys.add(key)
-                    tied.append(p if n is None else _combine(p, n, 0))
+            if lo is None or -k * lo[1] > lo[0] * ct:
+                lo = (-k, ct)
         elif ct < 0:
-            if row_hi is None or k * row_hi.coef[2] > row_hi.k * ct:
-                row_hi = p if n is None else _combine(p, n, 0)
+            if hi is None or k * hi[1] < hi[0] * -ct:
+                hi = (k, -ct)
         elif k < 0:
-            return refutation(p if n is None else _combine(p, n, 0))
+            return MinimizeResult("infeasible")
 
-    if tied and row_hi is not None:
-        cross = _combine(tied[0], row_hi, 2)
-        if cross.k < 0:  # the floor lies above the ceiling
-            return refutation(cross)
-    if tied:
-        # tie-break on the rational combination, as if rows were never
-        # scaled: the tied combinations over the lcm of their lams
-        lam = math.lcm(*(r.lam for r in tied))
-        row, combo = min(
-            ((r, _combo(r)) for r in tied),
-            key=lambda rc: [(cid, v * (lam // rc[0].lam)) for cid, v in rc[1]],
-        )
-        qn, qd = -row.k, row.coef[2]
-        status, value, farkas = "minimum", Fraction(qn, qd), _farkas(combo, qd)
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+        return MinimizeResult("infeasible")  # the floor lies above the ceiling
+    if lo is not None:
+        (qn, qd), status = lo, "minimum"
     else:
         # no floor on t: f takes every value up to its supremum
-        below = row_hi is not None and row_hi.k < 0
-        qn, qd = (row_hi.k, -row_hi.coef[2]) if below else (0, 1)
-        status, value, farkas = "unbounded", None, ()
+        (qn, qd), status = (hi if hi is not None and hi[0] < 0 else (0, 1)), "unbounded"
 
     # back-substitute t = qn/qd: a from the rows on (a, t), then b, on
     # integers; only the returned coordinates become Fractions
@@ -378,16 +311,25 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     a_star, b_star = Fraction(an, ad), Fraction(bn, bd)
     # both checks on integers: each row at the point, times ad * bd
 
-    def at_point(r: _Row) -> int:
-        return r.coef[0] * an * bd + r.coef[1] * bn * ad + r.k * ad * bd
+    def at_point(ca: int, cb: int, k: int) -> int:
+        return ca * an * bd + cb * bn * ad + k * ad * bd
 
-    if at_point(obj_neg) * qd != obj_neg.lam * ad * bd * qn:
+    if at_point(fa, fb, fk) * qd != lf * ad * bd * qn:
         q = Fraction(qn, qd)
         raise AssertionError(f"fm_minimize: f does not equal {q} at {(a_star, b_star)}")
+    tight = []
     for c in cs.constraints:
-        if at_point(c.row) < 0:
+        ca, cb, k, _ = c.row
+        v = at_point(ca, cb, k)
+        if v < 0:
             raise AssertionError(f"fm_minimize: {c.cid} fails at {(a_star, b_star)}")
-    return MinimizeResult(status, value, farkas, (a_star, b_star))
+        if v == 0:
+            tight.append(c)
+    if status == "unbounded":
+        return MinimizeResult(status, point=(a_star, b_star))
+    return MinimizeResult(
+        status, Fraction(qn, qd), _basic_combination(tight, fa, fb, lf), (a_star, b_star)
+    )
 
 
 # ---------------------------------------------------------------------------

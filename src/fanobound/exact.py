@@ -6,9 +6,9 @@ appear.  Rationals are ``fractions.Fraction``, which keeps canonical form
 (positive denominator, reduced) after every operation and sits on Python's
 arbitrary-precision integers.
 
-The kernels (``Poly.__call__``, ``Poly.shift``, ``Poly.difference``,
-``Poly.first_mismatch``, ``AffineForm.evaluate``) work on integers: the
-numerators of their inputs over one common denominator.  Each result is built as a Fraction once, one
+The kernels (``Poly.shift``, ``Poly.difference``, ``Poly.first_mismatch``,
+``AffineForm.evaluate``) work on integers: the numerators of their inputs
+over one common denominator.  Each result is built as a Fraction once, one
 gcd per value instead of one per multiply-add; first_mismatch, the model
 check, builds none and compares den * value with integer Horner sums.
 """
@@ -121,22 +121,6 @@ class Poly:
     def scale(self, c: RatLike) -> "Poly":
         c = to_rat(c)
         return Poly([c * a for a in self.coeffs])
-
-    def __call__(self, x: RatLike) -> Fraction:
-        """p(x) by Horner on the coefficient numerators over their common
-        denominator den.  For x = r/s the loop is homogenised: coefficient
-        i is scaled by s^(d-i), so every step is an integer multiply-add
-        and p(x) = acc / (den * s^d)."""
-        x = to_rat(x)
-        if not self.coeffs:
-            return Fraction(0)
-        r, s = x.numerator, x.denominator
-        nums, den = over_common_denominator(self.coeffs)
-        acc, s_pow = 0, 1
-        for n in reversed(nums):
-            acc = acc * r + n * s_pow
-            s_pow *= s
-        return Fraction(acc, den * (s_pow // s))
 
     def first_mismatch(self, values: Iterable[int], start: int = 1) -> Optional[int]:
         """The first m >= start where p(m) != values[m - start], or None."""

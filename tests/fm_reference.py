@@ -3,8 +3,11 @@ ladder of constraint forms.
 
 The minimizer is the rational kernel ``derive.fm_minimize`` used before it
 moved to integer rows, with the point of an unbounded objective restated
-apart from it.  Tests compare the two on random systems: every field of
-the result must agree, because certificates are built from them.
+apart from it.  A minimum's Farkas combination is chosen by its own rule,
+over every constraint: the first single, then the first pair, in cid
+order, whose multipliers are positive and reproduce ``f - value``.  Tests
+compare the two on random systems: every field of the result must agree,
+because certificates are built from them.
 
 The ladder is ``derive.constraint_form`` as it stood before the kinds moved
 to ``hilbert.constraint_row``, which must agree with it on every kind.
@@ -14,14 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from fanobound.derive import ConstraintSystem, MinimizeResult
 from fanobound.exact import AffineForm, to_rat
 from fanobound.hilbert import p_affine, p_coeffs
-
-_OBJ_POS = "__obj_pos__"
-_OBJ_NEG = "__obj_neg__"
 
 
 @dataclass(frozen=True)
@@ -30,16 +31,6 @@ class _Row:
     coef: tuple[Fraction, Fraction, Fraction]
     k: Fraction
     strict: bool
-    combo: tuple[tuple[str, Fraction], ...]
-
-
-def _merge_combos(c1, m1: Fraction, c2, m2: Fraction):
-    acc: dict[str, Fraction] = {}
-    for cid, v in c1:
-        acc[cid] = acc.get(cid, Fraction(0)) + m1 * v
-    for cid, v in c2:
-        acc[cid] = acc.get(cid, Fraction(0)) + m2 * v
-    return tuple(sorted((cid, v) for cid, v in acc.items() if v != 0))
 
 
 def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
@@ -53,9 +44,7 @@ def _eliminate(rows: list[_Row], idx: int) -> list[_Row]:
             ln = p.coef[idx]
             coef = tuple(lp * p.coef[i] + ln * n.coef[i] for i in range(3))
             k = lp * p.k + ln * n.k
-            out.append(
-                _Row(coef, k, p.strict or n.strict, _merge_combos(p.combo, lp, n.combo, ln))
-            )
+            out.append(_Row(coef, k, p.strict or n.strict))
     pruned: list[_Row] = []
     seen = set()
     for r in out:
@@ -113,34 +102,48 @@ def _back_substitute(stage_a, stage_b, t: Fraction) -> tuple[Fraction, Fraction]
     return a, b
 
 
+def _combination(cs: ConstraintSystem, target: AffineForm):
+    """The first single, then the first pair, of all the constraints in cid
+    order whose positive multipliers sum to target exactly; () for a
+    constant target, None when there is neither."""
+    if target.coeff_a == target.coeff_b == 0:
+        return ()
+    ordered = sorted(cs.constraints, key=lambda c: c.cid)
+    for c in ordered:
+        g = c.form
+        pivot = g.coeff_a if g.coeff_a != 0 else g.coeff_b
+        if pivot == 0:
+            continue
+        mult = (target.coeff_a if g.coeff_a != 0 else target.coeff_b) / pivot
+        if mult > 0 and g.scale(mult) == target:
+            return ((c.cid, mult),)
+    for ci, cj in combinations(ordered, 2):
+        gi, gj = ci.form, cj.form
+        det = gi.coeff_a * gj.coeff_b - gj.coeff_a * gi.coeff_b
+        if det == 0:
+            continue
+        mi = (target.coeff_a * gj.coeff_b - gj.coeff_a * target.coeff_b) / det
+        mj = (gi.coeff_a * target.coeff_b - gi.coeff_b * target.coeff_a) / det
+        if mi > 0 and mj > 0 and gi.scale(mi) + gj.scale(mj) == target:
+            return ((ci.cid, mi), (cj.cid, mj))
+    return None
+
+
 def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     rows = [
-        _Row(
-            (c.form.coeff_a, c.form.coeff_b, Fraction(0)),
-            c.form.const,
-            c.strict,
-            ((c.cid, Fraction(1)),),
-        )
+        _Row((c.form.coeff_a, c.form.coeff_b, Fraction(0)), c.form.const, c.strict)
         for c in cs.constraints
     ]
-    rows.append(
-        _Row((-f.coeff_a, -f.coeff_b, Fraction(1)), -f.const, False, ((_OBJ_POS, Fraction(1)),))
-    )
-    rows.append(
-        _Row((f.coeff_a, f.coeff_b, Fraction(-1)), f.const, False, ((_OBJ_NEG, Fraction(1)),))
-    )
-
-    def refutation(row: _Row) -> MinimizeResult:
-        farkas = tuple((cid, v) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG))
-        return MinimizeResult(status="infeasible", farkas=farkas)
+    rows.append(_Row((-f.coeff_a, -f.coeff_b, Fraction(1)), -f.const, False))
+    rows.append(_Row((f.coeff_a, f.coeff_b, Fraction(-1)), f.const, False))
 
     stage_b = rows
     stage_a = _eliminate(stage_b, 1)
     if len(stage_a) == 1 and all(c == 0 for c in stage_a[0].coef):
-        return refutation(stage_a[0])
+        return MinimizeResult(status="infeasible")
     stage_t = _eliminate(stage_a, 0)
     if len(stage_t) == 1 and all(c == 0 for c in stage_t[0].coef):
-        return refutation(stage_t[0])
+        return MinimizeResult(status="infeasible")
 
     lower: list[tuple[Fraction, _Row]] = []
     upper: list[tuple[Fraction, _Row]] = []
@@ -154,8 +157,7 @@ def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult
         q_lo, row_lo = max(lower, key=lambda x: x[0])
         q_hi, row_hi = min(upper, key=lambda x: x[0])
         if q_lo > q_hi or (q_lo == q_hi and (row_lo.strict or row_hi.strict)):
-            combo = _merge_combos(row_lo.combo, -row_hi.coef[2], row_hi.combo, row_lo.coef[2])
-            return refutation(_Row((Fraction(0),) * 3, Fraction(0), True, combo))
+            return MinimizeResult(status="infeasible")
     if not lower:
         # t has no floor: take t = 0, or the tightest ceiling when it lies below 0
         ceilings = sorted(v for v, _ in upper)
@@ -165,10 +167,7 @@ def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult
     q = max(v for v, _ in lower)
     at_q = [r for v, r in lower if v == q]
     attained = not any(r.strict for r in at_q)
-    pool = at_q if attained else [r for r in at_q if r.strict]
-    row = sorted(pool, key=lambda r: r.combo)[0]
-    ct = row.coef[2]
-    farkas = tuple((cid, v / ct) for cid, v in row.combo if cid not in (_OBJ_POS, _OBJ_NEG))
+    farkas = _combination(cs, f - AffineForm.constant(q))
 
     point = _back_substitute(stage_a, stage_b, q) if attained else None
     return MinimizeResult(status="minimum", value=q, farkas=farkas, point=point)

@@ -1,9 +1,10 @@
 """Reference polynomial kernels on Fractions.
 
-These are the rational kernels that ``Poly.__call__``, ``Poly.shift``,
+These are the rational kernels that ``Poly.shift``,
 ``AffineForm.evaluate``, ``derive.interpolate_model`` and
 ``hilbert.ray_tail`` used before they moved to integer numerators over a
-common denominator, and the Fraction route by which hilbert built and
+common denominator, the evaluation of a ``Poly`` (poly_eval), which the
+package no longer has, and the Fraction route by which hilbert built and
 evaluated P before it stored P as integer coefficients (p_coefficients,
 p_value).  They work on plain
 coefficient lists (low degree first) and use nothing from the package, so

@@ -566,9 +566,9 @@ def reordered(farkas):
 
 
 def split(farkas):
-    # A4.1's 14 written as 7 + 7
-    assert farkas[0] == ["A4.1", "14"]
-    farkas[0:1] = [["A4.1", "7"], ["A4.1", "7"]]
+    # A4.2's 7 written as 7/2 + 7/2
+    assert farkas[0] == ["A4.2", "7"]
+    farkas[0:1] = [["A4.2", "7/2"], ["A4.2", "7/2"]]
 
 
 def zero_appended(farkas):
@@ -584,7 +584,7 @@ def test_farkas_combination_has_one_spelling(edit, reason):
     # each edit sums to the same form, so only the spelling rule refuses it
     d = doc()
     branch = steps(d, "fm_lower_bound")[0]
-    assert branch["witness"]["farkas"] == [["A4.1", "14"], ["A4.2", "7"], ["H.P1=0.hi", "35"]]
+    assert branch["witness"]["farkas"] == [["A4.2", "7"], ["H.P1=0.hi", "21"]]
     edit(branch["witness"]["farkas"])
     res = check(d)
     assert not res.ok and res.step_id == branch["id"] and res.reason == reason

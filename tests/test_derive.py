@@ -31,6 +31,7 @@ from fanobound.derive import (
 from fanobound.bounds import certify_r0
 
 from fm_reference import fm_minimize_reference
+from poly_reference import poly_eval
 from test_hilbert import sample_chern
 
 
@@ -114,7 +115,7 @@ class TestFmMinimize:
         assert res.value is None and res.farkas == ()
         assert p_affine(1).evaluate(*res.point) == 0
 
-    def test_infeasible_with_farkas(self):
+    def test_infeasible_carries_no_combination(self):
         cs = axiom_system().with_constraints(
             [
                 hyp("H.lo", 1, 2, ">="),
@@ -122,14 +123,7 @@ class TestFmMinimize:
             ]
         )
         res = fm_minimize(cs, p_affine(3))
-        assert res.status == "infeasible"
-        # the refuting combination must sum to a negative constant
-        forms = {c.cid: c.form for c in cs.constraints}
-        acc = AffineForm.of(0, 0, 0)
-        for cid, mult in res.farkas:
-            assert mult >= 0
-            acc = acc + forms[cid].scale(mult)
-        assert acc.coeff_a == acc.coeff_b == 0 and acc.const < 0
+        assert res == ("infeasible", None, (), None)
 
     def test_farkas_combination_replays_exactly(self):
         cs = branch_system(0)
@@ -210,12 +204,14 @@ INFEASIBLE = (aux_system([(1, 0, -1), (-1, 0, 0)]), AffineForm.of(0, 1, 0))
 UNBOUNDED = (aux_system([]), AffineForm.of(1, 0, 0))
 # a <= -2, so f = a reaches at most -2 and its point sits there
 BOUNDED_ABOVE = (aux_system([(-1, 0, -2), (0, 1, 0)]), AffineForm.of(1, 0, 0))
+# a, b, 2a and a/2: the rows on a are one primitive row, and all four are
+# tight at (0, 0)
 TIED = (
     aux_system([(1, 0, 0), (0, 1, 0), (2, 0, 0), (Fraction(1, 2), 0, 0)]),
     AffineForm.of(1, 1, 0),
 )
-# eliminating b, c0 + c2 and c1 + c3 are both the row a - 1 >= 0; the
-# elimination keeps the first, so f = a has the Farkas combination c0 + c2
+# eliminating b, c0 + c2 and c1 + c3 are both the row a - 1 >= 0, which
+# the elimination keeps once; all four rows are tight at the minimum
 DEDUP = (
     aux_system([(0, 1, 0), (1, 1, -1), (1, -1, -1), (0, -1, 0)]),
     AffineForm.of(1, 0, 0),
@@ -231,9 +227,8 @@ def named_system(*rows):
 
 
 # the last step, eliminating a, for f = b.  Its pairs (p, n) and (p, m)
-# both give t - 1 >= 0, the first as p + n and the second as 2p + m, which
-# sorts first ("m" < "n"); the first row of a rational row is kept, so the
-# combination is p + n
+# both give t - 1 >= 0, the first as p + n and the second as 2p + m, and
+# all three rows are tight at the minimum
 LAST_STEP_DUPLICATE = (
     named_system(("p", 1, 0, -1), ("n", -1, 1, 0), ("m", -2, 1, 1)),
     AffineForm.of(0, 1, 0),
@@ -276,6 +271,27 @@ class TestIntegerKernel:
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(small_systems())
+    @example(TIED)
+    @example(DEDUP)
+    @example(LAST_STEP_DUPLICATE)
+    def test_every_minimum_has_a_basic_combination(self, case):
+        # at most two positive entries, on distinct constraints in cid
+        # order, summing exactly to f - value
+        cs, f = case
+        got = fm_minimize(cs, f)
+        if got.status != "minimum":
+            return
+        cids = [cid for cid, _ in got.farkas]
+        assert len(cids) <= 2 and cids == sorted(set(cids))
+        assert all(mult > 0 for _, mult in got.farkas)
+        forms = {c.cid: c.form for c in cs.constraints}
+        acc = AffineForm.of(0, 0, 0)
+        for cid, mult in got.farkas:
+            acc = acc + forms[cid].scale(mult)
+        assert acc == f - AffineForm.constant(got.value)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(small_systems())
     @example(UNBOUNDED)
     @example(BOUNDED_ABOVE)
     def test_unbounded_point_sits_at_min_of_zero_and_sup(self, case):
@@ -295,19 +311,19 @@ class TestIntegerKernel:
         assert fm_minimize(*UNBOUNDED).status == "unbounded"
         tied = fm_minimize(*TIED)
         assert tied.status == "minimum"
-        # rows built from a, 2a and a/2 all reach the minimum; the rational
-        # combinations differ in their objective multiplier (1, 2, 1/2), so
-        # a/2 wins, where the integer rows (multiplier 1 for both a and a/2)
-        # would have picked a
-        assert tied.farkas == (("c1", 1), ("c3", 2))
+        # no single row is parallel to a + b, and the first pair in cid
+        # order, c0 and c1, certifies it; c2 and c3 would serve as c0
+        assert tied.farkas == (("c0", 1), ("c1", 1))
+        # c0 + c1 would need -1 on c0, so the first positive pair is c0 + c2
         dedup = fm_minimize(*DEDUP)
         assert (dedup.value, dedup.farkas) == (1, (("c0", 1), ("c2", 1)))
+        # the cids sort m, n, p; the pair (m, n) would need -1 on m
         first = fm_minimize(*LAST_STEP_DUPLICATE)
-        assert (first.value, first.farkas) == (1, (("n", 1), ("p", 1)))
+        assert (first.value, first.farkas) == (1, (("m", 1), ("p", 2)))
         risen = fm_minimize(*FLOOR_RISES)
         assert (risen.value, risen.farkas) == (2, (("c0", 1), ("c3", 1)))
         refuted = fm_minimize(*LAST_STEP_REFUTATION)
-        assert (refuted.status, refuted.farkas) == ("infeasible", (("c2", 1), ("c3", 1)))
+        assert (refuted.status, refuted.farkas) == ("infeasible", ())
 
     def test_a_wrong_point_raises(self, monkeypatch):
         # both feasibility checks run as statements, not asserts, so they
@@ -329,23 +345,13 @@ class TestIntegerKernel:
         with pytest.raises(AssertionError, match="c1 fails"):
             fm_minimize(cs, AffineForm.of(1, 0, 0))
 
-    def test_worst_case_merges_only_the_combinations_it_reads(self, monkeypatch):
-        # a combined row merges its parents' combinations only when the
-        # refutation, the tie-break or the chosen minimum reads it; merging
-        # every kept row took 347 merges
-        import fanobound.bounds as bounds
+    def test_no_certifying_combination_raises(self):
+        # a = 1/720 cannot certify a minimum of f = b, alone or in a pair;
+        # the check is a statement, so it also runs under python -O
         import fanobound.derive as derive
 
-        calls = []
-        real = derive._merge_combos
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(derive, "_merge_combos", counting)
-        assert bounds.solve_worst_case().bound == 16
-        assert len(calls) == 39
+        with pytest.raises(AssertionError, match="no tight single or pair"):
+            derive._basic_combination([Constraint.make("k5_floor")], 0, 1, 1)
 
     def test_matches_on_every_worst_case_minimization(self, monkeypatch):
         import fanobound.bounds as bounds
@@ -505,9 +511,9 @@ class TestMonotone:
         q = tail_poly(geom, tail)
         for m in range(3, 33):
             res = fm_minimize(geom, p_affine(m + 1) - p_affine(m))
-            assert res.status == "minimum" and res.value >= q(m) > 0
+            assert res.status == "minimum" and res.value >= poly_eval(q.coeffs, m) > 0
         # by hand: min of P(4)-P(3) over {b >= -35a, a >= 1/720} is 4320/720+2
-        assert q(3) == 8
+        assert poly_eval(q.coeffs, 3) == 8
 
     def test_axioms_only_fails_at_one(self):
         with pytest.raises(MonotoneCertificationError) as exc:
@@ -521,7 +527,7 @@ class TestMonotone:
         assert certify_r0(table, 3) is None
         q = table.poly.shift(1) - table.poly
         for m in range(1, 51):
-            assert q(m) == table.at(m + 1) - table.at(m) > 0
+            assert poly_eval(q.coeffs, m) == table.at(m + 1) - table.at(m) > 0
 
     def test_tail_polynomial_bounds_the_difference(self):
         geom = geometry_system([merged_p3_fact()])
@@ -534,7 +540,7 @@ class TestMonotone:
                 continue
             m = rng.randint(3, 40)
             diff = (p_affine(m + 1) - p_affine(m)).evaluate(*point)
-            assert diff >= q(m) > 0
+            assert diff >= poly_eval(q.coeffs, m) > 0
 
 
 class TestProp1Replay:

@@ -16,7 +16,7 @@ from fanobound.cli import main
 GOLDEN = {
     "solve_worst_case.json": (
         ["solve", "--worst-case"],
-        "e54c8f0efcc071563821732267b9b343c9aeb3cffdbc3f8597013dd75435b910",
+        "ce30fe727663e6415cf5c7266e5d4aa5fa2996aab75b1f64223717d66d16b7bd",
     ),
     "solve_k5_6250_k3c2_2750.json": (
         ["solve", "--k5", "6250", "--k3c2", "2750"],

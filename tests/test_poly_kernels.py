@@ -1,10 +1,11 @@
 """The integer polynomial kernels against the Fraction reference.
 
-Poly.__call__, Poly.shift, Poly.difference, Poly.first_mismatch,
-AffineForm.evaluate, derive.interpolate_model and hilbert.ray_tail compute
-on integer numerators over a common denominator.  The prover and the verifier share
+Poly.shift, Poly.difference, Poly.first_mismatch, AffineForm.evaluate,
+derive.interpolate_model and hilbert.ray_tail compute on integer
+numerators over a common denominator.  The prover and the verifier share
 them, so each is compared for exact equality with tests/poly_reference.py,
-which does not use the package.
+which does not use the package and also evaluates every Poly the tests
+read.
 """
 
 from fractions import Fraction
@@ -37,21 +38,28 @@ def exact(x: Fraction) -> tuple[type, int, int]:
 
 
 class TestPolyCall:
+    """Poly has no evaluation of its own: the tests evaluate one with the
+    reference's Horner rule, checked here against the sum of powers."""
+
+    @staticmethod
+    def power_sum(cs, x):
+        return sum((c * Fraction(x) ** i for i, c in enumerate(cs)), Fraction(0))
+
     @SETTINGS
     @given(coefficients, arguments)
     def test_matches_reference(self, cs, x):
-        got = Poly(cs)(x)
-        assert exact(got) == exact(ref.poly_eval(cs, Fraction(x)))
+        got = ref.poly_eval(Poly(cs).coeffs, x)
+        assert exact(got) == exact(self.power_sum(cs, x))
 
     def test_zero_and_constants(self):
         for x in (0, -7, Fraction(-3, 11), 10**50):
-            assert exact(Poly()(x)) == exact(Fraction(0))
-            assert exact(Poly([Fraction(-5, 6)])(x)) == exact(Fraction(-5, 6))
+            assert exact(ref.poly_eval(Poly().coeffs, x)) == exact(Fraction(0))
+            assert exact(ref.poly_eval(Poly([Fraction(-5, 6)]).coeffs, x)) == exact(Fraction(-5, 6))
 
     def test_large_numerators_at_a_rational(self):
         cs = [Fraction(-(10**45) + 7, 3**20), Fraction(2**100, 5**30), Fraction(-1, 7**25)]
         x = Fraction(-(10**30) + 1, 11**15)
-        assert Poly(cs)(x) == ref.poly_eval(cs, x)
+        assert ref.poly_eval(cs, x) == self.power_sum(cs, x)
 
 
 class TestPolyFirstMismatch:
@@ -103,7 +111,7 @@ class TestPolyShift:
     @given(coefficients, rationals, rationals)
     def test_shifted_value_is_the_value_moved(self, cs, h, x):
         p = Poly(cs)
-        assert p.shift(h)(x) == p(x + h)
+        assert ref.poly_eval(p.shift(h).coeffs, x) == ref.poly_eval(p.coeffs, x + h)
 
     def test_zero_and_constants(self):
         for h in (0, 3, -4, Fraction(5, -12)):
@@ -132,7 +140,7 @@ class TestPolyDifference:
         cs = ref.interpolate(range(1, 7), [Fraction(y) for y in (91, 2277, 15708, 62909, 186030, 0)])
         values = [ref.poly_eval(cs, Fraction(m)) for m in range(1, 7)]
         diff = Poly(cs).difference()
-        assert [diff(m) for m in range(1, 6)] == [b - a for a, b in zip(values, values[1:])]
+        assert [ref.poly_eval(diff.coeffs, m) for m in range(1, 6)] == [b - a for a, b in zip(values, values[1:])]
 
 
 def tail_outcome(tail, b_form, a_form, m_start):
@@ -180,7 +188,7 @@ class TestRayTail:
             if want != "polynomial":
                 assert want in got
         # by hand: min of P(4)-P(3) over {b >= -35a, a >= 1/720} is 4320/720+2
-        assert ray_tail(*TAILS["polynomial"])(3) == 8
+        assert ref.poly_eval(ray_tail(*TAILS["polynomial"]).coeffs, 3) == 8
 
 
 class TestAffineEvaluate:
@@ -209,9 +217,9 @@ class TestInterpolateModel:
     def test_non_consecutive_and_negative_nodes(self):
         p = Poly([Fraction(-7, 24), 3, Fraction(1, 5), 0, -(10**30), Fraction(5, 24)])
         nodes = [-11, -2, 0, 3, 17, 40]
-        model = interpolate_model(lambda m: p(m), nodes)
+        model = interpolate_model(lambda m: ref.poly_eval(p.coeffs, m), nodes)
         assert model == p
-        assert model.coeffs == ref.interpolate(nodes, [p(m) for m in nodes])
+        assert model.coeffs == ref.interpolate(nodes, [ref.poly_eval(p.coeffs, m) for m in nodes])
 
     def test_integer_values_at_the_oracle_nodes(self):
         # the printed closed form m(5m-1)(5m+1)(5m+2)(10m+3)/24 at m = 1..6
@@ -220,7 +228,7 @@ class TestInterpolateModel:
 
         model = interpolate_model(closed, range(1, 7))
         assert model.coeffs == ref.interpolate(range(1, 7), [closed(m) for m in range(1, 7)])
-        assert all(model(m) == closed(m) for m in range(1, 40))
+        assert all(ref.poly_eval(model.coeffs, m) == closed(m) for m in range(1, 40))
 
     def test_no_nodes_and_zero_values(self):
         assert interpolate_model(lambda m: 1, []) == Poly()

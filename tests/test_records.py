@@ -23,7 +23,7 @@ from fanobound.derive import (
     fact_to_constraint,
 )
 from fanobound.exact import AffineForm, Poly
-from fanobound.hilbert import ChernData, PValue
+from fanobound.hilbert import ChernData, PValue, constraint_row
 
 
 def _records():
@@ -99,6 +99,14 @@ def test_constraint_row_follows_the_other_fields():
     c = Constraint.make("vanishing", (3,))
     assert c.cid == "A4.3"
     assert Constraint("A4.3", "vanishing", (3,), c.form).row == c.row
+    # the row is the form over the lcm of its denominators, which for a
+    # declared kind is hilbert's row in lowest terms
+    assert c.row == constraint_row("vanishing", (3,))
     renamed = c._replace(cid="A4.x")
     assert renamed == Constraint("A4.x", "vanishing", (3,), c.form)
-    assert renamed.row.combo == (("A4.x", 1),)
+    assert renamed.row == c.row
+    # a new form gets a new row, never the old one copied
+    halved = c._replace(form=c.form.scale(Fraction(1, 2)))
+    *ints, den = halved.row
+    assert halved.row != c.row
+    assert AffineForm(*(Fraction(x, den) for x in ints)) == halved.form
