@@ -34,7 +34,7 @@ final bound 15 are internally consistent with it and only with it.
 
 from __future__ import annotations
 
-import sys
+import struct
 import warnings
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -111,10 +111,6 @@ def k5_geometric(b: SplitBundle) -> int:
 
 SLOT_BITS = 64
 
-# int.to_bytes in the native order puts the lowest slot first only on a
-# little-endian host; elsewhere the cast view is read backwards.
-_SLOT_STEP = 1 if sys.byteorder == "little" else -1
-
 
 # packed rows of one pass may hold this many slots in all, 64 MB; the
 # widest nef bundle (spread 2) at k = 2560, five times the verifier's
@@ -176,7 +172,7 @@ class PowerRow(Mapping[int, int]):
     s0 = sum(counts) and s1 = sum(i * counts[i]) are carried through the
     passes that build the row.  The packed integer comes from the rows of
     its call, built on the first read of any row's counts, mapping or
-    packed integer, and is unpacked into the counts view on first read.
+    packed integer, and is read little-endian into the counts tuple on first read.
     """
 
     __slots__ = ("low", "s0", "s1", "_span", "_rows", "_j", "_counts")
@@ -192,17 +188,18 @@ class PowerRow(Mapping[int, int]):
         self._span = span
         self._rows = rows
         self._j = j
-        self._counts: memoryview | None = None
+        self._counts: tuple[int, ...] | None = None
 
     @property
     def _packed(self) -> int:
         return self._rows[self._j]
 
     @property
-    def counts(self) -> memoryview:
+    def counts(self) -> tuple[int, ...]:
         if self._counts is None:
-            raw = self._packed.to_bytes(SLOT_BITS // 8 * (self._span + 1), sys.byteorder)
-            self._counts = memoryview(raw).cast("Q")[::_SLOT_STEP]
+            n = self._span + 1
+            raw = self._packed.to_bytes(SLOT_BITS // 8 * n, "little")
+            self._counts = struct.unpack(f"<{n}Q", raw)
         return self._counts
 
     def __getitem__(self, d: int) -> int:

@@ -47,10 +47,11 @@ It trusts three parts of the package and no prover code: exact
 (rationals, polynomials and their difference p(t + 1) - p(t), affine forms
 and the positivity test on a ray), hilbert (P(m) and the Lemma 2 slack as
 the integer triples p_coeffs and lemma2_slack_coeffs, on which the point,
-Farkas and attempt checks run, p_affine for eval_p, constraint_row and
-CONSTRAINT_CIDS, the integer row and the name of each declared kind, the
-dimension tests and their search order, and ray_tail, the worst-case tail
-built from two cited bounds; the prover calls each of these too) and
+Farkas and attempt checks run, p_affine for eval_p, p_poly for the
+concrete tail, constraint_row and CONSTRAINT_CIDS, the integer row and
+the name of each declared kind, the dimension tests and their search
+order, and ray_tail, the worst-case tail built from the integer rows of
+two cited bounds; the prover calls each of these too) and
 bundle (its own recount of the section counts, from the two moments per
 row its pass carries, a packed row being built only for a degree below
 -1, and the nef test).
@@ -70,10 +71,10 @@ from .hilbert import (
     ChernData,
     LEMMA2_R_CAP,
     constraint_row,
-    difference_polys,
     lemma2_slack_coeffs,
     p_affine,
     p_coeffs,
+    p_poly,
     passes_dimension_test,
     ray_tail,
     search_order,
@@ -722,12 +723,11 @@ def _monotone_tail(st: _Replay, inp: dict, w: dict) -> None:
             q = ray_tail(table[bcid].row[:3], table[acid].row[:3], m_start)
         except ValueError as exc:
             raise _Fail(str(exc))
-    elif mode == CONCRETE:
-        da, db, dk = difference_polys()
-        q = da.scale(st.cert.chern.a) + db.scale(st.cert.chern.b) + dk
     else:
-        model = st.result(inp["model_step"], "model", "model_step")
-        q = model.difference()
+        # the difference of a value table's polynomial: P, or the checked model
+        poly = p_poly(st.cert.chern) if mode == CONCRETE else st.result(
+            inp["model_step"], "model", "model_step")
+        q = poly.difference()
 
     if not poly_positive_on_ray(q, m_start):
         raise _Fail("shifted tail is not certified positive")

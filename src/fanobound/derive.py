@@ -441,7 +441,7 @@ def monotone_from(cs: ConstraintSystem, m0: int) -> TailCertificate:
         raise ValueError("m0 must be >= 1")
     for bc, ac in product(cs.constraints, repeat=2):
         try:
-            q = ray_tail(bc.form, ac.form, m0)
+            q = ray_tail(bc.row[:3], ac.row[:3], m0)
         except ValueError:
             continue
         if poly_positive_on_ray(q, m0):

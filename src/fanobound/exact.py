@@ -105,23 +105,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Poly(a)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def scale(self, c: RatLike) -> "Poly":
-        c = to_rat(c)
-        return Poly([c * a for a in self.coeffs])
-
     def first_mismatch(self, values: Iterable[int], start: int = 1) -> Optional[int]:
         """The first m >= start where p(m) != values[m - start], or None."""
         nums, den = over_common_denominator(self.coeffs)

@@ -25,6 +25,8 @@ its name (CONSTRAINT_CIDS), and the dimension tests with their search order.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import comb
 from typing import Iterator, NamedTuple, Optional
 
 from .exact import AffineForm, Poly, over_common_denominator, taylor_shift, to_rat
@@ -229,47 +231,32 @@ def fit_ab(v1: PValue, v2: PValue) -> tuple[Fraction, Fraction]:
     return (r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det
 
 
-def coefficient_polys() -> tuple[Poly, Poly, Poly]:
-    """The coefficients of P(m) as polynomials in m: (a-coefficient,
-    b-coefficient, constant)."""
-    return Poly(_A), Poly(_B), Poly(_C)
-
-
-_DIFFERENCES = tuple(Poly(c).difference() for c in (_A, _B, _C))
-
-
-# their integer coefficients, padded to one length, for ray_tail
+# c(m+1) - c(m) for c = _A, _B, _C, padded to one length, for ray_tail: its
+# coefficient of m^j is the sum of c_i * C(i, j) over i > j
 _DIFFERENCE_NUMS = tuple(
-    [c.numerator for c in p.coeffs] + [0] * (len(_A) - 1 - len(p.coeffs)) for p in _DIFFERENCES
+    [sum(c[i] * comb(i, j) for i in range(j + 1, len(c))) for j in range(len(_A) - 1)]
+    for c in (_A, _B, _C)
 )
 
 
-def difference_polys() -> tuple[Poly, Poly, Poly]:
-    """The coefficients of P(m+1) - P(m) as polynomials in m, in the order
-    of coefficient_polys: the Poly.difference of each, built once at
-    import (a Poly is never changed in place)."""
-    return _DIFFERENCES
-
-
-def ray_tail(b_form: tuple, a_form: tuple, m_start: int) -> Poly:
+def ray_tail(b_row: tuple, a_row: tuple, m_start: int) -> Poly:
     """A polynomial q with P(m+1) - P(m) >= q(m) for every m >= m_start
-    wherever b_form >= 0 and a_form >= 0.
+    wherever b_row >= 0 and a_row >= 0.
 
-    Each form is (ca, cb, k): an AffineForm, or a constraint_row's integers.
-    b_form bounds b below and a_form, free of b, bounds a below.  The bound
-    on b is substituted into the difference first, then the bound on a;
-    each substitution minimizes because the coefficient it replaces has
-    nonnegative coefficients once shifted to m_start.  Both run on integer
-    coefficients, each form over its common denominator, so q is one
-    integer polynomial over cb * ca, b_form's b coefficient times a_form's
-    a coefficient.  Raises ValueError naming the first condition that fails.
+    Each row is the integers (ca, cb, k) of a constraint_row, its
+    denominator dropped.  b_row bounds b below and a_row, free of b, bounds
+    a below.  The bound on b is substituted into the difference first, then
+    the bound on a; each substitution minimizes because the coefficient it
+    replaces has nonnegative coefficients once shifted to m_start.  Both run
+    on integers, so q is one integer polynomial over cb * ca, b_row's b
+    coefficient times a_row's a coefficient.  Raises ValueError naming the
+    first condition that fails.
     """
-    if b_form[1] <= 0:
+    (ba, bb, bk), (aa, ab, ak) = b_row, a_row
+    if bb <= 0:
         raise ValueError("cited constraint gives no lower bound for b")
-    if a_form[1] != 0 or a_form[0] <= 0:
+    if ab != 0 or aa <= 0:
         raise ValueError("cited constraint gives no lower bound for a")
-    (ba, bb, bk), _ = over_common_denominator(b_form)
-    (aa, _, ak), _ = over_common_denominator(a_form)
     da, db, dk = _DIFFERENCE_NUMS
     if any(c < 0 for c in taylor_shift(list(db), m_start)):
         raise ValueError("b-substitution is not minimizing on the ray")
@@ -284,6 +271,8 @@ def ray_tail(b_form: tuple, a_form: tuple, m_start: int) -> Poly:
 
 
 def p_poly(c: ChernData) -> Poly:
-    """P as a univariate polynomial in m for concrete Chern data."""
-    fa, fb, fc = coefficient_polys()
-    return fa.scale(c.a) + fb.scale(c.b) + fc
+    """P as a univariate polynomial in m for concrete Chern data: the
+    integer combination p_eval evaluates, k5 _A + 5 k3c2 _B + 720 _C, over
+    720, one Fraction per coefficient."""
+    return Poly([Fraction(c.k5 * x + 5 * c.k3c2 * y + 720 * z, 720)
+                 for x, y, z in zip_longest(_A, _B, _C, fillvalue=0)])

@@ -6,10 +6,10 @@ These are the rational kernels that ``Poly.shift``,
 common denominator, the evaluation of a ``Poly`` (poly_eval), which the
 package no longer has, and the Fraction route by which hilbert built and
 evaluated P before it stored P as integer coefficients (p_coefficients,
-p_value).  They work on plain
-coefficient lists (low degree first) and use nothing from the package, so
-a wrong value that the prover and the verifier would both compute, and
-both accept, still differs from the reference.
+p_polynomial, p_value) and took its difference (poly_difference).  They
+work on plain coefficient lists (low degree first) and use nothing from
+the package, so a wrong value that the prover and the verifier would both
+compute, and both accept, still differs from the reference.
 """
 
 from __future__ import annotations
@@ -87,13 +87,26 @@ def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ..
 def p_coefficients() -> tuple[tuple[Fraction, ...], ...]:
     """The coefficients of a, of b and of 1 in P(m), multiplied out from
     the factored form (2m+1) * (m(m+1) * [(3m^2+3m-1) a + b] + 1) as
-    hilbert.coefficient_polys built them before P was stored expanded."""
+    hilbert built them before P was stored expanded."""
     one = (Fraction(1),)
     t = (Fraction(0), Fraction(1))
     u = poly_mul(t, poly_add(t, one))
     w = poly_add(poly_mul((Fraction(2),), t), one)
     fa = poly_mul(poly_mul(w, u), poly_add(poly_mul((Fraction(3),), u), (Fraction(-1),)))
     return fa, poly_mul(w, u), w
+
+
+def p_polynomial(k5: int, k3c2: int) -> tuple[Fraction, ...]:
+    """The coefficients of P with 720 a = k5 and 144 b = k3c2, summed on
+    Fractions from p_coefficients."""
+    fa, fb, fc = p_coefficients()
+    a, b = Fraction(k5, 720), Fraction(k3c2, 144)
+    return poly_add(poly_add([a * c for c in fa], [b * c for c in fb]), fc)
+
+
+def poly_difference(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Coefficients of t -> p(t + 1) - p(t): the shift by 1 minus p."""
+    return poly_add(poly_shift(coeffs, Fraction(1)), [-c for c in coeffs])
 
 
 def p_value(k5: int, k3c2: int, m: int) -> Fraction:
@@ -108,17 +121,18 @@ def p_value(k5: int, k3c2: int, m: int) -> Fraction:
 def ray_tail(
     b_form: Sequence[Fraction], a_form: Sequence[Fraction], m_start: int
 ) -> tuple[Fraction, ...]:
-    """hilbert.ray_tail on Fractions, for forms given as (ca, cb, k): the
-    difference of each coefficient of P is its shift by 1 minus itself, and
-    each bound is substituted by scaling.  Raises ValueError with the same
-    messages, in the same order."""
+    """hilbert.ray_tail on Fractions, for forms (ca, cb, k) at any positive
+    scale where hilbert's takes integer rows: the difference of each
+    coefficient of P is its shift by 1 minus itself, and each bound is
+    substituted by scaling.  Raises ValueError with the same messages, in
+    the same order."""
     b_ca, b_cb, b_k = b_form
     a_ca, a_cb, a_k = a_form
     if b_cb <= 0:
         raise ValueError("cited constraint gives no lower bound for b")
     if a_cb != 0 or a_ca <= 0:
         raise ValueError("cited constraint gives no lower bound for a")
-    da, db, dk = (poly_add(poly_shift(p, Fraction(1)), [-c for c in p]) for p in p_coefficients())
+    da, db, dk = (poly_difference(p) for p in p_coefficients())
     if any(c < 0 for c in poly_shift(db, Fraction(m_start))):
         raise ValueError("b-substitution is not minimizing on the ray")
     # b >= -(b_ca a + b_k) / b_cb

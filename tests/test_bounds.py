@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fanobound import bundle
 from fanobound.exact import Poly, rat_str
-from fanobound.hilbert import ChernData, p_affine, p_eval, p_poly
+from fanobound.hilbert import ChernData, p_affine, p_eval
 from fanobound.derive import (
     ValueTable,
     axiom_system,
@@ -38,6 +38,7 @@ from fanobound.bounds import (
 )
 from fanobound.certs import MalformedCertificateError, from_json_bytes, verify
 
+import poly_reference as ref
 from poly_reference import poly_eval
 from test_hilbert import sample_chern
 
@@ -86,7 +87,7 @@ def admissible_chern(draw):
 def pointwise_r0(c):
     """The least r >= 3 with P(r) >= 1 and P(m+1) > P(m) for every m >= r,
     found by evaluating P up to a Cauchy bound on the difference's roots."""
-    d = (p_poly(c).shift(1) - p_poly(c)).coeffs
+    d = ref.poly_difference(ref.p_polynomial(c.k5, c.k3c2))
     horizon = 2 + int(max(abs(x) for x in d[:-1]) / d[-1])
     last_bad = max((m for m in range(horizon + 1) if p_eval(c, m + 1) <= p_eval(c, m)), default=-1)
     return next(r for r in range(max(3, last_bad + 1), horizon + 3) if p_eval(c, r) >= 1)
@@ -335,14 +336,14 @@ class TestSolveOracle:
         src = bundle.oracle_source(bundle.SplitBundle((0, 0, 0, 0, 1)), "standard")
         doc = json.loads(solve_oracle(src).to_json_bytes())
         (step,) = [s for s in doc["steps"] if s["rule"] == "oracle_model"]
-        model = Poly(step["witness"]["coeffs"])
-        bend = Poly([1])
+        model = [Fraction(c) for c in step["witness"]["coeffs"]]
+        bend = (Fraction(1),)
         for r in range(1, 6):
-            bend = Poly([0] + list(bend.coeffs)) - bend.scale(r)
-        bent = model + bend.scale(Fraction(1, 10**40))
-        assert [poly_eval(bent.coeffs, m) for m in range(1, 6)] == [src.h0(m) for m in range(1, 6)]
-        assert poly_eval(bent.coeffs, 6) - src.h0(6) == Fraction(120, 10**40)
-        step["witness"]["coeffs"] = [rat_str(c) for c in bent.coeffs]
+            bend = ref.poly_mul(bend, (Fraction(-r), Fraction(1)))
+        bent = ref.poly_add(model, [Fraction(1, 10**40) * c for c in bend])
+        assert [poly_eval(bent, m) for m in range(1, 6)] == [src.h0(m) for m in range(1, 6)]
+        assert poly_eval(bent, 6) - src.h0(6) == Fraction(120, 10**40)
+        step["witness"]["coeffs"] = [rat_str(c) for c in bent]
         res = verify(from_json_bytes(json.dumps(doc).encode()))
         assert (res.ok, res.step_id, res.reason) == (
             False, step["id"], "model disagrees with values at m = 6"

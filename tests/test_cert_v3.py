@@ -513,7 +513,7 @@ def test_tail_witness_with_a_polynomial_refused():
     d = doc("concrete")
     (tail,) = steps(d, "monotone_tail")
     table = chern_table(ChernData(6250, 2750), 32)
-    tail["witness"]["q_poly"] = ser_poly(table.poly.shift(1) - table.poly)
+    tail["witness"]["q_poly"] = ser_poly(table.poly.difference())
     res = check(d)
     assert not res.ok and res.step_id == tail["id"]
     assert res.reason == "witness must be an object with exactly the keys []"

@@ -496,8 +496,8 @@ class TestFactToConstraint:
 
 def tail_poly(cs, tail):
     """The polynomial the verifier rebuilds from a tail's cited constraints."""
-    forms = {c.cid: c.form for c in cs.constraints}
-    return ray_tail(forms[tail.b_constraint], forms[tail.a_constraint], tail.m_start)
+    rows = {c.cid: c.row[:3] for c in cs.constraints}
+    return ray_tail(rows[tail.b_constraint], rows[tail.a_constraint], tail.m_start)
 
 
 class TestMonotone:
@@ -525,7 +525,7 @@ class TestMonotone:
         # with the table at every multiple
         table = chern_table(ChernData(6250, 2750), 51)
         assert certify_r0(table, 3) is None
-        q = table.poly.shift(1) - table.poly
+        q = table.poly.difference()
         for m in range(1, 51):
             assert poly_eval(q.coeffs, m) == table.at(m + 1) - table.at(m) > 0
 

@@ -30,6 +30,12 @@ GOLDEN = {
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "paper"],
         "29250194231b63787e592d04a8416e09eb0dd43f24da1e689a7ad6f11de7b2d1",
     ),
+    # the method's limit point: every earlier (m, r) of its searches is a
+    # failed attempt
+    "solve_k5_12_k3c2_-60.json": (
+        ["solve", "--k5", "12", "--k3c2=-60"],
+        "9f4f5e1134d3ac45326e58899027509e2a25b13e8cc4c5422a19c7688d041476",
+    ),
     "audit.json": (
         ["audit"],
         "b708cdabe550586c3c2daf17ad32e94d939164c4395a1f6689cb044f8177741e",

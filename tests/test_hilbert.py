@@ -17,8 +17,10 @@ from fanobound.hilbert import (
     NonIntegralValueError,
     PValue,
     VanishingViolationError,
-    coefficient_polys,
-    difference_polys,
+    _A,
+    _B,
+    _C,
+    _DIFFERENCE_NUMS,
     fit_ab,
     lemma2_slack_form,
     p_affine,
@@ -79,12 +81,12 @@ class TestPAffine:
             assert p_eval(c, 0) == 1
 
     def test_coefficient_polys_match_pointwise(self):
-        fa, fb, fc = coefficient_polys()
+        fa, fb, fc = ref.p_coefficients()
         for m in range(-6, 12):
             form = p_affine(m)
-            assert ref.poly_eval(fa.coeffs, m) == form.coeff_a
-            assert ref.poly_eval(fb.coeffs, m) == form.coeff_b
-            assert ref.poly_eval(fc.coeffs, m) == form.const
+            assert ref.poly_eval(fa, m) == form.coeff_a
+            assert ref.poly_eval(fb, m) == form.coeff_b
+            assert ref.poly_eval(fc, m) == form.const
 
     def test_difference_form_shape(self):
         # P(m+1) - P(m) = 30(m+1)^4 a + 6(m+1)^2 b + 2, expanded by hand
@@ -197,14 +199,19 @@ class TestAgainstFractionRoute:
     Fraction route of tests/poly_reference.py."""
 
     def test_coefficient_polys_match_the_product_construction(self):
-        assert tuple(p.coeffs for p in coefficient_polys()) == ref.p_coefficients()
+        assert (_A, _B, _C) == ref.p_coefficients()
+        for c in (ChernData(6250, 2750), ChernData(12, -60), ChernData(1, 0), ChernData(7, 5)):
+            assert p_poly(c).coeffs == ref.p_polynomial(c.k5, c.k3c2)
 
     def test_difference_and_concrete_polys_match(self):
-        fa, fb, fc = ref.p_coefficients()
-        for mine, theirs in zip(difference_polys(), (fa, fb, fc)):
-            assert mine.coeffs == ref.poly_add(
-                ref.poly_shift(theirs, Fraction(1)), [-x for x in theirs]
-            )
+        # ray_tail's integer differences, padded to one length, and the
+        # concrete tail, the difference of p_poly
+        for mine, theirs in zip(_DIFFERENCE_NUMS, ref.p_coefficients()):
+            want = ref.poly_difference(theirs)
+            assert mine == list(want) + [0] * (len(_A) - 1 - len(want))
+        for c in (ChernData(6250, 2750), ChernData(12, -60), ChernData(1, 0)):
+            want = ref.poly_difference(ref.p_polynomial(c.k5, c.k3c2))
+            assert p_poly(c).difference().coeffs == want
         c = ChernData(6250, 2750)
         for m in range(-5, 40):
             assert ref.poly_eval(p_poly(c).coeffs, m) == ref.p_value(c.k5, c.k3c2, m)

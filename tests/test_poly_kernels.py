@@ -1,11 +1,11 @@
 """The integer polynomial kernels against the Fraction reference.
 
-Poly.shift, Poly.difference, Poly.first_mismatch, AffineForm.evaluate,
-derive.interpolate_model and hilbert.ray_tail compute on integer
-numerators over a common denominator.  The prover and the verifier share
-them, so each is compared for exact equality with tests/poly_reference.py,
-which does not use the package and also evaluates every Poly the tests
-read.
+Poly.shift, Poly.difference, Poly.first_mismatch, AffineForm.evaluate and
+derive.interpolate_model compute on integer numerators over a common
+denominator, and hilbert.ray_tail on integer rows.  The prover and the
+verifier share them, so each is compared for exact equality with
+tests/poly_reference.py, which does not use the package and also
+evaluates every Poly the tests read.
 """
 
 from fractions import Fraction
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import poly_reference as ref
 from fanobound.derive import interpolate_model
-from fanobound.exact import AffineForm, Poly
+from fanobound.exact import AffineForm, Poly, over_common_denominator
 from fanobound.hilbert import ray_tail
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -152,6 +152,13 @@ def tail_outcome(tail, b_form, a_form, m_start):
         return str(exc)
 
 
+def row_tail(b_form, a_form, m_start):
+    """hilbert.ray_tail on each form's integer row, the form over the lcm of
+    its denominators, as the prover and the verifier call it."""
+    rows = (over_common_denominator(f)[0] for f in (b_form, a_form))
+    return ray_tail(*rows, m_start).coeffs
+
+
 forms = st.builds(AffineForm, rationals, rationals, rationals)
 # a form free of b, as every floor on a is
 floors = st.builds(AffineForm, rationals, st.just(Fraction(0)), rationals)
@@ -178,17 +185,17 @@ class TestRayTail:
     # a floor free of b whose a coefficient is negative
     @example(MERGED, AffineForm.of(-1, 0, 1), 3)
     def test_matches_reference(self, b_form, a_form, m_start):
-        got = tail_outcome(lambda *args: ray_tail(*args).coeffs, b_form, a_form, m_start)
+        got = tail_outcome(row_tail, b_form, a_form, m_start)
         assert got == tail_outcome(ref.ray_tail, b_form, a_form, m_start)
 
     def test_every_outcome_is_reached(self):
         for want, args in TAILS.items():
-            got = tail_outcome(lambda *args: ray_tail(*args).coeffs, *args)
+            got = tail_outcome(row_tail, *args)
             assert (want == "polynomial") == isinstance(got, list)
             if want != "polynomial":
                 assert want in got
         # by hand: min of P(4)-P(3) over {b >= -35a, a >= 1/720} is 4320/720+2
-        assert ref.poly_eval(ray_tail(*TAILS["polynomial"]).coeffs, 3) == 8
+        assert ref.poly_eval(row_tail(*TAILS["polynomial"]), 3) == 8
 
 
 class TestAffineEvaluate:

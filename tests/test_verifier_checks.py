@@ -1,0 +1,118 @@
+"""Verifier checks that a small edit of a valid certificate must reach.
+
+Each case edits one README certificate, or the concrete certificate of
+(-K)^5 = 12, (-K)^3.c2 = -60, the method's limit point, where every
+earlier (m, r) of each search is a failed attempt.  It names the step and
+the reason the verifier refuses the edit with.  Each reason is raised by
+one check, so with that check gone its case fails.
+"""
+
+import json
+
+import pytest
+
+from fanobound.bounds import solve_concrete
+from fanobound.hilbert import ChernData
+
+from test_cert_v3 import check, doc, steps
+
+LIMIT = json.loads(solve_concrete(ChernData(12, -60)).to_json_bytes())
+
+
+def limit():
+    return json.loads(json.dumps(LIMIT))
+
+
+def step(d, rule, i=0):
+    return steps(d, rule)[i]
+
+
+def forged_pencil():
+    # r1 = 2 with the attempt at m = 2 dropped and every claim rewritten;
+    # P(2) = 1 gives no pencil, and only the selection's own test says so
+    d = limit()
+    search = step(d, "dim_search")
+    search["witness"]["attempts"] = search["witness"]["attempts"][:1]
+    search["witness"]["selected"] = {"m": 2, "r": None}
+    search["claim"] = "dim >= 1 at m = 2"
+    d["r"][0], d["bound"] = 2, 14
+    step(d, "compose")["claim"] = "birational for all m >= 14"
+    return d, search["id"], "the selection at m=2, r=None does not pass the test"
+
+
+def raised_merged_bound():
+    d = doc("worst_case")
+    merge = step(d, "merge_min")
+    merge["witness"]["bound"] = "8"
+    return d, merge["id"], "merged bound is not the branch minimum"
+
+
+def r0_below_three():
+    d = limit()
+    d["r0"], d["bound"] = 2, 14
+    return d, step(d, "compose")["id"], "r0 must be >= 3"
+
+
+def r1_off_its_search():
+    d = limit()
+    d["r"][0], d["bound"] = 4, 16
+    return d, step(d, "compose")["id"], "r1 does not match its witness step"
+
+
+def tail_removed():
+    d = doc("concrete")
+    d["steps"].remove(step(d, "monotone_tail"))
+    return d, step(d, "compose")["id"], "monotonicity step is missing"
+
+
+def tail_from_zero():
+    # P(1) = P(0) = 1, so the difference of P is 0 at m = 0
+    d = limit()
+    tail = step(d, "monotone_tail")
+    tail["inputs"]["m_start"] = 0
+    return d, tail["id"], "shifted tail is not certified positive"
+
+
+def dim3_search_removed():
+    d = doc("worst_case")
+    d["steps"].remove(step(d, "dim_search", 2))
+    return d, step(d, "compose")["id"], "no dimension-3 witness step"
+
+
+def value_at_least_removed():
+    d = doc("concrete")
+    d["steps"].remove(step(d, "value_at_least"))
+    return d, step(d, "compose")["id"], "P(3) >= 1 was never established"
+
+
+def negative_lmax():
+    d = doc("worst_case")
+    split = step(d, "split_p1")
+    split["inputs"]["lmax"] = -1
+    return d, split["id"], "split needs lmax >= 0"
+
+
+def farkas_cites_undeclared():
+    d = doc("worst_case")
+    branch = step(d, "fm_lower_bound")
+    branch["witness"]["farkas"][0][0] = "A9"
+    return d, branch["id"], "farkas cites unknown constraint A9"
+
+
+CASES = [
+    forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
+    tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
+    negative_lmax, farkas_cites_undeclared,
+]
+
+
+def test_the_limit_certificate_verifies():
+    assert (LIMIT["r0"], LIMIT["r"], LIMIT["bound"]) == (3, [3, 4, 5], 15)
+    assert check(limit()).ok
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])
+def test_edit_refused_at_its_check(case):
+    d, step_id, reason = case()
+    res = check(d)
+    assert (res.ok, res.step_id, res.reason) == (False, step_id, reason)
