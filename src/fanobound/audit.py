@@ -21,8 +21,11 @@ invocation so the report is reproducible from the artifact alone:
     table (m = 1..32, the search horizon).
 
 One result appears in no certificate and is minimised on its own: P(2)
-on the P(1) = 3 branch.  The m = 5, r = 2 test that the worst case fails
-is the failed attempt its dimension-3 search already carries.
+on the P(1) = 3 branch.  That branch is the worst case's own system,
+bounds.worst_case_branches, built once per process and shared with the
+solve; the certificates themselves, and every minimisation, are still
+solved afresh.  The m = 5, r = 2 test that the worst case fails is the
+failed attempt its dimension-3 search already carries.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .certs import Certificate
 from .exact import to_rat
 from .hilbert import PValue, fit_ab, p_affine
 from . import bounds, bundle
-from .derive import axiom_system, derive_lower_bound, split_on_p1
+from .derive import derive_lower_bound
 
 CONFIRMED = "confirmed"
 STRONGER = "stronger"
@@ -87,7 +90,8 @@ def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
             )
         )
 
-    fact_iv = derive_lower_bound(split_on_p1(axiom_system(), 3)[3].system, 2)
+    # the worst case's own P(1) = 3 branch, shared with its solve
+    fact_iv = derive_lower_bound(bounds.worst_case_branches()[3].system, 2)
     entries.append(
         AuditEntry(
             location="Proposition 1 (iv)",

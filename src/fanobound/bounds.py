@@ -20,6 +20,7 @@ steps the independent verifier in certs can replay.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Optional, Union
 
 from .exact import poly_positive_on_ray, rat_str
@@ -29,6 +30,7 @@ from .hilbert import passes_dimension_test, search_order
 from . import certs
 from .bundle import OracleSource, SplitBundle, is_nef
 from .derive import (
+    Branch,
     Constraint,
     ConstraintSystem,
     Fact,
@@ -283,20 +285,28 @@ def _dim_search_steps(
     return rs
 
 
+@cache
+def worst_case_branches() -> tuple[Branch, ...]:
+    """split_on_p1(axiom_system(), DEFAULT_LMAX), the P(1) branches of the
+    worst case, built on the first call and shared by every later one: the
+    worst-case solve and the audit read the same systems."""
+    return split_on_p1(axiom_system(), DEFAULT_LMAX)
+
+
 def solve_worst_case() -> certs.Certificate:
     """Derive the bound valid for every 5-fold with -K nef and big.
 
     The chain: case split on P(1), per-branch lower bounds for P(3), merge,
     search minimal multiples for dimensions 1..3 over the merged bound as an
     affine constraint, the ray tail from r0 = 3, where the merged bound
-    already gives P(3) >= 1, and compose.
+    already gives P(3) >= 1, and compose.  The branch systems are built once
+    per process (worst_case_branches); every minimisation runs afresh.
     """
     w = _StepWriter()
-    branches = split_on_p1(axiom_system(), DEFAULT_LMAX)
     w.add("split_p1", {"lmax": DEFAULT_LMAX}, {})
     branch_steps = []
     branch_facts = []
-    for br in branches:
+    for br in worst_case_branches():
         res = fm_minimize(br.system, p_affine(3))
         if res.status != "minimum":
             raise CertificationError(f"branch {br.label}: no finite bound for P(3)")

@@ -71,6 +71,7 @@ from .hilbert import (
     ChernData,
     LEMMA2_R_CAP,
     constraint_row,
+    fact_row,
     lemma2_slack_coeffs,
     p_affine,
     p_coeffs,
@@ -303,11 +304,17 @@ def _exact(obj: Any, keys: frozenset, what: str) -> dict:
     return obj
 
 
+def _rat_string(value: Any, what: str) -> None:
+    """Refuse a rational that is not written as a string: JSON numbers are
+    rejected, not coerced."""
+    if not isinstance(value, str):
+        raise _Fail(f"{what} must be a rational string, got {value!r}")
+
+
 def _rat(value: Any, what: str) -> Fraction:
     """A rational written as a "p/q" string; JSON numbers are rejected, not
     coerced."""
-    if not isinstance(value, str):
-        raise _Fail(f"{what} must be a rational string, got {value!r}")
+    _rat_string(value, what)
     try:
         return to_rat(value)
     except ValueError as exc:
@@ -362,15 +369,23 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
         if params:
             _json_int(params[0], f"first parameter of {cid}")
         try:
-            row = constraint_row(kind, params)
+            if kind == "from_fact":
+                # constraint_row's parse, so its refusals, done once: it
+                # builds the row, serves the scale's sign and gives the fact
+                m, bound, scale = params
+                q, s = to_rat(bound), to_rat(scale)
+                row = fact_row(m, q, s)
+            else:
+                row = constraint_row(kind, params)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise _Fail(f"constraint {cid}: {exc}")
         fact = None
         if kind == "from_fact":
-            m, bound, scale = params
-            if _rat(scale, f"scale of {cid}") <= 0:
+            _rat_string(scale, f"scale of {cid}")
+            if s <= 0:
                 raise _Fail(f"constraint {cid} must divide its fact by a positive scale")
-            fact = (m, _rat(bound, f"fact bound of {cid}"))
+            _rat_string(bound, f"fact bound of {cid}")
+            fact = (m, q)
         if cid != CONSTRAINT_CIDS[kind].format(*params):
             raise _Fail(f"constraint {cid} is not the name of its descriptor")
         decls[cid] = _Decl(row, kind, params, fact)

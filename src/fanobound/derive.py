@@ -34,12 +34,18 @@ Axioms:
 A5 is the per-case hypothesis the source derivation assumes.  It is always
 part of the axiom system, as an explicit, named constraint, so
 certificates stay honest about what is assumed versus proved.
+
+Systems are immutable: tuples of constraints, each a NamedTuple whose
+integer row is built once from its descriptor.  So the axiom system is
+built on first use and then shared by every caller, and a case split's
+branches may be kept and shared too; only the minimizations run afresh.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -48,6 +54,7 @@ from .hilbert import (
     CONSTRAINT_CIDS,
     ChernData,
     constraint_row,
+    fact_row,
     p_affine,
     p_eval,
     p_poly,
@@ -77,10 +84,11 @@ class MonotoneCertificationError(DerivationError):
 # Constraints and systems
 # ---------------------------------------------------------------------------
 
-def constraint_form(kind: str, params: Sequence) -> AffineForm:
+def constraint_form(kind: str, params: Sequence, row: Optional[tuple] = None) -> AffineForm:
     """The affine form of a constraint, form >= 0, from its descriptor:
-    hilbert.constraint_row over its denominator."""
-    ca, cb, k, den = constraint_row(kind, params)
+    hilbert.constraint_row over its denominator, or row, that row already
+    built."""
+    ca, cb, k, den = row or constraint_row(kind, params)
     return AffineForm(Fraction(ca, den), Fraction(cb, den), Fraction(k, den))
 
 
@@ -93,7 +101,8 @@ class Constraint(NamedTuple("Constraint", [
     constraint, and make takes its cid from hilbert.CONSTRAINT_CIDS.  cid
     names the constraint inside Farkas combinations.  row is the integer
     row (ca, cb, k, den) the minimizer reads, the form times den, the lcm
-    of its denominators, computed once here from the form.
+    of its denominators: make reads the form off the row, and a constraint
+    built from its first four fields computes the row from the form.
     """
 
     __slots__ = ()
@@ -113,10 +122,16 @@ class Constraint(NamedTuple("Constraint", [
         return tuple(self)[:4]
 
     @classmethod
-    def make(cls, kind: str, params: Sequence = ()) -> "Constraint":
+    def make(cls, kind: str, params: Sequence = (), row: Optional[tuple] = None) -> "Constraint":
+        """The constraint a descriptor declares.  row, when the caller has
+        built it already, is hilbert.constraint_row(kind, params); either
+        way the row is built once and the form read off it."""
         params = tuple(params)
-        form = constraint_form(kind, params)
-        return cls(CONSTRAINT_CIDS[kind].format(*params), kind, params, form)
+        if row is None:
+            row = constraint_row(kind, params)
+        form = constraint_form(kind, params, row)
+        cid = CONSTRAINT_CIDS[kind].format(*params)
+        return super().__new__(cls, cid, kind, params, form, row)
 
 
 class ConstraintSystem(NamedTuple):
@@ -129,12 +144,17 @@ class ConstraintSystem(NamedTuple):
         return ConstraintSystem(self.constraints + tuple(extra), label or self.label)
 
 
+@cache
 def axiom_system() -> ConstraintSystem:
     """The axiom system A1..A5 with vanishing up to DEFAULT_HORIZON.
 
     The vanishing family is an infinite axiom schema; only finitely many
     instances can enter the eliminator.  Dropping instances only weakens
     derived lower bounds, never forges them.
+
+    The system is built on the first call, not at import, and every call
+    returns that one object; it is a tuple of tuples, so no caller can
+    change what the next one reads.
     """
     cons = [Constraint.make("k5_floor")]
     cons += [Constraint.make("vanishing", (m,)) for m in range(DEFAULT_HORIZON + 1)]
@@ -370,12 +390,13 @@ def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
     return strengthen_integral(m, res.value)
 
 
-def split_on_p1(cs: ConstraintSystem, lmax: int) -> list[Branch]:
+def split_on_p1(cs: ConstraintSystem, lmax: int) -> tuple[Branch, ...]:
     """Case split on the value of P(1): branches P(1) = 0, 1, ..., lmax and
     the tail P(1) >= lmax + 1.
 
     Coverage: P(1) is a nonnegative integer under vanishing and integrality,
-    so the branches exhaust the feasible set of cs.
+    so the branches exhaust the feasible set of cs.  The branches are a
+    tuple, so a caller may keep them and share them.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
@@ -387,7 +408,7 @@ def split_on_p1(cs: ConstraintSystem, lmax: int) -> list[Branch]:
     branches.append(
         Branch(f"P(1)>={lmax + 1}", cs.with_constraints(tail, label=f"P(1)>={lmax + 1}"))
     )
-    return branches
+    return tuple(branches)
 
 
 def merge_branch_facts(facts: Sequence[Fact]) -> Fact:
@@ -405,12 +426,14 @@ def fact_to_constraint(fact: Fact) -> Constraint:
     """Turn P(m) >= q into a primitive affine inequality on (a, b).
 
     The form (P(m) - q) is divided by the positive gcd of its scaled integer
-    coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.
+    coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.  The integer row of
+    P(m) - q is built once, and the primitive row and the scale the
+    descriptor records are read off it.
     """
-    *ints, den = constraint_row("from_fact", (fact.m, fact.bound, 1))
-    g = math.gcd(*ints)
-    scale = Fraction(g, den) if g else Fraction(1)
-    return Constraint.make("from_fact", (fact.m, fact.bound, scale))
+    *ints, den = fact_row(fact.m, fact.bound, Fraction(1))
+    g = math.gcd(*ints) or den  # 0 only when P(m) - q is 0; its scale is 1
+    row = (*(x // g for x in ints), 1)
+    return Constraint.make("from_fact", (fact.m, fact.bound, Fraction(g, den)), row)
 
 
 # ---------------------------------------------------------------------------

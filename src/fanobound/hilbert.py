@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb
+from math import comb, gcd
 from typing import Iterator, NamedTuple, Optional
 
-from .exact import AffineForm, Poly, over_common_denominator, taylor_shift, to_rat
+from .exact import AffineForm, Poly, taylor_shift, to_rat
 
 # P's coefficients of a, of b and of 1 as polynomials in m, low degree first
 _A = (0, -1, 0, 10, 15, 6)
@@ -111,12 +111,13 @@ def p_coeffs(m: int) -> tuple[int, int, int]:
 
 
 def p_affine(m: int) -> AffineForm:
-    """P(m) as an exact affine form in (a, b).
+    """P(m) as an exact affine form in (a, b): p_coeffs(m), one Fraction
+    per integer.
 
     Negative m is allowed; the form satisfies P(m) + P(-1-m) = 0,
     the shape Serre duality forces on the polynomial.
     """
-    return AffineForm.of(*p_coeffs(m))
+    return AffineForm(*map(Fraction, p_coeffs(m)))
 
 
 # the kinds a constraint may take, and the cid each names its constraint
@@ -150,11 +151,22 @@ def constraint_row(kind: str, params: tuple) -> tuple[int, int, int, int]:
         return sign * ca, sign * cb, sign * (k - int(l)), 1
     if kind == "from_fact":
         m, bound, scale = params
-        ca, cb, k = p_coeffs(int(m))
-        q, s = to_rat(bound), Fraction(1, 1) / to_rat(scale)
-        nums, den = over_common_denominator((ca * s, cb * s, (k - q) * s))
-        return (*nums, den)
+        return fact_row(int(m), to_rat(bound), to_rat(scale))
     raise ValueError(f"unknown constraint kind {kind!r}")
+
+
+def fact_row(m: int, bound: Fraction, scale: Fraction) -> tuple[int, int, int, int]:
+    """The from_fact row (P(m) - bound) / scale, on integers in lowest
+    terms, from rationals the caller has parsed: the verifier's one parse
+    also serves the scale's sign and the fact it cites.  A zero scale
+    raises ZeroDivisionError."""
+    s = Fraction(1, 1) / scale  # its denominator is positive
+    ca, cb, k = p_coeffs(m)
+    qn, qd = bound.numerator, bound.denominator
+    mul, den = qd * s.numerator, qd * s.denominator  # den > 0
+    nums = (ca * mul, cb * mul, (k * qd - qn) * s.numerator)
+    g = gcd(*nums, den)
+    return (*(x // g for x in nums), den // g)
 
 
 # the strict dimension test is tried for exponents r up to this cap
@@ -190,8 +202,9 @@ def lemma2_slack_coeffs(m: int, r: int) -> tuple[int, int, int]:
 
 
 def lemma2_slack_form(m: int, r: int) -> AffineForm:
-    """lemma2_slack_coeffs(m, r) as an exact affine form in (a, b)."""
-    return AffineForm.of(*lemma2_slack_coeffs(m, r))
+    """lemma2_slack_coeffs(m, r) as an exact affine form in (a, b), one
+    Fraction per integer."""
+    return AffineForm(*map(Fraction, lemma2_slack_coeffs(m, r)))
 
 
 def p_eval(c: ChernData, m: int) -> int:

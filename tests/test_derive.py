@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanobound.exact import AffineForm
-from fanobound.hilbert import ChernData, p_affine, ray_tail
+from fanobound.hilbert import ChernData, constraint_row, p_affine, ray_tail
 from fanobound.audit import CONFIRMED, DISCREPANCY, build_audit
 from fanobound.derive import (
     Constraint,
@@ -28,7 +28,7 @@ from fanobound.derive import (
     split_on_p1,
     strengthen_integral,
 )
-from fanobound.bounds import certify_r0
+from fanobound.bounds import certify_r0, worst_case_branches
 
 from fm_reference import fm_minimize_reference
 from poly_reference import poly_eval
@@ -438,6 +438,26 @@ class TestSplitAndMerge:
             assert len(hits) == 1, (c, hits)
 
 
+class TestSharedSystems:
+    def test_axiom_system_is_built_once(self):
+        fresh = ConstraintSystem(
+            (Constraint.make("k5_floor"),
+             *(Constraint.make("vanishing", (m,)) for m in range(9)),
+             Constraint.make("mono12")),
+            label="axioms",
+        )
+        assert axiom_system() is axiom_system()
+        assert axiom_system() == fresh
+        assert [c.row for c in axiom_system().constraints] == [c.row for c in fresh.constraints]
+
+    def test_worst_case_branches_are_a_fresh_split(self):
+        shared = worst_case_branches()
+        assert shared is worst_case_branches()
+        # a shared list could be changed by one caller under the next
+        assert isinstance(shared, tuple)
+        assert shared == split_on_p1(axiom_system(), 3)
+
+
 class TestDeriveLowerBound:
     def test_case_iii(self):
         fact = derive_lower_bound(branch_system(2), 3)
@@ -486,6 +506,15 @@ class TestFactToConstraint:
     def test_vacuous_fact_retained(self):
         c = fact_to_constraint(Fact(0, Fraction(1)))
         assert c.form == AffineForm.of(0, 0, 0)
+
+    def test_row_is_built_once_and_is_the_descriptors(self):
+        # the integer route and the descriptor's constraint_row agree, and
+        # the constraint equals one rebuilt from its four fields
+        for m in range(12):
+            for bound in (Fraction(0), Fraction(1), Fraction(7), Fraction(-3), Fraction(7, 2)):
+                c = fact_to_constraint(Fact(m, bound))
+                assert c.row == constraint_row("from_fact", c.params), (m, bound)
+                assert c == Constraint(c.cid, c.kind, c.params, c.form), (m, bound)
 
     def test_p1_geq_0(self):
         c = fact_to_constraint(Fact(1, Fraction(0)))

@@ -50,3 +50,15 @@ def test_readme_artifact_bytes(name, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_worst_case_and_audit_twice_in_one_process(tmp_path, capsys):
+    # the axiom system and the P(1) branches are built once per process;
+    # a second solve and a second audit must still write the golden bytes
+    for argv, name in ((["solve", "--worst-case"], "solve_worst_case.json"),
+                       (["audit"], "audit.json")):
+        for i in range(2):
+            out = tmp_path / f"{i}_{name}"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name][1], (name, i)
+    capsys.readouterr()

@@ -22,8 +22,10 @@ from fanobound.hilbert import (
     _C,
     _DIFFERENCE_NUMS,
     fit_ab,
+    lemma2_slack_coeffs,
     lemma2_slack_form,
     p_affine,
+    p_coeffs,
     p_eval,
     p_poly,
 )
@@ -103,6 +105,18 @@ class TestPAffine:
             for r in range(LEMMA2_R_CAP + 1):
                 want = p_affine(m) - AffineForm.of(720 * m**r, 0, r)
                 assert lemma2_slack_form(m, r) == want, (m, r)
+
+    def test_forms_are_their_integer_triples(self):
+        # built straight from the integers, equal to the to_rat route, and
+        # each field a Fraction, which AffineForm.evaluate reads
+        for m in range(41):
+            form = p_affine(m)
+            assert form == AffineForm.of(*p_coeffs(m)), m
+            assert all(type(x) is Fraction for x in form), m
+            for r in range(LEMMA2_R_CAP + 1):
+                slack = lemma2_slack_form(m, r)
+                assert slack == AffineForm.of(*lemma2_slack_coeffs(m, r)), (m, r)
+                assert all(type(x) is Fraction for x in slack), (m, r)
 
 
 class TestPEval:

@@ -96,6 +96,29 @@ class TestImportGuards:
         assert {"bounds", "bundle", "certs", "hilbert"} <= loaded
         assert "audit" not in loaded
 
+    def test_cli_import_builds_no_constraint_system(self):
+        # the axiom system and the P(1) branches are built on first use,
+        # so the start-up the benchmark times does not build them
+        code = (
+            "import sys\n"
+            "calls = set()\n"
+            "def hook(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_filename.endswith(('derive.py', 'bounds.py')):\n"
+            "        calls.add(frame.f_code.co_name)\n"
+            "sys.setprofile(hook)\n"
+            "import fanobound.cli\n"
+            "sys.setprofile(None)\n"
+            "print(' '.join(sorted(calls)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        calls = set(out.split())
+        assert "<module>" in calls  # the hook saw both modules load
+        built = {"make", "__new__", "axiom_system", "split_on_p1", "worst_case_branches"}
+        assert not calls & built
+
     def test_lazy_module_attribute_resolves_before_import(self):
         code = (
             "import sys, fanobound\n"

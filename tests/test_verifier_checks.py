@@ -99,10 +99,28 @@ def farkas_cites_undeclared():
     return d, branch["id"], "farkas cites unknown constraint A9"
 
 
+def undeclared_axiom_constraint():
+    # the concrete flavor declares A3 and A4 only, so an A1 constraint rests
+    # on nothing, although no step cites it
+    d = doc("concrete")
+    d["constraints"].append({"cid": "A1", "kind": "k5_floor", "params": []})
+    return d, None, "constraint A1 uses undeclared axiom A1"
+
+
+def attempt_at_a_passing_point():
+    # (a, b) = (1/720, 0) meets A1 and P(3) >= 7, and its value, recorded
+    # truly, is P(1) = 73/24 > 1: the pencil test is not refuted there
+    d = doc("worst_case")
+    search = step(d, "dim_search")
+    search["witness"]["attempts"][0].update(point=["1/720", "0"], value="73/24")
+    return d, search["id"], "attempt at m=1, r=None does not fail the test"
+
+
 CASES = [
     forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
     tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
-    negative_lmax, farkas_cites_undeclared,
+    negative_lmax, farkas_cites_undeclared, undeclared_axiom_constraint,
+    attempt_at_a_passing_point,
 ]
 
 
