@@ -76,6 +76,7 @@ from .hilbert import (
     p_affine,
     p_coeffs,
     p_poly,
+    parse_fact,
     passes_dimension_test,
     ray_tail,
     search_order,
@@ -370,10 +371,9 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
             _json_int(params[0], f"first parameter of {cid}")
         try:
             if kind == "from_fact":
-                # constraint_row's parse, so its refusals, done once: it
-                # builds the row, serves the scale's sign and gives the fact
-                m, bound, scale = params
-                q, s = to_rat(bound), to_rat(scale)
+                # one parse builds the row, serves the scale's sign and
+                # gives the fact
+                m, q, s = parse_fact(params)
                 row = fact_row(m, q, s)
             else:
                 row = constraint_row(kind, params)
@@ -381,10 +381,10 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
             raise _Fail(f"constraint {cid}: {exc}")
         fact = None
         if kind == "from_fact":
-            _rat_string(scale, f"scale of {cid}")
+            _rat_string(params[2], f"scale of {cid}")
             if s <= 0:
                 raise _Fail(f"constraint {cid} must divide its fact by a positive scale")
-            _rat_string(bound, f"fact bound of {cid}")
+            _rat_string(params[1], f"fact bound of {cid}")
             fact = (m, q)
         if cid != CONSTRAINT_CIDS[kind].format(*params):
             raise _Fail(f"constraint {cid} is not the name of its descriptor")

@@ -84,11 +84,10 @@ class MonotoneCertificationError(DerivationError):
 # Constraints and systems
 # ---------------------------------------------------------------------------
 
-def constraint_form(kind: str, params: Sequence, row: Optional[tuple] = None) -> AffineForm:
-    """The affine form of a constraint, form >= 0, from its descriptor:
-    hilbert.constraint_row over its denominator, or row, that row already
-    built."""
-    ca, cb, k, den = row or constraint_row(kind, params)
+def constraint_form(row: tuple) -> AffineForm:
+    """The affine form of a constraint, form >= 0, from its integer row
+    (ca, cb, k, den): the row over its denominator."""
+    ca, cb, k, den = row
     return AffineForm(Fraction(ca, den), Fraction(cb, den), Fraction(k, den))
 
 
@@ -122,16 +121,13 @@ class Constraint(NamedTuple("Constraint", [
         return tuple(self)[:4]
 
     @classmethod
-    def make(cls, kind: str, params: Sequence = (), row: Optional[tuple] = None) -> "Constraint":
-        """The constraint a descriptor declares.  row, when the caller has
-        built it already, is hilbert.constraint_row(kind, params); either
-        way the row is built once and the form read off it."""
+    def make(cls, kind: str, params: Sequence = ()) -> "Constraint":
+        """The constraint a descriptor declares: its row built once by
+        hilbert.constraint_row, and the form read off that row."""
         params = tuple(params)
-        if row is None:
-            row = constraint_row(kind, params)
-        form = constraint_form(kind, params, row)
+        row = constraint_row(kind, params)
         cid = CONSTRAINT_CIDS[kind].format(*params)
-        return super().__new__(cls, cid, kind, params, form, row)
+        return super().__new__(cls, cid, kind, params, constraint_form(row), row)
 
 
 class ConstraintSystem(NamedTuple):
@@ -426,14 +422,13 @@ def fact_to_constraint(fact: Fact) -> Constraint:
     """Turn P(m) >= q into a primitive affine inequality on (a, b).
 
     The form (P(m) - q) is divided by the positive gcd of its scaled integer
-    coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.  The integer row of
-    P(m) - q is built once, and the primitive row and the scale the
-    descriptor records are read off it.
+    coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.  The scale the
+    descriptor records is read off the integer row of P(m) - q.
     """
     *ints, den = fact_row(fact.m, fact.bound, Fraction(1))
-    g = math.gcd(*ints) or den  # 0 only when P(m) - q is 0; its scale is 1
-    row = (*(x // g for x in ints), 1)
-    return Constraint.make("from_fact", (fact.m, fact.bound, Fraction(g, den)), row)
+    g = math.gcd(*ints)
+    scale = Fraction(g, den) if g else Fraction(1)
+    return Constraint.make("from_fact", (fact.m, fact.bound, scale))
 
 
 # ---------------------------------------------------------------------------

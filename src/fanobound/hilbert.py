@@ -150,16 +150,22 @@ def constraint_row(kind: str, params: tuple) -> tuple[int, int, int, int]:
         sign = -1 if kind == "p1_eq_hi" else 1
         return sign * ca, sign * cb, sign * (k - int(l)), 1
     if kind == "from_fact":
-        m, bound, scale = params
-        return fact_row(int(m), to_rat(bound), to_rat(scale))
+        return fact_row(*parse_fact(params))
     raise ValueError(f"unknown constraint kind {kind!r}")
+
+
+def parse_fact(params: tuple) -> tuple[int, Fraction, Fraction]:
+    """A from_fact descriptor's (m, bound, scale), read as an int and two
+    rationals; the one parse of that format, so the verifier's refusals
+    are constraint_row's."""
+    m, bound, scale = params
+    return int(m), to_rat(bound), to_rat(scale)
 
 
 def fact_row(m: int, bound: Fraction, scale: Fraction) -> tuple[int, int, int, int]:
     """The from_fact row (P(m) - bound) / scale, on integers in lowest
-    terms, from rationals the caller has parsed: the verifier's one parse
-    also serves the scale's sign and the fact it cites.  A zero scale
-    raises ZeroDivisionError."""
+    terms, from parse_fact's rationals.  A zero scale raises
+    ZeroDivisionError."""
     s = Fraction(1, 1) / scale  # its denominator is positive
     ca, cb, k = p_coeffs(m)
     qn, qd = bound.numerator, bound.denominator

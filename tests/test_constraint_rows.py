@@ -81,7 +81,9 @@ def test_row_over_its_denominator_is_the_fraction_form(descriptor):
     row = constraint_row(kind, params)
     assert row[3] > 0 and math.gcd(*row) == 1
     assert as_form(row) == constraint_form_reference(kind, params)
-    assert constraint_form(kind, params) == as_form(row)
+    c = Constraint.make(kind, params)
+    assert (c.row, c.form) == (row, as_form(row))
+    assert constraint_form(row) == as_form(row)
 
 
 @SETTINGS

@@ -507,9 +507,9 @@ class TestFactToConstraint:
         c = fact_to_constraint(Fact(0, Fraction(1)))
         assert c.form == AffineForm.of(0, 0, 0)
 
-    def test_row_is_built_once_and_is_the_descriptors(self):
-        # the integer route and the descriptor's constraint_row agree, and
-        # the constraint equals one rebuilt from its four fields
+    def test_row_is_the_descriptors(self):
+        # the row make keeps is the descriptor's constraint_row, and the
+        # constraint equals one rebuilt from its four fields
         for m in range(12):
             for bound in (Fraction(0), Fraction(1), Fraction(7), Fraction(-3), Fraction(7, 2)):
                 c = fact_to_constraint(Fact(m, bound))
