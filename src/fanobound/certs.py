@@ -35,7 +35,10 @@ step establishes, P(m) >= bound: A3 (integrality) rounds a proved minimum
 up to its ceiling before anything cites it.
 
 Rationals serialize as "p/q" strings with the sign on the numerator;
-integers omit the "/1".  The verifier reads a rational only as a string.
+integers omit the "/1".  The verifier reads a rational only as a string,
+and parses each once into the integer pair exact.parse_rat gives: every
+worst-case check, of Farkas multipliers, points, minima and their
+ceilings, merged bounds and attempt values, cross-multiplies integers.
 A certificate's bytes are json.dumps(doc, sort_keys=True, indent=2) + "\n",
 as written by _json_bytes.
 
@@ -43,18 +46,18 @@ The verifier is one table, _RULES, from each rule to its checker and its
 layout per flavor.  A checker replays one step over the shared _Replay
 context, records what it checked (a value table, an oracle model, a branch
 bound) for later steps to cite, and returns the claim the step must carry.
-It trusts three parts of the package and no prover code: exact
-(rationals, polynomials and their difference p(t + 1) - p(t), affine forms
-and the positivity test on a ray), hilbert (P(m) and the Lemma 2 slack as
-the integer triples p_coeffs and lemma2_slack_coeffs, on which the point,
-Farkas and attempt checks run, p_affine for eval_p, p_poly for the
-concrete tail, constraint_row and CONSTRAINT_CIDS, the integer row and
-the name of each declared kind, the dimension tests and their search
-order, and ray_tail, the worst-case tail built from the integer rows of
-two cited bounds; the prover calls each of these too) and
-bundle (its own recount of the section counts, from the two moments per
-row its pass carries, a packed row being built only for a degree below
--1, and the nef test).
+It trusts three parts of the package and no prover code: exact (the
+rational parser, rationals, polynomials and their difference
+p(t + 1) - p(t), affine forms and the positivity test on a ray), hilbert
+(P(m) and the Lemma 2 slack as the integer triples p_coeffs and
+lemma2_slack_coeffs, on which the point, Farkas and attempt checks run,
+p_affine for eval_p, p_poly for the concrete tail, constraint_row and
+CONSTRAINT_CIDS, the integer row and the name of each declared kind, the
+dimension tests and their search order, and ray_tail, the worst-case tail
+built from the integer rows of two cited bounds; the prover calls each of
+these too) and bundle (its own recount of the section counts, from the two
+moments per row its pass carries, a packed row being built only for a
+degree below -1, and the nef test).
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Optional
 
-from .exact import Poly, poly_positive_on_ray, rat_str, to_rat
+from .exact import Poly, RatPair, parse_rat, poly_positive_on_ray, rat_str
 from .hilbert import (
     CONSTRAINT_CIDS,
     ChernData,
@@ -312,12 +315,12 @@ def _rat_string(value: Any, what: str) -> None:
         raise _Fail(f"{what} must be a rational string, got {value!r}")
 
 
-def _rat(value: Any, what: str) -> Fraction:
-    """A rational written as a "p/q" string; JSON numbers are rejected, not
-    coerced."""
+def _rat(value: Any, what: str) -> RatPair:
+    """A rational written as a "p/q" string, as its integer pair; JSON
+    numbers are rejected, not coerced."""
     _rat_string(value, what)
     try:
-        return to_rat(value)
+        return parse_rat(value)
     except ValueError as exc:
         raise _Fail(f"{what}: {exc}")
 
@@ -325,7 +328,7 @@ def _rat(value: Any, what: str) -> Fraction:
 def _rats(value: Any, what: str) -> list[Fraction]:
     if not isinstance(value, list):
         raise _Fail(f"{what} must be a list of rational strings")
-    return [_rat(v, what) for v in value]
+    return [Fraction(*_rat(v, what)) for v in value]
 
 
 _AXIOM_KINDS = {"k5_floor": "A1", "vanishing": "A4", "mono12": "A5"}
@@ -463,12 +466,13 @@ class _Replay:
         return table, hypotheses
 
 
-def _check_farkas(farkas: Any, table: dict, objective: tuple, value: Fraction) -> None:
+def _check_farkas(farkas: Any, table: dict, objective: tuple, value: RatPair) -> None:
     """Replay a Farkas combination: positive multipliers over cited
     constraints summing exactly to objective - value, which proves
     objective >= value, for objective an integer triple (ca, cb, k) from
-    hilbert.  A combination has one spelling: each constraint appears once,
-    in cid order.  The sum runs on the integer rows."""
+    hilbert and value a RatPair or a Fraction.  A combination has one
+    spelling: each constraint appears once, in cid order.  The sum runs on
+    the integer rows and the multipliers' integer pairs."""
     if not isinstance(farkas, list):
         raise _Fail("farkas witness must be a list")
     scale, sa, sb, sk = 1, 0, 0, 0
@@ -479,7 +483,7 @@ def _check_farkas(farkas: Any, table: dict, objective: tuple, value: Fraction) -
         except (TypeError, ValueError) as exc:
             raise _Fail(f"bad farkas entry {item!r}: {exc}")
         mult = _rat(mult, f"farkas multiplier on {cid}")
-        if mult <= 0:
+        if mult.numerator <= 0:
             raise _Fail(f"farkas multiplier on {cid} is not positive")
         if cid not in table:
             raise _Fail(f"farkas cites unknown constraint {cid}")
@@ -513,23 +517,25 @@ def _check_point(point: Any, table: dict) -> tuple[int, int, int]:
     return x, y, d
 
 
-def _evaluates_to(coeffs: tuple, point: tuple[int, int, int], value: Fraction) -> bool:
-    """Whether ca * a + cb * b + k equals value at a point from _check_point."""
+def _evaluates_to(coeffs: tuple, point: tuple[int, int, int], value: RatPair) -> bool:
+    """Whether ca * a + cb * b + k equals value, a RatPair or a Fraction, at
+    a point from _check_point."""
     (ca, cb, k), (x, y, d) = coeffs, point
     return (ca * x + cb * y + k * d) * value.denominator == value.numerator * d
 
 
-def _integral_bound(w: dict, table: dict, m: int) -> tuple[Fraction, Fraction]:
+def _integral_bound(w: dict, table: dict, m: int) -> tuple[RatPair, int]:
     """Replay P(m) >= bound from a recorded minimum raw_min.  The Farkas
     combination proves P(m) >= raw_min, and bound must be its ceiling: A3,
     which every worst-case certificate declares, makes P(m) an integer.
-    Returns raw_min and the bound."""
+    Returns raw_min and the bound, an int."""
     raw = _rat(w["raw_min"], "raw_min")
     _check_farkas(w["farkas"], table, p_coeffs(m), raw)
     bound = _rat(w["bound"], "bound")
-    if bound != math.ceil(raw):
+    ceil = -(-raw.numerator // raw.denominator)
+    if bound.numerator != ceil * bound.denominator:
         raise _Fail("bound is not raw_min rounded up by A3")
-    return raw, bound
+    return raw, ceil
 
 
 # -- one checker per rule --------------------------------------------------------
@@ -583,11 +589,11 @@ def _merge_min(st: _Replay, inp: dict, w: dict) -> str:
         if hypotheses != want:
             raise _Fail(f"branch {l} does not rest on its own hypothesis")
         bounds.append(bound)
-    merged = _rat(w["bound"], "merged bound")
-    if merged != min(bounds):
+    merged, low = _rat(w["bound"], "merged bound"), min(bounds)
+    if merged.numerator != low * merged.denominator:
         raise _Fail("merged bound is not the branch minimum")
-    st.established.add((m, merged))
-    return f"P({m}) >= {rat_str(merged)} on the union of branches"
+    st.established.add((m, low))
+    return f"P({m}) >= {rat_str(low)} on the union of branches"
 
 
 def _table_values(values: Any) -> list:
@@ -642,7 +648,7 @@ def _oracle_model(st: _Replay, inp: dict, w: dict) -> None:
 def _value_at_least(st: _Replay, inp: dict, w: dict) -> None:
     m = _json_int(inp["m"], "m")
     value = st.result(inp["values_step"], "value table", "values_step").at(m)
-    st.established.add((m, Fraction(value)))
+    st.established.add((m, value))
 
 
 # the keys of a failed attempt and of a selection: a table names only the
@@ -701,7 +707,8 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
             value = _rat(a["value"], "attempt value")
             # P <= 1 at a feasible point caps the derivable integral bound
             coeffs, limit = (p_coeffs(m), 1) if r is None else (lemma2_slack_coeffs(m, r), 0)
-            if not _evaluates_to(coeffs, point, value) or value > limit:
+            vn, vd = value
+            if not _evaluates_to(coeffs, point, value) or vn > limit * vd:
                 raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
         if nonvanishing:
             if _integral_bound(sel, table, sel_m)[1] < 2:
@@ -709,7 +716,7 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> str:
         else:
             raw = _rat(sel["raw_min"], "raw_min")
             _check_farkas(sel["farkas"], table, lemma2_slack_coeffs(sel_m, sel_r), raw)
-            if raw <= 0:
+            if raw.numerator <= 0:
                 raise _Fail("worst-case slack minimum is not positive")
     else:
         table = st.result(inp["values_step"], "value table", "values_step")

@@ -15,8 +15,12 @@ refutes any test that asks for a positive lower bound.
 
 The eliminator works on integer rows (ca, cb, ct, k), so no fraction is
 normalised inside the loop; each row it derives is divided by the gcd of
-its entries, so duplicates are found as equal primitive rows.  The last step, eliminating
-a, is streamed: its rows bound only t, so only the greatest floor and the
+its entries, so duplicates are found as equal primitive rows.  When the
+objective f holds b, b is eliminated through the equality t = f that
+couples the objective to its value t: each row holding b is combined once
+with it.  Only an objective free of b pairs every row bounding b below
+with every row bounding it above.  The last step, eliminating a, is
+streamed: its rows bound only t, so only the greatest floor and the
 least ceiling are kept.  Bounds are compared by cross-multiplying, a and
 b are back-substituted on integers, and the returned point is checked on
 integers.  The Farkas combination of a minimum is then solved from the
@@ -178,17 +182,28 @@ def _pairs(rows: list[tuple], idx: int):
     return chain([(r, None) for r in rows if r[idx] == 0], product(pos, neg))
 
 
-def _eliminate(rows: list[tuple]) -> Optional[list[tuple]]:
-    """One Fourier-Motzkin step on b over rows (ca, cb, ct, k).
+def _through(rows: list[tuple], up: tuple, down: tuple) -> list[tuple]:
+    """Each row as _eliminate reads it: a row free of b as (row, None), and
+    a row holding b paired with the side of the equality up = -down = 0
+    whose sign on b is opposite; up holds b positively.  Substituting b from
+    an equality projects exactly, with one combination per row instead of
+    one per pair (Schrijver, Theory of Linear and Integer Programming,
+    1986, ch. 12)."""
+    return [(r, None) if r[1] == 0 else (r, down) if r[1] > 0 else (up, r) for r in rows]
 
-    The rows free of b come first, then every (positive, negative) pair
-    combined so that b cancels.  Each row is divided by the gcd of its
-    entries, and a primitive row already kept is skipped; rows with no
-    variable left are dropped.  Returns None when a negative constant row
-    appears: the system is infeasible.
+
+def _eliminate(pairs) -> Optional[list[tuple]]:
+    """One Fourier-Motzkin step on b over rows (ca, cb, ct, k), read as
+    _pairs or _through yields them.
+
+    A row free of b is kept and each (positive, negative) pair is combined
+    so that b cancels.  Each row is divided by the gcd of its entries, and
+    a primitive row already kept is skipped; rows with no variable left are
+    dropped.  Returns None when a negative constant row appears: the system
+    is infeasible.
     """
     out = {}
-    for p, n in _pairs(rows, 1):
+    for p, n in pairs:
         if n is None:
             ca, _, ct, k = p
         else:
@@ -280,16 +295,25 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
 
     Couples a fresh variable t to f with two opposite inequalities, then
     eliminates b and a; the surviving constraints on t describe the exact
-    set of attainable objective values.  Infeasible and unbounded are
-    results, not errors; both feasible outcomes fix t and back-substitute
-    a, then b, for their point, which is checked against f and every
-    constraint before it is returned.  A minimum's Farkas combination is
-    read off the constraints tight at that point.
+    set of attainable objective values.  When f holds b, b is eliminated
+    through the equality t = f, one combination per row; otherwise every
+    (positive, negative) pair on b is combined.  Infeasible and unbounded
+    are results, not errors; both feasible outcomes fix t and
+    back-substitute a, then b, for their point, which is checked against f
+    and every constraint before it is returned.  A minimum's Farkas
+    combination is read off the constraints tight at that point.
     """
     (fa, fb, fk), lf = over_common_denominator(f)
-    stage_b = [(ca, cb, 0, k) for ca, cb, k, _ in (c.row for c in cs.constraints)]
-    stage_b += ((-fa, -fb, lf, -fk), (fa, fb, -lf, fk))  # t - f >= 0 and f - t >= 0
-    stage_a = _eliminate(stage_b)
+    rows = [(ca, cb, 0, k) for ca, cb, k, _ in (c.row for c in cs.constraints)]
+    t_minus_f, f_minus_t = (-fa, -fb, lf, -fk), (fa, fb, -lf, fk)
+    stage_b = rows + [t_minus_f, f_minus_t]
+    if fb:
+        # b through the equality t = f, up its side holding b positively
+        up, down = (f_minus_t, t_minus_f) if fb > 0 else (t_minus_f, f_minus_t)
+        stage_a = _eliminate(_through(rows, up, down))
+    else:
+        # both sides of t = f are free of b and pass through the pairing
+        stage_a = _eliminate(_pairs(stage_b, 1))
     if stage_a is None:
         return MinimizeResult("infeasible")
 

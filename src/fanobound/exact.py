@@ -11,6 +11,11 @@ The kernels (``Poly.shift``, ``Poly.difference``, ``Poly.first_mismatch``,
 over one common denominator.  Each result is built as a Fraction once, one
 gcd per value instead of one per multiply-add; first_mismatch, the model
 check, builds none and compares den * value with integer Horner sums.
+
+A rational written as a "p/q" string is read by one parser, parse_rat,
+into an integer pair that reads like a Fraction's numerator and
+denominator; to_rat builds its Fraction from that pair, and the verifier
+checks on the pairs themselves.
 """
 
 from __future__ import annotations
@@ -27,22 +32,42 @@ RatLike = Union[int, str, Fraction]
 _RAT_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+class RatPair(NamedTuple):
+    """A rational as the integers numerator / denominator, denominator > 0,
+    not necessarily in lowest terms.  It reads like a Fraction's two
+    fields, so code that takes one takes the other."""
+
+    numerator: int
+    denominator: int
+
+
+def parse_rat(x: str) -> RatPair:
+    """A "p/q" string, the format rat_str writes, as the integers (p, q).
+
+    The string must read -?[0-9]+(/[0-9]+)?, so q > 0 once a zero q is
+    refused; Python's limit on the digits of an integer parsed from a
+    string caps its length.  A zero denominator raises the
+    ZeroDivisionError that Fraction(p, 0) raises.
+    """
+    match = _RAT_STR.fullmatch(x)
+    if match is None:
+        raise ValueError(f"{x!r} is not a rational of the form p or p/q")
+    p, q = match.groups()
+    p, q = int(p), int(q or 1)
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return RatPair(p, q)
+
+
 def to_rat(x: RatLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational.
 
     bool is refused although it subclasses int: a JSON true is not a number.
-    A string must read -?[0-9]+(/[0-9]+)?; Python's limit on the digits of
-    an integer parsed from a string caps its length.
+    A string is read by parse_rat.
     """
     # str and int first: isinstance(x, Fraction) is slow unless x is one
     if isinstance(x, str):
-        match = _RAT_STR.fullmatch(x)
-        if match is None:
-            raise ValueError(f"{x!r} is not a rational of the form p or p/q")
-        # built from the matched digits, not parsed a second time; a zero
-        # denominator raises ZeroDivisionError
-        p, q = match.groups()
-        return Fraction(int(p), int(q or 1))
+        return Fraction(*parse_rat(x))
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, Fraction):
@@ -51,13 +76,17 @@ def to_rat(x: RatLike) -> Fraction:
 
 
 def rat_str(x: Union[int, Fraction]) -> str:
-    """Serialize an int or Fraction as "p/q", omitting "/1" for integers;
-    anything else, bool and float included, is refused as by to_rat."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"cannot write {x!r} as a rational")
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Serialize an int or Fraction as "p/q", omitting "/1" for integers.
+
+    Dispatches on the exact type, so bool, float and any other type, a
+    subclass of int or Fraction included, are refused."""
+    t = type(x)
+    if t is int:
+        return repr(x)
+    if t is Fraction:
+        n, d = x.numerator, x.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
+    raise TypeError(f"cannot write {x!r} as a rational")
 
 
 def over_common_denominator(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:

@@ -245,6 +245,18 @@ LAST_STEP_REFUTATION = (
     AffineForm.of(0, 1, 0),
 )
 
+# a + b = 1 as a row and its negation, the shape of H.P1=l.lo and
+# H.P1=l.hi, with a <= 2: f = b eliminates b through t = f and reaches -1
+EQUALITY_PAIR = (
+    aux_system([(1, 1, -1), (-1, -1, 1), (-1, 0, 2)]),
+    AffineForm.of(0, 1, 0),
+)
+# f = a is free of b, so b is eliminated by pairing a + b >= 0 with b <= 1
+B_FREE_OBJECTIVE = (
+    aux_system([(1, 1, 0), (0, -1, 1)]),
+    AffineForm.of(1, 0, 0),
+)
+
 
 class TestIntegerKernel:
     """The integer-row minimizer against the rational reference kernel."""
@@ -259,6 +271,8 @@ class TestIntegerKernel:
     @example(LAST_STEP_DUPLICATE)
     @example(FLOOR_RISES)
     @example(LAST_STEP_REFUTATION)
+    @example(EQUALITY_PAIR)
+    @example(B_FREE_OBJECTIVE)
     def test_every_field_matches_the_rational_kernel(self, case):
         cs, f = case
         got, want = fm_minimize(cs, f), fm_minimize_reference(cs, f)
@@ -324,6 +338,34 @@ class TestIntegerKernel:
         assert (risen.value, risen.farkas) == (2, (("c0", 1), ("c3", 1)))
         refuted = fm_minimize(*LAST_STEP_REFUTATION)
         assert (refuted.status, refuted.farkas) == ("infeasible", ())
+        # b + 1 = (a + b - 1) + (2 - a); c0 and its negation c1 are tight
+        # but no pair, so the first pair is c0 and c2
+        pair = fm_minimize(*EQUALITY_PAIR)
+        assert (pair.value, pair.farkas, pair.point) == (-1, (("c0", 1), ("c2", 1)), (2, -1))
+        free = fm_minimize(*B_FREE_OBJECTIVE)
+        assert (free.value, free.farkas, free.point) == (-1, (("c0", 1), ("c1", 1)), (-1, 1))
+
+    def test_b_goes_through_the_objective_equality_when_f_holds_b(self, monkeypatch):
+        # one combination per row holding b when f does; pairing otherwise
+        import fanobound.derive as derive
+
+        routes = []
+
+        def counted(name):
+            real = getattr(derive, name)
+
+            def route(*args):
+                routes.append(name)
+                return real(*args)
+            return route
+
+        for name in ("_through", "_pairs"):
+            monkeypatch.setattr(derive, name, counted(name))
+        fm_minimize(*EQUALITY_PAIR)
+        assert routes == ["_through", "_pairs"]  # b, then a
+        routes.clear()
+        fm_minimize(*B_FREE_OBJECTIVE)
+        assert routes == ["_pairs", "_pairs"]
 
     def test_a_wrong_point_raises(self, monkeypatch):
         # both feasibility checks run as statements, not asserts, so they

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from fanobound.exact import AffineForm, Poly, poly_positive_on_ray, rat_str, to_rat
+from fanobound.exact import AffineForm, Poly, parse_rat, poly_positive_on_ray, rat_str, to_rat
 from poly_reference import poly_eval
 
 
@@ -62,7 +62,11 @@ class TestRat:
         # a float, a string, a bool or a Decimal is refused, not coerced
         from decimal import Decimal
 
-        for x in (0.5, "1/2", True, False, Decimal(1), None):
+        class Count(int):
+            pass
+
+        # the exact types only: a subclass of int is refused too
+        for x in (0.5, "1/2", True, False, Decimal(1), None, Count(3)):
             with pytest.raises(TypeError):
                 rat_str(x)
 
@@ -79,6 +83,21 @@ class TestRat:
                 to_rat(x)
         with pytest.raises(ZeroDivisionError):
             to_rat("3/0")
+
+    def test_parse_rat_keeps_the_pair_as_written(self):
+        # the pair is not reduced, its denominator is positive, and a
+        # string to_rat refuses is refused alike
+        assert parse_rat("-6/4") == (-6, 4) and parse_rat("007/014") == (7, 14)
+        assert (parse_rat("-0").numerator, parse_rat("12").denominator) == (0, 1)
+        for x in ("", "1.5", "1/-2", "+1"):
+            with pytest.raises(ValueError, match="not a rational"):
+                parse_rat(x)
+        # a zero denominator raises what Fraction raises
+        with pytest.raises(ZeroDivisionError) as got:
+            parse_rat("-3/0")
+        with pytest.raises(ZeroDivisionError) as want:
+            Fraction(-3, 0)
+        assert str(got.value) == str(want.value)
 
     def test_to_rat_refuses_bools(self):
         assert to_rat(1) == 1

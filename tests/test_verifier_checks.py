@@ -116,11 +116,31 @@ def attempt_at_a_passing_point():
     return d, search["id"], "attempt at m=1, r=None does not fail the test"
 
 
+def pencil_from_vanishing():
+    # P(3) >= 0 from A4.3 alone is a true bound, but 0 is no pencil; every
+    # attempt's point meets A4.3, since it meets P(3) >= 7
+    d = doc("worst_case")
+    search = step(d, "dim_search")
+    search["inputs"]["constraints"] = ["A1", "A4.3"]
+    search["witness"]["selected"].update(farkas=[["A4.3", "1"]], raw_min="0", bound="0")
+    return d, search["id"], "a pencil needs P(m) >= 2"
+
+
+def slack_from_vanishing():
+    # 1440 (a - 1/720) + 15/7 P(3) is the slack at (m, r) = (4, 1) minus
+    # -5: a true minimum over A1 and A4.3, but not a positive one
+    d = doc("worst_case")
+    search = step(d, "dim_search", 1)
+    search["inputs"]["constraints"] = ["A1", "A4.3"]
+    search["witness"]["selected"].update(farkas=[["A1", "1440"], ["A4.3", "15/7"]], raw_min="-5")
+    return d, search["id"], "worst-case slack minimum is not positive"
+
+
 CASES = [
     forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
     tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
     negative_lmax, farkas_cites_undeclared, undeclared_axiom_constraint,
-    attempt_at_a_passing_point,
+    attempt_at_a_passing_point, pencil_from_vanishing, slack_from_vanishing,
 ]
 
 
