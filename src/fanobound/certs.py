@@ -68,7 +68,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Optional
 
-from .exact import Poly, RatPair, parse_rat, poly_positive_on_ray, rat_str
+from .exact import Poly, RatPair, over_common_denominator, parse_rat, poly_positive_on_ray, rat_str
 from .hilbert import (
     CONSTRAINT_CIDS,
     ChernData,
@@ -323,12 +323,6 @@ def _rat(value: Any, what: str) -> RatPair:
         return parse_rat(value)
     except ValueError as exc:
         raise _Fail(f"{what}: {exc}")
-
-
-def _rats(value: Any, what: str) -> list[Fraction]:
-    if not isinstance(value, list):
-        raise _Fail(f"{what} must be a list of rational strings")
-    return [Fraction(*_rat(v, what)) for v in value]
 
 
 _AXIOM_KINDS = {"k5_floor": "A1", "vanishing": "A4", "mono12": "A5"}
@@ -635,9 +629,15 @@ def _oracle_values(st: _Replay, inp: dict, w: dict) -> None:
 
 def _oracle_model(st: _Replay, inp: dict, w: dict) -> None:
     table = st.result(inp["values_step"], "value table", "values_step")
-    model = Poly(_rats(w["coeffs"], "model coefficients"))
-    if model.degree > 5:
+    if not isinstance(w["coeffs"], list):
+        raise _Fail("model coefficients must be a list of rational strings")
+    coeffs = [_rat(v, "model coefficients") for v in w["coeffs"]]
+    while coeffs and not coeffs[-1].numerator:
+        coeffs.pop()
+    # before the common denominator, whose lcm grows with every coefficient
+    if len(coeffs) > 6:
         raise _Fail("model degree exceeds 5")
+    model = Poly(*over_common_denominator(coeffs))
     if len(table.values) < MODEL_POINTS:
         raise _Fail("value table too short to pin the polynomial")
     if (m := model.first_mismatch(table.values, table.first)) is not None:

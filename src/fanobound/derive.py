@@ -53,7 +53,7 @@ from functools import cache
 from itertools import chain, combinations, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray, to_rat
+from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray
 from .hilbert import (
     CONSTRAINT_CIDS,
     ChernData,
@@ -526,11 +526,11 @@ def interpolate_model(values: Callable[[int], int], ms: Sequence[int]) -> Poly:
     The node polynomials prod_{j != i} (t - m_j) have integer coefficients:
     each is prod_j (t - m_j) divided by t - m_i synthetically.  The weights
     values(m_i) / prod_{j != i} (m_i - m_j) go over one common denominator,
-    so the sum runs on integers and each coefficient is one Fraction.
+    so the sum runs on integers and the model is its integers over it.
     """
     if len(set(ms)) != len(ms):
         raise ValueError("interpolation nodes must be distinct")
-    ys = [to_rat(values(m)) for m in ms]
+    ys = [values(m) for m in ms]
     full = [1]  # prod_j (t - m_j), low degree first
     for m in ms:
         full = [hi - m * lo for lo, hi in zip(full + [0], [0] + full)]
@@ -546,4 +546,4 @@ def interpolate_model(values: Callable[[int], int], ms: Sequence[int]) -> Poly:
         for k in range(len(ms), 0, -1):
             carry = full[k] + mi * carry
             acc[k - 1] += weight * carry
-    return Poly([Fraction(c, den) for c in acc])
+    return Poly(acc, den)

@@ -6,11 +6,11 @@ appear.  Rationals are ``fractions.Fraction``, which keeps canonical form
 (positive denominator, reduced) after every operation and sits on Python's
 arbitrary-precision integers.
 
-The kernels (``Poly.shift``, ``Poly.difference``, ``Poly.first_mismatch``,
-``AffineForm.evaluate``) work on integers: the numerators of their inputs
-over one common denominator.  Each result is built as a Fraction once, one
-gcd per value instead of one per multiply-add; first_mismatch, the model
-check, builds none and compares den * value with integer Horner sums.
+A Poly is integer numerators over one positive denominator, kept in
+lowest terms, so its kernels (``Poly.shift``, ``Poly.difference``,
+``Poly.first_mismatch``) read and build integers only; Fractions appear
+only when something reads ``coeffs``.  ``AffineForm.evaluate`` sums its
+terms as integers over one common denominator and builds one Fraction.
 
 A rational written as a "p/q" string is read by one parser, parse_rat,
 into an integer pair that reads like a Fraction's numerator and
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, NamedTuple, Optional, Union
+from math import comb, gcd, lcm
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -89,9 +89,9 @@ def rat_str(x: Union[int, Fraction]) -> str:
     raise TypeError(f"cannot write {x!r} as a rational")
 
 
-def over_common_denominator(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """The numerators of cs over the lcm of their denominators, and that
-    lcm (1 for no values)."""
+def over_common_denominator(cs: Sequence[Union[Fraction, RatPair]]) -> tuple[list[int], int]:
+    """The numerators of cs, Fractions or RatPairs, over the lcm of their
+    denominators, and that lcm (1 for no values)."""
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
 
@@ -106,37 +106,44 @@ def taylor_shift(c: list[int], r: int) -> list[int]:
 
 
 class Poly:
-    """Univariate polynomial over the rationals.
+    """Univariate polynomial over the rationals: the integers nums, low
+    degree first, over den > 0, in lowest terms with trailing zeros
+    trimmed, so equal polynomials have equal fields."""
 
-    Coefficients are stored low degree first with trailing zeros trimmed;
-    the zero polynomial has an empty coefficient tuple.
-    """
+    __slots__ = ("nums", "den")
 
-    __slots__ = ("coeffs",)
+    def __init__(self, nums: Iterable[int] = (), den: int = 1):
+        if den <= 0:
+            raise ValueError(f"a Poly's denominator must be positive, got {den}")
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = gcd(den, *nums)
+        self.nums: tuple[int, ...] = tuple(n // g for n in nums)
+        self.den: int = den // g
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [to_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, low degree first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and (self.nums, self.den) == (other.nums, other.den)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def first_mismatch(self, values: Iterable[int], start: int = 1) -> Optional[int]:
         """The first m >= start where p(m) != values[m - start], or None."""
-        nums, den = over_common_denominator(self.coeffs)
+        nums, den = self.nums, self.den
         for m, value in enumerate(values, start):
             acc = 0
             for n in reversed(nums):
@@ -145,21 +152,19 @@ class Poly:
                 return m
         return None
 
-    def shift(self, h: RatLike) -> "Poly":
+    def shift(self, h: Union[int, Fraction]) -> "Poly":
         """Return the polynomial t -> p(t + h).
 
         The integer Taylor shift (Shaw and Traub, J. ACM 21, 1974): with
         p = sum n_i t^i / den and h = r/s, the integers n_i * s^(d-i) are
         the coefficients of den * s^d * p(y/s); shifting them by r in place
         takes d(d+1)/2 multiply-adds, and coefficient k of p(t + h) is the
-        shifted c_k / (den * s^(d-k)).
+        shifted c_k * s^k over den * s^d.
         """
-        h = to_rat(h)
         r, s = h.numerator, h.denominator
-        nums, den = over_common_denominator(self.coeffs)
-        d = len(nums) - 1
-        c = taylor_shift([n * s ** (d - i) for i, n in enumerate(nums)], r)
-        return Poly([Fraction(ck, den * s ** (d - k)) for k, ck in enumerate(c)])
+        d = len(self.nums) - 1
+        c = taylor_shift([n * s ** (d - i) for i, n in enumerate(self.nums)], r)
+        return Poly([ck * s**k for k, ck in enumerate(c)], self.den * s**max(d, 0))
 
     def difference(self) -> "Poly":
         """Return the polynomial t -> p(t + 1) - p(t).
@@ -167,11 +172,9 @@ class Poly:
         By the binomial theorem its coefficient of t^j is the sum of
         n_i * C(i, j) over i > j, for p = sum n_i t^i / den, over den.
         """
-        nums, den = over_common_denominator(self.coeffs)
-        return Poly([
-            Fraction(sum(nums[i] * comb(i, j) for i in range(j + 1, len(nums))), den)
-            for j in range(len(nums) - 1)
-        ])
+        nums = self.nums
+        return Poly([sum(nums[i] * comb(i, j) for i in range(j + 1, len(nums)))
+                     for j in range(len(nums) - 1)], self.den)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -228,10 +231,8 @@ class AffineForm(NamedTuple):
         return (self.coeff_a, self.coeff_b, self.const)
 
 
-def poly_positive_on_ray(p: Poly, m0: RatLike) -> bool:
+def poly_positive_on_ray(p: Poly, m0: Union[int, Fraction]) -> bool:
     """Sufficient test for p > 0 on [m0, oo): shifted coefficients all >= 0
     with a strictly positive constant term."""
-    shifted = p.shift(m0)
-    if not shifted.coeffs:
-        return False
-    return all(c >= 0 for c in shifted.coeffs) and shifted.coeffs[0] > 0
+    nums = p.shift(m0).nums
+    return bool(nums) and nums[0] > 0 and all(c >= 0 for c in nums)

@@ -267,7 +267,7 @@ def ray_tail(b_row: tuple, a_row: tuple, m_start: int) -> Poly:
     a below.  The bound on b is substituted into the difference first, then
     the bound on a; each substitution minimizes because the coefficient it
     replaces has nonnegative coefficients once shifted to m_start.  Both run
-    on integers, so q is one integer polynomial over cb * ca, b_row's b
+    on integers, so q is its integer numerators over cb * ca, b_row's b
     coefficient times a_row's a coefficient.  Raises ValueError naming the
     first condition that fails.
     """
@@ -284,14 +284,13 @@ def ray_tail(b_row: tuple, a_row: tuple, m_start: int) -> Poly:
     subst_a = [bb * x - ba * y for x, y in zip(da, db)]
     if any(c < 0 for c in taylor_shift(list(subst_a), m_start)):
         raise ValueError("a-substitution is not minimizing on the ray")
-    den = bb * aa
-    return Poly([Fraction(aa * (bb * z - bk * y) - ak * x, den)
-                 for x, y, z in zip(subst_a, db, dk)])
+    return Poly([aa * (bb * z - bk * y) - ak * x for x, y, z in zip(subst_a, db, dk)],
+                bb * aa)
 
 
 def p_poly(c: ChernData) -> Poly:
     """P as a univariate polynomial in m for concrete Chern data: the
-    integer combination p_eval evaluates, k5 _A + 5 k3c2 _B + 720 _C, over
-    720, one Fraction per coefficient."""
-    return Poly([Fraction(c.k5 * x + 5 * c.k3c2 * y + 720 * z, 720)
-                 for x, y, z in zip_longest(_A, _B, _C, fillvalue=0)])
+    integer combination p_eval evaluates, k5 _A + 5 k3c2 _B + 720 _C, as
+    its integer coefficients over 720."""
+    return Poly([c.k5 * x + 5 * c.k3c2 * y + 720 * z
+                 for x, y, z in zip_longest(_A, _B, _C, fillvalue=0)], 720)

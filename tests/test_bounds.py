@@ -731,6 +731,18 @@ def coprime_4000_digit_rationals():
     return out
 
 
+def first_primes(n, limit=90_000):
+    """The first n primes, by the sieve of Eratosthenes below limit."""
+    composite = bytearray(limit)
+    primes = []
+    for k in range(2, limit):
+        if not composite[k]:
+            primes.append(k)
+            composite[k * k::k] = b"\x01" * len(range(k * k, limit, k))
+    assert len(primes) >= n
+    return primes[:n]
+
+
 class TestVerifierOnHugePolynomialData:
     def oracle_doc(self):
         import fanobound.bundle as bundle
@@ -754,6 +766,14 @@ class TestVerifierOnHugePolynomialData:
             if step["rule"] == "monotone_tail":
                 step["inputs"]["m_start"] = 10**4000
         self.check_invalid_in_bounded_time(doc, "model disagrees with values")
+
+    def test_long_model_refused_before_its_common_denominator(self):
+        # the lcm of 8,000 distinct primes has about 35,000 digits; the
+        # degree is known, and refused, without it
+        doc = self.oracle_doc()
+        (model,) = [s for s in doc["steps"] if s["rule"] == "oracle_model"]
+        model["witness"]["coeffs"] = [f"1/{p}" for p in first_primes(8000)]
+        self.check_invalid_in_bounded_time(doc, "model degree exceeds 5")
 
     def test_huge_tail_start_on_the_true_polynomial(self):
         # the model and q are the prover's, so the tail shift itself runs

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from fanobound.exact import AffineForm, Poly, parse_rat, poly_positive_on_ray, rat_str, to_rat
+from fanobound.exact import AffineForm, Poly, over_common_denominator, parse_rat, poly_positive_on_ray, rat_str, to_rat
 from poly_reference import poly_eval
 
 
@@ -149,7 +149,7 @@ class TestPolyNonnegOnRay:
         rng = random.Random(20240203)
         certified = 0
         for _ in range(200):
-            p = Poly([rand_rat(rng, 20) for _ in range(rng.randint(1, 6))])
+            p = Poly(*over_common_denominator([rand_rat(rng, 20) for _ in range(rng.randint(1, 6))]))
             m0 = rand_rat(rng, 10)
             if not poly_positive_on_ray(p, m0):
                 continue

@@ -5,10 +5,12 @@ derive.interpolate_model compute on integer numerators over a common
 denominator, and hilbert.ray_tail on integer rows.  The prover and the
 verifier share them, so each is compared for exact equality with
 tests/poly_reference.py, which does not use the package and also
-evaluates every Poly the tests read.
+evaluates every Poly the tests read.  A Poly is built from its fields
+(nums, den), in lowest terms or not and with trailing zeros or not.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +34,26 @@ arguments = st.one_of(small_ints, big_ints, rationals)
 coefficients = st.lists(rationals, max_size=8)
 
 
+def unreduced(nums, den, g, zeros):
+    """The fields (nums, den) with the factor g left in both and zeros
+    trailing zeros, as a caller may pass them to Poly."""
+    return [g * n for n in nums] + [0] * zeros, g * den
+
+
+factors, trailing = st.integers(1, 10**6), st.integers(0, 3)
+# a Poly's fields: Fraction coefficients over their lcm, or integers over a
+# denominator, not in lowest terms and with trailing zeros
+pairs = st.one_of(
+    coefficients.map(over_common_denominator),
+    st.builds(unreduced, st.lists(st.one_of(small_ints, big_ints), max_size=8),
+              st.integers(1, 10**40), factors, trailing),
+)
+
+
+def fractions_of(nums, den):
+    return [Fraction(n, den) for n in nums]
+
+
 def exact(x: Fraction) -> tuple[type, int, int]:
     """A Fraction's type and canonical numerator and denominator."""
     return type(x), x.numerator, x.denominator
@@ -46,20 +68,49 @@ class TestPolyCall:
         return sum((c * Fraction(x) ** i for i, c in enumerate(cs)), Fraction(0))
 
     @SETTINGS
-    @given(coefficients, arguments)
-    def test_matches_reference(self, cs, x):
-        got = ref.poly_eval(Poly(cs).coeffs, x)
-        assert exact(got) == exact(self.power_sum(cs, x))
+    @given(pairs, arguments)
+    def test_matches_reference(self, pair, x):
+        got = ref.poly_eval(Poly(*pair).coeffs, x)
+        assert exact(got) == exact(self.power_sum(fractions_of(*pair), x))
 
     def test_zero_and_constants(self):
         for x in (0, -7, Fraction(-3, 11), 10**50):
             assert exact(ref.poly_eval(Poly().coeffs, x)) == exact(Fraction(0))
-            assert exact(ref.poly_eval(Poly([Fraction(-5, 6)]).coeffs, x)) == exact(Fraction(-5, 6))
+            assert exact(ref.poly_eval(Poly([-5], 6).coeffs, x)) == exact(Fraction(-5, 6))
 
     def test_large_numerators_at_a_rational(self):
         cs = [Fraction(-(10**45) + 7, 3**20), Fraction(2**100, 5**30), Fraction(-1, 7**25)]
         x = Fraction(-(10**30) + 1, 11**15)
         assert ref.poly_eval(cs, x) == self.power_sum(cs, x)
+
+
+class TestPolyCanonicalForm:
+    """Poly keeps its fields in lowest terms with trailing zeros trimmed, so
+    equality and hashing read the fields alone."""
+
+    @SETTINGS
+    @given(pairs)
+    def test_fields_are_the_reduced_coefficients(self, pair):
+        p = Poly(*pair)
+        trimmed = ref.poly_add(fractions_of(*pair), ())  # adding zero trims
+        assert [exact(c) for c in p.coeffs] == [exact(c) for c in trimmed]
+        assert p.den > 0 and gcd(p.den, *p.nums) == 1
+        assert not p.nums or p.nums[-1] != 0
+        q = Poly(*over_common_denominator(p.coeffs))
+        assert (q.nums, q.den) == (p.nums, p.den) and q == p and hash(q) == hash(p)
+
+    def test_equal_polynomials_have_equal_fields(self):
+        p, q = Poly([2, 4, 0], 2), Poly([1, 2])
+        assert p == q and hash(p) == hash(q)
+        assert (p.nums, p.den) == ((1, 2), 1)
+        assert Poly([3, 0], 6) != Poly([1], 3)
+        for zero in (Poly(), Poly([0, 0], 7), Poly([], 12)):
+            assert zero == Poly() and zero.den == 1 and zero.nums == ()
+
+    def test_denominator_must_be_positive(self):
+        for den in (0, -2):
+            with pytest.raises(ValueError, match="positive"):
+                Poly([1], den)
 
 
 class TestPolyFirstMismatch:
@@ -68,8 +119,10 @@ class TestPolyFirstMismatch:
         st.lists(big_ints, min_size=6, max_size=6),
         st.integers(-40, 40),
         st.lists(st.integers(-1, 1), max_size=40),
+        factors,
+        trailing,
     )
-    def test_matches_reference(self, ys, start, bends):
+    def test_matches_reference(self, ys, start, bends, g, zeros):
         # through integers at six consecutive nodes a quintic is integral
         # at every integer; each non-zero bend moves one value off it
         cs = ref.interpolate(range(start, start + 6), [Fraction(y) for y in ys])
@@ -77,14 +130,15 @@ class TestPolyFirstMismatch:
         assert all(v.denominator == 1 for v in exact_values)
         values = [v.numerator + d for v, d in zip(exact_values, bends)]
         want = next((start + i for i, d in enumerate(bends) if d), None)
-        assert Poly(cs).first_mismatch(values, start) == want
+        model = Poly(*unreduced(*over_common_denominator(cs), g, zeros))
+        assert model.first_mismatch(values, start) == want
 
     def test_rational_model_and_edges(self):
-        assert Poly([Fraction(1, 2)]).first_mismatch([0, 1]) == 1
+        assert Poly([1], 2).first_mismatch([0, 1]) == 1
         assert Poly().first_mismatch([0, 0, 3], start=-1) == 1
         assert Poly().first_mismatch([]) is None
         # m(m+1)/2 is integral although no coefficient is
-        triangle = Poly([0, Fraction(1, 2), Fraction(1, 2)])
+        triangle = Poly([0, 1, 1], 2)
         assert triangle.first_mismatch([m * (m + 1) // 2 for m in range(-5, 30)], -5) is None
 
     def test_a_bend_of_one_part_in_ten_to_the_forty(self):
@@ -95,51 +149,52 @@ class TestPolyFirstMismatch:
             bend = ref.poly_mul(bend, (Fraction(-r), Fraction(1)))
         bent = ref.poly_add(cs, [Fraction(1, 10**40) * c for c in bend])
         values = [int(ref.poly_eval(cs, Fraction(m))) for m in range(1, 33)]
-        assert Poly(cs).first_mismatch(values) is None
-        assert Poly(bent).first_mismatch(values) == 6
+        assert Poly(*over_common_denominator(cs)).first_mismatch(values) is None
+        assert Poly(*over_common_denominator(bent)).first_mismatch(values) == 6
 
 
 class TestPolyShift:
     @SETTINGS
-    @given(coefficients, arguments)
-    def test_matches_reference(self, cs, h):
-        got = Poly(cs).shift(h).coeffs
-        want = ref.poly_shift(cs, Fraction(h))
+    @given(pairs, arguments)
+    def test_matches_reference(self, pair, h):
+        got = Poly(*pair).shift(h).coeffs
+        want = ref.poly_shift(fractions_of(*pair), Fraction(h))
         assert [exact(c) for c in got] == [exact(c) for c in want]
 
     @SETTINGS
-    @given(coefficients, rationals, rationals)
-    def test_shifted_value_is_the_value_moved(self, cs, h, x):
-        p = Poly(cs)
+    @given(pairs, rationals, rationals)
+    def test_shifted_value_is_the_value_moved(self, pair, h, x):
+        p = Poly(*pair)
         assert ref.poly_eval(p.shift(h).coeffs, x) == ref.poly_eval(p.coeffs, x + h)
 
     def test_zero_and_constants(self):
         for h in (0, 3, -4, Fraction(5, -12)):
             assert Poly().shift(h) == Poly()
-            assert Poly([Fraction(9, 4)]).shift(h) == Poly([Fraction(9, 4)])
+            assert Poly([9], 4).shift(h) == Poly([9], 4)
 
     def test_negative_rational_shift_of_large_coefficients(self):
         cs = [Fraction(10**40 + 3, 7), -(10**35), Fraction(-2, 3**30), 0, Fraction(1, 2**70)]
         h = Fraction(-(10**25), 13**9)
-        assert Poly(cs).shift(h).coeffs == ref.poly_shift(cs, h)
+        assert Poly(*over_common_denominator(cs)).shift(h).coeffs == ref.poly_shift(cs, h)
 
 
 class TestPolyDifference:
     @SETTINGS
-    @given(coefficients)
-    def test_matches_reference(self, cs):
+    @given(pairs)
+    def test_matches_reference(self, pair):
         # p(t + 1) - p(t) on the reference's Fraction kernels
+        cs = fractions_of(*pair)
         want = ref.poly_add(ref.poly_shift(cs, Fraction(1)), [-c for c in cs])
-        assert [exact(c) for c in Poly(cs).difference().coeffs] == [exact(c) for c in want]
+        assert [exact(c) for c in Poly(*pair).difference().coeffs] == [exact(c) for c in want]
 
     def test_zero_constants_and_the_oracle_model(self):
         assert Poly().difference() == Poly()
-        assert Poly([Fraction(-7, 3)]).difference() == Poly()
+        assert Poly([-7], 3).difference() == Poly()
         # a quintic through the printed example's first five counts: its
         # difference at m is its value at m + 1 minus its value at m
         cs = ref.interpolate(range(1, 7), [Fraction(y) for y in (91, 2277, 15708, 62909, 186030, 0)])
         values = [ref.poly_eval(cs, Fraction(m)) for m in range(1, 7)]
-        diff = Poly(cs).difference()
+        diff = Poly(*over_common_denominator(cs)).difference()
         assert [ref.poly_eval(diff.coeffs, m) for m in range(1, 6)] == [b - a for a, b in zip(values, values[1:])]
 
 
@@ -222,7 +277,7 @@ class TestInterpolateModel:
         assert [exact(c) for c in got] == [exact(c) for c in want]
 
     def test_non_consecutive_and_negative_nodes(self):
-        p = Poly([Fraction(-7, 24), 3, Fraction(1, 5), 0, -(10**30), Fraction(5, 24)])
+        p = Poly(*over_common_denominator([Fraction(-7, 24), 3, Fraction(1, 5), 0, -(10**30), Fraction(5, 24)]))
         nodes = [-11, -2, 0, 3, 17, 40]
         model = interpolate_model(lambda m: ref.poly_eval(p.coeffs, m), nodes)
         assert model == p

@@ -8,6 +8,7 @@ one check, so with that check gone its case fails.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -136,11 +137,27 @@ def slack_from_vanishing():
     return d, search["id"], "worst-case slack minimum is not positive"
 
 
+def sextic_model():
+    # the model plus (t - 1)...(t - 6) agrees with the counts at m = 1..6,
+    # so with the table cut to those six only the degree refuses it
+    d = doc("standard")
+    step(d, "oracle_values")["witness"]["values"][6:] = []
+    model = step(d, "oracle_model")
+    bend = [1]
+    for i in range(1, 7):
+        bend = [hi - i * lo for lo, hi in zip(bend + [0], [0] + bend)]
+    coeffs = [Fraction(c) for c in model["witness"]["coeffs"]]
+    coeffs += [0] * (len(bend) - len(coeffs))
+    model["witness"]["coeffs"] = [str(c + e) for c, e in zip(coeffs, bend)]
+    return d, model["id"], "model degree exceeds 5"
+
+
 CASES = [
     forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
     tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
     negative_lmax, farkas_cites_undeclared, undeclared_axiom_constraint,
     attempt_at_a_passing_point, pencil_from_vanishing, slack_from_vanishing,
+    sextic_model,
 ]
 
 
