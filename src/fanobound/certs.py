@@ -57,7 +57,9 @@ dimension tests and their search order, and ray_tail, the worst-case tail
 built from the integer rows of two cited bounds; the prover calls each of
 these too) and bundle (its own recount of the section counts, from the two
 moments per row its pass carries, a packed row being built only for a
-degree below -1, and the nef test).
+degree below -1, and the nef test).  bundle is loaded only by the oracle
+rule, oracle_values, so verifying a worst-case or concrete certificate
+loads neither bundle nor the dataclasses it uses.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ from .hilbert import (
     ray_tail,
     search_order,
 )
-from . import bundle
 
 CERT_VERSION = 5
 
@@ -335,7 +336,9 @@ class _Decl(NamedTuple):
     row: tuple[int, int, int, int]  # (ca, cb, k, den): form = (ca, cb, k) / den, den > 0
     kind: str
     params: tuple
-    fact: Optional[tuple] = None  # (m, bound) a from_fact constraint rests on
+    # (m, bound) a from_fact constraint rests on: bound an int, or its
+    # reduced "p/q" string when it is not one
+    fact: Optional[tuple] = None
 
 
 _DECLARATION_KEYS = frozenset({"cid", "kind", "params"})
@@ -379,10 +382,14 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
         fact = None
         if kind == "from_fact":
             _rat_string(params[2], f"scale of {cid}")
-            if s <= 0:
+            if s.numerator <= 0:
                 raise _Fail(f"constraint {cid} must divide its fact by a positive scale")
             _rat_string(params[1], f"fact bound of {cid}")
-            fact = (m, q)
+            # every bound a step establishes is an int; a fact bound that is
+            # not one stays its reduced string, which no step establishes
+            qn, qd = q
+            g = math.gcd(qn, qd)
+            fact = (m, qn // qd if g == qd else f"{qn // g}/{qd // g}")
         if cid != CONSTRAINT_CIDS[kind].format(*params):
             raise _Fail(f"constraint {cid} is not the name of its descriptor")
         decls[cid] = _Decl(row, kind, params, fact)
@@ -451,7 +458,7 @@ class _Replay:
             if decl.fact is not None and decl.fact not in self.established:
                 m, bound = decl.fact
                 raise _Fail(
-                    f"constraint {cid} cites a fact P({m}) >= {rat_str(bound)} "
+                    f"constraint {cid} cites a fact P({m}) >= {bound} "
                     "not established by an earlier step"
                 )
             table[cid] = decl
@@ -610,6 +617,10 @@ def _eval_p(st: _Replay, inp: dict, w: dict) -> None:
 
 
 def _oracle_values(st: _Replay, inp: dict, w: dict) -> None:
+    # the one rule that reads the oracle loads it, so a worst-case or
+    # concrete certificate verifies without bundle or dataclasses
+    from . import bundle
+
     try:
         sb = bundle.SplitBundle(tuple(_json_int(e, "twist") for e in inp["bundle"]))
     except (TypeError, ValueError) as exc:

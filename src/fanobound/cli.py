@@ -1,4 +1,11 @@
-"""Command-line front end: solve, table, oracle, audit, verify."""
+"""Command-line front end: solve, table, oracle, audit, verify.
+
+Each command imports what it runs.  Importing this module loads only the
+verifier (certs, hilbert and exact): solve loads the prover (bounds, and
+with it derive and bundle), oracle loads bundle, and audit loads the
+audit, each inside its command.  So a verify process never compiles the
+prover or the oracle.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +16,12 @@ import os
 import sys
 from typing import Optional
 
-from . import bounds, bundle
 from .certs import MalformedCertificateError, _json_bytes, from_json_bytes, verify
 from .hilbert import ChernData, HilbertError, p_eval
+
+# bundle.CONVENTIONS, spelled here so that building the parser loads no
+# bundle; the first is bundle.STANDARD, the default, and a test pins both
+CONVENTIONS = ("standard", "paper")
 
 
 # built once per process: a parser holds reference cycles that only the
@@ -34,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k3c2", type=int, help="(-K)^3.c2")
     p_solve.add_argument("--bundle", type=str, help="five twists, e.g. 0,0,0,0,1")
     p_solve.add_argument(
-        "--convention", choices=list(bundle.CONVENTIONS), default=bundle.STANDARD
+        "--convention", choices=list(CONVENTIONS), default=CONVENTIONS[0]
     )
     p_solve.add_argument("--out", type=str, help="write the certificate JSON here")
     p_solve.set_defaults(run=_cmd_solve)
@@ -50,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--bundle", type=str, required=True)
     p_oracle.add_argument("--m", type=int, required=True)
     p_oracle.add_argument(
-        "--convention", choices=list(bundle.CONVENTIONS), default=bundle.STANDARD
+        "--convention", choices=list(CONVENTIONS), default=CONVENTIONS[0]
     )
     p_oracle.set_defaults(run=_cmd_oracle)
 
@@ -77,6 +87,8 @@ def _write(path: str, data: bytes) -> bool:
 
 
 def _cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import bounds, bundle
+
     sources = [
         bool(args.worst_case),
         args.k5 is not None or args.k3c2 is not None,
@@ -134,6 +146,8 @@ def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from . import bundle
+
     if args.m < 1:
         parser.error("--m must be >= 1")
     try:
@@ -146,7 +160,6 @@ def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_audit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    # the one command that needs the audit loads it; solve and verify do not
     from . import audit
 
     report = audit.build_audit()

@@ -449,7 +449,7 @@ def fact_to_constraint(fact: Fact) -> Constraint:
     coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.  The scale the
     descriptor records is read off the integer row of P(m) - q.
     """
-    *ints, den = fact_row(fact.m, fact.bound, Fraction(1))
+    *ints, den = fact_row(fact.m, fact.bound, 1)
     g = math.gcd(*ints)
     scale = Fraction(g, den) if g else Fraction(1)
     return Constraint.make("from_fact", (fact.m, fact.bound, scale))

@@ -14,8 +14,9 @@ terms as integers over one common denominator and builds one Fraction.
 
 A rational written as a "p/q" string is read by one parser, parse_rat,
 into an integer pair that reads like a Fraction's numerator and
-denominator; to_rat builds its Fraction from that pair, and the verifier
-checks on the pairs themselves.
+denominator; rat_pair reads an int, Fraction or string as such a pair,
+to_rat builds its Fraction from that pair, and the verifier checks on the
+pairs themselves.
 """
 
 from __future__ import annotations
@@ -59,20 +60,27 @@ def parse_rat(x: str) -> RatPair:
     return RatPair(p, q)
 
 
-def to_rat(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+def rat_pair(x: RatLike) -> RatPair:
+    """An int, Fraction, or "p/q" string as its integer pair, building no
+    Fraction.
 
     bool is refused although it subclasses int: a JSON true is not a number.
     A string is read by parse_rat.
     """
     # str and int first: isinstance(x, Fraction) is slow unless x is one
     if isinstance(x, str):
-        return Fraction(*parse_rat(x))
+        return parse_rat(x)
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return RatPair(x, 1)
     if isinstance(x, Fraction):
-        return x
+        return RatPair(x.numerator, x.denominator)
     raise TypeError(f"cannot interpret {x!r} as a rational")
+
+
+def to_rat(x: RatLike) -> Fraction:
+    """Coerce an int, Fraction, or "p/q" string to an exact rational: x
+    itself if it is a Fraction, else rat_pair's pair as one."""
+    return x if type(x) is Fraction else Fraction(*rat_pair(x))
 
 
 def rat_str(x: Union[int, Fraction]) -> str:

@@ -29,7 +29,7 @@ from itertools import zip_longest
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Optional
 
-from .exact import AffineForm, Poly, taylor_shift, to_rat
+from .exact import AffineForm, Poly, RatPair, rat_pair, taylor_shift, to_rat
 
 # P's coefficients of a, of b and of 1 as polynomials in m, low degree first
 _A = (0, -1, 0, 10, 15, 6)
@@ -154,23 +154,28 @@ def constraint_row(kind: str, params: tuple) -> tuple[int, int, int, int]:
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def parse_fact(params: tuple) -> tuple[int, Fraction, Fraction]:
+def parse_fact(params: tuple) -> tuple[int, RatPair, RatPair]:
     """A from_fact descriptor's (m, bound, scale), read as an int and two
-    rationals; the one parse of that format, so the verifier's refusals
-    are constraint_row's."""
+    rational pairs; the one parse of that format, so the verifier's
+    refusals are constraint_row's."""
     m, bound, scale = params
-    return int(m), to_rat(bound), to_rat(scale)
+    return int(m), rat_pair(bound), rat_pair(scale)
 
 
-def fact_row(m: int, bound: Fraction, scale: Fraction) -> tuple[int, int, int, int]:
+def fact_row(m: int, bound: RatPair, scale: RatPair) -> tuple[int, int, int, int]:
     """The from_fact row (P(m) - bound) / scale, on integers in lowest
-    terms, from parse_fact's rationals.  A zero scale raises
-    ZeroDivisionError."""
-    s = Fraction(1, 1) / scale  # its denominator is positive
-    ca, cb, k = p_coeffs(m)
+    terms.  bound and scale are read through numerator and denominator >
+    0, so parse_fact's pairs, ints and Fractions all serve.  A zero scale
+    raises the ZeroDivisionError that dividing by Fraction(0) raises."""
     qn, qd = bound.numerator, bound.denominator
-    mul, den = qd * s.numerator, qd * s.denominator  # den > 0
-    nums = (ca * mul, cb * mul, (k * qd - qn) * s.numerator)
+    sn, sd = scale.numerator, scale.denominator
+    if not sn:
+        raise ZeroDivisionError("Fraction(1, 0)")
+    # (P(m) - qn / qd) * sd / sn, over the denominator qd * |sn|
+    sd = sd if sn > 0 else -sd
+    ca, cb, k = p_coeffs(m)
+    nums = (ca * qd * sd, cb * qd * sd, (k * qd - qn) * sd)
+    den = qd * abs(sn)
     g = gcd(*nums, den)
     return (*(x // g for x in nums), den // g)
 

@@ -362,3 +362,19 @@ def test_parser_is_built_once(capsys):
     # a refused command leaves the shared parser usable
     assert run_cli(capsys, "table", "--k5", "1")[0] == 2
     assert run_cli(capsys, "oracle", "--bundle", "0,0,0,0,1", "--m", "1")[:2] == (0, "378\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--worst-case"],
+    ["oracle", "--bundle", "0,0,0,0,1", "--m", "1"],
+], ids=lambda argv: argv[0])
+def test_convention_flag_offers_the_oracles_conventions(argv):
+    # the parser spells the names itself, so that building it loads no
+    # bundle; they must stay bundle's, with bundle's default
+    from fanobound import cli
+
+    parse = cli._build_parser().parse_args
+    assert parse(argv).convention == bundle.STANDARD
+    for name in bundle.CONVENTIONS:
+        assert parse([*argv, "--convention", name]).convention == name
+    assert cli.CONVENTIONS == bundle.CONVENTIONS

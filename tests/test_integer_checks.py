@@ -2,15 +2,22 @@
 they are compared with a Fraction reference written apart from the package.
 On random declared forms, points with large and negative numerators and
 combinations of one to three multipliers, both must accept and reject the
-same inputs."""
+same inputs.  A whole worst-case verify builds no Fraction at all."""
 
+import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanobound.certs import _Fail, _check_farkas, _check_point, _declarations, _evaluates_to
+from fanobound.bounds import solve_worst_case
+from fanobound.certs import (
+    _Fail, _check_farkas, _check_point, _declarations, _evaluates_to, from_json_bytes, verify,
+)
 from fanobound.exact import rat_str
+
+from test_cert_v3 import DOCS, check
 
 TINY = Fraction(1, 10**40)
 RATS = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12))
@@ -137,3 +144,30 @@ def test_farkas_check_matches_fractions(case):
         assert not want and str(f) == "farkas combination does not reproduce the bound"
     else:
         assert want
+
+
+def test_worst_case_verify_builds_no_fraction(monkeypatch):
+    # the from_fact declaration is read on parse_rat pairs too, so the
+    # README worst-case certificate verifies on integers alone
+    data = solve_worst_case().to_json_bytes()
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert verify(from_json_bytes(data)).ok
+    assert built == []
+
+
+@pytest.mark.parametrize("bound, scale", [("14/2", "84"), ("7", "168/2"), ("7/1", "84")])
+def test_unreduced_fact_spellings_verify(bound, scale):
+    # the cid spells the bound as the descriptor does, and the fact it
+    # rests on is still P(3) >= 7, which the merge established
+    cid = f"F.P3>={bound}"
+    d = json.loads(json.dumps(DOCS["worst_case"]).replace('"F.P3>=7"', json.dumps(cid)))
+    (fact,) = [c for c in d["constraints"] if c["kind"] == "from_fact"]
+    fact["params"] = [3, bound, scale]
+    assert check(d).ok

@@ -45,77 +45,126 @@ REEXPORTS = {
 }
 
 
-def loaded_after(code: str) -> set[str]:
-    """The fanobound modules a fresh interpreter holds after running code."""
+def run_fresh(code: str, *args: str) -> tuple[list[str], set[str]]:
+    """The lines a fresh interpreter prints while running code, with args
+    as sys.argv[1:], and the modules it adds to sys.modules meanwhile;
+    what the interpreter loaded before, site included, does not count."""
     probe = (
-        f"{code}\nimport sys\n"
-        "print(' '.join(n for n in sys.modules if n.startswith('fanobound.')))"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    return {name.removeprefix("fanobound.") for name in out.split()}
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    return out[:-1], set(out[-1].split())
+
+
+def package_modules(added: set[str]) -> set[str]:
+    """The fanobound modules among added, by short name."""
+    return {name.removeprefix("fanobound.") for name in added if name.startswith("fanobound.")}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The fanobound modules a fresh interpreter loads running code."""
+    return package_modules(run_fresh(code)[1])
+
+
+PROVER_ORACLE_AUDIT = {"bounds", "derive", "bundle", "audit"}
+
+
+@pytest.fixture(scope="module")
+def cert_files(tmp_path_factory):
+    """The README certificates and the limit point's, one file each."""
+    from test_cert_v3 import DOCS
+    from test_verifier_checks import LIMIT
+
+    root = tmp_path_factory.mktemp("certs")
+    paths = {}
+    for name, doc in {**DOCS, "limit": LIMIT}.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+def verify_in_fresh_process(path) -> set[str]:
+    """The modules cli.main(["verify", path]) adds in a fresh interpreter,
+    once it has printed valid."""
+    printed, added = run_fresh(
+        "from fanobound.cli import main\nmain(['verify', sys.argv[1]])", str(path)
+    )
+    assert printed == ["valid"], path
+    return added
 
 
 class TestImportGuards:
     def test_package_loads_no_module(self):
         assert loaded_after("import fanobound") == set()
 
-    def test_verifier_loads_no_prover_search_or_audit(self):
-        # the verifier's trusted base: no bounds, audit or cli, and no
-        # derive, since the constraint kinds live in hilbert
-        assert loaded_after("import fanobound.certs") == {"exact", "hilbert", "bundle", "certs"}
+    def test_verifier_loads_no_prover_search_or_audit(self, cert_files):
+        # the verifier's trusted base: no bounds, audit or cli, no derive,
+        # since the constraint kinds live in hilbert, and no bundle until an
+        # oracle certificate asks for it
+        assert loaded_after("import fanobound.certs") == {"exact", "hilbert", "certs"}
+        for name in ("worst_case", "concrete", "limit"):
+            added = verify_in_fresh_process(cert_files[name])
+            assert not package_modules(added) & PROVER_ORACLE_AUDIT, name
+            assert "dataclasses" not in added, name
 
-    def test_verifier_accepts_readme_certificates_without_the_prover(self, tmp_path):
-        from test_cert_v3 import DOCS
+    def test_oracle_verify_loads_bundle_and_no_prover(self, cert_files):
+        for name in ("standard", "paper"):
+            loaded = package_modules(verify_in_fresh_process(cert_files[name]))
+            assert loaded & PROVER_ORACLE_AUDIT == {"bundle"}, name
 
-        paths = []
-        for name, doc in DOCS.items():
-            paths.append(tmp_path / f"{name}.json")
-            paths[-1].write_text(json.dumps(doc))
-        # importing derive or bounds raises ImportError in this interpreter
+    def test_verifier_accepts_readme_certificates_without_the_prover(self, cert_files):
+        # importing derive or bounds, and for the certificates that read no
+        # oracle bundle too, raises ImportError in these interpreters
         code = (
-            "import sys\n"
             "sys.modules['fanobound.derive'] = sys.modules['fanobound.bounds'] = None\n"
+            "if sys.argv[1] == 'no-oracle':\n"
+            "    sys.modules['fanobound.bundle'] = None\n"
             "from fanobound.certs import from_json_bytes, verify\n"
-            "for path in sys.argv[1:]:\n"
+            "for path in sys.argv[2:]:\n"
             "    print(verify(from_json_bytes(open(path, 'rb').read())).ok)\n"
         )
-        env = {**os.environ, "PYTHONPATH": SRC}
-        out = subprocess.run(
-            [sys.executable, "-c", code, *map(str, paths)],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        assert out.split() == ["True"] * 4
+        for blocked, names in (("no-oracle", ("worst_case", "concrete", "limit")),
+                               ("oracle", ("standard", "paper"))):
+            printed, _ = run_fresh(code, blocked, *(str(cert_files[n]) for n in names))
+            assert printed == ["True"] * len(names), blocked
 
     def test_cli_loads_no_audit(self):
-        loaded = loaded_after("import fanobound.cli")
-        # solve and verify need these, so the start-up the benchmark times
-        # still covers them
-        assert {"bounds", "bundle", "certs", "hilbert"} <= loaded
-        assert "audit" not in loaded
+        # the front end loads the verifier alone: every command starts
+        # without the prover, the oracle, the audit or dataclasses
+        added = run_fresh("import fanobound.cli")[1]
+        assert package_modules(added) == {"cli", "certs", "hilbert", "exact"}
+        assert not added & {"dataclasses", "inspect"}
+
+    def test_solve_loads_the_prover_and_the_oracle(self):
+        printed, added = run_fresh(
+            "from fanobound.cli import main\nmain(['solve', '--k5', '6250', '--k3c2', '2750'])"
+        )
+        assert printed == ["12"]
+        assert package_modules(added) & PROVER_ORACLE_AUDIT == {"bounds", "derive", "bundle"}
 
     def test_cli_import_builds_no_constraint_system(self):
-        # the axiom system and the P(1) branches are built on first use,
-        # so the start-up the benchmark times does not build them
+        # importing the prover runs both its modules' bodies, and they build
+        # no axiom system and no P(1) branches: those are built on first use
         code = (
-            "import sys\n"
             "calls = set()\n"
             "def hook(frame, event, arg):\n"
-            "    if event == 'call' and frame.f_code.co_filename.endswith(('derive.py', 'bounds.py')):\n"
-            "        calls.add(frame.f_code.co_name)\n"
+            "    name = frame.f_code.co_filename\n"
+            "    if event == 'call' and name.endswith(('derive.py', 'bounds.py')):\n"
+            "        calls.add(name.rsplit('/', 1)[-1] + ':' + frame.f_code.co_name)\n"
             "sys.setprofile(hook)\n"
-            "import fanobound.cli\n"
+            "import fanobound.bounds\n"
             "sys.setprofile(None)\n"
             "print(' '.join(sorted(calls)))\n"
         )
-        env = {**os.environ, "PYTHONPATH": SRC}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        calls = set(out.split())
-        assert "<module>" in calls  # the hook saw both modules load
+        printed, _ = run_fresh(code)
+        calls = {call.partition(":")[2] for call in printed[0].split()}
+        assert {"derive.py:<module>", "bounds.py:<module>"} <= set(printed[0].split())
         built = {"make", "__new__", "axiom_system", "split_on_p1", "worst_case_branches"}
         assert not calls & built
 

@@ -152,12 +152,48 @@ def sextic_model():
     return d, model["id"], "model degree exceeds 5"
 
 
+def unknown_mode():
+    d = doc("worst_case")
+    d["mode"] = "foo"
+    return d, None, "unknown mode 'foo'"
+
+
+def split_removed():
+    # the branches still rest on their hypotheses, but nothing split P(1)
+    d = doc("worst_case")
+    d["steps"].remove(step(d, "split_p1"))
+    return d, step(d, "merge_min")["id"], "merge without a prior split"
+
+
+def target_dimension_four():
+    d = doc("worst_case")
+    search = step(d, "dim_search")
+    search["inputs"]["target_dim"] = 4
+    return d, search["id"], "target dimension must be 1, 2, or 3"
+
+
+def search_starts_past_its_selection():
+    d = doc("worst_case")
+    search = step(d, "dim_search", 2)
+    search["inputs"]["m_start"] = 99
+    return d, search["id"], "selected multiple is outside the search range"
+
+
+def tail_cites_an_unrecorded_constraint():
+    # A4.3 is declared, but not among the constraints the tail records
+    d = doc("worst_case")
+    tail = step(d, "monotone_tail")
+    tail["inputs"]["b_constraint"] = "A4.3"
+    return d, tail["id"], "tail cites constraints outside the recorded system"
+
+
 CASES = [
     forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
     tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
     negative_lmax, farkas_cites_undeclared, undeclared_axiom_constraint,
     attempt_at_a_passing_point, pencil_from_vanishing, slack_from_vanishing,
-    sextic_model,
+    sextic_model, unknown_mode, split_removed, target_dimension_four,
+    search_starts_past_its_selection, tail_cites_an_unrecorded_constraint,
 ]
 
 
