@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .certs import Certificate
-from .exact import to_rat
 from .hilbert import PValue, fit_ab, p_affine
 from . import bounds, bundle
 from .derive import derive_lower_bound
@@ -86,7 +85,7 @@ def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
                 location=f"Proposition 1 ({'i' * (l + 1)})",
                 paper_claim=f"P(1)={l}, P(2)>={l} imply P(3)>={printed}",
                 engine_result=step["claim"],
-                status=_lower_bound_status(to_rat(step["witness"]["bound"]), printed),
+                status=_lower_bound_status(int(step["witness"]["bound"]), printed),
             )
         )
 

@@ -92,7 +92,7 @@ def _integral_bound(m: int, res: MinimizeResult) -> tuple[Fact, dict]:
     fact = strengthen_integral(m, res.value)
     return fact, {
         "raw_min": rat_str(res.value),
-        "farkas": certs.ser_farkas(res.farkas),
+        "farkas": [[cid, rat_str(v)] for cid, v in res.farkas],
         "bound": rat_str(fact.bound),
     }
 
@@ -126,14 +126,14 @@ def _worst_case_attempt(cs: ConstraintSystem, m: int, r: Optional[int]) -> tuple
                 "m": m,
                 "r": r,
                 "raw_min": rat_str(res.value),
-                "farkas": certs.ser_farkas(res.farkas),
+                "farkas": [[cid, rat_str(v)] for cid, v in res.farkas],
             }
     # a failed minimum sits at or below the limit, and an unbounded form's
     # point at or below 0
     return False, {
         "m": m,
         "r": r,
-        "point": certs.ser_point(res.point),
+        "point": [rat_str(x) for x in res.point],
         "value": rat_str(form.evaluate(*res.point)),
     }
 
@@ -241,8 +241,8 @@ class _StepWriter:
         return certs.Certificate(
             mode=mode,
             axioms=list(certs.FLAVOR_AXIOMS[mode]),
-            constraints=[certs.ser_constraint(self._constraints[cid])
-                         for cid in sorted(self._constraints)],
+            constraints=[{"cid": c.cid, "kind": c.kind, "params": list(c.params)}
+                         for _, c in sorted(self._constraints.items())],
             steps=self.steps,
             r0=r0,
             r=rs,
@@ -258,7 +258,7 @@ def _fm_bound_step(
     sid = w.add(
         "fm_lower_bound",
         {"m": m, "constraints": w.cite(cs)},
-        {**record, "point": certs.ser_point(res.point)},
+        {**record, "point": [rat_str(x) for x in res.point]},
         f"P({m}) >= {rat_str(fact.bound)}",
     )
     return sid, fact
@@ -391,6 +391,6 @@ def solve_oracle(source: OracleSource, dim1_start: int = 1) -> certs.Certificate
     model_step = w.add(
         "oracle_model",
         {"values_step": values_step},
-        {"coeffs": certs.ser_poly(table.poly)},
+        {"coeffs": [rat_str(c) for c in table.poly.coeffs]},
     )
     return _solve_table(w, table, values_step, {"model_step": model_step}, dim1_start)

@@ -34,9 +34,10 @@ Every declared inequality is closed, form >= 0, and so is every fact a
 step establishes, P(m) >= bound: A3 (integrality) rounds a proved minimum
 up to its ceiling before anything cites it.
 
-Rationals serialize as "p/q" strings with the sign on the numerator;
-integers omit the "/1".  The verifier reads a rational only as a string,
-and parses each once into the integer pair exact.parse_rat gives: every
+Each layer holds one rational type.  The prover writes each rational
+once, with exact.rat_str, where it builds the step: "p/q" with the sign on
+the numerator, and "/1" omitted.  The verifier reads a rational only as a
+string, parsed once by exact.parse_rat into an integer pair: every
 worst-case check, of Farkas multipliers, points, minima and their
 ceilings, merged bounds and attempt values, cross-multiplies integers.
 A certificate's bytes are json.dumps(doc, sort_keys=True, indent=2) + "\n",
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -256,32 +256,6 @@ def from_json_bytes(data: bytes) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Shared serialization helpers (prover writes, verifier reads)
-# ---------------------------------------------------------------------------
-
-def ser_param(p: Any) -> Any:
-    if isinstance(p, Fraction):
-        return rat_str(p)
-    return p
-
-
-def ser_constraint(c) -> dict:
-    return {"cid": c.cid, "kind": c.kind, "params": [ser_param(p) for p in c.params]}
-
-
-def ser_poly(p: Poly) -> list[str]:
-    return [rat_str(c) for c in p.coeffs]
-
-
-def ser_farkas(farkas) -> list[list[str]]:
-    return [[cid, rat_str(v)] for cid, v in farkas]
-
-
-def ser_point(point) -> list[str]:
-    return [rat_str(point[0]), rat_str(point[1])]
-
-
-# ---------------------------------------------------------------------------
 # Verifier
 # ---------------------------------------------------------------------------
 
@@ -371,8 +345,11 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
             _json_int(params[0], f"first parameter of {cid}")
         try:
             if kind == "from_fact":
-                # one parse builds the row, serves the scale's sign and
-                # gives the fact
+                # JSON numbers are refused before the one parse, which
+                # builds the row, serves the scale's sign and gives the fact
+                _, bound, scale = params
+                _rat_string(scale, f"scale of {cid}")
+                _rat_string(bound, f"fact bound of {cid}")
                 m, q, s = parse_fact(params)
                 row = fact_row(m, q, s)
             else:
@@ -381,10 +358,8 @@ def _declarations(cons: list, axioms: list[str]) -> dict[str, _Decl]:
             raise _Fail(f"constraint {cid}: {exc}")
         fact = None
         if kind == "from_fact":
-            _rat_string(params[2], f"scale of {cid}")
             if s.numerator <= 0:
                 raise _Fail(f"constraint {cid} must divide its fact by a positive scale")
-            _rat_string(params[1], f"fact bound of {cid}")
             # every bound a step establishes is an int; a fact bound that is
             # not one stays its reduced string, which no step establishes
             qn, qd = q
@@ -471,9 +446,9 @@ def _check_farkas(farkas: Any, table: dict, objective: tuple, value: RatPair) ->
     """Replay a Farkas combination: positive multipliers over cited
     constraints summing exactly to objective - value, which proves
     objective >= value, for objective an integer triple (ca, cb, k) from
-    hilbert and value a RatPair or a Fraction.  A combination has one
-    spelling: each constraint appears once, in cid order.  The sum runs on
-    the integer rows and the multipliers' integer pairs."""
+    hilbert and value a RatPair.  A combination has one spelling: each
+    constraint appears once, in cid order.  The sum runs on the integer
+    rows and the multipliers' integer pairs."""
     if not isinstance(farkas, list):
         raise _Fail("farkas witness must be a list")
     scale, sa, sb, sk = 1, 0, 0, 0
@@ -519,8 +494,8 @@ def _check_point(point: Any, table: dict) -> tuple[int, int, int]:
 
 
 def _evaluates_to(coeffs: tuple, point: tuple[int, int, int], value: RatPair) -> bool:
-    """Whether ca * a + cb * b + k equals value, a RatPair or a Fraction, at
-    a point from _check_point."""
+    """Whether ca * a + cb * b + k equals value, a RatPair, at a point from
+    _check_point."""
     (ca, cb, k), (x, y, d) = coeffs, point
     return (ca * x + cb * y + k * d) * value.denominator == value.numerator * d
 
@@ -646,8 +621,8 @@ def _oracle_model(st: _Replay, inp: dict, w: dict) -> None:
     while coeffs and not coeffs[-1].numerator:
         coeffs.pop()
     # before the common denominator, whose lcm grows with every coefficient
-    if len(coeffs) > 6:
-        raise _Fail("model degree exceeds 5")
+    if len(coeffs) > MODEL_POINTS:
+        raise _Fail(f"model degree exceeds {MODEL_POINTS - 1}")
     model = Poly(*over_common_denominator(coeffs))
     if len(table.values) < MODEL_POINTS:
         raise _Fail("value table too short to pin the polynomial")

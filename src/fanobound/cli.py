@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from typing import Optional
 
 from .certs import MalformedCertificateError, _json_bytes, from_json_bytes, verify
@@ -152,9 +153,13 @@ def _cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parser.error("--m must be >= 1")
     try:
         b = bundle.SplitBundle.parse(args.bundle)
-        value = bundle.h0_anti(b, args.m, args.convention)[-1]
+        # recorded, so stderr names the warning, not this file's source line
+        with warnings.catch_warnings(record=True) as caught:
+            value = bundle.h0_anti(b, args.m, args.convention)[-1]
     except ValueError as exc:
         parser.error(str(exc))
+    for w in caught:
+        print(f"{w.category.__name__}: {w.message}", file=sys.stderr)
     print(value)
     return 0
 

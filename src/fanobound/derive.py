@@ -53,7 +53,7 @@ from functools import cache
 from itertools import chain, combinations, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray
+from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray, rat_str
 from .hilbert import (
     CONSTRAINT_CIDS,
     ChernData,
@@ -380,7 +380,7 @@ class Fact(NamedTuple):
     """A derived claim P(m) >= bound."""
 
     m: int
-    bound: Fraction
+    bound: int
 
     def describe(self) -> str:
         return f"P({self.m}) >= {self.bound}"
@@ -394,7 +394,7 @@ class Branch(NamedTuple):
 def strengthen_integral(m: int, q: Fraction) -> Fact:
     """Round a rational bound P(m) >= q on the integer P(m) (axiom A3) up
     to the integral one P(m) >= ceil(q)."""
-    return Fact(m, Fraction(math.ceil(q)))
+    return Fact(m, math.ceil(q))
 
 
 def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
@@ -452,7 +452,7 @@ def fact_to_constraint(fact: Fact) -> Constraint:
     *ints, den = fact_row(fact.m, fact.bound, 1)
     g = math.gcd(*ints)
     scale = Fraction(g, den) if g else Fraction(1)
-    return Constraint.make("from_fact", (fact.m, fact.bound, scale))
+    return Constraint.make("from_fact", (fact.m, rat_str(fact.bound), rat_str(scale)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ lowest terms, so its kernels (``Poly.shift``, ``Poly.difference``,
 only when something reads ``coeffs``.  ``AffineForm.evaluate`` sums its
 terms as integers over one common denominator and builds one Fraction.
 
-A rational written as a "p/q" string is read by one parser, parse_rat,
-into an integer pair that reads like a Fraction's numerator and
-denominator; rat_pair reads an int, Fraction or string as such a pair,
-to_rat builds its Fraction from that pair, and the verifier checks on the
-pairs themselves.
+Each layer holds one rational type.  The prover holds ints and
+Fractions and writes each certificate rational once, as a "p/q" string,
+with rat_str.  A certificate holds those strings.  The verifier reads each
+with parse_rat into an integer pair that reads like a Fraction's
+numerator and denominator, and checks on the pairs themselves.  rat_str
+and parse_rat are the only crossings: one writes the prover's numbers, the
+other reads strings only.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
-
-RatLike = Union[int, str, Fraction]
 
 # the strings rat_str writes; Fraction alone would also take decimals and
 # exponents such as "1e30000000", whose integer takes minutes to build
@@ -58,29 +58,6 @@ def parse_rat(x: str) -> RatPair:
     if not q:
         raise ZeroDivisionError(f"Fraction({p}, 0)")
     return RatPair(p, q)
-
-
-def rat_pair(x: RatLike) -> RatPair:
-    """An int, Fraction, or "p/q" string as its integer pair, building no
-    Fraction.
-
-    bool is refused although it subclasses int: a JSON true is not a number.
-    A string is read by parse_rat.
-    """
-    # str and int first: isinstance(x, Fraction) is slow unless x is one
-    if isinstance(x, str):
-        return parse_rat(x)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return RatPair(x, 1)
-    if isinstance(x, Fraction):
-        return RatPair(x.numerator, x.denominator)
-    raise TypeError(f"cannot interpret {x!r} as a rational")
-
-
-def to_rat(x: RatLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational: x
-    itself if it is a Fraction, else rat_pair's pair as one."""
-    return x if type(x) is Fraction else Fraction(*rat_pair(x))
 
 
 def rat_str(x: Union[int, Fraction]) -> str:
@@ -198,18 +175,9 @@ class AffineForm(NamedTuple):
     coeff_b: Fraction
     const: Fraction
 
-    @classmethod
-    def of(cls, ca: RatLike, cb: RatLike, k: RatLike) -> "AffineForm":
-        return cls(to_rat(ca), to_rat(cb), to_rat(k))
-
-    @classmethod
-    def constant(cls, k: RatLike) -> "AffineForm":
-        return cls.of(0, 0, k)
-
-    def evaluate(self, a: RatLike, b: RatLike) -> Fraction:
+    def evaluate(self, a: Fraction, b: Fraction) -> Fraction:
         """coeff_a * a + coeff_b * b + const, summed as integers over the
         lcm of the three terms' denominators."""
-        a, b = to_rat(a), to_rat(b)
         ca, cb, k = self.coeff_a, self.coeff_b, self.const
         da = ca.denominator * a.denominator
         db = cb.denominator * b.denominator
@@ -220,20 +188,6 @@ class AffineForm(NamedTuple):
             + k.numerator * (den // k.denominator)
         )
         return Fraction(num, den)
-
-    def __add__(self, other: "AffineForm") -> "AffineForm":
-        return AffineForm(
-            self.coeff_a + other.coeff_a,
-            self.coeff_b + other.coeff_b,
-            self.const + other.const,
-        )
-
-    def __sub__(self, other: "AffineForm") -> "AffineForm":
-        return self + other.scale(-1)
-
-    def scale(self, c: RatLike) -> "AffineForm":
-        c = to_rat(c)
-        return AffineForm(c * self.coeff_a, c * self.coeff_b, c * self.const)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.coeff_a, self.coeff_b, self.const)

@@ -29,7 +29,7 @@ from itertools import zip_longest
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Optional
 
-from .exact import AffineForm, Poly, RatPair, rat_pair, taylor_shift, to_rat
+from .exact import AffineForm, Poly, RatPair, parse_rat, taylor_shift
 
 # P's coefficients of a, of b and of 1 as polynomials in m, low degree first
 _A = (0, -1, 0, 10, 15, 6)
@@ -155,18 +155,19 @@ def constraint_row(kind: str, params: tuple) -> tuple[int, int, int, int]:
 
 
 def parse_fact(params: tuple) -> tuple[int, RatPair, RatPair]:
-    """A from_fact descriptor's (m, bound, scale), read as an int and two
-    rational pairs; the one parse of that format, so the verifier's
-    refusals are constraint_row's."""
+    """A from_fact descriptor's (m, bound, scale), read as an int and the
+    pairs parse_rat reads from the two "p/q" strings; the one parse of that
+    format, so the verifier's refusals are constraint_row's."""
     m, bound, scale = params
-    return int(m), rat_pair(bound), rat_pair(scale)
+    return int(m), parse_rat(bound), parse_rat(scale)
 
 
 def fact_row(m: int, bound: RatPair, scale: RatPair) -> tuple[int, int, int, int]:
     """The from_fact row (P(m) - bound) / scale, on integers in lowest
     terms.  bound and scale are read through numerator and denominator >
-    0, so parse_fact's pairs, ints and Fractions all serve.  A zero scale
-    raises the ZeroDivisionError that dividing by Fraction(0) raises."""
+    0: the verifier's are parse_fact's pairs, the prover's its ints and
+    Fractions.  A zero scale raises the ZeroDivisionError that dividing by
+    Fraction(0) raises."""
     qn, qd = bound.numerator, bound.denominator
     sn, sd = scale.numerator, scale.denominator
     if not sn:
@@ -209,7 +210,8 @@ def search_order(target_dim: int, m_start: int, m_stop: int) -> Iterator[tuple]:
 def lemma2_slack_coeffs(m: int, r: int) -> tuple[int, int, int]:
     """P(m) - (m^r * 720a + r) as integers (ca, cb, k) like p_coeffs:
     positive exactly when the test passes with (-K)^5 expressed as 720a."""
-    return _horner(_A, m) - 720 * m**r, _horner(_B, m), _horner(_C, m) - r
+    ca, cb, k = p_coeffs(m)
+    return ca - 720 * m**r, cb, k - r
 
 
 def lemma2_slack_form(m: int, r: int) -> AffineForm:
@@ -224,7 +226,8 @@ def p_eval(c: ChernData, m: int) -> int:
     Raises NonIntegralValueError when the value is not an integer and
     VanishingViolationError when m >= 0 and the value is negative.
     """
-    num = c.k5 * _horner(_A, m) + 5 * c.k3c2 * _horner(_B, m) + 720 * _horner(_C, m)
+    ca, cb, k = p_coeffs(m)
+    num = c.k5 * ca + 5 * c.k3c2 * cb + 720 * k
     n, rem = divmod(num, 720)
     if rem:
         raise NonIntegralValueError(m, Fraction(num, 720))
@@ -251,8 +254,8 @@ def fit_ab(v1: PValue, v2: PValue) -> tuple[Fraction, Fraction]:
         raise ValueError(
             f"coefficient rows for m = {v1.m}, {v2.m} are proportional"
         )
-    r1, r2 = to_rat(v1.value) - k1, to_rat(v2.value) - k2
-    return (r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det
+    r1, r2 = v1.value - k1, v2.value - k2
+    return Fraction(r1 * b2 - r2 * b1, det), Fraction(a1 * r2 - a2 * r1, det)
 
 
 # c(m+1) - c(m) for c = _A, _B, _C, padded to one length, for ray_tail: its

@@ -1,5 +1,6 @@
-"""Reference Fourier-Motzkin minimizer on Fraction rows, and the Fraction
-ladder of constraint forms.
+"""Reference Fourier-Motzkin minimizer on Fraction rows, the Fraction
+ladder of constraint forms, and ``form``, which builds and combines the
+affine forms the tests write.
 
 The minimizer is the rational kernel ``derive.fm_minimize`` used before it
 moved to integer rows, with the point of an unbounded objective restated
@@ -10,7 +11,9 @@ compare the two on random systems: every field of the result must agree,
 because certificates are built from them.
 
 The ladder is ``derive.constraint_form`` as it stood before the kinds moved
-to ``hilbert.constraint_row``, which must agree with it on every kind.
+to ``hilbert.constraint_row``, which must agree with it on every kind.  It
+reads a fact's bound and scale with ``exact.parse_rat``, as the package
+does.
 """
 
 from __future__ import annotations
@@ -21,8 +24,21 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from fanobound.derive import ConstraintSystem, MinimizeResult
-from fanobound.exact import AffineForm, to_rat
+from fanobound.exact import AffineForm, parse_rat
 from fanobound.hilbert import p_affine, p_coeffs
+
+
+def form(*terms) -> AffineForm:
+    """The AffineForm summing terms, each three numbers (ca, cb, k), an
+    AffineForm among them, or a pair (c, f) of a number and such a triple,
+    read as c * f.  A number is anything Fraction reads: an int, a Fraction
+    or a "p/q" string.  form() is the zero form."""
+    acc = [Fraction(0)] * 3
+    for term in terms:
+        c, coeffs = term if len(term) == 2 else (1, term)
+        for i, x in enumerate(coeffs):
+            acc[i] += Fraction(c) * Fraction(x)
+    return AffineForm(*acc)
 
 
 @dataclass(frozen=True)
@@ -115,7 +131,7 @@ def _combination(cs: ConstraintSystem, target: AffineForm):
         if pivot == 0:
             continue
         mult = (target.coeff_a if g.coeff_a != 0 else target.coeff_b) / pivot
-        if mult > 0 and g.scale(mult) == target:
+        if mult > 0 and form((mult, g)) == target:
             return ((c.cid, mult),)
     for ci, cj in combinations(ordered, 2):
         gi, gj = ci.form, cj.form
@@ -124,7 +140,7 @@ def _combination(cs: ConstraintSystem, target: AffineForm):
             continue
         mi = (target.coeff_a * gj.coeff_b - gj.coeff_a * target.coeff_b) / det
         mj = (gi.coeff_a * target.coeff_b - gi.coeff_b * target.coeff_a) / det
-        if mi > 0 and mj > 0 and gi.scale(mi) + gj.scale(mj) == target:
+        if mi > 0 and mj > 0 and form((mi, gi), (mj, gj)) == target:
             return ((ci.cid, mi), (cj.cid, mj))
     return None
 
@@ -167,7 +183,7 @@ def fm_minimize_reference(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult
     q = max(v for v, _ in lower)
     at_q = [r for v, r in lower if v == q]
     attained = not any(r.strict for r in at_q)
-    farkas = _combination(cs, f - AffineForm.constant(q))
+    farkas = _combination(cs, form(f, (0, 0, -q)))
 
     point = _back_substitute(stage_a, stage_b, q) if attained else None
     return MinimizeResult(status="minimum", value=q, farkas=farkas, point=point)
@@ -179,20 +195,20 @@ def constraint_form_reference(kind: str, params: Sequence) -> AffineForm:
     if kind in ("k5_floor", "mono12") and params:
         raise ValueError(f"{kind} takes no parameters")
     if kind == "k5_floor":
-        return AffineForm.of(1, 0, Fraction(-1, 720))
+        return form((1, 0, Fraction(-1, 720)))
     if kind == "vanishing":
         (m,) = params
         return p_affine(int(m))
     if kind == "mono12":
-        return AffineForm.of(*(x - y for x, y in zip(p_coeffs(2), p_coeffs(1))))
+        return form(p_coeffs(2), (-1, p_coeffs(1)))
     if kind in ("p1_eq_lo", "p1_eq_hi", "p1_tail"):
         (l,) = params
         ca, cb, k = p_coeffs(1)
         sign = -1 if kind == "p1_eq_hi" else 1
-        return AffineForm.of(sign * ca, sign * cb, sign * (k - int(l)))
+        return form((sign * ca, sign * cb, sign * (k - int(l))))
     if kind == "from_fact":
         m, bound, scale = params
         ca, cb, k = p_coeffs(int(m))
-        k, inv = k - to_rat(bound), Fraction(1, 1) / to_rat(scale)
-        return AffineForm.of(ca * inv, cb * inv, k * inv)
+        k, inv = k - Fraction(*parse_rat(bound)), Fraction(1, 1) / Fraction(*parse_rat(scale))
+        return form((ca * inv, cb * inv, k * inv))
     raise ValueError(f"unknown constraint kind {kind!r}")

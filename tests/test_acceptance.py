@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from fanobound.exact import AffineForm
 from fanobound.hilbert import PValue, fit_ab, p_affine
 from fanobound.derive import (
     axiom_system,
@@ -26,6 +25,7 @@ from fanobound.audit import build_audit
 from fanobound.certs import from_json_bytes, verify
 from fanobound.cli import main as cli_main
 
+from fm_reference import form
 from test_derive import sample_feasible
 from test_hilbert import sample_chern
 
@@ -131,10 +131,10 @@ def test_criterion_5_standard_convention_properties():
 
 
 def test_criterion_6_formula_and_engine_invariants():
-    zero = AffineForm.of(0, 0, 0)
-    assert p_affine(0) == AffineForm.of(0, 0, 1)
+    zero = form()
+    assert p_affine(0) == form((0, 0, 1))
     for m in range(-20, 21):
-        assert p_affine(m) + p_affine(-1 - m) == zero
+        assert form(p_affine(m), p_affine(-1 - m)) == zero
 
     rng = random.Random(20240602)
     systems = [axiom_system(), split_on_p1(axiom_system(), 3)[0].system, merged_geometry()]

@@ -16,10 +16,10 @@ from fanobound.certs import (
     MalformedCertificateError,
     from_json_bytes,
     from_json_dict,
-    ser_poly,
     verify,
 )
 from fanobound.derive import chern_table
+from fanobound.exact import rat_str
 from fanobound.hilbert import ChernData
 
 BUNDLE = bundle.SplitBundle((0, 0, 0, 0, 1))
@@ -513,7 +513,7 @@ def test_tail_witness_with_a_polynomial_refused():
     d = doc("concrete")
     (tail,) = steps(d, "monotone_tail")
     table = chern_table(ChernData(6250, 2750), 32)
-    tail["witness"]["q_poly"] = ser_poly(table.poly.difference())
+    tail["witness"]["q_poly"] = [rat_str(c) for c in table.poly.difference().coeffs]
     res = check(d)
     assert not res.ok and res.step_id == tail["id"]
     assert res.reason == "witness must be an object with exactly the keys []"

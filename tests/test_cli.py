@@ -183,6 +183,20 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "--bundle", "0,0,0,0,0", "--m", "1")
         assert code == 0 and out == "378\n"
 
+    def test_chi_warning_is_one_line_without_a_source_location(self):
+        # a twist below degree -1: the count on stdout, and on stderr the
+        # warning alone, which names no file or line of the package
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanobound.cli", "oracle", "--bundle=-2,0,0,0,0", "--m", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "29211\n")
+        assert proc.stderr == (
+            "ChiApproximationWarning: a summand has degree < -1 after twisting; "
+            "h0 may differ from chi\n"
+        )
+
     def test_m_zero_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "oracle", "--bundle", "0,0,0,0,1", "--m", "0")
         assert code == 2

@@ -23,10 +23,10 @@ from fanobound.derive import (
     geometry_system,
     split_on_p1,
 )
-from fanobound.exact import AffineForm, over_common_denominator
+from fanobound.exact import over_common_denominator, rat_str
 from fanobound.hilbert import CONSTRAINT_CIDS, constraint_row, p_affine
 
-from fm_reference import constraint_form_reference
+from fm_reference import constraint_form_reference, form
 from test_cert_v3 import DOCS
 from test_cli import run_cli
 
@@ -34,8 +34,8 @@ SETTINGS = settings(max_examples=300, derandomize=True, deadline=None, database=
 
 RATS = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
 NONZERO = RATS.filter(bool)
-# a rational as the prover passes it or as a certificate writes it
-RAT_PARAMS = st.one_of(RATS, RATS.map(str), st.integers(-50, 50))
+# a rational as a descriptor writes it, the prover's and the verifier's
+RAT_PARAMS = st.one_of(RATS, st.integers(-50, 50)).map(rat_str)
 
 
 @st.composite
@@ -47,7 +47,7 @@ def descriptors(draw):
     if kind == "vanishing":
         return kind, (draw(st.integers(0, 64)),)
     if kind == "from_fact":
-        scale = draw(st.one_of(NONZERO, NONZERO.map(str), st.integers(1, 50)))
+        scale = draw(st.one_of(NONZERO, st.integers(1, 50)).map(rat_str))
         return kind, (draw(st.integers(-8, 8)), draw(RAT_PARAMS), scale)
     return kind, (draw(st.integers(-20, 20)),)
 
@@ -69,12 +69,12 @@ def outcome(build, kind, params):
 
 def as_form(row):
     *coeffs, den = row
-    return AffineForm(*(Fraction(c, den) for c in coeffs))
+    return form([Fraction(c, den) for c in coeffs])
 
 
 @SETTINGS
 @given(descriptors())
-@example(("from_fact", (3, Fraction(7), Fraction(-2, 3))))
+@example(("from_fact", (3, "7", "-2/3")))
 @example(("from_fact", (3, "7", "1/2")))
 def test_row_over_its_denominator_is_the_fraction_form(descriptor):
     kind, params = descriptor
@@ -140,12 +140,12 @@ def test_systems_keep_their_cids():
 @given(st.integers(-8, 8), RATS)
 @example(0, Fraction(1))  # P(0) - 1 is the zero form
 def test_fact_scale_is_the_gcd_over_the_denominator(m, bound):
-    base = p_affine(m) - AffineForm.constant(bound)
+    base = form(p_affine(m), (0, 0, -bound))
     ints, den = over_common_denominator(base)
     g = math.gcd(*ints)
     c = fact_to_constraint(Fact(m, bound))
-    assert c.params == (m, bound, Fraction(g, den) if g else Fraction(1))
-    assert c.form == (base.scale(Fraction(den, g)) if g else base)
+    assert c.params == (m, rat_str(bound), rat_str(Fraction(g, den) if g else Fraction(1)))
+    assert c.form == (form((Fraction(den, g), base)) if g else base)
 
 
 class TestNegativeVanishing:

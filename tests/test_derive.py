@@ -30,7 +30,7 @@ from fanobound.derive import (
 )
 from fanobound.bounds import certify_r0, worst_case_branches
 
-from fm_reference import fm_minimize_reference
+from fm_reference import fm_minimize_reference, form
 from poly_reference import poly_eval
 from test_hilbert import sample_chern
 
@@ -38,10 +38,10 @@ from test_hilbert import sample_chern
 def hyp(cid, m, bound, sense):
     """An ad-hoc case hypothesis P(m) >= bound or P(m) <= bound (sense
     ">=" or "<=")."""
-    form = p_affine(m) - AffineForm.constant(bound)
+    f = form(p_affine(m), (0, 0, -bound))
     if sense == "<=":
-        form = form.scale(-1)
-    return Constraint(cid, "hyp", (m, bound, sense), form)
+        f = form((-1, f))
+    return Constraint(cid, "hyp", (m, bound, sense), f)
 
 
 def branch_system(l):
@@ -100,7 +100,7 @@ class TestFmMinimize:
             assert p_affine(3).evaluate(*res.point) == want
 
     def test_single_bound_attained(self):
-        res = fm_minimize(geometry_system(), AffineForm.of(1, 0, 0))
+        res = fm_minimize(geometry_system(), form((1, 0, 0)))
         assert res.status == "minimum"
         assert res.value == Fraction(1, 720)
         assert res.point[0] == Fraction(1, 720)
@@ -129,11 +129,11 @@ class TestFmMinimize:
         cs = branch_system(0)
         res = fm_minimize(cs, p_affine(3))
         forms = {c.cid: c.form for c in cs.constraints}
-        acc = AffineForm.of(0, 0, 0)
+        terms = []
         for cid, mult in res.farkas:
             assert mult >= 0
-            acc = acc + forms[cid].scale(mult)
-        assert acc == p_affine(3) - AffineForm.of(0, 0, res.value)
+            terms.append((mult, forms[cid]))
+        assert form(*terms) == form(p_affine(3), (0, 0, -res.value))
 
     def test_soundness_on_random_feasible_points(self):
         rng = random.Random(20240301)
@@ -142,7 +142,7 @@ class TestFmMinimize:
             branch_system(2),
             geometry_system([merged_p3_fact()]),
         ]
-        objectives = [p_affine(3), p_affine(4), AffineForm.of(1, 1, 0)]
+        objectives = [p_affine(3), p_affine(4), form((1, 1, 0))]
         for cs in systems:
             for f in objectives:
                 res = fm_minimize(cs, f)
@@ -174,7 +174,7 @@ def aux_system(rows):
     """A system of named rows (ca, cb, k): ca*a + cb*b + k >= 0."""
     return ConstraintSystem(
         tuple(
-            Constraint(f"c{i}", "aux", (), AffineForm.of(ca, cb, k))
+            Constraint(f"c{i}", "aux", (), form((ca, cb, k)))
             for i, (ca, cb, k) in enumerate(rows)
         )
     )
@@ -200,21 +200,21 @@ def small_systems(draw):
 MINIMIZE_FIELDS = ("status", "value", "farkas", "point")
 
 # one case of each outcome the random systems must also reach
-INFEASIBLE = (aux_system([(1, 0, -1), (-1, 0, 0)]), AffineForm.of(0, 1, 0))
-UNBOUNDED = (aux_system([]), AffineForm.of(1, 0, 0))
+INFEASIBLE = (aux_system([(1, 0, -1), (-1, 0, 0)]), form((0, 1, 0)))
+UNBOUNDED = (aux_system([]), form((1, 0, 0)))
 # a <= -2, so f = a reaches at most -2 and its point sits there
-BOUNDED_ABOVE = (aux_system([(-1, 0, -2), (0, 1, 0)]), AffineForm.of(1, 0, 0))
+BOUNDED_ABOVE = (aux_system([(-1, 0, -2), (0, 1, 0)]), form((1, 0, 0)))
 # a, b, 2a and a/2: the rows on a are one primitive row, and all four are
 # tight at (0, 0)
 TIED = (
     aux_system([(1, 0, 0), (0, 1, 0), (2, 0, 0), (Fraction(1, 2), 0, 0)]),
-    AffineForm.of(1, 1, 0),
+    form((1, 1, 0)),
 )
 # eliminating b, c0 + c2 and c1 + c3 are both the row a - 1 >= 0, which
 # the elimination keeps once; all four rows are tight at the minimum
 DEDUP = (
     aux_system([(0, 1, 0), (1, 1, -1), (1, -1, -1), (0, -1, 0)]),
-    AffineForm.of(1, 0, 0),
+    form((1, 0, 0)),
 )
 
 
@@ -222,7 +222,7 @@ DEDUP = (
 def named_system(*rows):
     """A system of rows (cid, ca, cb, k), in the order given."""
     return ConstraintSystem(
-        tuple(Constraint(cid, "aux", (), AffineForm.of(ca, cb, k)) for cid, ca, cb, k in rows)
+        tuple(Constraint(cid, "aux", (), form((ca, cb, k))) for cid, ca, cb, k in rows)
     )
 
 
@@ -231,30 +231,30 @@ def named_system(*rows):
 # all three rows are tight at the minimum
 LAST_STEP_DUPLICATE = (
     named_system(("p", 1, 0, -1), ("n", -1, 1, 0), ("m", -2, 1, 1)),
-    AffineForm.of(0, 1, 0),
+    form((0, 1, 0)),
 )
 # t - 1 and 2t - 2 tie at the floor, then the pair of p and n raises it to 2
 FLOOR_RISES = (
     aux_system([(1, 0, -2), (0, 1, -1), (0, 2, -2), (-1, 1, 0)]),
-    AffineForm.of(0, 1, 0),
+    form((0, 1, 0)),
 )
 # the last step reads the floor t >= 1 and the ceiling t <= 3, then the
 # pair of c2 and c3, -1 >= 0, which refutes
 LAST_STEP_REFUTATION = (
     aux_system([(0, 1, -1), (0, -1, 3), (1, 0, -1), (-1, 0, 0)]),
-    AffineForm.of(0, 1, 0),
+    form((0, 1, 0)),
 )
 
 # a + b = 1 as a row and its negation, the shape of H.P1=l.lo and
 # H.P1=l.hi, with a <= 2: f = b eliminates b through t = f and reaches -1
 EQUALITY_PAIR = (
     aux_system([(1, 1, -1), (-1, -1, 1), (-1, 0, 2)]),
-    AffineForm.of(0, 1, 0),
+    form((0, 1, 0)),
 )
 # f = a is free of b, so b is eliminated by pairing a + b >= 0 with b <= 1
 B_FREE_OBJECTIVE = (
     aux_system([(1, 1, 0), (0, -1, 1)]),
-    AffineForm.of(1, 0, 0),
+    form((1, 0, 0)),
 )
 
 
@@ -299,10 +299,8 @@ class TestIntegerKernel:
         assert len(cids) <= 2 and cids == sorted(set(cids))
         assert all(mult > 0 for _, mult in got.farkas)
         forms = {c.cid: c.form for c in cs.constraints}
-        acc = AffineForm.of(0, 0, 0)
-        for cid, mult in got.farkas:
-            acc = acc + forms[cid].scale(mult)
-        assert acc == f - AffineForm.constant(got.value)
+        acc = form(*((mult, forms[cid]) for cid, mult in got.farkas))
+        assert acc == form(f, (0, 0, -got.value))
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(small_systems())
@@ -315,7 +313,7 @@ class TestIntegerKernel:
             return
         assert all(c.form.evaluate(*got.point) >= 0 for c in cs.constraints)
         # sup f is minus the minimum of -f, or +oo when -f is unbounded too
-        neg = fm_minimize(cs, f.scale(-1))
+        neg = fm_minimize(cs, form((-1, f)))
         sup_f = -neg.value if neg.status == "minimum" else None
         want = 0 if sup_f is None else min(Fraction(0), sup_f)
         assert f.evaluate(*got.point) == want
@@ -385,7 +383,7 @@ class TestIntegerKernel:
         # f = a does not, but c1 bounds b above by 0
         cs = aux_system([(1, 0, 0), (0, -1, 0)])
         with pytest.raises(AssertionError, match="c1 fails"):
-            fm_minimize(cs, AffineForm.of(1, 0, 0))
+            fm_minimize(cs, form((1, 0, 0)))
 
     def test_no_certifying_combination_raises(self):
         # a = 1/720 cannot certify a minimum of f = b, alone or in a pair;
@@ -416,7 +414,7 @@ class TestIntegerKernel:
         # ray tail now covers, still exercise the kernel here
         geom = geometry_system([merged_p3_fact()])
         for m in range(3, 65):
-            compared(geom, p_affine(m + 1) - p_affine(m))
+            compared(geom, form(p_affine(m + 1), (-1, p_affine(m))))
 
 
 class TestStrengthenIntegral:
@@ -517,7 +515,7 @@ class TestDeriveLowerBound:
         low = derive_lower_bound(cs, 3)
         assert low.bound == 14
         # it is an equality: the negated objective is also pinned
-        res_hi = fm_minimize(cs, AffineForm.of(0, 0, 0) - p_affine(3))
+        res_hi = fm_minimize(cs, form((-1, p_affine(3))))
         assert res_hi.value == -14
 
     def test_constant_form(self):
@@ -542,12 +540,12 @@ class TestFactToConstraint:
     def test_p3_geq_7_becomes_primitive(self):
         c = fact_to_constraint(Fact(3, Fraction(7)))
         # (2940a + 84b + 7) - 7 divided by the positive scalar 84
-        assert c.form == AffineForm.of(35, 1, 0)
-        assert (c.cid, c.params) == ("F.P3>=7", (3, Fraction(7), Fraction(84)))
+        assert c.form == form((35, 1, 0))
+        assert (c.cid, c.params) == ("F.P3>=7", (3, "7", "84"))
 
     def test_vacuous_fact_retained(self):
         c = fact_to_constraint(Fact(0, Fraction(1)))
-        assert c.form == AffineForm.of(0, 0, 0)
+        assert c.form == form()
 
     def test_row_is_the_descriptors(self):
         # the row make keeps is the descriptor's constraint_row, and the
@@ -561,7 +559,7 @@ class TestFactToConstraint:
     def test_p1_geq_0(self):
         c = fact_to_constraint(Fact(1, Fraction(0)))
         # 30a + 6b + 3 >= 0 over gcd 3: equivalent to b >= -5a - 1/2
-        assert c.form == AffineForm.of(10, 2, 1)
+        assert c.form == form((10, 2, 1))
         assert c.form.evaluate(0, Fraction(-1, 2)) == 0
 
 
@@ -581,7 +579,7 @@ class TestMonotone:
         assert (tail.b_constraint, tail.a_constraint) == (geom.constraints[1].cid, "A1")
         q = tail_poly(geom, tail)
         for m in range(3, 33):
-            res = fm_minimize(geom, p_affine(m + 1) - p_affine(m))
+            res = fm_minimize(geom, form(p_affine(m + 1), (-1, p_affine(m))))
             assert res.status == "minimum" and res.value >= poly_eval(q.coeffs, m) > 0
         # by hand: min of P(4)-P(3) over {b >= -35a, a >= 1/720} is 4320/720+2
         assert poly_eval(q.coeffs, 3) == 8
@@ -610,7 +608,7 @@ class TestMonotone:
             if point is None:
                 continue
             m = rng.randint(3, 40)
-            diff = (p_affine(m + 1) - p_affine(m)).evaluate(*point)
+            diff = form(p_affine(m + 1), (-1, p_affine(m))).evaluate(*point)
             assert diff >= poly_eval(q.coeffs, m) > 0
 
 

@@ -7,7 +7,8 @@ from math import gcd
 
 import pytest
 
-from fanobound.exact import AffineForm, Poly, over_common_denominator, parse_rat, poly_positive_on_ray, rat_str, to_rat
+from fanobound.exact import Poly, RatPair, over_common_denominator, parse_rat, poly_positive_on_ray, rat_str
+from fm_reference import form
 from poly_reference import poly_eval
 
 
@@ -54,7 +55,7 @@ class TestRat:
 
     def test_rat_str_roundtrip(self):
         for v in (Fraction(-7, 3), Fraction(4), Fraction(0), Fraction(35, 1)):
-            assert to_rat(rat_str(v)) == v
+            assert Fraction(*parse_rat(rat_str(v))) == v
         assert rat_str(Fraction(8, 2)) == "4"
 
     def test_rat_str_writes_ints_and_fractions_only(self):
@@ -70,23 +71,23 @@ class TestRat:
             with pytest.raises(TypeError):
                 rat_str(x)
 
-    def test_to_rat_reads_strings_as_fraction_does_on_its_own_grammar(self):
+    def test_parse_rat_reads_strings_as_fraction_does_on_its_own_grammar(self):
         # the grammar is -?[0-9]+(/[0-9]+)?; within it the value is the one
         # Fraction parses, and anything outside it is refused
         accepted = ["0", "-0", "7", "-35/3", "007/014", "10/5", "-4/1", "1" * 300 + "/3"]
         for x in accepted:
-            got = to_rat(x)
-            assert got == Fraction(x) and type(got) is Fraction
+            got = parse_rat(x)
+            assert Fraction(*got) == Fraction(x) and type(got) is RatPair
         refused = ["", "1.5", "1e3", " 1", "1 ", "+1", "1/", "/2", "1/-2", "--1", "1/2/3", "\u0661"]
         for x in refused:
             with pytest.raises(ValueError, match="not a rational"):
-                to_rat(x)
+                parse_rat(x)
         with pytest.raises(ZeroDivisionError):
-            to_rat("3/0")
+            parse_rat("3/0")
 
     def test_parse_rat_keeps_the_pair_as_written(self):
         # the pair is not reduced, its denominator is positive, and a
-        # string to_rat refuses is refused alike
+        # string outside the grammar is refused
         assert parse_rat("-6/4") == (-6, 4) and parse_rat("007/014") == (7, 14)
         assert (parse_rat("-0").numerator, parse_rat("12").denominator) == (0, 1)
         for x in ("", "1.5", "1/-2", "+1"):
@@ -99,35 +100,36 @@ class TestRat:
             Fraction(-3, 0)
         assert str(got.value) == str(want.value)
 
-    def test_to_rat_refuses_bools(self):
-        assert to_rat(1) == 1
-        for x in (True, False):
+    def test_parse_rat_reads_strings_only(self):
+        # a JSON number, true or false is not a rational string
+        assert parse_rat("1") == (1, 1)
+        for x in (1, True, False, Fraction(1), None):
             with pytest.raises(TypeError):
-                to_rat(x)
+                parse_rat(x)
 
 
 class TestAffineForm:
     def test_eval_matches_substitution_by_hand(self):
         # 2940/360 - 84/72 + 7 = 49/6 - 7/6 + 7 = 14
-        f = AffineForm.of(84 * 35, 84, 7)
+        f = form((84 * 35, 84, 7))
         assert f.evaluate(Fraction(1, 360), Fraction(-1, 72)) == 14
 
     def test_eval_at_origin_is_constant(self):
-        f = AffineForm.of(123, -456, Fraction(7, 9))
+        f = form((123, -456, Fraction(7, 9)))
         assert f.evaluate(0, 0) == Fraction(7, 9)
 
     def test_published_value_p3_equals_49(self):
-        f = AffineForm.of(2940, 84, 7)
+        f = form((2940, 84, 7))
         assert f.evaluate(Fraction(1, 60), Fraction(-1, 12)) == 49
 
     def test_linearity(self):
         rng = random.Random(3)
-        f = AffineForm.of(rand_rat(rng), rand_rat(rng), rand_rat(rng))
-        g = AffineForm.of(rand_rat(rng), rand_rat(rng), rand_rat(rng))
+        f = form((rand_rat(rng), rand_rat(rng), rand_rat(rng)))
+        g = form((rand_rat(rng), rand_rat(rng), rand_rat(rng)))
         a, b = rand_rat(rng), rand_rat(rng)
-        assert (f + g).evaluate(a, b) == f.evaluate(a, b) + g.evaluate(a, b)
-        assert (f - g).evaluate(a, b) == f.evaluate(a, b) - g.evaluate(a, b)
-        assert f.scale(3).evaluate(a, b) == 3 * f.evaluate(a, b)
+        assert form(f, g).evaluate(a, b) == f.evaluate(a, b) + g.evaluate(a, b)
+        assert form(f, (-1, g)).evaluate(a, b) == f.evaluate(a, b) - g.evaluate(a, b)
+        assert form((3, f)).evaluate(a, b) == 3 * f.evaluate(a, b)
 
 
 class TestPoly:

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import hrr_reference as hrr
 import poly_reference as ref
+from fm_reference import form
 from fanobound.certs import MAX_SEARCH
-from fanobound.exact import AffineForm
 from fanobound.hilbert import (
     LEMMA2_R_CAP,
     ChernData,
@@ -62,19 +62,19 @@ def sample_chern(rng, k5_span=200, kb_span=3000):
 class TestPAffine:
     def test_at_three(self):
         # published: P(3) = 7[12(35a + b) + 1]
-        assert p_affine(3) == AffineForm.of(2940, 84, 7)
+        assert p_affine(3) == form((2940, 84, 7))
 
     def test_at_zero(self):
-        assert p_affine(0) == AffineForm.of(0, 0, 1)
+        assert p_affine(0) == form((0, 0, 1))
 
     def test_at_four(self):
         # published: P(4) = 9[20(59a + b) + 1]
-        assert p_affine(4) == AffineForm.of(9 * 20 * 59, 180, 9)
+        assert p_affine(4) == form((9 * 20 * 59, 180, 9))
 
     def test_antisymmetry_identity(self):
-        zero = AffineForm.of(0, 0, 0)
+        zero = form()
         for m in range(-20, 21):
-            assert p_affine(m) + p_affine(-1 - m) == zero
+            assert form(p_affine(m), p_affine(-1 - m)) == zero
 
     def test_normalization_p0_is_one(self):
         rng = random.Random(11)
@@ -85,15 +85,15 @@ class TestPAffine:
     def test_coefficient_polys_match_pointwise(self):
         fa, fb, fc = ref.p_coefficients()
         for m in range(-6, 12):
-            form = p_affine(m)
-            assert ref.poly_eval(fa, m) == form.coeff_a
-            assert ref.poly_eval(fb, m) == form.coeff_b
-            assert ref.poly_eval(fc, m) == form.const
+            f = p_affine(m)
+            assert ref.poly_eval(fa, m) == f.coeff_a
+            assert ref.poly_eval(fb, m) == f.coeff_b
+            assert ref.poly_eval(fc, m) == f.const
 
     def test_difference_form_shape(self):
         # P(m+1) - P(m) = 30(m+1)^4 a + 6(m+1)^2 b + 2, expanded by hand
         for m in range(0, 10):
-            d = p_affine(m + 1) - p_affine(m)
+            d = form(p_affine(m + 1), (-1, p_affine(m)))
             assert d.coeff_a == 30 * (m + 1) ** 4
             assert d.coeff_b == 6 * (m + 1) ** 2
             assert d.const == 2
@@ -103,19 +103,19 @@ class TestPAffine:
         # from affine forms, for every multiple a search may reach
         for m in range(1, MAX_SEARCH + 1):
             for r in range(LEMMA2_R_CAP + 1):
-                want = p_affine(m) - AffineForm.of(720 * m**r, 0, r)
+                want = form(p_affine(m), (-1, (720 * m**r, 0, r)))
                 assert lemma2_slack_form(m, r) == want, (m, r)
 
     def test_forms_are_their_integer_triples(self):
-        # built straight from the integers, equal to the to_rat route, and
+        # built straight from the integers, equal to the Fraction route, and
         # each field a Fraction, which AffineForm.evaluate reads
         for m in range(41):
-            form = p_affine(m)
-            assert form == AffineForm.of(*p_coeffs(m)), m
-            assert all(type(x) is Fraction for x in form), m
+            f = p_affine(m)
+            assert f == form(p_coeffs(m)), m
+            assert all(type(x) is Fraction for x in f), m
             for r in range(LEMMA2_R_CAP + 1):
                 slack = lemma2_slack_form(m, r)
-                assert slack == AffineForm.of(*lemma2_slack_coeffs(m, r)), (m, r)
+                assert slack == form(lemma2_slack_coeffs(m, r)), (m, r)
                 assert all(type(x) is Fraction for x in slack), (m, r)
 
 
@@ -175,9 +175,10 @@ class TestFitAB:
         # (a, b) = (0, -1/2) round-trips through its own values
         vals = []
         for m in (1, 2):
-            form = p_affine(m)
-            vals.append(PValue(m, int(form.evaluate(0, Fraction(-1, 2)))))
+            vals.append(PValue(m, int(p_affine(m).evaluate(0, Fraction(-1, 2)))))
         assert fit_ab(*vals) == (Fraction(0), Fraction(-1, 2))
+        # built on integers: Fractions, never floats that compare equal
+        assert all(type(x) is Fraction for x in fit_ab(*vals))
 
     def test_round_trip_random_chern(self):
         rng = random.Random(13)

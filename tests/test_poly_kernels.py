@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import poly_reference as ref
+from fm_reference import form
 from fanobound.derive import interpolate_model
 from fanobound.exact import AffineForm, Poly, over_common_denominator
 from fanobound.hilbert import ray_tail
@@ -218,14 +219,14 @@ forms = st.builds(AffineForm, rationals, rationals, rationals)
 # a form free of b, as every floor on a is
 floors = st.builds(AffineForm, rationals, st.just(Fraction(0)), rationals)
 # the worst-case tail's pair: F.P3>=7 (35a + b >= 0) and A1 (a >= 1/720)
-MERGED, A1 = AffineForm.of(35, 1, 0), AffineForm.of(1, 0, Fraction(-1, 720))
+MERGED, A1 = form((35, 1, 0)), form((1, 0, Fraction(-1, 720)))
 # one case per outcome: a polynomial, then each refusal in the order checked
 TAILS = {
     "polynomial": (MERGED, A1, 3),
-    "no lower bound for b": (AffineForm.of(35, -1, 0), A1, 3),
-    "no lower bound for a": (MERGED, AffineForm.of(1, 1, 0), 3),
+    "no lower bound for b": (form((35, -1, 0)), A1, 3),
+    "no lower bound for a": (MERGED, form((1, 1, 0)), 3),
     "b-substitution": (MERGED, A1, -3),
-    "a-substitution": (AffineForm.of(10**6, 1, 0), A1, 3),
+    "a-substitution": (form((10**6, 1, 0)), A1, 3),
 }
 
 
@@ -238,7 +239,7 @@ class TestRayTail:
     @example(*TAILS["b-substitution"])
     @example(*TAILS["a-substitution"])
     # a floor free of b whose a coefficient is negative
-    @example(MERGED, AffineForm.of(-1, 0, 1), 3)
+    @example(MERGED, form((-1, 0, 1)), 3)
     def test_matches_reference(self, b_form, a_form, m_start):
         got = tail_outcome(row_tail, b_form, a_form, m_start)
         assert got == tail_outcome(ref.ray_tail, b_form, a_form, m_start)
@@ -257,11 +258,11 @@ class TestAffineEvaluate:
     @SETTINGS
     @given(rationals, rationals, rationals, arguments, arguments)
     def test_matches_reference(self, ca, cb, k, a, b):
-        got = AffineForm.of(ca, cb, k).evaluate(a, b)
+        got = AffineForm(ca, cb, k).evaluate(a, b)
         assert exact(got) == exact(ref.affine_evaluate(ca, cb, k, Fraction(a), Fraction(b)))
 
     def test_zero_form(self):
-        assert exact(AffineForm.constant(0).evaluate(Fraction(-1, 3), 10**40)) == exact(Fraction(0))
+        assert exact(form().evaluate(Fraction(-1, 3), 10**40)) == exact(Fraction(0))
 
 
 class TestInterpolateModel:

@@ -25,10 +25,12 @@ from fanobound.derive import (
 from fanobound.exact import AffineForm, Poly
 from fanobound.hilbert import ChernData, PValue, constraint_row
 
+from fm_reference import form
+
 
 def _records():
     return [
-        AffineForm.of(1, "1/2", 3),
+        form((1, "1/2", 3)),
         MinimizeResult("unbounded"),
         Fact(3, Fraction(7)),
         Branch("P(1)=0", axiom_system()),
@@ -82,7 +84,7 @@ def test_checked_records_refuse_bad_input(build, message):
 
 
 @pytest.mark.parametrize("left, right", [
-    (AffineForm.of(1, "1/2", 3), AffineForm(Fraction(1), Fraction(2, 4), Fraction(3))),
+    (form((1, "1/2", 3)), AffineForm(Fraction(1), Fraction(2, 4), Fraction(3))),
     (Constraint.make("vanishing", (3,)), Constraint.make("vanishing", [3])),
     (fact_to_constraint(Fact(3, Fraction(7))), fact_to_constraint(Fact(3, Fraction(14, 2)))),
     (Fact(3, Fraction(7)), Fact(m=3, bound=Fraction(14, 2))),
@@ -106,7 +108,7 @@ def test_constraint_row_follows_the_other_fields():
     assert renamed == Constraint("A4.x", "vanishing", (3,), c.form)
     assert renamed.row == c.row
     # a new form gets a new row, never the old one copied
-    halved = c._replace(form=c.form.scale(Fraction(1, 2)))
+    halved = c._replace(form=form((Fraction(1, 2), c.form)))
     *ints, den = halved.row
     assert halved.row != c.row
     assert AffineForm(*(Fraction(x, den) for x in ints)) == halved.form

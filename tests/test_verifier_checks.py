@@ -187,6 +187,28 @@ def tail_cites_an_unrecorded_constraint():
     return d, tail["id"], "tail cites constraints outside the recorded system"
 
 
+def fact_param(value, i):
+    """The worst case with parameter i of its from_fact declaration, the
+    fact P(3) >= 7 divided by 84, written as value."""
+    d = doc("worst_case")
+    (fact,) = (c for c in d["constraints"] if c["kind"] == "from_fact")
+    fact["params"][i] = value
+    return d
+
+
+def fact_bound_as_a_number():
+    # a JSON number is refused before the descriptor is parsed
+    return fact_param(7, 1), None, "fact bound of F.P3>=7 must be a rational string, got 7"
+
+
+def fact_scale_as_a_number():
+    return fact_param(84, 2), None, "scale of F.P3>=7 must be a rational string, got 84"
+
+
+def fact_scale_as_a_list():
+    return fact_param(["84"], 2), None, "scale of F.P3>=7 must be a rational string, got ['84']"
+
+
 CASES = [
     forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
     tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
@@ -194,6 +216,7 @@ CASES = [
     attempt_at_a_passing_point, pencil_from_vanishing, slack_from_vanishing,
     sextic_model, unknown_mode, split_removed, target_dimension_four,
     search_starts_past_its_selection, tail_cites_an_unrecorded_constraint,
+    fact_bound_as_a_number, fact_scale_as_a_number, fact_scale_as_a_list,
 ]
 
 
