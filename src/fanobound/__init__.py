@@ -17,11 +17,11 @@ import sys
 _EXPORTS = {
     "exact": "AffineForm Poly",
     "hilbert": "ChernData HilbertError NonIntegralValueError PValue VanishingViolationError "
-    "fit_ab p_affine p_eval",
+    "fit_ab lemma2_threshold p_affine p_eval",
     "derive": "Constraint ConstraintSystem Fact axiom_system derive_lower_bound "
     "fact_to_constraint fm_minimize geometry_system monotone_from split_on_p1 "
     "strengthen_integral",
-    "bounds": "CertificationError SearchExhaustedError certify_r0 lemma2_threshold minimal_r "
+    "bounds": "CertificationError SearchExhaustedError certify_r0 minimal_r "
     "solve_concrete solve_oracle solve_worst_case",
     "certs": "Certificate MalformedCertificateError from_json_bytes verify",
     "bundle": "OracleSource SplitBundle UnsupportedConventionError anticanonical_data h0_anti "

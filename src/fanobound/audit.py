@@ -30,12 +30,13 @@ failed attempt its dimension-3 search already carries.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .certs import Certificate
-from .hilbert import PValue, fit_ab, p_affine
+from .hilbert import PValue, fit_ab, lemma2_threshold, p_affine
 from . import bounds, bundle
-from .derive import derive_lower_bound
+from .derive import Fact, derive_lower_bound, merge_branch_facts, strengthen_integral
 
 CONFIRMED = "confirmed"
 STRONGER = "stronger"
@@ -72,25 +73,32 @@ def _lower_bound_status(derived, printed) -> str:
     return STRONGER if derived > printed else DISCREPANCY
 
 
-def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
+def _branch_facts(cert: Certificate) -> list[Fact]:
+    """The fact each branch step of the worst case proves, P(3) >= its
+    minimum rounded up by A3, in split order, P(1) = 0 first, as the
+    merge lists them."""
     by_id = {s["id"]: s for s in cert.steps}
-    # the merge lists the branch steps in split order, P(1) = 0 first
     merge = _steps(cert, "merge_min")[0]["inputs"]
-    branch_steps = [by_id[sid] for sid in merge["branches"]]
+    return [
+        strengthen_integral(merge["m"], Fraction(by_id[sid]["witness"]["raw_min"]))
+        for sid in merge["branches"]
+    ]
+
+
+def _prop1_entries(cert: Certificate, facts: list[Fact]) -> list[AuditEntry]:
     entries = []
     for l, printed in ((0, 35), (1, 21), (2, 7)):
-        step = branch_steps[l]
         entries.append(
             AuditEntry(
                 location=f"Proposition 1 ({'i' * (l + 1)})",
                 paper_claim=f"P(1)={l}, P(2)>={l} imply P(3)>={printed}",
-                engine_result=step["claim"],
-                status=_lower_bound_status(int(step["witness"]["bound"]), printed),
+                engine_result=facts[l].describe(),
+                status=_lower_bound_status(facts[l].bound, printed),
             )
         )
 
     # the worst case's own P(1) = 3 branch, shared with its solve
-    fact_iv = derive_lower_bound(bounds.worst_case_branches()[3].system, 2)
+    fact_iv = derive_lower_bound(bounds.worst_case_branches()[3], 2)
     entries.append(
         AuditEntry(
             location="Proposition 1 (iv)",
@@ -115,7 +123,7 @@ def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
         )
     )
 
-    merged = _steps(cert, "merge_min")[0]["witness"]["bound"]
+    merged = merge_branch_facts(facts).bound
     start = _steps(cert, "monotone_tail")[0]["inputs"]["m_start"]
     entries.append(
         AuditEntry(
@@ -132,8 +140,8 @@ def _prop1_entries(cert: Certificate) -> list[AuditEntry]:
     return entries
 
 
-def _prop2_entries(cert: Certificate) -> list[AuditEntry]:
-    merged = _steps(cert, "merge_min")[0]["witness"]["bound"]
+def _prop2_entries(cert: Certificate, facts: list[Fact]) -> list[AuditEntry]:
+    merged = merge_branch_facts(facts).bound
     searches = [s["witness"] for s in _steps(cert, "dim_search")]
     w1, w2, w3 = (s["selected"] for s in searches)
     at52 = next(a for a in searches[2]["attempts"] if (a["m"], a["r"]) == (5, 2))
@@ -277,7 +285,7 @@ def _example_entries() -> list[AuditEntry]:
         )
 
     h4 = printed[3]
-    t41 = bounds.lemma2_threshold(4, 1, k5)
+    t41 = lemma2_threshold(4, 1, k5)
     entries.append(
         AuditEntry(
             location="Example 1: r2 test",
@@ -292,7 +300,7 @@ def _example_entries() -> list[AuditEntry]:
     )
 
     h5 = printed[4]
-    t52 = bounds.lemma2_threshold(5, 2, k5)
+    t52 = lemma2_threshold(5, 2, k5)
     entries.append(
         AuditEntry(
             location="Example 1: r3 test",
@@ -339,7 +347,8 @@ def _example_entries() -> list[AuditEntry]:
 def build_audit() -> AuditReport:
     """One entry per published claim: propositions, main bound, example."""
     worst = bounds.solve_worst_case()
-    entries = _prop1_entries(worst) + _prop2_entries(worst)
+    facts = _branch_facts(worst)
+    entries = _prop1_entries(worst, facts) + _prop2_entries(worst, facts)
     entries.append(_main_theorem_entry(worst))
     entries.extend(_example_entries())
     return AuditReport(tuple(entries))

@@ -24,13 +24,11 @@ from functools import cache
 from typing import NamedTuple, Optional, Union
 
 from .exact import poly_positive_on_ray, rat_str
-# lemma2_threshold is re-exported by the package
-from .hilbert import ChernData, lemma2_slack_form, lemma2_threshold, p_affine
+from .hilbert import ChernData, lemma2_slack_form, p_affine
 from .hilbert import passes_dimension_test, search_order
 from . import certs
 from .bundle import OracleSource, SplitBundle, is_nef
 from .derive import (
-    Branch,
     Constraint,
     ConstraintSystem,
     Fact,
@@ -86,14 +84,12 @@ def oracle_table(source: OracleSource, m_max: int) -> ValueTable:
 Source = Union[ConstraintSystem, ValueTable]
 
 
-def _integral_bound(m: int, res: MinimizeResult) -> tuple[Fact, dict]:
-    """P(m) >= the minimum of res, rounded up by A3, and the record of both
-    bounds that the verifier replays."""
-    fact = strengthen_integral(m, res.value)
-    return fact, {
+def _minimum(res: MinimizeResult) -> dict:
+    """The record of a minimum that the verifier replays: the value and its
+    Farkas combination.  The verifier rounds the value up by A3 itself."""
+    return {
         "raw_min": rat_str(res.value),
         "farkas": [[cid, rat_str(v)] for cid, v in res.farkas],
-        "bound": rat_str(fact.bound),
     }
 
 
@@ -109,25 +105,16 @@ def _worst_case_attempt(cs: ConstraintSystem, m: int, r: Optional[int]) -> tuple
     that refutes the test.
 
     r = None is the pencil test, which passes when the integral bound on
-    P(m) is at least 2; a point with P(m) <= 1 refutes it.  The strict test
-    passes when the slack's minimum is positive.
+    P(m) is at least 2, that is when the minimum of P(m) exceeds 1; a point
+    with P(m) <= 1 refutes it.  The strict test passes when the slack's
+    minimum is positive.
     """
     form = p_affine(m) if r is None else lemma2_slack_form(m, r)
     res = fm_minimize(cs, form)
     if res.status == "infeasible":
         raise InfeasibleSystemError("search system is contradictory")
-    if res.status == "minimum":
-        if r is None:
-            fact, record = _integral_bound(m, res)
-            if fact.bound >= 2:
-                return True, {"m": m, "r": None, **record}
-        elif res.value > 0:
-            return True, {
-                "m": m,
-                "r": r,
-                "raw_min": rat_str(res.value),
-                "farkas": [[cid, rat_str(v)] for cid, v in res.farkas],
-            }
+    if res.status == "minimum" and res.value > (1 if r is None else 0):
+        return True, {"m": m, "r": r, **_minimum(res)}
     # a failed minimum sits at or below the limit, and an unbounded form's
     # point at or below 0
     return False, {
@@ -216,14 +203,11 @@ class _StepWriter:
         self._next = 1
         self._constraints: dict[str, Constraint] = {}
 
-    def add(self, rule: str, inputs: dict, witness: dict, claim: Optional[str] = None) -> int:
-        """Append a step; only the steps that derive a bound carry a claim."""
+    def add(self, rule: str, inputs: dict, witness: dict) -> int:
+        """Append a step and return its id."""
         sid = self._next
         self._next += 1
-        step = {"id": sid, "rule": rule, "inputs": inputs, "witness": witness}
-        if claim is not None:
-            step["claim"] = claim
-        self.steps.append(step)
+        self.steps.append({"id": sid, "rule": rule, "inputs": inputs, "witness": witness})
         return sid
 
     def cite(self, cs: ConstraintSystem) -> list[str]:
@@ -236,8 +220,7 @@ class _StepWriter:
         self, mode: str, r0: int, rs: list[int], chern: Optional[ChernData] = None
     ) -> certs.Certificate:
         """The composition step, and the certificate it closes."""
-        bound = r0 + sum(rs)
-        self.add("compose", {}, {}, f"birational for all m >= {bound}")
+        self.add("compose", {}, {})
         return certs.Certificate(
             mode=mode,
             axioms=list(certs.FLAVOR_AXIOMS[mode]),
@@ -246,7 +229,7 @@ class _StepWriter:
             steps=self.steps,
             r0=r0,
             r=rs,
-            bound=bound,
+            bound=r0 + sum(rs),
             chern=chern,
         )
 
@@ -254,14 +237,12 @@ class _StepWriter:
 def _fm_bound_step(
     w: _StepWriter, cs: ConstraintSystem, m: int, res: MinimizeResult
 ) -> tuple[int, Fact]:
-    fact, record = _integral_bound(m, res)
     sid = w.add(
         "fm_lower_bound",
         {"m": m, "constraints": w.cite(cs)},
-        {**record, "point": [rat_str(x) for x in res.point]},
-        f"P({m}) >= {rat_str(fact.bound)}",
+        {**_minimum(res), "point": [rat_str(x) for x in res.point]},
     )
-    return sid, fact
+    return sid, strengthen_integral(m, res.value)
 
 
 def _dim_search_steps(
@@ -279,14 +260,13 @@ def _dim_search_steps(
             "dim_search",
             {"target_dim": target, "m_start": m_start, **cited},
             {"attempts": list(outcome.attempts), "selected": outcome.selected},
-            f"dim >= {target} at m = {outcome.m}",
         )
         rs.append(outcome.m)
     return rs
 
 
 @cache
-def worst_case_branches() -> tuple[Branch, ...]:
+def worst_case_branches() -> tuple[ConstraintSystem, ...]:
     """split_on_p1(axiom_system(), DEFAULT_LMAX), the P(1) branches of the
     worst case, built on the first call and shared by every later one: the
     worst-case solve and the audit read the same systems."""
@@ -306,24 +286,17 @@ def solve_worst_case() -> certs.Certificate:
     w.add("split_p1", {"lmax": DEFAULT_LMAX}, {})
     branch_steps = []
     branch_facts = []
-    for br in worst_case_branches():
-        res = fm_minimize(br.system, p_affine(3))
+    for branch in worst_case_branches():
+        res = fm_minimize(branch, p_affine(3))
         if res.status != "minimum":
-            raise CertificationError(f"branch {br.label}: no finite bound for P(3)")
-        sid, fact = _fm_bound_step(w, br.system, 3, res)
+            raise CertificationError(f"branch {branch.label}: no finite bound for P(3)")
+        sid, fact = _fm_bound_step(w, branch, 3, res)
         branch_steps.append(sid)
         branch_facts.append(fact)
     merged = merge_branch_facts(branch_facts)
-    w.add(
-        "merge_min",
-        {"m": 3, "branches": branch_steps},
-        {"bound": rat_str(merged.bound)},
-        f"P(3) >= {rat_str(merged.bound)} on the union of branches",
-    )
+    w.add("merge_min", {"m": 3, "branches": branch_steps}, {})
     if merged.bound < 1:
-        raise CertificationError(
-            f"only P(3) >= {rat_str(merged.bound)} is certified, need >= 1"
-        )
+        raise CertificationError(f"only P(3) >= {merged.bound} is certified, need >= 1")
     geom = geometry_system([merged])
     cited = {"constraints": w.cite(geom)}
     rs = _dim_search_steps(w, geom, cited)

@@ -7,7 +7,7 @@ P(m) into closed integral facts P(m) >= q, splits on the integer value of
 P(1), and certifies eventual monotonicity of P along a ray.  Every derived
 bound comes with a Farkas combination: positive multipliers on one or two
 named constraints whose sum reproduces ``objective - bound`` exactly, so an
-independent checker can replay the claim by substitution alone, with no
+independent checker can replay the bound by substitution alone, with no
 search.  Every row is closed, so a minimum that is bounded below is
 attained, and it comes with a point that attains it; an objective that is
 unbounded below comes with a feasible point where it is at most 0, which
@@ -53,12 +53,11 @@ from functools import cache
 from itertools import chain, combinations, product
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray, rat_str
+from .exact import AffineForm, Poly, over_common_denominator, poly_positive_on_ray
 from .hilbert import (
     CONSTRAINT_CIDS,
     ChernData,
     constraint_row,
-    fact_row,
     p_affine,
     p_eval,
     p_poly,
@@ -377,18 +376,13 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
 # ---------------------------------------------------------------------------
 
 class Fact(NamedTuple):
-    """A derived claim P(m) >= bound."""
+    """A derived fact P(m) >= bound, bound an integer."""
 
     m: int
     bound: int
 
     def describe(self) -> str:
         return f"P({self.m}) >= {self.bound}"
-
-
-class Branch(NamedTuple):
-    label: str
-    system: ConstraintSystem
 
 
 def strengthen_integral(m: int, q: Fraction) -> Fact:
@@ -410,9 +404,9 @@ def derive_lower_bound(cs: ConstraintSystem, m: int) -> Fact:
     return strengthen_integral(m, res.value)
 
 
-def split_on_p1(cs: ConstraintSystem, lmax: int) -> tuple[Branch, ...]:
-    """Case split on the value of P(1): branches P(1) = 0, 1, ..., lmax and
-    the tail P(1) >= lmax + 1.
+def split_on_p1(cs: ConstraintSystem, lmax: int) -> tuple[ConstraintSystem, ...]:
+    """Case split on the value of P(1): the systems of the branches P(1) = 0,
+    1, ..., lmax and the tail P(1) >= lmax + 1, each labelled with its case.
 
     Coverage: P(1) is a nonnegative integer under vanishing and integrality,
     so the branches exhaust the feasible set of cs.  The branches are a
@@ -423,11 +417,9 @@ def split_on_p1(cs: ConstraintSystem, lmax: int) -> tuple[Branch, ...]:
     branches = []
     for l in range(lmax + 1):
         extra = [Constraint.make("p1_eq_lo", (l,)), Constraint.make("p1_eq_hi", (l,))]
-        branches.append(Branch(f"P(1)={l}", cs.with_constraints(extra, label=f"P(1)={l}")))
+        branches.append(cs.with_constraints(extra, label=f"P(1)={l}"))
     tail = [Constraint.make("p1_tail", (lmax + 1,))]
-    branches.append(
-        Branch(f"P(1)>={lmax + 1}", cs.with_constraints(tail, label=f"P(1)>={lmax + 1}"))
-    )
+    branches.append(cs.with_constraints(tail, label=f"P(1)>={lmax + 1}"))
     return tuple(branches)
 
 
@@ -443,16 +435,10 @@ def merge_branch_facts(facts: Sequence[Fact]) -> Fact:
 
 
 def fact_to_constraint(fact: Fact) -> Constraint:
-    """Turn P(m) >= q into a primitive affine inequality on (a, b).
-
-    The form (P(m) - q) is divided by the positive gcd of its scaled integer
-    coefficients, e.g. P(3) >= 7 becomes 35a + b >= 0.  The scale the
-    descriptor records is read off the integer row of P(m) - q.
-    """
-    *ints, den = fact_row(fact.m, fact.bound, 1)
-    g = math.gcd(*ints)
-    scale = Fraction(g, den) if g else Fraction(1)
-    return Constraint.make("from_fact", (fact.m, rat_str(fact.bound), rat_str(scale)))
+    """Turn P(m) >= bound into a primitive affine inequality on (a, b): the
+    form P(m) - bound divided by the gcd of its integer coefficients
+    (hilbert.fact_row), e.g. P(3) >= 7 becomes 35a + b >= 0."""
+    return Constraint.make("from_fact", (fact.m, fact.bound))
 
 
 # ---------------------------------------------------------------------------

@@ -137,19 +137,11 @@ class Poly:
                 return m
         return None
 
-    def shift(self, h: Union[int, Fraction]) -> "Poly":
-        """Return the polynomial t -> p(t + h).
-
-        The integer Taylor shift (Shaw and Traub, J. ACM 21, 1974): with
-        p = sum n_i t^i / den and h = r/s, the integers n_i * s^(d-i) are
-        the coefficients of den * s^d * p(y/s); shifting them by r in place
-        takes d(d+1)/2 multiply-adds, and coefficient k of p(t + h) is the
-        shifted c_k * s^k over den * s^d.
-        """
-        r, s = h.numerator, h.denominator
-        d = len(self.nums) - 1
-        c = taylor_shift([n * s ** (d - i) for i, n in enumerate(self.nums)], r)
-        return Poly([ck * s**k for k, ck in enumerate(c)], self.den * s**max(d, 0))
+    def shift(self, r: int) -> "Poly":
+        """Return the polynomial t -> p(t + r) for an integer r: the integer
+        Taylor shift (Shaw and Traub, J. ACM 21, 1974) of the numerators,
+        d(d+1)/2 multiply-adds over the same denominator."""
+        return Poly(taylor_shift(list(self.nums), r), self.den)
 
     def difference(self) -> "Poly":
         """Return the polynomial t -> p(t + 1) - p(t).
@@ -193,7 +185,7 @@ class AffineForm(NamedTuple):
         return (self.coeff_a, self.coeff_b, self.const)
 
 
-def poly_positive_on_ray(p: Poly, m0: Union[int, Fraction]) -> bool:
+def poly_positive_on_ray(p: Poly, m0: int) -> bool:
     """Sufficient test for p > 0 on [m0, oo): shifted coefficients all >= 0
     with a strictly positive constant term."""
     nums = p.shift(m0).nums

@@ -29,7 +29,7 @@ from itertools import zip_longest
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Optional
 
-from .exact import AffineForm, Poly, RatPair, parse_rat, taylor_shift
+from .exact import AffineForm, Poly, taylor_shift
 
 # P's coefficients of a, of b and of 1 as polynomials in m, low degree first
 _A = (0, -1, 0, 10, 15, 6)
@@ -131,8 +131,9 @@ CONSTRAINT_CIDS = {
 
 def constraint_row(kind: str, params: tuple) -> tuple[int, int, int, int]:
     """The constraint (ca * a + cb * b + k) / den >= 0 a descriptor names, as
-    integers in lowest terms, den > 0.  A kind takes exactly its parameters,
-    and vanishing, an axiom for m >= 0 only, refuses a negative m."""
+    integers in lowest terms, den > 0.  A kind takes exactly its parameters:
+    from_fact takes two integers, m and the bound of the fact P(m) >= bound.
+    vanishing, an axiom for m >= 0 only, refuses a negative m."""
     if kind in ("k5_floor", "mono12") and params:
         raise ValueError(f"{kind} takes no parameters")
     if kind == "k5_floor":
@@ -150,35 +151,19 @@ def constraint_row(kind: str, params: tuple) -> tuple[int, int, int, int]:
         sign = -1 if kind == "p1_eq_hi" else 1
         return sign * ca, sign * cb, sign * (k - int(l)), 1
     if kind == "from_fact":
-        return fact_row(*parse_fact(params))
+        m, bound = params
+        return fact_row(int(m), int(bound))
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def parse_fact(params: tuple) -> tuple[int, RatPair, RatPair]:
-    """A from_fact descriptor's (m, bound, scale), read as an int and the
-    pairs parse_rat reads from the two "p/q" strings; the one parse of that
-    format, so the verifier's refusals are constraint_row's."""
-    m, bound, scale = params
-    return int(m), parse_rat(bound), parse_rat(scale)
-
-
-def fact_row(m: int, bound: RatPair, scale: RatPair) -> tuple[int, int, int, int]:
-    """The from_fact row (P(m) - bound) / scale, on integers in lowest
-    terms.  bound and scale are read through numerator and denominator >
-    0: the verifier's are parse_fact's pairs, the prover's its ints and
-    Fractions.  A zero scale raises the ZeroDivisionError that dividing by
-    Fraction(0) raises."""
-    qn, qd = bound.numerator, bound.denominator
-    sn, sd = scale.numerator, scale.denominator
-    if not sn:
-        raise ZeroDivisionError("Fraction(1, 0)")
-    # (P(m) - qn / qd) * sd / sn, over the denominator qd * |sn|
-    sd = sd if sn > 0 else -sd
+def fact_row(m: int, bound: int) -> tuple[int, int, int, int]:
+    """The from_fact row P(m) - bound, divided by the gcd of its integer
+    coefficients, with den 1: P(3) >= 7 is (2940, 84, 0) / 84, the row
+    (35, 1, 0, 1).  The zero row of P(0) >= 1 stays zero."""
     ca, cb, k = p_coeffs(m)
-    nums = (ca * qd * sd, cb * qd * sd, (k * qd - qn) * sd)
-    den = qd * abs(sn)
-    g = gcd(*nums, den)
-    return (*(x // g for x in nums), den // g)
+    k -= bound
+    g = gcd(ca, cb, k) or 1
+    return ca // g, cb // g, k // g, 1
 
 
 # the strict dimension test is tried for exponents r up to this cap

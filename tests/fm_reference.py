@@ -11,9 +11,8 @@ compare the two on random systems: every field of the result must agree,
 because certificates are built from them.
 
 The ladder is ``derive.constraint_form`` as it stood before the kinds moved
-to ``hilbert.constraint_row``, which must agree with it on every kind.  It
-reads a fact's bound and scale with ``exact.parse_rat``, as the package
-does.
+to ``hilbert.constraint_row``, which must agree with it on every kind.  A
+fact's form is P(m) - bound divided by the gcd of its coefficients.
 """
 
 from __future__ import annotations
@@ -21,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Optional, Sequence
 
 from fanobound.derive import ConstraintSystem, MinimizeResult
-from fanobound.exact import AffineForm, parse_rat
+from fanobound.exact import AffineForm
 from fanobound.hilbert import p_affine, p_coeffs
 
 
@@ -207,8 +207,9 @@ def constraint_form_reference(kind: str, params: Sequence) -> AffineForm:
         sign = -1 if kind == "p1_eq_hi" else 1
         return form((sign * ca, sign * cb, sign * (k - int(l))))
     if kind == "from_fact":
-        m, bound, scale = params
+        m, bound = params
         ca, cb, k = p_coeffs(int(m))
-        k, inv = k - Fraction(*parse_rat(bound)), Fraction(1, 1) / Fraction(*parse_rat(scale))
-        return form((ca * inv, cb * inv, k * inv))
+        k -= int(bound)
+        g = gcd(ca, cb, k) or 1
+        return form((Fraction(ca, g), Fraction(cb, g), Fraction(k, g)))
     raise ValueError(f"unknown constraint kind {kind!r}")

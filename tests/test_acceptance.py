@@ -36,7 +36,7 @@ def _passed(n, text):
 
 def merged_geometry():
     branches = split_on_p1(axiom_system(), 3)
-    merged = merge_branch_facts([derive_lower_bound(br.system, 3) for br in branches])
+    merged = merge_branch_facts([derive_lower_bound(br, 3) for br in branches])
     return geometry_system([merged])
 
 
@@ -57,8 +57,8 @@ def test_criterion_1_worst_case_main_bound():
 def test_criterion_2_first_proposition_replay():
     branches = split_on_p1(axiom_system(), 3)
     for l, want in ((0, 35), (1, 21), (2, 7)):
-        assert derive_lower_bound(branches[l].system, 3).bound == want
-    assert derive_lower_bound(branches[3].system, 2).bound == 6
+        assert derive_lower_bound(branches[l], 3).bound == want
+    assert derive_lower_bound(branches[3], 2).bound == 6
 
     entries = {e.location: e for e in build_audit().entries}
     v = entries["Proposition 1 (v)"]
@@ -137,7 +137,7 @@ def test_criterion_6_formula_and_engine_invariants():
         assert form(p_affine(m), p_affine(-1 - m)) == zero
 
     rng = random.Random(20240602)
-    systems = [axiom_system(), split_on_p1(axiom_system(), 3)[0].system, merged_geometry()]
+    systems = [axiom_system(), split_on_p1(axiom_system(), 3)[0], merged_geometry()]
     for cs in systems:
         res = fm_minimize(cs, p_affine(3))
         assert res.status == "minimum"
@@ -164,7 +164,7 @@ def test_criterion_6_formula_and_engine_invariants():
         hits = sum(
             1
             for br in branches
-            if all(cc.form.evaluate(c.a, c.b) >= 0 for cc in br.system.constraints)
+            if all(cc.form.evaluate(c.a, c.b) >= 0 for cc in br.constraints)
         )
         assert hits == 1
     _passed(6, "formula identities, eliminator soundness x1000, rounding, coverage")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fanobound import bundle
 from fanobound.exact import Poly, rat_str
-from fanobound.hilbert import ChernData, p_affine, p_eval
+from fanobound.hilbert import ChernData, lemma2_threshold, p_affine, p_eval
 from fanobound.derive import (
     ValueTable,
     axiom_system,
@@ -29,7 +29,6 @@ from fanobound.bounds import (
     SearchExhaustedError,
     certify_r0,
     lemma2_slack_form,
-    lemma2_threshold,
     minimal_r,
     oracle_table,
     solve_concrete,
@@ -45,7 +44,7 @@ from test_hilbert import sample_chern
 
 def geom():
     branches = split_on_p1(axiom_system(), 3)
-    merged = merge_branch_facts([derive_lower_bound(br.system, 3) for br in branches])
+    merged = merge_branch_facts([derive_lower_bound(br, 3) for br in branches])
     return geometry_system([merged])
 
 
@@ -151,9 +150,10 @@ class TestMinimalR:
     def test_worst_case_targets(self):
         cs = geom()
         out1 = minimal_r(cs, 1)
-        assert out1.m == 3 and out1.selected["bound"] == "7"
-        # a pencil selection carries its integral bound, a refutation its point
-        assert out1.selected.keys() == {"m", "r", "raw_min", "farkas", "bound"}
+        assert out1.m == 3 and out1.selected["raw_min"] == "7"
+        # a pencil selection carries its minimum, which A3 rounds up, and a
+        # refutation its point
+        assert out1.selected.keys() == {"m", "r", "raw_min", "farkas"}
         assert all(a.keys() == {"m", "r", "point", "value"} for a in out1.attempts)
         out2 = minimal_r(cs, 2)
         assert (out2.m, out2.selected["r"]) == (4, 1)
@@ -246,7 +246,10 @@ class TestSolveWorstCase:
         (merge,) = [s for s in cert.steps if s["rule"] == "merge_min"]
         (tail,) = [s for s in cert.steps if s["rule"] == "monotone_tail"]
         searches = [s for s in cert.steps if s["rule"] == "dim_search"]
-        assert merge["witness"]["bound"] == "7" and tail["inputs"]["m_start"] == 3
+        # the merge writes nothing: its bound is the least branch ceiling
+        branches = [s for s in cert.steps if s["rule"] == "fm_lower_bound"]
+        assert min(math.ceil(Fraction(s["witness"]["raw_min"])) for s in branches) == 7
+        assert merge["witness"] == {} and tail["inputs"]["m_start"] == 3
         assert all(
             s["inputs"]["constraints"] == tail["inputs"]["constraints"] for s in searches
         )
@@ -431,13 +434,15 @@ class TestVerifierRejectsTampering:
         assert res.reason == "attempt at m=1, r=None does not fail the test"
 
     def test_tampered_branch_bound_caught(self):
+        # the branch bound is raw_min rounded up, so a weaker bound is a
+        # lower raw_min, which its Farkas combination does not reproduce
         def weaken(doc):
             step = doc["steps"][2]
             assert step["rule"] == "fm_lower_bound"
-            step["witness"]["bound"] = "1"
-            step["claim"] = "P(3) >= 1"
-        bad = self._mutate(weaken)
-        assert not verify(bad).ok
+            step["witness"]["raw_min"] = "1"
+        res = verify(self._mutate(weaken))
+        assert not res.ok and res.step_id == 3
+        assert res.reason == "farkas combination does not reproduce the bound"
 
     def test_tampered_constraint_form_caught(self):
         # the verifier builds each form from kind and params; a written
@@ -608,15 +613,16 @@ class TestVerifierRejectsTampering:
         assert not res.ok and "recomputation" in res.reason
 
     def test_strengthening_flag_on_an_integral_selection_rejected(self):
-        # an integral minimum from a non-strict combination is its own bound
+        # an integral minimum is its own bound, so a stronger bound is a
+        # higher raw_min, which its Farkas combination does not reproduce
         def flag(doc):
             step = next(s for s in doc["steps"] if s["rule"] == "dim_search")
             sel = step["witness"]["selected"]
-            assert (sel["raw_min"], sel["bound"]) == ("7", "7")
-            sel["bound"] = "8"
+            assert sel["raw_min"] == "7"
+            sel["raw_min"] = "8"
 
         res = verify(self._mutate(flag))
-        assert not res.ok and "bound is not raw_min rounded up by A3" in res.reason
+        assert not res.ok and res.reason == "farkas combination does not reproduce the bound"
 
     @pytest.mark.parametrize("twists", [[-1, 0, 0, 0, 0], [0, 1, 10, 100, 3000]])
     def test_non_nef_bundle_rejected_before_counting(self, twists):

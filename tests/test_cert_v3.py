@@ -1,7 +1,9 @@
 """The certificate layout: constraints declared once at the top level and
 cited by id (version 3), each value written once and every object holding
-exactly the keys the verifier reads (version 4), and nothing written that
-the verifier rebuilds, in a language of closed inequalities (version 5)."""
+exactly the keys the verifier reads (version 4), nothing written that the
+verifier rebuilds, in a language of closed inequalities (version 5), and
+nothing written that the verifier derives: no claims, no bounds beside
+the minima and merges that determine them, and integer params (version 6)."""
 
 import json
 import re
@@ -64,15 +66,13 @@ def test_each_constraint_is_declared_once_and_cited_by_id():
     assert [s["rule"] for s in d["steps"]][:2] == ["split_p1", "fm_lower_bound"]
 
 
-# the version-5 layout: per rule and flavor, the keys of the inputs object
+# the version-6 layout: per rule and flavor, the keys of the inputs object
 # and of the witness
 SEARCH = {"attempts", "selected"}
 LAYOUT = {
     "split_p1": {"worst_case": ({"lmax"}, set())},
-    "fm_lower_bound": {
-        "worst_case": ({"m", "constraints"}, {"raw_min", "farkas", "bound", "point"})
-    },
-    "merge_min": {"worst_case": ({"m", "branches"}, {"bound"})},
+    "fm_lower_bound": {"worst_case": ({"m", "constraints"}, {"raw_min", "farkas", "point"})},
+    "merge_min": {"worst_case": ({"m", "branches"}, set())},
     "eval_p": {"concrete": (set(), {"values"})},
     "oracle_values": {"oracle": ({"bundle", "convention"}, {"values"})},
     "oracle_model": {"oracle": ({"values_step"}, {"coeffs"})},
@@ -89,11 +89,10 @@ LAYOUT = {
     },
     "compose": {f: (set(), set()) for f in ("worst_case", "concrete", "oracle")},
 }
-CLAIMED = {"fm_lower_bound", "merge_min", "dim_search", "compose"}
 
 
 @pytest.mark.parametrize("name", sorted(DOCS))
-def test_every_object_has_the_version_5_layout(name):
+def test_every_object_has_the_version_6_layout(name):
     d = DOCS[name]
     heads = {
         "worst_case": ["split_p1"] + ["fm_lower_bound"] * 5 + ["merge_min"],
@@ -101,24 +100,22 @@ def test_every_object_has_the_version_5_layout(name):
     }
     head = heads.get(name, ["oracle_values", "oracle_model", "value_at_least", "monotone_tail"])
     tail = ["monotone_tail"] if name == "worst_case" else []
-    assert d["version"] == 5
+    assert d["version"] == 6
     assert [s["rule"] for s in d["steps"]] == head + ["dim_search"] * 3 + tail + ["compose"]
     assert [s["id"] for s in d["steps"]] == list(range(1, len(d["steps"]) + 1))
     for step in d["steps"]:
         rule = step["rule"]
         inputs, witness = LAYOUT[rule][d["mode"]]
-        assert set(step) == {"id", "rule", "inputs", "witness"} | (
-            {"claim"} if rule in CLAIMED else set()
-        )
+        assert set(step) == {"id", "rule", "inputs", "witness"}
         assert type(step["inputs"]) is dict and set(step["inputs"]) == inputs
         assert set(step["witness"]) == witness
         if rule == "dim_search":
             sel, worst = step["witness"]["selected"], d["mode"] == "worst_case"
-            lemma2 = {"m", "r", "raw_min", "farkas"}
-            want = (lemma2 | {"bound"} if sel["r"] is None else lemma2) if worst else {"m", "r"}
-            assert set(sel) == want
+            assert set(sel) == ({"m", "r", "raw_min", "farkas"} if worst else {"m", "r"})
             for a in step["witness"]["attempts"]:
                 assert set(a) == ({"m", "r", "point", "value"} if worst else {"m", "r"})
+    for c in d["constraints"]:
+        assert all(type(p) is int for p in c["params"])
     if d["mode"] == "worst_case":
         (merge,) = steps(d, "merge_min")
         assert merge["inputs"]["branches"] == [s["id"] for s in steps(d, "fm_lower_bound")]
@@ -184,15 +181,18 @@ def test_version_2_refused():
 
 
 def test_from_fact_with_a_negative_scale_rejected():
-    # dividing P(3) - 7 by a negative number turns P(3) >= 7 into P(3) <= 7
+    # dividing P(3) - 7 by a negative number would turn P(3) >= 7 into
+    # P(3) <= 7; a fact's form is divided by the gcd of its coefficients
+    # alone, so a scale is a parameter too many
     d = doc()
     d["constraints"].append(
-        {"cid": "F.P3>=7.neg", "kind": "from_fact", "params": [3, "7", "-84"]}
+        {"cid": "F.P3>=7.neg", "kind": "from_fact", "params": [3, 7, -84]}
     )
     d["constraints"].sort(key=lambda c: c["cid"])
     steps(d, "dim_search")[0]["inputs"]["constraints"].append("F.P3>=7.neg")
     res = check(d)
-    assert not res.ok and "positive scale" in res.reason
+    assert not res.ok and res.step_id is None
+    assert res.reason.startswith("constraint F.P3>=7.neg: too many values to unpack")
 
 
 def test_branch_after_the_merge_rejected():
@@ -385,13 +385,16 @@ def test_every_retyped_leaf_is_rejected():
     assert accepted == [] and count > 1000
 
 
+STEP_KEYS_REASON = "a step must be an object with exactly the keys ['id', 'inputs', 'rule', 'witness']"
+
+
 def test_claim_on_a_rule_that_derives_no_bound_rejected():
     d = doc()
     assert d["steps"][0]["rule"] == "split_p1"
     d["steps"][0]["claim"] = "P(3) >= 7"
     res = check(d)
     assert not res.ok and res.step_id == 1
-    assert res.reason == "rule split_p1 derives no bound, so its step carries no claim"
+    assert res.reason == STEP_KEYS_REASON
 
 
 def test_dimension_1_selection_by_lemma2_rejected():
@@ -502,7 +505,7 @@ def test_declaration_carrying_a_form_or_a_strict_flag_refused(key, value):
 def test_from_fact_with_a_strictness_parameter_refused():
     d = doc()
     (fact,) = [c for c in d["constraints"] if c["kind"] == "from_fact"]
-    assert fact["params"] == [3, "7", "84"]
+    assert fact["params"] == [3, 7]
     fact["params"].append(False)
     res = check(d)
     assert not res.ok and res.step_id is None
@@ -614,3 +617,61 @@ def test_overlong_attempts_refused_before_any_entry_is_read():
     assert time.perf_counter() - start < 0.1
     assert not res.ok and res.step_id == search["id"]
     assert res.reason == "failed attempts do not enumerate the search order"
+
+
+# -- the version-6 language ---------------------------------------------------
+#
+# Each of these is a value a version-5 certificate wrote and the verifier
+# derives; version 6 refuses it, true as it is, at the step that carries it.
+
+
+def test_claim_on_any_step_rejected():
+    # version 5 wrote a claim on fm_lower_bound, merge_min, dim_search and
+    # compose; now no step carries one, whatever it says
+    count = 0
+    for name in DOCS:
+        for i, step in enumerate(DOCS[name]["steps"]):
+            d = doc(name)
+            d["steps"][i]["claim"] = "P(3) >= 7"
+            res = check(d)
+            assert (res.ok, res.step_id, res.reason) == (False, step["id"], STEP_KEYS_REASON)
+            count += 1
+    assert count == 35
+
+
+def test_bound_beside_a_branch_minimum_rejected():
+    d = doc()
+    branch = steps(d, "fm_lower_bound")[0]
+    assert branch["witness"]["raw_min"] == "35"
+    branch["witness"]["bound"] = "35"
+    res = check(d)
+    assert not res.ok and res.step_id == branch["id"]
+    assert res.reason == "witness must be an object with exactly the keys ['farkas', 'point', 'raw_min']"
+
+
+def test_bound_beside_a_pencil_minimum_rejected():
+    d = doc()
+    search = steps(d, "dim_search")[0]
+    sel = search["witness"]["selected"]
+    assert (sel["r"], sel["raw_min"]) == (None, "7")
+    sel["bound"] = "7"
+    res = check(d)
+    assert not res.ok and res.step_id == search["id"]
+    assert res.reason == "selection must be an object with exactly the keys ['farkas', 'm', 'r', 'raw_min']"
+
+
+def test_merged_bound_written_out_rejected():
+    d = doc()
+    (merge,) = steps(d, "merge_min")
+    assert merge["witness"] == {}
+    merge["witness"]["bound"] = "7"
+    res = check(d)
+    assert not res.ok and res.step_id == merge["id"]
+    assert res.reason == "witness must be an object with exactly the keys []"
+
+
+def test_version_5_refused():
+    d = doc()
+    d["version"] = 5
+    res = check(d)
+    assert not res.ok and res.step_id is None and res.reason == "unsupported version 5"

@@ -45,12 +45,12 @@ def hyp(cid, m, bound, sense):
 
 
 def branch_system(l):
-    return split_on_p1(axiom_system(), 3)[l].system
+    return split_on_p1(axiom_system(), 3)[l]
 
 
 def merged_p3_fact():
     branches = split_on_p1(axiom_system(), 3)
-    return merge_branch_facts([derive_lower_bound(br.system, 3) for br in branches])
+    return merge_branch_facts([derive_lower_bound(br, 3) for br in branches])
 
 
 def sample_feasible(cs, rng, tries=50):
@@ -440,7 +440,7 @@ class TestSplitAndMerge:
 
     def test_branch_bounds_and_merge(self):
         branches = split_on_p1(axiom_system(), 3)
-        facts = [derive_lower_bound(br.system, 3) for br in branches]
+        facts = [derive_lower_bound(br, 3) for br in branches]
         # (i)-(iii) published; P(1)=3 and the engine-completed tail by hand:
         # P(1)=3 pins b=-5a so P(3)=2520a+7 >= 21/2 -> 11, and on the tail
         # P(3) >= 7(360a + 2l - 5) >= 49/2 -> 25
@@ -473,7 +473,7 @@ class TestSplitAndMerge:
             hits = [
                 br.label
                 for br in branches
-                if all(cc.form.evaluate(*point) >= 0 for cc in br.system.constraints)
+                if all(cc.form.evaluate(*point) >= 0 for cc in br.constraints)
             ]
             assert len(hits) == 1, (c, hits)
 
@@ -538,26 +538,26 @@ class TestDeriveLowerBound:
 
 class TestFactToConstraint:
     def test_p3_geq_7_becomes_primitive(self):
-        c = fact_to_constraint(Fact(3, Fraction(7)))
-        # (2940a + 84b + 7) - 7 divided by the positive scalar 84
+        c = fact_to_constraint(Fact(3, 7))
+        # (2940a + 84b + 7) - 7 divided by the gcd 84 of its coefficients
         assert c.form == form((35, 1, 0))
-        assert (c.cid, c.params) == ("F.P3>=7", (3, "7", "84"))
+        assert (c.cid, c.params, c.row) == ("F.P3>=7", (3, 7), (35, 1, 0, 1))
 
     def test_vacuous_fact_retained(self):
-        c = fact_to_constraint(Fact(0, Fraction(1)))
+        c = fact_to_constraint(Fact(0, 1))
         assert c.form == form()
 
     def test_row_is_the_descriptors(self):
         # the row make keeps is the descriptor's constraint_row, and the
         # constraint equals one rebuilt from its four fields
         for m in range(12):
-            for bound in (Fraction(0), Fraction(1), Fraction(7), Fraction(-3), Fraction(7, 2)):
+            for bound in (0, 1, 7, -3, 35):
                 c = fact_to_constraint(Fact(m, bound))
                 assert c.row == constraint_row("from_fact", c.params), (m, bound)
                 assert c == Constraint(c.cid, c.kind, c.params, c.form), (m, bound)
 
     def test_p1_geq_0(self):
-        c = fact_to_constraint(Fact(1, Fraction(0)))
+        c = fact_to_constraint(Fact(1, 0))
         # 30a + 6b + 3 >= 0 over gcd 3: equivalent to b >= -5a - 1/2
         assert c.form == form((10, 2, 1))
         assert c.form.evaluate(0, Fraction(-1, 2)) == 0

@@ -152,7 +152,7 @@ class TestPolyNonnegOnRay:
         certified = 0
         for _ in range(200):
             p = Poly(*over_common_denominator([rand_rat(rng, 20) for _ in range(rng.randint(1, 6))]))
-            m0 = rand_rat(rng, 10)
+            m0 = rng.randint(-10, 10)
             if not poly_positive_on_ray(p, m0):
                 continue
             certified += 1

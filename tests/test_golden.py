@@ -16,25 +16,25 @@ from fanobound.cli import main
 GOLDEN = {
     "solve_worst_case.json": (
         ["solve", "--worst-case"],
-        "ce30fe727663e6415cf5c7266e5d4aa5fa2996aab75b1f64223717d66d16b7bd",
+        "78416db328b5c3ebdc106a3dc3fce47b646f90af9a0e177d8ce8984d7b1be9e7",
     ),
     "solve_k5_6250_k3c2_2750.json": (
         ["solve", "--k5", "6250", "--k3c2", "2750"],
-        "b0c871e79151704254b04a749cfb5446cf308f4803e0c8fd29e624544687e455",
+        "e0825e95acee2752f66305c8cf5ff8740325eecba806b98a3742379554fc920d",
     ),
     "solve_bundle_00001_standard.json": (
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "standard"],
-        "12ab278504e964e0aa9453253a905335e2e3fcc6844c406f60996813e213ea08",
+        "4dfea9d1b62ed9af774896a4cd115474a098575a3ba396af58b82271ec17a16e",
     ),
     "solve_bundle_00001_paper.json": (
         ["solve", "--bundle", "0,0,0,0,1", "--convention", "paper"],
-        "29250194231b63787e592d04a8416e09eb0dd43f24da1e689a7ad6f11de7b2d1",
+        "4d834857620818eccb9c7ba761d7b839d6683c680a06d9ec449765cb12196166",
     ),
     # the method's limit point: every earlier (m, r) of its searches is a
     # failed attempt
     "solve_k5_12_k3c2_-60.json": (
         ["solve", "--k5", "12", "--k3c2=-60"],
-        "9f4f5e1134d3ac45326e58899027509e2a25b13e8cc4c5422a19c7688d041476",
+        "b113e64a0c6d0a94455f48293c9769facf7641d1864baaefac0a125f71d52717",
     ),
     "audit.json": (
         ["audit"],

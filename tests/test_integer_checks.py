@@ -26,12 +26,9 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=
 
 
 def declare(facts, a1=False):
-    """The verifier's declarations of P(m) >= bound scaled by 1/scale, one
-    per (m, bound, scale), and of A1 (a >= 1/720) if a1."""
-    cons = [
-        {"cid": f"F.P{m}>={rat_str(q)}", "kind": "from_fact", "params": [m, rat_str(q), rat_str(s)]}
-        for m, q, s in facts
-    ]
+    """The verifier's declarations of P(m) >= bound, one per (m, bound), and
+    of A1 (a >= 1/720) if a1."""
+    cons = [{"cid": f"F.P{m}>={q}", "kind": "from_fact", "params": [m, q]} for m, q in facts]
     if a1:
         cons.append({"cid": "A1", "kind": "k5_floor", "params": []})
     return _declarations(sorted(cons, key=lambda c: c["cid"]), ["A1"])
@@ -40,8 +37,8 @@ def declare(facts, a1=False):
 TABLES = st.builds(
     declare,
     st.lists(
-        st.tuples(st.integers(-8, 8), RATS, POSITIVE),
-        min_size=1, max_size=3, unique_by=lambda f: (f[0], f[1]),
+        st.tuples(st.integers(-8, 8), st.integers(-(10**30), 10**30)),
+        min_size=1, max_size=3, unique_by=lambda f: f,
     ),
     st.booleans(),
 )
@@ -147,8 +144,8 @@ def test_farkas_check_matches_fractions(case):
 
 
 def test_worst_case_verify_builds_no_fraction(monkeypatch):
-    # the from_fact declaration is read on parse_rat pairs too, so the
-    # README worst-case certificate verifies on integers alone
+    # the from_fact declaration holds integers only, so the README
+    # worst-case certificate verifies on integers alone
     data = solve_worst_case().to_json_bytes()
     built = []
     new = Fraction.__new__
@@ -163,11 +160,21 @@ def test_worst_case_verify_builds_no_fraction(monkeypatch):
 
 
 @pytest.mark.parametrize("bound, scale", [("14/2", "84"), ("7", "168/2"), ("7/1", "84")])
-def test_unreduced_fact_spellings_verify(bound, scale):
-    # the cid spells the bound as the descriptor does, and the fact it
-    # rests on is still P(3) >= 7, which the merge established
+def test_unreduced_fact_spellings_refused(bound, scale):
+    # each spelling names the fact P(3) >= 7, which the merge established,
+    # and the cid spells the bound as the descriptor does; but a fact's
+    # params are the integers m and bound and nothing more
     cid = f"F.P3>={bound}"
     d = json.loads(json.dumps(DOCS["worst_case"]).replace('"F.P3>=7"', json.dumps(cid)))
     (fact,) = [c for c in d["constraints"] if c["kind"] == "from_fact"]
     fact["params"] = [3, bound, scale]
-    assert check(d).ok
+    res = check(d)
+    assert (res.ok, res.step_id) == (False, None)
+    assert res.reason.startswith(f"constraint {cid}: too many values to unpack")
+    fact["params"] = [3, bound]
+    res = check(d)
+    assert (res.ok, res.step_id) == (False, None)
+    assert res.reason == (
+        f"constraint {cid}: invalid literal for int() with base 10: {bound!r}" if "/" in bound
+        else f"fact bound of {cid} must be an integer, got {bound!r}"
+    )

@@ -12,7 +12,6 @@ from fanobound.bounds import SearchOutcome
 from fanobound.bundle import SplitBundle
 from fanobound.certs import Certificate, VerifyResult
 from fanobound.derive import (
-    Branch,
     Constraint,
     ConstraintSystem,
     Fact,
@@ -32,8 +31,7 @@ def _records():
     return [
         form((1, "1/2", 3)),
         MinimizeResult("unbounded"),
-        Fact(3, Fraction(7)),
-        Branch("P(1)=0", axiom_system()),
+        Fact(3, 7),
         TailCertificate(3, "F.P3>=7", "A1"),
         ValueTable((1, 2), 0, 1, Poly([1]), "concrete"),
         axiom_system(),
@@ -86,8 +84,8 @@ def test_checked_records_refuse_bad_input(build, message):
 @pytest.mark.parametrize("left, right", [
     (form((1, "1/2", 3)), AffineForm(Fraction(1), Fraction(2, 4), Fraction(3))),
     (Constraint.make("vanishing", (3,)), Constraint.make("vanishing", [3])),
-    (fact_to_constraint(Fact(3, Fraction(7))), fact_to_constraint(Fact(3, Fraction(14, 2)))),
-    (Fact(3, Fraction(7)), Fact(m=3, bound=Fraction(14, 2))),
+    (fact_to_constraint(Fact(3, 7)), fact_to_constraint(Fact(m=3, bound=7))),
+    (Fact(3, 7), Fact(m=3, bound=7)),
     (ChernData(6250, 2750), ChernData(k5=6250, k3c2=2750)),
 ], ids=["AffineForm", "Constraint", "from_fact", "Fact", "ChernData"])
 def test_equal_values_hash_equal(left, right):

@@ -25,7 +25,7 @@ REEXPORTS = {
     "exact": ["AffineForm", "Poly"],
     "hilbert": [
         "ChernData", "HilbertError", "NonIntegralValueError", "PValue",
-        "VanishingViolationError", "fit_ab", "p_affine", "p_eval",
+        "VanishingViolationError", "fit_ab", "lemma2_threshold", "p_affine", "p_eval",
     ],
     "derive": [
         "Constraint", "ConstraintSystem", "Fact", "axiom_system", "derive_lower_bound",
@@ -33,8 +33,8 @@ REEXPORTS = {
         "split_on_p1", "strengthen_integral",
     ],
     "bounds": [
-        "CertificationError", "SearchExhaustedError", "certify_r0", "lemma2_threshold",
-        "minimal_r", "solve_concrete", "solve_oracle", "solve_worst_case",
+        "CertificationError", "SearchExhaustedError", "certify_r0", "minimal_r",
+        "solve_concrete", "solve_oracle", "solve_worst_case",
     ],
     "certs": ["Certificate", "MalformedCertificateError", "from_json_bytes", "verify"],
     "bundle": [

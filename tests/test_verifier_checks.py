@@ -29,23 +29,25 @@ def step(d, rule, i=0):
 
 
 def forged_pencil():
-    # r1 = 2 with the attempt at m = 2 dropped and every claim rewritten;
+    # r1 = 2 with the attempt at m = 2 dropped and the header rewritten;
     # P(2) = 1 gives no pencil, and only the selection's own test says so
     d = limit()
     search = step(d, "dim_search")
     search["witness"]["attempts"] = search["witness"]["attempts"][:1]
     search["witness"]["selected"] = {"m": 2, "r": None}
-    search["claim"] = "dim >= 1 at m = 2"
     d["r"][0], d["bound"] = 2, 14
-    step(d, "compose")["claim"] = "birational for all m >= 14"
     return d, search["id"], "the selection at m=2, r=None does not pass the test"
 
 
 def raised_merged_bound():
-    d = doc("worst_case")
-    merge = step(d, "merge_min")
-    merge["witness"]["bound"] = "8"
-    return d, merge["id"], "merged bound is not the branch minimum"
+    # the merge writes no bound; a raised one enters the searches as a
+    # fact the merge did not establish, refused where it is first cited
+    d = json.loads(json.dumps(doc("worst_case")).replace('"F.P3>=7"', '"F.P3>=8"'))
+    (fact,) = (c for c in d["constraints"] if c["kind"] == "from_fact")
+    fact["params"] = [3, 8]
+    return d, step(d, "dim_search")["id"], (
+        "constraint F.P3>=8 cites a fact P(3) >= 8 not established by an earlier step"
+    )
 
 
 def r0_below_three():
@@ -123,7 +125,7 @@ def pencil_from_vanishing():
     d = doc("worst_case")
     search = step(d, "dim_search")
     search["inputs"]["constraints"] = ["A1", "A4.3"]
-    search["witness"]["selected"].update(farkas=[["A4.3", "1"]], raw_min="0", bound="0")
+    search["witness"]["selected"].update(farkas=[["A4.3", "1"]], raw_min="0")
     return d, search["id"], "a pencil needs P(m) >= 2"
 
 
@@ -189,24 +191,49 @@ def tail_cites_an_unrecorded_constraint():
 
 def fact_param(value, i):
     """The worst case with parameter i of its from_fact declaration, the
-    fact P(3) >= 7 divided by 84, written as value."""
+    fact P(3) >= 7, written as value; i = 2 appends a third parameter."""
     d = doc("worst_case")
     (fact,) = (c for c in d["constraints"] if c["kind"] == "from_fact")
-    fact["params"][i] = value
+    fact["params"][i:i + 1] = [value]
     return d
 
 
+def too_many(params):
+    """What unpacking params into a fact's two parameters raises, in this
+    interpreter's words."""
+    try:
+        _, _ = params
+    except ValueError as exc:
+        return str(exc)
+
+
 def fact_bound_as_a_number():
-    # a JSON number is refused before the descriptor is parsed
-    return fact_param(7, 1), None, "fact bound of F.P3>=7 must be a rational string, got 7"
+    # 7.0 builds the row of P(3) >= 7, but a bound is a JSON integer
+    return fact_param(7.0, 1), None, "fact bound of F.P3>=7 must be an integer, got 7.0"
+
+
+def fact_bound_as_a_string():
+    # version 5 wrote the bound as a rational string
+    return fact_param("7", 1), None, "fact bound of F.P3>=7 must be an integer, got '7'"
+
+
+def fact_bound_infinite():
+    # json reads Infinity as a float, which no integer row holds; the
+    # verifier answers instead of raising
+    return fact_param(float("inf"), 1), None, (
+        "constraint F.P3>=7: cannot convert float infinity to integer"
+    )
 
 
 def fact_scale_as_a_number():
-    return fact_param(84, 2), None, "scale of F.P3>=7 must be a rational string, got 84"
+    # version 5 wrote the scale 84 the form divides by; the gcd fixes it
+    d = fact_param(84, 2)
+    return d, None, f"constraint F.P3>=7: {too_many([3, 7, 84])}"
 
 
 def fact_scale_as_a_list():
-    return fact_param(["84"], 2), None, "scale of F.P3>=7 must be a rational string, got ['84']"
+    d = fact_param(["84"], 2)
+    return d, None, f"constraint F.P3>=7: {too_many([3, 7, ['84']])}"
 
 
 CASES = [
@@ -216,7 +243,8 @@ CASES = [
     attempt_at_a_passing_point, pencil_from_vanishing, slack_from_vanishing,
     sextic_model, unknown_mode, split_removed, target_dimension_four,
     search_starts_past_its_selection, tail_cites_an_unrecorded_constraint,
-    fact_bound_as_a_number, fact_scale_as_a_number, fact_scale_as_a_list,
+    fact_bound_as_a_number, fact_bound_as_a_string, fact_bound_infinite,
+    fact_scale_as_a_number, fact_scale_as_a_list,
 ]
 
 
