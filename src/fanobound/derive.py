@@ -126,8 +126,13 @@ class Constraint(NamedTuple("Constraint", [
     @classmethod
     def make(cls, kind: str, params: Sequence = ()) -> "Constraint":
         """The constraint a descriptor declares: its row built once by
-        hilbert.constraint_row, and the form read off that row."""
+        hilbert.constraint_row, and the form read off that row.  Every
+        param is exactly an int, as a certificate writes it, so a bool,
+        a float or a string is refused before it can name a constraint."""
         params = tuple(params)
+        for p in params:
+            if type(p) is not int:
+                raise ValueError(f"a {kind} param must be an int, got {p!r}")
         row = constraint_row(kind, params)
         cid = CONSTRAINT_CIDS[kind].format(*params)
         return super().__new__(cls, cid, kind, params, constraint_form(row), row)

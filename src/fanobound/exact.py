@@ -9,8 +9,10 @@ arbitrary-precision integers.
 A Poly is integer numerators over one positive denominator, kept in
 lowest terms, so its kernels (``Poly.shift``, ``Poly.difference``,
 ``Poly.first_mismatch``) read and build integers only; Fractions appear
-only when something reads ``coeffs``.  ``AffineForm.evaluate`` sums its
-terms as integers over one common denominator and builds one Fraction.
+only when something reads ``coeffs``.  An AffineForm's coefficients are
+ints or Fractions; ``AffineForm.evaluate`` reads only their numerators and
+denominators, sums its terms as integers over one common denominator and
+builds one Fraction.
 
 Each layer holds one rational type.  The prover holds ints and
 Fractions and writes each certificate rational once, as a "p/q" string,
@@ -161,15 +163,20 @@ class Poly:
 
 
 class AffineForm(NamedTuple):
-    """Affine expression coeff_a * a + coeff_b * b + const over two parameters."""
+    """Affine expression coeff_a * a + coeff_b * b + const over two
+    parameters.  A coefficient is an int or a Fraction: the forms of P(m)
+    and of the Lemma 2 slack hold ints, a constraint's form over its
+    denominator holds Fractions."""
 
-    coeff_a: Fraction
-    coeff_b: Fraction
-    const: Fraction
+    coeff_a: Union[int, Fraction]
+    coeff_b: Union[int, Fraction]
+    const: Union[int, Fraction]
 
     def evaluate(self, a: Fraction, b: Fraction) -> Fraction:
         """coeff_a * a + coeff_b * b + const, summed as integers over the
-        lcm of the three terms' denominators."""
+        lcm of the three terms' denominators.  It reads only the numerator
+        and denominator of each coefficient, which an int has too, and
+        builds one Fraction, the result."""
         ca, cb, k = self.coeff_a, self.coeff_b, self.const
         da = ca.denominator * a.denominator
         db = cb.denominator * b.denominator
@@ -181,7 +188,7 @@ class AffineForm(NamedTuple):
         )
         return Fraction(num, den)
 
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
+    def as_tuple(self) -> tuple[Union[int, Fraction], ...]:
         return (self.coeff_a, self.coeff_b, self.const)
 
 

@@ -12,10 +12,13 @@ once, as three integer coefficient tuples in m, low degree first:
          + (2m + 1)                            _C = (1, 2)
 
 so 720 P(m) = (-K)^5 _A(m) + 5 (-K)^3.c2 _B(m) + 720 _C(m) is an integer
-for integer m, and p_eval needs no rationals.  Vanishing of higher cohomology
-for m >= 0 makes P(m) = h^0(-mK), so P(m) must be a nonnegative integer
-there; this module treats violations as hard errors rather than warnings,
-because every downstream derivation rule assumes them.
+for integer m, and p_eval needs no rationals.  p_coeffs evaluates the
+three tuples in one pass, and p_affine and lemma2_slack_form hold its
+integers as the fields of an AffineForm, so building a form makes no
+Fraction.  Vanishing of higher cohomology for m >= 0 makes P(m) =
+h^0(-mK), so P(m) must be a nonnegative integer there; this module treats
+violations as hard errors rather than warnings, because every downstream
+derivation rule assumes them.
 
 What the prover and the verifier must read alike is written here once: each
 constraint kind as an integer row of P's coefficients (constraint_row) and
@@ -35,13 +38,8 @@ from .exact import AffineForm, Poly, taylor_shift
 _A = (0, -1, 0, 10, 15, 6)
 _B = (0, 1, 3, 2)
 _C = (1, 2)
-
-
-def _horner(coeffs: tuple[int, ...], m: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * m + c
-    return acc
+# the coefficients of a, of b and of 1 zipped degree by degree, low first
+_ABC = tuple(zip_longest(_A, _B, _C, fillvalue=0))
 
 
 class HilbertError(ValueError):
@@ -106,18 +104,22 @@ class PValue(NamedTuple("PValue", [("m", int), ("value", int)])):
 
 
 def p_coeffs(m: int) -> tuple[int, int, int]:
-    """P(m) as the integers (ca, cb, k) with P(m) = ca * a + cb * b + k."""
-    return _horner(_A, m), _horner(_B, m), _horner(_C, m)
+    """P(m) as the integers (ca, cb, k) with P(m) = ca * a + cb * b + k:
+    one Horner pass over the three coefficient tuples at once."""
+    ca = cb = k = 0
+    for x, y, z in reversed(_ABC):
+        ca, cb, k = ca * m + x, cb * m + y, k * m + z
+    return ca, cb, k
 
 
 def p_affine(m: int) -> AffineForm:
-    """P(m) as an exact affine form in (a, b): p_coeffs(m), one Fraction
-    per integer.
+    """P(m) as an exact affine form in (a, b) whose fields are the integers
+    of p_coeffs(m); no Fraction is built.
 
     Negative m is allowed; the form satisfies P(m) + P(-1-m) = 0,
     the shape Serre duality forces on the polynomial.
     """
-    return AffineForm(*map(Fraction, p_coeffs(m)))
+    return AffineForm(*p_coeffs(m))
 
 
 # the kinds a constraint may take, and the cid each names its constraint
@@ -200,9 +202,9 @@ def lemma2_slack_coeffs(m: int, r: int) -> tuple[int, int, int]:
 
 
 def lemma2_slack_form(m: int, r: int) -> AffineForm:
-    """lemma2_slack_coeffs(m, r) as an exact affine form in (a, b), one
-    Fraction per integer."""
-    return AffineForm(*map(Fraction, lemma2_slack_coeffs(m, r)))
+    """lemma2_slack_coeffs(m, r) as an exact affine form in (a, b) whose
+    fields are those integers."""
+    return AffineForm(*lemma2_slack_coeffs(m, r))
 
 
 def p_eval(c: ChernData, m: int) -> int:
@@ -285,5 +287,4 @@ def p_poly(c: ChernData) -> Poly:
     """P as a univariate polynomial in m for concrete Chern data: the
     integer combination p_eval evaluates, k5 _A + 5 k3c2 _B + 720 _C, as
     its integer coefficients over 720."""
-    return Poly([c.k5 * x + 5 * c.k3c2 * y + 720 * z
-                 for x, y, z in zip_longest(_A, _B, _C, fillvalue=0)], 720)
+    return Poly([c.k5 * x + 5 * c.k3c2 * y + 720 * z for x, y, z in _ABC], 720)

@@ -8,12 +8,13 @@ Constraint.make writes are the names the prover used to spell by hand."""
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanobound.certs import from_json_dict, verify
+from fanobound.certs import _Fail, _declarations, from_json_dict, verify
 from fanobound.derive import (
     Constraint,
     Fact,
@@ -175,3 +176,22 @@ class TestNegativeVanishing:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 1 and out == ""
         assert err.startswith("invalid at header: constraint A4.-2: ")
+
+
+# descriptors whose params are not exactly ints: hilbert.constraint_row
+# reads each through int(), but a certificate declares JSON integers only
+NOT_INTS = [
+    ("vanishing", ("3",), "A4.3", "first parameter of A4.3 must be an integer, got '3'"),
+    ("from_fact", (3, 7.0), "F.P3>=7.0", "fact bound of F.P3>=7.0 must be an integer, got 7.0"),
+    ("vanishing", (True,), "A4.True", "first parameter of A4.True must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("kind, params, cid, reason", NOT_INTS, ids=["str", "float", "bool"])
+def test_make_refuses_what_the_verifier_refuses(kind, params, cid, reason):
+    bad = next(p for p in params if type(p) is not int)
+    with pytest.raises(ValueError, match=re.escape(f"a {kind} param must be an int, got {bad!r}")):
+        Constraint.make(kind, params)
+    with pytest.raises(_Fail) as refused:
+        _declarations([{"cid": cid, "kind": kind, "params": list(params)}], ["A4"])
+    assert str(refused.value) == reason

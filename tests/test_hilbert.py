@@ -107,16 +107,16 @@ class TestPAffine:
                 assert lemma2_slack_form(m, r) == want, (m, r)
 
     def test_forms_are_their_integer_triples(self):
-        # built straight from the integers, equal to the Fraction route, and
-        # each field a Fraction, which AffineForm.evaluate reads
+        # the fields are the integer triple itself, each exactly an int,
+        # whose numerator and denominator AffineForm.evaluate reads
         for m in range(41):
             f = p_affine(m)
-            assert f == form(p_coeffs(m)), m
-            assert all(type(x) is Fraction for x in f), m
-            for r in range(LEMMA2_R_CAP + 1):
+            assert tuple(f) == p_coeffs(m), m
+            assert all(type(x) is int for x in f), m
+            for r in range(1, LEMMA2_R_CAP + 1):
                 slack = lemma2_slack_form(m, r)
-                assert slack == form(lemma2_slack_coeffs(m, r)), (m, r)
-                assert all(type(x) is Fraction for x in slack), (m, r)
+                assert tuple(slack) == lemma2_slack_coeffs(m, r), (m, r)
+                assert all(type(x) is int for x in slack), (m, r)
 
 
 class TestPEval:

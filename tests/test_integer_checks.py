@@ -2,7 +2,8 @@
 they are compared with a Fraction reference written apart from the package.
 On random declared forms, points with large and negative numerators and
 combinations of one to three multipliers, both must accept and reject the
-same inputs.  A whole worst-case verify builds no Fraction at all."""
+same inputs.  A whole worst-case verify builds no Fraction at all, and a
+concrete one at most one per value of its table, plus a and b."""
 
 import json
 import math
@@ -16,6 +17,7 @@ from fanobound.certs import (
     _Fail, _check_farkas, _check_point, _declarations, _evaluates_to, from_json_bytes, verify,
 )
 from fanobound.exact import rat_str
+from fanobound.hilbert import LEMMA2_R_CAP, lemma2_slack_form, p_affine
 
 from test_cert_v3 import DOCS, check
 
@@ -143,10 +145,9 @@ def test_farkas_check_matches_fractions(case):
         assert want
 
 
-def test_worst_case_verify_builds_no_fraction(monkeypatch):
-    # the from_fact declaration holds integers only, so the README
-    # worst-case certificate verifies on integers alone
-    data = solve_worst_case().to_json_bytes()
+def fractions_built(run):
+    """What run() returns, and the arguments of every Fraction it builds,
+    counted by a wrapper on Fraction.__new__."""
     built = []
     new = Fraction.__new__
 
@@ -154,8 +155,35 @@ def test_worst_case_verify_builds_no_fraction(monkeypatch):
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Fraction, "__new__", counting)
-    assert verify(from_json_bytes(data)).ok
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        result = run()
+    return result, built
+
+
+def test_worst_case_verify_builds_no_fraction():
+    # the from_fact declaration holds integers only, so the README
+    # worst-case certificate verifies on integers alone
+    data = solve_worst_case().to_json_bytes()
+    res, built = fractions_built(lambda: verify(from_json_bytes(data)))
+    assert res.ok and built == []
+
+
+def test_concrete_verify_builds_one_fraction_per_table_value():
+    # the eval_p check evaluates each p_affine(m), whose fields are ints,
+    # at the Chern data's a and b: one Fraction per value, plus a and b
+    d = DOCS["concrete"]
+    (table,) = (s["witness"]["values"] for s in d["steps"] if s["rule"] == "eval_p")
+    assert len(table) == 33
+    res, built = fractions_built(lambda: check(d))
+    assert res.ok and len(built) <= len(table) + 2
+
+
+def test_p_forms_build_no_fraction():
+    _, built = fractions_built(lambda: [
+        [p_affine(m)] + [lemma2_slack_form(m, r) for r in range(1, LEMMA2_R_CAP + 1)]
+        for m in range(41)
+    ])
     assert built == []
 
 

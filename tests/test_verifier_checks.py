@@ -189,6 +189,29 @@ def tail_cites_an_unrecorded_constraint():
     return d, tail["id"], "tail cites constraints outside the recorded system"
 
 
+def value_past_the_table():
+    # the table holds P(0..32); the fact P(40) >= v would need P(40)
+    d = doc("concrete")
+    fact = step(d, "value_at_least")
+    fact["inputs"]["m"] = 40
+    return d, fact["id"], "value table has no entry for m = 40"
+
+
+def empty_value_table():
+    d = doc("concrete")
+    table = step(d, "eval_p")
+    table["witness"]["values"] = []
+    return d, table["id"], "a value table holds 1 to 512 values"
+
+
+def merge_of_another_multiple():
+    # every branch bounds P(3); a merge that claims P(4) names none of them
+    d = doc("worst_case")
+    merge = step(d, "merge_min")
+    merge["inputs"]["m"] = 4
+    return d, merge["id"], "branch 0 bounds P(3), not P(4)"
+
+
 def fact_param(value, i):
     """The worst case with parameter i of its from_fact declaration, the
     fact P(3) >= 7, written as value; i = 2 appends a third parameter."""
@@ -243,6 +266,7 @@ CASES = [
     attempt_at_a_passing_point, pencil_from_vanishing, slack_from_vanishing,
     sextic_model, unknown_mode, split_removed, target_dimension_four,
     search_starts_past_its_selection, tail_cites_an_unrecorded_constraint,
+    value_past_the_table, empty_value_table, merge_of_another_multiple,
     fact_bound_as_a_number, fact_bound_as_a_string, fact_bound_infinite,
     fact_scale_as_a_number, fact_scale_as_a_list,
 ]
