@@ -11,18 +11,18 @@ down to the line:
 
 and the symmetric power splits into line bundles, one per multi-index
 alpha with |alpha| = 5m, of degree sum(alpha_j e_j).  Counting those
-degrees with multiplicity is a lattice-point problem.  Adding a summand
-of twist e to E adds row j - 1 of the symmetric powers, moved up by e
-degrees, to row j, and one pass per summand does that for two moments
-of every row on small integers: its count sum S0 and its index-weighted
-sum S1.  They are all h0_anti needs where every pushed-down degree is
->= -1, so on every nef bundle.  The rows themselves are packed integers,
-one 64-bit slot per degree, lowest degree first, built by the same
-passes on the first read of any row of a call.  No multiplicity exceeds
-the rank C(j+4, 4) of S^j(E), so no slot carries while that rank stays
-below 2**64, which holds for j up to 145,052; larger powers, and passes
-whose rows would hold more than MAX_POWER_SLOTS slots, are refused
-before anything is allocated.
+degrees with multiplicity is a lattice-point problem.  Where every
+pushed-down degree is >= -1, so on every nef bundle, h0_anti needs only
+two moments of row j, both closed forms: its count sum S0 = C(j+4, 4),
+the rank of S^j(E), and its index-weighted sum S1 = C(j+4, 5) * deg E.
+A row is built only when it is read.  The rows themselves are packed
+integers, one 64-bit slot per degree, lowest degree first, built on the
+first read of any row of a call by one pass per summand, which adds row
+j - 1, moved up by the summand's twist, to row j.  No multiplicity
+exceeds the rank, so no slot carries while it stays below 2**64, which
+holds for j up to 145,052; larger powers, and passes whose rows would
+hold more than MAX_POWER_SLOTS slots, are refused before anything is
+allocated.
 
 Two rank conventions are supported for the inner symmetric powers of the
 four untwisted summands.  The standard one is rank S^k(O^4) = C(k+3, 3).
@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import struct
 import warnings
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, repeat
 from math import comb
-from operator import add, mul
+from operator import eq
 from typing import Callable, NamedTuple
 
 STANDARD = "standard"
@@ -169,10 +168,10 @@ class PowerRow(Mapping[int, int]):
     multiplicity of degree low + i.  As a mapping it holds only the
     degrees of positive multiplicity.
 
-    s0 = sum(counts) and s1 = sum(i * counts[i]) are carried through the
-    passes that build the row.  The packed integer comes from the rows of
-    its call, built on the first read of any row's counts, mapping or
-    packed integer, and is read little-endian into the counts tuple on first read.
+    s0 = sum(counts) and s1 = sum(i * counts[i]) are the closed forms of
+    PowerRows.  The packed integer comes from the rows of its call, built
+    on the first read of any row's counts, mapping or packed integer, and
+    is read little-endian into the counts tuple on first read.
     """
 
     __slots__ = ("low", "s0", "s1", "_span", "_rows", "_j", "_counts")
@@ -182,12 +181,8 @@ class PowerRow(Mapping[int, int]):
         rows: _PackedRows | tuple[int, ...], j: int,
     ) -> None:
         # the row holds degrees low..low + span
-        self.low = low
-        self.s0 = s0
-        self.s1 = s1
-        self._span = span
-        self._rows = rows
-        self._j = j
+        self.low, self.s0, self.s1, self._span = low, s0, s1, span
+        self._rows, self._j = rows, j
         self._counts: tuple[int, ...] | None = None
 
     @property
@@ -221,50 +216,53 @@ class PowerRow(Mapping[int, int]):
 _EMPTY_ROW = PowerRow(0, -1, 0, 0, (0,), 0)
 
 
-def _standard_powers(twists: tuple[int, ...], k: int) -> list[PowerRow]:
-    """Twist multisets of S^j(E) for j = 0..k (empty for k < 0).
+class PowerRows(Sequence[PowerRow]):
+    """The rows S^0..S^k of one sym_power_twists call, read-only, each built
+    when it is read: row j < shift is empty, row j >= shift the standard
+    S^i(E), i = j - shift.  Its moments are S0 = C(i+4, 4), the rank, and
+    S1 = C(i+4, 5) * (sum(e) - 5 min(e)), since each alpha_t sums to
+    C(i+4, 5) over the multi-indices of total i."""
 
-    One pass per summand carries the moments (S0_j, S1_j) of every row j:
-    a summand of twist e adds row j - 1 (already updated), moved up by
-    d = e - min(e) slots, to row j, so S1_j += S1_{j-1} + d * S0_{j-1}
-    and S0_j += S0_{j-1}, each a prefix sum over j.  The packed rows are
-    left to the first read (_PackedRows).
-    """
-    if k < 0:
-        return []
-    if comb(k + 4, 4) >= 2**SLOT_BITS:
-        raise ValueError(
-            f"S^{k}(E) has rank C({k}+4, 4) >= 2**{SLOT_BITS}: "
-            f"its multiplicities do not fit {SLOT_BITS}-bit slots"
-        )
-    low = min(twists)
-    spread = max(twists) - low
-    slots = power_slots(spread, k)
-    if slots > MAX_POWER_SLOTS:
-        raise ValueError(
-            f"S^0..S^{k}(E) need {slots} packed slots, "
-            f"more than the {MAX_POWER_SLOTS} one pass may hold"
-        )
-    s0 = [1] + [0] * k
-    s1 = [0] * (k + 1)
-    for e in twists:
-        d = e - low
-        s0 = list(accumulate(s0))
-        # d = 0 moves nothing up: S1 only takes its prefix sum
-        if d:
-            s1 = list(accumulate(map(add, s1, [0, *map(mul, repeat(d), s0)])))
-        else:
-            s1 = list(accumulate(s1))
-    # map, not a comprehension: building the rows costs as much as the
-    # moments, and map calls PowerRow without a Python-level loop
-    js = range(k + 1)
-    lows, spans = map(mul, js, repeat(low)), map(mul, js, repeat(spread))
-    return list(map(PowerRow, lows, spans, s0, s1, repeat(_PackedRows(twists, k)), js))
+    __slots__ = ("_low", "_spread", "_deg", "_shift", "_js", "_packed")
+
+    def __init__(self, twists: tuple[int, ...], k: int, shift: int = 0) -> None:
+        top = k - shift
+        low = min(twists)
+        spread = max(twists) - low
+        if top >= 0 and comb(top + 4, 4) >= 2**SLOT_BITS:
+            raise ValueError(
+                f"S^{top}(E) has rank C({top}+4, 4) >= 2**{SLOT_BITS}: "
+                f"its multiplicities do not fit {SLOT_BITS}-bit slots"
+            )
+        if top >= 0 and power_slots(spread, top) > MAX_POWER_SLOTS:
+            raise ValueError(
+                f"S^0..S^{top}(E) need {power_slots(spread, top)} packed slots, "
+                f"more than the {MAX_POWER_SLOTS} one pass may hold"
+            )
+        self._low, self._spread, self._shift = low, spread, shift
+        self._deg = sum(twists) - 5 * low
+        self._js = range(k + 1)
+        self._packed = _PackedRows(twists, top)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return list(map(self.__getitem__, self._js[j]))
+        i = self._js[j] - self._shift
+        if i < 0:
+            return _EMPTY_ROW
+        s0, s1 = comb(i + 4, 4), self._deg * comb(i + 4, 5)
+        return PowerRow(i * self._low, i * self._spread, s0, s1, self._packed, i)
+
+    def __len__(self) -> int:
+        return len(self._js)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
-def sym_power_twists(
-    b: SplitBundle, k: int, conv: str = STANDARD
-) -> list[PowerRow]:
+def sym_power_twists(b: SplitBundle, k: int, conv: str = STANDARD) -> PowerRows:
     """Twist multisets of S^j(E) for j = 0..k: entry j maps degree ->
     multiplicity, keeping only positive multiplicities.
 
@@ -275,20 +273,20 @@ def sym_power_twists(
     S^(j-2)(O^4), the printed S^j is the standard S^(j-2) of the same
     bundle, and the paper list is the standard one shifted by two.
 
-    A power whose rank reaches 2**64, or a pass over more than
-    MAX_POWER_SLOTS slots, raises ValueError before any row is built.
+    The rows come as PowerRows, each built when it is read.  A power
+    whose rank reaches 2**64, or a pass over more than MAX_POWER_SLOTS
+    slots, raises ValueError before anything is allocated.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if conv == STANDARD:
-        return _standard_powers(b.twists, k)
+        return PowerRows(b.twists, k)
     if conv == PAPER:
         if sum(1 for e in b.twists if e != 0) > 1:
             raise UnsupportedConventionError(
                 "printed-rank convention needs a bundle of shape (0,0,0,0,e)"
             )
-        rows = _standard_powers(b.twists, k - 2)
-        return [_EMPTY_ROW] * min(k + 1, 2) + rows
+        return PowerRows(b.twists, k, 2)
     raise ValueError(f"unknown convention {conv!r}")
 
 
@@ -298,10 +296,10 @@ def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
     serves every multiple.
 
     Slot i of row 5m twists to first + i sections.  Where first >= 0 the
-    count is first * S0 + S1 from the row's carried moments, and no packed
-    row is built; is_nef makes first = m(5 min(e) + 2 - sum(e)) + 1 >= 1 in
-    both conventions.  Only a row with degrees below -1 reads its packed
-    integer: it shifts them out and reads the moments of the rest.
+    count is first * S0 + S1 from the row's closed-form moments, and no
+    packed row is built; is_nef makes first = m(5 min(e) + 2 - sum(e)) + 1
+    >= 1 in both conventions.  Only a row with degrees below -1 reads its
+    packed integer: it shifts them out and reads the moments of the rest.
 
     When every pushed-down degree is >= -1 the first cohomology of each
     summand vanishes and the count equals the Euler characteristic; for

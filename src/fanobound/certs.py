@@ -55,9 +55,9 @@ p_affine for eval_p, p_poly for the concrete tail, constraint_row and
 CONSTRAINT_CIDS, the integer row and the name of each declared kind, the
 dimension tests and their search order, and ray_tail, the worst-case tail
 built from the integer rows of two cited bounds; the prover calls each of
-these too) and bundle (its own recount of the section counts, from the two
-moments per row its pass carries, a packed row being built only for a
-degree below -1, and the nef test).  bundle is loaded only by the oracle
+these too) and bundle (its own recount of the section counts, from the
+closed-form moments C(j+4, 4) and C(j+4, 5) * deg E of each row it reads,
+a packed row being built only for a degree below -1, and the nef test).  bundle is loaded only by the oracle
 rule, oracle_values, so verifying a worst-case or concrete certificate
 loads neither bundle nor the dataclasses it uses.
 """

@@ -168,8 +168,9 @@ def axiom_system() -> ConstraintSystem:
 
 def geometry_system(facts: Sequence["Fact"] = ()) -> ConstraintSystem:
     """The reduced system used after the P(1) case analysis: positivity of
-    (-K)^5 plus the affine constraints carried by derived facts."""
-    cs = ConstraintSystem((Constraint.make("k5_floor"),), label="geometry")
+    (-K)^5, the axiom system's own A1, plus the affine constraints carried
+    by derived facts."""
+    cs = ConstraintSystem(axiom_system().constraints[:1], label="geometry")
     extra = [fact_to_constraint(f) for f in facts]
     return cs.with_constraints(extra, label="geometry")
 

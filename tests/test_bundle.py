@@ -26,6 +26,7 @@ from fanobound.bundle import (
     is_nef,
     k5_geometric,
     _moments,
+    _PackedRows,
     oracle_source,
     paper_closed_form,
     power_slots,
@@ -85,6 +86,13 @@ def dict_h0_anti(twists, m_max, conv="standard"):
         below_chi = below_chi or any(d + m * h < -1 for d in mults)
         values.append(sum(c * h0_p1(d + m * h) for d, c in mults.items()))
     return values, below_chi
+
+
+# every nef split bundle is a shift of one with twists >= 0 summing to at
+# most 2: 5 min(e) + 2 - sum(e) >= 0 says exactly that
+NEF_OFFSETS = [d for d in product(range(3), repeat=5) if sum(d) <= 2]
+# the same up to order: four zeros and 0, 1 or 2, and (0, 0, 0, 1, 1)
+NEF_NORMAL_FORMS = sorted({tuple(sorted(d)) for d in NEF_OFFSETS})
 
 
 class TestBasics:
@@ -262,8 +270,19 @@ def slot_moments(packed):
 @example(e=1, others=(0, 0, 0, 0), k=40, conv="paper")
 @example(e=2, others=(0, 0, 0, 0), k=40, conv="standard")
 @example(e=6, others=(-6, -6, 6, 6), k=40, conv="standard")
-def test_carried_moments_match_the_packed_rows(e, others, k, conv):
-    # the printed convention takes four zeros and one e
+# the four nef normal forms at the bench's size, S^160 for m = 32, in both
+# conventions where the printed one applies
+@example(e=0, others=(0, 0, 0, 0), k=160, conv="standard")
+@example(e=1, others=(0, 0, 0, 0), k=160, conv="standard")
+@example(e=2, others=(0, 0, 0, 0), k=160, conv="standard")
+@example(e=1, others=(1, 0, 0, 0), k=160, conv="standard")
+@example(e=0, others=(0, 0, 0, 0), k=160, conv="paper")
+@example(e=1, others=(0, 0, 0, 0), k=160, conv="paper")
+@example(e=2, others=(0, 0, 0, 0), k=160, conv="paper")
+def test_closed_form_moments_match_the_packed_rows(e, others, k, conv):
+    # the slot-by-slot moments of the packed rows are the brute-force check
+    # of S0 = C(j+4, 4) and S1 = C(j+4, 5) * deg E; the printed convention
+    # takes four zeros and one e
     twists = (e,) + (others if conv == "standard" else (0, 0, 0, 0))
     rows = sym_power_twists(SplitBundle(twists), k, conv)
     assert len(rows) == k + 1
@@ -369,7 +388,7 @@ class TestSlotBudget:
     def test_nef_counts_build_no_packed_row(self):
         # the widest nef bundle at the verifier's largest table: its packed
         # rows would take 8 * 2561**2 bytes, about 52 MB, and h0_anti reads
-        # only the carried moments
+        # only the closed-form moments
         b = SplitBundle((0, 0, 0, 0, 2))
         assert is_nef(b)
         packed_bytes = 8 * power_slots(2, 5 * MAX_TABLE)
@@ -382,6 +401,28 @@ class TestSlotBudget:
         assert peak < packed_bytes / 10
         chern = ChernData(6250, 2750)
         assert values[::64] == [p_eval(chern, m) for m in range(1, MAX_TABLE + 1, 64)]
+
+    @pytest.mark.parametrize("twists, conv", [
+        pytest.param(offset, conv, id=f"{''.join(map(str, offset))}-{conv}")
+        for offset in NEF_NORMAL_FORMS for conv in ("standard", "paper")
+        if conv == "standard" or offset[3] == 0
+    ])
+    def test_nef_counts_build_only_the_rows_read(self, twists, conv, monkeypatch):
+        # h0_anti(b, 32) reads rows 5, 10, ..., 160 of the 161 that
+        # sym_power_twists(b, 160) returns, and builds only those
+        built, init = [], PowerRow.__init__
+
+        def counting(row, *args):
+            built.append(args)
+            init(row, *args)
+
+        def refuse(rows, j):
+            raise AssertionError("a packed row was built")
+
+        monkeypatch.setattr(PowerRow, "__init__", counting)
+        monkeypatch.setattr(_PackedRows, "__getitem__", refuse)
+        values = h0_anti(SplitBundle(twists), 32, conv)
+        assert len(values) == 32 and len(built) <= 32
 
 
 class TestOnePassTables:
@@ -408,11 +449,6 @@ class TestOnePassTables:
         b = SplitBundle((0, 0, 0, 1, 1))
         assert h0_anti(b, 4) == h0_anti(b, 9)[:4]
         assert h0_anti(b, 9) == [h0_anti(b, m)[-1] for m in range(1, 10)]
-
-
-# every nef split bundle is a shift of one with twists >= 0 summing to at
-# most 2: 5 min(e) + 2 - sum(e) >= 0 says exactly that
-NEF_OFFSETS = [d for d in product(range(3), repeat=5) if sum(d) <= 2]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

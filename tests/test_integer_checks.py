@@ -2,8 +2,9 @@
 they are compared with a Fraction reference written apart from the package.
 On random declared forms, points with large and negative numerators and
 combinations of one to three multipliers, both must accept and reject the
-same inputs.  A whole worst-case verify builds no Fraction at all, and a
-concrete one at most one per value of its table, plus a and b."""
+same inputs.  A whole worst-case verify builds no Fraction at all, a
+concrete one at most one per value of its table, plus a and b, and a
+worst-case solve at most 102."""
 
 import json
 import math
@@ -16,6 +17,7 @@ from fanobound.bounds import solve_worst_case
 from fanobound.certs import (
     _Fail, _check_farkas, _check_point, _declarations, _evaluates_to, from_json_bytes, verify,
 )
+from fanobound.derive import axiom_system, geometry_system
 from fanobound.exact import rat_str
 from fanobound.hilbert import LEMMA2_R_CAP, lemma2_slack_form, p_affine
 
@@ -167,6 +169,15 @@ def test_worst_case_verify_builds_no_fraction():
     data = solve_worst_case().to_json_bytes()
     res, built = fractions_built(lambda: verify(from_json_bytes(data)))
     assert res.ok and built == []
+
+
+def test_worst_case_solve_reuses_the_axiom_a1():
+    # the geometry system takes A1 from the axiom system, not a fresh
+    # Constraint.make, so a solve builds no Fraction for it
+    (a1,) = geometry_system().constraints
+    assert a1 is axiom_system().constraints[0]
+    cert, built = fractions_built(solve_worst_case)
+    assert cert.bound == 16 and len(built) <= 102
 
 
 def test_concrete_verify_builds_one_fraction_per_table_value():

@@ -259,6 +259,22 @@ def fact_scale_as_a_list():
     return d, None, f"constraint F.P3>=7: {too_many([3, 7, ['84']])}"
 
 
+def recorded_h0_raised():
+    # the model and the searches read the table as recorded, so only the
+    # verifier's own recount of the bundle refuses a count raised by one
+    d = doc("standard")
+    values = step(d, "oracle_values")
+    values["witness"]["values"][3] += 1
+    return d, values["id"], "recorded h0 at m=4 differs from recomputation"
+
+
+def bundle_of_four_twists():
+    d = doc("standard")
+    values = step(d, "oracle_values")
+    values["inputs"]["bundle"] = [0, 0, 0, 1]
+    return d, values["id"], "bad bundle: X must be a 5-fold: exactly five twists"
+
+
 CASES = [
     forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
     tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
@@ -268,7 +284,8 @@ CASES = [
     search_starts_past_its_selection, tail_cites_an_unrecorded_constraint,
     value_past_the_table, empty_value_table, merge_of_another_multiple,
     fact_bound_as_a_number, fact_bound_as_a_string, fact_bound_infinite,
-    fact_scale_as_a_number, fact_scale_as_a_list,
+    fact_scale_as_a_number, fact_scale_as_a_list, recorded_h0_raised,
+    bundle_of_four_twists,
 ]
 
 
