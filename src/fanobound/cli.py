@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import warnings
 from typing import Optional
@@ -77,10 +78,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(path: str, data: bytes) -> bool:
-    """Write an --out file; on failure say why on stderr and return False."""
+    """Write an --out file; on failure say why on stderr and return False.
+
+    An existing file is overwritten in place and then cut to length:
+    truncating on open frees the old blocks first, which costs more than
+    the whole write.  Neither way is atomic or synced; verify refuses a
+    torn file.
+    """
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            # /dev/null, a FIFO or a tty has no length to cut
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return False

@@ -1,8 +1,10 @@
 """Command-line behavior: flag validation, outputs, exit codes,
 reproducibility."""
 
+import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -13,6 +15,8 @@ import pytest
 import fanobound
 from fanobound import bundle
 from fanobound.cli import main
+
+from test_golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +250,64 @@ class TestAudit:
         assert err == f"cannot write {tmp_path}: Is a directory\n"
 
 
+class TestOutFile:
+    """--out overwrites an existing file in place and cuts it to length."""
+
+    WORST_CASE = ("solve", "--worst-case")
+    CONCRETE = ("solve", "--k5", "6250", "--k3c2", "2750")
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_shorter_certificate_leaves_no_old_tail(self, capsys, tmp_path):
+        out_file = tmp_path / "cert.json"
+        assert run_cli(capsys, *self.WORST_CASE, "--out", str(out_file))[:2] == (0, "16\n")
+        assert out_file.stat().st_size == 12789
+        inode = out_file.stat().st_ino
+        assert run_cli(capsys, *self.CONCRETE, "--out", str(out_file))[:2] == (0, "12\n")
+        assert out_file.stat().st_size == 3491 and out_file.stat().st_ino == inode
+        assert self.digest(out_file) == GOLDEN["solve_k5_6250_k3c2_2750.json"][1]
+
+    def test_audit_over_a_longer_file(self, capsys, tmp_path):
+        out_file = tmp_path / "audit.json"
+        run_cli(capsys, *self.WORST_CASE, "--out", str(out_file))
+        code, _, _ = run_cli(capsys, "audit", "--out", str(out_file))
+        assert code == 0
+        assert self.digest(out_file) == GOLDEN["audit.json"][1]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 20000)
+        link.symlink_to(target)
+        assert run_cli(capsys, *self.CONCRETE, "--out", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert self.digest(target) == GOLDEN["solve_k5_6250_k3c2_2750.json"][1]
+
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        out_file = tmp_path / "cert.json"
+        out_file.write_bytes(b"x" * 20000)
+        out_file.chmod(0o600)
+        assert run_cli(capsys, *self.CONCRETE, "--out", str(out_file))[0] == 0
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o600
+        assert self.digest(out_file) == GOLDEN["solve_k5_6250_k3c2_2750.json"][1]
+
+    def test_new_file_mode_follows_the_umask(self, capsys, tmp_path):
+        out_file = tmp_path / "cert.json"
+        old = os.umask(0o027)
+        try:
+            code, _, _ = run_cli(capsys, *self.CONCRETE, "--out", str(out_file))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o666 & ~0o027
+
+    def test_devnull_is_not_cut(self, capsys):
+        # a character device has no length; ftruncate would fail on it
+        assert run_cli(capsys, *self.WORST_CASE, "--out", os.devnull) == (0, "16\n", "")
+
+
 class TestClosedStdout:
     def test_audit_into_a_closed_pipe(self, tmp_path):
         # `fanobound audit --out a.json | head -1` with the reader gone
@@ -333,6 +395,24 @@ class TestVerify:
         cert_file.write_bytes(b"[" * 100000 + b"]" * 100000)
         code, _, err = run_cli(capsys, "verify", str(cert_file))
         assert code == 2 and "malformed" in err
+
+    def test_top_level_array_exit_2(self, capsys, tmp_path):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text("[]")
+        code, out, err = run_cli(capsys, "verify", str(cert_file))
+        assert code == 2 and out == ""
+        assert err == "malformed certificate: certificate must be a JSON object\n"
+
+    @pytest.mark.parametrize("key, value", [("constraints", "A1"), ("steps", [1])])
+    def test_steps_or_constraints_not_objects_exit_2(self, capsys, tmp_path, key, value):
+        cert_file = tmp_path / "cert.json"
+        run_cli(capsys, "solve", "--k5", "6250", "--k3c2", "2750", "--out", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        doc[key] = value
+        cert_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(cert_file))
+        assert code == 2 and out == ""
+        assert err == f"malformed certificate: {key} must be a list of objects\n"
 
 
 class TestDeterminism:

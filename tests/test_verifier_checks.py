@@ -275,6 +275,38 @@ def bundle_of_four_twists():
     return d, values["id"], "bad bundle: X must be a 5-fold: exactly five twists"
 
 
+def raw_min_as_a_number():
+    # the branch's minimum 35 as the JSON number, not the string "35"
+    d = doc("worst_case")
+    branch = step(d, "fm_lower_bound")
+    branch["witness"]["raw_min"] = int(branch["witness"]["raw_min"])
+    return d, branch["id"], "raw_min must be a rational string, got 35"
+
+
+def constraints_as_a_string():
+    # a bare cid, which iterated would cite "A" and "1"
+    d = doc("worst_case")
+    branch = step(d, "fm_lower_bound")
+    branch["inputs"]["constraints"] = "A1"
+    return d, branch["id"], "constraints must be a list of constraint ids"
+
+
+def farkas_as_an_object():
+    # the same multipliers keyed by cid; iterated, it would yield the keys
+    d = doc("worst_case")
+    branch = step(d, "fm_lower_bound")
+    branch["witness"]["farkas"] = dict(branch["witness"]["farkas"])
+    return d, branch["id"], "farkas witness must be a list"
+
+
+def model_as_a_string():
+    # "1" iterated is the list ["1"], the constant model 1
+    d = doc("standard")
+    model = step(d, "oracle_model")
+    model["witness"]["coeffs"] = "1"
+    return d, model["id"], "model coefficients must be a list of rational strings"
+
+
 CASES = [
     forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
     tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
@@ -285,7 +317,8 @@ CASES = [
     value_past_the_table, empty_value_table, merge_of_another_multiple,
     fact_bound_as_a_number, fact_bound_as_a_string, fact_bound_infinite,
     fact_scale_as_a_number, fact_scale_as_a_list, recorded_h0_raised,
-    bundle_of_four_twists,
+    bundle_of_four_twists, raw_min_as_a_number, constraints_as_a_string,
+    farkas_as_an_object, model_as_a_string,
 ]
 
 
