@@ -37,9 +37,15 @@ establishes the least of its branches' bounds.
 Each layer holds one rational type.  The prover writes each rational
 once, with exact.rat_str, where it builds the step: "p/q" with the sign on
 the numerator, and "/1" omitted.  The verifier reads a rational only as a
-string, parsed once by exact.parse_rat into an integer pair: every
-worst-case check, of Farkas multipliers, points, minima and attempt
-values, cross-multiplies integers.  A certificate's bytes are
+string, parsed by exact.parse_rat into an integer pair: every worst-case
+check, of Farkas multipliers, points, minima and attempt values,
+cross-multiplies integers.
+
+Two memos live on the replay context, so each lasts for one verify and is
+bounded by the certificate: the pair of each distinct rational string, and
+the worst-case attempts already accepted, so that an attempt a later
+search repeats word for word is not checked again.  hilbert.p_coeffs is
+memoised per process, with a bound.  A certificate's bytes are
 json.dumps(doc, sort_keys=True, indent=2) + "\n", as written by _json_bytes.
 
 The verifier is one table, _RULES, from each rule to its checker and its
@@ -376,6 +382,19 @@ class _Replay:
         self.searches: dict = {}  # target dimension -> selected m
         self.tail_start: Optional[int] = None
         self.composed = False
+        # two memos, each living for this one verify and bounded by the
+        # certificate: the pair of each rational string parsed, and the
+        # worst-case attempts already accepted, by _attempt_key
+        self.rats: dict[str, RatPair] = {}
+        self.refuted: set = set()
+
+    def rat(self, value: Any, what: str) -> RatPair:
+        """_rat, parsing each distinct string once per verify.  A string
+        that fails to parse is not kept, so every refusal keeps its reason."""
+        got = self.rats.get(value) if type(value) is str else None
+        if got is None:
+            got = self.rats[value] = _rat(value, what)
+        return got
 
     def record(self, kind: str, result: Any) -> None:
         """Keep what the current step checked for later steps to cite."""
@@ -419,13 +438,15 @@ class _Replay:
         return table, hypotheses
 
 
-def _check_farkas(farkas: Any, table: dict, objective: tuple, value: RatPair) -> None:
+def _check_farkas(
+    farkas: Any, table: dict, objective: tuple, value: RatPair, rat: Callable = _rat
+) -> None:
     """Replay a Farkas combination: positive multipliers over cited
     constraints summing exactly to objective - value, which proves
     objective >= value, for objective an integer triple (ca, cb, k) from
     hilbert and value a RatPair.  A combination has one spelling: each
     constraint appears once, in cid order.  The sum runs on the integer
-    rows and the multipliers' integer pairs."""
+    rows and the multipliers' integer pairs, which rat parses."""
     if not isinstance(farkas, list):
         raise _Fail("farkas witness must be a list")
     scale, sa, sb, sk = 1, 0, 0, 0
@@ -435,7 +456,7 @@ def _check_farkas(farkas: Any, table: dict, objective: tuple, value: RatPair) ->
             cid, mult = item
         except (TypeError, ValueError) as exc:
             raise _Fail(f"bad farkas entry {item!r}: {exc}")
-        mult = _rat(mult, f"farkas multiplier on {cid}")
+        mult = rat(mult, f"farkas multiplier on {cid}")
         if mult.numerator <= 0:
             raise _Fail(f"farkas multiplier on {cid} is not positive")
         if cid not in table:
@@ -454,11 +475,12 @@ def _check_farkas(farkas: Any, table: dict, objective: tuple, value: RatPair) ->
         raise _Fail("farkas combination does not reproduce the bound")
 
 
-def _check_point(point: Any, table: dict) -> tuple[int, int, int]:
+def _check_point(point: Any, table: dict, rat: Callable = _rat) -> tuple[int, int, int]:
     """The point (a, b) = (x / d, y / d) as integers (x, y, d), d > 0, once
-    every cited row (ca, cb, k, den) has ca * x + cb * y + k * d >= 0."""
+    every cited row (ca, cb, k, den) has ca * x + cb * y + k * d >= 0; rat
+    parses each coordinate."""
     try:
-        a, b = (_rat(x, "point coordinate") for x in point)
+        a, b = (rat(x, "point coordinate") for x in point)
     except (TypeError, ValueError) as exc:
         raise _Fail(f"bad point {point!r}: {exc}")
     ad, bd = a.denominator, b.denominator
@@ -497,9 +519,9 @@ def _fm_lower_bound(st: _Replay, inp: dict, w: dict) -> None:
     so the step proves P(m) >= ceil(raw_min)."""
     m = _json_int(inp["m"], "m")
     table, hypotheses = st.cite(inp["constraints"], branch_ok=True)
-    raw = _rat(w["raw_min"], "raw_min")
-    _check_farkas(w["farkas"], table, p_coeffs(m), raw)
-    if not _evaluates_to(p_coeffs(m), _check_point(w["point"], table), raw):
+    raw = st.rat(w["raw_min"], "raw_min")
+    _check_farkas(w["farkas"], table, p_coeffs(m), raw, st.rat)
+    if not _evaluates_to(p_coeffs(m), _check_point(w["point"], table, st.rat), raw):
         raise _Fail("witness point does not attain the minimum")
     bound = -(-raw.numerator // raw.denominator)
     st.record("bound", (m, bound, hypotheses))
@@ -578,7 +600,7 @@ def _oracle_model(st: _Replay, inp: dict, w: dict) -> None:
     table = st.result(inp["values_step"], "value table", "values_step")
     if not isinstance(w["coeffs"], list):
         raise _Fail("model coefficients must be a list of rational strings")
-    coeffs = [_rat(v, "model coefficients") for v in w["coeffs"]]
+    coeffs = [st.rat(v, "model coefficients") for v in w["coeffs"]]
     while coeffs and not coeffs[-1].numerator:
         coeffs.pop()
     # before the common denominator, whose lcm grows with every coefficient
@@ -610,6 +632,17 @@ def _worst_case_test(m: int, r: Optional[int]) -> tuple[tuple[int, int, int], in
     limit its minimum must exceed to pass: P(m) above 1 for the pencil, so
     that A3 gives P(m) >= 2, and the Lemma 2 slack above 0."""
     return (p_coeffs(m), 1) if r is None else (lemma2_slack_coeffs(m, r), 0)
+
+
+def _attempt_key(cids: list, m: int, r: Optional[int], a: dict) -> Optional[tuple]:
+    """What a worst-case attempt's check reads, as written: the cited cids,
+    the test (m, r), the point strings and the value string.  None when the
+    point is not a list of strings or the value is not a string, so such an
+    attempt is never taken for one already checked."""
+    point, value = a["point"], a["value"]
+    if type(point) is list and type(value) is str and all(type(x) is str for x in point):
+        return tuple(cids), m, r, tuple(point), value
+    return None
 
 
 def _dim_search(st: _Replay, inp: dict, w: dict) -> None:
@@ -652,16 +685,23 @@ def _dim_search(st: _Replay, inp: dict, w: dict) -> None:
     if worst:
         table, _ = st.cite(inp["constraints"])
         for (m, r), a in zip(expect, attempts):
-            point = _check_point(a["point"], table)
-            value = _rat(a["value"], "attempt value")
+            # an attempt that repeats one accepted in this verify, word for
+            # word, is accepted again; its keys and order are checked above
+            key = _attempt_key(inp["constraints"], m, r, a)
+            if key in st.refuted:
+                continue
+            point = _check_point(a["point"], table, st.rat)
+            value = st.rat(a["value"], "attempt value")
             # P <= 1 at a feasible point caps the derivable integral bound
             coeffs, limit = _worst_case_test(m, r)
             vn, vd = value
             if not _evaluates_to(coeffs, point, value) or vn > limit * vd:
                 raise _Fail(f"attempt at m={m}, r={r} does not fail the test")
+            if key is not None:
+                st.refuted.add(key)
         coeffs, limit = _worst_case_test(sel_m, sel_r)
-        raw = _rat(sel["raw_min"], "raw_min")
-        _check_farkas(sel["farkas"], table, coeffs, raw)
+        raw = st.rat(sel["raw_min"], "raw_min")
+        _check_farkas(sel["farkas"], table, coeffs, raw, st.rat)
         if raw.numerator <= limit * raw.denominator:
             raise _Fail("a pencil needs P(m) >= 2" if nonvanishing
                         else "worst-case slack minimum is not positive")

@@ -26,11 +26,17 @@ from .hilbert import ChernData, HilbertError, p_eval
 CONVENTIONS = ("standard", "paper")
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
 # built once per process: a parser holds reference cycles that only the
 # cyclic garbage collector frees, so a parser per call lets a long-running
 # caller's memory grow between collections
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by name: the choices
+    of the action add_subparsers returns."""
     parser = argparse.ArgumentParser(
         prog="fanobound",
         description=(
@@ -74,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("path", type=str)
     p_verify.set_defaults(run=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def _write(path: str, data: bytes) -> bool:
@@ -212,9 +218,24 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 1
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one command, parsed once: by the parser of the
+    command argv[0] names, which is the parser the full one hands them to.
+    When argv names no command or that parser leaves an argument over, the
+    full parser parses argv, so every error, usage line and help text is
+    the one it prints."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.run(parser, args)
         sys.stdout.flush()

@@ -298,6 +298,8 @@ def _basic_combination(tight: list[Constraint], fa: int, fb: int, lf: int):
 def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     """Exact minimum of f over the feasible region of cs.
 
+    f is read as integer numerators over one denominator: an f of three
+    ints, as P(m) and the Lemma 2 slack are, is its own numerators over 1.
     Couples a fresh variable t to f with two opposite inequalities, then
     eliminates b and a; the surviving constraints on t describe the exact
     set of attainable objective values.  When f holds b, b is eliminated
@@ -308,7 +310,10 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     and every constraint before it is returned.  A minimum's Farkas
     combination is read off the constraints tight at that point.
     """
-    (fa, fb, fk), lf = over_common_denominator(f)
+    if type(f[0]) is type(f[1]) is type(f[2]) is int:
+        (fa, fb, fk), lf = f, 1
+    else:
+        (fa, fb, fk), lf = over_common_denominator(f)
     rows = [(ca, cb, 0, k) for ca, cb, k, _ in (c.row for c in cs.constraints)]
     t_minus_f, f_minus_t = (-fa, -fb, lf, -fk), (fa, fb, -lf, fk)
     stage_b = rows + [t_minus_f, f_minus_t]
@@ -355,17 +360,14 @@ def fm_minimize(cs: ConstraintSystem, f: AffineForm) -> MinimizeResult:
     bn, bd = _back_substitute(stage_b, 1, (an * qd, 0, qn * ad, ad * qd))
     a_star, b_star = Fraction(an, ad), Fraction(bn, bd)
     # both checks on integers: each row at the point, times ad * bd
-
-    def at_point(ca: int, cb: int, k: int) -> int:
-        return ca * an * bd + cb * bn * ad + k * ad * bd
-
-    if at_point(fa, fb, fk) * qd != lf * ad * bd * qn:
+    x, y, d = an * bd, bn * ad, ad * bd
+    if (fa * x + fb * y + fk * d) * qd != lf * d * qn:
         q = Fraction(qn, qd)
         raise AssertionError(f"fm_minimize: f does not equal {q} at {(a_star, b_star)}")
     tight = []
     for c in cs.constraints:
         ca, cb, k, _ = c.row
-        v = at_point(ca, cb, k)
+        v = ca * x + cb * y + k * d
         if v < 0:
             raise AssertionError(f"fm_minimize: {c.cid} fails at {(a_star, b_star)}")
         if v == 0:

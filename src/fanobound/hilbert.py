@@ -13,12 +13,12 @@ once, as three integer coefficient tuples in m, low degree first:
 
 so 720 P(m) = (-K)^5 _A(m) + 5 (-K)^3.c2 _B(m) + 720 _C(m) is an integer
 for integer m, and p_eval needs no rationals.  p_coeffs evaluates the
-three tuples in one pass, and p_affine and lemma2_slack_form hold its
-integers as the fields of an AffineForm, so building a form makes no
-Fraction.  Vanishing of higher cohomology for m >= 0 makes P(m) =
-h^0(-mK), so P(m) must be a nonnegative integer there; this module treats
-violations as hard errors rather than warnings, because every downstream
-derivation rule assumes them.
+three tuples in one pass, memoised per process with a bound, and
+p_affine and lemma2_slack_form hold its integers as the fields of an
+AffineForm, so building a form makes no Fraction.  Vanishing of higher
+cohomology for m >= 0 makes P(m) = h^0(-mK), so P(m) must be a nonnegative
+integer there; this module treats violations as hard errors rather than
+warnings, because every downstream derivation rule assumes them.
 
 What the prover and the verifier must read alike is written here once: each
 constraint kind as an integer row of P's coefficients (constraint_row) and
@@ -28,6 +28,7 @@ its name (CONSTRAINT_CIDS), and the dimension tests with their search order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb, gcd
 from typing import Iterator, NamedTuple, Optional
@@ -103,9 +104,14 @@ class PValue(NamedTuple("PValue", [("m", int), ("value", int)])):
         return super().__new__(cls, m, value)
 
 
+# memoised per process: a worst-case verify reads 9 distinct m 63 times.
+# Bounded, since table --max-m takes any m; 1024 covers a verifier table of
+# certs.MAX_TABLE + 1 values.  typed, so p_coeffs(1.0) is not p_coeffs(1)
+@lru_cache(maxsize=1024, typed=True)
 def p_coeffs(m: int) -> tuple[int, int, int]:
     """P(m) as the integers (ca, cb, k) with P(m) = ca * a + cb * b + k:
-    one Horner pass over the three coefficient tuples at once."""
+    one Horner pass over the three coefficient tuples at once, computed
+    once per m while the memo holds it."""
     ca = cb = k = 0
     for x, y, z in reversed(_ABC):
         ca, cb, k = ca * m + x, cb * m + y, k * m + z

@@ -414,6 +414,18 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"malformed certificate: {key} must be a list of objects\n"
 
+    def test_zero_k5_exit_2(self, capsys, tmp_path):
+        cert_file = tmp_path / "cert.json"
+        run_cli(capsys, "solve", "--k5", "6250", "--k3c2", "2750", "--out", str(cert_file))
+        doc = json.loads(cert_file.read_text())
+        doc["chern"]["k5"] = 0
+        cert_file.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(cert_file))
+        assert code == 2 and out == ""
+        assert err == (
+            "malformed certificate: bad chern field: (-K)^5 must be >= 1 for -K nef and big\n"
+        )
+
 
 class TestDeterminism:
     def test_solve_outputs_byte_identical(self, capsys, tmp_path):
@@ -472,3 +484,38 @@ def test_convention_flag_offers_the_oracles_conventions(argv):
     for name in bundle.CONVENTIONS:
         assert parse([*argv, "--convention", name]).convention == name
     assert cli.CONVENTIONS == bundle.CONVENTIONS
+
+
+def outcome(capsys, parse, argv):
+    """The exit code, stdout and stderr of parse(argv), which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["slove"], ["solve", "-h"], ["solve", "--worst-case", "--bogus"],
+    ["solve", "--k5", "x"], ["verify"], ["verify", "a", "b"],
+], ids=" ".join)
+def test_main_exits_as_the_full_parser(capsys, argv):
+    # main parses a named command with that command's parser alone; every
+    # exit before a command runs is still the full parser's, byte for byte
+    from fanobound import cli
+
+    want = outcome(capsys, cli._build_parser().parse_args, argv)
+    assert outcome(capsys, main, argv) == want
+    assert want[0] in (0, 2) and (want[1] or want[2])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--k5", "6250", "--k3c2=2750", "--out", "f"],
+    ["solve", "--wor"],
+    ["table", "--k5", "12", "--k3c2", "-60", "--max-m", "3", "--format=json"],
+    ["verify", "f"],
+    ["audit"],
+], ids=" ".join)
+def test_one_pass_reads_what_the_full_parser_reads(argv):
+    from fanobound import cli
+
+    assert cli._parse(argv) == cli._build_parser().parse_args(argv)

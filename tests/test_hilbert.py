@@ -281,3 +281,28 @@ class TestRiemannRoch:
         td = hrr.todd()
         for m in range(13):
             assert hrr.hrr_affine(m, td) == p_affine(m).as_tuple()
+
+
+class TestCoefficientMemo:
+    """p_coeffs is memoised per process, with a bound."""
+
+    def test_the_memo_is_bounded(self):
+        assert p_coeffs.cache_info().maxsize is not None
+
+    def test_a_long_table_stays_within_the_bound(self, capsys):
+        from fanobound.cli import main
+
+        assert main(["table", "--k5", "6250", "--k3c2", "2750", "--max-m", "5000"]) == 0
+        capsys.readouterr()
+        info = p_coeffs.cache_info()
+        assert info.currsize <= info.maxsize
+
+    def test_memoised_values_are_the_horner_pass(self):
+        # past the bound, so entries are evicted and computed again
+        for m in range(-600, 2001):
+            assert p_coeffs(m) == p_coeffs.__wrapped__(m), m
+
+    def test_a_float_is_not_served_the_int_entry(self):
+        p_coeffs(1)
+        got = p_coeffs(1.0)
+        assert got == p_coeffs(1) and all(type(x) is float for x in got)

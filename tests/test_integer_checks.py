@@ -19,7 +19,7 @@ from fanobound.certs import (
 )
 from fanobound.derive import axiom_system, geometry_system
 from fanobound.exact import rat_str
-from fanobound.hilbert import LEMMA2_R_CAP, lemma2_slack_form, p_affine
+from fanobound.hilbert import LEMMA2_R_CAP, lemma2_slack_form, p_affine, p_coeffs
 
 from test_cert_v3 import DOCS, check
 
@@ -169,6 +169,15 @@ def test_worst_case_verify_builds_no_fraction():
     data = solve_worst_case().to_json_bytes()
     res, built = fractions_built(lambda: verify(from_json_bytes(data)))
     assert res.ok and built == []
+
+
+def test_worst_case_verify_computes_each_p_triple_once():
+    # the replay reads P at m = 0..8 alone, 54 times; p_coeffs's memo makes
+    # that 9 Horner passes
+    cert = from_json_bytes(solve_worst_case().to_json_bytes())
+    p_coeffs.cache_clear()
+    assert verify(cert).ok
+    assert p_coeffs.cache_info().misses == 9
 
 
 def test_worst_case_solve_reuses_the_axiom_a1():

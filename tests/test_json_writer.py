@@ -57,3 +57,8 @@ def test_nested_empty_containers():
 def test_refuses_what_json_would_coerce(doc):
     with pytest.raises(TypeError):
         _json_bytes(doc)
+
+
+def test_a_key_that_is_no_string_is_named():
+    with pytest.raises(TypeError, match="^JSON keys must be str, not int$"):
+        _json_bytes({1: 2})

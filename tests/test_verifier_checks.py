@@ -307,6 +307,57 @@ def model_as_a_string():
     return d, model["id"], "model coefficients must be a list of rational strings"
 
 
+def moved_attempt(search):
+    """The worst case with b of the (m=1, r=2) attempt of its dim_search
+    step number search moved by -1/10**30: the point still meets A1 and
+    P(3) >= 7, but the slack there is no longer the recorded 0."""
+    d = doc("worst_case")
+    s = step(d, "dim_search", search)
+    (a,) = (a for a in s["witness"]["attempts"] if (a["m"], a["r"]) == (1, 2))
+    a["point"][1] = str(Fraction(a["point"][1]) - Fraction(1, 10**30))
+    return d, s["id"], "attempt at m=1, r=2 does not fail the test"
+
+
+def moved_dim3_copy():
+    # the dimension-3 search repeats the dimension-2 attempt at (1, 2) word
+    # for word; a copy that differs is checked again, not taken as checked
+    return moved_attempt(2)
+
+
+def moved_dim2_original():
+    return moved_attempt(1)
+
+
+def table_attempt_that_passes():
+    # the dimension-1 search of the limit selects m = 4 after m = 3, where
+    # P(3) >= 2 is a pencil: the table says the attempt passes
+    d = limit()
+    search = step(d, "dim_search")
+    search["witness"]["attempts"].append({"m": 3, "r": None})
+    search["witness"]["selected"] = {"m": 4, "r": None}
+    return d, search["id"], "attempt at m=3, r=None does not fail the test"
+
+
+def params_not_a_list():
+    d = doc("worst_case")
+    d["constraints"][0]["params"] = 3
+    return d, None, "constraint A1 needs a kind string and a params list"
+
+
+def kind_not_allowed():
+    d = doc("worst_case")
+    d["constraints"][0]["kind"] = "bogus"
+    return d, None, "constraint kind 'bogus' not allowed in certificates"
+
+
+def tail_bounds_b_by_a1():
+    # A1 is cited and recorded, but it bounds a alone
+    d = doc("worst_case")
+    tail = step(d, "monotone_tail")
+    tail["inputs"]["b_constraint"] = "A1"
+    return d, tail["id"], "cited constraint gives no lower bound for b"
+
+
 CASES = [
     forged_pencil, raised_merged_bound, r0_below_three, r1_off_its_search,
     tail_removed, tail_from_zero, dim3_search_removed, value_at_least_removed,
@@ -318,7 +369,8 @@ CASES = [
     fact_bound_as_a_number, fact_bound_as_a_string, fact_bound_infinite,
     fact_scale_as_a_number, fact_scale_as_a_list, recorded_h0_raised,
     bundle_of_four_twists, raw_min_as_a_number, constraints_as_a_string,
-    farkas_as_an_object, model_as_a_string,
+    farkas_as_an_object, model_as_a_string, moved_dim3_copy, moved_dim2_original,
+    table_attempt_that_passes, params_not_a_list, kind_not_allowed, tail_bounds_b_by_a1,
 ]
 
 
