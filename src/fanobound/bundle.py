@@ -13,11 +13,13 @@ and the symmetric power splits into line bundles, one per multi-index
 alpha with |alpha| = 5m, of degree sum(alpha_j e_j).  Counting those
 degrees with multiplicity is a lattice-point problem.  Where every
 pushed-down degree is >= -1, so on every nef bundle, h0_anti needs only
-two moments of row j, both closed forms: its count sum S0 = C(j+4, 4),
-the rank of S^j(E), and its index-weighted sum S1 = C(j+4, 5) * deg E.
-A row is built only when it is read.  The rows themselves are packed
-integers, one 64-bit slot per degree, lowest degree first, built on the
-first read of any row of a call by one pass per summand, which adds row
+two moments of row j, both closed forms that it computes itself: its
+count sum S0 = C(j+4, 4), the rank of S^j(E), and its index-weighted sum
+S1 = C(j+4, 5) * deg E.  sym_power_twists returns PowerRows: len,
+indexing, where entry j is a new dict from degree to multiplicity, and
+packed(j), the packed integer of S^j(E), one 64-bit slot per degree,
+lowest degree first.  The packed rows of a call are built together on
+the first read of any of them by one pass per summand, which adds row
 j - 1, moved up by the summand's twist, to row j.  No multiplicity
 exceeds the rank, so no slot carries while it stays below 2**64, which
 holds for j up to 145,052; larger powers, and passes whose rows would
@@ -36,10 +38,9 @@ from __future__ import annotations
 
 import struct
 import warnings
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
-from operator import eq
 from typing import Callable, NamedTuple
 
 STANDARD = "standard"
@@ -137,98 +138,22 @@ def power_slots(spread: int, k: int) -> int:
     return spread * k * (k + 1) // 2 + k + 1
 
 
-class _PackedRows:
-    """The packed rows S^0..S^k of one sym_power_twists call, built by one
-    pass per summand on the first read of any of them: row j holds the
-    multi-indices of total j counted by degree, one SLOT_BITS slot per
-    degree from j * min(twists) up, and a summand of twist e adds row
-    j - 1 (already updated), moved up by e - min(e) slots, to row j."""
+class PowerRows(Sequence[dict[int, int]]):
+    """The rows S^0..S^k of one sym_power_twists call: row j < shift is
+    empty, row j >= shift the standard S^i(E), i = j - shift.
 
-    __slots__ = ("_twists", "_k", "_rows")
-
-    def __init__(self, twists: tuple[int, ...], k: int) -> None:
-        self._twists = twists
-        self._k = k
-        self._rows: list[int] | None = None
-
-    def __getitem__(self, j: int) -> int:
-        if self._rows is None:
-            low = min(self._twists)
-            rows = [1] + [0] * self._k
-            for e in self._twists:
-                shift = SLOT_BITS * (e - low)
-                for i in range(1, self._k + 1):
-                    rows[i] += rows[i - 1] << shift
-            self._rows = rows
-        return self._rows[j]
-
-
-class PowerRow(Mapping[int, int]):
-    """The twist multiset of one S^j(E), read-only: counts[i] is the
-    multiplicity of degree low + i.  As a mapping it holds only the
-    degrees of positive multiplicity.
-
-    s0 = sum(counts) and s1 = sum(i * counts[i]) are the closed forms of
-    PowerRows.  The packed integer comes from the rows of its call, built
-    on the first read of any row's counts, mapping or packed integer, and
-    is read little-endian into the counts tuple on first read.
+    The packed rows S^0..S^(k - shift) are built together on the first
+    read of any of them, by one pass per summand: row i holds the
+    multi-indices of total i counted by degree, one SLOT_BITS slot per
+    degree from i * min(twists) up, and a summand of twist e adds row
+    i - 1 (already updated), moved up by e - min(e) slots, to row i.
     """
 
-    __slots__ = ("low", "s0", "s1", "_span", "_rows", "_j", "_counts")
-
-    def __init__(
-        self, low: int, span: int, s0: int, s1: int,
-        rows: _PackedRows | tuple[int, ...], j: int,
-    ) -> None:
-        # the row holds degrees low..low + span
-        self.low, self.s0, self.s1, self._span = low, s0, s1, span
-        self._rows, self._j = rows, j
-        self._counts: tuple[int, ...] | None = None
-
-    @property
-    def _packed(self) -> int:
-        return self._rows[self._j]
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        if self._counts is None:
-            n = self._span + 1
-            raw = self._packed.to_bytes(SLOT_BITS // 8 * n, "little")
-            self._counts = struct.unpack(f"<{n}Q", raw)
-        return self._counts
-
-    def __getitem__(self, d: int) -> int:
-        i = d - self.low
-        if 0 <= i < len(self.counts) and self.counts[i]:
-            return self.counts[i]
-        raise KeyError(d)
-
-    def __iter__(self) -> Iterator[int]:
-        return (self.low + i for i, c in enumerate(self.counts) if c)
-
-    def __len__(self) -> int:
-        return sum(1 for c in self.counts if c)
-
-    def __repr__(self) -> str:
-        return f"PowerRow({dict(self)!r})"
-
-
-_EMPTY_ROW = PowerRow(0, -1, 0, 0, (0,), 0)
-
-
-class PowerRows(Sequence[PowerRow]):
-    """The rows S^0..S^k of one sym_power_twists call, read-only, each built
-    when it is read: row j < shift is empty, row j >= shift the standard
-    S^i(E), i = j - shift.  Its moments are S0 = C(i+4, 4), the rank, and
-    S1 = C(i+4, 5) * (sum(e) - 5 min(e)), since each alpha_t sums to
-    C(i+4, 5) over the multi-indices of total i."""
-
-    __slots__ = ("_low", "_spread", "_deg", "_shift", "_js", "_packed")
+    __slots__ = ("twists", "k", "shift", "_packed")
 
     def __init__(self, twists: tuple[int, ...], k: int, shift: int = 0) -> None:
         top = k - shift
-        low = min(twists)
-        spread = max(twists) - low
+        spread = max(twists) - min(twists)
         if top >= 0 and comb(top + 4, 4) >= 2**SLOT_BITS:
             raise ValueError(
                 f"S^{top}(E) has rank C({top}+4, 4) >= 2**{SLOT_BITS}: "
@@ -239,27 +164,35 @@ class PowerRows(Sequence[PowerRow]):
                 f"S^0..S^{top}(E) need {power_slots(spread, top)} packed slots, "
                 f"more than the {MAX_POWER_SLOTS} one pass may hold"
             )
-        self._low, self._spread, self._shift = low, spread, shift
-        self._deg = sum(twists) - 5 * low
-        self._js = range(k + 1)
-        self._packed = _PackedRows(twists, top)
+        self.twists, self.k, self.shift = twists, k, shift
+        self._packed: list[int] | None = None
 
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return list(map(self.__getitem__, self._js[j]))
-        i = self._js[j] - self._shift
+    def packed(self, i: int) -> int:
+        """The packed integer of the standard S^i(E), 0 <= i <= k - shift."""
+        if self._packed is None:
+            low = min(self.twists)
+            rows = [1] + [0] * (self.k - self.shift)
+            for e in self.twists:
+                bits = SLOT_BITS * (e - low)
+                for j in range(1, len(rows)):
+                    rows[j] += rows[j - 1] << bits
+            self._packed = rows
+        return self._packed[i]
+
+    def __getitem__(self, j: int) -> dict[int, int]:
+        """A new dict from degree to multiplicity, positive ones only; its
+        slots are read little-endian, lowest degree first on every host."""
+        i = range(self.k + 1)[j] - self.shift
         if i < 0:
-            return _EMPTY_ROW
-        s0, s1 = comb(i + 4, 4), self._deg * comb(i + 4, 5)
-        return PowerRow(i * self._low, i * self._spread, s0, s1, self._packed, i)
+            return {}
+        low = min(self.twists)
+        n = i * (max(self.twists) - low) + 1
+        raw = self.packed(i).to_bytes(SLOT_BITS // 8 * n, "little")
+        counts = struct.unpack(f"<{n}Q", raw)
+        return {i * low + d: c for d, c in enumerate(counts) if c}
 
     def __len__(self) -> int:
-        return len(self._js)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        return self.k + 1
 
 
 def sym_power_twists(b: SplitBundle, k: int, conv: str = STANDARD) -> PowerRows:
@@ -273,9 +206,10 @@ def sym_power_twists(b: SplitBundle, k: int, conv: str = STANDARD) -> PowerRows:
     S^(j-2)(O^4), the printed S^j is the standard S^(j-2) of the same
     bundle, and the paper list is the standard one shifted by two.
 
-    The rows come as PowerRows, each built when it is read.  A power
-    whose rank reaches 2**64, or a pass over more than MAX_POWER_SLOTS
-    slots, raises ValueError before anything is allocated.
+    The rows come as PowerRows: each read of an entry builds a new dict
+    from the packed rows.  A power whose rank reaches 2**64, or a pass
+    over more than MAX_POWER_SLOTS slots, raises ValueError before
+    anything is allocated.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -295,11 +229,13 @@ def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
     summing line-bundle sections; one symmetric-power pass up to 5*m_max
     serves every multiple.
 
-    Slot i of row 5m twists to first + i sections.  Where first >= 0 the
-    count is first * S0 + S1 from the row's closed-form moments, and no
-    packed row is built; is_nef makes first = m(5 min(e) + 2 - sum(e)) + 1
-    >= 1 in both conventions.  Only a row with degrees below -1 reads its
-    packed integer: it shifts them out and reads the moments of the rest.
+    Row 5m is the standard S^i(E), i = 5m - shift, and its slot t twists
+    to first + t sections, first = i min(e) + m(2 - sum(e)) + 1.  Where
+    first >= 0 the count is first * S0 + S1 with the closed forms
+    S0 = C(i+4, 4) and S1 = C(i+4, 5) * (sum(e) - 5 min(e)), and no packed
+    row is built; is_nef makes first >= 1 in both conventions.  Only a row
+    with degrees below -1 reads its packed integer: it shifts them out and
+    reads the moments of the rest.
 
     When every pushed-down degree is >= -1 the first cohomology of each
     summand vanishes and the count equals the Euler characteristic; for
@@ -310,17 +246,19 @@ def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
         raise ValueError("m_max must be >= 1")
     _, h_coeff = anticanonical_data(b)
     powers = sym_power_twists(b, 5 * m_max, conv)
+    low = min(b.twists)
+    deg = sum(b.twists) - 5 * low
     values = []
     below_chi = False
     for m in range(1, m_max + 1):
-        row = powers[5 * m]
-        first = row.low + m * h_coeff + 1
+        i = 5 * m - powers.shift
+        first = i * low + m * h_coeff + 1
         if first >= 0:
-            values.append(first * row.s0 + row.s1)
+            values.append(first * comb(i + 4, 4) + deg * comb(i + 4, 5))
             continue
         # the skip bits below hold the degrees below -1; slot -first of the
         # row, index 0 after the shift, twists to 0 sections
-        packed = row._packed
+        packed = powers.packed(i)
         skip = SLOT_BITS * -first
         below_chi = below_chi or packed & ((1 << skip) - 1) != 0
         values.append(_moments(packed >> skip)[1])
@@ -335,13 +273,12 @@ def h0_anti(b: SplitBundle, m_max: int, conv: str = STANDARD) -> list[int]:
 
 def paper_closed_form(m: int) -> int:
     """The printed closed form for the example bundle:
-    m(5m-1)(5m+1)(5m+2)(10m+3)/24."""
+    m(5m-1)(5m+1)(5m+2)(10m+3)/24.  The numerator is an integer
+    polynomial, so its residue mod 24 has period 24, and it is 0 at
+    m = 0..23: the division is exact for every m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    num = m * (5 * m - 1) * (5 * m + 1) * (5 * m + 2) * (10 * m + 3)
-    if num % 24 != 0:
-        raise ArithmeticError(f"closed form not divisible by 24 at m = {m}")
-    return num // 24
+    return m * (5 * m - 1) * (5 * m + 1) * (5 * m + 2) * (10 * m + 3) // 24
 
 
 @dataclass(frozen=True)

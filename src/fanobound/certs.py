@@ -477,11 +477,13 @@ def _check_farkas(
 
 def _check_point(point: Any, table: dict, rat: Callable = _rat) -> tuple[int, int, int]:
     """The point (a, b) = (x / d, y / d) as integers (x, y, d), d > 0, once
-    every cited row (ca, cb, k, den) has ca * x + cb * y + k * d >= 0; rat
-    parses each coordinate."""
+    every cited row (ca, cb, k, den) has ca * x + cb * y + k * d >= 0.  The
+    point is a JSON list of two rational strings, which rat parses."""
+    if type(point) is not list:
+        raise _Fail(f"bad point {point!r}: not a list")
     try:
         a, b = (rat(x, "point coordinate") for x in point)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise _Fail(f"bad point {point!r}: {exc}")
     ad, bd = a.denominator, b.denominator
     x, y, d = a.numerator * bd, b.numerator * ad, ad * bd

@@ -17,7 +17,7 @@ from fanobound.bundle import (
     PAPER_DIM1_START,
     MAX_POWER_SLOTS,
     ChiApproximationWarning,
-    PowerRow,
+    PowerRows,
     SplitBundle,
     UnsupportedConventionError,
     anticanonical_data,
@@ -26,7 +26,6 @@ from fanobound.bundle import (
     is_nef,
     k5_geometric,
     _moments,
-    _PackedRows,
     oracle_source,
     paper_closed_form,
     power_slots,
@@ -175,18 +174,25 @@ class TestSymPowerTwists:
             d: c for d, c in expected.items() if c
         }
 
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            sym_power_twists(SplitBundle(EXAMPLE_TWISTS), -1)
+
 
 class TestPowerRow:
     def test_row_equals_brute_force_both_ways(self):
         twists = (-1, 0, 0, 2, 3)
         for k, row in enumerate(sym_power_twists(SplitBundle(twists), 6)):
             expected = brute_force_twists(twists, k)
-            assert isinstance(row, PowerRow)
+            assert type(row) is dict
             assert row == expected and expected == row
 
     def test_zero_multiplicity_inside_the_span_is_absent(self):
-        row = sym_power_twists(SplitBundle((0, 0, 0, 0, 2)), 3)[3]
-        assert row.low == 0 and list(row.counts) == [20, 0, 10, 0, 4, 0, 1]
+        rows = sym_power_twists(SplitBundle((0, 0, 0, 0, 2)), 3)
+        # the packed row holds every slot from degree 0 up, zero or not
+        slots = [rows.packed(3) >> (64 * t) & (2**64 - 1) for t in range(7)]
+        assert slots == [20, 0, 10, 0, 4, 0, 1]
+        row = rows[3]
         assert list(row.keys()) == [0, 2, 4, 6] and len(row) == 4
         for d in (1, 3, 5, -1, 7):
             assert d not in row and row.get(d, 0) == 0
@@ -195,25 +201,27 @@ class TestPowerRow:
 
     def test_printed_leading_rows_are_empty(self):
         table = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 3, "paper")
-        for row in table[:2]:
+        for row in (table[0], table[1]):
             assert row == {} and {} == row
             assert list(row.keys()) == [] and len(row) == 0
             assert 0 not in row and row.get(0, 0) == 0
         assert table[2] == {0: 1} and table[3] == {0: 4, 1: 1}
 
-    def test_rows_are_read_only(self):
-        row = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 2)[2]
-        with pytest.raises(TypeError):
-            row[0] = 1
-        with pytest.raises(TypeError):
-            row.counts[0] = 1
+    def test_an_edited_row_leaves_the_table_unchanged(self):
+        # each read builds a new dict, so an edit reaches no later read
+        rows = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 2)
+        row = rows[2]
+        row[0] = 1
+        del row[2]
+        row[7] = 3
+        assert rows[2] == brute_force_twists(EXAMPLE_TWISTS, 2) == {0: 10, 1: 4, 2: 1}
 
     def test_rows_and_counts_match_the_dict_pass(self):
         rng = random.Random(20261018)
         for _ in range(60):
             twists = tuple(rng.randint(-6, 6) for _ in range(5))
             m_max = rng.randint(1, 6)
-            assert sym_power_twists(SplitBundle(twists), 5 * m_max) == dict_powers(
+            assert list(sym_power_twists(SplitBundle(twists), 5 * m_max)) == dict_powers(
                 twists, 5 * m_max
             )
             values, below_chi = dict_h0_anti(twists, m_max)
@@ -281,13 +289,14 @@ def slot_moments(packed):
 @example(e=2, others=(0, 0, 0, 0), k=160, conv="paper")
 def test_closed_form_moments_match_the_packed_rows(e, others, k, conv):
     # the slot-by-slot moments of the packed rows are the brute-force check
-    # of S0 = C(j+4, 4) and S1 = C(j+4, 5) * deg E; the printed convention
-    # takes four zeros and one e
+    # of S0 = C(i+4, 4) and S1 = C(i+4, 5) * deg E, the closed forms that
+    # h0_anti reads; the printed convention takes four zeros and one e
     twists = (e,) + (others if conv == "standard" else (0, 0, 0, 0))
+    deg = sum(twists) - 5 * min(twists)
     rows = sym_power_twists(SplitBundle(twists), k, conv)
     assert len(rows) == k + 1
-    for row in rows:
-        assert (row.s0, row.s1) == slot_moments(row._packed)
+    for i in range(k + 1 - rows.shift):
+        assert (comb(i + 4, 4), deg * comb(i + 4, 5)) == slot_moments(rows.packed(i))
 
 
 class TestMoments:
@@ -355,7 +364,9 @@ class TestSlotBudget:
             spread = max(twists) - min(twists)
             for k in range(6):
                 rows = sym_power_twists(SplitBundle(twists), k)
-                assert power_slots(spread, k) == sum(len(r.counts) for r in rows)
+                # the top slot of each row, degree i * max(e), holds 1
+                slots = sum((rows.packed(i).bit_length() + 63) // 64 for i in range(k + 1))
+                assert power_slots(spread, k) == slots
 
     def test_over_budget_refused_before_any_row(self):
         # k = 145,000 passes the 64-bit guard but would need ~84 GB of rows
@@ -372,7 +383,7 @@ class TestSlotBudget:
 
     def test_unread_rows_stay_packed(self):
         # a call holds no packed row until one is read; the first read
-        # builds them all, and a row is unpacked when it is read
+        # builds them all, and a row is unpacked into a dict when it is read
         b = SplitBundle((0, 0, 0, 1, 1))
         packed_bytes = 8 * power_slots(1, 1000)
         tracemalloc.start()
@@ -382,7 +393,7 @@ class TestSlotBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * packed_bytes
-        assert list(rows[2].counts) == [6, 6, 3]
+        assert rows[2] == {0: 6, 1: 6, 2: 3}
         assert rows[3] == brute_force_twists((0, 0, 0, 1, 1), 3)
 
     def test_nef_counts_build_no_packed_row(self):
@@ -408,21 +419,18 @@ class TestSlotBudget:
         if conv == "standard" or offset[3] == 0
     ])
     def test_nef_counts_build_only_the_rows_read(self, twists, conv, monkeypatch):
-        # h0_anti(b, 32) reads rows 5, 10, ..., 160 of the 161 that
-        # sym_power_twists(b, 160) returns, and builds only those
-        built, init = [], PowerRow.__init__
+        # h0_anti(b, 32) counts rows 5, 10, ..., 160 of the 161 that
+        # sym_power_twists(b, 160) returns from their closed forms, and
+        # reads no packed row, so it builds none
+        def refuse(rows, i):
+            raise AssertionError("a packed row was read")
 
-        def counting(row, *args):
-            built.append(args)
-            init(row, *args)
-
-        def refuse(rows, j):
-            raise AssertionError("a packed row was built")
-
-        monkeypatch.setattr(PowerRow, "__init__", counting)
-        monkeypatch.setattr(_PackedRows, "__getitem__", refuse)
+        monkeypatch.setattr(PowerRows, "packed", refuse)
         values = h0_anti(SplitBundle(twists), 32, conv)
-        assert len(values) == 32 and len(built) <= 32
+        assert len(values) == 32
+        if conv == "standard":
+            chern = ChernData(6250, 2750)
+            assert values == [p_eval(chern, m) for m in range(1, 33)]
 
 
 class TestOnePassTables:
@@ -535,6 +543,16 @@ class TestPaperClosedForm:
         assert paper_closed_form(1) == 91
         assert paper_closed_form(4) == 62909
         assert paper_closed_form(5) == 186030
+
+    def test_division_by_24_is_exact_for_every_m(self):
+        # an integer polynomial's residue mod 24 has period 24
+        residues = [
+            m * (5 * m - 1) * (5 * m + 1) * (5 * m + 2) * (10 * m + 3) % 24
+            for m in range(24)
+        ]
+        assert residues == [0] * 24
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            paper_closed_form(0)
 
     def test_identity_with_summation_up_to_fifty(self):
         b = SplitBundle(EXAMPLE_TWISTS)

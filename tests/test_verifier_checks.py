@@ -307,6 +307,24 @@ def model_as_a_string():
     return d, model["id"], "model coefficients must be a list of rational strings"
 
 
+def point_as_a_string():
+    # "12" iterated would be the point (1, 2), refused only by a later
+    # check, the branch's constraint
+    d = doc("worst_case")
+    branch = step(d, "fm_lower_bound")
+    branch["witness"]["point"] = "12"
+    return d, branch["id"], "bad point '12': not a list"
+
+
+def attempt_point_as_a_string():
+    # "00" iterated would be the point (0, 0), refused only by a later
+    # check, constraint A1
+    d = doc("worst_case")
+    search = step(d, "dim_search")
+    search["witness"]["attempts"][0]["point"] = "00"
+    return d, search["id"], "bad point '00': not a list"
+
+
 def moved_attempt(search):
     """The worst case with b of the (m=1, r=2) attempt of its dim_search
     step number search moved by -1/10**30: the point still meets A1 and
@@ -371,6 +389,7 @@ CASES = [
     bundle_of_four_twists, raw_min_as_a_number, constraints_as_a_string,
     farkas_as_an_object, model_as_a_string, moved_dim3_copy, moved_dim2_original,
     table_attempt_that_passes, params_not_a_list, kind_not_allowed, tail_bounds_b_by_a1,
+    point_as_a_string, attempt_point_as_a_string,
 ]
 
 
