@@ -31,6 +31,7 @@ failed attempt its dimension-3 search already carries.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .certs import Certificate
@@ -238,16 +239,16 @@ def _example_entries() -> list[AuditEntry]:
         )
     )
 
-    std5 = bundle.sym_power_twists(b, 5, bundle.STANDARD)[5]
-    printed5 = bundle.sym_power_twists(b, 5, bundle.PAPER)[5]
+    # degree i of S^5(O^4 + O(1)) has the rank of S^(5-i)(O^4) as its
+    # multiplicity: C(5-i+3, 3) standard, C(5-i+1, 3) printed
     entries.append(
         AuditEntry(
             location="Example 1: symmetric power rank",
             paper_claim="the inner summand has rank (5m-i-1)(5m-i)(5m-i+1)/6",
             engine_result=(
                 f"printed rank C(k+1,3) vs standard C(k+3,3); at 5m = 5 the "
-                f"multiplicities are {[printed5.get(d, 0) for d in range(6)]} printed vs "
-                f"{[std5.get(d, 0) for d in range(6)]} standard; both chains are "
+                f"multiplicities are {[comb(5 - i + 1, 3) for i in range(6)]} printed vs "
+                f"{[comb(5 - i + 3, 3) for i in range(6)]} standard; both chains are "
                 "reported, authorial intent is not adjudicated"
             ),
             status=DISCREPANCY,

@@ -61,11 +61,11 @@ p_affine for eval_p, p_poly for the concrete tail, constraint_row and
 CONSTRAINT_CIDS, the integer row and the name of each declared kind, the
 dimension tests and their search order, and ray_tail, the worst-case tail
 built from the integer rows of two cited bounds; the prover calls each of
-these too) and bundle (its own recount of the section counts, from the
-closed-form moments C(j+4, 4) and C(j+4, 5) * deg E of each row it reads,
-a packed row being built only for a degree below -1, and the nef test).  bundle is loaded only by the oracle
-rule, oracle_values, so verifying a worst-case or concrete certificate
-loads neither bundle nor the dataclasses it uses.
+these too) and bundle (the nef test, and its own recount of the section
+counts by Riemann-Roch from the rank C(i+4, 4) and degree
+C(i+4, 5) * sum(e) of each symmetric power).  bundle is loaded only by the
+oracle rule, oracle_values, so verifying a worst-case or concrete
+certificate loads neither bundle nor the dataclasses it uses.
 """
 
 from __future__ import annotations
@@ -585,8 +585,7 @@ def _oracle_values(st: _Replay, inp: dict, w: dict) -> None:
         sb = bundle.SplitBundle(tuple(_json_int(e, "twist") for e in inp["bundle"]))
     except (TypeError, ValueError) as exc:
         raise _Fail(f"bad bundle: {exc}")
-    # before any section count: the nef test also bounds the spread of the
-    # twists, and with it the symmetric-power pass
+    # refused with the certificate's reason; h0_anti would raise
     if not bundle.is_nef(sb):
         raise _Fail("-K is not nef on the bundle, outside the hypotheses")
     values = _table_values(w["values"])

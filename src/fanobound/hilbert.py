@@ -234,7 +234,9 @@ def fit_ab(v1: PValue, v2: PValue) -> tuple[Fraction, Fraction]:
     P(v2.m) = v2.value.
 
     Requires two distinct multiples away from m in {0, -1}, where the
-    (a, b) coefficients vanish and the system degenerates.
+    (a, b) coefficients vanish and the system degenerates.  Two distinct
+    multiples m >= 1 never give proportional rows: cb(m) = m(m+1)(2m+1) > 0
+    and ca(m) = (3m^2 + 3m - 1) * cb(m), strictly increasing in m there.
     """
     for v in (v1, v2):
         if v.m in (0, -1):
@@ -243,10 +245,6 @@ def fit_ab(v1: PValue, v2: PValue) -> tuple[Fraction, Fraction]:
         raise ValueError("need two distinct multiples")
     (a1, b1, k1), (a2, b2, k2) = p_coeffs(v1.m), p_coeffs(v2.m)
     det = a1 * b2 - a2 * b1
-    if det == 0:
-        raise ValueError(
-            f"coefficient rows for m = {v1.m}, {v2.m} are proportional"
-        )
     r1, r2 = v1.value - k1, v2.value - k2
     return Fraction(r1 * b2 - r2 * b1, det), Fraction(a1 * r2 - a2 * r1, det)
 

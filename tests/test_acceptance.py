@@ -114,12 +114,12 @@ def test_criterion_5_standard_convention_properties():
         twists = tuple(rng.randint(-2, 3) for _ in range(5))
         k = rng.randint(0, 8)
         got = bundle.sym_power_twists(bundle.SplitBundle(twists), k)[k]
-        brute = {}
-        for alpha in product(range(k + 1), repeat=5):
-            if sum(alpha) == k:
-                d = sum(x * e for x, e in zip(alpha, twists))
-                brute[d] = brute.get(d, 0) + 1
-        assert got == brute
+        degrees = [
+            sum(x * e for x, e in zip(alpha, twists))
+            for alpha in product(range(k + 1), repeat=5)
+            if sum(alpha) == k
+        ]
+        assert got == (len(degrees), sum(degrees))
 
     b = bundle.SplitBundle(bundle.EXAMPLE_TWISTS)
     values = bundle.h0_anti(b, 10)
@@ -127,7 +127,7 @@ def test_criterion_5_standard_convention_properties():
     for m in range(3, 11):
         assert p_affine(m).evaluate(a, bb) == values[m - 1]
     assert 720 * a == 6250 == bundle.k5_geometric(b)
-    _passed(5, "DP equals enumeration; fitted (a,b) reproduces m=3..10; 720a = 6250")
+    _passed(5, "rank and degree equal enumeration; fitted (a,b) reproduces m=3..10; 720a = 6250")
 
 
 def test_criterion_6_formula_and_engine_invariants():

@@ -6,6 +6,7 @@ from fanobound import bounds, bundle, derive
 from fanobound.audit import build_audit
 
 from test_bounds import count_calls
+from test_bundle import brute_force_twists
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,21 @@ def test_known_statuses(report):
     counts = report.counts()
     assert counts["discrepancy"] == 2
     assert counts["confirmed"] >= 12
+
+
+def test_rank_entry_lists_the_enumerated_multiplicities(report):
+    # at 5m = 5 the standard multiset is S^5(O^4 + O(1)) enumerated, and
+    # the printed one S^3 of the same bundle, the printed S^j being the
+    # standard S^(j-2)
+    standard = brute_force_twists(bundle.EXAMPLE_TWISTS, 5)
+    printed = brute_force_twists(bundle.EXAMPLE_TWISTS, 3)
+    lists = (
+        f"multiplicities are {[printed.get(d, 0) for d in range(6)]} printed vs "
+        f"{[standard.get(d, 0) for d in range(6)]} standard;"
+    )
+    by_loc = {e.location: e for e in report.entries}
+    assert lists in by_loc["Example 1: symmetric power rank"].engine_result
+    assert "[20, 10, 4, 1, 0, 0] printed vs [56, 35, 20, 10, 4, 1] standard" in lists
 
 
 def test_entries_have_substance(report):

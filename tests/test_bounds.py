@@ -14,6 +14,7 @@ from fanobound import bundle
 from fanobound.exact import Poly, rat_str
 from fanobound.hilbert import ChernData, lemma2_threshold, p_affine, p_eval
 from fanobound.derive import (
+    MonotoneCertificationError,
     ValueTable,
     axiom_system,
     chern_table,
@@ -104,6 +105,11 @@ class TestRules:
         assert lemma2_threshold(1, 0, 1) == 1
         assert lemma2_threshold(4, 1, 6250) == 25001
 
+    @pytest.mark.parametrize("m, r, d5", [(0, 1, 6250), (1, -1, 6250), (1, 1, 0)])
+    def test_threshold_outside_its_domain_refused(self, m, r, d5):
+        with pytest.raises(ValueError, match="need m >= 1, r >= 0, d5 >= 1"):
+            lemma2_threshold(m, r, d5)
+
     def test_threshold_worst_case_form(self):
         # threshold at (6, 2) in (a, b): 36 * 720a + 2
         slack = lemma2_slack_form(6, 2)
@@ -188,6 +194,15 @@ class TestMinimalR:
         with pytest.raises(SearchExhaustedError):
             minimal_r(dummy_table({m: 0 for m in range(1, 5)}), 1, m_max=4)
 
+    def test_unknown_dimension_refused(self):
+        for target in (0, 4):
+            with pytest.raises(ValueError, match="target dimension must be 1, 2, or 3"):
+                minimal_r(geom(), target)
+
+    def test_empty_budget_refused(self):
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            minimal_r(geom(), 1, m_max=0)
+
     def test_deterministic_tie_break_smallest_r(self):
         # values so large that several exponents pass at the same m
         src = dummy_table({1: 10**9, 2: 10**9})
@@ -209,6 +224,13 @@ class TestCertifyR0:
         # P(3) = 0 for (2, -26), whose solve moves r0 to 4
         with pytest.raises(CertificationError, match=r"P\(3\) = 0, need >= 1"):
             certify_r0(chern_table(ChernData(2, -26), 32), 3)
+
+    def test_polynomial_falling_from_r0_refused(self):
+        # P(3) = 5 passes, but the table's polynomial 10 - t falls by 1 at
+        # every step, so no tail holds from 3
+        falling = ValueTable((9, 8, 5), 1, 6250, Poly((10, -1)), "oracle")
+        with pytest.raises(MonotoneCertificationError, match="no tail certificate from m = 3"):
+            certify_r0(falling, 3)
 
     def test_degenerate_oracle_fails(self):
         zero = dummy_table({m: 0 for m in range(1, 70)})

@@ -2,21 +2,18 @@
 form, and the worked example's certificates."""
 
 import random
-import tracemalloc
-import warnings
 from fractions import Fraction
-from itertools import count, product
+from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanobound import bundle
 from fanobound.hilbert import ChernData, PValue, fit_ab, p_affine, p_eval
 from fanobound.bundle import (
     EXAMPLE_TWISTS,
     PAPER_DIM1_START,
-    MAX_POWER_SLOTS,
-    ChiApproximationWarning,
     PowerRows,
     SplitBundle,
     UnsupportedConventionError,
@@ -25,10 +22,8 @@ from fanobound.bundle import (
     h0_p1,
     is_nef,
     k5_geometric,
-    _moments,
     oracle_source,
     paper_closed_form,
-    power_slots,
     sym_power_twists,
 )
 from fanobound.bounds import solve_oracle
@@ -58,10 +53,16 @@ def brute_force_h0(twists, m):
     return sum(c * h0_p1(d + shift) for d, c in mults.items())
 
 
+def moments(mults):
+    """(rank, degree) of a multiset of line-bundle degrees: the count and
+    the degree sum."""
+    return sum(mults.values()), sum(d * c for d, c in mults.items())
+
+
 def dict_powers(twists, k):
-    """The per-degree dictionary pass, the reference for the packed rows:
-    adding a summand of twist e turns row j into row j plus row j - 1
-    (already updated) moved up by e."""
+    """The per-degree dictionary pass, a reference for the rows: adding a
+    summand of twist e turns row j into row j plus row j - 1 (already
+    updated) moved up by e."""
     rows = [{0: 1}] + [{} for _ in range(k)]
     for e in twists:
         for j in range(1, k + 1):
@@ -72,19 +73,31 @@ def dict_powers(twists, k):
 
 
 def dict_h0_anti(twists, m_max, conv="standard"):
-    """h0(-mK) for m = 1..m_max and the chi flag, degree by degree with
-    h0_p1 over dict_powers; the printed S^j is the standard S^(j-2)."""
+    """h0(-mK) for m = 1..m_max, degree by degree with h0_p1 over
+    dict_powers; the printed S^j is the standard S^(j-2)."""
     h = 2 - sum(twists)
     if conv == "standard":
         powers = dict_powers(twists, 5 * m_max)
     else:
         powers = [{}, {}] + dict_powers(twists, 5 * m_max - 2)
-    values, below_chi = [], False
-    for m in range(1, m_max + 1):
-        mults = powers[5 * m]
-        below_chi = below_chi or any(d + m * h < -1 for d in mults)
-        values.append(sum(c * h0_p1(d + m * h) for d, c in mults.items()))
-    return values, below_chi
+    return [
+        sum(c * h0_p1(d + m * h) for d, c in powers[5 * m].items())
+        for m in range(1, m_max + 1)
+    ]
+
+
+def h0_anti_or_refusal(twists, m_max, conv="standard"):
+    """h0_anti's values on a nef bundle, which must equal dict_h0_anti's;
+    on any other bundle, checks that h0_anti refuses it and returns None."""
+    b = SplitBundle(twists)
+    if not is_nef(b):
+        with pytest.raises(ValueError, match=r"^-K is not nef") as exc:
+            h0_anti(b, m_max, conv)
+        assert str(twists) in str(exc.value)
+        return None
+    values = h0_anti(b, m_max, conv)
+    assert values == dict_h0_anti(twists, m_max, conv)
+    return values
 
 
 # every nef split bundle is a shift of one with twists >= 0 summing to at
@@ -130,25 +143,28 @@ class TestSymPowerTwists:
     def test_example_standard_multiplicities(self):
         got = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 5, "standard")[5]
         # brute force over all C(9,4) = 126 multi-indices
-        assert got == brute_force_twists(EXAMPLE_TWISTS, 5)
-        assert [got[d] for d in range(6)] == [56, 35, 20, 10, 4, 1]
+        mults = brute_force_twists(EXAMPLE_TWISTS, 5)
+        assert [mults[d] for d in range(6)] == [56, 35, 20, 10, 4, 1]
+        assert got == moments(mults) == (126, 126)
 
     def test_example_printed_multiplicities(self):
         got = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 5, "paper")[5]
         # printed rank (k-1)k(k+1)/6 at k = 5..0
-        assert [got.get(d, 0) for d in range(6)] == [20, 10, 4, 1, 0, 0]
+        printed = {d: rank_printed(5 - d) for d in range(6)}
+        assert [printed[d] for d in range(6)] == [20, 10, 4, 1, 0, 0]
+        assert got == moments(printed) == (35, 21)
 
     def test_trivial_bundle(self):
         got = sym_power_twists(SplitBundle((0, 0, 0, 0, 0)), 2, "standard")[2]
-        assert got == {0: comb(6, 4)}
+        assert got == (comb(6, 4), 0)
 
     def test_dp_equals_brute_force_random_twists(self):
         rng = random.Random(20240501)
         for _ in range(40):
             twists = tuple(rng.randint(-2, 3) for _ in range(5))
             k = rng.randint(0, 8)
-            assert sym_power_twists(SplitBundle(twists), k)[k] == brute_force_twists(
-                twists, k
+            assert sym_power_twists(SplitBundle(twists), k)[k] == moments(
+                brute_force_twists(twists, k)
             )
 
     def test_total_rank(self):
@@ -156,23 +172,22 @@ class TestSymPowerTwists:
         for _ in range(20):
             twists = tuple(rng.randint(-2, 3) for _ in range(5))
             k = rng.randint(0, 10)
-            mults = sym_power_twists(SplitBundle(twists), k)[k]
-            assert sum(mults.values()) == comb(k + 4, 4)
+            rank, _ = sym_power_twists(SplitBundle(twists), k)[k]
+            assert rank == comb(k + 4, 4) == sum(brute_force_twists(twists, k).values())
 
     def test_printed_convention_needs_special_shape(self):
         with pytest.raises(UnsupportedConventionError):
             sym_power_twists(SplitBundle((1, 1, 0, 0, 0)), 5, "paper")
-        # any order of four zeros and one e is accepted; degrees whose
-        # printed rank is zero are not stored
+        # any order of four zeros and one e is accepted
         expected = {
             0: rank_printed(3),
             2: rank_printed(2),
             4: rank_printed(1),
             6: rank_printed(0),
         }
-        assert sym_power_twists(SplitBundle((0, 2, 0, 0, 0)), 3, "paper")[3] == {
-            d: c for d, c in expected.items() if c
-        }
+        assert sym_power_twists(SplitBundle((0, 2, 0, 0, 0)), 3, "paper")[3] == moments(
+            expected
+        ) == (5, 2)
 
     def test_negative_power_refused(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
@@ -183,92 +198,64 @@ class TestPowerRow:
     def test_row_equals_brute_force_both_ways(self):
         twists = (-1, 0, 0, 2, 3)
         for k, row in enumerate(sym_power_twists(SplitBundle(twists), 6)):
-            expected = brute_force_twists(twists, k)
-            assert type(row) is dict
+            expected = moments(brute_force_twists(twists, k))
+            assert type(row) is tuple
             assert row == expected and expected == row
-
-    def test_zero_multiplicity_inside_the_span_is_absent(self):
-        rows = sym_power_twists(SplitBundle((0, 0, 0, 0, 2)), 3)
-        # the packed row holds every slot from degree 0 up, zero or not
-        slots = [rows.packed(3) >> (64 * t) & (2**64 - 1) for t in range(7)]
-        assert slots == [20, 0, 10, 0, 4, 0, 1]
-        row = rows[3]
-        assert list(row.keys()) == [0, 2, 4, 6] and len(row) == 4
-        for d in (1, 3, 5, -1, 7):
-            assert d not in row and row.get(d, 0) == 0
-            with pytest.raises(KeyError):
-                row[d]
 
     def test_printed_leading_rows_are_empty(self):
         table = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 3, "paper")
-        for row in (table[0], table[1]):
-            assert row == {} and {} == row
-            assert list(row.keys()) == [] and len(row) == 0
-            assert 0 not in row and row.get(0, 0) == 0
-        assert table[2] == {0: 1} and table[3] == {0: 4, 1: 1}
-
-    def test_an_edited_row_leaves_the_table_unchanged(self):
-        # each read builds a new dict, so an edit reaches no later read
-        rows = sym_power_twists(SplitBundle(EXAMPLE_TWISTS), 2)
-        row = rows[2]
-        row[0] = 1
-        del row[2]
-        row[7] = 3
-        assert rows[2] == brute_force_twists(EXAMPLE_TWISTS, 2) == {0: 10, 1: 4, 2: 1}
+        assert table[0] == table[1] == (0, 0)
+        # the standard S^0 and S^1: {0: 1}, and {0: 4, 1: 1}
+        assert table[2] == (1, 0) and table[3] == (5, 1)
+        assert list(table) == [(0, 0), (0, 0), (1, 0), (5, 1)]
+        for j in (-1, 4):
+            with pytest.raises(IndexError):
+                table[j]
 
     def test_rows_and_counts_match_the_dict_pass(self):
         rng = random.Random(20261018)
         for _ in range(60):
             twists = tuple(rng.randint(-6, 6) for _ in range(5))
             m_max = rng.randint(1, 6)
-            assert list(sym_power_twists(SplitBundle(twists), 5 * m_max)) == dict_powers(
-                twists, 5 * m_max
-            )
-            values, below_chi = dict_h0_anti(twists, m_max)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert h0_anti(SplitBundle(twists), m_max) == values
-            assert bool(caught) == below_chi
-            assert all(w.category is ChiApproximationWarning for w in caught)
+            assert list(sym_power_twists(SplitBundle(twists), 5 * m_max)) == [
+                moments(row) for row in dict_powers(twists, 5 * m_max)
+            ]
+            h0_anti_or_refusal(twists, m_max)
+            shift = rng.randint(-6, 6)
+            nef = tuple(d + shift for d in rng.choice(NEF_OFFSETS))
+            assert h0_anti_or_refusal(nef, m_max) is not None
 
 
-def h0_anti_and_chi_flag(twists, m_max, conv="standard"):
-    """h0_anti's values and whether it warned, the shape of dict_h0_anti."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        values = h0_anti(SplitBundle(twists), m_max, conv)
-    assert all(w.category is ChiApproximationWarning for w in caught)
-    return values, bool(caught)
+any_twists = st.tuples(*[st.integers(-6, 6)] * 5)
+nef_twists = st.builds(
+    lambda offset, shift: tuple(d + shift for d in offset),
+    st.sampled_from(NEF_OFFSETS),
+    st.integers(-6, 6),
+)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(twists=st.tuples(*[st.integers(-6, 6)] * 5), m_max=st.integers(1, 5))
-# lowest pushed-down degree exactly -1 (no warning), -2 from m = 1 on
-# (slots skipped, a warning), and far from nef
+@given(twists=st.one_of(nef_twists, any_twists), m_max=st.integers(1, 5))
+# lowest pushed-down degree 0 (nef, -K on the boundary of the cone), -1
+# and -2 from m = 1 on (refused), and far from nef
+@example(twists=(0, 0, 0, 1, 1), m_max=5)
 @example(twists=(0, 0, 0, 1, 2), m_max=1)
 @example(twists=(0, 0, 0, 2, 2), m_max=3)
 @example(twists=(-6, -6, 6, 6, 6), m_max=2)
 def test_h0_anti_matches_the_dict_pass(twists, m_max):
-    assert h0_anti_and_chi_flag(twists, m_max) == dict_h0_anti(twists, m_max)
+    h0_anti_or_refusal(twists, m_max)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(e=st.integers(-6, 6), m_max=st.integers(1, 6))
-# the printed example, and a bundle whose lowest degrees are skipped
+# the printed example, the nef boundary e = 2, and two bundles refused
 @example(e=1, m_max=5)
-@example(e=6, m_max=2)
+@example(e=2, m_max=6)
+@example(e=3, m_max=1)
+@example(e=-1, m_max=1)
 def test_printed_h0_anti_matches_the_dict_pass(e, m_max):
-    twists = (0, 0, 0, 0, e)
-    assert h0_anti_and_chi_flag(twists, m_max, "paper") == dict_h0_anti(twists, m_max, "paper")
-
-
-def slot_moments(packed):
-    """(sum c_i, sum i * c_i) of a packed row, slot by slot."""
-    s0 = s1 = 0
-    for i in range((packed.bit_length() + 63) // 64):
-        c = packed >> (64 * i) & (2**64 - 1)
-        s0, s1 = s0 + c, s1 + i * c
-    return s0, s1
+    values = h0_anti_or_refusal((0, 0, 0, 0, e), m_max, "paper")
+    assert (values is not None) == (e in (0, 1, 2))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -287,146 +274,49 @@ def slot_moments(packed):
 @example(e=0, others=(0, 0, 0, 0), k=160, conv="paper")
 @example(e=1, others=(0, 0, 0, 0), k=160, conv="paper")
 @example(e=2, others=(0, 0, 0, 0), k=160, conv="paper")
-def test_closed_form_moments_match_the_packed_rows(e, others, k, conv):
-    # the slot-by-slot moments of the packed rows are the brute-force check
-    # of S0 = C(i+4, 4) and S1 = C(i+4, 5) * deg E, the closed forms that
-    # h0_anti reads; the printed convention takes four zeros and one e
+def test_rows_match_the_dict_pass_moments(e, others, k, conv):
+    # the count and degree sum of each dict_powers row are the brute-force
+    # check of rank C(i+4, 4) and degree C(i+4, 5) * sum(e); the printed
+    # convention takes four zeros and one e, and its row j is the standard
+    # row j - 2
     twists = (e,) + (others if conv == "standard" else (0, 0, 0, 0))
-    deg = sum(twists) - 5 * min(twists)
     rows = sym_power_twists(SplitBundle(twists), k, conv)
     assert len(rows) == k + 1
-    for i in range(k + 1 - rows.shift):
-        assert (comb(i + 4, 4), deg * comb(i + 4, 5)) == slot_moments(rows.packed(i))
+    standard = dict_powers(twists, k)
+    assert list(rows) == [
+        moments(standard[j - rows.shift]) if j >= rows.shift else (0, 0) for j in range(k + 1)
+    ]
 
 
 class TestMoments:
-    def pack(self, counts):
-        return sum(c << (64 * i) for i, c in enumerate(counts))
-
-    def test_largest_rank_the_guard_admits(self):
-        # spread 0 holds one slot per row, up to S^145052 of rank C(145056, 4)
-        rank = comb(145056, 4)
-        assert rank < 2**64 - 1 and comb(145057, 4) >= 2**64
-        for counts in ([rank], [0, rank], [rank, 0, 0, 0]):
-            packed = self.pack(counts)
-            assert _moments(packed) == slot_moments(packed) == (rank, counts.index(rank) * rank)
-
-    def test_largest_weighted_sum_the_slot_budget_admits(self):
-        # spread 1 reaches k = 4094 under MAX_POWER_SLOTS; its top row has
-        # 4095 slots and rank C(4098, 4), so sum(i * c_i) < 4094 * C(4098, 4)
-        assert power_slots(1, 4094) <= MAX_POWER_SLOTS < power_slots(1, 4095)
-        rank = comb(4098, 4)
-        top = [0] * 4094 + [rank]
-        spread = [rank // 4095 + (i < rank % 4095) for i in range(4095)]
-        rng = random.Random(22)
-        uneven = [0] * 4095
-        for _ in range(200):
-            uneven[rng.randrange(3000, 4095)] += rank // 200
-        for counts in (top, spread, uneven):
-            packed = self.pack(counts)
-            s0, s1 = slot_moments(packed)
-            assert s0 <= rank and 2**54 < s1 <= 4094 * rank < 2**55.5
-            assert _moments(packed) == (s0, s1)
-
     def test_trivial_bundle_at_the_rank_guard(self):
-        # P^4 x P^1 up to S^145050: h0(-mK) = C(5m+4, 4) * (2m + 1)
+        # P^4 x P^1 up to S^145050, whose rank C(145054, 4) is just below
+        # 2**64: h0(-mK) = C(5m+4, 4) * (2m + 1)
         values = h0_anti(SplitBundle((0, 0, 0, 0, 0)), 29010)
+        assert comb(145054, 4) < 2**64 <= comb(145057, 4)
         assert values[-1] == comb(145054, 4) * 58021
         assert values[::2900] == [comb(5 * m + 4, 4) * (2 * m + 1) for m in range(1, 29011, 2900)]
 
 
-class TestSlotGuard:
-    def test_rank_past_64_bits_refused_before_any_row(self):
-        first = next(k for k in count() if comb(k + 4, 4) >= 2**64)
-        cases = [(first, "standard"), (200_000, "standard"), (first + 2, "paper")]
-        for k, conv in cases:
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValueError, match="64-bit"):
-                    sym_power_twists(SplitBundle(EXAMPLE_TWISTS), k, conv)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 16
-
-
 class TestSlotBudget:
-    def test_verifier_tables_fit_on_every_nef_normal_form(self):
-        # a nef bundle twisted to min(e) = 0 has sum(e) <= 2, so spread <= 2
-        for offset in NEF_OFFSETS:
-            spread = max(offset) - min(offset)
-            assert spread <= 2
-            assert power_slots(spread, 5 * MAX_TABLE) <= MAX_POWER_SLOTS
-        assert power_slots(2, 5 * MAX_TABLE) == (5 * MAX_TABLE + 1) ** 2
-
-    def test_slots_count_every_row(self):
-        for twists in [(0, 0, 0, 0, 0), (0, 0, 0, 1, 1), (-2, 0, 1, 1, 3)]:
-            spread = max(twists) - min(twists)
-            for k in range(6):
-                rows = sym_power_twists(SplitBundle(twists), k)
-                # the top slot of each row, degree i * max(e), holds 1
-                slots = sum((rows.packed(i).bit_length() + 63) // 64 for i in range(k + 1))
-                assert power_slots(spread, k) == slots
-
-    def test_over_budget_refused_before_any_row(self):
-        # k = 145,000 passes the 64-bit guard but would need ~84 GB of rows
-        k = 145_000
-        assert comb(k + 4, 4) < 2**64
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="packed slots"):
-                sym_power_twists(SplitBundle(EXAMPLE_TWISTS), k)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 16
-
-    def test_unread_rows_stay_packed(self):
-        # a call holds no packed row until one is read; the first read
-        # builds them all, and a row is unpacked into a dict when it is read
-        b = SplitBundle((0, 0, 0, 1, 1))
-        packed_bytes = 8 * power_slots(1, 1000)
-        tracemalloc.start()
-        try:
-            rows = sym_power_twists(b, 1000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * packed_bytes
-        assert rows[2] == {0: 6, 1: 6, 2: 3}
-        assert rows[3] == brute_force_twists((0, 0, 0, 1, 1), 3)
-
-    def test_nef_counts_build_no_packed_row(self):
-        # the widest nef bundle at the verifier's largest table: its packed
-        # rows would take 8 * 2561**2 bytes, about 52 MB, and h0_anti reads
-        # only the closed-form moments
-        b = SplitBundle((0, 0, 0, 0, 2))
-        assert is_nef(b)
-        packed_bytes = 8 * power_slots(2, 5 * MAX_TABLE)
-        tracemalloc.start()
-        try:
-            values = h0_anti(b, MAX_TABLE)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < packed_bytes / 10
-        chern = ChernData(6250, 2750)
-        assert values[::64] == [p_eval(chern, m) for m in range(1, MAX_TABLE + 1, 64)]
-
     @pytest.mark.parametrize("twists, conv", [
         pytest.param(offset, conv, id=f"{''.join(map(str, offset))}-{conv}")
         for offset in NEF_NORMAL_FORMS for conv in ("standard", "paper")
         if conv == "standard" or offset[3] == 0
     ])
     def test_nef_counts_build_only_the_rows_read(self, twists, conv, monkeypatch):
-        # h0_anti(b, 32) counts rows 5, 10, ..., 160 of the 161 that
-        # sym_power_twists(b, 160) returns from their closed forms, and
-        # reads no packed row, so it builds none
-        def refuse(rows, i):
-            raise AssertionError("a packed row was read")
+        # h0_anti(b, 32) reads rows 5, 10, ..., 160 of the 161 that
+        # sym_power_twists(b, 160) returns, each computed when it is read
+        read = []
+        row = PowerRows.__getitem__
 
-        monkeypatch.setattr(PowerRows, "packed", refuse)
+        def recording(rows, j):
+            read.append(j)
+            return row(rows, j)
+
+        monkeypatch.setattr(PowerRows, "__getitem__", recording)
         values = h0_anti(SplitBundle(twists), 32, conv)
+        assert read == list(range(5, 161, 5))
         assert len(values) == 32
         if conv == "standard":
             chern = ChernData(6250, 2750)
@@ -439,10 +329,10 @@ class TestOnePassTables:
         table = sym_power_twists(SplitBundle(twists), 6)
         assert len(table) == 7
         for k, got in enumerate(table):
-            assert got == brute_force_twists(twists, k)
+            assert got == moments(brute_force_twists(twists, k))
 
     def test_printed_table_matches_printed_rank(self):
-        # the paper list is the standard one shifted by two; check it
+        # the paper rows are the standard ones shifted by two; check them
         # against the published rank (k-1)k(k+1)/6 entry by entry
         for e in range(-3, 4):
             b = SplitBundle((0, 0, 0, 0, e))
@@ -451,7 +341,7 @@ class TestOnePassTables:
                 expected = {}
                 for j in range(k + 1):
                     expected[j * e] = expected.get(j * e, 0) + rank_printed(k - j)
-                assert got == {d: c for d, c in expected.items() if c}
+                assert got == moments(expected)
 
     def test_table_is_prefix_stable(self):
         b = SplitBundle((0, 0, 0, 1, 1))
@@ -508,34 +398,37 @@ class TestH0Anti:
         with pytest.raises(ValueError):
             h0_anti(SplitBundle(EXAMPLE_TWISTS), 0)
 
-    def test_chi_guard_warns_on_deep_negative_twists(self):
-        b = SplitBundle((-2, 0, 0, 0, 1))
-        with pytest.warns(ChiApproximationWarning):
-            (value,) = h0_anti(b, 1)
-        assert value == brute_force_h0((-2, 0, 0, 0, 1), 1)
+    @pytest.mark.parametrize("twists, conv", [
+        ((-2, 0, 0, 0, 0), "standard"),
+        ((-2, 0, 0, 0, 1), "standard"),
+        ((0, 0, 0, 1, 2), "standard"),
+        ((0, 0, 0, 0, 3), "standard"),
+        ((0, 0, 0, 0, 3), "paper"),
+        ((0, 0, 0, 0, -1), "paper"),
+    ])
+    def test_non_nef_bundle_refused(self, twists, conv, monkeypatch):
+        # before any symmetric power is asked for
+        def refuse(*args):
+            raise AssertionError("sym_power_twists was called")
 
-    @pytest.mark.parametrize(
-        "twists, lowest, warns",
-        [((0, 0, 0, 1, 2), -1, False), ((0, 0, 0, 2, 2), -2, True)],
-    )
-    def test_chi_boundary_is_degree_minus_one(self, twists, lowest, warns):
-        # the lowest pushed-down degree of -K; h0_p1 counts O(-1) as 0
-        # sections with chi = 0, and O(-2) as 0 sections with chi = -1
         b = SplitBundle(twists)
-        _, h_coeff = anticanonical_data(b)
-        assert min(sym_power_twists(b, 5)[5]) + h_coeff == lowest
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            (value,) = h0_anti(b, 1)
-        assert [w.category for w in caught] == [ChiApproximationWarning] * warns
-        assert value == brute_force_h0(twists, 1)
+        assert not is_nef(b)
+        monkeypatch.setattr(bundle, "sym_power_twists", refuse)
+        with pytest.raises(ValueError, match=r"^-K is not nef") as exc:
+            h0_anti(b, 3, conv)
+        assert str(twists) in str(exc.value)
 
-    def test_no_warning_on_the_example(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ChiApproximationWarning)
-            h0_anti(SplitBundle(EXAMPLE_TWISTS), 2)
+    def test_nef_boundary_is_degree_zero(self):
+        # 5 min(e) + 2 - sum(e) = 0: the lowest pushed-down degree of -mK is
+        # 0, so each summand has h0 = chi; one twist more and it is -1
+        for twists in ((0, 0, 0, 0, 2), (0, 0, 0, 1, 1)):
+            b = SplitBundle(twists)
+            assert is_nef(b) and 5 * min(twists) + 2 - sum(twists) == 0
+            assert h0_anti(b, 2) == [brute_force_h0(twists, 1), brute_force_h0(twists, 2)]
+        for twists in ((0, 0, 0, 0, 3), (0, 0, 0, 1, 2)):
+            assert not is_nef(SplitBundle(twists))
+            with pytest.raises(ValueError, match=r"^-K is not nef"):
+                h0_anti(SplitBundle(twists), 1)
 
 
 class TestPaperClosedForm:

@@ -187,36 +187,29 @@ class TestOracle:
         code, out, _ = run_cli(capsys, "oracle", "--bundle", "0,0,0,0,0", "--m", "1")
         assert code == 0 and out == "378\n"
 
-    def test_chi_warning_is_one_line_without_a_source_location(self):
-        # a twist below degree -1: the count on stdout, and on stderr the
-        # warning alone, which names no file or line of the package
-        proc = subprocess.run(
-            [sys.executable, "-m", "fanobound.cli", "oracle", "--bundle=-2,0,0,0,0", "--m", "3"],
-            capture_output=True,
-            text=True,
-        )
-        assert (proc.returncode, proc.stdout) == (0, "29211\n")
-        assert proc.stderr == (
-            "ChiApproximationWarning: a summand has degree < -1 after twisting; "
-            "h0 may differ from chi\n"
-        )
+    def test_non_nef_bundle_exit_2(self, capsys):
+        # -K = 5L + 3H misses nef by 5 min(e) + 2 - sum(e) = -7: refused,
+        # as solve and verify refuse it
+        code, out, err = run_cli(capsys, "oracle", "--bundle=-2,0,0,0,0", "--m", "3")
+        assert code == 2 and out == ""
+        assert "-K is not nef on the bundle with twists (-2, 0, 0, 0, 0)" in err
 
     def test_m_zero_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "oracle", "--bundle", "0,0,0,0,1", "--m", "0")
         assert code == 2
 
-    def test_rank_past_64_bit_slots_exit_2(self, capsys):
-        code, out, err = run_cli(capsys, "oracle", "--bundle=0,0,0,0,1", "--m", "40000")
-        assert code == 2 and out == ""
-        assert "64-bit slots" in err and "MemoryError" not in err
-
-    def test_rows_past_the_slot_budget_exit_2_quickly(self, capsys):
-        # k = 145,000 fits 64-bit slots, but its rows would need ~84 GB
+    @pytest.mark.parametrize("m", [40000, 29000])
+    def test_far_multiple_equals_the_table_quickly(self, capsys, m):
+        # S^(5m) has a rank past 2**64 at m = 40000; h0 reads its rank and
+        # degree, not its summands
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "oracle", "--bundle=0,0,0,0,1", "--m", "29000")
+        code, out, err = run_cli(capsys, "oracle", "--bundle=0,0,0,0,1", "--m", str(m))
         assert time.perf_counter() - start < 2
-        assert code == 2 and out == ""
-        assert "packed slots" in err and "MemoryError" not in err
+        assert (code, err) == (0, "")
+        code, table, _ = run_cli(
+            capsys, "table", "--k5", "6250", "--k3c2", "2750", "--max-m", str(m)
+        )
+        assert code == 0 and table.splitlines()[-1] == f"{m},{out.strip()}"
 
     def test_unsupported_convention_shape_exit_2(self, capsys):
         code, _, _ = run_cli(

@@ -478,6 +478,35 @@ class TestSplitAndMerge:
             assert len(hits) == 1, (c, hits)
 
 
+class TestArgumentGuards:
+    def test_negative_multiple_refused(self):
+        with pytest.raises(ValueError, match="lower bounds are derived for m >= 0 only"):
+            derive_lower_bound(axiom_system(), -1)
+
+    def test_negative_split_refused(self):
+        with pytest.raises(ValueError, match="lmax must be >= 0"):
+            split_on_p1(axiom_system(), -1)
+
+    def test_empty_merge_refused(self):
+        with pytest.raises(ValueError, match="nothing to merge"):
+            merge_branch_facts([])
+
+    def test_merge_of_different_multiples_refused(self):
+        with pytest.raises(ValueError, match="facts speak about different multiples"):
+            merge_branch_facts([Fact(3, 7), Fact(2, 1)])
+
+    def test_tail_from_zero_refused(self):
+        with pytest.raises(ValueError, match="m0 must be >= 1"):
+            monotone_from(geometry_system([merged_p3_fact()]), 0)
+
+    def test_table_outside_its_range_refused(self):
+        table = chern_table(ChernData(6250, 2750), 3)
+        assert table.at(0) == 1 and table.at(3) == 27132
+        for m in (-1, 4):
+            with pytest.raises(ValueError, match=f"the value table has no entry for m = {m}$"):
+                table.at(m)
+
+
 class TestSharedSystems:
     def test_axiom_system_is_built_once(self):
         fresh = ConstraintSystem(

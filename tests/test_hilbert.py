@@ -198,15 +198,27 @@ class TestFitAB:
         assert p_affine(3).evaluate(a, b) == 14
 
     def test_degenerate_pairs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m = 0 carries no"):
             fit_ab(PValue(0, 1), PValue(2, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m >= 0 only"):
             fit_ab(PValue(-1, 0), PValue(2, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need two distinct multiples"):
             fit_ab(PValue(2, 5), PValue(2, 6))
-        # antisymmetric partner has a proportional coefficient row
-        with pytest.raises(ValueError):
+        # the antisymmetric partner of m = 2, whose coefficient row is
+        # proportional, is no PValue
+        with pytest.raises(ValueError, match="m >= 0 only"):
             fit_ab(PValue(2, 5), PValue(-3, -5))
+
+    def test_distinct_multiples_never_have_proportional_rows(self):
+        # ca(m) = (3m^2 + 3m - 1) * cb(m) with cb(m) = m(m+1)(2m+1) > 0 and
+        # the factor strictly increasing for m >= 1
+        for m in range(1, 200):
+            ca, cb, _ = p_coeffs(m)
+            assert cb == m * (m + 1) * (2 * m + 1) > 0
+            assert ca == (3 * m * m + 3 * m - 1) * cb
+        rows = {p_coeffs(m)[:2] for m in range(1, 200)}
+        slopes = {Fraction(ca, cb) for ca, cb in rows}
+        assert len(rows) == len(slopes) == 199
 
 
 class TestAgainstFractionRoute:
